@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -258,6 +258,9 @@ class LdHePlan:
     threshold_num: int
     threshold_den: int
     moduli: tuple[int, ...]
+
+    # ``run`` multiplies ciphertexts, so the evaluator needs the relin key.
+    MULTIPLIES_CIPHERTEXTS: ClassVar[bool] = True
 
     @classmethod
     def create(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from ..circuits.builders import CircuitBuilder
 from ..circuits.ir import Circuit, CircuitError, FixedPointSpec
@@ -249,3 +249,14 @@ def lr_he_plan_bound(model: LrModel) -> int:
     for w in model.weights:
         bound += abs(w) * x_abs
     return bound
+
+
+@dataclass(frozen=True)
+class LrHePlan:
+    """Protocol-1 plan for LR: the affine part runs modulo a single plaintext
+    prime that exceeds twice ``lr_he_plan_bound``."""
+
+    moduli: tuple[int]
+
+    # Weights are plaintexts, so no relinearization key is needed.
+    MULTIPLIES_CIPHERTEXTS: ClassVar[bool] = False

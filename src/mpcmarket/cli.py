@@ -11,21 +11,21 @@ import argparse
 import json
 import statistics
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .analytics import datagen
 from .analytics.ld import PlanRejected
+from .analytics.lr import load_model
 from .circuits.bristol import parse_circuit, serialize_circuit
 from .circuits.ir import CircuitError, gate_stats
 from .garbling import HEADER_SIZE
 from .he import bfv
 from .he.bfv import HeParams, HeParamsError
 from .protocol.channels import TransportError
-from .protocol.computations import LdComputation, LrComputation
+from .protocol.computations import Computation, LdComputation, LrComputation
 from .protocol.messages import ProtocolError
 from .protocol.runner import (
     VerificationError,
@@ -54,7 +54,7 @@ class RunConfig:
     range_bits: int = 10
     rows: int = 10
     makers: int = 1
-    n_degree: int = 8192
+    n_degree: int | None = None  # None: 8192 for LD, 4096 for LR
     t_bits: int = 21
     batch: bool = True
     transport: str = "inproc"
@@ -83,6 +83,8 @@ class RunConfig:
             raise ConfigRejected(f"range-bits {self.range_bits} outside [2, 16]")
         if self.makers < 1:
             raise ConfigRejected("makers must be >= 1")
+        if self.rows < 1:
+            raise ConfigRejected("rows must be >= 1")
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -114,184 +116,142 @@ def _emit(records: list[dict], jsonl: str | None) -> None:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _split_round_robin(groups: list[str], makers: int) -> list[dict[str, int]]:
-    buckets: list[list[str]] = [[] for _ in range(makers)]
-    for i, g in enumerate(groups):
-        buckets[i % makers].append(g)
-    return buckets  # names only; values filled by caller
+# (column header, record key); a column shows only if some record has the key.
+_COLUMNS = [
+    ("total ms", "total_ms"),
+    ("garbling ms", "garbling_ms"),
+    ("evaluation ms", "evaluation_ms"),
+    ("#gates", "gates"),
+    ("#non-XOR", "non_xor"),
+    ("comm bytes", "comm_bytes"),
+    ("scalar total ms", "scalar_total_ms"),
+]
 
 
-def _table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
+def _print_table(records: list[dict]) -> None:
+    key = ("M", "M") if records[0]["workload"] == "ld" else ("range", "range_bits")
+    cols = [key] + [c for c in _COLUMNS if any(c[1] in r for r in records)]
+
+    def cell(v) -> str:
+        return "-" if v is None else f"{v:.1f}" if isinstance(v, float) else str(v)
+
+    rows = [[h for h, _ in cols]] + [[cell(r.get(k)) for _, k in cols] for r in records]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(cols))]
+    rows.insert(1, ["-" * w for w in widths])
     fmt = "  ".join(f"{{:>{w}}}" for w in widths)
-    lines = [fmt.format(*header), fmt.format(*("-" * w for w in widths))]
-    lines += [fmt.format(*row) for row in rows]
-    return "\n".join(lines)
+    print("\n".join(fmt.format(*row) for row in rows))
 
 
 def _maker_inputs_for(groups: dict[str, int], makers: int) -> list[dict[str, int]]:
+    """Deal the input groups round-robin to at most ``makers`` makers."""
     names = list(groups)
-    buckets = _split_round_robin(names, min(makers, len(names)))
-    return [{name: groups[name] for name in bucket} for bucket in buckets if bucket]
+    k = min(makers, len(names))
+    return [{name: groups[name] for name in names[i::k]} for i in range(k)]
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    cfg.validate()
-    records: list[dict] = []
-    if cfg.workload == "ld":
-        comp = LdComputation(
-            count_bits=cfg.count_bits,
-            m_instances=cfg.m_instances,
-            threshold_num=cfg.threshold_num,
-            threshold_den=cfg.threshold_den,
-        )
-        if cfg.data:
-            counts = datagen.read_haplotype_csv(cfg.data)
-        else:
-            counts = datagen.gen_haplotype_counts(
-                cfg.seed, cfg.m_instances, n_total=min(200, (1 << cfg.count_bits) - 1)
-            )
-        if len(counts) < cfg.m_instances:
-            raise ConfigRejected(
-                f"need {cfg.m_instances} haplotype rows, file has {len(counts)}"
-            )
-        groups: dict[str, int] = {}
-        for i in range(cfg.m_instances):
-            c = counts[i]
-            for name, v in zip(("n_AB", "n_Ab", "n_aB", "n_ab"), c):
-                groups[f"i{i}.{name}"] = v
-        maker_inputs = _maker_inputs_for(groups, cfg.makers)
-        st = gate_stats(comp.circuit)
-        if cfg.save_circuit:
-            Path(cfg.save_circuit).write_text(serialize_circuit(comp.circuit))
-
-        runs = []
-        for r in range(cfg.repeat):
-            if cfg.backend == "gc":
-                out = run_protocol2(
-                    comp, maker_inputs, transport=cfg.transport,
-                    seed=cfg.seed + r, verify=cfg.verify,
-                )
-            elif cfg.batch or cfg.m_instances == 1:
-                params = HeParams.default(cfg.n_degree, t_bits=cfg.t_bits)
-                out = run_protocol1(
-                    comp, maker_inputs, params, transport=cfg.transport,
-                    seed=cfg.seed + r, verify=cfg.verify,
-                )
-            else:
-                # sequential scalar sessions, one LD instance each
-                params = HeParams.default(cfg.n_degree, t_bits=cfg.t_bits)
-                comp1 = LdComputation(
-                    count_bits=cfg.count_bits,
-                    threshold_num=cfg.threshold_num,
-                    threshold_den=cfg.threshold_den,
-                )
-                decisions = []
-                oracle_decisions = []
-                t0 = time.perf_counter()
-                for i in range(cfg.m_instances):
-                    sub = {
-                        f"i0.{name}": groups[f"i{i}.{name}"]
-                        for name in ("n_AB", "n_Ab", "n_aB", "n_ab")
-                    }
-                    sub_out = run_protocol1(
-                        comp1, _maker_inputs_for(sub, cfg.makers), params,
-                        transport=cfg.transport, seed=cfg.seed + r * 1000 + i,
-                        verify=cfg.verify,
-                    )
-                    decisions.extend(sub_out.result["decisions"])
-                    if sub_out.oracle is not None:
-                        oracle_decisions.extend(sub_out.oracle["decisions"])
-                sub_out.result = {"decisions": decisions}
-                sub_out.oracle = {"decisions": oracle_decisions} if cfg.verify else None
-                sub_out.timings["total_s"] = time.perf_counter() - t0
-                out = sub_out
-            runs.append(out)
-        comm = runs[0].transcript.total_bytes("GarbledCircuitMsg", "InputLabels")
-        rec = {
-            "workload": "ld", "backend": cfg.backend, "M": cfg.m_instances,
-            "gates": st.total, "non_xor": st.non_xor,
-            "comm_bytes": comm if cfg.backend == "gc" else runs[0].transcript.total_bytes(),
-            "garbling_ms": _mean_ms(runs, "garble_s"),
-            "evaluation_ms": _mean_ms(runs, "evaluate_s" if cfg.backend == "gc" else "he_eval_s"),
-            "total_ms": _mean_ms(runs, "total_s"),
-            "decisions": runs[0].result["decisions"],
-            "verified": all(r.verified for r in runs),
-            "repeat": cfg.repeat, "seed": cfg.seed, "transport": cfg.transport,
-        }
-        records.append(rec)
-        print(_table(
-            ["M", "garbling ms", "evaluation ms", "#gates", "#non-XOR", "comm bytes"],
-            [[str(cfg.m_instances), f"{rec['garbling_ms']:.1f}", f"{rec['evaluation_ms']:.1f}",
-              str(st.total), str(st.non_xor), str(rec["comm_bytes"])]],
-        ))
-        print(f"decisions: {rec['decisions']}")
-        print(f"verified against plaintext oracle: {rec['verified']}")
-    else:
-        model = (
-            datagen.load_bundled_model() if cfg.model is None else __import__(
-                "mpcmarket.analytics.lr", fromlist=["load_model"]
-            ).load_model(cfg.model)
-        )
-        comp = LrComputation(model=model, range_bits=cfg.range_bits)
+def _sessions(cfg: RunConfig) -> tuple[Computation, list[list[dict[str, int]]]]:
+    """The computation and the maker inputs of each session in one
+    repetition: LD runs all M instances in one session, or one session per
+    instance under ``--no-batch``; LR runs one session per row."""
+    if cfg.workload == "lr":
+        model = datagen.load_bundled_model() if cfg.model is None else load_model(cfg.model)
         if cfg.data:
             rows, _labels = datagen.load_lr_csv(cfg.data, model)
         else:
             rows, _labels = datagen.load_bundled_dataset(model)
-        rows = rows[: cfg.rows]
-        st = gate_stats(comp.circuit)
-        if cfg.save_circuit:
-            Path(cfg.save_circuit).write_text(serialize_circuit(comp.circuit))
         mask = (1 << model.spec.total_bits) - 1
-        probs = []
-        garble_ts, eval_ts, totals = [], [], []
-        comm = 0
-        params = HeParams.default(4096) if cfg.backend == "he" else None
-        for i, row in enumerate(rows):
-            maker_input = {f"x{j}": row[j] & mask for j in range(model.dim)}
-            if cfg.backend == "gc":
-                out = run_protocol2(
-                    comp, [maker_input], transport=cfg.transport,
-                    seed=cfg.seed + i, verify=cfg.verify,
-                )
-                garble_ts.append(out.timings.get("garble_s", 0.0))
-                eval_ts.append(out.timings.get("evaluate_s", 0.0))
-            else:
-                out = run_protocol1(
-                    comp, [maker_input], params, transport=cfg.transport,
-                    seed=cfg.seed + i, verify=cfg.verify,
-                )
-                eval_ts.append(out.timings.get("he_eval_s", 0.0))
-            totals.append(out.timings["total_s"])
-            comm = out.transcript.total_bytes("GarbledCircuitMsg", "InputLabels")
-            probs.append(out.result["probability"])
-        rec = {
-            "workload": "lr", "backend": cfg.backend, "range_bits": cfg.range_bits,
-            "rows": len(rows), "gates": st.total, "non_xor": st.non_xor,
-            "comm_bytes": comm,
-            "garbling_ms": 1e3 * statistics.mean(garble_ts) if garble_ts else None,
-            "evaluation_ms": 1e3 * statistics.mean(eval_ts) if eval_ts else None,
-            "total_ms": 1e3 * statistics.mean(totals),
-            "verified": True, "seed": cfg.seed, "transport": cfg.transport,
+        comp = LrComputation(model=model, range_bits=cfg.range_bits)
+        return comp, [[{f"x{j}": v & mask for j, v in enumerate(row)}] for row in rows[: cfg.rows]]
+    if cfg.data:
+        counts = datagen.read_haplotype_csv(cfg.data)
+    else:
+        counts = datagen.gen_haplotype_counts(
+            cfg.seed, cfg.m_instances, n_total=min(200, (1 << cfg.count_bits) - 1)
+        )
+    if len(counts) < cfg.m_instances:
+        raise ConfigRejected(f"need {cfg.m_instances} haplotype rows, file has {len(counts)}")
+    size = cfg.m_instances if cfg.batch else 1
+    comp = LdComputation(
+        count_bits=cfg.count_bits,
+        m_instances=size,
+        threshold_num=cfg.threshold_num,
+        threshold_den=cfg.threshold_den,
+    )
+    sessions = []
+    for start in range(0, cfg.m_instances, size):
+        groups = {
+            f"i{i}.{name}": v
+            for i, c in enumerate(counts[start : start + size])
+            for name, v in c._asdict().items()
         }
-        records.append(rec)
-        print(_table(
-            ["range", "garbling ms", "evaluation ms", "#gates", "#non-XOR", "comm bytes"],
-            [[str(cfg.range_bits),
-              f"{rec['garbling_ms']:.1f}" if rec["garbling_ms"] else "-",
-              f"{rec['evaluation_ms']:.1f}" if rec["evaluation_ms"] else "-",
-              str(st.total), str(st.non_xor), str(comm)]],
-        ))
-        print(f"first probabilities: {[round(p, 6) for p in probs[:5]]}")
-        print(f"verified against plaintext oracle: True ({len(rows)} rows)")
-    _emit(records, cfg.jsonl)
+        sessions.append(_maker_inputs_for(groups, cfg.makers))
+    return comp, sessions
+
+
+def _drive(cfg: RunConfig) -> dict:
+    """Run ``cfg.repeat`` repetitions of the configured sessions and return
+    one record. Times are means per repetition; ``comm_bytes`` is the
+    transcript total of the first repetition."""
+    cfg.validate()
+    comp, sessions = _sessions(cfg)
+    if cfg.save_circuit:
+        Path(cfg.save_circuit).write_text(serialize_circuit(comp.circuit))
+    gc = cfg.backend == "gc"
+    if not gc:
+        n = cfg.n_degree or (8192 if cfg.workload == "ld" else 4096)
+        params = HeParams.default(n, t_bits=cfg.t_bits)
+
+    def session(makers: list[dict[str, int]], seed: int):
+        opts = dict(transport=cfg.transport, seed=seed, verify=cfg.verify)
+        if gc:
+            return run_protocol2(comp, makers, **opts)
+        return run_protocol1(comp, makers, params, **opts)
+
+    reps = [
+        [session(makers, cfg.seed + 1000 * r + i) for i, makers in enumerate(sessions)]
+        for r in range(cfg.repeat)
+    ]
+
+    def mean_ms(key: str) -> float:
+        return 1e3 * statistics.mean(sum(o.timings[key] for o in outs) for outs in reps)
+
+    first = reps[0]
+    rec = {
+        "workload": cfg.workload, "backend": cfg.backend, "transport": cfg.transport,
+        "seed": cfg.seed, "repeat": cfg.repeat,
+    }
+    if cfg.workload == "ld":
+        rec.update(M=cfg.m_instances, decisions=[d for o in first for d in o.result["decisions"]])
+    else:
+        rec.update(
+            range_bits=cfg.range_bits, rows=len(sessions),
+            probabilities=[o.result["probability"] for o in first],
+        )
+    if gc:
+        st = gate_stats(comp.circuit)
+        rec.update(gates=st.total, non_xor=st.non_xor, garbling_ms=mean_ms("garble_s"))
+    rec.update(
+        comm_bytes=sum(o.transcript.total_bytes() for o in first),
+        evaluation_ms=mean_ms("evaluate_s" if gc else "he_eval_s"),
+        total_ms=mean_ms("total_s"),
+        verified=all(o.verified for outs in reps for o in outs) if cfg.verify else None,
+    )
+    return rec
+
+
+def cmd_run(cfg: RunConfig) -> int:
+    rec = _drive(cfg)
+    _print_table([rec])
+    if cfg.workload == "ld":
+        print(f"decisions: {rec['decisions']}")
+    else:
+        print(f"first probabilities: {[round(p, 6) for p in rec['probabilities'][:5]]}")
+    if rec["verified"] is None:
+        print("verification against plaintext oracle: skipped (--no-verify)")
+    else:
+        print(f"verified against plaintext oracle: {rec['verified']}")
+    _emit([rec], cfg.jsonl)
     return EXIT_OK
-
-
-def _mean_ms(runs, key: str) -> float:
-    vals = [r.timings.get(key) for r in runs]
-    vals = [v for v in vals if v is not None]
-    return 1e3 * statistics.mean(vals) if vals else 0.0
 
 
 def cmd_gen_data(args) -> int:
@@ -352,94 +312,20 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """One ``_drive`` record per --M (LD) or --range-bits (LR) value."""
+    ld = args.workload == "ld"
+    base = RunConfig(
+        workload=args.workload, backend=args.backend, count_bits=args.count_bits,
+        rows=1, n_degree=args.n, t_bits=args.t_bits, seed=args.seed, repeat=args.repeat,
+    )
     records: list[dict] = []
-    if args.workload == "ld" and args.backend == "gc":
-        rows = []
-        for m in args.M:
-            comp = LdComputation(count_bits=args.count_bits, m_instances=m)
-            counts = datagen.gen_haplotype_counts(args.seed, m, n_total=200)
-            groups = {}
-            for i, c in enumerate(counts):
-                for name, v in zip(("n_AB", "n_Ab", "n_aB", "n_ab"), c):
-                    groups[f"i{i}.{name}"] = v
-            st = gate_stats(comp.circuit)
-            garbles, evals, comms = [], [], 0
-            for r in range(args.repeat):
-                out = run_protocol2(comp, [groups], seed=args.seed + r)
-                garbles.append(out.timings["garble_s"])
-                evals.append(out.timings["evaluate_s"])
-                comms = out.transcript.total_bytes("GarbledCircuitMsg", "InputLabels")
-            rec = {
-                "bench": "gc-ld", "M": m, "gates": st.total, "non_xor": st.non_xor,
-                "garbling_ms": 1e3 * statistics.mean(garbles),
-                "evaluation_ms": 1e3 * statistics.mean(evals),
-                "comm_bytes": comms,
-            }
-            records.append(rec)
-            rows.append([str(m), f"{rec['garbling_ms']:.1f}", f"{rec['evaluation_ms']:.1f}",
-                         str(st.total), str(st.non_xor), f"{comms/1e6:.2f} MB"])
-        print(_table(["M", "garbling ms", "evaluation ms", "#gates", "#non-XOR", "comm"], rows))
-    elif args.workload == "ld" and args.backend == "he":
-        params = HeParams.default(args.n, t_bits=args.t_bits)
-        rows = []
-        for m in args.M:
-            comp = LdComputation(count_bits=args.count_bits, m_instances=m)
-            counts = datagen.gen_haplotype_counts(args.seed, m, n_total=200)
-            groups = {}
-            for i, c in enumerate(counts):
-                for name, v in zip(("n_AB", "n_Ab", "n_aB", "n_ab"), c):
-                    groups[f"i{i}.{name}"] = v
-            t0 = time.perf_counter()
-            out = run_protocol1(comp, [groups], params, seed=args.seed)
-            batch_s = time.perf_counter() - t0
-            scalar_s = None
-            if args.compare_scalar:
-                t0 = time.perf_counter()
-                for i in range(m):
-                    comp1 = LdComputation(count_bits=args.count_bits, m_instances=1)
-                    sub = {f"i0.{k.split('.', 1)[1]}": v for k, v in groups.items()
-                           if k.startswith(f"i{i}.")}
-                    out1 = run_protocol1(comp1, [sub], params, seed=args.seed + 1 + i)
-                    assert out1.result["decisions"][0] == out.result["decisions"][i]
-                scalar_s = time.perf_counter() - t0
-            rec = {
-                "bench": "he-ld", "M": m, "batch_s": batch_s,
-                "batch_amortized_s": batch_s / m,
-                "scalar_s": scalar_s,
-                "scalar_amortized_s": scalar_s / m if scalar_s else None,
-            }
-            records.append(rec)
-            rows.append([str(m), f"{batch_s:.1f}", f"{batch_s/m:.2f}",
-                         f"{scalar_s:.1f}" if scalar_s else "-",
-                         f"{scalar_s/m:.2f}" if scalar_s else "-"])
-        print(_table(["M", "batch s", "batch/test s", "scalar s", "scalar/test s"], rows))
-    elif args.workload == "lr":
-        model = datagen.load_bundled_model()
-        data_rows, _ = datagen.load_bundled_dataset(model)
-        mask = (1 << model.spec.total_bits) - 1
-        rows = []
-        for k in args.range_bits:
-            comp = LrComputation(model=model, range_bits=k)
-            st = gate_stats(comp.circuit)
-            garbles, evals, comm = [], [], 0
-            for r in range(args.repeat):
-                maker_input = {f"x{j}": data_rows[r][j] & mask for j in range(model.dim)}
-                out = run_protocol2(comp, [maker_input], seed=args.seed + r)
-                garbles.append(out.timings["garble_s"])
-                evals.append(out.timings["evaluate_s"])
-                comm = out.transcript.total_bytes("GarbledCircuitMsg", "InputLabels")
-            rec = {
-                "bench": "gc-lr", "range": k, "gates": st.total, "non_xor": st.non_xor,
-                "garbling_ms": 1e3 * statistics.mean(garbles),
-                "evaluation_ms": 1e3 * statistics.mean(evals),
-                "comm_bytes": comm,
-            }
-            records.append(rec)
-            rows.append([str(k), f"{rec['garbling_ms']:.1f}", f"{rec['evaluation_ms']:.1f}",
-                         str(st.total), str(st.non_xor), f"{comm/1e6:.2f} MB"])
-        print(_table(["range", "garbling ms", "evaluation ms", "#gates", "#non-XOR", "comm"], rows))
-    else:
-        raise ConfigRejected(f"unsupported bench combination {args.workload}/{args.backend}")
+    for value in args.M if ld else args.range_bits:
+        cfg = replace(base, m_instances=value) if ld else replace(base, range_bits=value)
+        rec = {"bench": f"{args.backend}-{args.workload}", **_drive(cfg)}
+        if args.compare_scalar:
+            rec["scalar_total_ms"] = _drive(replace(cfg, batch=False))["total_ms"]
+        records.append(rec)
+    _print_table(records)
     _emit(records, args.jsonl)
     return EXIT_OK
 
@@ -494,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--M", type=int, nargs="+", default=[10])
     bench.add_argument("--count-bits", type=int, default=8)
     bench.add_argument("--range-bits", type=int, nargs="+", default=[10, 11, 12])
-    bench.add_argument("--n", type=int, default=8192)
+    bench.add_argument("--n", type=int)
     bench.add_argument("--t-bits", type=int, default=21)
     bench.add_argument("--repeat", type=int, default=10)
     bench.add_argument("--seed", type=int, default=0)

@@ -2,6 +2,13 @@
 realizes it. Buyers name a computation id plus public parameters; the CSP
 builds the circuit or validates the HE plan. Ad-hoc circuit upload is
 deliberately unsupported.
+
+Both computations offer the same interface: ``input_schema`` (input-group
+name -> bit width, the same for both backends), ``oracle``, the GC side
+(``circuit``, ``decode_output``) and the HE side (``he_plan(params)``, whose
+plan lists its plaintext ``moduli``, then ``he_encrypt_inputs``,
+``he_evaluate`` and ``he_finish``). The HE plan follows from the public
+(computation, params) pair, so every role derives it on its own.
 """
 
 from __future__ import annotations
@@ -20,10 +27,12 @@ from ..analytics.ld import (
     ld_decide_plain,
 )
 from ..analytics.lr import (
+    LrHePlan,
     LrModel,
     SigmoidTable,
     build_lr_circuit,
     build_sigmoid_table,
+    lr_he_plan_bound,
     lr_predict_fixed,
 )
 from ..circuits.ir import Circuit, int_from_bits
@@ -32,6 +41,7 @@ from ..he.bfv import HeCiphertext, HeParams, PublicKey, RelinKey, SecretKey
 from .messages import ProtocolError
 
 MakerInput = Mapping[str, int]  # input-group name -> integer value
+_COUNT_NAMES = HaplotypeCounts._fields
 
 
 @dataclass(frozen=True)
@@ -67,22 +77,28 @@ class LdComputation:
             self.contributors,
         )
 
+    def _group_names(self, i: int, name: str) -> list[str]:
+        """The input groups whose sum is count ``name`` of instance ``i``."""
+        if self.contributors == 1:
+            return [f"i{i}.{name}"]
+        return [f"i{i}.c{j}.{name}" for j in range(self.contributors)]
+
+    @cached_property
+    def input_schema(self) -> dict[str, int]:
+        return {
+            g: self.count_bits
+            for i in range(self.m_instances)
+            for name in _COUNT_NAMES
+            for g in self._group_names(i, name)
+        }
+
     def _merged_counts(self, inputs: Mapping[str, int]) -> list[HaplotypeCounts]:
-        counts = []
-        for i in range(self.m_instances):
-            per_name = []
-            for name in ("n_AB", "n_Ab", "n_aB", "n_ab"):
-                if self.contributors == 1:
-                    per_name.append(inputs[f"i{i}.{name}"])
-                else:
-                    per_name.append(
-                        sum(
-                            inputs[f"i{i}.c{j}.{name}"]
-                            for j in range(self.contributors)
-                        )
-                    )
-            counts.append(HaplotypeCounts(*per_name))
-        return counts
+        return [
+            HaplotypeCounts(
+                *(sum(inputs[g] for g in self._group_names(i, name)) for name in _COUNT_NAMES)
+            )
+            for i in range(self.m_instances)
+        ]
 
     def oracle(self, inputs: Mapping[str, int]) -> dict:
         decisions = [
@@ -112,22 +128,16 @@ class LdComputation:
     ) -> list[tuple[str, bytes]]:
         """One batched ciphertext per (modulus, count name): slot i holds the
         maker's share for instance i."""
-        names = ("n_AB", "n_Ab", "n_aB", "n_ab")
-        share_vectors: dict[str, list[int]] = {name: [] for name in names}
-        for i in range(self.m_instances):
-            for name in names:
-                keys = (
-                    [f"i{i}.{name}"]
-                    if self.contributors == 1
-                    else [f"i{i}.c{j}.{name}" for j in range(self.contributors)]
-                )
-                present = [k for k in keys if k in maker_input]
-                share_vectors[name].append(
-                    sum(maker_input[k] for k in present) if present else 0
-                )
+        share_vectors = {
+            name: [
+                sum(maker_input.get(g, 0) for g in self._group_names(i, name))
+                for i in range(self.m_instances)
+            ]
+            for name in _COUNT_NAMES
+        }
         entries = []
         for t in plan.moduli:
-            for name in names:
+            for name in _COUNT_NAMES:
                 if self.m_instances == 1:
                     pt = bfv.encode_scalar(share_vectors[name][0], pk.params, t)
                 else:
@@ -140,7 +150,7 @@ class LdComputation:
     def he_evaluate(
         self,
         params: HeParams,
-        rk: RelinKey,
+        rk: RelinKey | None,
         plan: LdHePlan,
         listings: Sequence[tuple[int, str, bytes]],
     ) -> list[tuple[str, bytes]]:
@@ -154,10 +164,7 @@ class LdComputation:
             )
         out = []
         for t in plan.moduli:
-            per_name = {
-                name: aggregated[f"{t}:{name}"]
-                for name in ("n_AB", "n_Ab", "n_aB", "n_ab")
-            }
+            per_name = {name: aggregated[f"{t}:{name}"] for name in _COUNT_NAMES}
             lhs, rhs = plan.run(rk, per_name)
             out.append((f"lhs:{t}", bfv.ciphertext_to_bytes(lhs)))
             out.append((f"rhs:{t}", bfv.ciphertext_to_bytes(rhs)))
@@ -211,6 +218,10 @@ class LrComputation:
     def circuit(self) -> Circuit:
         return build_lr_circuit(self.model, self.table)
 
+    @cached_property
+    def input_schema(self) -> dict[str, int]:
+        return {f"x{j}": self.model.spec.total_bits for j in range(self.model.dim)}
+
     def _row(self, inputs: Mapping[str, int]) -> list[int]:
         w = self.model.spec.total_bits
         sign = 1 << (w - 1)
@@ -236,20 +247,18 @@ class LrComputation:
 
     # -- HE path -------------------------------------------------------------
 
-    def he_plain_modulus(self, params: HeParams) -> int:
-        from ..analytics.lr import lr_he_plan_bound
-
-        bound = 2 * lr_he_plan_bound(self.model) + 1
-        bits = bound.bit_length() + 1
-        return bfv.find_plain_primes(params.n, bits)[0]
+    def he_plan(self, params: HeParams) -> LrHePlan:
+        bits = (2 * lr_he_plan_bound(self.model) + 1).bit_length() + 1
+        return LrHePlan((bfv.find_plain_primes(params.n, bits)[0],))
 
     def he_encrypt_inputs(
         self,
         pk: PublicKey,
-        t: int,
+        plan: LrHePlan,
         maker_input: MakerInput,
         rng: np.random.Generator,
     ) -> list[tuple[str, bytes]]:
+        (t,) = plan.moduli
         row = self._row(maker_input)
         entries = []
         for j, x in enumerate(row):
@@ -260,11 +269,14 @@ class LrComputation:
     def he_evaluate(
         self,
         params: HeParams,
-        t: int,
+        rk: RelinKey | None,
+        plan: LrHePlan,
         listings: Sequence[tuple[int, str, bytes]],
     ) -> list[tuple[str, bytes]]:
         """Buyer side: the affine part z = x.w + b on ciphertexts (plaintext
-        weights, free additions); the sigmoid tail runs post-decryption."""
+        weights, free additions); the sigmoid tail runs post-decryption.
+        ``rk`` is unused: the plan multiplies no ciphertexts."""
+        (t,) = plan.moduli
         cts: dict[str, HeCiphertext] = {}
         for _maker, tag, blob in listings:
             cts[tag] = bfv.ciphertext_from_bytes(blob, params)
@@ -284,6 +296,7 @@ class LrComputation:
     def he_finish(
         self,
         sk: SecretKey,
+        plan: LrHePlan,
         entries: Sequence[tuple[str, bytes]],
     ) -> dict:
         if len(entries) != 1 or not entries[0][0].startswith("z:"):

@@ -107,7 +107,8 @@ class ErrorReply(Message):
 
 @dataclass(frozen=True)
 class PublicKeyDist(Message):
-    """Protocol 1 step 1: the CSP's public bundle (pk + relin keys)."""
+    """Protocol 1 step 1: the CSP's public bundle (pk + relin keys; ``rk``
+    is empty when the computation's HE plan multiplies no ciphertexts)."""
 
     TYPE: ClassVar[int] = 0x01
     params_repr: str = ""
@@ -134,10 +135,10 @@ class EncryptedListing(Message):
     entries: tuple[tuple[str, bytes], ...] = ()
 
     def encode(self) -> bytes:
-        out = struct.pack(">HI", self.maker, len(self.entries))
+        parts = [struct.pack(">HI", self.maker, len(self.entries))]
         for name, blob in self.entries:
-            out += _pack_str(name) + _pack_blob(blob)
-        return out
+            parts += (_pack_str(name), _pack_blob(blob))
+        return b"".join(parts)
 
     @classmethod
     def decode(cls, payload: bytes) -> "EncryptedListing":
@@ -185,12 +186,12 @@ class ListingBundle(Message):
     labels: tuple[tuple[int, int], ...] = ()  # (wire index, 128-bit label)
 
     def encode(self) -> bytes:
-        out = struct.pack(">II", len(self.ciphertexts), len(self.labels))
+        parts = [struct.pack(">II", len(self.ciphertexts), len(self.labels))]
         for maker, name, blob in self.ciphertexts:
-            out += struct.pack(">H", maker) + _pack_str(name) + _pack_blob(blob)
+            parts += (struct.pack(">H", maker), _pack_str(name), _pack_blob(blob))
         for wire, label in self.labels:
-            out += struct.pack(">I", wire) + label.to_bytes(16, "big")
-        return out
+            parts += (struct.pack(">I", wire), label.to_bytes(16, "big"))
+        return b"".join(parts)
 
     @classmethod
     def decode(cls, payload: bytes) -> "ListingBundle":
@@ -220,10 +221,10 @@ class DecryptRequest(Message):
     entries: tuple[tuple[str, bytes], ...] = ()
 
     def encode(self) -> bytes:
-        out = struct.pack(">I", len(self.entries))
+        parts = [struct.pack(">I", len(self.entries))]
         for tag, blob in self.entries:
-            out += _pack_str(tag) + _pack_blob(blob)
-        return out
+            parts += (_pack_str(tag), _pack_blob(blob))
+        return b"".join(parts)
 
     @classmethod
     def decode(cls, payload: bytes) -> "DecryptRequest":
@@ -283,10 +284,10 @@ class InputLabels(Message):
     labels: tuple[tuple[int, int], ...] = ()
 
     def encode(self) -> bytes:
-        out = struct.pack(">HI", self.maker, len(self.labels))
+        parts = [struct.pack(">HI", self.maker, len(self.labels))]
         for wire, label in self.labels:
-            out += struct.pack(">I", wire) + label.to_bytes(16, "big")
-        return out
+            parts += (struct.pack(">I", wire), label.to_bytes(16, "big"))
+        return b"".join(parts)
 
     @classmethod
     def decode(cls, payload: bytes) -> "InputLabels":
@@ -328,10 +329,9 @@ class OutputLabels(Message):
     labels: tuple[int, ...] = ()
 
     def encode(self) -> bytes:
-        out = struct.pack(">I", len(self.labels))
-        for label in self.labels:
-            out += label.to_bytes(16, "big")
-        return out
+        return struct.pack(">I", len(self.labels)) + b"".join(
+            label.to_bytes(16, "big") for label in self.labels
+        )
 
     @classmethod
     def decode(cls, payload: bytes) -> "OutputLabels":

@@ -20,7 +20,7 @@ from ..circuits.bristol import parse_circuit_cached, serialize_circuit
 from ..circuits.ir import Circuit
 from ..he import bfv
 from ..he.bfv import HeParams
-from .computations import Computation, LdComputation, LrComputation
+from .computations import Computation
 from .messages import (
     DecryptRequest,
     DeltaKeyDist,
@@ -86,10 +86,7 @@ class Csp:
         self.timings: dict[str, float] = {}
         # Protocol 1 state
         self._sk = None
-        self._pk = None
-        self._rk = None
         self._plan = None
-        self._he_t: int | None = None
         # Protocol 2 state
         self._delta: gb.GlobalDelta | None = None
         self._prf_key: bytes | None = None
@@ -99,27 +96,19 @@ class Csp:
     # -- Protocol 1 ----------------------------------------------------------
 
     def he_setup(self, params: HeParams) -> PublicKeyDist:
+        """Validate the plan, then generate keys. The relinearization key is
+        shipped only to plans that multiply ciphertexts; otherwise ``rk`` is
+        empty."""
         t0 = time.perf_counter()
+        self._plan = self.computation.he_plan(params)
         seed = int(self._rng.integers(0, 2**63, dtype=np.int64))
-        self._sk, self._pk, self._rk = bfv.keygen(params, seed)
-        if isinstance(self.computation, LdComputation):
-            self._plan = self.computation.he_plan(params)
-        else:
-            self._he_t = self.computation.he_plain_modulus(params)
+        self._sk, pk, rk = bfv.keygen(params, seed)
         self.timings["keygen_s"] = time.perf_counter() - t0
         return PublicKeyDist(
             params_repr=params.canonical_repr(),
-            pk=bfv.public_key_to_bytes(self._pk),
-            rk=bfv.relin_key_to_bytes(self._rk),
+            pk=bfv.public_key_to_bytes(pk),
+            rk=bfv.relin_key_to_bytes(rk) if self._plan.MULTIPLIES_CIPHERTEXTS else b"",
         )
-
-    @property
-    def he_plan(self):
-        return self._plan
-
-    @property
-    def he_t(self) -> int | None:
-        return self._he_t
 
     # -- Protocol 2 ----------------------------------------------------------
 
@@ -165,10 +154,7 @@ class Csp:
             if self._sk is None:
                 raise ProtocolError("CSP has no secret key for this session")
             t0 = time.perf_counter()
-            if isinstance(self.computation, LdComputation):
-                result = self.computation.he_finish(self._sk, self._plan, msg.entries)
-            else:
-                result = self.computation.he_finish(self._sk, msg.entries)
+            result = self.computation.he_finish(self._sk, self._plan, msg.entries)
             self.timings["decrypt_s"] = time.perf_counter() - t0
             return Result(payload_json=json.dumps(result, sort_keys=True))
         if isinstance(msg, OutputLabels):
@@ -196,8 +182,6 @@ class Maker:
         self._rng = np.random.default_rng(seed)
         self._delta: int | None = None
         self._prf_key: bytes | None = None
-        self._plan_cache = None
-        self._he_t_cache: int | None = None
 
     # -- Protocol 1 ----------------------------------------------------------
 
@@ -205,22 +189,9 @@ class Maker:
         self, params: HeParams, bundle: PublicKeyDist
     ) -> EncryptedListing:
         pk = bfv.public_key_from_bytes(bundle.pk, params)
-        comp = self.computation
-        if isinstance(comp, LdComputation):
-            if self._plan_cache is None:
-                raise ProtocolError("maker needs the session plan moduli")
-            entries = comp.he_encrypt_inputs(pk, self._plan_cache, self.values, self._rng)
-        else:
-            if self._he_t_cache is None:
-                raise ProtocolError("maker needs the session plaintext modulus")
-            entries = comp.he_encrypt_inputs(pk, self._he_t_cache, self.values, self._rng)
+        plan = self.computation.he_plan(params)
+        entries = self.computation.he_encrypt_inputs(pk, plan, self.values, self._rng)
         return EncryptedListing(maker=self.index, entries=tuple(entries))
-
-    def set_session_moduli(self, plan=None, t: int | None = None) -> None:
-        """Public plan parameters (moduli) are part of the published query
-        config; they carry no secrets."""
-        self._plan_cache = plan
-        self._he_t_cache = t
 
     # -- Protocol 2 ----------------------------------------------------------
 
@@ -232,8 +203,10 @@ class Maker:
         raise ProtocolError(f"maker cannot accept {msg.type_name}")
 
     def make_input_labels(self) -> InputLabels:
-        """Active labels for the maker's own bits: PRF(k, wire) ^ bit*delta.
-        No oblivious transfer anywhere in this exchange."""
+        """Active labels for the maker's own bits: PRF(k, wire) ^ bit*delta,
+        negative values in two's complement. The runner has checked the
+        values against the input schema. No oblivious transfer anywhere in
+        this exchange."""
         if self._delta is None or self._prf_key is None:
             raise ProtocolError("maker has not received delta and k")
         circuit: Circuit = self.computation.circuit
@@ -241,12 +214,7 @@ class Maker:
         labels = []
         for group_name, value in self.values.items():
             group = circuit.group(group_name)
-            if value < 0:
-                value &= (1 << group.width) - 1
-            if value >> group.width:
-                raise ProtocolError(
-                    f"value for {group_name} does not fit {group.width} bits"
-                )
+            value &= (1 << group.width) - 1
             for k in range(group.width):
                 wire = group.start + k
                 bit = (value >> k) & 1
@@ -279,16 +247,15 @@ class Buyer:
         params: HeParams,
         bundle: PublicKeyDist,
         listings: ListingBundle,
-        plan=None,
-        t: int | None = None,
     ) -> DecryptRequest:
-        rk = bfv.relin_key_from_bytes(bundle.rk, params)
-        comp = self.computation
+        plan = self.computation.he_plan(params)
+        rk = (
+            bfv.relin_key_from_bytes(bundle.rk, params)
+            if plan.MULTIPLIES_CIPHERTEXTS
+            else None
+        )
         t0 = time.perf_counter()
-        if isinstance(comp, LdComputation):
-            entries = comp.he_evaluate(params, rk, plan, listings.ciphertexts)
-        else:
-            entries = comp.he_evaluate(params, t, listings.ciphertexts)
+        entries = self.computation.he_evaluate(params, rk, plan, listings.ciphertexts)
         self.timings["he_eval_s"] = time.perf_counter() - t0
         return DecryptRequest(entries=tuple(entries))
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..he.bfv import HeParams
 from .channels import BaseChannel, Transcript, make_channel
-from .computations import Computation, LdComputation
+from .computations import Computation
 from .messages import ProtocolError
 from .parties import Buyer, Csp, DataTrust, Maker
 
@@ -44,24 +44,69 @@ def _session_id(seed: int, tag: bytes) -> bytes:
 def _merge_inputs(
     computation: Computation, maker_inputs: Sequence[Mapping[str, int]]
 ) -> dict[str, int]:
+    """Check that the makers' groups tile the computation's input schema and
+    that every value fits its width (negative values in two's complement)."""
     merged: dict[str, int] = {}
     for values in maker_inputs:
         for name, value in values.items():
             if name in merged:
                 raise ProtocolError(f"input group {name!r} claimed by two makers")
             merged[name] = value
-    group_names = {g.name for g in computation.circuit.input_groups}
-    missing = group_names - merged.keys()
-    extra = merged.keys() - group_names
+    schema = computation.input_schema
+    missing = schema.keys() - merged.keys()
+    extra = merged.keys() - schema.keys()
     if missing or extra:
         raise ProtocolError(
-            f"maker inputs do not tile the circuit groups; missing={sorted(missing)[:4]} "
+            f"maker inputs do not tile the input groups; missing={sorted(missing)[:4]} "
             f"extra={sorted(extra)[:4]}"
         )
+    for name, value in merged.items():
+        if value >= 0 and value >> schema[name]:
+            raise ProtocolError(f"value for {name} does not fit {schema[name]} bits")
     return merged
 
 
-def _verify(outcome: ProtocolOutcome) -> ProtocolOutcome:
+def _run_session(
+    computation: Computation,
+    maker_inputs: Sequence[Mapping[str, int]],
+    steps: Callable[[BaseChannel, Csp, DataTrust, list[Maker], Buyer], dict],
+    tag: bytes,
+    transport: str,
+    seed: int,
+    verify: bool,
+) -> ProtocolOutcome:
+    """Validate the inputs, set up the roles and the channel, run one
+    protocol's message ``steps`` (which return the buyer's result), then
+    check the result against the plaintext oracle."""
+    if not maker_inputs:
+        raise ProtocolError("need at least one maker")
+    merged = _merge_inputs(computation, maker_inputs)
+
+    csp = Csp(computation, seed=seed)
+    dt = DataTrust()
+    makers = [
+        Maker(i, computation, values, seed=seed * 1009 + 31 * i + 1)
+        for i, values in enumerate(maker_inputs)
+    ]
+    buyer = Buyer(0, computation)
+    roles = {r.name: r for r in (csp, dt, buyer, *makers)}
+
+    t_start = time.perf_counter()
+    channel = make_channel(transport, _session_id(seed, tag), roles)
+    try:
+        result = steps(channel, csp, dt, makers, buyer)
+    finally:
+        channel.close()
+
+    timings = {"total_s": time.perf_counter() - t_start}
+    timings.update(csp.timings)
+    timings.update(buyer.timings)
+    outcome = ProtocolOutcome(
+        result=result,
+        oracle=computation.oracle(merged) if verify else None,
+        transcript=channel.transcript,
+        timings=timings,
+    )
     if outcome.oracle is not None and outcome.result != outcome.oracle:
         raise VerificationError(
             f"buyer result {outcome.result} != plaintext oracle {outcome.oracle}"
@@ -79,48 +124,17 @@ def run_protocol1(
 ) -> ProtocolOutcome:
     """Homomorphic-encryption path: CSP keygen, makers encrypt listings to the
     datatrust, the buyer computes on ciphertexts, the CSP decrypts."""
-    if not maker_inputs:
-        raise ProtocolError("need at least one maker")
-    merged = _merge_inputs(computation, maker_inputs)
 
-    csp = Csp(computation, seed=seed)
-    dt = DataTrust()
-    makers = [
-        Maker(i, computation, values, seed=seed * 1009 + 31 * i + 1)
-        for i, values in enumerate(maker_inputs)
-    ]
-    buyer = Buyer(0, computation)
-    roles = {r.name: r for r in (csp, dt, buyer, *makers)}
-
-    t_start = time.perf_counter()
-    bundle = csp.he_setup(params)
-    channel = make_channel(transport, _session_id(seed, b"p1"), roles)
-    try:
+    def steps(channel, csp, dt, makers, buyer) -> dict:
+        bundle = csp.he_setup(params)
         channel.send(csp.name, dt.name, bundle)
         for maker in makers:
-            maker.set_session_moduli(plan=csp.he_plan, t=csp.he_t)
-            channel.send(
-                maker.name, dt.name, maker.make_encrypted_listing(params, bundle)
-            )
+            channel.send(maker.name, dt.name, maker.make_encrypted_listing(params, bundle))
         listings = channel.send(buyer.name, dt.name, buyer.make_query())
-        request = buyer.make_decrypt_request(
-            params, bundle, listings, plan=csp.he_plan, t=csp.he_t
-        )
-        result_msg = channel.send(buyer.name, csp.name, request)
-        result = buyer.accept_result(result_msg)
-    finally:
-        channel.close()
+        request = buyer.make_decrypt_request(params, bundle, listings)
+        return buyer.accept_result(channel.send(buyer.name, csp.name, request))
 
-    timings = {"total_s": time.perf_counter() - t_start}
-    timings.update(csp.timings)
-    timings.update(buyer.timings)
-    outcome = ProtocolOutcome(
-        result=result,
-        oracle=computation.oracle(merged) if verify else None,
-        transcript=channel.transcript,
-        timings=timings,
-    )
-    return _verify(outcome) if verify else outcome
+    return _run_session(computation, maker_inputs, steps, b"p1", transport, seed, verify)
 
 
 def run_protocol2(
@@ -132,22 +146,8 @@ def run_protocol2(
 ) -> ProtocolOutcome:
     """Garbled-circuit path: delta/k to makers, PRF-derived labels to the
     datatrust (no oblivious transfer), CSP garbles, buyer evaluates."""
-    if not maker_inputs:
-        raise ProtocolError("need at least one maker")
-    merged = _merge_inputs(computation, maker_inputs)
 
-    csp = Csp(computation, seed=seed)
-    dt = DataTrust()
-    makers = [
-        Maker(i, computation, values, seed=seed * 1009 + 31 * i + 1)
-        for i, values in enumerate(maker_inputs)
-    ]
-    buyer = Buyer(0, computation)
-    roles = {r.name: r for r in (csp, dt, buyer, *makers)}
-
-    t_start = time.perf_counter()
-    channel = make_channel(transport, _session_id(seed, b"p2"), roles)
-    try:
+    def steps(channel, csp, dt, makers, buyer) -> dict:
         delta_msg = csp.gc_setup()
         for maker in makers:
             channel.send(csp.name, maker.name, delta_msg)
@@ -157,20 +157,9 @@ def run_protocol2(
         channel.send(csp.name, buyer.name, csp.make_garbled())
         out_labels = buyer.evaluate_garbled(listings)
         decoding = channel.send(buyer.name, csp.name, out_labels)
-        result = buyer.accept_decoding(decoding)
-    finally:
-        channel.close()
+        return buyer.accept_decoding(decoding)
 
-    timings = {"total_s": time.perf_counter() - t_start}
-    timings.update(csp.timings)
-    timings.update(buyer.timings)
-    outcome = ProtocolOutcome(
-        result=result,
-        oracle=computation.oracle(merged) if verify else None,
-        transcript=channel.transcript,
-        timings=timings,
-    )
-    return _verify(outcome) if verify else outcome
+    return _run_session(computation, maker_inputs, steps, b"p2", transport, seed, verify)
 
 
 # Message types whose payloads could carry plaintext listings or secrets;

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from pathlib import Path
+
+import mpcmarket
 from mpcmarket.circuits import build_adder, serialize_circuit
 from mpcmarket.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
@@ -76,6 +79,53 @@ class TestRun:
             rec = json.loads(path.read_text().splitlines()[0])
             recs.append({k: v for k, v in rec.items() if not k.endswith("_ms")})
         assert recs[0] == recs[1]
+
+
+    def test_lr_model_file(self, capsys):
+        model = Path(mpcmarket.__file__).parent / "data" / "lr_model.txt"
+        rc = main(["run", "--workload", "lr", "--backend", "he", "--model", str(model),
+                   "--rows", "1", "--repeat", "1"])
+        assert rc == EXIT_OK
+        assert "verified against plaintext oracle: True" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def lr_he_unverified(tmp_path_factory):
+    """One LR session on HE under --no-verify: (record, printed output)."""
+    import contextlib
+    import io
+
+    path = tmp_path_factory.mktemp("lr-he") / "r.jsonl"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["run", "--workload", "lr", "--backend", "he", "--rows", "1",
+                   "--repeat", "1", "--no-verify", "--jsonl", str(path)])
+    assert rc == EXIT_OK
+    return json.loads(path.read_text().splitlines()[0]), out.getvalue()
+
+
+class TestRecords:
+    def test_no_verify_is_not_reported_verified(self, lr_he_unverified):
+        rec, out = lr_he_unverified
+        assert rec["verified"] is None
+        assert "verification against plaintext oracle: skipped" in out
+
+    def test_comm_bytes_is_transcript_total(self, lr_he_unverified, bundled_model,
+                                            bundled_dataset):
+        from mpcmarket.he.bfv import HeParams
+        from mpcmarket.protocol import LrComputation, run_protocol1
+
+        rows, _ = bundled_dataset
+        mask = (1 << bundled_model.spec.total_bits) - 1
+        row = {f"x{j}": v & mask for j, v in enumerate(rows[0])}
+        out = run_protocol1(LrComputation(model=bundled_model, range_bits=10), [row],
+                            HeParams.default(4096, t_bits=21), verify=False)
+        assert lr_he_unverified[0]["comm_bytes"] == out.transcript.total_bytes()
+
+    def test_he_record_has_no_garbling_fields(self, lr_he_unverified):
+        rec, out = lr_he_unverified
+        assert not {"garbling_ms", "gates", "non_xor"} & rec.keys()
+        assert "garbling ms" not in out
 
 
 class TestGenData:

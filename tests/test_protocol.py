@@ -5,6 +5,8 @@ import json
 import pytest
 
 from mpcmarket.analytics.lr import build_sigmoid_table, lr_predict_fixed
+from mpcmarket.circuits.ir import CircuitError
+from mpcmarket.he.bfv import HeParams
 from mpcmarket.protocol import (
     DeltaKeyDist,
     LdComputation,
@@ -12,7 +14,7 @@ from mpcmarket.protocol import (
     ProtocolError,
     Result,
 )
-from mpcmarket.protocol.parties import DataTrust
+from mpcmarket.protocol.parties import Csp, DataTrust
 from mpcmarket.protocol.runner import (
     VerificationError,
     assert_datatrust_hygiene,
@@ -128,6 +130,49 @@ class TestProtocol1:
             bundled_model, rows[0], table
         )
         assert_datatrust_hygiene(out.transcript)
+
+
+class TestBackendIndependence:
+    @pytest.mark.parametrize("contributors,m", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_ld_schema_matches_circuit(self, contributors, m):
+        comp = LdComputation(count_bits=8, m_instances=m, contributors=contributors)
+        assert comp.input_schema == {g.name: g.width for g in comp.circuit.input_groups}
+
+    def test_lr_schema_matches_circuit(self, lr_comp):
+        assert lr_comp.input_schema == {g.name: g.width for g in lr_comp.circuit.input_groups}
+
+    def test_value_wider_than_schema_rejected(self, ld_comp, params8192):
+        bad = [{"i0.n_AB": 1 << 11, "i0.n_Ab": 20, "i0.n_aB": 20, "i0.n_ab": 30}]
+        with pytest.raises(ProtocolError, match="does not fit 11 bits"):
+            run_protocol1(ld_comp, bad, params8192, seed=21)
+        with pytest.raises(ProtocolError, match="does not fit 11 bits"):
+            run_protocol2(ld_comp, bad, seed=21)
+
+    def test_relin_key_shipped_only_when_plan_multiplies(
+        self, ld_comp, lr_comp, params4096, params8192
+    ):
+        assert Csp(lr_comp, seed=1).he_setup(params4096).rk == b""
+        assert len(Csp(ld_comp, seed=1).he_setup(params8192).rk) > 0
+
+    def test_protocol1_builds_no_circuit(self, monkeypatch, bundled_model, lr_row_input):
+        import mpcmarket.protocol.computations as comps
+
+        def no_circuit(*args, **kwargs):
+            raise AssertionError("Protocol 1 built a garbled-circuit description")
+
+        monkeypatch.setattr(comps, "build_ld_circuit", no_circuit)
+        monkeypatch.setattr(comps, "build_lr_circuit", no_circuit)
+        lr = LrComputation(model=bundled_model, range_bits=10)
+        assert run_protocol1(lr, [lr_row_input], HeParams.default(4096), seed=22).verified
+        # The GC circuit for this threshold is 67 bits wide; HE needs no circuit.
+        wide = LdComputation(count_bits=8, threshold_num=3841000000, threshold_den=1000000000)
+        out = run_protocol1(wide, LD_SPLIT_4, HeParams.default(8192, t_bits=21), seed=23)
+        assert out.result == out.oracle == {"decisions": [True]}
+
+    def test_protocol2_rejects_wide_ld_circuit(self):
+        wide = LdComputation(count_bits=8, threshold_num=3841000000, threshold_den=1000000000)
+        with pytest.raises(CircuitError, match="internal width 67"):
+            run_protocol2(wide, LD_SPLIT_4, seed=24)
 
 
 class TestHygieneStructural:
