@@ -13,8 +13,6 @@ The format is byte-stable: identical circuits serialize identically.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .ir import INV, KIND_BY_NAME, KIND_NAMES, Circuit, CircuitError, Gate, InputGroup
 
 
@@ -108,9 +106,3 @@ def parse_circuit(text: str) -> Circuit:
     )
     circuit.validate()
     return circuit
-
-
-@lru_cache(maxsize=16)
-def parse_circuit_cached(text: bytes) -> Circuit:
-    """Memoized parse for repeated sessions over the same public circuit."""
-    return parse_circuit(text.decode())

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 XOR = 0
 AND = 1
@@ -39,6 +42,25 @@ class InputGroup(NamedTuple):
 class GateStats(NamedTuple):
     total: int
     non_xor: int
+
+
+class Level(NamedTuple):
+    """The gates of one topological depth as wire-index arrays, per kind.
+
+    Every gate on a level reads only wires of lower depth, so the gates of
+    a level can be processed in any order or all at once. ``and_ord`` is
+    each AND gate's ordinal among the circuit's AND gates in gate order.
+    """
+
+    xor_a: np.ndarray
+    xor_b: np.ndarray
+    xor_out: np.ndarray
+    inv_a: np.ndarray
+    inv_out: np.ndarray
+    and_a: np.ndarray
+    and_b: np.ndarray
+    and_out: np.ndarray
+    and_ord: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -141,6 +163,32 @@ class Circuit:
             arr += pack(">BiiI", kind, a, b, out)
         h.update(bytes(arr))
         return h.digest()
+
+    @cached_property
+    def levels(self) -> tuple[Level, ...]:
+        """Level schedule: gates grouped by topological depth (inputs and
+        constants have depth 0, a gate one more than its deepest input)."""
+        self.ensure_valid()
+        n = len(self.gates)
+        # The spare last slot stays 0; INV gates read it through b = -1.
+        depth = [0] * (self.n_wires + 1)
+        for _, a, b, out in self.gates:
+            da, db = depth[a], depth[b]
+            depth[out] = (da if da > db else db) + 1
+        g = np.fromiter(chain.from_iterable(self.gates), np.intp, 4 * n).reshape(n, 4)
+        kind = g[:, 0]
+        and_ord = np.cumsum(kind == AND) - 1
+        gate_depth = np.array(depth[self.n_inputs + 2 : self.n_wires], dtype=np.intp)
+        order = np.argsort(gate_depth, kind="stable")
+        levels = []
+        for idx in np.split(order, np.flatnonzero(np.diff(gate_depth[order])) + 1):
+            k = kind[idx]
+            x, i, a = idx[k == XOR], idx[k == INV], idx[k == AND]
+            levels.append(
+                Level(g[x, 1], g[x, 2], g[x, 3], g[i, 1], g[i, 3],
+                      g[a, 1], g[a, 2], g[a, 3], and_ord[a])
+            )
+        return tuple(levels)
 
     def group(self, name: str) -> InputGroup:
         for g in self.input_groups:

@@ -11,7 +11,11 @@ oblivious transfer: the party holding bit b for wire i submits
 PRF(k, i) XOR b*delta directly.
 
 The gate hash is a Davies-Meyer construction over a fixed-key AES-128:
-H(L, tweak) = AES(2L ^ tweak) ^ 2L ^ tweak, with per-gate tweaks.
+H(L, tweak) = AES(2L ^ tweak) ^ 2L ^ tweak, with per-gate tweaks. It works
+on each block on its own, so garbling and evaluation run one circuit level
+at a time: every level is a handful of numpy operations on the labels and
+one AES call, and the tables come out byte for byte as a gate-by-gate
+engine would write them.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .circuits.ir import AND, INV, XOR, Circuit, CircuitError
+from .circuits.ir import Circuit, Level
 
 MASK128 = (1 << 128) - 1
 _GF_POLY = 0x87  # x^128 + x^7 + x^2 + x + 1
@@ -41,13 +46,6 @@ class GarblingError(ValueError):
 
 def _new_cipher():
     return Cipher(algorithms.AES(_HASH_KEY), modes.ECB()).encryptor()
-
-
-def _double(x: int) -> int:
-    x <<= 1
-    if x >> 128:
-        x = (x & MASK128) ^ _GF_POLY
-    return x
 
 
 @dataclass(frozen=True)
@@ -113,14 +111,23 @@ class DecodingInfo:
 
 @dataclass(frozen=True)
 class GarbledCircuit:
-    """Half-gates tables (two rows per AND gate, in gate order) plus the
-    active labels of the two constant wires, bound to a circuit digest."""
+    """Half-gates tables (two rows per AND gate, in gate order, as one
+    big-endian blob) plus the active labels of the two constant wires,
+    bound to a circuit digest."""
 
     circuit_hash: bytes
     n_and: int
-    rows: tuple[tuple[int, int], ...]
+    tables: bytes
     const_zero_active: int
     const_one_active: int
+
+    @property
+    def rows(self) -> tuple[tuple[int, int], ...]:
+        t = self.tables
+        return tuple(
+            (int.from_bytes(t[i : i + 16], "big"), int.from_bytes(t[i + 16 : i + 32], "big"))
+            for i in range(0, len(t), 32)
+        )
 
     def serialized_size(self) -> int:
         return HEADER_SIZE + 32 * self.n_and
@@ -130,17 +137,17 @@ HEADER_SIZE = 4 + 1 + 32 + 4 + 2 * 16  # magic, version, hash, count, const acti
 
 
 def serialize_garbled(gc: GarbledCircuit) -> bytes:
-    out = bytearray()
-    out += _MAGIC
-    out.append(_VERSION)
-    out += gc.circuit_hash
-    out += struct.pack(">I", gc.n_and)
-    out += gc.const_zero_active.to_bytes(16, "big")
-    out += gc.const_one_active.to_bytes(16, "big")
-    for tg, te in gc.rows:
-        out += tg.to_bytes(16, "big")
-        out += te.to_bytes(16, "big")
-    return bytes(out)
+    return b"".join(
+        (
+            _MAGIC,
+            bytes([_VERSION]),
+            gc.circuit_hash,
+            struct.pack(">I", gc.n_and),
+            gc.const_zero_active.to_bytes(16, "big"),
+            gc.const_one_active.to_bytes(16, "big"),
+            gc.tables,
+        )
+    )
 
 
 def parse_garbled(data: bytes) -> GarbledCircuit:
@@ -157,14 +164,64 @@ def parse_garbled(data: bytes) -> GarbledCircuit:
         raise GarblingError(
             f"garbled table truncated: expected {32 * n_and} bytes, got {len(body)}"
         )
-    rows = tuple(
-        (
-            int.from_bytes(body[i : i + 16], "big"),
-            int.from_bytes(body[i + 16 : i + 32], "big"),
-        )
-        for i in range(0, len(body), 32)
-    )
-    return GarbledCircuit(bytes(digest), n_and, rows, cz, co)
+    return GarbledCircuit(bytes(digest), n_and, bytes(body), cz, co)
+
+
+# -- level-batched engine -------------------------------------------------------
+#
+# A label is a row (hi, lo) of a uint64 array, so a block of n labels is an
+# (n, 2) array whose big-endian bytes are the labels' 16-byte encodings. The
+# gates of one level of ``Circuit.levels`` are independent, so each level
+# costs a few array operations and one AES call whatever its width.
+
+
+def _blocks(values) -> np.ndarray:
+    """128-bit integers -> (n, 2) uint64 array of (hi, lo)."""
+    blob = b"".join((v & MASK128).to_bytes(16, "big") for v in values)
+    return np.frombuffer(blob, dtype=">u8").reshape(-1, 2).astype(np.uint64)
+
+
+def _ints(blocks: np.ndarray) -> list[int]:
+    blob = blocks.astype(">u8").tobytes()
+    return [int.from_bytes(blob[i : i + 16], "big") for i in range(0, len(blob), 16)]
+
+
+def _double(x: np.ndarray) -> np.ndarray:
+    """Double each label in GF(2^128) (multiply by the polynomial x); this is
+    linear over XOR."""
+    hi, lo = x[:, 0], x[:, 1]
+    return np.stack(((hi << 1) | (lo >> 63), (lo << 1) ^ ((hi >> 63) * _GF_POLY)), axis=1)
+
+
+def _hash(update, k: np.ndarray) -> np.ndarray:
+    """H = AES(k) ^ k for every block of k, in one cipher call."""
+    out = np.frombuffer(update(k.astype(">u8").tobytes()), dtype=">u8").reshape(k.shape)
+    return out ^ k
+
+
+def _select(bit_of: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x where lsb(bit_of) is 1, else 0, row by row."""
+    return (bit_of[:, 1:] & 1) * x
+
+
+def _keys(lv: Level, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hash inputs of a level's AND gates: 2a ^ j0 stacked over 2b ^ j1, with
+    the tweaks j0 = 2*ordinal + 1 and j1 = j0 + 1."""
+    j = (2 * lv.and_ord + 1).astype(np.uint64)
+    k = _double(np.concatenate((a, b)))
+    k[:, 1] ^= np.concatenate((j, j + 1))
+    return k
+
+
+def _sweep(circuit: Circuit, labels: np.ndarray, inv_offset, and_gates) -> None:
+    """Fill ``labels`` level by level: XOR gates, INV gates (input label ^
+    ``inv_offset``: delta when garbling, 0 when evaluating) and AND gates
+    through ``and_gates(update, level, a, b)``, which returns their labels."""
+    update = _new_cipher().update
+    for lv in circuit.levels:
+        labels[lv.xor_out] = labels[lv.xor_a] ^ labels[lv.xor_b]
+        labels[lv.inv_out] = labels[lv.inv_a] ^ inv_offset
+        labels[lv.and_out] = and_gates(update, lv, labels[lv.and_a], labels[lv.and_b])
 
 
 def garble(
@@ -178,64 +235,35 @@ def garble(
     byte for byte.
     """
     circuit.ensure_valid()
-    d = delta.bits
-    n_in = circuit.n_inputs
-    labels = [0] * circuit.n_wires
-    for i in range(n_in):
-        labels[i] = zero_label(i) & MASK128
-    labels[circuit.const_zero] = zero_label(circuit.const_zero) & MASK128
-    labels[circuit.const_one] = zero_label(circuit.const_one) & MASK128
+    n_fixed = circuit.n_inputs + 2  # inputs, then const_zero and const_one
+    labels = np.zeros((circuit.n_wires, 2), dtype=np.uint64)
+    labels[:n_fixed] = _blocks(zero_label(i) for i in range(n_fixed))
+    d = _blocks([delta.bits])
+    dd = _double(d)
+    tables = np.zeros((circuit.stats.non_xor, 4), dtype=np.uint64)
 
-    rows: list[tuple[int, int]] = []
-    enc = _new_cipher()
-    update = enc.update
-    append = rows.append
-    g_idx = 0
-    for kind, a, b, out in circuit.gates:
-        if kind == XOR:
-            labels[out] = labels[a] ^ labels[b]
-        elif kind == INV:
-            labels[out] = labels[a] ^ d
-        else:
-            a0 = labels[a]
-            b0 = labels[b]
-            pa = a0 & 1
-            pb = b0 & 1
-            j0 = 2 * g_idx + 1
-            j1 = j0 + 1
-            k_a0 = _double(a0) ^ j0
-            k_a1 = _double(a0 ^ d) ^ j0
-            k_b0 = _double(b0) ^ j1
-            k_b1 = _double(b0 ^ d) ^ j1
-            blob = update(
-                k_a0.to_bytes(16, "big")
-                + k_a1.to_bytes(16, "big")
-                + k_b0.to_bytes(16, "big")
-                + k_b1.to_bytes(16, "big")
-            )
-            h_a0 = int.from_bytes(blob[0:16], "big") ^ k_a0
-            h_a1 = int.from_bytes(blob[16:32], "big") ^ k_a1
-            h_b0 = int.from_bytes(blob[32:48], "big") ^ k_b0
-            h_b1 = int.from_bytes(blob[48:64], "big") ^ k_b1
-            tg = h_a0 ^ h_a1
-            if pb:
-                tg ^= d
-            wg = h_a0 ^ (tg if pa else 0)
-            te = h_b0 ^ h_b1 ^ a0
-            we = h_b0 ^ ((te ^ a0) if pb else 0)
-            labels[out] = wg ^ we
-            append((tg, te))
-            g_idx += 1
+    def and_gates(update, lv, a0, b0):
+        m = len(a0)
+        k = _keys(lv, a0, b0)
+        # H(a0), H(a1), H(b0), H(b1): doubling is linear, so 2(x ^ delta) = 2x ^ 2delta.
+        h = _hash(update, np.concatenate((k[:m], k[:m] ^ dd, k[m:], k[m:] ^ dd)))
+        ha0, ha1, hb0, hb1 = h[:m], h[m : 2 * m], h[2 * m : 3 * m], h[3 * m :]
+        tg = ha0 ^ ha1 ^ _select(b0, d)
+        te = hb0 ^ hb1 ^ a0
+        tables[lv.and_ord] = np.concatenate((tg, te), axis=1)
+        return ha0 ^ _select(a0, tg) ^ hb0 ^ _select(b0, te ^ a0)
 
+    _sweep(circuit, labels, d, and_gates)
+    cz, co = _ints(labels[[circuit.const_zero, circuit.const_one]])
     gc = GarbledCircuit(
         circuit_hash=circuit_digest(circuit),
-        n_and=g_idx,
-        rows=tuple(rows),
-        const_zero_active=labels[circuit.const_zero],
-        const_one_active=labels[circuit.const_one] ^ d,
+        n_and=len(tables),
+        tables=tables.astype(">u8").tobytes(),
+        const_zero_active=cz,
+        const_one_active=co ^ delta.bits,
     )
-    info = DecodingInfo(masks=tuple(labels[w] & 1 for w in circuit.output_wires))
-    return gc, info
+    masks = labels[list(circuit.output_wires), 1] & 1
+    return gc, DecodingInfo(masks=tuple(masks.tolist()))
 
 
 def evaluate(
@@ -254,40 +282,23 @@ def evaluate(
         )
     if garbled.circuit_hash != circuit_digest(circuit):
         raise GarblingError("garbled tables do not match this circuit")
-    circuit.ensure_valid()
-    labels = [0] * circuit.n_wires
-    for i, lab in enumerate(active_labels):
-        labels[i] = lab & MASK128
-    labels[circuit.const_zero] = garbled.const_zero_active
-    labels[circuit.const_one] = garbled.const_one_active
-
-    rows = garbled.rows
-    enc = _new_cipher()
-    update = enc.update
-    g_idx = 0
-    for kind, a, b, out in circuit.gates:
-        if kind == XOR:
-            labels[out] = labels[a] ^ labels[b]
-        elif kind == INV:
-            labels[out] = labels[a]
-        else:
-            la = labels[a]
-            lb = labels[b]
-            tg, te = rows[g_idx]
-            j0 = 2 * g_idx + 1
-            j1 = j0 + 1
-            k_a = _double(la) ^ j0
-            k_b = _double(lb) ^ j1
-            blob = update(k_a.to_bytes(16, "big") + k_b.to_bytes(16, "big"))
-            h_a = int.from_bytes(blob[0:16], "big") ^ k_a
-            h_b = int.from_bytes(blob[16:32], "big") ^ k_b
-            wg = h_a ^ (tg if la & 1 else 0)
-            we = h_b ^ ((te ^ la) if lb & 1 else 0)
-            labels[out] = wg ^ we
-            g_idx += 1
-    if g_idx != garbled.n_and:
+    if garbled.n_and != circuit.stats.non_xor or len(garbled.tables) != 32 * garbled.n_and:
         raise GarblingError("AND-gate count mismatch between circuit and tables")
-    return [labels[w] for w in circuit.output_wires]
+    circuit.ensure_valid()
+    labels = np.zeros((circuit.n_wires, 2), dtype=np.uint64)
+    labels[: circuit.n_inputs + 2] = _blocks(
+        [*active_labels, garbled.const_zero_active, garbled.const_one_active]
+    )
+    tables = np.frombuffer(garbled.tables, dtype=">u8").reshape(-1, 4).astype(np.uint64)
+
+    def and_gates(update, lv, la, lb):
+        m = len(la)
+        h = _hash(update, _keys(lv, la, lb))
+        row = tables[lv.and_ord]
+        return h[:m] ^ _select(la, row[:, :2]) ^ h[m:] ^ _select(lb, row[:, 2:] ^ la)
+
+    _sweep(circuit, labels, 0, and_gates)
+    return _ints(labels[list(circuit.output_wires)])
 
 
 def decode(info: DecodingInfo, output_labels: Sequence[int]) -> list[int]:

@@ -290,8 +290,12 @@ def _sample_uniform_rns(rng: np.random.Generator, n: int, primes) -> list[np.nda
 # -- key generation -----------------------------------------------------------
 
 
-def keygen(params: HeParams, seed=None) -> tuple[SecretKey, PublicKey, RelinKey]:
-    """Generate (sk, pk, rk); deterministic under a fixed seed."""
+def keygen(
+    params: HeParams, seed=None, relin: bool = True
+) -> tuple[SecretKey, PublicKey, RelinKey | None]:
+    """Generate (sk, pk, rk); deterministic under a fixed seed. With
+    ``relin=False`` no relinearization key is built and rk is None; rk is
+    sampled last, so sk and pk are the same either way."""
     rng = _rng_from_seed(seed)
     n, primes = params.n, params.q_primes
     plans = [get_plan(n, p) for p in primes]
@@ -309,6 +313,9 @@ def keygen(params: HeParams, seed=None) -> tuple[SecretKey, PublicKey, RelinKey]
         pk0.append(b_ntt)
         pk1.append(a_ntt)
     pk = PublicKey(params, tuple(pk0), tuple(pk1))
+    sk = SecretKey(params, s, s_ntt)
+    if not relin:
+        return sk, pk, None
 
     # s^2 has coefficients bounded by n, so one prime recovers it exactly.
     p0 = plans[0]
@@ -332,10 +339,7 @@ def keygen(params: HeParams, seed=None) -> tuple[SecretKey, PublicKey, RelinKey]
             b_i.append(b_ntt)
             a_ntt_i.append(a_ntt)
         pairs.append((tuple(b_i), tuple(a_ntt_i)))
-    rk = RelinKey(params, tuple(pairs))
-
-    sk = SecretKey(params, s, s_ntt)
-    return sk, pk, rk
+    return sk, pk, RelinKey(params, tuple(pairs))
 
 
 # -- encodings ----------------------------------------------------------------

@@ -50,6 +50,18 @@ def _unpack_blob(data: bytes, off: int) -> tuple[bytes, int]:
     return data[off : off + n], off + n
 
 
+def _check_labels(payload: bytes, header: int, per_label: int) -> None:
+    """Require exactly the ``per_label``-byte entries that the count (the
+    u32 ending the ``header``) announces, and nothing after them."""
+    if len(payload) < header:
+        raise FramingError("truncated label header")
+    (count,) = struct.unpack_from(">I", payload, header - 4)
+    if len(payload) != header + per_label * count:
+        raise FramingError(
+            f"label payload is {len(payload)} bytes, expected {header + per_label * count}"
+        )
+
+
 def _pack_str(s: str) -> bytes:
     return _pack_blob(s.encode("utf-8"))
 
@@ -291,34 +303,33 @@ class InputLabels(Message):
 
     @classmethod
     def decode(cls, payload: bytes) -> "InputLabels":
-        maker, count = struct.unpack_from(">HI", payload, 0)
-        off = 6
-        labels = []
-        for _ in range(count):
-            (wire,) = struct.unpack_from(">I", payload, off)
-            off += 4
-            labels.append((wire, int.from_bytes(payload[off : off + 16], "big")))
-            off += 16
-        return cls(maker, tuple(labels))
+        _check_labels(payload, 6, 20)
+        (maker,) = struct.unpack_from(">H", payload, 0)
+        labels = tuple(
+            (wire, int.from_bytes(label, "big"))
+            for wire, label in struct.iter_unpack(">I16s", payload[6:])
+        )
+        return cls(maker, labels)
 
 
 @dataclass(frozen=True)
 class GarbledCircuitMsg(Message):
-    """Protocol 2 step 4: circuit description plus garbled tables (which carry
-    the constant wires' active labels)."""
+    """Protocol 2 step 4: the garbled tables (which carry the circuit digest
+    and the constant wires' active labels). The circuit itself is not sent:
+    the buyer builds it from the registered computation it queried."""
 
     TYPE: ClassVar[int] = 0x09
-    circuit_text: bytes = b""
     garbled: bytes = b""
 
     def encode(self) -> bytes:
-        return _pack_blob(self.circuit_text) + _pack_blob(self.garbled)
+        return _pack_blob(self.garbled)
 
     @classmethod
     def decode(cls, payload: bytes) -> "GarbledCircuitMsg":
-        ct, off = _unpack_blob(payload, 0)
-        gb, off = _unpack_blob(payload, off)
-        return cls(ct, gb)
+        gb, off = _unpack_blob(payload, 0)
+        if off != len(payload):
+            raise FramingError("trailing bytes after garbled tables")
+        return cls(gb)
 
 
 @dataclass(frozen=True)
@@ -335,13 +346,9 @@ class OutputLabels(Message):
 
     @classmethod
     def decode(cls, payload: bytes) -> "OutputLabels":
-        (count,) = struct.unpack_from(">I", payload, 0)
-        off = 4
-        labels = []
-        for _ in range(count):
-            labels.append(int.from_bytes(payload[off : off + 16], "big"))
-            off += 16
-        return cls(tuple(labels))
+        _check_labels(payload, 4, 16)
+        labels = struct.iter_unpack(">16s", payload[4:])
+        return cls(tuple(int.from_bytes(label, "big") for (label,) in labels))
 
 
 @dataclass(frozen=True)

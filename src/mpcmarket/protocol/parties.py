@@ -16,7 +16,6 @@ from typing import Mapping
 import numpy as np
 
 from .. import garbling as gb
-from ..circuits.bristol import parse_circuit_cached, serialize_circuit
 from ..circuits.ir import Circuit
 from ..he import bfv
 from ..he.bfv import HeParams
@@ -97,17 +96,17 @@ class Csp:
 
     def he_setup(self, params: HeParams) -> PublicKeyDist:
         """Validate the plan, then generate keys. The relinearization key is
-        shipped only to plans that multiply ciphertexts; otherwise ``rk`` is
-        empty."""
+        built and shipped only for plans that multiply ciphertexts; otherwise
+        ``rk`` is empty."""
         t0 = time.perf_counter()
         self._plan = self.computation.he_plan(params)
         seed = int(self._rng.integers(0, 2**63, dtype=np.int64))
-        self._sk, pk, rk = bfv.keygen(params, seed)
+        self._sk, pk, rk = bfv.keygen(params, seed, relin=self._plan.MULTIPLIES_CIPHERTEXTS)
         self.timings["keygen_s"] = time.perf_counter() - t0
         return PublicKeyDist(
             params_repr=params.canonical_repr(),
             pk=bfv.public_key_to_bytes(pk),
-            rk=bfv.relin_key_to_bytes(rk) if self._plan.MULTIPLIES_CIPHERTEXTS else b"",
+            rk=b"" if rk is None else bfv.relin_key_to_bytes(rk),
         )
 
     # -- Protocol 2 ----------------------------------------------------------
@@ -138,14 +137,7 @@ class Csp:
         garbled, decoding = gb.garble(circuit, self._delta, zero_label)
         self.timings["garble_s"] = time.perf_counter() - t0
         self._decoding = decoding
-        text = getattr(circuit, "_text_cache", None)
-        if text is None:
-            text = serialize_circuit(circuit).encode()
-            object.__setattr__(circuit, "_text_cache", text)
-        return GarbledCircuitMsg(
-            circuit_text=text,
-            garbled=gb.serialize_garbled(garbled),
-        )
+        return GarbledCircuitMsg(garbled=gb.serialize_garbled(garbled))
 
     # -- message handling ------------------------------------------------------
 
@@ -272,9 +264,11 @@ class Buyer:
         raise ProtocolError(f"buyer cannot accept {msg.type_name}")
 
     def evaluate_garbled(self, listings: ListingBundle) -> OutputLabels:
+        """Evaluate on the circuit of the queried computation; the tables'
+        digest binds them to it (``gb.evaluate`` rejects a mismatch)."""
         if self._garbled_msg is None:
             raise ProtocolError("buyer has no garbled circuit")
-        circuit = parse_circuit_cached(self._garbled_msg.circuit_text)
+        circuit: Circuit = self.computation.circuit
         garbled = gb.parse_garbled(self._garbled_msg.garbled)
         label_map = dict(listings.labels)
         if len(label_map) != circuit.n_inputs:

@@ -75,6 +75,13 @@ class TestKeygenRoundTrip:
         assert bfv.public_key_to_bytes(pk1) == bfv.public_key_to_bytes(pk2)
         assert bfv.relin_key_to_bytes(rk1) == bfv.relin_key_to_bytes(rk2)
 
+    def test_keygen_without_relin_key_keeps_sk_and_pk(self, params4096):
+        sk1, pk1, rk1 = bfv.keygen(params4096, seed=99)
+        sk2, pk2, rk2 = bfv.keygen(params4096, seed=99, relin=False)
+        assert rk1 is not None and rk2 is None
+        assert bfv.secret_key_to_bytes(sk1) == bfv.secret_key_to_bytes(sk2)
+        assert bfv.public_key_to_bytes(pk1) == bfv.public_key_to_bytes(pk2)
+
     def test_encryption_randomized(self, params4096, keys4096):
         _, pk, _ = keys4096
         pt = bfv.encode_scalar(5, params4096)

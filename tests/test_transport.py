@@ -8,7 +8,15 @@ import pytest
 
 from mpcmarket.protocol import LdComputation, Query
 from mpcmarket.protocol.channels import TcpChannel, TransportError, _read_frame_bytes
-from mpcmarket.protocol.messages import Ack, pack_frame, parse_frame
+from mpcmarket.protocol.messages import (
+    Ack,
+    FramingError,
+    GarbledCircuitMsg,
+    InputLabels,
+    OutputLabels,
+    pack_frame,
+    parse_frame,
+)
 from mpcmarket.protocol.runner import run_protocol1, run_protocol2
 
 LD_SPLIT = [{"i0.n_AB": 30}, {"i0.n_Ab": 20}, {"i0.n_aB": 20}, {"i0.n_ab": 30}]
@@ -112,3 +120,24 @@ class TestFraming:
         with TcpChannel(b"Y" * 16, {"echo": role}) as ch:
             ch.send("driver", "echo", Query(buyer=0, computation_id="c"))
             assert [e.type_name for e in ch.transcript.entries] == ["Query"]
+
+
+class TestExactLengthDecoders:
+    MESSAGES = [
+        InputLabels(maker=2, labels=((5, (1 << 128) - 1), (6, 7), (9, 1 << 100))),
+        OutputLabels(labels=(3, (1 << 127) + 1, 0)),
+        GarbledCircuitMsg(garbled=b"tables" * 5),
+    ]
+
+    @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: m.type_name)
+    def test_round_trip(self, msg):
+        assert type(msg).decode(msg.encode()) == msg
+
+    @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: m.type_name)
+    def test_every_truncation_and_a_trailing_byte_rejected(self, msg):
+        payload = msg.encode()
+        for cut in range(len(payload)):
+            with pytest.raises(FramingError):
+                type(msg).decode(payload[:cut])
+        with pytest.raises(FramingError):
+            type(msg).decode(payload + b"\x00")
