@@ -220,28 +220,30 @@ def ld_input_bits(counts: HaplotypeCounts, count_bits: int) -> list[int]:
 # -- homomorphic-encryption path ----------------------------------------------------
 
 
-def _simulate_plan_noise(params: HeParams, t: int) -> float:
-    """Worst-case noise estimate (log2) of the deepest plan output, mirroring
-    the estimates used by the runtime operations."""
+def plan_noise_log2(
+    params: HeParams, t: int, threshold_num: int, threshold_den: int
+) -> tuple[float, float]:
+    """Noise estimates (log2) of the (lhs, rhs) plan outputs under modulus
+    ``t``: :meth:`LdHePlan.run` replayed on noise levels through the rules that
+    ``he_add``, ``he_mul`` and ``he_mul_plain`` apply. Each count starts
+    two bits above a fresh ciphertext, for up to four summed maker shares."""
+
+    def add(va: float, vb: float) -> float:
+        return float(np.logaddexp2(va, vb))
 
     def mul(va: float, vb: float) -> float:
-        base = float(np.logaddexp2(va, vb))
-        mult = math.log2(t) + math.log2(params.n) + 2 + base
-        relin = (
-            math.log2(len(params.q_primes))
-            + math.log2(params.n)
-            + max(math.log2(p) for p in params.q_primes)
-            + math.log2(6 * params.noise_sigma)
-        )
-        return float(np.logaddexp2(mult, relin))
+        return bfv.mul_noise_log2(params, t, va, vb)
 
-    fresh = params.fresh_noise_log2()
-    count = fresh + 2  # aggregated counts / margin sums
-    m1 = mul(count, count)
-    diff = m1 + 1
-    sq = mul(diff, diff)
-    lhs = mul(sq, count + 1)
-    return lhs + 10  # scaled by the threshold constant
+    def times(v: float, const: int) -> float:
+        return v + bfv.plain_mul_growth_log2(bfv.encode_scalar(const, params, t))
+
+    c = params.fresh_noise_log2() + 2
+    n = add(add(c, c), add(c, c))
+    margin = add(c, c)  # n_A, n_a, n_B and n_b alike
+    diff = add(mul(n, c), mul(margin, margin))
+    lhs = times(mul(mul(diff, diff), add(n, n)), threshold_den)
+    rhs = times(mul(mul(margin, margin), mul(margin, margin)), threshold_num)
+    return lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -284,7 +286,7 @@ class LdHePlan:
                 raise PlanRejected("cannot cover LD value range with CRT moduli")
         for t in moduli:
             capacity = params.log2_q - math.log2(2 * t)
-            est = _simulate_plan_noise(params, t)
+            est = max(plan_noise_log2(params, t, threshold_num, threshold_den))
             if capacity - est <= 0:
                 raise PlanRejected(
                     f"LD plan needs ~{est:.0f} noise bits but t={t} leaves "

@@ -1,12 +1,19 @@
 """Textbook BFV: keygen, encrypt/decrypt, add, multiply-with-relinearization,
 scalar and batched encodings, and noise-budget tracking.
 
-Representation: polynomials are held in RNS form, one int64 residue array
-per coefficient-modulus prime. The coefficient modulus q is a product of
+Representation: every polynomial is one (k, n) int64 array in RNS form,
+one residue row per coefficient-modulus prime, and every operation is one
+broadcast against the (k, 1) column of primes (``HeParams.ntt.mod``); one
+NTT call transforms all k rows. The coefficient modulus q is a product of
 30-bit NTT-friendly primes (kept word-sized so numpy int64 products never
 overflow). Multiplication lifts operands to exact centered integers, runs
 the tensor product in an extended prime basis, scale-rounds by t/q, and
 relinearizes with an RNS-decomposed key-switching key.
+
+Keys and ciphertexts serialize as their (k, n) arrays in coefficient form,
+prime-major, little-endian int64; the decoders take exactly one such
+buffer, check n and k against the parameters and every residue against its
+prime, and raise :class:`HeParamsError` on anything else.
 
 Noise is tracked two ways: a conservative running estimate carried on every
 ciphertext (used to flag budget exhaustion eagerly, the scheme's bottom
@@ -22,11 +29,12 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
 
-from .ntt import find_ntt_primes, get_plan, is_prime
+from .ntt import NttPlan, find_ntt_primes, get_plan, is_prime
 
 VALID_DEGREES = (1024, 2048, 4096, 8192)
 
@@ -100,6 +108,16 @@ class HeParams:
         return q
 
     @property
+    def ntt(self) -> NttPlan:
+        """The transform for all k coefficient primes; ``ntt.mod`` is their
+        (k, 1) column."""
+        return get_plan(self.n, self.q_primes)
+
+    def residues(self, x: int) -> np.ndarray:
+        """The (k, 1) column of x mod each coefficient prime."""
+        return np.array([x % p for p in self.q_primes], dtype=np.int64)[:, None]
+
+    @property
     def log2_q(self) -> float:
         return sum(math.log2(p) for p in self.q_primes)
 
@@ -146,25 +164,16 @@ class HeParams:
 @lru_cache(maxsize=32)
 def _crt_consts(q_primes: tuple[int, ...]):
     """Per-prime CRT lifting constants L_i = q_hat_i * (q_hat_i^-1 mod p_i)."""
-    q = 1
-    for p in q_primes:
-        q *= p
-    lifts = []
-    hat_invs = []
-    for p in q_primes:
-        q_hat = q // p
-        inv = pow(q_hat % p, -1, p)
-        lifts.append(q_hat * inv)
-        hat_invs.append(inv)
-    return q, tuple(lifts), tuple(hat_invs)
+    q = math.prod(q_primes)
+    hat_invs = [pow(q // p % p, -1, p) for p in q_primes]
+    lifts = tuple(q // p * inv for p, inv in zip(q_primes, hat_invs))
+    return q, lifts, np.array(hat_invs, dtype=np.int64)[:, None]
 
 
 @lru_cache(maxsize=8)
 def _mul_basis(n: int, q_primes: tuple[int, ...]) -> tuple[int, ...]:
     """Extended prime basis large enough for the exact integer tensor product."""
-    q = 1
-    for p in q_primes:
-        q *= p
+    q = math.prod(q_primes)
     need = 4 * n * (q // 2) ** 2
     basis = list(q_primes)
     prod = q
@@ -176,16 +185,13 @@ def _mul_basis(n: int, q_primes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(basis)
 
 
-def _rns_residues(coeffs_centered: np.ndarray, primes: Sequence[int]) -> list[np.ndarray]:
-    return [np.mod(coeffs_centered, p).astype(np.int64) for p in primes]
-
-
-def _lift_centered(residues: Sequence[np.ndarray], q_primes: tuple[int, ...]) -> np.ndarray:
-    """Exact CRT reconstruction to centered big integers (object dtype)."""
-    q, lifts, _ = _crt_consts(q_primes)
+def _lift_centered(residues: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
+    """Exact CRT reconstruction of (k, n) residues to centered big integers
+    (object dtype)."""
+    q, lifts, _ = _crt_consts(primes)
     acc = residues[0].astype(object) * lifts[0]
-    for r, lift in zip(residues[1:], lifts[1:]):
-        acc = acc + r.astype(object) * lift
+    for row, lift in zip(residues[1:], lifts[1:]):
+        acc += row.astype(object) * lift
     acc %= q
     return np.where(acc > q // 2, acc - q, acc)
 
@@ -194,23 +200,23 @@ def _lift_centered(residues: Sequence[np.ndarray], q_primes: tuple[int, ...]) ->
 class SecretKey:
     params: HeParams
     s_coeff: np.ndarray  # ternary, int64
-    s_ntt: tuple[np.ndarray, ...] = field(repr=False)
+    s_ntt: np.ndarray = field(repr=False)  # (k, n)
 
 
 @dataclass(frozen=True)
 class PublicKey:
     params: HeParams
-    pk0_ntt: tuple[np.ndarray, ...] = field(repr=False)
-    pk1_ntt: tuple[np.ndarray, ...] = field(repr=False)
+    pk0_ntt: np.ndarray = field(repr=False)  # (k, n)
+    pk1_ntt: np.ndarray = field(repr=False)  # (k, n)
 
 
 @dataclass(frozen=True)
 class RelinKey:
-    """Key-switching key for s^2 -> s, RNS-decomposed: one (b, a) pair per
-    coefficient prime, stored in the transform domain."""
+    """Key-switching key for s^2 -> s, RNS-decomposed: one (b, a) pair of
+    (k, n) arrays per coefficient prime, stored in the transform domain."""
 
     params: HeParams
-    pairs: tuple[tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]], ...] = field(repr=False)
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -231,7 +237,8 @@ class HePlaintext:
 
 @dataclass
 class HeCiphertext:
-    """RNS ciphertext: 2 polys when fresh/relinearized, 3 after a raw multiply.
+    """RNS ciphertext: 2 (k, n) polys when fresh/relinearized, 3 after a raw
+    multiply.
 
     ``noise_log2`` is the conservative running noise estimate used for eager
     budget checks; ``level`` counts consumed multiplicative depth. ``t`` and
@@ -241,7 +248,7 @@ class HeCiphertext:
 
     params: HeParams
     t: int
-    polys: tuple[tuple[np.ndarray, ...], ...]
+    polys: tuple[np.ndarray, ...]
     noise_log2: float
     level: int = 0
     encoding: str = "scalar"
@@ -264,6 +271,31 @@ class HeCiphertext:
         return cached
 
 
+# -- noise rules ------------------------------------------------------------------
+
+
+def mul_noise_log2(params: HeParams, t: int, va: float, vb: float) -> float:
+    """Noise estimate (log2) after a relinearized product of two ciphertexts
+    under plaintext modulus ``t`` whose estimates are ``va`` and ``vb``."""
+    base = float(np.logaddexp2(va, vb))
+    mult = math.log2(t) + math.log2(params.n) + 2 + base
+    relin = (
+        math.log2(len(params.q_primes))
+        + math.log2(params.n)
+        + max(math.log2(p) for p in params.q_primes)
+        + math.log2(6 * params.noise_sigma)
+    )
+    return float(np.logaddexp2(mult, relin))
+
+
+def plain_mul_growth_log2(pt: HePlaintext) -> float:
+    """Noise growth (log2) of a multiply by ``pt``: its largest centered
+    coefficient, times its number of nonzero coefficients."""
+    scale = max(pt.max_abs_centered(), 1)
+    nonzero = int(np.count_nonzero(pt.poly))
+    return math.log2(scale) + (math.log2(nonzero) if nonzero > 1 else 0.0)
+
+
 # -- sampling -----------------------------------------------------------------
 
 
@@ -283,8 +315,8 @@ def _sample_gaussian(rng: np.random.Generator, n: int, sigma: float) -> np.ndarr
     return np.clip(e, -bound, bound)
 
 
-def _sample_uniform_rns(rng: np.random.Generator, n: int, primes) -> list[np.ndarray]:
-    return [rng.integers(0, p, n, dtype=np.int64) for p in primes]
+def _sample_uniform_rns(rng: np.random.Generator, n: int, primes) -> np.ndarray:
+    return np.stack([rng.integers(0, p, n, dtype=np.int64) for p in primes])
 
 
 # -- key generation -----------------------------------------------------------
@@ -298,47 +330,29 @@ def keygen(
     sampled last, so sk and pk are the same either way."""
     rng = _rng_from_seed(seed)
     n, primes = params.n, params.q_primes
-    plans = [get_plan(n, p) for p in primes]
+    plan = params.ntt
+    q = plan.mod
 
     s = _sample_ternary(rng, n)
-    s_ntt = tuple(plan.forward(s) for plan in plans)
+    s_ntt = plan.forward(s)
 
     e = _sample_gaussian(rng, n, params.noise_sigma)
-    a_rns = _sample_uniform_rns(rng, n, primes)
-    pk0 = []
-    pk1 = []
-    for plan, a_p, s_p in zip(plans, a_rns, s_ntt):
-        a_ntt = plan.forward(a_p)
-        b_ntt = plan.forward(np.mod(-plan.inverse(a_ntt * s_p % plan.p) - e, plan.p))
-        pk0.append(b_ntt)
-        pk1.append(a_ntt)
-    pk = PublicKey(params, tuple(pk0), tuple(pk1))
+    a_ntt = plan.forward(_sample_uniform_rns(rng, n, primes))
+    b_ntt = plan.forward(-plan.inverse(a_ntt * s_ntt % q) - e)
+    pk = PublicKey(params, b_ntt, a_ntt)
     sk = SecretKey(params, s, s_ntt)
     if not relin:
         return sk, pk, None
 
-    # s^2 has coefficients bounded by n, so one prime recovers it exactly.
-    p0 = plans[0]
-    s2 = p0.inverse(s_ntt[0] * s_ntt[0] % p0.p)
-    s2 = np.where(s2 > p0.p // 2, s2 - p0.p, s2).astype(np.int64)
-
-    q = params.q
+    # s^2 mod every prime.
+    s2 = plan.inverse(s_ntt * s_ntt % q)
     pairs = []
-    for i, p_i in enumerate(primes):
-        q_hat = q // p_i
+    for p_i in primes:
         e_i = _sample_gaussian(rng, n, params.noise_sigma)
-        a_i = _sample_uniform_rns(rng, n, primes)
-        b_i = []
-        a_ntt_i = []
-        for plan, a_p, s_p in zip(plans, a_i, s_ntt):
-            a_ntt = plan.forward(a_p)
-            body = np.mod((q_hat % plan.p) * s2 + e_i, plan.p)
-            b_ntt = plan.forward(
-                np.mod(-plan.inverse(a_ntt * s_p % plan.p) + body, plan.p)
-            )
-            b_i.append(b_ntt)
-            a_ntt_i.append(a_ntt)
-        pairs.append((tuple(b_i), tuple(a_ntt_i)))
+        a_ntt = plan.forward(_sample_uniform_rns(rng, n, primes))
+        body = params.residues(params.q // p_i) * s2 + e_i
+        b_ntt = plan.forward(-plan.inverse(a_ntt * s_ntt % q) + body)
+        pairs.append((b_ntt, a_ntt))
     return sk, pk, RelinKey(params, tuple(pairs))
 
 
@@ -393,24 +407,19 @@ def encrypt(pk: PublicKey, pt: HePlaintext, rng: np.random.Generator | None = No
         raise HeParamsError("plaintext/parameter ring mismatch")
     if rng is None:
         rng = np.random.default_rng()
-    n, primes = params.n, params.q_primes
-    plans = [get_plan(n, p) for p in primes]
+    n, plan = params.n, params.ntt
+    q = plan.mod
     u = _sample_ternary(rng, n)
     e1 = _sample_gaussian(rng, n, params.noise_sigma)
     e2 = _sample_gaussian(rng, n, params.noise_sigma)
-    delta = params.q // pt.t
-    m = pt.poly
-    c0 = []
-    c1 = []
-    for plan, b_ntt, a_ntt in zip(plans, pk.pk0_ntt, pk.pk1_ntt):
-        p = plan.p
-        u_ntt = plan.forward(u)
-        c0.append(np.mod(plan.inverse(b_ntt * u_ntt % p) + e1 + (delta % p) * m, p))
-        c1.append(np.mod(plan.inverse(a_ntt * u_ntt % p) + e2, p))
+    u_ntt = plan.forward(u)
+    delta = params.residues(params.q // pt.t)
+    c0 = (plan.inverse(pk.pk0_ntt * u_ntt % q) + e1 + delta * pt.poly) % q
+    c1 = (plan.inverse(pk.pk1_ntt * u_ntt % q) + e2) % q
     return HeCiphertext(
         params=params,
         t=pt.t,
-        polys=(tuple(c0), tuple(c1)),
+        polys=(c0, c1),
         noise_log2=params.fresh_noise_log2(),
         encoding=pt.encoding,
     )
@@ -418,20 +427,13 @@ def encrypt(pk: PublicKey, pt: HePlaintext, rng: np.random.Generator | None = No
 
 def _dot_secret(ct: HeCiphertext, sk: SecretKey) -> np.ndarray:
     """Centered lift of c0 + c1*s (+ c2*s^2) mod q."""
-    params = ct.params
-    plans = [get_plan(params.n, p) for p in params.q_primes]
-    acc = []
-    for i, plan in enumerate(plans):
-        p = plan.p
-        w = ct.polys[0][i].copy()
-        c1_ntt = plan.forward(ct.polys[1][i])
-        w = (w + plan.inverse(c1_ntt * sk.s_ntt[i] % p)) % p
-        if len(ct.polys) == 3:
-            c2_ntt = plan.forward(ct.polys[2][i])
-            s2_ntt = sk.s_ntt[i] * sk.s_ntt[i] % p
-            w = (w + plan.inverse(c2_ntt * s2_ntt % p)) % p
-        acc.append(w)
-    return _lift_centered(acc, params.q_primes)
+    plan = ct.params.ntt
+    q = plan.mod
+    w = (ct.polys[0] + plan.inverse(plan.forward(ct.polys[1]) * sk.s_ntt % q)) % q
+    if len(ct.polys) == 3:
+        s2_ntt = sk.s_ntt * sk.s_ntt % q
+        w = (w + plan.inverse(plan.forward(ct.polys[2]) * s2_ntt % q)) % q
+    return _lift_centered(w, ct.params.q_primes)
 
 
 def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
@@ -474,62 +476,37 @@ def _check_compat(a: HeCiphertext, b: HeCiphertext) -> None:
         )
 
 
-def _pad(polys: tuple, k: int, n: int, primes) -> list:
-    comps = list(polys)
-    while len(comps) < k:
-        comps.append(tuple(np.zeros(n, dtype=np.int64) for _ in primes))
-    return comps
+def _add_or_sub(a: HeCiphertext, b: HeCiphertext, op) -> HeCiphertext:
+    """Component-wise ``op`` (a missing third component counts as zero);
+    noise grows by at most one bit."""
+    _check_compat(a, b)
+    q = a.params.ntt.mod
+    return HeCiphertext(
+        params=a.params,
+        t=a.t,
+        polys=tuple(op(x, y) % q for x, y in zip_longest(a.polys, b.polys, fillvalue=0)),
+        noise_log2=float(np.logaddexp2(a.noise_log2, b.noise_log2)),
+        level=max(a.level, b.level),
+        encoding=a.encoding,
+    )
 
 
 def he_add(a: HeCiphertext, b: HeCiphertext) -> HeCiphertext:
-    """Slot/coefficient-wise sum; noise grows by at most one bit."""
-    _check_compat(a, b)
-    k = max(len(a.polys), len(b.polys))
-    pa = _pad(a.polys, k, a.params.n, a.params.q_primes)
-    pb = _pad(b.polys, k, b.params.n, b.params.q_primes)
-    polys = tuple(
-        tuple((x + y) % p for x, y, p in zip(ca, cb, a.params.q_primes))
-        for ca, cb in zip(pa, pb)
-    )
-    return HeCiphertext(
-        params=a.params,
-        t=a.t,
-        polys=polys,
-        noise_log2=float(np.logaddexp2(a.noise_log2, b.noise_log2)),
-        level=max(a.level, b.level),
-        encoding=a.encoding,
-    )
+    """Slot/coefficient-wise sum."""
+    return _add_or_sub(a, b, np.add)
 
 
 def he_sub(a: HeCiphertext, b: HeCiphertext) -> HeCiphertext:
-    _check_compat(a, b)
-    k = max(len(a.polys), len(b.polys))
-    pa = _pad(a.polys, k, a.params.n, a.params.q_primes)
-    pb = _pad(b.polys, k, b.params.n, b.params.q_primes)
-    polys = tuple(
-        tuple((x - y) % p for x, y, p in zip(ca, cb, a.params.q_primes))
-        for ca, cb in zip(pa, pb)
-    )
-    return HeCiphertext(
-        params=a.params,
-        t=a.t,
-        polys=polys,
-        noise_log2=float(np.logaddexp2(a.noise_log2, b.noise_log2)),
-        level=max(a.level, b.level),
-        encoding=a.encoding,
-    )
+    return _add_or_sub(a, b, np.subtract)
 
 
 def he_add_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
-    delta = ct.params.q // ct.t
-    c0 = tuple(
-        (c + (delta % p) * pt.poly) % p
-        for c, p in zip(ct.polys[0], ct.params.q_primes)
-    )
+    params = ct.params
+    c0 = (ct.polys[0] + params.residues(params.q // ct.t) * pt.poly) % params.ntt.mod
     return HeCiphertext(
-        params=ct.params,
+        params=params,
         t=ct.t,
         polys=(c0,) + ct.polys[1:],
         noise_log2=float(np.logaddexp2(ct.noise_log2, math.log2(ct.t))),
@@ -543,23 +520,13 @@ def he_mul_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
     params = ct.params
-    plans = [get_plan(params.n, p) for p in params.q_primes]
-    m_ntts = [plan.forward(pt.poly) for plan in plans]
-    polys = tuple(
-        tuple(
-            plan.inverse(plan.forward(c) * m_ntt % plan.p)
-            for c, plan, m_ntt in zip(comp, plans, m_ntts)
-        )
-        for comp in ct.polys
-    )
-    scale = max(pt.max_abs_centered(), 1)
-    nonzero = int(np.count_nonzero(pt.poly))
-    growth = math.log2(scale) + (math.log2(nonzero) if nonzero > 1 else 0.0)
+    plan = params.ntt
+    m_ntt = plan.forward(pt.poly)
     out = HeCiphertext(
         params=params,
         t=ct.t,
-        polys=polys,
-        noise_log2=ct.noise_log2 + growth,
+        polys=tuple(plan.inverse(plan.forward(c) * m_ntt % plan.mod) for c in ct.polys),
+        noise_log2=ct.noise_log2 + plain_mul_growth_log2(pt),
         level=ct.level,
         encoding=ct.encoding,
     )
@@ -568,19 +535,6 @@ def he_mul_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
             f"plaintext multiply would exhaust budget ({out.budget_estimate:.1f} bits)"
         )
     return out
-
-
-def _mul_noise_estimate(a: HeCiphertext, b: HeCiphertext) -> float:
-    params = a.params
-    base = float(np.logaddexp2(a.noise_log2, b.noise_log2))
-    mult = math.log2(params.t) + math.log2(params.n) + 2 + base
-    relin = (
-        math.log2(len(params.q_primes))
-        + math.log2(params.n)
-        + max(math.log2(p) for p in params.q_primes)
-        + math.log2(6 * params.noise_sigma)
-    )
-    return float(np.logaddexp2(mult, relin))
 
 
 def he_mul(a: HeCiphertext, b: HeCiphertext, rk: RelinKey) -> HeCiphertext:
@@ -592,71 +546,45 @@ def he_mul(a: HeCiphertext, b: HeCiphertext, rk: RelinKey) -> HeCiphertext:
     if len(a.polys) != 2 or len(b.polys) != 2:
         raise HeParamsError("he_mul expects relinearized (2-component) inputs")
     params = a.params
-    est = _mul_noise_estimate(a, b)
-    if params.log2_q - math.log2(2 * a.t) - est <= 0:
+    n, q, t = params.n, params.q, a.t
+    est = mul_noise_log2(params, t, a.noise_log2, b.noise_log2)
+    capacity = params.log2_q - math.log2(2 * t)
+    if capacity - est <= 0:
         raise NoiseBudgetExhausted(
             f"multiplication would exhaust noise budget (estimate {est:.1f} bits "
-            f"of {params.log2_q - math.log2(2 * a.t):.1f})"
+            f"of {capacity:.1f})"
         )
 
-    n, q, t = params.n, params.q, a.t
     basis = _mul_basis(n, params.q_primes)
-    plans = [get_plan(n, p) for p in basis]
-
-    a0, a1 = a._lift()
-    b0, b1 = b._lift()
-    fa0 = [plan.forward(np.mod(a0, plan.p).astype(np.int64)) for plan in plans]
-    fa1 = [plan.forward(np.mod(a1, plan.p).astype(np.int64)) for plan in plans]
-    fb0 = [plan.forward(np.mod(b0, plan.p).astype(np.int64)) for plan in plans]
-    fb1 = [plan.forward(np.mod(b1, plan.p).astype(np.int64)) for plan in plans]
-
-    d_rns = []
-    for pick in ("00", "01+10", "11"):
-        comp = []
-        for i, plan in enumerate(plans):
-            p = plan.p
-            if pick == "00":
-                prod = fa0[i] * fb0[i] % p
-            elif pick == "11":
-                prod = fa1[i] * fb1[i] % p
-            else:
-                prod = (fa0[i] * fb1[i] % p + fa1[i] * fb0[i] % p) % p
-            comp.append(plan.inverse(prod))
-        d_rns.append(comp)
+    ext = get_plan(n, basis)
+    P = ext.mod
+    fa0, fa1 = (ext.forward(x) for x in a._lift())
+    fb0, fb1 = (ext.forward(x) for x in b._lift())
+    tensor = (
+        fa0 * fb0 % P,
+        (fa0 * fb1 % P + fa1 * fb0 % P) % P,
+        fa1 * fb1 % P,
+    )
 
     # Exact integers via CRT over the extended basis, then round(t*x/q) mod q.
-    e_polys = []
-    for comp in d_rns:
-        x = _lift_centered(comp, basis)
-        y = (2 * t * x + q) // (2 * q)
-        y %= q
-        e_polys.append(_rns_residues(y, params.q_primes))
+    plan = params.ntt
+    Q = plan.mod
+    e0, e1, e2 = (
+        np.mod((2 * t * _lift_centered(ext.inverse(d), basis) + q) // (2 * q) % q, Q)
+        .astype(np.int64)
+        for d in tensor
+    )
 
-    # Relinearize e2 with the RNS-digit key-switching key.
-    q_plans = [get_plan(n, p) for p in params.q_primes]
+    # Relinearize e2 with the RNS-digit key-switching key: digit i is
+    # row i of e2 * q_hat_i^-1, spread onto every prime by the transform.
     _, _, hat_invs = _crt_consts(params.q_primes)
-    acc0 = [np.zeros(n, dtype=np.int64) for _ in params.q_primes]
-    acc1 = [np.zeros(n, dtype=np.int64) for _ in params.q_primes]
-    for i, p_i in enumerate(params.q_primes):
-        digit = e_polys[2][i] * hat_invs[i] % p_i
-        b_i, a_i = rk.pairs[i]
-        for j, plan in enumerate(q_plans):
-            dig_ntt = plan.forward(np.mod(digit, plan.p).astype(np.int64))
-            acc0[j] = (acc0[j] + dig_ntt * b_i[j]) % plan.p
-            acc1[j] = (acc1[j] + dig_ntt * a_i[j]) % plan.p
-
-    c0 = tuple(
-        (e_polys[0][j] + plan.inverse(acc0[j])) % plan.p
-        for j, plan in enumerate(q_plans)
-    )
-    c1 = tuple(
-        (e_polys[1][j] + plan.inverse(acc1[j])) % plan.p
-        for j, plan in enumerate(q_plans)
-    )
+    digits_ntt = plan.forward((e2 * hat_invs % Q)[:, None, :])
+    acc0 = sum(d * b_i % Q for d, (b_i, _) in zip(digits_ntt, rk.pairs))
+    acc1 = sum(d * a_i % Q for d, (_, a_i) in zip(digits_ntt, rk.pairs))
     return HeCiphertext(
         params=params,
         t=t,
-        polys=(c0, c1),
+        polys=((e0 + plan.inverse(acc0)) % Q, (e1 + plan.inverse(acc1)) % Q),
         noise_log2=est,
         level=max(a.level, b.level) + 1,
         encoding=a.encoding,
@@ -670,18 +598,47 @@ _CT_MAGIC = b"HECT"
 _PK_MAGIC = b"HEPK"
 _SK_MAGIC = b"HESK"
 _RK_MAGIC = b"HERK"
+_CT_HEAD = struct.Struct(">B8sQIBBdBB")
+_KEY_HEAD = struct.Struct(">B8sIB")
+_SK_HEAD = struct.Struct(">B8sI")
 
 
-def _pack_arrays(arrays) -> bytes:
-    out = bytearray()
-    for arr in arrays:
-        out += np.ascontiguousarray(arr, dtype="<i8").tobytes()
-    return bytes(out)
+def _pack_rows(polys) -> bytes:
+    return np.ascontiguousarray(np.stack(polys), dtype="<i8").tobytes()
+
+
+def _read(data: bytes, magic: bytes, head: struct.Struct, params: HeParams, what: str):
+    """Check a blob's magic, version and parameter hash; return the other
+    header fields and the body."""
+    if len(data) < 4 + head.size or data[:4] != magic:
+        raise HeParamsError(f"bad {what} header")
+    ver, ph, *fields = head.unpack_from(data, 4)
+    if ver != 1:
+        raise HeParamsError(f"unsupported {what} version {ver}")
+    if ph != params.param_hash:
+        raise HeParamsError(f"{what} was produced under different parameters")
+    return fields, data[4 + head.size :]
+
+
+def _read_rows(
+    body: bytes, count: int, n: int, k: int, params: HeParams, what: str
+) -> np.ndarray:
+    """Exactly ``count`` (k, n) polynomials of residues, each below its prime."""
+    if (n, k) != (params.n, len(params.q_primes)):
+        raise HeParamsError(
+            f"{what} has n={n}, k={k}; params have n={params.n}, k={len(params.q_primes)}"
+        )
+    size = 8 * count * k * n
+    if len(body) != size:
+        raise HeParamsError(f"{what} body is {len(body)} bytes, expected {size}")
+    rows = np.frombuffer(body, dtype="<i8").astype(np.int64).reshape(count, k, n)
+    if not ((rows >= 0) & (rows < params.ntt.mod)).all():
+        raise HeParamsError(f"{what} residue out of range")
+    return rows
 
 
 def ciphertext_to_bytes(ct: HeCiphertext) -> bytes:
-    head = _CT_MAGIC + struct.pack(
-        ">B8sQIBBdBB",
+    head = _CT_MAGIC + _CT_HEAD.pack(
         1,
         ct.params.param_hash,
         ct.t,
@@ -692,106 +649,55 @@ def ciphertext_to_bytes(ct: HeCiphertext) -> bytes:
         ct.level,
         1 if ct.encoding == "batch" else 0,
     )
-    body = b"".join(_pack_arrays(comp) for comp in ct.polys)
-    return head + body
+    return head + _pack_rows(ct.polys)
 
 
 def ciphertext_from_bytes(data: bytes, params: HeParams) -> HeCiphertext:
-    if data[:4] != _CT_MAGIC:
-        raise HeParamsError("bad ciphertext magic")
-    ver, ph, t, n, k, ncomp, noise, level, enc = struct.unpack(
-        ">B8sQIBBdBB", data[4:37]
-    )
-    if ver != 1:
-        raise HeParamsError(f"unsupported ciphertext version {ver}")
-    if ph != params.param_hash:
-        raise HeParamsError("ciphertext was produced under different parameters")
-    off = 37
-    polys = []
-    for _ in range(ncomp):
-        comp = []
-        for _ in range(k):
-            arr = np.frombuffer(data[off : off + 8 * n], dtype="<i8").astype(np.int64)
-            comp.append(arr)
-            off += 8 * n
-        polys.append(tuple(comp))
-    return HeCiphertext(params, t, tuple(polys), noise, level, "batch" if enc else "scalar")
+    fields, body = _read(data, _CT_MAGIC, _CT_HEAD, params, "ciphertext")
+    t, n, k, ncomp, noise, level, enc = fields
+    if ncomp not in (2, 3) or enc not in (0, 1) or not 2 <= t < params.q:
+        raise HeParamsError(f"malformed ciphertext header: t={t}, {ncomp} parts, encoding {enc}")
+    if not math.isfinite(noise):
+        raise HeParamsError(f"malformed ciphertext header: noise estimate {noise}")
+    polys = tuple(_read_rows(body, ncomp, n, k, params, "ciphertext"))
+    return HeCiphertext(params, t, polys, noise, level, "batch" if enc else "scalar")
 
 
 def public_key_to_bytes(pk: PublicKey) -> bytes:
     params = pk.params
-    plans = [get_plan(params.n, p) for p in params.q_primes]
-    coeff0 = [plan.inverse(c) for plan, c in zip(plans, pk.pk0_ntt)]
-    coeff1 = [plan.inverse(c) for plan, c in zip(plans, pk.pk1_ntt)]
-    head = _PK_MAGIC + struct.pack(
-        ">B8sIB", 1, params.param_hash, params.n, len(params.q_primes)
-    )
-    return head + _pack_arrays(coeff0) + _pack_arrays(coeff1)
+    head = _PK_MAGIC + _KEY_HEAD.pack(1, params.param_hash, params.n, len(params.q_primes))
+    return head + _pack_rows(params.ntt.inverse(np.stack((pk.pk0_ntt, pk.pk1_ntt))))
 
 
 def public_key_from_bytes(data: bytes, params: HeParams) -> PublicKey:
-    if data[:4] != _PK_MAGIC:
-        raise HeParamsError("bad public key magic")
-    ver, ph, n, k = struct.unpack(">B8sIB", data[4:18])
-    if ph != params.param_hash:
-        raise HeParamsError("public key was produced under different parameters")
-    off = 18
-    arrays = []
-    for _ in range(2 * k):
-        arrays.append(np.frombuffer(data[off : off + 8 * n], dtype="<i8").astype(np.int64))
-        off += 8 * n
-    plans = [get_plan(n, p) for p in params.q_primes]
-    pk0 = tuple(plan.forward(a) for plan, a in zip(plans, arrays[:k]))
-    pk1 = tuple(plan.forward(a) for plan, a in zip(plans, arrays[k:]))
+    (n, k), body = _read(data, _PK_MAGIC, _KEY_HEAD, params, "public key")
+    pk0, pk1 = params.ntt.forward(_read_rows(body, 2, n, k, params, "public key"))
     return PublicKey(params, pk0, pk1)
 
 
 def relin_key_to_bytes(rk: RelinKey) -> bytes:
     params = rk.params
-    plans = [get_plan(params.n, p) for p in params.q_primes]
-    head = _RK_MAGIC + struct.pack(
-        ">B8sIB", 1, params.param_hash, params.n, len(params.q_primes)
-    )
-    chunks = [head]
-    for b_i, a_i in rk.pairs:
-        chunks.append(_pack_arrays(plan.inverse(c) for plan, c in zip(plans, b_i)))
-        chunks.append(_pack_arrays(plan.inverse(c) for plan, c in zip(plans, a_i)))
-    return b"".join(chunks)
+    head = _RK_MAGIC + _KEY_HEAD.pack(1, params.param_hash, params.n, len(params.q_primes))
+    rows = np.stack([x for pair in rk.pairs for x in pair])
+    return head + _pack_rows(params.ntt.inverse(rows))
 
 
 def relin_key_from_bytes(data: bytes, params: HeParams) -> RelinKey:
-    if data[:4] != _RK_MAGIC:
-        raise HeParamsError("bad relin key magic")
-    ver, ph, n, k = struct.unpack(">B8sIB", data[4:18])
-    if ph != params.param_hash:
-        raise HeParamsError("relin key was produced under different parameters")
-    plans = [get_plan(n, p) for p in params.q_primes]
-    off = 18
-    pairs = []
-    for _ in range(k):
-        comps = []
-        for _ in range(2):
-            arrs = []
-            for plan in plans:
-                raw = np.frombuffer(data[off : off + 8 * n], dtype="<i8").astype(np.int64)
-                arrs.append(plan.forward(raw))
-                off += 8 * n
-            comps.append(tuple(arrs))
-        pairs.append((comps[0], comps[1]))
-    return RelinKey(params, tuple(pairs))
+    (n, k), body = _read(data, _RK_MAGIC, _KEY_HEAD, params, "relin key")
+    rows = params.ntt.forward(_read_rows(body, 2 * k, n, k, params, "relin key"))
+    return RelinKey(params, tuple(zip(rows[0::2], rows[1::2])))
 
 
 def secret_key_to_bytes(sk: SecretKey) -> bytes:
-    head = _SK_MAGIC + struct.pack(">B8sI", 1, sk.params.param_hash, sk.params.n)
+    head = _SK_MAGIC + _SK_HEAD.pack(1, sk.params.param_hash, sk.params.n)
     return head + np.ascontiguousarray(sk.s_coeff, dtype="<i1").tobytes()
 
 
 def secret_key_from_bytes(data: bytes, params: HeParams) -> SecretKey:
-    if data[:4] != _SK_MAGIC:
-        raise HeParamsError("bad secret key magic")
-    ver, ph, n = struct.unpack(">B8sI", data[4:17])
-    if ph != params.param_hash:
-        raise HeParamsError("secret key was produced under different parameters")
-    s = np.frombuffer(data[17 : 17 + n], dtype="<i1").astype(np.int64)
-    plans = [get_plan(n, p) for p in params.q_primes]
-    return SecretKey(params, s, tuple(plan.forward(s) for plan in plans))
+    (n,), body = _read(data, _SK_MAGIC, _SK_HEAD, params, "secret key")
+    if n != params.n or len(body) != n:
+        raise HeParamsError(f"secret key must hold {params.n} coefficients")
+    s = np.frombuffer(body, dtype="<i1").astype(np.int64)
+    if (np.abs(s) > 1).any():
+        raise HeParamsError("secret key coefficient is not ternary")
+    return SecretKey(params, s, params.ntt.forward(s))

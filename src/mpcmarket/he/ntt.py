@@ -74,66 +74,82 @@ def _bitrev_perm(n: int) -> np.ndarray:
 
 
 class NttPlan:
-    """Precomputed twiddle tables for one (n, p) pair."""
+    """Precomputed twiddle tables for ring degree n and one prime ``p``, or
+    a tuple of primes. A plan for one prime transforms arrays of shape
+    (..., n); a plan for k primes transforms (..., k, n) arrays, one residue
+    row per prime, in one call, and spreads a 1-D polynomial onto every row.
+    ``mod`` is ``p`` or the (k, 1) column of primes, for broadcasting."""
 
-    def __init__(self, n: int, p: int) -> None:
+    def __init__(self, n: int, p: int | tuple[int, ...]) -> None:
         if n & (n - 1) or n < 2:
             raise ValueError(f"ring degree {n} must be a power of two")
-        if (p - 1) % (2 * n) != 0 or not is_prime(p):
-            raise ValueError(f"modulus {p} is not NTT-friendly for n={n}")
+        primes = p if isinstance(p, tuple) else (p,)
+        for q in primes:
+            if (q - 1) % (2 * n) != 0 or not is_prime(q):
+                raise ValueError(f"modulus {q} is not NTT-friendly for n={n}")
         self.n = n
         self.p = p
-        psi = _primitive_2n_root(p, n)
         rev = _bitrev_perm(n)
-        powers = np.array([pow(psi, int(i), p) for i in range(n)], dtype=np.int64)
-        inv_powers = np.array(
-            [pow(psi, -int(i) % (2 * n), p) for i in range(n)], dtype=np.int64
-        )
-        self._tw = powers[rev]
-        self._itw = inv_powers[rev]
-        self._n_inv = pow(n, -1, p)
+        tw, itw = [], []
+        for q in primes:
+            # psi^i and psi^-i for i < n, in bit-reversed order.
+            psi = _primitive_2n_root(q, n)
+            psi_inv = pow(psi, -1, q)
+            powers, inv_powers = [1], [1]
+            for _ in range(n - 1):
+                powers.append(powers[-1] * psi % q)
+                inv_powers.append(inv_powers[-1] * psi_inv % q)
+            tw.append(np.array(powers, dtype=np.int64)[rev])
+            itw.append(np.array(inv_powers, dtype=np.int64)[rev])
+        n_inv = [pow(n, -1, q) for q in primes]
+        if not isinstance(p, tuple):
+            self.mod, self._p, self._n_inv = p, p, n_inv[0]
+            self._tw, self._itw = tw[0], itw[0]
+        else:
+            self.mod = np.array(primes, dtype=np.int64)[:, None]
+            self._p = self.mod[:, :, None]
+            self._n_inv = np.array(n_inv, dtype=np.int64)[:, None]
+            self._tw, self._itw = np.stack(tw), np.stack(itw)
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         """Negacyclic NTT; input in natural order, output in bit-reversed order."""
-        n, p, tw = self.n, self.p, self._tw
-        a = np.mod(a, p).astype(np.int64)
+        n, p, tw = self.n, self._p, self._tw
+        a = np.mod(a, self.mod).astype(np.int64, copy=False)
+        lead = a.shape[:-1]
         t = n
         m = 1
         while m < n:
             t //= 2
-            a = a.reshape(m, 2, t)
-            s = tw[m : 2 * m, None]
-            lo = a[:, 0, :]
-            hi = a[:, 1, :] * s % p
-            a = np.stack(((lo + hi) % p, (lo - hi) % p), axis=1)
-            a = a.reshape(-1)
+            a = a.reshape(*lead, m, 2, t)
+            lo = a[..., 0, :]
+            hi = a[..., 1, :] * tw[..., m : 2 * m, None] % p
+            a = np.stack(((lo + hi) % p, (lo - hi) % p), axis=-2)
             m *= 2
-        return a
+        return a.reshape(*lead, n)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """Inverse negacyclic NTT; undoes :meth:`forward`."""
-        n, p, itw = self.n, self.p, self._itw
-        a = np.mod(a, p).astype(np.int64)
+        n, p, itw = self.n, self._p, self._itw
+        a = np.mod(a, self.mod).astype(np.int64, copy=False)
+        lead = a.shape[:-1]
         t = 1
         m = n
         while m > 1:
             h = m // 2
-            a = a.reshape(h, 2, t)
-            s = itw[h : 2 * h, None]
-            lo = a[:, 0, :]
-            hi = a[:, 1, :]
-            a = np.stack(((lo + hi) % p, (lo - hi) * s % p), axis=1)
-            a = a.reshape(-1)
+            a = a.reshape(*lead, h, 2, t)
+            lo = a[..., 0, :]
+            hi = a[..., 1, :]
+            a = np.stack(((lo + hi) % p, (lo - hi) * itw[..., h : 2 * h, None] % p), axis=-2)
             t *= 2
             m = h
-        return a * self._n_inv % p
+        return a.reshape(*lead, n) * self._n_inv % self.mod
 
     def pointwise(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-        return fa * fb % self.p
+        return fa * fb % self.mod
 
 
 @lru_cache(maxsize=128)
-def get_plan(n: int, p: int) -> NttPlan:
+def get_plan(n: int, p: int | tuple[int, ...]) -> NttPlan:
     return NttPlan(n, p)
 
 

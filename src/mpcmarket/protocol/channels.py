@@ -10,6 +10,7 @@ are never logged.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import struct
 import threading
@@ -26,6 +27,9 @@ from .messages import (
     pack_frame,
     parse_frame,
 )
+
+
+logger = logging.getLogger(__name__)
 
 
 class TransportError(RuntimeError):
@@ -203,15 +207,14 @@ class TcpChannel(BaseChannel):
                         raise ProtocolError("frame for a different session")
                     try:
                         reply = role.receive(msg)
-                    except (ProtocolError, Exception) as exc:  # noqa: BLE001
-                        err = ErrorReply(detail=f"{type(exc).__name__}: {exc}")
-                        conn.sendall(pack_frame(err, self.session_id, 0))
-                        continue
-                    out = reply if reply is not None else Ack()
+                    except Exception as exc:  # noqa: BLE001
+                        reply = ErrorReply(detail=f"{type(exc).__name__}: {exc}")
+                    out = Ack() if reply is None else reply
                     conn.sendall(pack_frame(out, self.session_id, 0))
-            except (TransportError, FramingError, ProtocolError, OSError):
-                # Malformed input: drop the connection; the sender aborts.
-                continue
+            except Exception:  # noqa: BLE001
+                # Malformed input or a lost connection: drop this connection
+                # (the sender aborts) and keep serving the next one.
+                logger.warning("%s dropped a connection", role.name, exc_info=True)
 
     def send(self, sender: str, receiver: str, msg: Message) -> Message | None:
         port = self._ports.get(receiver)
@@ -233,9 +236,8 @@ class TcpChannel(BaseChannel):
             raise ProtocolError(f"{receiver} rejected {msg.type_name}: {reply.detail}")
         if isinstance(reply, Ack):
             return None
-        rseq = self._next_seq()
-        rframe = pack_frame(reply, self.session_id, rseq)
-        self._log(rseq, receiver, sender, reply, len(rframe))
+        # A frame's length does not depend on its sequence number.
+        self._log(self._next_seq(), receiver, sender, reply, len(raw))
         return reply
 
     def close(self) -> None:

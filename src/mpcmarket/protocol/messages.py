@@ -40,35 +40,52 @@ def _pack_blob(b: bytes) -> bytes:
     return struct.pack(">I", len(b)) + b
 
 
-def _unpack_blob(data: bytes, off: int) -> tuple[bytes, int]:
-    if off + 4 > len(data):
-        raise FramingError("truncated blob length")
-    (n,) = struct.unpack_from(">I", data, off)
-    off += 4
-    if off + n > len(data):
-        raise FramingError("truncated blob body")
-    return data[off : off + n], off + n
-
-
-def _check_labels(payload: bytes, header: int, per_label: int) -> None:
-    """Require exactly the ``per_label``-byte entries that the count (the
-    u32 ending the ``header``) announces, and nothing after them."""
-    if len(payload) < header:
-        raise FramingError("truncated label header")
-    (count,) = struct.unpack_from(">I", payload, header - 4)
-    if len(payload) != header + per_label * count:
-        raise FramingError(
-            f"label payload is {len(payload)} bytes, expected {header + per_label * count}"
-        )
-
-
 def _pack_str(s: str) -> bytes:
     return _pack_blob(s.encode("utf-8"))
 
 
-def _unpack_str(data: bytes, off: int) -> tuple[str, int]:
-    b, off = _unpack_blob(data, off)
-    return b.decode("utf-8"), off
+def _pack_labels(labels) -> list[bytes]:
+    parts = []
+    for wire, label in labels:
+        parts += (struct.pack(">I", wire), label.to_bytes(16, "big"))
+    return parts
+
+
+class _Reader:
+    """Bounded cursor over one payload. Every read checks the bytes left and
+    every failure is a :class:`FramingError`."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.off = 0
+
+    def take(self, n: int) -> bytes:
+        if n > len(self.data) - self.off:
+            raise FramingError(
+                f"truncated payload: {n} bytes wanted at offset {self.off} of {len(self.data)}"
+            )
+        self.off += n
+        return self.data[self.off - n : self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def blob(self) -> bytes:
+        (n,) = self.unpack(">I")
+        return self.take(n)
+
+    def text(self) -> str:
+        try:
+            return self.blob().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FramingError(f"text is not UTF-8: {exc}") from exc
+
+    def labels(self, count: int) -> tuple[tuple[int, int], ...]:
+        """``count`` (u32 wire, 128-bit label) entries."""
+        return tuple(
+            (wire, int.from_bytes(label, "big"))
+            for wire, label in struct.iter_unpack(">I16s", self.take(20 * count))
+        )
 
 
 @dataclass(frozen=True)
@@ -80,6 +97,16 @@ class Message:
 
     @classmethod
     def decode(cls, payload: bytes) -> "Message":
+        """Decode exactly one payload: a short one or trailing bytes raise
+        :class:`FramingError`."""
+        r = _Reader(payload)
+        msg = cls._read(r)
+        if r.off != len(payload):
+            raise FramingError(f"{cls.__name__}: {len(payload) - r.off} trailing bytes")
+        return msg
+
+    @classmethod
+    def _read(cls, r: _Reader) -> "Message":
         raise NotImplementedError
 
     @property
@@ -97,7 +124,7 @@ class Ack(Message):
         return b""
 
     @classmethod
-    def decode(cls, payload: bytes) -> "Ack":
+    def _read(cls, r: _Reader) -> "Ack":
         return cls()
 
 
@@ -112,9 +139,8 @@ class ErrorReply(Message):
         return _pack_str(self.detail)
 
     @classmethod
-    def decode(cls, payload: bytes) -> "ErrorReply":
-        detail, _ = _unpack_str(payload, 0)
-        return cls(detail)
+    def _read(cls, r: _Reader) -> "ErrorReply":
+        return cls(r.text())
 
 
 @dataclass(frozen=True)
@@ -131,11 +157,8 @@ class PublicKeyDist(Message):
         return _pack_str(self.params_repr) + _pack_blob(self.pk) + _pack_blob(self.rk)
 
     @classmethod
-    def decode(cls, payload: bytes) -> "PublicKeyDist":
-        params, off = _unpack_str(payload, 0)
-        pk, off = _unpack_blob(payload, off)
-        rk, off = _unpack_blob(payload, off)
-        return cls(params, pk, rk)
+    def _read(cls, r: _Reader) -> "PublicKeyDist":
+        return cls(r.text(), r.blob(), r.blob())
 
 
 @dataclass(frozen=True)
@@ -153,15 +176,9 @@ class EncryptedListing(Message):
         return b"".join(parts)
 
     @classmethod
-    def decode(cls, payload: bytes) -> "EncryptedListing":
-        maker, count = struct.unpack_from(">HI", payload, 0)
-        off = 6
-        entries = []
-        for _ in range(count):
-            name, off = _unpack_str(payload, off)
-            blob, off = _unpack_blob(payload, off)
-            entries.append((name, blob))
-        return cls(maker, tuple(entries))
+    def _read(cls, r: _Reader) -> "EncryptedListing":
+        maker, count = r.unpack(">HI")
+        return cls(maker, tuple((r.text(), r.blob()) for _ in range(count)))
 
 
 @dataclass(frozen=True)
@@ -181,11 +198,9 @@ class Query(Message):
         )
 
     @classmethod
-    def decode(cls, payload: bytes) -> "Query":
-        (buyer,) = struct.unpack_from(">H", payload, 0)
-        cid, off = _unpack_str(payload, 2)
-        pj, off = _unpack_str(payload, off)
-        return cls(buyer, cid, pj)
+    def _read(cls, r: _Reader) -> "Query":
+        (buyer,) = r.unpack(">H")
+        return cls(buyer, r.text(), r.text())
 
 
 @dataclass(frozen=True)
@@ -201,28 +216,13 @@ class ListingBundle(Message):
         parts = [struct.pack(">II", len(self.ciphertexts), len(self.labels))]
         for maker, name, blob in self.ciphertexts:
             parts += (struct.pack(">H", maker), _pack_str(name), _pack_blob(blob))
-        for wire, label in self.labels:
-            parts += (struct.pack(">I", wire), label.to_bytes(16, "big"))
-        return b"".join(parts)
+        return b"".join(parts + _pack_labels(self.labels))
 
     @classmethod
-    def decode(cls, payload: bytes) -> "ListingBundle":
-        n_ct, n_lab = struct.unpack_from(">II", payload, 0)
-        off = 8
-        cts = []
-        for _ in range(n_ct):
-            (maker,) = struct.unpack_from(">H", payload, off)
-            off += 2
-            name, off = _unpack_str(payload, off)
-            blob, off = _unpack_blob(payload, off)
-            cts.append((maker, name, blob))
-        labs = []
-        for _ in range(n_lab):
-            (wire,) = struct.unpack_from(">I", payload, off)
-            off += 4
-            labs.append((wire, int.from_bytes(payload[off : off + 16], "big")))
-            off += 16
-        return cls(tuple(cts), tuple(labs))
+    def _read(cls, r: _Reader) -> "ListingBundle":
+        n_ct, n_lab = r.unpack(">II")
+        cts = tuple((*r.unpack(">H"), r.text(), r.blob()) for _ in range(n_ct))
+        return cls(cts, r.labels(n_lab))
 
 
 @dataclass(frozen=True)
@@ -239,15 +239,9 @@ class DecryptRequest(Message):
         return b"".join(parts)
 
     @classmethod
-    def decode(cls, payload: bytes) -> "DecryptRequest":
-        (count,) = struct.unpack_from(">I", payload, 0)
-        off = 4
-        entries = []
-        for _ in range(count):
-            tag, off = _unpack_str(payload, off)
-            blob, off = _unpack_blob(payload, off)
-            entries.append((tag, blob))
-        return cls(tuple(entries))
+    def _read(cls, r: _Reader) -> "DecryptRequest":
+        (count,) = r.unpack(">I")
+        return cls(tuple((r.text(), r.blob()) for _ in range(count)))
 
 
 @dataclass(frozen=True)
@@ -261,9 +255,8 @@ class Result(Message):
         return _pack_str(self.payload_json)
 
     @classmethod
-    def decode(cls, payload: bytes) -> "Result":
-        pj, _ = _unpack_str(payload, 0)
-        return cls(pj)
+    def _read(cls, r: _Reader) -> "Result":
+        return cls(r.text())
 
     def as_dict(self) -> dict:
         return json.loads(self.payload_json)
@@ -281,10 +274,8 @@ class DeltaKeyDist(Message):
         return self.delta + self.prf_key
 
     @classmethod
-    def decode(cls, payload: bytes) -> "DeltaKeyDist":
-        if len(payload) != 32:
-            raise FramingError("DeltaKeyDist payload must be 32 bytes")
-        return cls(payload[:16], payload[16:])
+    def _read(cls, r: _Reader) -> "DeltaKeyDist":
+        return cls(r.take(16), r.take(16))
 
 
 @dataclass(frozen=True)
@@ -296,20 +287,13 @@ class InputLabels(Message):
     labels: tuple[tuple[int, int], ...] = ()
 
     def encode(self) -> bytes:
-        parts = [struct.pack(">HI", self.maker, len(self.labels))]
-        for wire, label in self.labels:
-            parts += (struct.pack(">I", wire), label.to_bytes(16, "big"))
-        return b"".join(parts)
+        head = struct.pack(">HI", self.maker, len(self.labels))
+        return b"".join([head] + _pack_labels(self.labels))
 
     @classmethod
-    def decode(cls, payload: bytes) -> "InputLabels":
-        _check_labels(payload, 6, 20)
-        (maker,) = struct.unpack_from(">H", payload, 0)
-        labels = tuple(
-            (wire, int.from_bytes(label, "big"))
-            for wire, label in struct.iter_unpack(">I16s", payload[6:])
-        )
-        return cls(maker, labels)
+    def _read(cls, r: _Reader) -> "InputLabels":
+        maker, count = r.unpack(">HI")
+        return cls(maker, r.labels(count))
 
 
 @dataclass(frozen=True)
@@ -325,11 +309,8 @@ class GarbledCircuitMsg(Message):
         return _pack_blob(self.garbled)
 
     @classmethod
-    def decode(cls, payload: bytes) -> "GarbledCircuitMsg":
-        gb, off = _unpack_blob(payload, 0)
-        if off != len(payload):
-            raise FramingError("trailing bytes after garbled tables")
-        return cls(gb)
+    def _read(cls, r: _Reader) -> "GarbledCircuitMsg":
+        return cls(r.blob())
 
 
 @dataclass(frozen=True)
@@ -345,9 +326,9 @@ class OutputLabels(Message):
         )
 
     @classmethod
-    def decode(cls, payload: bytes) -> "OutputLabels":
-        _check_labels(payload, 4, 16)
-        labels = struct.iter_unpack(">16s", payload[4:])
+    def _read(cls, r: _Reader) -> "OutputLabels":
+        (count,) = r.unpack(">I")
+        labels = struct.iter_unpack(">16s", r.take(16 * count))
         return cls(tuple(int.from_bytes(label, "big") for (label,) in labels))
 
 
@@ -366,11 +347,10 @@ class OutputDecoding(Message):
         return struct.pack(">I", len(self.bits)) + bytes(packed)
 
     @classmethod
-    def decode(cls, payload: bytes) -> "OutputDecoding":
-        (count,) = struct.unpack_from(">I", payload, 0)
-        body = payload[4:]
-        bits = tuple((body[i // 8] >> (i % 8)) & 1 for i in range(count))
-        return cls(bits)
+    def _read(cls, r: _Reader) -> "OutputDecoding":
+        (count,) = r.unpack(">I")
+        body = r.take((count + 7) // 8)
+        return cls(tuple((body[i // 8] >> (i % 8)) & 1 for i in range(count)))
 
 
 MESSAGE_TYPES: dict[int, type[Message]] = {

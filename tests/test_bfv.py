@@ -1,6 +1,7 @@
 """BFV scheme: NTT arithmetic, keygen/encrypt/decrypt, homomorphic ops,
 noise budgets, batching, serialization."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -269,3 +270,94 @@ class TestSerialization:
         blob = bfv.ciphertext_to_bytes(ct)
         with pytest.raises(bfv.HeParamsError):
             bfv.ciphertext_from_bytes(blob, params8192)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenBytes:
+    """SHA-256 of key and ciphertext bytes under fixed seeds, recorded from
+    the per-prime residue layout that the (k, n) residue arrays replaced."""
+
+    def test_keys(self, keys4096):
+        _, pk, rk = keys4096
+        assert _sha(bfv.public_key_to_bytes(pk)) == (
+            "100d6d0f5119bf859095624f94d199c9dbc101a7aedf8a79743fa8901f9bccad"
+        )
+        assert _sha(bfv.relin_key_to_bytes(rk)) == (
+            "b64c1ead773675aac65efd7229cb3f8bd14c0a1432ff2497b0d9c545a03666be"
+        )
+
+    def test_ciphertexts(self, params4096, keys4096):
+        _, pk, rk = keys4096
+        rng = np.random.default_rng(2024)
+        a = bfv.encrypt(pk, bfv.encode_scalar(1234, params4096), rng)
+        b = bfv.encrypt(pk, bfv.encode_scalar(4321, params4096), rng)
+        got = {
+            "encrypt": a,
+            "he_add": bfv.he_add(a, b),
+            "he_sub": bfv.he_sub(a, b),
+            "he_mul_plain": bfv.he_mul_plain(a, bfv.encode_scalar(77, params4096)),
+            "he_mul": bfv.he_mul(a, b, rk),
+        }
+        assert {k: _sha(bfv.ciphertext_to_bytes(v)) for k, v in got.items()} == {
+            "encrypt": "3363fe2c4675b386e8f150b4f24f4e118f9c68fc3406c71859f5011226228aa4",
+            "he_add": "ce13e9a732fc990d3b0163c934a1d88bd09440a07a601b22ed55ec3178620be2",
+            "he_sub": "eff314d75b070dce5b1e990305aff64eb5c2f46fdc5709510a2c045274974933",
+            "he_mul_plain": "8fc478bf634b62b43a09cfd05ba4228cdc822419624f9b3d9897daa73bab09b6",
+            "he_mul": "8962f94b190678baae2e9f27d1556057a92d682c683e77d26a71b20d9b78d368",
+        }
+
+
+class TestMalformedBlobs:
+    """Every key and ciphertext decoder reads one exact-length buffer and
+    raises HeParamsError on anything else."""
+
+    @pytest.fixture(scope="class")
+    def blobs(self, params4096, keys4096):
+        sk, pk, rk = keys4096
+        ct = bfv.encrypt(pk, bfv.encode_scalar(5, params4096), np.random.default_rng(1))
+        return {
+            bfv.ciphertext_from_bytes: (bfv.ciphertext_to_bytes(ct), 37),
+            bfv.public_key_from_bytes: (bfv.public_key_to_bytes(pk), 18),
+            bfv.relin_key_from_bytes: (bfv.relin_key_to_bytes(rk), 18),
+            bfv.secret_key_from_bytes: (bfv.secret_key_to_bytes(sk), 17),
+        }
+
+    def test_truncations_and_trailing_byte(self, params4096, blobs):
+        for decode, (blob, head) in blobs.items():
+            decode(blob, params4096)
+            for cut in (0, 3, head - 1, head, head + 1, len(blob) - 8, len(blob) - 1):
+                with pytest.raises(bfv.HeParamsError):
+                    decode(blob[:cut], params4096)
+            with pytest.raises(bfv.HeParamsError):
+                decode(blob + b"\x00", params4096)
+
+    @pytest.mark.parametrize("value", ["prime", 2**62, -1])
+    def test_residue_out_of_range(self, params4096, blobs, value):
+        for decode, (blob, head) in blobs.items():
+            if decode is bfv.secret_key_from_bytes:
+                continue
+            residue = params4096.q_primes[0] if value == "prime" else value
+            bad = blob[:head] + residue.to_bytes(8, "little", signed=True) + blob[head + 8 :]
+            with pytest.raises(bfv.HeParamsError):
+                decode(bad, params4096)
+
+    def test_secret_key_not_ternary(self, params4096, blobs):
+        blob, head = blobs[bfv.secret_key_from_bytes]
+        with pytest.raises(bfv.HeParamsError):
+            bfv.secret_key_from_bytes(blob[:head] + b"\x02" + blob[head + 1 :], params4096)
+
+    def test_header_fields_checked(self, params4096, blobs):
+        ct_blob, _ = blobs[bfv.ciphertext_from_bytes]
+        for offset, value in ((4, 2), (25, 3), (26, 4), (36, 2)):  # version, k, ncomp, encoding
+            bad = bytearray(ct_blob)
+            bad[offset] = value
+            with pytest.raises(bfv.HeParamsError):
+                bfv.ciphertext_from_bytes(bytes(bad), params4096)
+        pk_blob, _ = blobs[bfv.public_key_from_bytes]
+        bad = bytearray(pk_blob)
+        bad[17] = len(params4096.q_primes) - 1  # k
+        with pytest.raises(bfv.HeParamsError):
+            bfv.public_key_from_bytes(bytes(bad), params4096)

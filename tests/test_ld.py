@@ -21,6 +21,7 @@ from mpcmarket.analytics.ld import (
     ld_decide_plain,
     ld_input_bits,
     ld_value_bounds,
+    plan_noise_log2,
 )
 from mpcmarket.circuits import CircuitError, eval_plain, gate_stats
 from mpcmarket.he import bfv
@@ -187,6 +188,28 @@ class TestHePlan:
         plan = LdHePlan.create(params8192, 11, *THRESH)
         lhs_max, rhs_max = ld_value_bounds(11, *THRESH)
         assert math.prod(plan.moduli) > max(lhs_max, rhs_max)
+
+    def test_planner_estimate_is_the_runtime_estimate(self, params8192, keys8192):
+        # Four maker shares per count, summed as the buyer sums them, under
+        # the plan's last modulus (not params.t): the planner's (lhs, rhs)
+        # estimates are the ones the runtime operations carry.
+        _, pk, rk = keys8192
+        num, den = 1_000_003, 3
+        plan = LdHePlan.create(params8192, 11, num, den)
+        t = plan.moduli[-1]
+        assert t != params8192.t
+        rng = np.random.default_rng(22)
+        shares = {}
+        for name in ("n_AB", "n_Ab", "n_aB", "n_ab"):
+            cts = [bfv.encrypt(pk, bfv.encode_scalar(1, params8192, t), rng) for _ in range(4)]
+            shares[name] = bfv.he_add(bfv.he_add(bfv.he_add(cts[0], cts[1]), cts[2]), cts[3])
+        lhs, rhs = plan.run(rk, shares)
+        assert (lhs.noise_log2, rhs.noise_log2) == pytest.approx(
+            plan_noise_log2(params8192, t, num, den)
+        )
+        base = plan_noise_log2(params8192, t, 1, 1)
+        assert plan_noise_log2(params8192, t, 1, 1 << 12)[0] == pytest.approx(base[0] + 12)
+        assert plan_noise_log2(params8192, t, 1 << 12, 1)[1] == pytest.approx(base[1] + 12)
 
     def test_worked_example_encrypted(self, params8192, keys8192):
         sk, pk, rk = keys8192

@@ -9,11 +9,20 @@ import pytest
 from mpcmarket.protocol import LdComputation, Query
 from mpcmarket.protocol.channels import TcpChannel, TransportError, _read_frame_bytes
 from mpcmarket.protocol.messages import (
+    FRAME_HEADER,
     Ack,
+    DecryptRequest,
+    DeltaKeyDist,
+    EncryptedListing,
+    ErrorReply,
     FramingError,
     GarbledCircuitMsg,
     InputLabels,
+    ListingBundle,
+    OutputDecoding,
     OutputLabels,
+    PublicKeyDist,
+    Result,
     pack_frame,
     parse_frame,
 )
@@ -115,6 +124,28 @@ class TestFraming:
         back, session, seq = parse_frame(frame)
         assert back == msg and session == b"Z" * 16 and seq == 9
 
+    def test_listener_survives_malformed_payloads(self):
+        role = _EchoRole()
+        session = b"M" * 16
+        bad = [
+            (ListingBundle.TYPE, b"\x00\x00\x00"),
+            (Result.TYPE, b"\x00\x00\x00\x02\xff\xfe"),
+        ]
+        with TcpChannel(session, {"echo": role}) as ch:
+            host, port = ch.endpoint("echo")
+            for mtype, payload in bad:
+                frame = FRAME_HEADER.pack(21 + len(payload), mtype, session, 1) + payload
+                with socket.create_connection((host, port), timeout=10) as sock:
+                    sock.sendall(frame)
+                    try:
+                        sock.shutdown(socket.SHUT_WR)
+                        assert sock.recv(64) == b""
+                    except OSError as exc:
+                        if exc.errno not in (errno.ECONNRESET, errno.ENOTCONN):
+                            raise
+            assert ch.send("x", "echo", Query(buyer=0, computation_id="c")) is None
+        assert role.count == 1
+
     def test_ack_frames_not_logged(self):
         role = _EchoRole()
         with TcpChannel(b"Y" * 16, {"echo": role}) as ch:
@@ -127,6 +158,19 @@ class TestExactLengthDecoders:
         InputLabels(maker=2, labels=((5, (1 << 128) - 1), (6, 7), (9, 1 << 100))),
         OutputLabels(labels=(3, (1 << 127) + 1, 0)),
         GarbledCircuitMsg(garbled=b"tables" * 5),
+        Ack(),
+        ErrorReply(detail="ValueError: b\u00e4d"),
+        PublicKeyDist(params_repr="bfv:n=4096", pk=b"pk" * 4, rk=b""),
+        EncryptedListing(maker=1, entries=(("7:n_AB", b"ct" * 3), ("7:n_Ab", b""))),
+        Query(buyer=3, computation_id="ld-test", params_json='{"m":1}'),
+        ListingBundle(
+            ciphertexts=((0, "7:n_AB", b"ct" * 3), (2, "", b"x")),
+            labels=((1, (1 << 128) - 1), (2, 3)),
+        ),
+        DecryptRequest(entries=(("lhs:7", b"blob"), ("rhs:7", b""))),
+        Result(payload_json='{"decisions": [true, false]}'),
+        DeltaKeyDist(delta=bytes(range(16)), prf_key=bytes(range(16, 32))),
+        OutputDecoding(bits=(1, 0, 1, 1, 0, 0, 0, 1, 1)),
     ]
 
     @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: m.type_name)
