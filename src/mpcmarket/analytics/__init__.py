@@ -1,10 +1,10 @@
 """Workloads: linkage-disequilibrium chi-square tests and logistic-regression
-inference, each as a plaintext oracle, a Boolean circuit, and an HE plan."""
+inference, each as a plaintext oracle, a Boolean circuit, and the value
+bounds of its HE plan."""
 
 from .ld import (
     GenotypeCounts,
     HaplotypeCounts,
-    LdHePlan,
     LdResult,
     LdStatisticUndefined,
     PlanRejected,
@@ -27,7 +27,6 @@ from .lr import (
 __all__ = [
     "GenotypeCounts",
     "HaplotypeCounts",
-    "LdHePlan",
     "LdResult",
     "LdStatisticUndefined",
     "LrModel",

@@ -40,12 +40,14 @@ def load_lr_csv(path: str, model: LrModel) -> tuple[list[list[int]], list[int]]:
     labels: list[int] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [""])
         has_label = header[-1].strip().lower() == "label"
         width = len(header) - (1 if has_label else 0)
         if width != model.dim:
             raise ValueError(f"CSV has {width} features, model expects {model.dim}")
         for line in reader:
+            if len(line) != len(header):
+                raise ValueError(f"line {reader.line_num} has {len(line)} of {len(header)} fields")
             rows.append([model.spec.quantize(float(v)) for v in line[:width]])
             labels.append(int(line[width]) if has_label else 0)
     return rows, labels
@@ -105,11 +107,14 @@ def read_haplotype_csv(path: str) -> list[HaplotypeCounts]:
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = tuple(h.strip() for h in next(reader))
+        header = tuple(h.strip() for h in next(reader, ()))
         if header != HAPLO_HEADER:
             raise ValueError(f"unexpected haplotype CSV header {header}")
         for line in reader:
-            out.append(HaplotypeCounts(*(int(v) for v in line)))
+            counts = [int(v) for v in line]
+            if len(counts) != 4 or min(counts) < 0:
+                raise ValueError(f"line {reader.line_num}: expected 4 non-negative counts")
+            out.append(HaplotypeCounts(*counts))
     return out
 
 

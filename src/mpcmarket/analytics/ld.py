@@ -15,14 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import Mapping, NamedTuple
 
 from ..circuits.builders import CircuitBuilder
 from ..circuits.ir import Circuit, CircuitError
-from ..he import bfv
-from ..he.bfv import HeCiphertext, HeParams, HePlaintext, PublicKey, RelinKey
 
 
 class LdStatisticUndefined(ValueError):
@@ -220,135 +216,6 @@ def ld_input_bits(counts: HaplotypeCounts, count_bits: int) -> list[int]:
 # -- homomorphic-encryption path ----------------------------------------------------
 
 
-def plan_noise_log2(
-    params: HeParams, t: int, threshold_num: int, threshold_den: int
-) -> tuple[float, float]:
-    """Noise estimates (log2) of the (lhs, rhs) plan outputs under modulus
-    ``t``: :meth:`LdHePlan.run` replayed on noise levels through the rules that
-    ``he_add``, ``he_mul`` and ``he_mul_plain`` apply. Each count starts
-    two bits above a fresh ciphertext, for up to four summed maker shares."""
-
-    def add(va: float, vb: float) -> float:
-        return float(np.logaddexp2(va, vb))
-
-    def mul(va: float, vb: float) -> float:
-        return bfv.mul_noise_log2(params, t, va, vb)
-
-    def times(v: float, const: int) -> float:
-        return v + bfv.plain_mul_growth_log2(bfv.encode_scalar(const, params, t))
-
-    c = params.fresh_noise_log2() + 2
-    n = add(add(c, c), add(c, c))
-    margin = add(c, c)  # n_A, n_a, n_B and n_b alike
-    diff = add(mul(n, c), mul(margin, margin))
-    lhs = times(mul(mul(diff, diff), add(n, n)), threshold_den)
-    rhs = times(mul(mul(margin, margin), mul(margin, margin)), threshold_num)
-    return lhs, rhs
-
-
-@dataclass(frozen=True)
-class LdHePlan:
-    """Protocol-1 computation plan for the LD test.
-
-    The lhs/rhs products exceed any single depth-3-capable plaintext modulus,
-    so the plan evaluates the same integer circuit modulo several batching
-    primes t_i and the decrypting party CRT-combines the residues before the
-    final comparison (which BFV cannot do cheaply in ciphertext space).
-    """
-
-    count_bits: int
-    threshold_num: int
-    threshold_den: int
-    moduli: tuple[int, ...]
-
-    # ``run`` multiplies ciphertexts, so the evaluator needs the relin key.
-    MULTIPLIES_CIPHERTEXTS: ClassVar[bool] = True
-
-    @classmethod
-    def create(
-        cls,
-        params: HeParams,
-        count_bits: int,
-        threshold_num: int,
-        threshold_den: int,
-        t_bits: int = 21,
-    ) -> "LdHePlan":
-        """Select CRT plaintext moduli and validate depth against the params."""
-        lhs_max, rhs_max = ld_value_bounds(count_bits, threshold_num, threshold_den)
-        need = max(lhs_max, rhs_max) + 1
-        moduli: list[int] = []
-        prod = 1
-        while prod < need:
-            more = bfv.find_plain_primes(params.n, t_bits, len(moduli) + 1)
-            moduli = more
-            prod = math.prod(moduli)
-            if len(moduli) > 8:
-                raise PlanRejected("cannot cover LD value range with CRT moduli")
-        for t in moduli:
-            capacity = params.log2_q - math.log2(2 * t)
-            est = max(plan_noise_log2(params, t, threshold_num, threshold_den))
-            if capacity - est <= 0:
-                raise PlanRejected(
-                    f"LD plan needs ~{est:.0f} noise bits but t={t} leaves "
-                    f"{capacity:.0f} at n={params.n}; increase ring degree"
-                )
-        return cls(count_bits, threshold_num, threshold_den, tuple(moduli))
-
-    def run(
-        self, rk: RelinKey, enc_counts: Mapping[str, HeCiphertext]
-    ) -> tuple[HeCiphertext, HeCiphertext]:
-        """Homomorphic lhs/rhs for ciphertexts under one plan modulus.
-
-        ``enc_counts`` maps count name (n_AB, n_Ab, n_aB, n_ab) to a
-        ciphertext; values may be batched (one LD instance per slot).
-        """
-        c_ab = enc_counts["n_AB"]
-        c_Ab = enc_counts["n_Ab"]
-        c_aB = enc_counts["n_aB"]
-        c_ab2 = enc_counts["n_ab"]
-        params = c_ab.params
-        t = c_ab.t
-        if t not in self.moduli:
-            raise PlanRejected(f"ciphertext modulus {t} is not part of this plan")
-
-        n = bfv.he_add(bfv.he_add(c_ab, c_Ab), bfv.he_add(c_aB, c_ab2))
-        n_A = bfv.he_add(c_ab, c_Ab)
-        n_a = bfv.he_add(c_aB, c_ab2)
-        n_B = bfv.he_add(c_ab, c_aB)
-        n_b = bfv.he_add(c_Ab, c_ab2)
-
-        diff = bfv.he_sub(bfv.he_mul(n, c_ab, rk), bfv.he_mul(n_A, n_B, rk))
-        sq = bfv.he_mul(diff, diff, rk)
-        lhs = bfv.he_mul(sq, bfv.he_add(n, n), rk)
-        lhs = bfv.he_mul_plain(lhs, bfv.encode_scalar(self.threshold_den, params, t))
-
-        prod = bfv.he_mul(bfv.he_mul(n_A, n_a, rk), bfv.he_mul(n_B, n_b, rk), rk)
-        rhs = bfv.he_mul_plain(prod, bfv.encode_scalar(self.threshold_num, params, t))
-        return lhs, rhs
-
-    def decide(self, residues: Mapping[int, tuple[int, int]]) -> bool:
-        """CRT-combine per-modulus (lhs, rhs) residues and compare."""
-        lhs = crt_combine({t: lr[0] for t, lr in residues.items()})
-        rhs = crt_combine({t: lr[1] for t, lr in residues.items()})
-        return lhs > rhs
-
-    def decide_many(
-        self, residues: Mapping[int, tuple[Sequence[int], Sequence[int]]]
-    ) -> list[bool]:
-        """Batched variant: slot-wise decisions."""
-        moduli = list(residues)
-        counts = {len(residues[t][0]) for t in moduli}
-        if len(counts) != 1:
-            raise ValueError("per-modulus slot counts differ")
-        (m,) = counts
-        out = []
-        for i in range(m):
-            out.append(
-                self.decide({t: (residues[t][0][i], residues[t][1][i]) for t in moduli})
-            )
-        return out
-
-
 def crt_combine(residues: Mapping[int, int]) -> int:
     """Chinese-remainder reconstruction for pairwise-coprime moduli."""
     total = math.prod(residues)
@@ -357,23 +224,3 @@ def crt_combine(residues: Mapping[int, int]) -> int:
         t_hat = total // t
         acc += (r % t) * t_hat * pow(t_hat % t, -1, t)
     return acc % total
-
-
-def encrypt_ld_counts(
-    pk: PublicKey,
-    counts: Sequence[HaplotypeCounts],
-    plan: LdHePlan,
-    rng: np.random.Generator | None = None,
-) -> dict[int, dict[str, HeCiphertext]]:
-    """Encrypt LD instances slot-batched under every plan modulus."""
-    params = pk.params
-    names = ("n_AB", "n_Ab", "n_aB", "n_ab")
-    out: dict[int, dict[str, HeCiphertext]] = {}
-    for t in plan.moduli:
-        per_name = {}
-        for idx, name in enumerate(names):
-            values = [c[idx] for c in counts]
-            pt: HePlaintext = bfv.batch_encode(values, params, t)
-            per_name[name] = bfv.encrypt(pk, pt, rng)
-        out[t] = per_name
-    return out

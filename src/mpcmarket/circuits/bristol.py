@@ -35,63 +35,56 @@ def _fail(lineno: int, msg: str) -> CircuitError:
     return CircuitError(f"line {lineno}: {msg}")
 
 
+def _ints(lineno: int, fields: list[str]) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise _fail(lineno, f"expected integers, got {' '.join(fields)!r}") from None
+
+
+def _counted(lineno: int, parts: list[str], keyword: str) -> list[str]:
+    """The items of a '<keyword> <count> <items...>' line."""
+    if len(parts) < 2 or parts[0] != keyword:
+        raise _fail(lineno, f"expected '{keyword}' line")
+    (count,) = _ints(lineno, parts[1:2])
+    if count != len(parts) - 2:
+        raise _fail(lineno, f"{keyword} count mismatch: {len(parts) - 2} != {count}")
+    return parts[2:]
+
+
 def parse_circuit(text: str) -> Circuit:
     lines = text.splitlines()
     if len(lines) < 4:
         raise CircuitError("truncated circuit file: expected 4 header lines")
-    try:
-        n_gates, n_wires = (int(x) for x in lines[0].split())
-    except ValueError:
-        raise _fail(1, f"bad header {lines[0]!r}") from None
+    header = _ints(1, lines[0].split())
+    if len(header) != 2:
+        raise _fail(1, f"bad header {lines[0]!r}")
+    n_gates, n_wires = header
 
-    parts = lines[1].split()
-    if not parts or parts[0] != "inputs":
-        raise _fail(2, "expected 'inputs' line")
     groups: list[InputGroup] = []
     start = 0
-    for spec in parts[2:]:
+    for spec in _counted(2, lines[1].split(), "inputs"):
         name, _, width_s = spec.rpartition(":")
-        try:
-            width = int(width_s)
-        except ValueError:
-            raise _fail(2, f"bad group spec {spec!r}") from None
+        (width,) = _ints(2, [width_s])
         groups.append(InputGroup(name, start, width))
         start += width
-    if len(groups) != int(parts[1]):
-        raise _fail(2, f"group count mismatch: {len(groups)} != {parts[1]}")
 
     parts = lines[2].split()
     if len(parts) != 3 or parts[0] != "consts":
         raise _fail(3, "expected 'consts <zero> <one>' line")
-    const_zero, const_one = int(parts[1]), int(parts[2])
-
-    parts = lines[3].split()
-    if not parts or parts[0] != "outputs":
-        raise _fail(4, "expected 'outputs' line")
-    output_wires = tuple(int(x) for x in parts[2:])
-    if len(output_wires) != int(parts[1]):
-        raise _fail(4, "output count mismatch")
+    const_zero, const_one = _ints(3, parts[1:])
+    output_wires = tuple(_ints(4, _counted(4, lines[3].split(), "outputs")))
 
     gates: list[Gate] = []
     for idx, line in enumerate(lines[4:], start=5):
         if not line.strip():
             continue
-        parts = line.split()
-        try:
-            n_in = int(parts[0])
-            kind = KIND_BY_NAME[parts[-1]]
-        except (ValueError, KeyError, IndexError):
-            raise _fail(idx, f"bad gate line {line!r}") from None
-        if n_in == 1:
-            if len(parts) != 5 or kind != INV:
-                raise _fail(idx, f"bad unary gate {line!r}")
-            gates.append(Gate(INV, int(parts[2]), -1, int(parts[3])))
-        elif n_in == 2:
-            if len(parts) != 6 or kind == INV:
-                raise _fail(idx, f"bad binary gate {line!r}")
-            gates.append(Gate(kind, int(parts[2]), int(parts[3]), int(parts[4])))
-        else:
-            raise _fail(idx, f"unsupported fan-in {n_in}")
+        *head, kind_name = line.split()
+        nums, kind = _ints(idx, head), KIND_BY_NAME.get(kind_name)
+        n_in = len(nums) - 3  # "<n_in> 1 <inputs...> <out>"
+        if kind is None or nums[:2] != [n_in, 1] or n_in != (1 if kind == INV else 2):
+            raise _fail(idx, f"bad gate line {line!r}")
+        gates.append(Gate(kind, nums[2], nums[3] if n_in == 2 else -1, nums[-1]))
     if len(gates) != n_gates:
         raise CircuitError(f"gate count mismatch: header {n_gates}, parsed {len(gates)}")
 

@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import datagen
-from .analytics.ld import PlanRejected
+from .analytics.ld import LdStatisticUndefined, PlanRejected
 from .analytics.lr import load_model
 from .circuits.bristol import parse_circuit, serialize_circuit
 from .circuits.ir import CircuitError, gate_stats
 from .garbling import HEADER_SIZE
 from .he import bfv
-from .he.bfv import HeParams, HeParamsError
+from .he.bfv import DecryptionFailure, HeParams, HeParamsError
 from .protocol.channels import TransportError
 from .protocol.computations import Computation, LdComputation, LrComputation
 from .protocol.messages import ProtocolError
@@ -79,6 +79,9 @@ class RunConfig:
             raise ConfigRejected("repeat must be >= 1")
         if not (3 <= self.count_bits <= 12):
             raise ConfigRejected(f"count-bits {self.count_bits} outside [3, 12]")
+        if self.threshold_num < 0 or self.threshold_den <= 0:
+            num, den = self.threshold_num, self.threshold_den
+            raise ConfigRejected(f"threshold needs num >= 0 and den > 0, got {num}/{den}")
         if not (2 <= self.range_bits <= 16):
             raise ConfigRejected(f"range-bits {self.range_bits} outside [2, 16]")
         if self.makers < 1:
@@ -107,6 +110,14 @@ _CONFIG_TYPES = {
     "batch": lambda v: v.lower() in ("1", "true", "yes"),
     "verify": lambda v: v.lower() in ("1", "true", "yes"),
 }
+
+
+def _read(path: str, read, *args):
+    """Read a --data or --model file; malformed content rejects the run."""
+    try:
+        return read(path, *args)
+    except ValueError as exc:
+        raise ConfigRejected(f"{path}: {exc}") from None
 
 
 def _emit(records: list[dict], jsonl: str | None) -> None:
@@ -154,16 +165,16 @@ def _sessions(cfg: RunConfig) -> tuple[Computation, list[list[dict[str, int]]]]:
     repetition: LD runs all M instances in one session, or one session per
     instance under ``--no-batch``; LR runs one session per row."""
     if cfg.workload == "lr":
-        model = datagen.load_bundled_model() if cfg.model is None else load_model(cfg.model)
+        model = datagen.load_bundled_model() if cfg.model is None else _read(cfg.model, load_model)
         if cfg.data:
-            rows, _labels = datagen.load_lr_csv(cfg.data, model)
+            rows, _labels = _read(cfg.data, datagen.load_lr_csv, model)
         else:
             rows, _labels = datagen.load_bundled_dataset(model)
         mask = (1 << model.spec.total_bits) - 1
         comp = LrComputation(model=model, range_bits=cfg.range_bits)
         return comp, [[{f"x{j}": v & mask for j, v in enumerate(row)}] for row in rows[: cfg.rows]]
     if cfg.data:
-        counts = datagen.read_haplotype_csv(cfg.data)
+        counts = _read(cfg.data, datagen.read_haplotype_csv)
     else:
         counts = datagen.gen_haplotype_counts(
             cfg.seed, cfg.m_instances, n_total=min(200, (1 << cfg.count_bits) - 1)
@@ -261,12 +272,10 @@ def cmd_gen_data(args) -> int:
         )
         datagen.write_haplotype_csv(args.out, counts)
         print(f"wrote {len(counts)} haplotype rows to {args.out}")
-    elif args.kind == "lr-samples":
+    else:  # lr-samples, the other choice
         rows = datagen.gen_lr_samples(args.seed, args.rows, args.dims)
         datagen.write_lr_csv(args.out, rows)
         print(f"wrote {len(rows)} x {args.dims} sample rows to {args.out}")
-    else:
-        raise ConfigRejected(f"unknown data kind {args.kind!r}")
     return EXIT_OK
 
 
@@ -300,6 +309,8 @@ def cmd_inspect(args) -> int:
     except OSError as exc:
         print(f"cannot read {args.circuit}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        raise CircuitError(f"{args.circuit} is not circuit text: {exc}") from None
     circuit = parse_circuit(text)
     st = gate_stats(circuit)
     groups = ", ".join(f"{g.name}[{g.width}]" for g in circuit.input_groups)
@@ -399,8 +410,10 @@ def _run_config_from_args(args) -> RunConfig:
                 continue
             if not hasattr(cfg, key):
                 raise ConfigRejected(f"unknown config key {key!r}")
-            conv = _CONFIG_TYPES.get(key, str)
-            setattr(cfg, key, conv(value))
+            try:
+                setattr(cfg, key, _CONFIG_TYPES.get(key, str)(value))
+            except ValueError:
+                raise ConfigRejected(f"{args.config}: bad value {value!r} for {key}") from None
     for name in vars(cfg):
         arg_val = getattr(args, name, None)
         if arg_val is not None:
@@ -435,7 +448,10 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"VERIFICATION FAILED: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ConfigRejected, PlanRejected, HeParamsError, CircuitError, ProtocolError) as exc:
+    except (
+        ConfigRejected, PlanRejected, HeParamsError, CircuitError, ProtocolError,
+        LdStatisticUndefined, DecryptionFailure,
+    ) as exc:
         print(f"configuration rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TransportError, OSError) as exc:

@@ -129,9 +129,6 @@ class GarbledCircuit:
             for i in range(0, len(t), 32)
         )
 
-    def serialized_size(self) -> int:
-        return HEADER_SIZE + 32 * self.n_and
-
 
 HEADER_SIZE = 4 + 1 + 32 + 4 + 2 * 16  # magic, version, hash, count, const actives
 

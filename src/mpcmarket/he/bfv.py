@@ -18,6 +18,10 @@ prime, and raise :class:`HeParamsError` on anything else.
 Noise is tracked two ways: a conservative running estimate carried on every
 ciphertext (used to flag budget exhaustion eagerly, the scheme's bottom
 element), and an exact secret-key measurement via :func:`noise_budget`.
+The estimate follows three rules, which the operations and the computation
+planner share: a sum or difference adds the noises; a relinearized product
+follows :func:`mul_noise_log2`; a multiply by a plaintext p (its centered
+representative) gives |p|_1 * (v + t), the t term covering the r_t(q) wrap.
 
 Parameter sets here are desk-scale and not production-audited.
 """
@@ -102,10 +106,7 @@ class HeParams:
 
     @property
     def q(self) -> int:
-        q = 1
-        for p in self.q_primes:
-            q *= p
-        return q
+        return math.prod(self.q_primes)
 
     @property
     def ntt(self) -> NttPlan:
@@ -122,10 +123,6 @@ class HeParams:
         return sum(math.log2(p) for p in self.q_primes)
 
     @property
-    def delta(self) -> int:
-        return self.q // self.t
-
-    @property
     def supports_batching(self) -> bool:
         return is_prime(self.t) and (self.t - 1) % (2 * self.n) == 0
 
@@ -133,8 +130,10 @@ class HeParams:
         bound = 6 * self.noise_sigma
         return math.log2(2 * self.n * bound + bound)
 
-    def budget_capacity(self) -> float:
-        return self.log2_q - math.log2(2 * self.t)
+    def budget_capacity(self, t: int | None = None) -> float:
+        """log2(q / 2t): the noise (log2) at which decryption under t
+        (default ``self.t``) fails."""
+        return self.log2_q - math.log2(2 * (self.t if t is None else t))
 
     def fresh_budget(self) -> float:
         return self.budget_capacity() - self.fresh_noise_log2()
@@ -229,10 +228,9 @@ class HePlaintext:
     n: int
     encoding: str  # "scalar" | "batch"
 
-    def max_abs_centered(self) -> int:
-        c = self.poly.astype(object)
-        c = np.where(c > self.t // 2, c - self.t, c)
-        return int(max(abs(int(v)) for v in c)) if len(c) else 0
+    def centered(self) -> np.ndarray:
+        """The coefficients as representatives in (-t/2, t/2]."""
+        return np.where(self.poly > self.t // 2, self.poly - self.t, self.poly)
 
 
 @dataclass
@@ -259,7 +257,7 @@ class HeCiphertext:
 
     @property
     def budget_estimate(self) -> float:
-        return self.params.log2_q - math.log2(2 * self.t) - self.noise_log2
+        return self.params.budget_capacity(self.t) - self.noise_log2
 
     def _lift(self) -> tuple[np.ndarray, ...]:
         cached = getattr(self, "_lift_cache", None)
@@ -274,10 +272,15 @@ class HeCiphertext:
 # -- noise rules ------------------------------------------------------------------
 
 
+def add_noise_log2(va: float, vb: float) -> float:
+    """Noise estimate (log2) of a sum or difference of two noises."""
+    return float(np.logaddexp2(va, vb))
+
+
 def mul_noise_log2(params: HeParams, t: int, va: float, vb: float) -> float:
     """Noise estimate (log2) after a relinearized product of two ciphertexts
     under plaintext modulus ``t`` whose estimates are ``va`` and ``vb``."""
-    base = float(np.logaddexp2(va, vb))
+    base = add_noise_log2(va, vb)
     mult = math.log2(t) + math.log2(params.n) + 2 + base
     relin = (
         math.log2(len(params.q_primes))
@@ -285,15 +288,17 @@ def mul_noise_log2(params: HeParams, t: int, va: float, vb: float) -> float:
         + max(math.log2(p) for p in params.q_primes)
         + math.log2(6 * params.noise_sigma)
     )
-    return float(np.logaddexp2(mult, relin))
+    return add_noise_log2(mult, relin)
 
 
-def plain_mul_growth_log2(pt: HePlaintext) -> float:
-    """Noise growth (log2) of a multiply by ``pt``: its largest centered
-    coefficient, times its number of nonzero coefficients."""
-    scale = max(pt.max_abs_centered(), 1)
-    nonzero = int(np.count_nonzero(pt.poly))
-    return math.log2(scale) + (math.log2(nonzero) if nonzero > 1 else 0.0)
+def plain_mul_noise_log2(v: float, pt: HePlaintext) -> float:
+    """Noise estimate (log2) after multiplying noise ``v`` by ``pt``'s centered
+    representative p: |p|_1 * (v + t). The t term bounds the wrap
+    r_t(q) * floor(x*p / t), where Delta * t = q - r_t(q) and r_t(q) < t
+    (Fan and Vercauteren, "Somewhat Practical Fully Homomorphic Encryption",
+    2012)."""
+    l1 = int(np.abs(pt.centered()).sum())
+    return math.log2(max(l1, 1)) + add_noise_log2(v, math.log2(pt.t))
 
 
 # -- sampling -----------------------------------------------------------------
@@ -366,11 +371,8 @@ def encode_scalar(value: int, params: HeParams, t: int | None = None) -> HePlain
     return HePlaintext(poly, t, params.n, "scalar")
 
 
-def decode_scalar(pt: HePlaintext, signed: bool = False) -> int:
-    v = int(pt.poly[0]) % pt.t
-    if signed and v > pt.t // 2:
-        v -= pt.t
-    return v
+def decode_scalar(pt: HePlaintext) -> int:
+    return int(pt.poly[0]) % pt.t
 
 
 def batch_encode(values: Sequence[int], params: HeParams, t: int | None = None) -> HePlaintext:
@@ -386,15 +388,11 @@ def batch_encode(values: Sequence[int], params: HeParams, t: int | None = None) 
     return HePlaintext(plan.inverse(slots), t, params.n, "batch")
 
 
-def batch_decode(pt: HePlaintext, count: int | None = None, signed: bool = False) -> list[int]:
+def batch_decode(pt: HePlaintext, count: int | None = None) -> list[int]:
     if pt.encoding != "batch":
         raise HeParamsError("plaintext is not batch-encoded")
-    plan = get_plan(pt.n, pt.t)
-    slots = plan.forward(pt.poly)
-    out = [int(v) for v in slots[: count if count is not None else pt.n]]
-    if signed:
-        out = [v - pt.t if v > pt.t // 2 else v for v in out]
-    return out
+    slots = get_plan(pt.n, pt.t).forward(pt.poly)
+    return [int(v) for v in slots[: count if count is not None else pt.n]]
 
 
 # -- encryption / decryption ---------------------------------------------------
@@ -467,6 +465,15 @@ def noise_budget(sk: SecretKey, ct: HeCiphertext) -> int:
 # -- homomorphic operations -----------------------------------------------------
 
 
+def _within_budget(params: HeParams, t: int, est: float, what: str) -> None:
+    """Raise unless noise ``est`` leaves some budget under ``t``."""
+    capacity = params.budget_capacity(t)
+    if capacity - est <= 0:
+        raise NoiseBudgetExhausted(
+            f"{what} would exhaust the noise budget (estimate {est:.1f} bits of {capacity:.1f})"
+        )
+
+
 def _check_compat(a: HeCiphertext, b: HeCiphertext) -> None:
     if a.params != b.params or a.t != b.t:
         raise HeParamsError("ciphertext parameter/modulus mismatch")
@@ -485,7 +492,7 @@ def _add_or_sub(a: HeCiphertext, b: HeCiphertext, op) -> HeCiphertext:
         params=a.params,
         t=a.t,
         polys=tuple(op(x, y) % q for x, y in zip_longest(a.polys, b.polys, fillvalue=0)),
-        noise_log2=float(np.logaddexp2(a.noise_log2, b.noise_log2)),
+        noise_log2=add_noise_log2(a.noise_log2, b.noise_log2),
         level=max(a.level, b.level),
         encoding=a.encoding,
     )
@@ -509,32 +516,30 @@ def he_add_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
         params=params,
         t=ct.t,
         polys=(c0,) + ct.polys[1:],
-        noise_log2=float(np.logaddexp2(ct.noise_log2, math.log2(ct.t))),
+        noise_log2=add_noise_log2(ct.noise_log2, math.log2(ct.t)),
         level=ct.level,
         encoding=ct.encoding,
     )
 
 
 def he_mul_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
-    """Multiply by a plaintext polynomial (no relinearization needed)."""
+    """Multiply by a plaintext polynomial, taken as its centered
+    representative (no relinearization needed)."""
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
     params = ct.params
+    est = plain_mul_noise_log2(ct.noise_log2, pt)
+    _within_budget(params, ct.t, est, "plaintext multiply")
     plan = params.ntt
-    m_ntt = plan.forward(pt.poly)
-    out = HeCiphertext(
+    m_ntt = plan.forward(pt.centered())
+    return HeCiphertext(
         params=params,
         t=ct.t,
         polys=tuple(plan.inverse(plan.forward(c) * m_ntt % plan.mod) for c in ct.polys),
-        noise_log2=ct.noise_log2 + plain_mul_growth_log2(pt),
+        noise_log2=est,
         level=ct.level,
         encoding=ct.encoding,
     )
-    if out.budget_estimate <= 0:
-        raise NoiseBudgetExhausted(
-            f"plaintext multiply would exhaust budget ({out.budget_estimate:.1f} bits)"
-        )
-    return out
 
 
 def he_mul(a: HeCiphertext, b: HeCiphertext, rk: RelinKey) -> HeCiphertext:
@@ -548,12 +553,7 @@ def he_mul(a: HeCiphertext, b: HeCiphertext, rk: RelinKey) -> HeCiphertext:
     params = a.params
     n, q, t = params.n, params.q, a.t
     est = mul_noise_log2(params, t, a.noise_log2, b.noise_log2)
-    capacity = params.log2_q - math.log2(2 * t)
-    if capacity - est <= 0:
-        raise NoiseBudgetExhausted(
-            f"multiplication would exhaust noise budget (estimate {est:.1f} bits "
-            f"of {capacity:.1f})"
-        )
+    _within_budget(params, t, est, "multiplication")
 
     basis = _mul_basis(n, params.q_primes)
     ext = get_plan(n, basis)

@@ -5,16 +5,18 @@ deliberately unsupported.
 
 Both computations offer the same interface: ``input_schema`` (input-group
 name -> bit width, the same for both backends), ``oracle``, the GC side
-(``circuit``, ``decode_output``) and the HE side (``he_plan(params)``, whose
-plan lists its plaintext ``moduli``, then ``he_encrypt_inputs``,
-``he_evaluate`` and ``he_finish``). The HE plan follows from the public
+(``circuit``, ``decode_output``) and the HE side, one :class:`HePipeline`
+(``he_plan(params)``, ``he_encrypt_inputs``, ``he_evaluate``, ``he_finish``)
+over what each computation states: its HE inputs, its integer circuit, its
+output range and its result. The HE plan follows from the public
 (computation, params) pair, so every role derives it on its own.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -22,12 +24,13 @@ import numpy as np
 
 from ..analytics.ld import (
     HaplotypeCounts,
-    LdHePlan,
+    PlanRejected,
     build_ld_circuit,
+    crt_combine,
     ld_decide_plain,
+    ld_value_bounds,
 )
 from ..analytics.lr import (
-    LrHePlan,
     LrModel,
     SigmoidTable,
     build_lr_circuit,
@@ -45,7 +48,192 @@ _COUNT_NAMES = HaplotypeCounts._fields
 
 
 @dataclass(frozen=True)
-class LdComputation:
+class HePlan:
+    """What every role derives from the public (computation, params): the
+    plaintext moduli the circuit runs under, its input and output names, the
+    slots per ciphertext, and whether it multiplies ciphertexts (so the
+    evaluator needs the relinearization key)."""
+
+    moduli: tuple[int, ...]
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    slots: int
+    relin: bool
+
+
+class CiphertextOps:
+    """The circuit op set on ciphertexts under plaintext modulus ``t``."""
+
+    def __init__(self, params: HeParams, t: int, rk: RelinKey | None) -> None:
+        self.params, self.t, self.rk = params, t, rk
+
+    add = staticmethod(bfv.he_add)
+    sub = staticmethod(bfv.he_sub)
+
+    def mul(self, a: HeCiphertext, b: HeCiphertext) -> HeCiphertext:
+        return bfv.he_mul(a, b, self.rk)
+
+    def mul_const(self, a: HeCiphertext, c: int) -> HeCiphertext:
+        return bfv.he_mul_plain(a, bfv.encode_scalar(c, self.params, self.t))
+
+    def add_const(self, a: HeCiphertext, c: int) -> HeCiphertext:
+        return bfv.he_add_plain(a, bfv.encode_scalar(c, self.params, self.t))
+
+
+class NoiseOps:
+    """The same op set on noise estimates (log2), through the rules the bfv
+    operations apply. Raises :class:`PlanRejected` where a value would leave
+    no budget, which is where the runtime would fail; ``multiplies`` records
+    whether the circuit multiplied ciphertexts."""
+
+    def __init__(self, params: HeParams, t: int) -> None:
+        self.params, self.t = params, t
+        self.capacity = params.budget_capacity(t)
+        self.multiplies = False
+
+    def _fit(self, v: float) -> float:
+        if self.capacity - v <= 0:
+            raise PlanRejected(
+                f"HE plan needs ~{v:.0f} noise bits but t={self.t} leaves "
+                f"{self.capacity:.0f} at n={self.params.n}; increase ring degree"
+            )
+        return v
+
+    def add(self, a: float, b: float) -> float:
+        return self._fit(bfv.add_noise_log2(a, b))
+
+    sub = add
+
+    def mul(self, a: float, b: float) -> float:
+        self.multiplies = True
+        return self._fit(bfv.mul_noise_log2(self.params, self.t, a, b))
+
+    def mul_const(self, a: float, c: int) -> float:
+        return self._fit(bfv.plain_mul_noise_log2(a, bfv.encode_scalar(c, self.params, self.t)))
+
+    def add_const(self, a: float, c: int) -> float:
+        return self._fit(bfv.add_noise_log2(a, math.log2(self.t)))
+
+
+class HePipeline:
+    """Protocol 1 for a computation that states four things:
+
+    - ``he_inputs(maker_input)``: input name -> the maker's share per slot,
+      0 where the maker owns no group;
+    - ``he_circuit(ops, x)``: its integer circuit over the op set ``add``,
+      ``sub``, ``mul``, ``mul_const``, ``add_const``, returning output name
+      -> value;
+    - ``he_output_range()``: (prime bits, bound); the product of the plan
+      moduli exceeds the bound, so every output is known modulo it;
+    - ``he_result(outputs, modulus)``: the result from the CRT-combined
+      outputs (name -> one integer in [0, modulus) per slot).
+
+    The circuit runs on :class:`CiphertextOps` at the buyer and on
+    :class:`NoiseOps` in the planner and in the buyer's check, so both see
+    the same noise rules.
+    """
+
+    def he_plan(self, params: HeParams) -> HePlan:
+        """Moduli covering the output range, each checked by replaying the
+        circuit on noise estimates at four fresh maker shares per input."""
+        bits, bound = self.he_output_range()
+        moduli: list[int] = []
+        while math.prod(moduli) <= bound:
+            if len(moduli) == 8:
+                raise PlanRejected("cannot cover the output range with CRT moduli")
+            moduli = bfv.find_plain_primes(params.n, bits, len(moduli) + 1)
+        inputs = self.he_inputs({})
+        start = dict.fromkeys(inputs, params.fresh_noise_log2() + 2)
+        for t in moduli:
+            ops = NoiseOps(params, t)
+            outputs = self.he_circuit(ops, start)
+        slots = len(next(iter(inputs.values())))
+        # The circuit's ops do not depend on t: any replay tells whether it multiplies.
+        return HePlan(tuple(moduli), tuple(inputs), tuple(outputs), slots, ops.multiplies)
+
+    def he_encrypt_inputs(
+        self,
+        pk: PublicKey,
+        plan: HePlan,
+        maker_input: MakerInput,
+        rng: np.random.Generator,
+    ) -> list[tuple[str, bytes]]:
+        """One ciphertext per (plan modulus, input), tagged ``{t}:{input}``:
+        scalar-encoded for one slot, batched otherwise."""
+        shares = self.he_inputs(maker_input)
+        entries = []
+        for t in plan.moduli:
+            for name in plan.inputs:
+                v = shares[name]
+                pt = (
+                    bfv.batch_encode(v, pk.params, t) if plan.slots > 1
+                    else bfv.encode_scalar(v[0], pk.params, t)
+                )
+                entries.append((f"{t}:{name}", bfv.ciphertext_to_bytes(bfv.encrypt(pk, pt, rng))))
+        return entries
+
+    def he_evaluate(
+        self,
+        params: HeParams,
+        rk: RelinKey | None,
+        plan: HePlan,
+        listings: Sequence[tuple[int, str, bytes]],
+    ) -> list[tuple[str, bytes]]:
+        """Buyer side: sum every maker's shares (free additions), check that
+        the circuit fits the sums' noise estimates under every modulus, then
+        run it per modulus; outputs are tagged ``{output}:{t}``."""
+        want = {f"{t}:{name}": t for t in plan.moduli for name in plan.inputs}
+        sums: dict[str, HeCiphertext] = {}
+        for maker, tag, blob in listings:
+            if tag not in want:
+                raise ProtocolError(f"maker {maker} listed unexpected input {tag!r}")
+            ct = bfv.ciphertext_from_bytes(blob, params)
+            if ct.t != want[tag]:
+                raise ProtocolError(f"input {tag!r} is encrypted under t={ct.t}")
+            sums[tag] = bfv.he_add(sums[tag], ct) if tag in sums else ct
+        missing = want.keys() - sums.keys()
+        if missing:
+            raise ProtocolError(f"no shares for inputs {sorted(missing)[:4]}")
+        inputs = {t: {name: sums[f"{t}:{name}"] for name in plan.inputs} for t in plan.moduli}
+        for t, x in inputs.items():
+            self.he_circuit(NoiseOps(params, t), {n: ct.noise_log2 for n, ct in x.items()})
+        out = []
+        for t, x in inputs.items():
+            y = self.he_circuit(CiphertextOps(params, t, rk), x)
+            out += [(f"{name}:{t}", bfv.ciphertext_to_bytes(y[name])) for name in plan.outputs]
+        return out
+
+    def he_finish(
+        self,
+        sk: SecretKey,
+        plan: HePlan,
+        entries: Sequence[tuple[str, bytes]],
+    ) -> dict:
+        """CSP side: decrypt exactly one entry per (output, plan modulus),
+        CRT-combine each output slot-wise, and derive the result."""
+        want = {f"{name}:{t}": (name, t) for t in plan.moduli for name in plan.outputs}
+        tags = [tag for tag, _ in entries]
+        if sorted(tags) != sorted(want):
+            raise ProtocolError(f"expected one entry each for {sorted(want)}, got {tags}")
+        residues: dict[str, dict[int, list[int]]] = {name: {} for name in plan.outputs}
+        for tag, blob in entries:
+            name, t = want[tag]
+            ct = bfv.ciphertext_from_bytes(blob, sk.params)
+            if ct.t != t:
+                raise ProtocolError(f"output {tag!r} is encrypted under t={ct.t}")
+            pt = bfv.decrypt(sk, ct)
+            residues[name][t] = (
+                bfv.batch_decode(pt, plan.slots) if plan.slots > 1 else [bfv.decode_scalar(pt)]
+            )
+        outputs = {
+            name: [crt_combine({t: r[t][i] for t in plan.moduli}) for i in range(plan.slots)]
+            for name, r in residues.items()
+        }
+        return self.he_result(outputs, math.prod(plan.moduli))
+
+
+@dataclass(frozen=True)
+class LdComputation(HePipeline):
     """Chi-square LD test over m instances, each split across contributors."""
 
     count_bits: int = 11
@@ -92,18 +280,10 @@ class LdComputation:
             for g in self._group_names(i, name)
         }
 
-    def _merged_counts(self, inputs: Mapping[str, int]) -> list[HaplotypeCounts]:
-        return [
-            HaplotypeCounts(
-                *(sum(inputs[g] for g in self._group_names(i, name)) for name in _COUNT_NAMES)
-            )
-            for i in range(self.m_instances)
-        ]
-
     def oracle(self, inputs: Mapping[str, int]) -> dict:
         decisions = [
-            ld_decide_plain(c, self.threshold_num, self.threshold_den).decision
-            for c in self._merged_counts(inputs)
+            ld_decide_plain(HaplotypeCounts(*c), self.threshold_num, self.threshold_den).decision
+            for c in zip(*self.he_inputs(inputs).values())
         ]
         return {"decisions": decisions}
 
@@ -114,89 +294,43 @@ class LdComputation:
 
     # -- HE path -------------------------------------------------------------
 
-    def he_plan(self, params: HeParams) -> LdHePlan:
-        return LdHePlan.create(
-            params, self.count_bits, self.threshold_num, self.threshold_den
-        )
-
-    def he_encrypt_inputs(
-        self,
-        pk: PublicKey,
-        plan: LdHePlan,
-        maker_input: MakerInput,
-        rng: np.random.Generator,
-    ) -> list[tuple[str, bytes]]:
-        """One batched ciphertext per (modulus, count name): slot i holds the
-        maker's share for instance i."""
-        share_vectors = {
+    def he_inputs(self, maker_input: MakerInput) -> dict[str, list[int]]:
+        """Per count name, the maker's share of each instance's count (the
+        counts themselves, given every input group)."""
+        return {
             name: [
                 sum(maker_input.get(g, 0) for g in self._group_names(i, name))
                 for i in range(self.m_instances)
             ]
             for name in _COUNT_NAMES
         }
-        entries = []
-        for t in plan.moduli:
-            for name in _COUNT_NAMES:
-                if self.m_instances == 1:
-                    pt = bfv.encode_scalar(share_vectors[name][0], pk.params, t)
-                else:
-                    pt = bfv.batch_encode(share_vectors[name], pk.params, t)
-                entries.append(
-                    (f"{t}:{name}", bfv.ciphertext_to_bytes(bfv.encrypt(pk, pt, rng)))
-                )
-        return entries
 
-    def he_evaluate(
-        self,
-        params: HeParams,
-        rk: RelinKey | None,
-        plan: LdHePlan,
-        listings: Sequence[tuple[int, str, bytes]],
-    ) -> list[tuple[str, bytes]]:
-        """Buyer side: aggregate maker shares (free additions), then run the
-        lhs/rhs plan per modulus."""
-        aggregated: dict[str, HeCiphertext] = {}
-        for _maker, tag, blob in listings:
-            ct = bfv.ciphertext_from_bytes(blob, params)
-            aggregated[tag] = (
-                bfv.he_add(aggregated[tag], ct) if tag in aggregated else ct
-            )
-        out = []
-        for t in plan.moduli:
-            per_name = {name: aggregated[f"{t}:{name}"] for name in _COUNT_NAMES}
-            lhs, rhs = plan.run(rk, per_name)
-            out.append((f"lhs:{t}", bfv.ciphertext_to_bytes(lhs)))
-            out.append((f"rhs:{t}", bfv.ciphertext_to_bytes(rhs)))
-        return out
-
-    def he_finish(
-        self,
-        sk: SecretKey,
-        plan: LdHePlan,
-        entries: Sequence[tuple[str, bytes]],
-    ) -> dict:
-        """CSP side: decrypt lhs/rhs residues, CRT-combine, compare."""
-        per_t: dict[int, dict[str, list[int]]] = {}
-        for tag, blob in entries:
-            side, t_str = tag.split(":")
-            t = int(t_str)
-            ct = bfv.ciphertext_from_bytes(blob, sk.params)
-            pt = bfv.decrypt(sk, ct)
-            if pt.encoding == "batch":
-                values = bfv.batch_decode(pt, self.m_instances)
-            else:
-                values = [bfv.decode_scalar(pt)]
-            per_t.setdefault(t, {})[side] = values
-        residues = {
-            t: (sides["lhs"], sides["rhs"]) for t, sides in per_t.items()
+    def he_circuit(self, ops, x: Mapping) -> dict:
+        """lhs = 2N*(N*N_AB - N_A*N_B)^2 * den and rhs = N_A*N_a*N_B*N_b * num:
+        multiplicative depth 3, decided as lhs > rhs after decryption."""
+        n_A = ops.add(x["n_AB"], x["n_Ab"])
+        n_a = ops.add(x["n_aB"], x["n_ab"])
+        n_B = ops.add(x["n_AB"], x["n_aB"])
+        n_b = ops.add(x["n_Ab"], x["n_ab"])
+        n = ops.add(n_A, n_a)
+        diff = ops.sub(ops.mul(n, x["n_AB"]), ops.mul(n_A, n_B))
+        lhs = ops.mul(ops.mul(diff, diff), ops.add(n, n))
+        rhs = ops.mul(ops.mul(n_A, n_a), ops.mul(n_B, n_b))
+        return {
+            "lhs": ops.mul_const(lhs, self.threshold_den),
+            "rhs": ops.mul_const(rhs, self.threshold_num),
         }
-        decisions = plan.decide_many(residues)
-        return {"decisions": decisions}
+
+    def he_output_range(self) -> tuple[int, int]:
+        """21-bit batching primes; lhs and rhs lie in [0, their bound]."""
+        return 21, max(ld_value_bounds(self.count_bits, self.threshold_num, self.threshold_den))
+
+    def he_result(self, outputs: Mapping[str, list[int]], modulus: int) -> dict:
+        return {"decisions": [lhs > rhs for lhs, rhs in zip(outputs["lhs"], outputs["rhs"])]}
 
 
 @dataclass(frozen=True)
-class LrComputation:
+class LrComputation(HePipeline):
     """Logistic-regression inference on one sample row."""
 
     model: LrModel
@@ -223,92 +357,53 @@ class LrComputation:
         return {f"x{j}": self.model.spec.total_bits for j in range(self.model.dim)}
 
     def _row(self, inputs: Mapping[str, int]) -> list[int]:
+        """The features as signed integers; a feature not in ``inputs`` is 0."""
         w = self.model.spec.total_bits
         sign = 1 << (w - 1)
         row = []
         for j in range(self.model.dim):
-            v = inputs[f"x{j}"] & ((1 << w) - 1)
+            v = inputs.get(f"x{j}", 0) & ((1 << w) - 1)
             row.append(v - (1 << w) if v & sign else v)
         return row
 
+    def _probability(self, p: int) -> dict:
+        return {"probability_fixed": p, "probability": self.table.out_spec.to_float(p)}
+
     def oracle(self, inputs: Mapping[str, int]) -> dict:
-        p = lr_predict_fixed(self.model, self._row(inputs), self.table)
-        return {
-            "probability_fixed": p,
-            "probability": self.table.out_spec.to_float(p),
-        }
+        return self._probability(lr_predict_fixed(self.model, self._row(inputs), self.table))
 
     def decode_output(self, bits: Sequence[int]) -> dict:
-        p = int_from_bits(bits)
-        return {
-            "probability_fixed": p,
-            "probability": self.table.out_spec.to_float(p),
-        }
+        return self._probability(int_from_bits(bits))
 
     # -- HE path -------------------------------------------------------------
 
-    def he_plan(self, params: HeParams) -> LrHePlan:
-        bits = (2 * lr_he_plan_bound(self.model) + 1).bit_length() + 1
-        return LrHePlan((bfv.find_plain_primes(params.n, bits)[0],))
+    def he_inputs(self, maker_input: MakerInput) -> dict[str, list[int]]:
+        """Each feature the maker owns as a signed integer, 0 for the others."""
+        return {f"x{j}": [x] for j, x in enumerate(self._row(maker_input))}
 
-    def he_encrypt_inputs(
-        self,
-        pk: PublicKey,
-        plan: LrHePlan,
-        maker_input: MakerInput,
-        rng: np.random.Generator,
-    ) -> list[tuple[str, bytes]]:
-        (t,) = plan.moduli
-        row = self._row(maker_input)
-        entries = []
-        for j, x in enumerate(row):
-            ct = bfv.encrypt(pk, bfv.encode_scalar(x, pk.params, t), rng)
-            entries.append((f"{t}:x{j}", bfv.ciphertext_to_bytes(ct)))
-        return entries
-
-    def he_evaluate(
-        self,
-        params: HeParams,
-        rk: RelinKey | None,
-        plan: LrHePlan,
-        listings: Sequence[tuple[int, str, bytes]],
-    ) -> list[tuple[str, bytes]]:
-        """Buyer side: the affine part z = x.w + b on ciphertexts (plaintext
-        weights, free additions); the sigmoid tail runs post-decryption.
-        ``rk`` is unused: the plan multiplies no ciphertexts."""
-        (t,) = plan.moduli
-        cts: dict[str, HeCiphertext] = {}
-        for _maker, tag, blob in listings:
-            cts[tag] = bfv.ciphertext_from_bytes(blob, params)
-        acc: HeCiphertext | None = None
+    def he_circuit(self, ops, x: Mapping) -> dict:
+        """The affine part z = x.w + b with plaintext weights; the sigmoid
+        tail runs after decryption."""
+        acc = None
         for j, w in enumerate(self.model.weights):
-            ct = cts[f"{t}:x{j}"]
             if w == 0:
                 continue
-            term = bfv.he_mul_plain(ct, bfv.encode_scalar(w, params, t))
-            acc = term if acc is None else bfv.he_add(acc, term)
+            term = ops.mul_const(x[f"x{j}"], w)
+            acc = term if acc is None else ops.add(acc, term)
         if acc is None:
-            raise ProtocolError("model has no nonzero weights")
-        bias = self.model.bias << self.model.spec.frac_bits
-        acc = bfv.he_add_plain(acc, bfv.encode_scalar(bias, params, t))
-        return [(f"z:{t}", bfv.ciphertext_to_bytes(acc))]
+            raise PlanRejected("model has no nonzero weights")
+        return {"z": ops.add_const(acc, self.model.bias << self.model.spec.frac_bits)}
 
-    def he_finish(
-        self,
-        sk: SecretKey,
-        plan: LrHePlan,
-        entries: Sequence[tuple[str, bytes]],
-    ) -> dict:
-        if len(entries) != 1 or not entries[0][0].startswith("z:"):
-            raise ProtocolError("expected a single z ciphertext")
-        ct = bfv.ciphertext_from_bytes(entries[0][1], sk.params)
-        z = bfv.decode_scalar(bfv.decrypt(sk, ct), signed=True)
+    def he_output_range(self) -> tuple[int, int]:
+        """One prime above 2|z|max, so that a signed z survives."""
+        bound = 2 * lr_he_plan_bound(self.model)
+        return (bound + 1).bit_length() + 1, bound
+
+    def he_result(self, outputs: Mapping[str, list[int]], modulus: int) -> dict:
+        (z,) = outputs["z"]
+        z = z - modulus if z > modulus // 2 else z
         idx = self.table.index_for_z(z, 2 * self.model.spec.frac_bits)
-        p = self.table.probability(idx)
-        return {
-            "probability_fixed": p,
-            "probability": self.table.out_spec.to_float(p),
-        }
+        return self._probability(self.table.probability(idx))
 
 
 Computation = LdComputation | LrComputation

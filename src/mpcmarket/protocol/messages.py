@@ -350,6 +350,8 @@ class OutputDecoding(Message):
     def _read(cls, r: _Reader) -> "OutputDecoding":
         (count,) = r.unpack(">I")
         body = r.take((count + 7) // 8)
+        if count % 8 and body[-1] >> (count % 8):
+            raise FramingError("nonzero padding bits after the last output bit")
         return cls(tuple((body[i // 8] >> (i % 8)) & 1 for i in range(count)))
 
 

@@ -96,12 +96,12 @@ class Csp:
 
     def he_setup(self, params: HeParams) -> PublicKeyDist:
         """Validate the plan, then generate keys. The relinearization key is
-        built and shipped only for plans that multiply ciphertexts; otherwise
-        ``rk`` is empty."""
+        built and shipped only for circuits that multiply ciphertexts;
+        otherwise ``rk`` is empty."""
         t0 = time.perf_counter()
         self._plan = self.computation.he_plan(params)
         seed = int(self._rng.integers(0, 2**63, dtype=np.int64))
-        self._sk, pk, rk = bfv.keygen(params, seed, relin=self._plan.MULTIPLIES_CIPHERTEXTS)
+        self._sk, pk, rk = bfv.keygen(params, seed, relin=self._plan.relin)
         self.timings["keygen_s"] = time.perf_counter() - t0
         return PublicKeyDist(
             params_repr=params.canonical_repr(),
@@ -241,11 +241,7 @@ class Buyer:
         listings: ListingBundle,
     ) -> DecryptRequest:
         plan = self.computation.he_plan(params)
-        rk = (
-            bfv.relin_key_from_bytes(bundle.rk, params)
-            if plan.MULTIPLIES_CIPHERTEXTS
-            else None
-        )
+        rk = bfv.relin_key_from_bytes(bundle.rk, params) if plan.relin else None
         t0 = time.perf_counter()
         entries = self.computation.he_evaluate(params, rk, plan, listings.ciphertexts)
         self.timings["he_eval_s"] = time.perf_counter() - t0

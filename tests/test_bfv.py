@@ -278,7 +278,9 @@ def _sha(data: bytes) -> str:
 
 class TestGoldenBytes:
     """SHA-256 of key and ciphertext bytes under fixed seeds, recorded from
-    the per-prime residue layout that the (k, n) residue arrays replaced."""
+    the per-prime residue layout that the (k, n) residue arrays replaced.
+    The he_mul_plain digest was re-recorded when the plaintext-multiply
+    noise rule became |p|_1 * (v + t): only its 8-byte noise field moved."""
 
     def test_keys(self, keys4096):
         _, pk, rk = keys4096
@@ -305,7 +307,7 @@ class TestGoldenBytes:
             "encrypt": "3363fe2c4675b386e8f150b4f24f4e118f9c68fc3406c71859f5011226228aa4",
             "he_add": "ce13e9a732fc990d3b0163c934a1d88bd09440a07a601b22ed55ec3178620be2",
             "he_sub": "eff314d75b070dce5b1e990305aff64eb5c2f46fdc5709510a2c045274974933",
-            "he_mul_plain": "8fc478bf634b62b43a09cfd05ba4228cdc822419624f9b3d9897daa73bab09b6",
+            "he_mul_plain": "1990e3d3ddda16026efb5945dfd9c042fcad4246cd70b951c68110d986ad2d60",
             "he_mul": "8962f94b190678baae2e9f27d1556057a92d682c683e77d26a71b20d9b78d368",
         }
 

@@ -223,6 +223,17 @@ class TestSerialization:
         with pytest.raises(CircuitError, match=r"line \d+"):
             parse_circuit(broken)
 
+    @pytest.mark.parametrize("line,text", [
+        (0, "13 x"), (1, "inputs two a:2 b:2"), (1, "inputs 2 a:2 b:x"), (2, "consts 4 x"),
+        (3, "outputs 2 5 y"), (3, "outputs x"), (4, "2 1 0 z 6 XOR"), (4, "XOR"),
+        (4, "2 1 0 6 INV"), (4, "0 1 6 AND"),
+    ])
+    def test_malformed_field_names_its_line(self, line, text):
+        lines = serialize_circuit(build_adder(2)).splitlines()
+        lines[line] = text
+        with pytest.raises(CircuitError, match=rf"line {line + 1}:"):
+            parse_circuit("\n".join(lines) + "\n")
+
     def test_truncated_header(self):
         with pytest.raises(CircuitError):
             parse_circuit("3 10\n")

@@ -212,3 +212,77 @@ class TestBench:
         rc = main(["bench", "--workload", "lr", "--range-bits", "10", "--repeat", "1"])
         assert rc == EXIT_OK
         assert "range" in capsys.readouterr().out
+
+
+_ADDER = serialize_circuit(build_adder(2)).splitlines()
+
+
+def _circuit_with(line: int, text: str) -> str:
+    lines = list(_ADDER)
+    lines[line] = text
+    return "\n".join(lines) + "\n"
+
+
+# (argv, {placeholder: file content}); "{placeholder}" in argv becomes the
+# path of a file holding that content.
+MALFORMED = {
+    "data-bad-header": (["run", "--data", "{data}"], {"data": "a,b,c,d\n1,2,3,4\n"}),
+    "data-non-integer": (
+        ["run", "--data", "{data}"], {"data": "n_AB,n_Ab,n_aB,n_ab\n1,2,x,4\n"}
+    ),
+    "data-zero-margin-gc": (
+        ["run", "--repeat", "1", "--data", "{data}"],
+        {"data": "n_AB,n_Ab,n_aB,n_ab\n50,50,0,0\n"},
+    ),
+    "data-zero-margin-he": (
+        ["run", "--backend", "he", "--repeat", "1", "--data", "{data}"],
+        {"data": "n_AB,n_Ab,n_aB,n_ab\n50,50,0,0\n"},
+    ),
+    "model-non-integer": (
+        ["run", "--workload", "lr", "--rows", "1", "--repeat", "1", "--model", "{model}"],
+        {"model": "16 8\n3\n1.5\n"},
+    ),
+    "config-non-integer": (["run", "--config", "{cfg}"], {"cfg": "seed=abc\n"}),
+    "inspect-consts": (["inspect", "{c}"], {"c": _circuit_with(2, "consts 4 x")}),
+    "inspect-outputs": (["inspect", "{c}"], {"c": _circuit_with(3, "outputs 2 5 y")}),
+    "inspect-gate-wire": (["inspect", "{c}"], {"c": _circuit_with(4, "2 1 0 z 6 XOR")}),
+    "inspect-binary": (["inspect", "{c}"], {"c": "\xff\xfe"}),
+    "he-threshold-zero-den": (
+        ["run", "--backend", "he", "--threshold", "1/0", "--repeat", "1"], {}
+    ),
+    # Before the LR planner this ended in NoiseBudgetExhausted, a DecryptionFailure.
+    "he-lr-small-ring": (
+        ["run", "--workload", "lr", "--backend", "he", "--n", "2048", "--rows", "1",
+         "--repeat", "1"],
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_bad_input_exits_without_traceback(case, tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    argv, files = MALFORMED[case]
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content.encode("latin-1"))
+    argv = [a.format(**{name: str(tmp_path / name) for name in files}) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(mpcmarket.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mpcmarket.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode in (EXIT_CONFIG, EXIT_IO), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_decryption_failure_is_a_config_rejection(monkeypatch, capsys):
+    from mpcmarket.he import bfv
+
+    def fail(sk, ct):
+        raise bfv.DecryptionFailure("noise budget exhausted")
+
+    monkeypatch.setattr(bfv, "decrypt", fail)
+    rc = main(["run", "--workload", "lr", "--backend", "he", "--rows", "1", "--repeat", "1"])
+    assert rc == EXIT_CONFIG
+    assert "noise budget exhausted" in capsys.readouterr().err

@@ -11,20 +11,18 @@ from mpcmarket.analytics.datagen import gen_haplotype_counts
 from mpcmarket.analytics.ld import (
     GenotypeCounts,
     HaplotypeCounts,
-    LdHePlan,
     LdStatisticUndefined,
     PlanRejected,
     build_ld_circuit,
     crt_combine,
-    encrypt_ld_counts,
     genotype_to_allele_counts,
     ld_decide_plain,
     ld_input_bits,
     ld_value_bounds,
-    plan_noise_log2,
 )
 from mpcmarket.circuits import CircuitError, eval_plain, gate_stats
 from mpcmarket.he import bfv
+from mpcmarket.protocol.computations import CiphertextOps, LdComputation, NoiseOps
 
 THRESH = (3841, 1000)  # chi-square at 1 dof, p = 0.05
 
@@ -174,6 +172,15 @@ class TestCrtCombine:
         assert crt_combine({m: value % m for m in moduli}) == value
 
 
+def planned_noise(params, t, num, den):
+    """The planner's (lhs, rhs) noise estimates under modulus ``t``: the LD
+    circuit replayed on noise at four fresh maker shares per count."""
+    comp = LdComputation(count_bits=11, threshold_num=num, threshold_den=den)
+    start = dict.fromkeys(HaplotypeCounts._fields, params.fresh_noise_log2() + 2)
+    out = comp.he_circuit(NoiseOps(params, t), start)
+    return out["lhs"], out["rhs"]
+
+
 class TestHePlan:
     def test_bounds_cover_worked_example(self):
         lhs_max, rhs_max = ld_value_bounds(11, *THRESH)
@@ -182,10 +189,10 @@ class TestHePlan:
 
     def test_plan_rejected_at_small_degree(self, params4096):
         with pytest.raises(PlanRejected):
-            LdHePlan.create(params4096, 11, *THRESH)
+            LdComputation(count_bits=11).he_plan(params4096)
 
     def test_plan_moduli_cover_range(self, params8192):
-        plan = LdHePlan.create(params8192, 11, *THRESH)
+        plan = LdComputation(count_bits=11).he_plan(params8192)
         lhs_max, rhs_max = ld_value_bounds(11, *THRESH)
         assert math.prod(plan.moduli) > max(lhs_max, rhs_max)
 
@@ -195,40 +202,42 @@ class TestHePlan:
         # estimates are the ones the runtime operations carry.
         _, pk, rk = keys8192
         num, den = 1_000_003, 3
-        plan = LdHePlan.create(params8192, 11, num, den)
-        t = plan.moduli[-1]
+        comp = LdComputation(count_bits=11, threshold_num=num, threshold_den=den)
+        t = comp.he_plan(params8192).moduli[-1]
         assert t != params8192.t
         rng = np.random.default_rng(22)
         shares = {}
         for name in ("n_AB", "n_Ab", "n_aB", "n_ab"):
             cts = [bfv.encrypt(pk, bfv.encode_scalar(1, params8192, t), rng) for _ in range(4)]
             shares[name] = bfv.he_add(bfv.he_add(bfv.he_add(cts[0], cts[1]), cts[2]), cts[3])
-        lhs, rhs = plan.run(rk, shares)
-        assert (lhs.noise_log2, rhs.noise_log2) == pytest.approx(
-            plan_noise_log2(params8192, t, num, den)
+        out = comp.he_circuit(CiphertextOps(params8192, t, rk), shares)
+        assert (out["lhs"].noise_log2, out["rhs"].noise_log2) == pytest.approx(
+            planned_noise(params8192, t, num, den)
         )
-        base = plan_noise_log2(params8192, t, 1, 1)
-        assert plan_noise_log2(params8192, t, 1, 1 << 12)[0] == pytest.approx(base[0] + 12)
-        assert plan_noise_log2(params8192, t, 1 << 12, 1)[1] == pytest.approx(base[1] + 12)
+        base = planned_noise(params8192, t, 1, 1)
+        assert planned_noise(params8192, t, 1, 1 << 12)[0] == pytest.approx(base[0] + 12)
+        assert planned_noise(params8192, t, 1 << 12, 1)[1] == pytest.approx(base[1] + 12)
 
     def test_worked_example_encrypted(self, params8192, keys8192):
         sk, pk, rk = keys8192
-        plan = LdHePlan.create(params8192, 11, *THRESH)
+        comp = LdComputation(count_bits=11, m_instances=2)
+        plan = comp.he_plan(params8192)
         counts = [HaplotypeCounts(30, 20, 20, 30), HaplotypeCounts(25, 25, 25, 25)]
+        maker_input = {f"i{i}.{k}": v for i, c in enumerate(counts) for k, v in c._asdict().items()}
         rng = np.random.default_rng(21)
-        enc = encrypt_ld_counts(pk, counts, plan, rng)
+        listings = [(0, *e) for e in comp.he_encrypt_inputs(pk, plan, maker_input, rng)]
+        entries = comp.he_evaluate(params8192, rk, plan, listings)
         residues = {}
-        for t, per_name in enc.items():
-            lhs_ct, rhs_ct = plan.run(rk, per_name)
-            lhs = bfv.batch_decode(bfv.decrypt(sk, lhs_ct), 2)
-            rhs = bfv.batch_decode(bfv.decrypt(sk, rhs_ct), 2)
-            residues[t] = (lhs, rhs)
+        for tag, blob in entries:
+            pt = bfv.decrypt(sk, bfv.ciphertext_from_bytes(blob, params8192))
+            residues[tuple(tag.split(":"))] = bfv.batch_decode(pt, 2)
+        ts = [str(t) for t in plan.moduli]
         # instance 0: the worked example with den folded into the lhs
-        lhs0 = crt_combine({t: residues[t][0][0] for t in plan.moduli})
-        rhs0 = crt_combine({t: residues[t][1][0] for t in plan.moduli})
+        lhs0 = crt_combine({int(t): residues["lhs", t][0] for t in ts})
+        rhs0 = crt_combine({int(t): residues["rhs", t][0] for t in ts})
         assert lhs0 == 50_000_000_000
         assert rhs0 == 24_006_250_000
         # instance 1: equilibrium, lhs exactly zero
-        lhs1 = crt_combine({t: residues[t][0][1] for t in plan.moduli})
+        lhs1 = crt_combine({int(t): residues["lhs", t][1] for t in ts})
         assert lhs1 == 0
-        assert plan.decide_many(residues) == [True, False]
+        assert comp.he_finish(sk, plan, entries) == {"decisions": [True, False]}

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from mpcmarket.analytics.ld import PlanRejected
 from mpcmarket.analytics.lr import build_sigmoid_table, lr_predict_fixed
 from mpcmarket.circuits.ir import CircuitError
+from mpcmarket.he import bfv
 from mpcmarket.he.bfv import HeParams
 from mpcmarket.protocol import (
     DeltaKeyDist,
@@ -130,6 +133,72 @@ class TestProtocol1:
             bundled_model, rows[0], table
         )
         assert_datatrust_hygiene(out.transcript)
+
+
+class TestHePipeline:
+    def test_lr_features_split_across_two_makers(self, lr_comp, lr_row_input, params4096):
+        names = sorted(lr_row_input)
+        split = [{k: lr_row_input[k] for k in names[i::2]} for i in (0, 1)]
+        he = run_protocol1(lr_comp, split, params4096, seed=31)
+        assert he.result == run_protocol2(lr_comp, split, seed=31).result
+        assert he.verified
+
+    def test_lr_plan_rejected_at_n2048(self, lr_comp):
+        with pytest.raises(PlanRejected):
+            lr_comp.he_plan(HeParams.default(2048))
+
+    def test_plan_derives_relinearization_need(self, ld_comp, lr_comp, params8192):
+        assert ld_comp.he_plan(params8192).relin
+        assert not lr_comp.he_plan(params8192).relin
+
+    def test_inflated_noise_rejected_before_any_he_mul(
+        self, ld_comp, params8192, keys8192, monkeypatch
+    ):
+        _, pk, rk = keys8192
+        plan = ld_comp.he_plan(params8192)
+        entries = ld_comp.he_encrypt_inputs(pk, plan, LD_EQUILIBRIUM[0], np.random.default_rng(5))
+        ct = bfv.ciphertext_from_bytes(entries[-1][1], params8192)
+        ct.noise_log2 = 100.0
+        entries[-1] = (entries[-1][0], bfv.ciphertext_to_bytes(ct))
+
+        def no_mul(*args):
+            raise AssertionError("he_mul ran before the noise check")
+
+        monkeypatch.setattr(bfv, "he_mul", no_mul)
+        with pytest.raises(PlanRejected):
+            ld_comp.he_evaluate(params8192, rk, plan, [(0, tag, blob) for tag, blob in entries])
+
+    def test_finish_needs_one_entry_per_output_and_modulus(self, ld_comp, params8192, keys8192):
+        sk, _, _ = keys8192
+        plan = ld_comp.he_plan(params8192)
+        entries = [(f"{name}:{t}", b"") for t in plan.moduli for name in ("lhs", "rhs")]
+        for bad in (entries[:-1], entries + entries[:1], entries[:-1] + [("lhs:7", b"")]):
+            with pytest.raises(ProtocolError):
+                ld_comp.he_finish(sk, plan, bad)
+
+    def test_estimates_never_exceed_exact_budget(
+        self, lr_comp, bundled_model, bundled_dataset, params8192, monkeypatch
+    ):
+        seen = []
+        decrypt = bfv.decrypt
+
+        def measured(sk, ct):
+            seen.append((ct.budget_estimate, bfv.noise_budget(sk, ct)))
+            return decrypt(sk, ct)
+
+        monkeypatch.setattr(bfv, "decrypt", measured)
+        rows, _ = bundled_dataset
+        mask = (1 << bundled_model.spec.total_bits) - 1
+        for i, row in enumerate(rows[:3]):
+            maker = {f"x{j}": v & mask for j, v in enumerate(row)}
+            assert run_protocol1(lr_comp, [maker], HeParams.default(4096), seed=40 + i).verified
+        ld = LdComputation(count_bits=11, m_instances=2)
+        counts = {"i0.n_AB": 30, "i0.n_Ab": 20, "i0.n_aB": 20, "i0.n_ab": 30}
+        counts.update({f"i1.{k[3:]}": 25 for k in counts})
+        assert run_protocol1(ld, [counts], params8192, seed=43).verified
+        assert len(seen) == 3 + 2 * 3
+        for estimate, exact in seen:
+            assert estimate <= exact
 
 
 class TestBackendIndependence:

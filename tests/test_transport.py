@@ -177,6 +177,11 @@ class TestExactLengthDecoders:
     def test_round_trip(self, msg):
         assert type(msg).decode(msg.encode()) == msg
 
+    def test_output_decoding_padding_bits_rejected(self):
+        assert OutputDecoding.decode(b"\x00\x00\x00\x01\x01") == OutputDecoding(bits=(1,))
+        with pytest.raises(FramingError):
+            OutputDecoding.decode(b"\x00\x00\x00\x01\xff")
+
     @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: m.type_name)
     def test_every_truncation_and_a_trailing_byte_rejected(self, msg):
         payload = msg.encode()
