@@ -175,6 +175,12 @@ def _sessions(cfg: RunConfig) -> tuple[Computation, list[list[dict[str, int]]]]:
         return comp, [[{f"x{j}": v & mask for j, v in enumerate(row)}] for row in rows[: cfg.rows]]
     if cfg.data:
         counts = _read(cfg.data, datagen.read_haplotype_csv)
+        # Checked here, not only by the oracle, so --no-verify rejects it too.
+        for row, c in enumerate(counts[: cfg.m_instances], start=1):
+            if min(c.margins) == 0:
+                raise ConfigRejected(
+                    f"{cfg.data}: row {row} {tuple(c)} has a zero margin; chi-square is undefined"
+                )
     else:
         counts = datagen.gen_haplotype_counts(
             cfg.seed, cfg.m_instances, n_total=min(200, (1 << cfg.count_bits) - 1)

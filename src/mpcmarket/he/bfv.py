@@ -6,9 +6,13 @@ one residue row per coefficient-modulus prime, and every operation is one
 broadcast against the (k, 1) column of primes (``HeParams.ntt.mod``); one
 NTT call transforms all k rows. The coefficient modulus q is a product of
 30-bit NTT-friendly primes (kept word-sized so numpy int64 products never
-overflow). Multiplication lifts operands to exact centered integers, runs
-the tensor product in an extended prime basis, scale-rounds by t/q, and
-relinearizes with an RNS-decomposed key-switching key.
+overflow). Multiplication extends the operands' centered lifts from q to
+an extended prime basis by exact RNS base conversion, runs the tensor
+product there, scale-rounds by t/q in RNS, and relinearizes with an
+RNS-decomposed key-switching key; decryption uses the same rounding.
+Both work in int64 and float64 (Halevi, Polyakov and Shoup, CT-RSA
+2019); a column whose float sum lies too near a rounding boundary is
+recomputed in Python integers, so results equal exact integer arithmetic.
 
 Keys and ciphertexts serialize as their (k, n) arrays in coefficient form,
 prime-major, little-endian int64; the decoders take exactly one such
@@ -34,11 +38,11 @@ import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ntt import NttPlan, find_ntt_primes, get_plan, is_prime
+from .ntt import _LIMB, _LIMB_MASK, NttPlan, _join_limbs, find_ntt_primes, get_plan, is_prime
 
 VALID_DEGREES = (1024, 2048, 4096, 8192)
 
@@ -160,20 +164,63 @@ class HeParams:
         return cls(n=n, q_primes=tuple(primes), t=t)
 
 
+class _Rns(NamedTuple):
+    """CRT constants for a tuple of primes with product q."""
+
+    primes: tuple[int, ...]
+    q: int
+    lifts: tuple[int, ...]  # q_hat_i * (q_hat_i^-1 mod p_i), q_hat_i = q / p_i
+    col: np.ndarray  # (k, 1) int64 primes
+    hat_inv: np.ndarray  # (k, 1) int64 q_hat_i^-1 mod p_i
+    inv: np.ndarray  # (k,) float64 1 / p_i
+
+
 @lru_cache(maxsize=32)
-def _crt_consts(q_primes: tuple[int, ...]):
-    """Per-prime CRT lifting constants L_i = q_hat_i * (q_hat_i^-1 mod p_i)."""
-    q = math.prod(q_primes)
-    hat_invs = [pow(q // p % p, -1, p) for p in q_primes]
-    lifts = tuple(q // p * inv for p, inv in zip(q_primes, hat_invs))
-    return q, lifts, np.array(hat_invs, dtype=np.int64)[:, None]
+def _rns(primes: tuple[int, ...]) -> _Rns:
+    q = math.prod(primes)
+    hat_invs = [pow(q // p % p, -1, p) for p in primes]
+    col = np.array(primes, dtype=np.int64)[:, None]
+    return _Rns(
+        primes,
+        q,
+        tuple(q // p * inv for p, inv in zip(primes, hat_invs)),
+        col,
+        np.array(hat_invs, dtype=np.int64)[:, None],
+        1.0 / col[:, 0].astype(np.float64),
+    )
+
+
+class _Conversion(NamedTuple):
+    """Constants for moving a centered lift from ``src`` to the ``dst`` primes."""
+
+    src: _Rns
+    dst: _Rns
+    hats: np.ndarray  # (2 kd, ks) float64: q_hat_i mod d_j, low then high 15-bit limbs
+    q_dst: np.ndarray  # (kd, 1) int64: q mod d_j
+    q_inv_dst: np.ndarray  # (kd, 1) int64: q^-1 mod d_j
+
+
+@lru_cache(maxsize=16)
+def _conversion(src: tuple[int, ...], dst: tuple[int, ...]) -> _Conversion:
+    q = math.prod(src)
+    hats = np.array([[q // p % d for p in src] for d in dst], dtype=np.int64)
+    return _Conversion(
+        _rns(src),
+        _rns(dst),
+        np.concatenate((hats & _LIMB_MASK, hats >> _LIMB)).astype(np.float64),
+        np.array([q % d for d in dst], dtype=np.int64)[:, None],
+        np.array([pow(q, -1, d) for d in dst], dtype=np.int64)[:, None],
+    )
 
 
 @lru_cache(maxsize=8)
 def _mul_basis(n: int, q_primes: tuple[int, ...]) -> tuple[int, ...]:
-    """Extended prime basis large enough for the exact integer tensor product."""
+    """q's primes, then extension primes with product P > n q. The exact
+    tensor product of two centered operands (|W| < n q^2 / 2) then fits the
+    whole basis, and the quotient h of W = w_q + q h (|h| < n q / 2) lifts
+    from P without ambiguity."""
     q = math.prod(q_primes)
-    need = 4 * n * (q // 2) ** 2
+    need = n * q * q
     basis = list(q_primes)
     prod = q
     bits = 30
@@ -186,13 +233,97 @@ def _mul_basis(n: int, q_primes: tuple[int, ...]) -> tuple[int, ...]:
 
 def _lift_centered(residues: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
     """Exact CRT reconstruction of (k, n) residues to centered big integers
-    (object dtype)."""
-    q, lifts, _ = _crt_consts(primes)
-    acc = residues[0].astype(object) * lifts[0]
-    for row, lift in zip(residues[1:], lifts[1:]):
+    (object dtype); the measurement oracle behind :func:`noise_budget`."""
+    rns = _rns(primes)
+    acc = residues[0].astype(object) * rns.lifts[0]
+    for row, lift in zip(residues[1:], rns.lifts[1:]):
         acc += row.astype(object) * lift
-    acc %= q
-    return np.where(acc > q // 2, acc - q, acc)
+    acc %= rns.q
+    return np.where(acc > rns.q // 2, acc - rns.q, acc)
+
+
+# -- exact RNS arithmetic in int64 and float64 ----------------------------------
+#
+# Halevi, Polyakov and Shoup, "An Improved RNS Variant of the BFV Homomorphic
+# Encryption Scheme" (CT-RSA 2019). For residues x_i of X mod q, the digits
+# y_i = [x_i q_hat_i^-1]_{p_i} give X = sum y_i q_hat_i - v q with
+# v = rint(sum y_i / p_i) for the centered X, and
+# round(t X / q) = sum floor(t y_i / p_i) + rint(sum (t y_i mod p_i) / p_i) - t v.
+# Both float sums are off by about 1e-15; a column whose sum lies within
+# _BOUNDARY of a half-integer is recomputed in Python integers.
+
+_BOUNDARY = 1e-9
+
+
+def _exact_columns(x: np.ndarray, mask: np.ndarray, primes: tuple[int, ...]) -> list[int]:
+    """The centered integers of the columns of x (..., k, n) selected by mask."""
+    rns = _rns(primes)
+    out = []
+    for row in np.swapaxes(x, -1, -2)[mask].tolist():
+        v = sum(r * lift for r, lift in zip(row, rns.lifts)) % rns.q
+        out.append(v - rns.q if v > rns.q // 2 else v)
+    return out
+
+
+def _lift(x: np.ndarray, conv: _Conversion):
+    """Digits y, v and the residues mod ``conv.dst`` of the centered lift of
+    x (..., ks, n), with the columns where v may be off by one."""
+    src, dst = conv.src, conv.dst
+    y = x * src.hat_inv % src.col
+    yf = y.astype(np.float64)
+    f = src.inv @ yf
+    v = np.rint(f)
+    near = np.abs(f - v) > 0.5 - _BOUNDARY
+    # Each sum is below ks * 2^15 * 2^30 <= 2^49, so exact.
+    sums = conv.hats @ yf
+    kd = len(dst.primes)
+    lo = sums[..., :kd, :]
+    lo -= v[..., None, :] * conv.q_dst
+    return y, v.astype(np.int64), _join_limbs(lo, sums[..., kd:, :], dst.col), near
+
+
+def _extend(x: np.ndarray, conv: _Conversion) -> np.ndarray:
+    """Residues mod ``conv.dst`` of the centered lift of x (..., ks, n)."""
+    _, _, out, near = _lift(x, conv)
+    if near.any():
+        lifted = _exact_columns(x, near, conv.src.primes)
+        np.swapaxes(out, -1, -2)[near] = [[v % d for d in conv.dst.primes] for v in lifted]
+    return out
+
+
+def _round_tq(y: np.ndarray, rns: _Rns, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """round(t X / q) + t v for the lift X of digits y (..., k, n), and the
+    columns where it may be off by one (every column if t y overflows int64)."""
+    cols = y.shape[:-2] + y.shape[-1:]
+    if t >= 1 << 33:
+        return np.zeros(cols, np.int64), np.ones(cols, bool)
+    whole, part = np.divmod(y * t, rns.col)
+    s = rns.inv @ part.astype(np.float64)
+    r = np.rint(s)
+    near = np.abs(s - r) > 0.5 - _BOUNDARY
+    return whole.sum(axis=-2) + r.astype(np.int64), near
+
+
+def _scale_round(w: np.ndarray, basis: tuple[int, ...], k: int, t: int) -> np.ndarray:
+    """Residues mod q (the first k primes) of round(t W / q) for the exact
+    integers W held as residues w (..., K, n) over the whole basis."""
+    to_p = _conversion(basis[:k], basis[k:])
+    y, v, w_q_p, near = _lift(w[..., :k, :], to_p)
+    # W = w_q + q h with w_q the centered lift of W mod q; h is exact mod P,
+    # and round(t W / q) = t h + round(t w_q / q) = t (h - v) + r.
+    h = (w[..., k:, :] - w_q_p) * to_p.q_inv_dst % to_p.dst.col
+    h_q = _extend(h, _conversion(basis[k:], basis[:k]))
+    r, near_r = _round_tq(y, to_p.src, t)
+    q_col = to_p.src.col
+    out = ((h_q - v[..., None, :]) * (t % q_col) + r[..., None, :]) % q_col
+    near |= near_r
+    if near.any():
+        q = to_p.src.q
+        exact = _exact_columns(w, near, basis)
+        np.swapaxes(out, -1, -2)[near] = [
+            [(2 * t * x + q) // (2 * q) % p for p in basis[:k]] for x in exact
+        ]
+    return out
 
 
 @dataclass(frozen=True)
@@ -258,15 +389,6 @@ class HeCiphertext:
     @property
     def budget_estimate(self) -> float:
         return self.params.budget_capacity(self.t) - self.noise_log2
-
-    def _lift(self) -> tuple[np.ndarray, ...]:
-        cached = getattr(self, "_lift_cache", None)
-        if cached is None:
-            cached = tuple(
-                _lift_centered(comp, self.params.q_primes) for comp in self.polys
-            )
-            object.__setattr__(self, "_lift_cache", cached)
-        return cached
 
 
 # -- noise rules ------------------------------------------------------------------
@@ -424,14 +546,14 @@ def encrypt(pk: PublicKey, pt: HePlaintext, rng: np.random.Generator | None = No
 
 
 def _dot_secret(ct: HeCiphertext, sk: SecretKey) -> np.ndarray:
-    """Centered lift of c0 + c1*s (+ c2*s^2) mod q."""
+    """Residues of c0 + c1*s (+ c2*s^2) mod q."""
     plan = ct.params.ntt
     q = plan.mod
     w = (ct.polys[0] + plan.inverse(plan.forward(ct.polys[1]) * sk.s_ntt % q)) % q
     if len(ct.polys) == 3:
         s2_ntt = sk.s_ntt * sk.s_ntt % q
         w = (w + plan.inverse(plan.forward(ct.polys[2]) * s2_ntt % q)) % q
-    return _lift_centered(w, ct.params.q_primes)
+    return w
 
 
 def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
@@ -444,15 +566,19 @@ def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
             f"noise budget exhausted (estimate {ct.budget_estimate:.1f} bits)"
         )
     w = _dot_secret(ct, sk)
-    q, t = ct.params.q, ct.t
-    m = (2 * t * w + q) // (2 * q)
-    poly = np.mod(m, t).astype(np.int64)
+    rns, t = _rns(ct.params.q_primes), ct.t
+    # round(t W / q) mod t, where the t v term of the rounding vanishes.
+    m, near = _round_tq(w * rns.hat_inv % rns.col, rns, t)
+    poly = m % t
+    if near.any():
+        exact = _exact_columns(w, near, rns.primes)
+        poly[near] = [(2 * t * x + rns.q) // (2 * rns.q) % t for x in exact]
     return HePlaintext(poly, t, ct.params.n, ct.encoding)
 
 
 def noise_budget(sk: SecretKey, ct: HeCiphertext) -> int:
     """Exact remaining budget in bits: floor(log2(q / (2 t |noise|)))."""
-    w = _dot_secret(ct, sk)
+    w = _lift_centered(_dot_secret(ct, sk), ct.params.q_primes)
     q, t = ct.params.q, ct.t
     m = (2 * t * w + q) // (2 * q)
     v = w - m * (q // t)
@@ -551,34 +677,29 @@ def he_mul(a: HeCiphertext, b: HeCiphertext, rk: RelinKey) -> HeCiphertext:
     if len(a.polys) != 2 or len(b.polys) != 2:
         raise HeParamsError("he_mul expects relinearized (2-component) inputs")
     params = a.params
-    n, q, t = params.n, params.q, a.t
+    n, t = params.n, a.t
     est = mul_noise_log2(params, t, a.noise_log2, b.noise_log2)
     _within_budget(params, t, est, "multiplication")
 
+    # Extend all four operands exactly from q to the whole basis, multiply
+    # there, and scale-round the three tensor components back to q.
     basis = _mul_basis(n, params.q_primes)
+    k = len(params.q_primes)
     ext = get_plan(n, basis)
     P = ext.mod
-    fa0, fa1 = (ext.forward(x) for x in a._lift())
-    fb0, fb1 = (ext.forward(x) for x in b._lift())
-    tensor = (
-        fa0 * fb0 % P,
-        (fa0 * fb1 % P + fa1 * fb0 % P) % P,
-        fa1 * fb1 % P,
+    ops = np.stack(a.polys + b.polys)
+    fa0, fa1, fb0, fb1 = ext.forward(
+        np.concatenate((ops, _extend(ops, _conversion(basis[:k], basis[k:]))), axis=-2)
     )
+    tensor = np.stack((fa0 * fb0 % P, (fa0 * fb1 + fa1 * fb0) % P, fa1 * fb1 % P))
+    e0, e1, e2 = _scale_round(ext.inverse(tensor), basis, k, t)
 
-    # Exact integers via CRT over the extended basis, then round(t*x/q) mod q.
     plan = params.ntt
     Q = plan.mod
-    e0, e1, e2 = (
-        np.mod((2 * t * _lift_centered(ext.inverse(d), basis) + q) // (2 * q) % q, Q)
-        .astype(np.int64)
-        for d in tensor
-    )
 
     # Relinearize e2 with the RNS-digit key-switching key: digit i is
     # row i of e2 * q_hat_i^-1, spread onto every prime by the transform.
-    _, _, hat_invs = _crt_consts(params.q_primes)
-    digits_ntt = plan.forward((e2 * hat_invs % Q)[:, None, :])
+    digits_ntt = plan.forward((e2 * _rns(params.q_primes).hat_inv % Q)[:, None, :])
     acc0 = sum(d * b_i % Q for d, (b_i, _) in zip(digits_ntt, rk.pairs))
     acc1 = sum(d * a_i % Q for d, (_, a_i) in zip(digits_ntt, rk.pairs))
     return HeCiphertext(

@@ -2,7 +2,7 @@
 
 Both channels drive the same role state machines and produce identical
 transcripts (modulo timestamps): one entry per delivered protocol message,
-sizes taken from the serialized frame, sequence numbers strictly increasing
+sized by its frame length, sequence numbers strictly increasing
 within a session. Transport acknowledgements are not protocol messages and
 are never logged.
 """
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from .messages import (
+    FRAME_HEADER,
     Ack,
     ErrorReply,
     FramingError,
@@ -121,8 +122,14 @@ class BaseChannel:
         self.close()
 
 
+def _frame_size(msg: Message) -> int:
+    """Length of the frame that would carry ``msg``, without building it."""
+    return FRAME_HEADER.size + sum(map(len, msg.parts()))
+
+
 class InprocChannel(BaseChannel):
-    """Direct dispatch between role objects in one process."""
+    """Direct dispatch between role objects in one process. Transcript sizes
+    are the frame lengths TCP would send; no frame is built."""
 
     def __init__(self, session_id: bytes, roles: dict[str, Role]) -> None:
         super().__init__(session_id)
@@ -133,13 +140,10 @@ class InprocChannel(BaseChannel):
         if role is None:
             raise TransportError(f"no such role {receiver!r}")
         seq = self._next_seq()
-        frame = pack_frame(msg, self.session_id, seq)
-        self._log(seq, sender, receiver, msg, len(frame))
+        self._log(seq, sender, receiver, msg, _frame_size(msg))
         reply = role.receive(msg)
         if reply is not None:
-            rseq = self._next_seq()
-            rframe = pack_frame(reply, self.session_id, rseq)
-            self._log(rseq, receiver, sender, reply, len(rframe))
+            self._log(self._next_seq(), receiver, sender, reply, _frame_size(reply))
         return reply
 
 

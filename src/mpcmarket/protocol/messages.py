@@ -36,11 +36,12 @@ class FramingError(ValueError):
     """Malformed or truncated frame."""
 
 
-def _pack_blob(b: bytes) -> bytes:
-    return struct.pack(">I", len(b)) + b
+def _pack_blob(b: bytes) -> list[bytes]:
+    """A length-prefixed blob as two parts; the blob itself is not copied."""
+    return [struct.pack(">I", len(b)), b]
 
 
-def _pack_str(s: str) -> bytes:
+def _pack_str(s: str) -> list[bytes]:
     return _pack_blob(s.encode("utf-8"))
 
 
@@ -92,8 +93,13 @@ class _Reader:
 class Message:
     TYPE: ClassVar[int] = 0
 
-    def encode(self) -> bytes:
+    def parts(self) -> list[bytes]:
+        """The payload as a list of byte strings, in order; large blobs are
+        the message's own objects, not copies."""
         raise NotImplementedError
+
+    def encode(self) -> bytes:
+        return b"".join(self.parts())
 
     @classmethod
     def decode(cls, payload: bytes) -> "Message":
@@ -120,8 +126,8 @@ class Ack(Message):
 
     TYPE: ClassVar[int] = 0x00
 
-    def encode(self) -> bytes:
-        return b""
+    def parts(self) -> list[bytes]:
+        return []
 
     @classmethod
     def _read(cls, r: _Reader) -> "Ack":
@@ -135,7 +141,7 @@ class ErrorReply(Message):
     TYPE: ClassVar[int] = 0x7F
     detail: str = ""
 
-    def encode(self) -> bytes:
+    def parts(self) -> list[bytes]:
         return _pack_str(self.detail)
 
     @classmethod
@@ -153,7 +159,7 @@ class PublicKeyDist(Message):
     pk: bytes = b""
     rk: bytes = b""
 
-    def encode(self) -> bytes:
+    def parts(self) -> list[bytes]:
         return _pack_str(self.params_repr) + _pack_blob(self.pk) + _pack_blob(self.rk)
 
     @classmethod
@@ -169,11 +175,11 @@ class EncryptedListing(Message):
     maker: int = 0
     entries: tuple[tuple[str, bytes], ...] = ()
 
-    def encode(self) -> bytes:
+    def parts(self) -> list[bytes]:
         parts = [struct.pack(">HI", self.maker, len(self.entries))]
         for name, blob in self.entries:
-            parts += (_pack_str(name), _pack_blob(blob))
-        return b"".join(parts)
+            parts += _pack_str(name) + _pack_blob(blob)
+        return parts
 
     @classmethod
     def _read(cls, r: _Reader) -> "EncryptedListing":
@@ -190,9 +196,9 @@ class Query(Message):
     computation_id: str = ""
     params_json: str = "{}"
 
-    def encode(self) -> bytes:
+    def parts(self) -> list[bytes]:
         return (
-            struct.pack(">H", self.buyer)
+            [struct.pack(">H", self.buyer)]
             + _pack_str(self.computation_id)
             + _pack_str(self.params_json)
         )
@@ -212,11 +218,11 @@ class ListingBundle(Message):
     ciphertexts: tuple[tuple[int, str, bytes], ...] = ()
     labels: tuple[tuple[int, int], ...] = ()  # (wire index, 128-bit label)
 
-    def encode(self) -> bytes:
+    def parts(self) -> list[bytes]:
         parts = [struct.pack(">II", len(self.ciphertexts), len(self.labels))]
         for maker, name, blob in self.ciphertexts:
-            parts += (struct.pack(">H", maker), _pack_str(name), _pack_blob(blob))
-        return b"".join(parts + _pack_labels(self.labels))
+            parts += [struct.pack(">H", maker)] + _pack_str(name) + _pack_blob(blob)
+        return parts + _pack_labels(self.labels)
 
     @classmethod
     def _read(cls, r: _Reader) -> "ListingBundle":
@@ -232,11 +238,11 @@ class DecryptRequest(Message):
     TYPE: ClassVar[int] = 0x05
     entries: tuple[tuple[str, bytes], ...] = ()
 
-    def encode(self) -> bytes:
+    def parts(self) -> list[bytes]:
         parts = [struct.pack(">I", len(self.entries))]
         for tag, blob in self.entries:
-            parts += (_pack_str(tag), _pack_blob(blob))
-        return b"".join(parts)
+            parts += _pack_str(tag) + _pack_blob(blob)
+        return parts
 
     @classmethod
     def _read(cls, r: _Reader) -> "DecryptRequest":
@@ -251,7 +257,7 @@ class Result(Message):
     TYPE: ClassVar[int] = 0x06
     payload_json: str = "{}"
 
-    def encode(self) -> bytes:
+    def parts(self) -> list[bytes]:
         return _pack_str(self.payload_json)
 
     @classmethod
@@ -270,8 +276,8 @@ class DeltaKeyDist(Message):
     delta: bytes = b"\x00" * 16
     prf_key: bytes = b"\x00" * 16
 
-    def encode(self) -> bytes:
-        return self.delta + self.prf_key
+    def parts(self) -> list[bytes]:
+        return [self.delta, self.prf_key]
 
     @classmethod
     def _read(cls, r: _Reader) -> "DeltaKeyDist":
@@ -286,9 +292,8 @@ class InputLabels(Message):
     maker: int = 0
     labels: tuple[tuple[int, int], ...] = ()
 
-    def encode(self) -> bytes:
-        head = struct.pack(">HI", self.maker, len(self.labels))
-        return b"".join([head] + _pack_labels(self.labels))
+    def parts(self) -> list[bytes]:
+        return [struct.pack(">HI", self.maker, len(self.labels))] + _pack_labels(self.labels)
 
     @classmethod
     def _read(cls, r: _Reader) -> "InputLabels":
@@ -305,7 +310,7 @@ class GarbledCircuitMsg(Message):
     TYPE: ClassVar[int] = 0x09
     garbled: bytes = b""
 
-    def encode(self) -> bytes:
+    def parts(self) -> list[bytes]:
         return _pack_blob(self.garbled)
 
     @classmethod
@@ -320,10 +325,10 @@ class OutputLabels(Message):
     TYPE: ClassVar[int] = 0x0A
     labels: tuple[int, ...] = ()
 
-    def encode(self) -> bytes:
-        return struct.pack(">I", len(self.labels)) + b"".join(
+    def parts(self) -> list[bytes]:
+        return [struct.pack(">I", len(self.labels))] + [
             label.to_bytes(16, "big") for label in self.labels
-        )
+        ]
 
     @classmethod
     def _read(cls, r: _Reader) -> "OutputLabels":
@@ -339,12 +344,12 @@ class OutputDecoding(Message):
     TYPE: ClassVar[int] = 0x0B
     bits: tuple[int, ...] = ()
 
-    def encode(self) -> bytes:
+    def parts(self) -> list[bytes]:
         packed = bytearray((len(self.bits) + 7) // 8)
         for i, b in enumerate(self.bits):
             if b & 1:
                 packed[i // 8] |= 1 << (i % 8)
-        return struct.pack(">I", len(self.bits)) + bytes(packed)
+        return [struct.pack(">I", len(self.bits)), bytes(packed)]
 
     @classmethod
     def _read(cls, r: _Reader) -> "OutputDecoding":
@@ -376,8 +381,10 @@ MESSAGE_TYPES: dict[int, type[Message]] = {
 
 
 def pack_frame(msg: Message, session_id: bytes, seq: int) -> bytes:
-    payload = msg.encode()
-    return FRAME_HEADER.pack(21 + len(payload), msg.TYPE, session_id, seq) + payload
+    """Header and payload parts joined once; the payload is not built first."""
+    parts = msg.parts()
+    head = FRAME_HEADER.pack(21 + sum(map(len, parts)), msg.TYPE, session_id, seq)
+    return b"".join([head, *parts])
 
 
 def parse_frame(data: bytes) -> tuple[Message, bytes, int]:

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from mpcmarket.he import bfv
-from mpcmarket.he.ntt import find_ntt_primes, get_plan, negacyclic_mul, schoolbook_negacyclic
+from mpcmarket.he.ntt import (
+    NttPlan,
+    find_ntt_primes,
+    get_plan,
+    is_prime,
+    negacyclic_mul,
+    schoolbook_negacyclic,
+)
 
 
 class TestNtt:
@@ -31,6 +38,103 @@ class TestNtt:
     def test_rejects_non_ntt_modulus(self):
         with pytest.raises(ValueError):
             get_plan(64, 97)  # 96 not divisible by 128
+
+    @pytest.mark.parametrize("n", bfv.VALID_DEGREES)
+    def test_four_step_matches_schoolbook_at_every_degree(self, n):
+        # One factor is sparse (nonzero at both ends, the middle and a few
+        # random places), which keeps the quadratic oracle cheap at n=8192
+        # while every output coefficient still depends on the dense factor.
+        p = find_ntt_primes(30, n, 1)[0]
+        rng = np.random.default_rng(n)
+        a = np.zeros(n, dtype=np.int64)
+        where = [0, 1, n // 2, n - 1, *rng.integers(0, n, 4)]
+        a[where] = rng.integers(1, p, len(where))
+        b = rng.integers(0, p, n, dtype=np.int64)
+        assert list(map(int, negacyclic_mul(a, b, n, p))) == schoolbook_negacyclic(a, b, p)
+
+    def test_rejects_primes_of_31_bits_and_wide_splits(self):
+        n = 64
+        p31 = next(p for p in range((1 << 30) + 1, 1 << 31, 2 * n) if is_prime(p))
+        with pytest.raises(ValueError, match="2\\^30"):
+            NttPlan(n, p31)
+        with pytest.raises(ValueError, match="n2"):
+            NttPlan(1 << 15, 65537)
+
+
+def _residues(values, primes) -> np.ndarray:
+    return np.array([[v % p for v in values] for p in primes], dtype=np.int64)
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    """Records the column mask of every exact Python-integer recomputation."""
+    seen = []
+    exact = bfv._exact_columns
+
+    def spy(x, mask, primes):
+        seen.append(mask.tolist())
+        return exact(x, mask, primes)
+
+    monkeypatch.setattr(bfv, "_exact_columns", spy)
+    return seen
+
+
+class TestExactRounding:
+    """The int64/float64 lift and scale-and-round on crafted columns, against
+    Python integers. Float sums near a rounding boundary must take the exact
+    fallback; columns away from every boundary (w_q near 0 or near q) must
+    come out exact without it."""
+
+    def test_lift_at_the_centering_boundary(self, params8192, fallback):
+        qp, q = params8192.q_primes, params8192.q
+        pp = bfv._mul_basis(params8192.n, qp)[len(qp) :]
+        boundary = [(q - 1) // 2 - j for j in range(4)] + [(q + 1) // 2 + j for j in range(4)]
+        xs = boundary + [0, 1, q - 1]
+        got = bfv._extend(_residues(xs, qp), bfv._conversion(qp, pp))
+        centered = [x - q if x > q // 2 else x for x in xs]
+        assert np.array_equal(got, _residues(centered, pp))
+        assert fallback == [[x in boundary for x in xs]]
+
+    @pytest.mark.parametrize("case", ["centering", "half"])
+    def test_scale_round(self, params8192, fallback, case):
+        n, qp, q, t = params8192.n, params8192.q_primes, params8192.q, params8192.t
+        basis = bfv._mul_basis(n, qp)
+        if case == "centering":
+            boundary = [(q - 1) // 2, (q + 1) // 2]
+        else:  # t w_q / q just below and just above m + 1/2
+            ms = (0, 1, t // 2, t - 1)
+            boundary = [(2 * m + 1) * q // (2 * t) + d for m in ms for d in (0, 1)]
+        w_q = boundary + [0, 1, q - 1, q - 2]
+        hs = [0, 3, -3, n * q // 4, -(n * q // 4)]
+        ws = [x + q * h for h in hs for x in w_q]
+        got = bfv._scale_round(_residues(ws, basis), basis, len(qp), t)
+        want = [(2 * t * w + q) // (2 * q) for w in ws]
+        assert np.array_equal(got, _residues(want, qp))
+        assert fallback == [[x in boundary for _ in hs for x in w_q]]
+
+    def test_decrypt_rounds_exactly(self, params8192, keys8192, fallback):
+        sk = keys8192[0]
+        n, qp, q, t = params8192.n, params8192.q_primes, params8192.q, params8192.t
+        # t is odd, so t (q - 1) / 2q lies just below t / 2, a half-integer.
+        boundary = [(2 * m + 1) * q // (2 * t) + d for m in (0, 5, t - 1) for d in (0, 1)]
+        boundary.append((q - 1) // 2)
+        xs = boundary + [0, 1, q - 1]
+        c0 = _residues(xs + [0] * (n - len(xs)), qp)
+        ct = bfv.HeCiphertext(params8192, t, (c0, np.zeros_like(c0)), params8192.fresh_noise_log2())
+        got = bfv.decrypt(sk, ct).poly[: len(xs)]
+        assert list(got) == [(2 * t * x + q) // (2 * q) % t for x in xs]
+        (mask,) = fallback
+        assert mask[: len(xs)] == [x in boundary for x in xs] and not any(mask[len(xs) :])
+
+    def test_wide_plaintext_modulus_takes_the_exact_path(self, params4096, keys4096, fallback):
+        t = bfv.find_plain_primes(4096, 34)[0]  # t y_i may overflow int64
+        params = bfv.HeParams(n=4096, q_primes=params4096.q_primes, t=t)
+        sk, pk, rk = bfv.keygen(params, seed=5)
+        rng = np.random.default_rng(6)
+        a = bfv.encrypt(pk, bfv.encode_scalar(123456789, params), rng)
+        b = bfv.encrypt(pk, bfv.encode_scalar(987654321, params), rng)
+        assert bfv.decode_scalar(bfv.decrypt(sk, bfv.he_mul(a, b, rk))) == 123456789 * 987654321 % t
+        assert fallback and all(all(mask) for mask in fallback)
 
 
 class TestParams:

@@ -238,6 +238,14 @@ MALFORMED = {
         ["run", "--backend", "he", "--repeat", "1", "--data", "{data}"],
         {"data": "n_AB,n_Ab,n_aB,n_ab\n50,50,0,0\n"},
     ),
+    "data-zero-margin-gc-no-verify": (
+        ["run", "--repeat", "1", "--no-verify", "--data", "{data}"],
+        {"data": "n_AB,n_Ab,n_aB,n_ab\n50,50,0,0\n"},
+    ),
+    "data-zero-margin-he-no-verify": (
+        ["run", "--backend", "he", "--repeat", "1", "--no-verify", "--data", "{data}"],
+        {"data": "n_AB,n_Ab,n_aB,n_ab\n50,50,0,0\n"},
+    ),
     "model-non-integer": (
         ["run", "--workload", "lr", "--rows", "1", "--repeat", "1", "--model", "{model}"],
         {"model": "16 8\n3\n1.5\n"},

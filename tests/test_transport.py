@@ -7,7 +7,12 @@ import struct
 import pytest
 
 from mpcmarket.protocol import LdComputation, Query
-from mpcmarket.protocol.channels import TcpChannel, TransportError, _read_frame_bytes
+from mpcmarket.protocol.channels import (
+    InprocChannel,
+    TcpChannel,
+    TransportError,
+    _read_frame_bytes,
+)
 from mpcmarket.protocol.messages import (
     FRAME_HEADER,
     Ack,
@@ -176,6 +181,21 @@ class TestExactLengthDecoders:
     @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: m.type_name)
     def test_round_trip(self, msg):
         assert type(msg).decode(msg.encode()) == msg
+
+    @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: m.type_name)
+    def test_inproc_logs_the_frame_length(self, msg):
+        class Sink:
+            name = "sink"
+
+            def receive(self, m):
+                return None
+
+        session = b"F" * 16
+        ch = InprocChannel(session, {"sink": Sink()})
+        ch.send("x", "sink", msg)
+        (entry,) = ch.transcript.entries
+        assert entry.n_bytes == len(pack_frame(msg, session, entry.seq))
+        assert pack_frame(msg, session, 1)[FRAME_HEADER.size :] == msg.encode()
 
     def test_output_decoding_padding_bits_rejected(self):
         assert OutputDecoding.decode(b"\x00\x00\x00\x01\x01") == OutputDecoding(bits=(1,))
