@@ -3,13 +3,11 @@ inference, each as a plaintext oracle, a Boolean circuit, and the value
 bounds of its HE plan."""
 
 from .ld import (
-    GenotypeCounts,
     HaplotypeCounts,
     LdResult,
     LdStatisticUndefined,
     PlanRejected,
     build_ld_circuit,
-    genotype_to_allele_counts,
     ld_decide_plain,
 )
 from .lr import (
@@ -25,7 +23,6 @@ from .lr import (
 )
 
 __all__ = [
-    "GenotypeCounts",
     "HaplotypeCounts",
     "LdResult",
     "LdStatisticUndefined",
@@ -35,7 +32,6 @@ __all__ = [
     "build_ld_circuit",
     "build_lr_circuit",
     "build_sigmoid_table",
-    "genotype_to_allele_counts",
     "ld_decide_plain",
     "load_model",
     "lr_he_plan_bound",

@@ -17,8 +17,6 @@ from typing import Sequence
 from .ld import HaplotypeCounts
 from .lr import LrModel, load_model
 
-HAPLO_HEADER = ("n_AB", "n_Ab", "n_aB", "n_ab")
-
 
 def bundled_path(name: str) -> Path:
     return Path(str(importlib.resources.files("mpcmarket").joinpath("data", name)))
@@ -40,7 +38,9 @@ def load_lr_csv(path: str, model: LrModel) -> tuple[list[list[int]], list[int]]:
     labels: list[int] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [""])
+        header = next(reader, [])
+        if not header:
+            raise ValueError("CSV has no header line")
         has_label = header[-1].strip().lower() == "label"
         width = len(header) - (1 if has_label else 0)
         if width != model.dim:
@@ -63,8 +63,17 @@ def gen_haplotype_counts(
 
     With ``target_d`` set, counts are built from an exact equilibrium family
     (N*N_AB == N_A*N_B) shifted by round(D*N), so D = 0 yields equilibrium
-    exactly and larger |D| yields progressively stronger LD.
+    exactly and larger |D| yields progressively stronger LD. Raises
+    ValueError where no such table exists, so the sampling always ends.
     """
+    if rows < 1 or n_total < 2:
+        raise ValueError(f"need rows >= 1 and N >= 2, got rows={rows}, N={n_total}")
+    if target_d is not None:
+        if abs(target_d) > 0.25:
+            raise ValueError(f"|D| <= 1/4 for every table, got D={target_d}")
+        divisors = [f for f in range(2, n_total) if n_total % f == 0]
+        if not _shifted_equilibrium_exists(n_total, round(target_d * n_total)):
+            raise ValueError(f"no equilibrium table at N={n_total} reaches D={target_d}")
     rng = random.Random(seed)
     out: list[HaplotypeCounts] = []
     while len(out) < rows:
@@ -75,9 +84,9 @@ def gen_haplotype_counts(
             )
         else:
             # factor N so the equilibrium counts are integral
-            fa = rng.choice([f for f in range(2, n_total) if n_total % f == 0])
+            fa = rng.choice(divisors)
             n_A = n_total // fa * rng.randrange(1, fa)
-            fb = rng.choice([f for f in range(2, n_total) if n_total % f == 0])
+            fb = rng.choice(divisors)
             n_B = n_total // fb * rng.randrange(1, fb)
             if n_A * n_B % n_total:
                 continue
@@ -95,10 +104,25 @@ def gen_haplotype_counts(
     return out
 
 
+def _shifted_equilibrium_exists(n_total: int, delta: int) -> bool:
+    """Whether some equilibrium table with margins in (0, N) keeps every
+    count non-negative when N_AB moves by ``delta``. For N_A = a = u g and
+    N = v g with g = gcd(a, N), the N_B with N | N_A N_B are k v for
+    0 < k < g, giving N_AB = u k; each of the four counts bounds k."""
+    for a in range(1, n_total):
+        g = math.gcd(a, n_total)
+        u, v = a // g, n_total // g
+        lo = max(1, -(delta // u), -(-delta // (v - u)))
+        hi = min(g - 1, (a - delta) // u, (n_total - a + delta) // (v - u))
+        if lo <= hi:
+            return True
+    return False
+
+
 def write_haplotype_csv(path: str, counts: Sequence[HaplotypeCounts]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(HAPLO_HEADER)
+        writer.writerow(HaplotypeCounts._fields)
         for c in counts:
             writer.writerow(list(c))
 
@@ -108,7 +132,7 @@ def read_haplotype_csv(path: str) -> list[HaplotypeCounts]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = tuple(h.strip() for h in next(reader, ()))
-        if header != HAPLO_HEADER:
+        if header != HaplotypeCounts._fields:
             raise ValueError(f"unexpected haplotype CSV header {header}")
         for line in reader:
             counts = [int(v) for v in line]
@@ -121,6 +145,8 @@ def read_haplotype_csv(path: str) -> list[HaplotypeCounts]:
 def gen_lr_samples(seed: int, rows: int, dims: int = 30) -> list[list[float]]:
     """Synthetic standardized feature rows (license-clean stand-in for the
     bundled dataset; same shape and scale)."""
+    if rows < 1 or dims < 1:
+        raise ValueError(f"need rows >= 1 and dims >= 1, got rows={rows}, dims={dims}")
     rng = random.Random(seed)
     out = []
     for _ in range(rows):

@@ -50,21 +50,13 @@ class HaplotypeCounts(NamedTuple):
         )
 
 
-class GenotypeCounts(NamedTuple):
-    n_AA: int
-    n_Aa: int
-    n_aa: int
-
-
-def genotype_to_allele_counts(g: GenotypeCounts) -> tuple[int, int, int]:
-    """(N_A, N_a, N) from single-locus genotype tallies:
-    N_A = 2*N_AA + N_Aa, N_a = 2*N_aa + N_Aa."""
-    n_A = 2 * g.n_AA + g.n_Aa
-    n_a = 2 * g.n_aa + g.n_Aa
-    n = n_A + n_a
-    if n == 0:
-        raise LdStatisticUndefined("no alleles observed; frequencies undefined")
-    return n_A, n_a, n
+def ld_group_names(instance: int, name: str, contributors: int = 1) -> list[str]:
+    """The input groups whose sum is count ``name`` (a ``HaplotypeCounts``
+    field) of one instance: ``i{instance}.{name}`` for a single contributor,
+    else ``i{instance}.c{j}.{name}`` per contributor j."""
+    if contributors == 1:
+        return [f"i{instance}.{name}"]
+    return [f"i{instance}.c{j}.{name}" for j in range(contributors)]
 
 
 @dataclass(frozen=True)
@@ -150,21 +142,14 @@ def build_ld_circuit(
         )
 
     b = CircuitBuilder()
-    names = ("n_AB", "n_Ab", "n_aB", "n_ab")
-    inputs: list[list[list[int]]] = []  # [instance][count][contributor bits merged later]
-    for i in range(m_instances):
-        per_count: list[list[int]] = []
-        for name in names:
-            if contributors == 1:
-                per_count.append([b.add_input_group(f"i{i}.{name}", c)])
-            else:
-                per_count.append(
-                    [
-                        b.add_input_group(f"i{i}.c{j}.{name}", c)
-                        for j in range(contributors)
-                    ]
-                )
-        inputs.append(per_count)
+    # [instance][count][contributor]: each contributor's bits, summed below
+    inputs = [
+        [
+            [b.add_input_group(g, c) for g in ld_group_names(i, name, contributors)]
+            for name in HaplotypeCounts._fields
+        ]
+        for i in range(m_instances)
+    ]
 
     decisions: list[int] = []
     for per_count in inputs:
@@ -201,16 +186,6 @@ def build_ld_circuit(
         decisions.append(b.greater_unsigned(lhs, rhs))
 
     return b.build(decisions)
-
-
-def ld_input_bits(counts: HaplotypeCounts, count_bits: int) -> list[int]:
-    """Little-endian input bit vector for one instance of the LD circuit."""
-    out: list[int] = []
-    for v in counts:
-        if v < 0 or v >> count_bits:
-            raise CircuitError(f"count {v} does not fit {count_bits} bits")
-        out.extend((v >> k) & 1 for k in range(count_bits))
-    return out
 
 
 # -- homomorphic-encryption path ----------------------------------------------------

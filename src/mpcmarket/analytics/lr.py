@@ -19,7 +19,6 @@ from typing import Sequence
 from ..circuits.builders import CircuitBuilder
 from ..circuits.ir import Circuit, CircuitError, FixedPointSpec
 
-DEFAULT_INPUT_SPEC = FixedPointSpec(total_bits=16, frac_bits=8)
 DEFAULT_PROB_SPEC = FixedPointSpec(total_bits=32, frac_bits=31)
 DEFAULT_RANGE_BITS = 10
 DEFAULT_Z_MIN = -8.0
@@ -44,16 +43,6 @@ class LrModel:
     @property
     def dim(self) -> int:
         return len(self.weights)
-
-    @classmethod
-    def from_floats(
-        cls, weights: Sequence[float], bias: float, spec: FixedPointSpec = DEFAULT_INPUT_SPEC
-    ) -> "LrModel":
-        return cls(
-            weights=tuple(spec.quantize(w) for w in weights),
-            bias=spec.quantize(bias),
-            spec=spec,
-        )
 
 
 def save_model(model: LrModel, path: str) -> None:
@@ -223,19 +212,6 @@ def build_lr_circuit(model: LrModel, table: SigmoidTable) -> Circuit:
 
     prob = b.lookup(index, table.entries, table.out_spec.total_bits)
     return b.build(prob)
-
-
-def lr_input_bits(model: LrModel, x_fixed: Sequence[int]) -> list[int]:
-    """Little-endian input bits for the LR circuit."""
-    if len(x_fixed) != model.dim:
-        raise CircuitError(f"expected {model.dim} features, got {len(x_fixed)}")
-    w = model.spec.total_bits
-    mask = (1 << w) - 1
-    bits: list[int] = []
-    for v in x_fixed:
-        u = v & mask
-        bits.extend((u >> k) & 1 for k in range(w))
-    return bits
 
 
 # -- homomorphic-encryption path ---------------------------------------------------

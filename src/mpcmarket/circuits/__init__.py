@@ -11,7 +11,6 @@ from .ir import (
     GateStats,
     InputGroup,
     eval_plain,
-    gate_stats,
 )
 from .builders import (
     CircuitBuilder,
@@ -38,7 +37,6 @@ __all__ = [
     "build_lookup",
     "build_multiplier",
     "eval_plain",
-    "gate_stats",
     "parse_circuit",
     "serialize_circuit",
 ]

@@ -7,10 +7,11 @@ followed by gate outputs in topological order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,6 +83,8 @@ class FixedPointSpec:
 
     def quantize(self, value: float) -> int:
         """Round a real value to the nearest representable fixed-point integer."""
+        if not math.isfinite(value):
+            raise CircuitError(f"value {value} not representable in {self}")
         q = round(value * self.scale)
         lo = -(1 << (self.total_bits - 1))
         hi = (1 << (self.total_bits - 1)) - 1
@@ -138,6 +141,7 @@ class Circuit:
 
     @cached_property
     def stats(self) -> GateStats:
+        """Total and non-XOR gate counts; INV is free, so non-XOR counts AND only."""
         non_xor = sum(1 for g in self.gates if g.kind == AND)
         return GateStats(total=len(self.gates), non_xor=non_xor)
 
@@ -196,14 +200,15 @@ class Circuit:
                 return g
         raise KeyError(f"no input group named {name!r}")
 
-    @property
-    def n_outputs(self) -> int:
-        return len(self.output_wires)
-
-
-def gate_stats(circuit: Circuit) -> GateStats:
-    """Total and non-XOR gate counts; INV is free, so non-XOR counts AND only."""
-    return circuit.stats
+    def input_bits(self, values: Mapping[str, int]) -> Iterator[tuple[int, int]]:
+        """(wire, bit) for every bit of each named group's value, group by
+        group in the order given: two's complement, little-endian from the
+        group's first wire. Bits above the group's width are dropped; callers
+        check widths first."""
+        for name, value in values.items():
+            group = self.group(name)
+            for k in range(group.width):
+                yield group.start + k, (value >> k) & 1
 
 
 def eval_plain(circuit: Circuit, input_bits: Sequence[int]) -> list[int]:

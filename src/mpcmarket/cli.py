@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import datagen
-from .analytics.ld import LdStatisticUndefined, PlanRejected
+from .analytics.ld import LdStatisticUndefined, PlanRejected, ld_group_names
 from .analytics.lr import load_model
 from .circuits.bristol import parse_circuit, serialize_circuit
-from .circuits.ir import CircuitError, gate_stats
+from .circuits.ir import CircuitError
 from .garbling import HEADER_SIZE
 from .he import bfv
 from .he.bfv import DecryptionFailure, HeParams, HeParamsError
@@ -197,9 +197,10 @@ def _sessions(cfg: RunConfig) -> tuple[Computation, list[list[dict[str, int]]]]:
     sessions = []
     for start in range(0, cfg.m_instances, size):
         groups = {
-            f"i{i}.{name}": v
+            group: v
             for i, c in enumerate(counts[start : start + size])
             for name, v in c._asdict().items()
+            for group in ld_group_names(i, name)
         }
         sessions.append(_maker_inputs_for(groups, cfg.makers))
     return comp, sessions
@@ -245,7 +246,7 @@ def _drive(cfg: RunConfig) -> dict:
             probabilities=[o.result["probability"] for o in first],
         )
     if gc:
-        st = gate_stats(comp.circuit)
+        st = comp.circuit.stats
         rec.update(gates=st.total, non_xor=st.non_xor, garbling_ms=mean_ms("garble_s"))
     rec.update(
         comm_bytes=sum(o.transcript.total_bytes() for o in first),
@@ -272,16 +273,19 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    if args.kind == "haplotypes":
-        counts = datagen.gen_haplotype_counts(
-            args.seed, args.rows, n_total=args.N, target_d=args.D
-        )
-        datagen.write_haplotype_csv(args.out, counts)
-        print(f"wrote {len(counts)} haplotype rows to {args.out}")
-    else:  # lr-samples, the other choice
-        rows = datagen.gen_lr_samples(args.seed, args.rows, args.dims)
-        datagen.write_lr_csv(args.out, rows)
-        print(f"wrote {len(rows)} x {args.dims} sample rows to {args.out}")
+    try:
+        if args.kind == "haplotypes":
+            counts = datagen.gen_haplotype_counts(
+                args.seed, args.rows, n_total=args.N, target_d=args.D
+            )
+            datagen.write_haplotype_csv(args.out, counts)
+            print(f"wrote {len(counts)} haplotype rows to {args.out}")
+        else:  # lr-samples, the other choice
+            rows = datagen.gen_lr_samples(args.seed, args.rows, args.dims)
+            datagen.write_lr_csv(args.out, rows)
+            print(f"wrote {len(rows)} x {args.dims} sample rows to {args.out}")
+    except ValueError as exc:  # parameters that no fixture satisfies
+        raise ConfigRejected(f"gen-data: {exc}") from None
     return EXIT_OK
 
 
@@ -318,7 +322,7 @@ def cmd_inspect(args) -> int:
     except UnicodeDecodeError as exc:
         raise CircuitError(f"{args.circuit} is not circuit text: {exc}") from None
     circuit = parse_circuit(text)
-    st = gate_stats(circuit)
+    st = circuit.stats
     groups = ", ".join(f"{g.name}[{g.width}]" for g in circuit.input_groups)
     print(f"gates:            {st.total}")
     print(f"non-XOR gates:    {st.non_xor}")

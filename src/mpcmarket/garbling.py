@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -68,17 +68,9 @@ def derive_delta(seed: bytes) -> GlobalDelta:
     return GlobalDelta(int.from_bytes(block, "big") | 1)
 
 
-def derive_input_label(prf_key: bytes, wire_index: int) -> int:
-    """Zero-label for an input wire: PRF(k, wire_index) via AES-128."""
-    if len(prf_key) != 16:
-        raise GarblingError("PRF key must be 16 bytes")
-    enc = Cipher(algorithms.AES(prf_key), modes.ECB()).encryptor()
-    block = enc.update(struct.pack(">QQ", 0, wire_index))
-    return int.from_bytes(block, "big")
-
-
 def derive_input_labels(prf_key: bytes, count: int) -> list[int]:
-    """Bulk zero-labels for input wires 0..count-1 (one cipher pass)."""
+    """Zero-labels PRF(k, i) for input wires i = 0..count-1: AES-128 under
+    k of the 16-byte block (0, i), in one cipher pass."""
     if len(prf_key) != 16:
         raise GarblingError("PRF key must be 16 bytes")
     enc = Cipher(algorithms.AES(prf_key), modes.ECB()).encryptor()
@@ -96,10 +88,6 @@ def seeded_label_source(seed: bytes, domain: int = 1) -> Callable[[int], int]:
         return int.from_bytes(enc.update(struct.pack(">QQ", domain, wire_index)), "big")
 
     return labels
-
-
-def circuit_digest(circuit: Circuit) -> bytes:
-    return circuit.digest
 
 
 @dataclass(frozen=True)
@@ -120,14 +108,6 @@ class GarbledCircuit:
     tables: bytes
     const_zero_active: int
     const_one_active: int
-
-    @property
-    def rows(self) -> tuple[tuple[int, int], ...]:
-        t = self.tables
-        return tuple(
-            (int.from_bytes(t[i : i + 16], "big"), int.from_bytes(t[i + 16 : i + 32], "big"))
-            for i in range(0, len(t), 32)
-        )
 
 
 HEADER_SIZE = 4 + 1 + 32 + 4 + 2 * 16  # magic, version, hash, count, const actives
@@ -253,7 +233,7 @@ def garble(
     _sweep(circuit, labels, d, and_gates)
     cz, co = _ints(labels[[circuit.const_zero, circuit.const_one]])
     gc = GarbledCircuit(
-        circuit_hash=circuit_digest(circuit),
+        circuit_hash=circuit.digest,
         n_and=len(tables),
         tables=tables.astype(">u8").tobytes(),
         const_zero_active=cz,
@@ -277,7 +257,7 @@ def evaluate(
         raise GarblingError(
             f"expected {circuit.n_inputs} input labels, got {len(active_labels)}"
         )
-    if garbled.circuit_hash != circuit_digest(circuit):
+    if garbled.circuit_hash != circuit.digest:
         raise GarblingError("garbled tables do not match this circuit")
     if garbled.n_and != circuit.stats.non_xor or len(garbled.tables) != 32 * garbled.n_and:
         raise GarblingError("AND-gate count mismatch between circuit and tables")
@@ -308,16 +288,10 @@ def decode(info: DecodingInfo, output_labels: Sequence[int]) -> list[int]:
 
 
 def active_input_labels(
-    circuit: Circuit,
-    delta: GlobalDelta,
+    delta: int,
     zero_label: Callable[[int], int],
-    input_bits: Sequence[int],
-) -> list[int]:
-    """Labels a label-holder submits for its plaintext bits: l0 ^ b*delta."""
-    if len(input_bits) != circuit.n_inputs:
-        raise GarblingError("input bit count mismatch")
-    d = delta.bits
-    return [
-        (zero_label(i) & MASK128) ^ (d if bit & 1 else 0)
-        for i, bit in enumerate(input_bits)
-    ]
+    wire_bits: Iterable[tuple[int, int]],
+) -> list[tuple[int, int]]:
+    """(wire, active label) for each (wire, bit) a label-holder submits:
+    the wire's zero-label l0, XORed with delta where the bit is 1."""
+    return [(wire, zero_label(wire) ^ (delta if bit & 1 else 0)) for wire, bit in wire_bits]

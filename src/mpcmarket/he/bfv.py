@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ntt import _LIMB, _LIMB_MASK, NttPlan, _join_limbs, find_ntt_primes, get_plan, is_prime
+from .ntt import _LIMB, _LIMB_MASK, NttPlan, _join_limbs, get_plan, is_prime
 
 VALID_DEGREES = (1024, 2048, 4096, 8192)
 
@@ -70,17 +70,20 @@ class NoiseBudgetExhausted(DecryptionFailure):
     """Raised eagerly when an operation would push estimated budget to <= 0."""
 
 
-def find_plain_primes(n: int, bits: int, count: int = 1) -> list[int]:
-    """Batching-compatible plaintext moduli: primes = 1 (mod 2n)."""
+def find_ntt_primes(bits: int, n: int, count: int = 1, exclude: tuple[int, ...] = ()) -> list[int]:
+    """The largest ``count`` primes of exactly ``bits`` bits with p = 1
+    (mod 2n), skipping ``exclude``: coefficient primes, the multiply basis
+    and batching plaintext moduli. The search has no size cap of its own;
+    :class:`HeParams` and the NTT plans reject primes of 2^30 or more."""
     two_n = 2 * n
     found: list[int] = []
     p = ((1 << bits) - 1) // two_n * two_n + 1
     while p.bit_length() == bits and len(found) < count:
-        if is_prime(p):
+        if p not in exclude and is_prime(p):
             found.append(p)
         p -= two_n
     if len(found) < count:
-        raise HeParamsError(f"not enough {bits}-bit plaintext primes for n={n}")
+        raise HeParamsError(f"not enough {bits}-bit primes p = 1 (mod {two_n})")
     return found
 
 
@@ -126,10 +129,6 @@ class HeParams:
     def log2_q(self) -> float:
         return sum(math.log2(p) for p in self.q_primes)
 
-    @property
-    def supports_batching(self) -> bool:
-        return is_prime(self.t) and (self.t - 1) % (2 * self.n) == 0
-
     def fresh_noise_log2(self) -> float:
         bound = 6 * self.noise_sigma
         return math.log2(2 * self.n * bound + bound)
@@ -151,7 +150,7 @@ class HeParams:
         return hashlib.sha256(self.canonical_repr().encode()).digest()[:8]
 
     @classmethod
-    def default(cls, n: int, t_bits: int = 20, t: int | None = None) -> "HeParams":
+    def default(cls, n: int, t_bits: int = 20) -> "HeParams":
         bits = _DEFAULT_Q_BITS.get(n)
         if bits is None:
             raise HeParamsError(f"no default parameters for n={n}")
@@ -159,9 +158,7 @@ class HeParams:
         for b in sorted(set(bits)):
             want = bits.count(b)
             primes.extend(find_ntt_primes(b, n, want, exclude=tuple(primes)))
-        if t is None:
-            t = find_plain_primes(n, t_bits)[0]
-        return cls(n=n, q_primes=tuple(primes), t=t)
+        return cls(n=n, q_primes=tuple(primes), t=find_ntt_primes(t_bits, n)[0])
 
 
 class _Rns(NamedTuple):
@@ -231,17 +228,6 @@ def _mul_basis(n: int, q_primes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(basis)
 
 
-def _lift_centered(residues: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
-    """Exact CRT reconstruction of (k, n) residues to centered big integers
-    (object dtype); the measurement oracle behind :func:`noise_budget`."""
-    rns = _rns(primes)
-    acc = residues[0].astype(object) * rns.lifts[0]
-    for row, lift in zip(residues[1:], rns.lifts[1:]):
-        acc += row.astype(object) * lift
-    acc %= rns.q
-    return np.where(acc > rns.q // 2, acc - rns.q, acc)
-
-
 # -- exact RNS arithmetic in int64 and float64 ----------------------------------
 #
 # Halevi, Polyakov and Shoup, "An Improved RNS Variant of the BFV Homomorphic
@@ -255,14 +241,12 @@ def _lift_centered(residues: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
 _BOUNDARY = 1e-9
 
 
-def _exact_columns(x: np.ndarray, mask: np.ndarray, primes: tuple[int, ...]) -> list[int]:
-    """The centered integers of the columns of x (..., k, n) selected by mask."""
+def _exact_columns(x: np.ndarray, mask: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
+    """The centered integers (object dtype) of the columns of x (..., k, n)
+    selected by mask, by exact CRT reconstruction in Python integers."""
     rns = _rns(primes)
-    out = []
-    for row in np.swapaxes(x, -1, -2)[mask].tolist():
-        v = sum(r * lift for r, lift in zip(row, rns.lifts)) % rns.q
-        out.append(v - rns.q if v > rns.q // 2 else v)
-    return out
+    v = np.swapaxes(x, -1, -2)[mask].astype(object).dot(rns.lifts) % rns.q
+    return np.where(v > rns.q // 2, v - rns.q, v)
 
 
 def _lift(x: np.ndarray, conv: _Conversion):
@@ -426,12 +410,6 @@ def plain_mul_noise_log2(v: float, pt: HePlaintext) -> float:
 # -- sampling -----------------------------------------------------------------
 
 
-def _rng_from_seed(seed) -> np.random.Generator:
-    if isinstance(seed, (bytes, bytearray)):
-        seed = int.from_bytes(seed, "big")
-    return np.random.default_rng(seed)
-
-
 def _sample_ternary(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(-1, 2, n, dtype=np.int64)
 
@@ -455,7 +433,7 @@ def keygen(
     """Generate (sk, pk, rk); deterministic under a fixed seed. With
     ``relin=False`` no relinearization key is built and rk is None; rk is
     sampled last, so sk and pk are the same either way."""
-    rng = _rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     n, primes = params.n, params.q_primes
     plan = params.ntt
     q = plan.mod
@@ -506,14 +484,14 @@ def batch_encode(values: Sequence[int], params: HeParams, t: int | None = None) 
         raise HeParamsError(f"too many values to batch: {len(values)} > {params.n}")
     slots = np.zeros(params.n, dtype=np.int64)
     slots[: len(values)] = np.mod(np.asarray(values, dtype=object), t).astype(np.int64)
-    plan = get_plan(params.n, t)
-    return HePlaintext(plan.inverse(slots), t, params.n, "batch")
+    poly = get_plan(params.n, (t,)).inverse(slots)[0]
+    return HePlaintext(poly, t, params.n, "batch")
 
 
 def batch_decode(pt: HePlaintext, count: int | None = None) -> list[int]:
     if pt.encoding != "batch":
         raise HeParamsError("plaintext is not batch-encoded")
-    slots = get_plan(pt.n, pt.t).forward(pt.poly)
+    slots = get_plan(pt.n, (pt.t,)).forward(pt.poly)[0]
     return [int(v) for v in slots[: count if count is not None else pt.n]]
 
 
@@ -578,13 +556,10 @@ def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
 
 def noise_budget(sk: SecretKey, ct: HeCiphertext) -> int:
     """Exact remaining budget in bits: floor(log2(q / (2 t |noise|)))."""
-    w = _lift_centered(_dot_secret(ct, sk), ct.params.q_primes)
+    w = _exact_columns(_dot_secret(ct, sk), np.ones(ct.params.n, bool), ct.params.q_primes)
     q, t = ct.params.q, ct.t
-    m = (2 * t * w + q) // (2 * q)
-    v = w - m * (q // t)
-    vmax = int(max(abs(int(x)) for x in v))
-    if vmax == 0:
-        vmax = 1
+    v = w - (2 * t * w + q) // (2 * q) * (q // t)
+    vmax = int(np.abs(v).max()) or 1
     return math.floor(math.log2(q) - math.log2(2 * t) - math.log2(vmax))
 
 

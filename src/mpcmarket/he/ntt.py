@@ -45,22 +45,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def find_ntt_primes(bits: int, n: int, count: int, exclude: tuple[int, ...] = ()) -> list[int]:
-    """Largest ``count`` primes of exactly ``bits`` bits with p = 1 (mod 2n)."""
-    if bits > 30:
-        raise ValueError("NTT primes must stay below 2^30 for exact transforms")
-    two_n = 2 * n
-    found: list[int] = []
-    p = ((1 << bits) - 1) // two_n * two_n + 1
-    while p.bit_length() == bits and len(found) < count:
-        if p not in exclude and is_prime(p):
-            found.append(p)
-        p -= two_n
-    if len(found) < count:
-        raise ValueError(f"not enough {bits}-bit NTT primes for n={n}")
-    return found
-
-
 def _primitive_2n_root(p: int, n: int) -> int:
     for g in range(2, p):
         w = pow(g, (p - 1) // (2 * n), p)
@@ -135,11 +119,10 @@ def _gemm_mod(x: np.ndarray, mat: np.ndarray, p: int, left: bool) -> np.ndarray:
 
 
 class NttPlan:
-    """Precomputed tables for ring degree n and one prime ``p``, or a tuple
-    of primes. A plan for one prime transforms arrays of shape (..., n); a
-    plan for k primes transforms (..., k, n) arrays, one residue row per
-    prime, in one call, and spreads a 1-D polynomial onto every row.
-    ``mod`` is ``p`` or the (k, 1) column of primes, for broadcasting.
+    """Precomputed tables for ring degree n and a tuple of k primes. A plan
+    transforms (..., k, n) arrays, one residue row per prime, in one call,
+    and spreads a 1-D polynomial onto every row. ``mod`` is the (k, 1)
+    column of primes, for broadcasting.
 
     The transform is the four-step method (Bailey, "FFTs in External or
     Hierarchical Memory", 1990) for n = n1 * n2: view a row as an (n2, n1)
@@ -148,23 +131,21 @@ class NttPlan:
     negacyclic twist psi^i is folded into the first matrix and the twiddles,
     and n^-1 into the inverse's first matrix."""
 
-    def __init__(self, n: int, p: int | tuple[int, ...]) -> None:
+    def __init__(self, n: int, primes: tuple[int, ...]) -> None:
         if n & (n - 1) or n < 2:
             raise ValueError(f"ring degree {n} must be a power of two")
         n2 = 1 << (n.bit_length() // 2)
         if n2 > _MAX_N2:
             raise ValueError(f"ring degree {n} needs n2={n2} > {_MAX_N2}; sums would be inexact")
         n1 = n // n2
-        primes = p if isinstance(p, tuple) else (p,)
         for q in primes:
             if q >= 1 << 30:
                 raise ValueError(f"modulus {q} is not below 2^30")
             if (q - 1) % (2 * n) != 0 or not is_prime(q):
                 raise ValueError(f"modulus {q} is not NTT-friendly for n={n}")
         self.n = n
-        self.p = p
         self._n1 = n1
-        self.mod = p if not isinstance(p, tuple) else np.array(primes, dtype=np.int64)[:, None]
+        self.mod = np.array(primes, dtype=np.int64)[:, None]
         self._primes = primes
 
         # Tables as exponents of psi, looked up in each prime's powers; the
@@ -193,10 +174,8 @@ class NttPlan:
         self._scatter = np.argsort(self._gather)
 
     def _rows(self, a: np.ndarray) -> np.ndarray:
-        """``a`` reduced, as (m, k, n) with k = 1 for a one-prime plan."""
+        """``a`` reduced, as (m, k, n)."""
         a = np.mod(a, self.mod).astype(np.int64, copy=False)
-        if not isinstance(self.p, tuple):
-            a = a[..., None, :]
         return a.reshape(-1, *a.shape[-2:])
 
     def forward(self, a: np.ndarray) -> np.ndarray:
@@ -228,19 +207,10 @@ class NttPlan:
             rows[:, i] = y.transpose(1, 0, 2).reshape(m, n)
         return rows.reshape(shape)
 
-    def pointwise(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-        return fa * fb % self.mod
-
 
 @lru_cache(maxsize=128)
-def get_plan(n: int, p: int | tuple[int, ...]) -> NttPlan:
-    return NttPlan(n, p)
-
-
-def negacyclic_mul(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
-    """a * b mod (X^n + 1, p) via NTT."""
-    plan = get_plan(n, p)
-    return plan.inverse(plan.pointwise(plan.forward(a), plan.forward(b)))
+def get_plan(n: int, primes: tuple[int, ...]) -> NttPlan:
+    return NttPlan(n, primes)
 
 
 def schoolbook_negacyclic(a, b, p: int) -> list[int]:

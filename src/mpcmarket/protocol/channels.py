@@ -20,6 +20,7 @@ from typing import Callable, Protocol
 
 from .messages import (
     FRAME_HEADER,
+    MAX_FRAME,
     Ack,
     ErrorReply,
     FramingError,
@@ -58,9 +59,7 @@ class Transcript:
     def received_by(self, receiver: str) -> list[TranscriptEntry]:
         return [e for e in self.entries if e.receiver == receiver]
 
-    def total_bytes(self, *type_names: str) -> int:
-        if type_names:
-            return sum(e.n_bytes for e in self.entries if e.type_name in type_names)
+    def total_bytes(self) -> int:
         return sum(e.n_bytes for e in self.entries)
 
     def to_jsonl(self) -> str:
@@ -160,7 +159,7 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
 def _read_frame_bytes(sock: socket.socket) -> bytes:
     head = _read_exact(sock, 4)
     (length,) = struct.unpack(">I", head)
-    if length < 21 or length > (1 << 31):
+    if length < FRAME_HEADER.size - 4 or length > MAX_FRAME:
         raise FramingError(f"implausible frame length {length}")
     return head + _read_exact(sock, length)
 

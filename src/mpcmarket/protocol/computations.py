@@ -28,6 +28,7 @@ from ..analytics.ld import (
     build_ld_circuit,
     crt_combine,
     ld_decide_plain,
+    ld_group_names,
     ld_value_bounds,
 )
 from ..analytics.lr import (
@@ -44,7 +45,6 @@ from ..he.bfv import HeCiphertext, HeParams, PublicKey, RelinKey, SecretKey
 from .messages import ProtocolError
 
 MakerInput = Mapping[str, int]  # input-group name -> integer value
-_COUNT_NAMES = HaplotypeCounts._fields
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class HePipeline:
         while math.prod(moduli) <= bound:
             if len(moduli) == 8:
                 raise PlanRejected("cannot cover the output range with CRT moduli")
-            moduli = bfv.find_plain_primes(params.n, bits, len(moduli) + 1)
+            moduli = bfv.find_ntt_primes(bits, params.n, len(moduli) + 1)
         inputs = self.he_inputs({})
         start = dict.fromkeys(inputs, params.fresh_noise_log2() + 2)
         for t in moduli:
@@ -265,19 +265,13 @@ class LdComputation(HePipeline):
             self.contributors,
         )
 
-    def _group_names(self, i: int, name: str) -> list[str]:
-        """The input groups whose sum is count ``name`` of instance ``i``."""
-        if self.contributors == 1:
-            return [f"i{i}.{name}"]
-        return [f"i{i}.c{j}.{name}" for j in range(self.contributors)]
-
     @cached_property
     def input_schema(self) -> dict[str, int]:
         return {
             g: self.count_bits
             for i in range(self.m_instances)
-            for name in _COUNT_NAMES
-            for g in self._group_names(i, name)
+            for name in HaplotypeCounts._fields
+            for g in ld_group_names(i, name, self.contributors)
         }
 
     def oracle(self, inputs: Mapping[str, int]) -> dict:
@@ -299,10 +293,10 @@ class LdComputation(HePipeline):
         counts themselves, given every input group)."""
         return {
             name: [
-                sum(maker_input.get(g, 0) for g in self._group_names(i, name))
+                sum(maker_input.get(g, 0) for g in ld_group_names(i, name, self.contributors))
                 for i in range(self.m_instances)
             ]
-            for name in _COUNT_NAMES
+            for name in HaplotypeCounts._fields
         }
 
     def he_circuit(self, ops, x: Mapping) -> dict:

@@ -383,8 +383,8 @@ MESSAGE_TYPES: dict[int, type[Message]] = {
 def pack_frame(msg: Message, session_id: bytes, seq: int) -> bytes:
     """Header and payload parts joined once; the payload is not built first."""
     parts = msg.parts()
-    head = FRAME_HEADER.pack(21 + sum(map(len, parts)), msg.TYPE, session_id, seq)
-    return b"".join([head, *parts])
+    length = FRAME_HEADER.size - 4 + sum(map(len, parts))  # everything after the length field
+    return b"".join([FRAME_HEADER.pack(length, msg.TYPE, session_id, seq), *parts])
 
 
 def parse_frame(data: bytes) -> tuple[Message, bytes, int]:

@@ -203,14 +203,9 @@ class Maker:
             raise ProtocolError("maker has not received delta and k")
         circuit: Circuit = self.computation.circuit
         zero = gb.derive_input_labels(self._prf_key, circuit.n_inputs)
-        labels = []
-        for group_name, value in self.values.items():
-            group = circuit.group(group_name)
-            value &= (1 << group.width) - 1
-            for k in range(group.width):
-                wire = group.start + k
-                bit = (value >> k) & 1
-                labels.append((wire, zero[wire] ^ self._delta if bit else zero[wire]))
+        labels = gb.active_input_labels(
+            self._delta, zero.__getitem__, circuit.input_bits(self.values)
+        )
         return InputLabels(maker=self.index, labels=tuple(labels))
 
 

@@ -31,10 +31,9 @@ from mpcmarket.circuits import (
     build_lookup,
     build_multiplier,
     eval_plain,
-    gate_stats,
 )
 from mpcmarket.he import bfv
-from mpcmarket.he.ntt import find_ntt_primes, negacyclic_mul, schoolbook_negacyclic
+from mpcmarket.he.ntt import get_plan, schoolbook_negacyclic
 from mpcmarket.protocol import LdComputation, LrComputation
 from mpcmarket.protocol.runner import (
     assert_datatrust_hygiene,
@@ -111,8 +110,8 @@ def test_criterion_1_cross_backend_ld_correctness(params8192):
 def test_criterion_2_ld_gate_count_band():
     """LD circuit at M=10 within a factor of 3 of 293550 total / 81690 non-XOR;
     M=100 counts within 2% of 10x the M=10 counts."""
-    s10 = gate_stats(LdComputation(count_bits=11, m_instances=10).circuit)
-    s100 = gate_stats(LdComputation(count_bits=11, m_instances=100).circuit)
+    s10 = LdComputation(count_bits=11, m_instances=10).circuit.stats
+    s100 = LdComputation(count_bits=11, m_instances=100).circuit.stats
     band_total = 293550 / 3 <= s10.total <= 293550 * 3
     band_nonxor = 81690 / 3 <= s10.non_xor <= 81690 * 3
     scale_total = abs(s100.total - 10 * s10.total) <= 0.02 * 10 * s10.total
@@ -131,7 +130,7 @@ def test_criterion_3_lr_lookup_scaling(bundled_model):
     reference = {10: 106016, 11: 193056, 12: 371232}
     counts = {}
     for k, ref in reference.items():
-        st = gate_stats(build_lr_circuit(bundled_model, build_sigmoid_table(range_bits=k)))
+        st = build_lr_circuit(bundled_model, build_sigmoid_table(range_bits=k)).stats
         counts[k] = st.non_xor
         assert ref / 3 <= st.non_xor <= ref * 3, f"range {k}: {st.non_xor} outside band of {ref}"
     r1 = counts[11] / counts[10]
@@ -182,7 +181,7 @@ def test_criterion_4_garbling_structural_invariants(bundled_model):
     for name, circ in [(n, c) for n, c, _ in corpus] + big:
         garbled, _ = gb.garble(circ, delta, source)
         data = gb.serialize_garbled(garbled)
-        expect = gb.HEADER_SIZE + 32 * gate_stats(circ).non_xor
+        expect = gb.HEADER_SIZE + 32 * circ.stats.non_xor
         assert len(data) == expect, f"{name}: serialized {len(data)} != {expect}"
     assert len(gb.serialize_garbled(gb.garble(xor_only, delta, source)[0])) == gb.HEADER_SIZE
 
@@ -192,7 +191,7 @@ def test_criterion_4_garbling_structural_invariants(bundled_model):
         garbled, info = gb.garble(circ, delta, source)
         for _ in range(reps):
             bits = [rng.randrange(2) for _ in range(circ.n_inputs)]
-            active = gb.active_input_labels(circ, delta, source, bits)
+            active = [lab for _, lab in gb.active_input_labels(delta.bits, source, enumerate(bits))]
             got = gb.decode(info, gb.evaluate(garbled, circ, active))
             if got != eval_plain(circ, bits):
                 mismatches += 1
@@ -250,12 +249,14 @@ def test_criterion_5_bfv_property_suite(params4096, keys4096, params8192, keys81
 
     ntt_bad = 0
     for n_small in (64, 128, 256):
-        p = find_ntt_primes(30, n_small, 1)[0]
+        p = bfv.find_ntt_primes(30, n_small)[0]
+        plan = get_plan(n_small, (p,))
         nrng = np.random.default_rng(n_small)
         for _ in (range(34) if n_small < 256 else range(32)):
             a = nrng.integers(0, p, n_small, dtype=np.int64)
             b = nrng.integers(0, p, n_small, dtype=np.int64)
-            if list(map(int, negacyclic_mul(a, b, n_small, p))) != schoolbook_negacyclic(a, b, p):
+            product = plan.inverse(plan.forward(a) * plan.forward(b) % plan.mod)[0]
+            if list(map(int, product)) != schoolbook_negacyclic(a, b, p):
                 ntt_bad += 1
 
     ok = (

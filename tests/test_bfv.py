@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from mpcmarket.he import bfv
-from mpcmarket.he.ntt import (
-    NttPlan,
-    find_ntt_primes,
-    get_plan,
-    is_prime,
-    negacyclic_mul,
-    schoolbook_negacyclic,
-)
+from mpcmarket.he.bfv import find_ntt_primes
+from mpcmarket.he.ntt import NttPlan, get_plan, is_prime, schoolbook_negacyclic
+
+
+def ntt_mul(a, b, n: int, p: int) -> list[int]:
+    """a * b mod (X^n + 1, p) through a one-prime plan."""
+    plan = get_plan(n, (p,))
+    return list(map(int, plan.inverse(plan.forward(a) * plan.forward(b) % plan.mod)[0]))
 
 
 class TestNtt:
@@ -26,18 +26,18 @@ class TestNtt:
         for _ in range(10):
             a = rng.integers(0, p, n, dtype=np.int64)
             b = rng.integers(0, p, n, dtype=np.int64)
-            assert list(map(int, negacyclic_mul(a, b, n, p))) == schoolbook_negacyclic(a, b, p)
+            assert ntt_mul(a, b, n, p) == schoolbook_negacyclic(a, b, p)
 
     def test_forward_inverse_identity(self):
         n, p = 1024, find_ntt_primes(30, 1024, 1)[0]
-        plan = get_plan(n, p)
+        plan = get_plan(n, (p,))
         rng = np.random.default_rng(7)
         a = rng.integers(0, p, n, dtype=np.int64)
-        assert np.array_equal(plan.inverse(plan.forward(a)), a)
+        assert np.array_equal(plan.inverse(plan.forward(a))[0], a)
 
     def test_rejects_non_ntt_modulus(self):
         with pytest.raises(ValueError):
-            get_plan(64, 97)  # 96 not divisible by 128
+            get_plan(64, (97,))  # 96 not divisible by 128
 
     @pytest.mark.parametrize("n", bfv.VALID_DEGREES)
     def test_four_step_matches_schoolbook_at_every_degree(self, n):
@@ -50,15 +50,15 @@ class TestNtt:
         where = [0, 1, n // 2, n - 1, *rng.integers(0, n, 4)]
         a[where] = rng.integers(1, p, len(where))
         b = rng.integers(0, p, n, dtype=np.int64)
-        assert list(map(int, negacyclic_mul(a, b, n, p))) == schoolbook_negacyclic(a, b, p)
+        assert ntt_mul(a, b, n, p) == schoolbook_negacyclic(a, b, p)
 
     def test_rejects_primes_of_31_bits_and_wide_splits(self):
         n = 64
         p31 = next(p for p in range((1 << 30) + 1, 1 << 31, 2 * n) if is_prime(p))
         with pytest.raises(ValueError, match="2\\^30"):
-            NttPlan(n, p31)
+            NttPlan(n, (p31,))
         with pytest.raises(ValueError, match="n2"):
-            NttPlan(1 << 15, 65537)
+            NttPlan(1 << 15, (65537,))
 
 
 def _residues(values, primes) -> np.ndarray:
@@ -127,7 +127,7 @@ class TestExactRounding:
         assert mask[: len(xs)] == [x in boundary for x in xs] and not any(mask[len(xs) :])
 
     def test_wide_plaintext_modulus_takes_the_exact_path(self, params4096, keys4096, fallback):
-        t = bfv.find_plain_primes(4096, 34)[0]  # t y_i may overflow int64
+        t = find_ntt_primes(34, 4096)[0]  # t y_i may overflow int64
         params = bfv.HeParams(n=4096, q_primes=params4096.q_primes, t=t)
         sk, pk, rk = bfv.keygen(params, seed=5)
         rng = np.random.default_rng(6)
@@ -141,7 +141,7 @@ class TestParams:
     def test_defaults_valid(self, params4096, params8192):
         assert params4096.n == 4096 and params8192.n == 8192
         assert params4096.fresh_budget() > 0
-        assert params8192.supports_batching
+        assert bfv.batch_decode(bfv.batch_encode([1, 2], params8192), 2) == [1, 2]
 
     def test_invalid_degree(self):
         with pytest.raises(bfv.HeParamsError):

@@ -13,7 +13,6 @@ from mpcmarket.circuits import (
     build_lookup,
     build_multiplier,
     eval_plain,
-    gate_stats,
     parse_circuit,
     serialize_circuit,
 )
@@ -43,7 +42,7 @@ class TestAdder:
 
     def test_gate_stats_ripple_carry(self):
         # n-1 ANDs: one per full-adder stage, none for the dropped carry-out
-        assert gate_stats(build_adder(8)).non_xor == 7
+        assert build_adder(8).stats.non_xor == 7
 
     def test_width_out_of_range(self):
         with pytest.raises(CircuitError):
@@ -106,7 +105,7 @@ class TestLookup:
         counts = {}
         for k in (10, 11, 12):
             table = [rng.randrange(1 << 16) for _ in range(1 << k)]
-            counts[k] = gate_stats(build_lookup(table, k, 16)).non_xor
+            counts[k] = build_lookup(table, k, 16).stats.non_xor
         assert 1.9 <= counts[11] / counts[10] <= 2.1
         assert 1.9 <= counts[12] / counts[11] <= 2.1
 
@@ -125,7 +124,7 @@ class TestEvalPlain:
         x = b.add_input_group("a", 8)
         y = b.add_input_group("b", 8)
         c = b.build([b.xor(xi, yi) for xi, yi in zip(x, y)])
-        assert gate_stats(c).non_xor == 0
+        assert c.stats.non_xor == 0
         for v in (0, 1, 77, 255):
             assert int_from_bits(run(c, (v, 8), (v, 8))) == 0
 

@@ -258,6 +258,27 @@ MALFORMED = {
     "he-threshold-zero-den": (
         ["run", "--backend", "he", "--threshold", "1/0", "--repeat", "1"], {}
     ),
+    "data-lr-empty-header": (
+        ["run", "--workload", "lr", "--rows", "1", "--repeat", "1", "--data", "{data}"],
+        {"data": "\r\n"},
+    ),
+    "data-lr-infinite-feature": (
+        ["run", "--workload", "lr", "--rows", "1", "--repeat", "1", "--data", "{data}"],
+        {"data": ",".join(f"f{i}" for i in range(30)) + "\n" + ",".join(["inf"] + ["0"] * 29)},
+    ),
+    # These four used to hang, end in IndexError or write a file with no rows.
+    "gen-data-N-one": (
+        ["gen-data", "--kind", "haplotypes", "--out", "h.csv", "--rows", "2", "--N", "1"], {}
+    ),
+    "gen-data-D-above-quarter": (
+        ["gen-data", "--kind", "haplotypes", "--out", "h.csv", "--D", "0.5"], {}
+    ),
+    "gen-data-D-at-prime-N": (
+        ["gen-data", "--kind", "haplotypes", "--out", "h.csv", "--N", "7", "--D", "0"], {}
+    ),
+    "gen-data-no-rows": (
+        ["gen-data", "--kind", "haplotypes", "--out", "h.csv", "--rows", "0"], {}
+    ),
     # Before the LR planner this ended in NoiseBudgetExhausted, a DecryptionFailure.
     "he-lr-small-ring": (
         ["run", "--workload", "lr", "--backend", "he", "--n", "2048", "--rows", "1",

@@ -9,22 +9,31 @@ import pytest
 
 from mpcmarket.analytics.datagen import gen_haplotype_counts
 from mpcmarket.analytics.ld import (
-    GenotypeCounts,
     HaplotypeCounts,
     LdStatisticUndefined,
     PlanRejected,
     build_ld_circuit,
     crt_combine,
-    genotype_to_allele_counts,
     ld_decide_plain,
-    ld_input_bits,
+    ld_group_names,
     ld_value_bounds,
 )
-from mpcmarket.circuits import CircuitError, eval_plain, gate_stats
+from mpcmarket.circuits import CircuitError, eval_plain
 from mpcmarket.he import bfv
 from mpcmarket.protocol.computations import CiphertextOps, LdComputation, NoiseOps
 
 THRESH = (3841, 1000)  # chi-square at 1 dof, p = 0.05
+
+
+def ld_bits(circuit, *counts: HaplotypeCounts) -> list[int]:
+    """The circuit's input bits, in wire order, for one table per instance."""
+    values = {
+        group: v
+        for i, c in enumerate(counts)
+        for name, v in c._asdict().items()
+        for group in ld_group_names(i, name)
+    }
+    return [bit for _, bit in circuit.input_bits(values)]
 
 
 def random_counts(rng, n_max):
@@ -77,32 +86,11 @@ class TestPlainOracle:
                 assert r.chi_square != 0
 
 
-class TestGenotypeCounts:
-    def test_homozygous_population(self):
-        assert genotype_to_allele_counts(GenotypeCounts(5, 0, 0)) == (10, 0, 10)
-
-    def test_symmetric(self):
-        assert genotype_to_allele_counts(GenotypeCounts(1, 2, 1)) == (4, 4, 8)
-
-    def test_counts_partition_total(self):
-        rng = random.Random(0x6E)
-        for _ in range(500):
-            g = GenotypeCounts(rng.randrange(50), rng.randrange(50), rng.randrange(50))
-            if sum(g) == 0:
-                continue
-            n_A, n_a, n = genotype_to_allele_counts(g)
-            assert n_A + n_a == n == 2 * sum(g)
-
-    def test_empty_undefined(self):
-        with pytest.raises(LdStatisticUndefined):
-            genotype_to_allele_counts(GenotypeCounts(0, 0, 0))
-
-
 class TestLdCircuit:
     def test_worked_example_bits(self):
         circ = build_ld_circuit(11, 1, *THRESH)
-        assert eval_plain(circ, ld_input_bits(HaplotypeCounts(30, 20, 20, 30), 11)) == [1]
-        assert eval_plain(circ, ld_input_bits(HaplotypeCounts(25, 25, 25, 25), 11)) == [0]
+        assert eval_plain(circ, ld_bits(circ, HaplotypeCounts(30, 20, 20, 30))) == [1]
+        assert eval_plain(circ, ld_bits(circ, HaplotypeCounts(25, 25, 25, 25))) == [0]
 
     def test_matches_oracle_randomized(self):
         circ = build_ld_circuit(11, 1, *THRESH)
@@ -110,16 +98,13 @@ class TestLdCircuit:
         for _ in range(250):
             c = random_counts(rng, 1600)
             want = ld_decide_plain(c, *THRESH).decision
-            assert eval_plain(circ, ld_input_bits(c, 11)) == [1 if want else 0]
+            assert eval_plain(circ, ld_bits(circ, c)) == [1 if want else 0]
 
     def test_multi_instance_outputs(self):
         circ = build_ld_circuit(8, 3, *THRESH)
         rng = random.Random(0xC2)
         cs = [random_counts(rng, 200) for _ in range(3)]
-        bits = []
-        for c in cs:
-            bits.extend(ld_input_bits(c, 8))
-        got = eval_plain(circ, bits)
+        got = eval_plain(circ, ld_bits(circ, *cs))
         want = [1 if ld_decide_plain(c, *THRESH).decision else 0 for c in cs]
         assert got == want
 
@@ -141,13 +126,13 @@ class TestLdCircuit:
 
     def test_gate_count_reference_band(self):
         # desk-scale comparison row: 293550 gates / 81690 non-XOR at M=10
-        st = gate_stats(build_ld_circuit(11, 10, *THRESH))
+        st = build_ld_circuit(11, 10, *THRESH).stats
         assert 293550 / 3 <= st.total <= 293550 * 3
         assert 81690 / 3 <= st.non_xor <= 81690 * 3
 
     def test_linear_scaling_in_m(self):
-        s1 = gate_stats(build_ld_circuit(11, 1, *THRESH))
-        s5 = gate_stats(build_ld_circuit(11, 5, *THRESH))
+        s1 = build_ld_circuit(11, 1, *THRESH).stats
+        s5 = build_ld_circuit(11, 5, *THRESH).stats
         assert s5.total == 5 * s1.total
         assert s5.non_xor == 5 * s1.non_xor
 
@@ -158,10 +143,6 @@ class TestLdCircuit:
     def test_count_bits_out_of_range(self):
         with pytest.raises(CircuitError):
             build_ld_circuit(2, 1, *THRESH)
-
-    def test_input_bits_validation(self):
-        with pytest.raises(CircuitError):
-            ld_input_bits(HaplotypeCounts(300, 0, 0, 0), 8)
 
 
 class TestCrtCombine:

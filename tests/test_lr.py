@@ -16,13 +16,17 @@ from mpcmarket.analytics.lr import (
     build_lr_circuit,
     build_sigmoid_table,
     load_model,
-    lr_input_bits,
     lr_predict_fixed,
     lr_predict_float,
     save_model,
 )
-from mpcmarket.circuits import CircuitError, FixedPointSpec, eval_plain, gate_stats
+from mpcmarket.circuits import CircuitError, FixedPointSpec, eval_plain
 from mpcmarket.circuits.ir import int_from_bits
+
+
+def lr_bits(circuit, row) -> list[int]:
+    """The circuit's input bits, in wire order, for one feature row."""
+    return [bit for _, bit in circuit.input_bits({f"x{j}": v for j, v in enumerate(row)})]
 
 
 class TestSigmoidTable:
@@ -65,7 +69,7 @@ class TestSigmoidTable:
 
 class TestModelFiles:
     def test_round_trip(self, tmp_path):
-        m = LrModel.from_floats([0.5, -1.25, 0.0], 0.75)
+        m = LrModel(weights=(128, -320, 0), bias=192, spec=FixedPointSpec(16, 8))
         path = tmp_path / "model.txt"
         save_model(m, str(path))
         back = load_model(str(path))
@@ -135,7 +139,7 @@ class TestLrCircuit:
         circ = build_lr_circuit(bundled_model, table)
         for row in rows[:25]:
             want = lr_predict_fixed(bundled_model, row, table)
-            got = int_from_bits(eval_plain(circ, lr_input_bits(bundled_model, row)))
+            got = int_from_bits(eval_plain(circ, lr_bits(circ, row)))
             assert got == want
 
     def test_bit_exact_on_random_inputs(self, bundled_model):
@@ -145,14 +149,14 @@ class TestLrCircuit:
         for _ in range(50):
             row = [rng.randrange(-(1 << 15), 1 << 15) for _ in range(30)]
             want = lr_predict_fixed(bundled_model, row, table)
-            got = int_from_bits(eval_plain(circ, lr_input_bits(bundled_model, row)))
+            got = int_from_bits(eval_plain(circ, lr_bits(circ, row)))
             assert got == want
 
     def test_zero_weight_model_outputs_half(self):
         m = LrModel(weights=(0,) * 3, bias=0, spec=FixedPointSpec(16, 8))
         table = build_sigmoid_table(range_bits=10)
         circ = build_lr_circuit(m, table)
-        bits = lr_input_bits(m, [11, -22, 33])
+        bits = lr_bits(circ, [11, -22, 33])
         assert int_from_bits(eval_plain(circ, bits)) == table.entries[1 << 9]
 
     def test_reference_scaling_band(self, bundled_model):
@@ -160,7 +164,7 @@ class TestLrCircuit:
         reference = {10: 106016, 11: 193056, 12: 371232}
         counts = {}
         for k, ref in reference.items():
-            st = gate_stats(build_lr_circuit(bundled_model, build_sigmoid_table(range_bits=k)))
+            st = build_lr_circuit(bundled_model, build_sigmoid_table(range_bits=k)).stats
             counts[k] = st.non_xor
             assert ref / 3 <= st.non_xor <= ref * 3
         assert 1.7 <= counts[11] / counts[10] <= 2.1
