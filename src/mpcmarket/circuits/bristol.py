@@ -88,7 +88,7 @@ def parse_circuit(text: str) -> Circuit:
     if len(gates) != n_gates:
         raise CircuitError(f"gate count mismatch: header {n_gates}, parsed {len(gates)}")
 
-    circuit = Circuit(
+    return Circuit(
         n_inputs=start,
         input_groups=tuple(groups),
         const_zero=const_zero,
@@ -97,5 +97,3 @@ def parse_circuit(text: str) -> Circuit:
         output_wires=output_wires,
         n_wires=n_wires,
     )
-    circuit.validate()
-    return circuit

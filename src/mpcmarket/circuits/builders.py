@@ -343,7 +343,7 @@ class CircuitBuilder:
 
     def build(self, output_wires: Sequence[int]) -> Circuit:
         self._freeze_inputs()
-        c = Circuit(
+        return Circuit(
             n_inputs=self._n_inputs,
             input_groups=tuple(self._groups),
             const_zero=self._const_zero,
@@ -352,8 +352,6 @@ class CircuitBuilder:
             output_wires=tuple(output_wires),
             n_wires=self._n_wires,
         )
-        c.validate()
-        return c
 
 
 # -- standalone builders -------------------------------------------------------

@@ -98,7 +98,8 @@ class FixedPointSpec:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable topologically-ordered Boolean circuit.
+    """Immutable topologically-ordered Boolean circuit, validated once, when
+    constructed.
 
     ``const_zero``/``const_one`` are distinguished wires pinned to 0 and 1;
     constants embedded by builders (thresholds, weights, lookup tables) are
@@ -113,7 +114,7 @@ class Circuit:
     output_wires: tuple[int, ...]
     n_wires: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         seen = self.n_inputs + 2  # inputs plus the two constant wires
         if self.const_zero != self.n_inputs or self.const_one != self.n_inputs + 1:
             raise CircuitError("constant wires must directly follow the inputs")
@@ -132,12 +133,6 @@ class Circuit:
         for w in self.output_wires:
             if not (0 <= w < self.n_wires):
                 raise CircuitError(f"output wire {w} out of range")
-        self.__dict__["_validated"] = True
-
-    def ensure_valid(self) -> None:
-        """Validate once per object; builders and the parser pre-validate."""
-        if not self.__dict__.get("_validated"):
-            self.validate()
 
     @cached_property
     def stats(self) -> GateStats:
@@ -172,7 +167,6 @@ class Circuit:
     def levels(self) -> tuple[Level, ...]:
         """Level schedule: gates grouped by topological depth (inputs and
         constants have depth 0, a gate one more than its deepest input)."""
-        self.ensure_valid()
         n = len(self.gates)
         # The spare last slot stays 0; INV gates read it through b = -1.
         depth = [0] * (self.n_wires + 1)
@@ -202,9 +196,8 @@ class Circuit:
 
     def input_bits(self, values: Mapping[str, int]) -> Iterator[tuple[int, int]]:
         """(wire, bit) for every bit of each named group's value, group by
-        group in the order given: two's complement, little-endian from the
-        group's first wire. Bits above the group's width are dropped; callers
-        check widths first."""
+        group in the order given, little-endian from the group's first wire.
+        Values are bit patterns of the group's width; callers check that."""
         for name, value in values.items():
             group = self.group(name)
             for k in range(group.width):
@@ -217,7 +210,6 @@ def eval_plain(circuit: Circuit, input_bits: Sequence[int]) -> list[int]:
         raise CircuitError(
             f"expected {circuit.n_inputs} input bits, got {len(input_bits)}"
         )
-    circuit.ensure_valid()
     values = [0] * circuit.n_wires
     for i, b in enumerate(input_bits):
         values[i] = b & 1

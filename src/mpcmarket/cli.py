@@ -55,7 +55,6 @@ class RunConfig:
     rows: int = 10
     makers: int = 1
     n_degree: int | None = None  # None: 8192 for LD, 4096 for LR
-    t_bits: int = 21
     batch: bool = True
     transport: str = "inproc"
     seed: int = 0
@@ -77,8 +76,8 @@ class RunConfig:
             raise ConfigRejected("M must be >= 1")
         if self.repeat < 1:
             raise ConfigRejected("repeat must be >= 1")
-        if not (3 <= self.count_bits <= 12):
-            raise ConfigRejected(f"count-bits {self.count_bits} outside [3, 12]")
+        if self.count_bits < 2:  # the backends check their own upper limits
+            raise ConfigRejected(f"count-bits {self.count_bits} below 2; N >= 2 must fit")
         if self.threshold_num < 0 or self.threshold_den <= 0:
             num, den = self.threshold_num, self.threshold_den
             raise ConfigRejected(f"threshold needs num >= 0 and den > 0, got {num}/{den}")
@@ -106,7 +105,7 @@ def _load_config_file(path: str) -> dict[str, str]:
 _CONFIG_TYPES = {
     "m_instances": int, "count_bits": int, "threshold_num": int,
     "threshold_den": int, "range_bits": int, "rows": int, "makers": int,
-    "n_degree": int, "t_bits": int, "seed": int, "repeat": int,
+    "n_degree": int, "seed": int, "repeat": int,
     "batch": lambda v: v.lower() in ("1", "true", "yes"),
     "verify": lambda v: v.lower() in ("1", "true", "yes"),
 }
@@ -217,7 +216,7 @@ def _drive(cfg: RunConfig) -> dict:
     gc = cfg.backend == "gc"
     if not gc:
         n = cfg.n_degree or (8192 if cfg.workload == "ld" else 4096)
-        params = HeParams.default(n, t_bits=cfg.t_bits)
+        params = HeParams.default(n)
 
     def session(makers: list[dict[str, int]], seed: int):
         opts = dict(transport=cfg.transport, seed=seed, verify=cfg.verify)
@@ -337,7 +336,7 @@ def cmd_bench(args) -> int:
     ld = args.workload == "ld"
     base = RunConfig(
         workload=args.workload, backend=args.backend, count_bits=args.count_bits,
-        rows=1, n_degree=args.n, t_bits=args.t_bits, seed=args.seed, repeat=args.repeat,
+        rows=1, n_degree=args.n, seed=args.seed, repeat=args.repeat,
     )
     records: list[dict] = []
     for value in args.M if ld else args.range_bits:
@@ -365,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rows", type=int)
     run.add_argument("--makers", type=int)
     run.add_argument("--n", type=int, dest="n_degree")
-    run.add_argument("--t-bits", type=int, dest="t_bits")
     run.add_argument("--batch", action=argparse.BooleanOptionalAction, default=None)
     run.add_argument("--transport", choices=("inproc", "tcp"))
     run.add_argument("--seed", type=int)
@@ -402,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--count-bits", type=int, default=8)
     bench.add_argument("--range-bits", type=int, nargs="+", default=[10, 11, 12])
     bench.add_argument("--n", type=int)
-    bench.add_argument("--t-bits", type=int, default=21)
     bench.add_argument("--repeat", type=int, default=10)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--compare-scalar", action="store_true")

@@ -211,7 +211,6 @@ def garble(
     Deterministic: a fixed delta and label source reproduce the garbling
     byte for byte.
     """
-    circuit.ensure_valid()
     n_fixed = circuit.n_inputs + 2  # inputs, then const_zero and const_one
     labels = np.zeros((circuit.n_wires, 2), dtype=np.uint64)
     labels[:n_fixed] = _blocks(zero_label(i) for i in range(n_fixed))
@@ -261,7 +260,6 @@ def evaluate(
         raise GarblingError("garbled tables do not match this circuit")
     if garbled.n_and != circuit.stats.non_xor or len(garbled.tables) != 32 * garbled.n_and:
         raise GarblingError("AND-gate count mismatch between circuit and tables")
-    circuit.ensure_valid()
     labels = np.zeros((circuit.n_wires, 2), dtype=np.uint64)
     labels[: circuit.n_inputs + 2] = _blocks(
         [*active_labels, garbled.const_zero_active, garbled.const_one_active]

@@ -37,7 +37,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -335,13 +334,11 @@ class RelinKey:
 
 @dataclass(frozen=True)
 class HePlaintext:
-    """Polynomial mod t; scalar encoding keeps the value in the constant
-    coefficient, batched encoding holds one value per slot."""
+    """Polynomial mod t: a scalar in the constant coefficient, or one value
+    per slot when batched; the caller knows which."""
 
     poly: np.ndarray
     t: int
-    n: int
-    encoding: str  # "scalar" | "batch"
 
     def centered(self) -> np.ndarray:
         """The coefficients as representatives in (-t/2, t/2]."""
@@ -350,25 +347,19 @@ class HePlaintext:
 
 @dataclass
 class HeCiphertext:
-    """RNS ciphertext: 2 (k, n) polys when fresh/relinearized, 3 after a raw
-    multiply.
+    """RNS ciphertext (c0, c1) of two (k, n) polys; relinearization keeps
+    every product a pair (Fan and Vercauteren, 2012).
 
     ``noise_log2`` is the conservative running noise estimate used for eager
-    budget checks; ``level`` counts consumed multiplicative depth. ``t`` and
-    ``encoding`` travel with the ciphertext: one keypair serves any plaintext
-    modulus over the same ring, which the CRT computation plans rely on.
+    budget checks. ``t`` travels with the ciphertext: one keypair serves any
+    plaintext modulus over the same ring, which the CRT computation plans
+    rely on.
     """
 
     params: HeParams
     t: int
-    polys: tuple[np.ndarray, ...]
+    polys: tuple[np.ndarray, np.ndarray]
     noise_log2: float
-    level: int = 0
-    encoding: str = "scalar"
-
-    def __post_init__(self) -> None:
-        if len(self.polys) not in (2, 3):
-            raise HeParamsError("ciphertext must have 2 or 3 components")
 
     @property
     def budget_estimate(self) -> float:
@@ -468,7 +459,7 @@ def encode_scalar(value: int, params: HeParams, t: int | None = None) -> HePlain
     t = params.t if t is None else t
     poly = np.zeros(params.n, dtype=np.int64)
     poly[0] = value % t
-    return HePlaintext(poly, t, params.n, "scalar")
+    return HePlaintext(poly, t)
 
 
 def decode_scalar(pt: HePlaintext) -> int:
@@ -485,14 +476,13 @@ def batch_encode(values: Sequence[int], params: HeParams, t: int | None = None) 
     slots = np.zeros(params.n, dtype=np.int64)
     slots[: len(values)] = np.mod(np.asarray(values, dtype=object), t).astype(np.int64)
     poly = get_plan(params.n, (t,)).inverse(slots)[0]
-    return HePlaintext(poly, t, params.n, "batch")
+    return HePlaintext(poly, t)
 
 
 def batch_decode(pt: HePlaintext, count: int | None = None) -> list[int]:
-    if pt.encoding != "batch":
-        raise HeParamsError("plaintext is not batch-encoded")
-    slots = get_plan(pt.n, (pt.t,)).forward(pt.poly)[0]
-    return [int(v) for v in slots[: count if count is not None else pt.n]]
+    n = len(pt.poly)
+    slots = get_plan(n, (pt.t,)).forward(pt.poly)[0]
+    return [int(v) for v in slots[: count if count is not None else n]]
 
 
 # -- encryption / decryption ---------------------------------------------------
@@ -501,7 +491,7 @@ def batch_decode(pt: HePlaintext, count: int | None = None) -> list[int]:
 def encrypt(pk: PublicKey, pt: HePlaintext, rng: np.random.Generator | None = None) -> HeCiphertext:
     """Randomized public-key encryption of a plaintext polynomial."""
     params = pk.params
-    if pt.n != params.n:
+    if len(pt.poly) != params.n:
         raise HeParamsError("plaintext/parameter ring mismatch")
     if rng is None:
         rng = np.random.default_rng()
@@ -514,24 +504,15 @@ def encrypt(pk: PublicKey, pt: HePlaintext, rng: np.random.Generator | None = No
     delta = params.residues(params.q // pt.t)
     c0 = (plan.inverse(pk.pk0_ntt * u_ntt % q) + e1 + delta * pt.poly) % q
     c1 = (plan.inverse(pk.pk1_ntt * u_ntt % q) + e2) % q
-    return HeCiphertext(
-        params=params,
-        t=pt.t,
-        polys=(c0, c1),
-        noise_log2=params.fresh_noise_log2(),
-        encoding=pt.encoding,
-    )
+    return HeCiphertext(params, pt.t, (c0, c1), params.fresh_noise_log2())
 
 
 def _dot_secret(ct: HeCiphertext, sk: SecretKey) -> np.ndarray:
-    """Residues of c0 + c1*s (+ c2*s^2) mod q."""
+    """Residues of c0 + c1*s mod q."""
     plan = ct.params.ntt
     q = plan.mod
-    w = (ct.polys[0] + plan.inverse(plan.forward(ct.polys[1]) * sk.s_ntt % q)) % q
-    if len(ct.polys) == 3:
-        s2_ntt = sk.s_ntt * sk.s_ntt % q
-        w = (w + plan.inverse(plan.forward(ct.polys[2]) * s2_ntt % q)) % q
-    return w
+    c0, c1 = ct.polys
+    return (c0 + plan.inverse(plan.forward(c1) * sk.s_ntt % q)) % q
 
 
 def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
@@ -551,7 +532,7 @@ def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
     if near.any():
         exact = _exact_columns(w, near, rns.primes)
         poly[near] = [(2 * t * x + rns.q) // (2 * rns.q) % t for x in exact]
-    return HePlaintext(poly, t, ct.params.n, ct.encoding)
+    return HePlaintext(poly, t)
 
 
 def noise_budget(sk: SecretKey, ct: HeCiphertext) -> int:
@@ -578,24 +559,17 @@ def _within_budget(params: HeParams, t: int, est: float, what: str) -> None:
 def _check_compat(a: HeCiphertext, b: HeCiphertext) -> None:
     if a.params != b.params or a.t != b.t:
         raise HeParamsError("ciphertext parameter/modulus mismatch")
-    if a.encoding != b.encoding:
-        raise HeParamsError(
-            f"ciphertext encoding mismatch: {a.encoding} vs {b.encoding}"
-        )
 
 
 def _add_or_sub(a: HeCiphertext, b: HeCiphertext, op) -> HeCiphertext:
-    """Component-wise ``op`` (a missing third component counts as zero);
-    noise grows by at most one bit."""
+    """Component-wise ``op``; noise grows by at most one bit."""
     _check_compat(a, b)
     q = a.params.ntt.mod
     return HeCiphertext(
         params=a.params,
         t=a.t,
-        polys=tuple(op(x, y) % q for x, y in zip_longest(a.polys, b.polys, fillvalue=0)),
+        polys=tuple(op(x, y) % q for x, y in zip(a.polys, b.polys)),
         noise_log2=add_noise_log2(a.noise_log2, b.noise_log2),
-        level=max(a.level, b.level),
-        encoding=a.encoding,
     )
 
 
@@ -616,10 +590,8 @@ def he_add_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     return HeCiphertext(
         params=params,
         t=ct.t,
-        polys=(c0,) + ct.polys[1:],
+        polys=(c0, ct.polys[1]),
         noise_log2=add_noise_log2(ct.noise_log2, math.log2(ct.t)),
-        level=ct.level,
-        encoding=ct.encoding,
     )
 
 
@@ -638,8 +610,6 @@ def he_mul_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
         t=ct.t,
         polys=tuple(plan.inverse(plan.forward(c) * m_ntt % plan.mod) for c in ct.polys),
         noise_log2=est,
-        level=ct.level,
-        encoding=ct.encoding,
     )
 
 
@@ -649,8 +619,6 @@ def he_mul(a: HeCiphertext, b: HeCiphertext, rk: RelinKey) -> HeCiphertext:
     _check_compat(a, b)
     if rk.params != a.params:
         raise HeParamsError("relinearization key parameter mismatch")
-    if len(a.polys) != 2 or len(b.polys) != 2:
-        raise HeParamsError("he_mul expects relinearized (2-component) inputs")
     params = a.params
     n, t = params.n, a.t
     est = mul_noise_log2(params, t, a.noise_log2, b.noise_log2)
@@ -682,8 +650,6 @@ def he_mul(a: HeCiphertext, b: HeCiphertext, rk: RelinKey) -> HeCiphertext:
         t=t,
         polys=((e0 + plan.inverse(acc0)) % Q, (e1 + plan.inverse(acc1)) % Q),
         noise_log2=est,
-        level=max(a.level, b.level) + 1,
-        encoding=a.encoding,
     )
 
 
@@ -694,7 +660,8 @@ _CT_MAGIC = b"HECT"
 _PK_MAGIC = b"HEPK"
 _SK_MAGIC = b"HESK"
 _RK_MAGIC = b"HERK"
-_CT_HEAD = struct.Struct(">B8sQIBBdBB")
+_CT_VERSION = 2
+_CT_HEAD = struct.Struct(">B8sQIBd")
 _KEY_HEAD = struct.Struct(">B8sIB")
 _SK_HEAD = struct.Struct(">B8sI")
 
@@ -703,13 +670,15 @@ def _pack_rows(polys) -> bytes:
     return np.ascontiguousarray(np.stack(polys), dtype="<i8").tobytes()
 
 
-def _read(data: bytes, magic: bytes, head: struct.Struct, params: HeParams, what: str):
+def _read(
+    data: bytes, magic: bytes, head: struct.Struct, params: HeParams, what: str, version: int = 1
+):
     """Check a blob's magic, version and parameter hash; return the other
     header fields and the body."""
     if len(data) < 4 + head.size or data[:4] != magic:
         raise HeParamsError(f"bad {what} header")
     ver, ph, *fields = head.unpack_from(data, 4)
-    if ver != 1:
+    if ver != version:
         raise HeParamsError(f"unsupported {what} version {ver}")
     if ph != params.param_hash:
         raise HeParamsError(f"{what} was produced under different parameters")
@@ -734,29 +703,21 @@ def _read_rows(
 
 
 def ciphertext_to_bytes(ct: HeCiphertext) -> bytes:
+    params = ct.params
     head = _CT_MAGIC + _CT_HEAD.pack(
-        1,
-        ct.params.param_hash,
-        ct.t,
-        ct.params.n,
-        len(ct.params.q_primes),
-        len(ct.polys),
-        ct.noise_log2,
-        ct.level,
-        1 if ct.encoding == "batch" else 0,
+        _CT_VERSION, params.param_hash, ct.t, params.n, len(params.q_primes), ct.noise_log2
     )
     return head + _pack_rows(ct.polys)
 
 
 def ciphertext_from_bytes(data: bytes, params: HeParams) -> HeCiphertext:
-    fields, body = _read(data, _CT_MAGIC, _CT_HEAD, params, "ciphertext")
-    t, n, k, ncomp, noise, level, enc = fields
-    if ncomp not in (2, 3) or enc not in (0, 1) or not 2 <= t < params.q:
-        raise HeParamsError(f"malformed ciphertext header: t={t}, {ncomp} parts, encoding {enc}")
+    (t, n, k, noise), body = _read(data, _CT_MAGIC, _CT_HEAD, params, "ciphertext", _CT_VERSION)
+    if not 2 <= t < params.q:
+        raise HeParamsError(f"malformed ciphertext header: t={t}")
     if not math.isfinite(noise):
         raise HeParamsError(f"malformed ciphertext header: noise estimate {noise}")
-    polys = tuple(_read_rows(body, ncomp, n, k, params, "ciphertext"))
-    return HeCiphertext(params, t, polys, noise, level, "batch" if enc else "scalar")
+    c0, c1 = _read_rows(body, 2, n, k, params, "ciphertext")
+    return HeCiphertext(params, t, (c0, c1), noise)
 
 
 def public_key_to_bytes(pk: PublicKey) -> bytes:

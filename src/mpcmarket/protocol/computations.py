@@ -351,14 +351,11 @@ class LrComputation(HePipeline):
         return {f"x{j}": self.model.spec.total_bits for j in range(self.model.dim)}
 
     def _row(self, inputs: Mapping[str, int]) -> list[int]:
-        """The features as signed integers; a feature not in ``inputs`` is 0."""
+        """The features (w-bit two's-complement patterns) as signed integers;
+        a feature not in ``inputs`` is 0."""
         w = self.model.spec.total_bits
-        sign = 1 << (w - 1)
-        row = []
-        for j in range(self.model.dim):
-            v = inputs.get(f"x{j}", 0) & ((1 << w) - 1)
-            row.append(v - (1 << w) if v & sign else v)
-        return row
+        row = [inputs.get(f"x{j}", 0) for j in range(self.model.dim)]
+        return [v - (1 << w) if v >> (w - 1) else v for v in row]
 
     def _probability(self, p: int) -> dict:
         return {"probability_fixed": p, "probability": self.table.out_spec.to_float(p)}

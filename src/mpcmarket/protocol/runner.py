@@ -45,7 +45,8 @@ def _merge_inputs(
     computation: Computation, maker_inputs: Sequence[Mapping[str, int]]
 ) -> dict[str, int]:
     """Check that the makers' groups tile the computation's input schema and
-    that every value fits its width (negative values in two's complement)."""
+    that every value is a bit pattern of its group's width: an integer in
+    [0, 2^width), a signed value given in two's complement."""
     merged: dict[str, int] = {}
     for values in maker_inputs:
         for name, value in values.items():
@@ -61,7 +62,7 @@ def _merge_inputs(
             f"extra={sorted(extra)[:4]}"
         )
     for name, value in merged.items():
-        if value >= 0 and value >> schema[name]:
+        if not 0 <= value < 1 << schema[name]:
             raise ProtocolError(f"value for {name} does not fit {schema[name]} bits")
     return merged
 

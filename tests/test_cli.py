@@ -37,9 +37,19 @@ class TestRun:
         assert "verified against plaintext oracle: True" in capsys.readouterr().out
 
     def test_config_rejection_exit_code(self, capsys):
-        rc = main(["run", "--workload", "ld", "--count-bits", "20"])
-        assert rc == EXIT_CONFIG
-        assert "configuration rejected" in capsys.readouterr().err
+        # 20 bits exceeds the garbled circuit's window; below 2 bits no backend runs.
+        for argv in (["--count-bits", "20"], ["--count-bits", "1"],
+                     ["--backend", "he", "--count-bits", "1"]):
+            rc = main(["run", "--workload", "ld", *argv])
+            assert rc == EXIT_CONFIG
+            assert "configuration rejected" in capsys.readouterr().err
+
+    def test_he_count_bits_beyond_the_circuit_window(self, capsys):
+        # 13 bits exceeds the garbled circuit's window [3, 12], not the HE plan.
+        rc = main(["run", "--backend", "he", "--M", "2", "--count-bits", "13",
+                   "--repeat", "1", "--seed", "4"])
+        assert rc == EXIT_OK
+        assert "verified against plaintext oracle: True" in capsys.readouterr().out
 
     def test_he_depth_rejection_exit_code(self, capsys):
         # LD needs depth 3; n=4096 cannot host it, rejected before any work
@@ -119,7 +129,7 @@ class TestRecords:
         mask = (1 << bundled_model.spec.total_bits) - 1
         row = {f"x{j}": v & mask for j, v in enumerate(rows[0])}
         out = run_protocol1(LrComputation(model=bundled_model, range_bits=10), [row],
-                            HeParams.default(4096, t_bits=21), verify=False)
+                            HeParams.default(4096), verify=False)
         assert lr_he_unverified[0]["comm_bytes"] == out.transcript.total_bytes()
 
     def test_he_record_has_no_garbling_fields(self, lr_he_unverified):

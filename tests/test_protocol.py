@@ -210,12 +210,18 @@ class TestBackendIndependence:
     def test_lr_schema_matches_circuit(self, lr_comp):
         assert lr_comp.input_schema == {g.name: g.width for g in lr_comp.circuit.input_groups}
 
-    def test_value_wider_than_schema_rejected(self, ld_comp, params8192):
-        bad = [{"i0.n_AB": 1 << 11, "i0.n_Ab": 20, "i0.n_aB": 20, "i0.n_ab": 30}]
-        with pytest.raises(ProtocolError, match="does not fit 11 bits"):
-            run_protocol1(ld_comp, bad, params8192, seed=21)
-        with pytest.raises(ProtocolError, match="does not fit 11 bits"):
-            run_protocol2(ld_comp, bad, seed=21)
+    def test_value_wider_than_schema_rejected(self, ld_comp, lr_comp, lr_row_input, params8192):
+        # Values are bit patterns of their group's width: a negative value
+        # is rejected too, not wrapped or handed to HE as a negative count.
+        cases = [
+            (ld_comp, [{"i0.n_AB": v, "i0.n_Ab": 20, "i0.n_aB": 20, "i0.n_ab": 30}], 11)
+            for v in (1 << 11, -1, -(1 << 20))
+        ] + [(lr_comp, [{**lr_row_input, "x0": v}], 16) for v in (1 << 16, -1, -(1 << 20))]
+        for comp, bad, width in cases:
+            with pytest.raises(ProtocolError, match=f"does not fit {width} bits"):
+                run_protocol1(comp, bad, params8192, seed=21)
+            with pytest.raises(ProtocolError, match=f"does not fit {width} bits"):
+                run_protocol2(comp, bad, seed=21)
 
     def test_relin_key_shipped_only_when_plan_multiplies(
         self, ld_comp, lr_comp, params4096, params8192

@@ -1,0 +1,138 @@
+"""Fixed-seed sessions keep their bytes.
+
+Each session below runs under a fixed seed and pins its result, its message
+type sequence and the SHA-256 of every frame its channel logs: the frame
+``pack_frame(msg, session_id, seq)`` that carries the message over TCP (the
+in-process channel builds none, so the test packs it). A change that moves
+any byte of a protocol message, a key or a ciphertext fails here; a change
+that should move bytes re-records the digests of the sessions it touches.
+"""
+
+import hashlib
+
+import pytest
+
+from mpcmarket.he.bfv import HeParams
+from mpcmarket.protocol import (
+    LdComputation,
+    LrComputation,
+    channels,
+    run_protocol1,
+    run_protocol2,
+)
+from mpcmarket.protocol.messages import pack_frame
+
+# Two LD instances, one deciding True and one at equilibrium; each of four
+# makers holds one count of both.
+LD_COUNTS = [(30, 20, 20, 30), (25, 25, 25, 25)]
+LD_MAKERS = [
+    {f"i{i}.{name}": counts[j] for i, counts in enumerate(LD_COUNTS)}
+    for j, name in enumerate(("n_AB", "n_Ab", "n_aB", "n_ab"))
+]
+LD_RESULT = {"decisions": [True, False]}
+LR_RESULT = {"probability_fixed": 720159, "probability": 0.0003353501670062542}
+
+P1_LD_TYPES = (
+    ["PublicKeyDist"] + ["EncryptedListing"] * 4
+    + ["Query", "ListingBundle", "DecryptRequest", "Result"]
+)
+P1_LR_TYPES = [
+    "PublicKeyDist", "EncryptedListing", "Query", "ListingBundle", "DecryptRequest", "Result"
+]
+P2_LD_TYPES = (
+    ["DeltaKeyDist"] * 4 + ["InputLabels"] * 4
+    + ["Query", "ListingBundle", "GarbledCircuitMsg", "OutputLabels", "OutputDecoding"]
+)
+P2_LR_TYPES = [
+    "DeltaKeyDist", "InputLabels", "Query", "ListingBundle", "GarbledCircuitMsg",
+    "OutputLabels", "OutputDecoding",
+]
+
+FRAMES = {
+    "p1-ld": [
+        "082f0d2372d4f079ae42ba233864f07a65517df64c15e48a6308f94755b73bb8",
+        "9432cbab2d6c6d46e8fba297127c71843aca4e626c0f405c056ae2a1314fe566",
+        "7e2db823a1f60721181b301615e24510b3064f16be877271b7c19ac9212fcdb0",
+        "b20e63cfcfa2f86ec49f2689237227510470570422a25c71569dceef3491ed1c",
+        "34d54ec588a6dfbe18801b846c52644babceac155c30e3c2d303dc8ea622aa1a",
+        "75feca5ec0cf925eac9dcc7e8d687cb47083d678e51cb566c670648eca86f1ab",
+        "36a596878e49bd395827479335a58b4db332e926958dee2c2af39b8afa273ed7",
+        "c977f041eadce051de015b98d76b2b7d87a624e09e5a6ca399be9418f9f49954",
+        "d82c07798b87d00629b069a01e6dcfd3ecc22cda4d974cc62d4f40ed3a3337d9",
+    ],
+    "p1-lr": [
+        "443fd98511c59a60b6b17848bfdedb580f9e677601b0eaf1ea24951d4a28438e",
+        "be5db8326c14264e1e2ce12caaaddf6046a6bf36873f11a8396067fa684587ea",
+        "518b5d7a921b18188761da26ddd4172a236bf7bb04bb8f9d2c7f396e76743007",
+        "cfead7888156f5b117aa241c18d48188d54ca92806d78621459a54c443677fb7",
+        "fa977a7671f1922d81b64e54c9e8f72b34c65041687ed9e7524a71620f1c5ef3",
+        "065a7fc87398666be98326193c89e12dee1aba1f1d0c83808ab9db03e633ebfb",
+    ],
+    "p2-ld": [
+        "a192d4bf5428594e46633677a80d8d11264787d5cb53dd514c280062ed8ab734",
+        "36e5caf6231a8d4d930d8f47615e150c51eb5975790ce934ce84dcd2d8e3dc08",
+        "8554d9be11db2d3036b73e231a101acfa2407082a56787390fed88dd15e89e3d",
+        "6dfe6972e794455c0156b1c780ba7c446cff3be5ead844fc6c731d0e500c49f7",
+        "c9f41d20d95bfb0c34d6270efdeb99106ed5aa2419d089bac49a61f48378b4e8",
+        "beff3591915621f8e3953046a9f99a73b49104eac6b6e5ac366004a6f51fc0ad",
+        "b92c6ec47ed926b5e084c9c2b9f92e4d2be9e1201e8af7b68e1bad1b9b3ffd16",
+        "237e978da6c22ca70afba4df25a170c0b4c63c9dc3115cf59cae0e4a7945e14e",
+        "b47b2b24fdd1fd3845608aaba12ecdc7faa1040d7c6f59710ecdb4216170bcc5",
+        "18b470913434db7b2bb3b6cf7cd38547f43ff92f686fcf08196bc469eb054125",
+        "0395e486b4eef40317d6b8754db3f44bb2bd99837acf3b944e52d439045ed813",
+        "349a6a22b602a6c127bd48aefa0f42439ff9379f3efdaca43640d55bd15c469d",
+        "dd580c87cd80317ece5b69b05f4bb3a096f675879c9c961534c4bf1ad8b0b099",
+    ],
+    "p2-lr-tcp": [
+        "f3c2221f314fb2e1631a19fd237cd5df89bb13c1892de2f0957844e9d2e5087b",
+        "115b2d0840937ba8e40b711b2ca0e3fd9bc4c57a2a58c61471bdb7998181ae89",
+        "d18b37a2ee75bdb302c1a544c4b527f6442862bb734950a0e22b116d0b68dd35",
+        "7b4c2cd404ccbbabec360cdbd001339b31f870a64d1d0b45663bd934080924f3",
+        "151fc3f29698b5e511c9add4e51c40c6846705201188f5538e09e13db1a51f4d",
+        "4615900fe72204ea61fd5d4bd45827077ca6b6bc5824b39b8dde6db08eb90bbc",
+        "1605e475e9f37780e119aa1e92d197e88baa2cecb2d5aa07adb1145858d15d7c",
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def lr_row(bundled_model, bundled_dataset):
+    rows, _ = bundled_dataset
+    mask = (1 << bundled_model.spec.total_bits) - 1
+    return {f"x{j}": v & mask for j, v in enumerate(rows[0])}
+
+
+def _sessions(bundled_model, lr_row):
+    ld = LdComputation(count_bits=11, m_instances=2)
+    lr = LrComputation(model=bundled_model, range_bits=10)
+    return {
+        "p1-ld": (lambda: run_protocol1(ld, LD_MAKERS, HeParams.default(8192, 21), seed=91),
+                  LD_RESULT, P1_LD_TYPES),
+        "p1-lr": (lambda: run_protocol1(lr, [lr_row], HeParams.default(4096), seed=92),
+                  LR_RESULT, P1_LR_TYPES),
+        "p2-ld": (lambda: run_protocol2(ld, LD_MAKERS, seed=93), LD_RESULT, P2_LD_TYPES),
+        "p2-lr-tcp": (lambda: run_protocol2(lr, [lr_row], transport="tcp", seed=94),
+                      LR_RESULT, P2_LR_TYPES),
+    }
+
+
+def frame_digests(run, monkeypatch) -> tuple[object, list[str]]:
+    """Run one session; return its outcome and the SHA-256 of each logged frame."""
+    digests = []
+    log = channels.BaseChannel._log
+
+    def spy(self, seq, sender, receiver, msg, n_bytes):
+        digests.append(hashlib.sha256(pack_frame(msg, self.session_id, seq)).hexdigest())
+        log(self, seq, sender, receiver, msg, n_bytes)
+
+    monkeypatch.setattr(channels.BaseChannel, "_log", spy)
+    return run(), digests
+
+
+@pytest.mark.parametrize("name", list(FRAMES))
+def test_fixed_seed_session_bytes(name, monkeypatch, bundled_model, lr_row):
+    run, result, types = _sessions(bundled_model, lr_row)[name]
+    outcome, digests = frame_digests(run, monkeypatch)
+    assert outcome.result == result
+    assert outcome.transcript.type_sequence() == types
+    assert digests == FRAMES[name]
