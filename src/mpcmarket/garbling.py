@@ -110,38 +110,29 @@ class GarbledCircuit:
     const_one_active: int
 
 
-HEADER_SIZE = 4 + 1 + 32 + 4 + 2 * 16  # magic, version, hash, count, const actives
+# magic, version, circuit hash, AND count, the two constant wires' active labels
+_HEADER = struct.Struct(">4sB32sI16s16s")
+HEADER_SIZE = _HEADER.size
 
 
 def serialize_garbled(gc: GarbledCircuit) -> bytes:
-    return b"".join(
-        (
-            _MAGIC,
-            bytes([_VERSION]),
-            gc.circuit_hash,
-            struct.pack(">I", gc.n_and),
-            gc.const_zero_active.to_bytes(16, "big"),
-            gc.const_one_active.to_bytes(16, "big"),
-            gc.tables,
-        )
-    )
+    consts = (label.to_bytes(16, "big") for label in (gc.const_zero_active, gc.const_one_active))
+    return _HEADER.pack(_MAGIC, _VERSION, gc.circuit_hash, gc.n_and, *consts) + gc.tables
 
 
 def parse_garbled(data: bytes) -> GarbledCircuit:
-    if len(data) < HEADER_SIZE or data[:4] != _MAGIC:
-        raise GarblingError("bad garbled-circuit header")
-    if data[4] != _VERSION:
-        raise GarblingError(f"unsupported garbled-circuit version {data[4]}")
-    digest = data[5:37]
-    (n_and,) = struct.unpack(">I", data[37:41])
-    cz = int.from_bytes(data[41:57], "big")
-    co = int.from_bytes(data[57:73], "big")
+    if len(data) < HEADER_SIZE:
+        raise GarblingError("garbled circuit shorter than its header")
+    magic, version, digest, n_and, cz, co = _HEADER.unpack_from(data)
+    if magic != _MAGIC or version != _VERSION:
+        raise GarblingError(f"bad garbled-circuit header: magic {magic!r}, version {version}")
     body = data[HEADER_SIZE:]
     if len(body) != 32 * n_and:
         raise GarblingError(
             f"garbled table truncated: expected {32 * n_and} bytes, got {len(body)}"
         )
-    return GarbledCircuit(bytes(digest), n_and, bytes(body), cz, co)
+    cz, co = (int.from_bytes(label, "big") for label in (cz, co))
+    return GarbledCircuit(digest, n_and, bytes(body), cz, co)
 
 
 # -- level-batched engine -------------------------------------------------------

@@ -398,6 +398,12 @@ def plain_mul_noise_log2(v: float, pt: HePlaintext) -> float:
     return math.log2(max(l1, 1)) + add_noise_log2(v, math.log2(pt.t))
 
 
+def plain_add_noise_log2(v: float, t: int) -> float:
+    """Noise estimate (log2) after adding a plaintext under modulus ``t`` to
+    noise ``v``: Delta * m differs from m * q / t by less than t."""
+    return add_noise_log2(v, math.log2(t))
+
+
 # -- sampling -----------------------------------------------------------------
 
 
@@ -591,7 +597,7 @@ def he_add_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
         params=params,
         t=ct.t,
         polys=(c0, ct.polys[1]),
-        noise_log2=add_noise_log2(ct.noise_log2, math.log2(ct.t)),
+        noise_log2=plain_add_noise_log2(ct.noise_log2, ct.t),
     )
 
 

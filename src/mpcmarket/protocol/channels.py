@@ -16,7 +16,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .messages import (
     FRAME_HEADER,
@@ -26,6 +26,7 @@ from .messages import (
     FramingError,
     Message,
     ProtocolError,
+    frame_size,
     pack_frame,
     parse_frame,
 )
@@ -121,11 +122,6 @@ class BaseChannel:
         self.close()
 
 
-def _frame_size(msg: Message) -> int:
-    """Length of the frame that would carry ``msg``, without building it."""
-    return FRAME_HEADER.size + sum(map(len, msg.parts()))
-
-
 class InprocChannel(BaseChannel):
     """Direct dispatch between role objects in one process. Transcript sizes
     are the frame lengths TCP would send; no frame is built."""
@@ -139,10 +135,10 @@ class InprocChannel(BaseChannel):
         if role is None:
             raise TransportError(f"no such role {receiver!r}")
         seq = self._next_seq()
-        self._log(seq, sender, receiver, msg, _frame_size(msg))
+        self._log(seq, sender, receiver, msg, frame_size(msg.parts()))
         reply = role.receive(msg)
         if reply is not None:
-            self._log(self._next_seq(), receiver, sender, reply, _frame_size(reply))
+            self._log(self._next_seq(), receiver, sender, reply, frame_size(reply.parts()))
         return reply
 
 

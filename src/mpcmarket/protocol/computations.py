@@ -1,15 +1,18 @@
 """Registered computations: what a buyer may query and how each backend
-realizes it. Buyers name a computation id plus public parameters; the CSP
-builds the circuit or validates the HE plan. Ad-hoc circuit upload is
-deliberately unsupported.
+realizes it. The runner hands every role the same computation object; the
+id and public parameters a buyer's query names are carried on the wire but
+read by no role. Ad-hoc circuit upload is deliberately unsupported.
 
 Both computations offer the same interface: ``input_schema`` (input-group
-name -> bit width, the same for both backends), ``oracle``, the GC side
+name -> bit width, the same for both backends), ``check_promise`` (what the
+inputs must satisfy beyond their widths), ``oracle``, the GC side
 (``circuit``, ``decode_output``) and the HE side, one :class:`HePipeline`
-(``he_plan(params)``, ``he_encrypt_inputs``, ``he_evaluate``, ``he_finish``)
+(``he_plan(params, makers)``, ``he_encrypt_inputs``, ``he_evaluate``, ``he_finish``)
 over what each computation states: its HE inputs, its integer circuit, its
 output range and its result. The HE plan follows from the public
-(computation, params) pair, so every role derives it on its own.
+(computation, params) pair, so every role derives it on its own; the CSP
+also checks it for the session's number of makers, which changes no field
+of the plan.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -112,7 +115,7 @@ class NoiseOps:
         return self._fit(bfv.plain_mul_noise_log2(a, bfv.encode_scalar(c, self.params, self.t)))
 
     def add_const(self, a: float, c: int) -> float:
-        return self._fit(bfv.add_noise_log2(a, math.log2(self.t)))
+        return self._fit(bfv.plain_add_noise_log2(a, self.t))
 
 
 class HePipeline:
@@ -133,9 +136,11 @@ class HePipeline:
     the same noise rules.
     """
 
-    def he_plan(self, params: HeParams) -> HePlan:
+    def he_plan(self, params: HeParams, makers: int = 1) -> HePlan:
         """Moduli covering the output range, each checked by replaying the
-        circuit on noise estimates at four fresh maker shares per input."""
+        circuit on noise estimates, every input starting as the buyer's sum
+        of ``makers`` fresh shares. Only that check depends on ``makers``;
+        the plan itself does not."""
         bits, bound = self.he_output_range()
         moduli: list[int] = []
         while math.prod(moduli) <= bound:
@@ -143,7 +148,8 @@ class HePipeline:
                 raise PlanRejected("cannot cover the output range with CRT moduli")
             moduli = bfv.find_ntt_primes(bits, params.n, len(moduli) + 1)
         inputs = self.he_inputs({})
-        start = dict.fromkeys(inputs, params.fresh_noise_log2() + 2)
+        share_sum = reduce(bfv.add_noise_log2, [params.fresh_noise_log2()] * makers)
+        start = dict.fromkeys(inputs, share_sum)
         for t in moduli:
             ops = NoiseOps(params, t)
             outputs = self.he_circuit(ops, start)
@@ -274,6 +280,15 @@ class LdComputation(HePipeline):
             for g in ld_group_names(i, name, self.contributors)
         }
 
+    def check_promise(self, inputs: Mapping[str, int]) -> None:
+        """Each instance's total N over all contributors is below
+        2^count_bits, as the circuit and ``ld_value_bounds`` assume."""
+        for i, counts in enumerate(zip(*self.he_inputs(inputs).values())):
+            if sum(counts) >> self.count_bits:
+                raise ProtocolError(
+                    f"instance {i} total N = {sum(counts)} does not fit {self.count_bits} bits"
+                )
+
     def oracle(self, inputs: Mapping[str, int]) -> dict:
         decisions = [
             ld_decide_plain(HaplotypeCounts(*c), self.threshold_num, self.threshold_den).decision
@@ -349,6 +364,9 @@ class LrComputation(HePipeline):
     @cached_property
     def input_schema(self) -> dict[str, int]:
         return {f"x{j}": self.model.spec.total_bits for j in range(self.model.dim)}
+
+    def check_promise(self, inputs: Mapping[str, int]) -> None:
+        """The group widths are the whole promise."""
 
     def _row(self, inputs: Mapping[str, int]) -> list[int]:
         """The features (w-bit two's-complement patterns) as signed integers;

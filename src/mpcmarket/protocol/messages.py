@@ -6,7 +6,7 @@ Frame layout (fixed endianness, big-endian):
     u8   message type
     16B  session id
     u32  sequence number
-    ...  payload (message-specific binary codec)
+    ...  payload: the message's fields in order, each by its codec in LAYOUT
 
 Every message type maps to exactly one protocol step. The datatrust's
 accepted subset contains no variant capable of carrying plaintext
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 FRAME_HEADER = struct.Struct(">IB16sI")
@@ -36,24 +36,8 @@ class FramingError(ValueError):
     """Malformed or truncated frame."""
 
 
-def _pack_blob(b: bytes) -> list[bytes]:
-    """A length-prefixed blob as two parts; the blob itself is not copied."""
-    return [struct.pack(">I", len(b)), b]
-
-
-def _pack_str(s: str) -> list[bytes]:
-    return _pack_blob(s.encode("utf-8"))
-
-
-def _pack_labels(labels) -> list[bytes]:
-    parts = []
-    for wire, label in labels:
-        parts += (struct.pack(">I", wire), label.to_bytes(16, "big"))
-    return parts
-
-
 class _Reader:
-    """Bounded cursor over one payload. Every read checks the bytes left and
+    """Bounded cursor over one payload: every read checks the bytes left and
     every failure is a :class:`FramingError`."""
 
     def __init__(self, data: bytes) -> None:
@@ -68,35 +52,129 @@ class _Reader:
         self.off += n
         return self.data[self.off - n : self.off]
 
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def blob(self) -> bytes:
-        (n,) = self.unpack(">I")
-        return self.take(n)
+# -- field codecs: ``pack(value)`` gives the field's parts, ``read(r)`` reads it
 
-    def text(self) -> str:
+
+class _Struct:
+    """One struct-packed value: an integer, or bytes of a fixed length."""
+
+    def __init__(self, fmt: str) -> None:
+        self.s = struct.Struct(fmt)
+
+    def pack(self, value) -> list[bytes]:
+        return [self.s.pack(value)]
+
+    def read(self, r: _Reader):
+        return self.s.unpack(r.take(self.s.size))[0]
+
+
+class _Blob:
+    """u32 length, then the bytes; the blob is a part of its own, not a copy."""
+
+    def pack(self, value: bytes) -> list[bytes]:
+        return [*U32.pack(len(value)), value]
+
+    def read(self, r: _Reader) -> bytes:
+        return r.take(U32.read(r))
+
+
+class _Text(_Blob):
+    """A blob holding UTF-8 text."""
+
+    def pack(self, value: str) -> list[bytes]:
+        return super().pack(value.encode("utf-8"))
+
+    def read(self, r: _Reader) -> str:
         try:
-            return self.blob().decode("utf-8")
+            return super().read(r).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FramingError(f"text is not UTF-8: {exc}") from exc
 
-    def labels(self, count: int) -> tuple[tuple[int, int], ...]:
-        """``count`` (u32 wire, 128-bit label) entries."""
-        return tuple(
-            (wire, int.from_bytes(label, "big"))
-            for wire, label in struct.iter_unpack(">I16s", self.take(20 * count))
-        )
+
+class _Counted:
+    """u32 item count, then the items; ``items`` and ``read_items`` are the
+    body alone, for a layout that writes its counts first."""
+
+    def pack(self, value) -> list[bytes]:
+        return [*U32.pack(len(value)), *self.items(value)]
+
+    def read(self, r: _Reader) -> tuple:
+        return self.read_items(r, U32.read(r))
+
+
+class Seq(_Counted):
+    """Tuples, each written field by field with ``codecs``."""
+
+    def __init__(self, *codecs) -> None:
+        self.codecs = codecs
+
+    def items(self, value) -> list[bytes]:
+        return [
+            p for item in value for c, v in zip(self.codecs, item, strict=True) for p in c.pack(v)
+        ]
+
+    def read_items(self, r: _Reader, count: int) -> tuple:
+        return tuple(tuple(c.read(r) for c in self.codecs) for _ in range(count))
+
+
+class _Labels(_Counted):
+    """128-bit labels as two u64 halves each, one struct pass per sequence;
+    with ``wires``, (u32 wire, label) pairs."""
+
+    def __init__(self, wires: bool) -> None:
+        self.wires = wires
+        self.s = struct.Struct(">IQQ" if wires else ">QQ")
+
+    def items(self, value) -> list[bytes]:
+        pack, m = self.s.pack, (1 << 64) - 1
+        if self.wires:
+            return [b"".join([pack(w, label >> 64, label & m) for w, label in value])]
+        return [b"".join([pack(label >> 64, label & m) for label in value])]
+
+    def read_items(self, r: _Reader, count: int) -> tuple:
+        records = self.s.iter_unpack(r.take(self.s.size * count))
+        if self.wires:
+            return tuple((w, hi << 64 | lo) for w, hi, lo in records)
+        return tuple(hi << 64 | lo for hi, lo in records)
+
+
+class _Bits(_Counted):
+    """Bits packed eight to a byte, least significant first; the padding
+    bits after the last one must be zero."""
+
+    def items(self, value) -> list[bytes]:
+        packed = bytearray((len(value) + 7) // 8)
+        for i, b in enumerate(value):
+            if b & 1:
+                packed[i // 8] |= 1 << (i % 8)
+        return [bytes(packed)]
+
+    def read_items(self, r: _Reader, count: int) -> tuple:
+        body = r.take((count + 7) // 8)
+        if count % 8 and body[-1] >> (count % 8):
+            raise FramingError("nonzero padding bits after the last output bit")
+        return tuple((body[i // 8] >> (i % 8)) & 1 for i in range(count))
+
+
+U16, U32, RAW16 = _Struct(">H"), _Struct(">I"), _Struct(">16s")
+BLOB, TEXT = _Blob(), _Text()
+WIRE_LABELS, LABELS, BITS = _Labels(wires=True), _Labels(wires=False), _Bits()
 
 
 @dataclass(frozen=True)
 class Message:
+    """A protocol message: its payload is its fields in declaration order,
+    each written and read by the codec at the same place in ``LAYOUT``."""
+
     TYPE: ClassVar[int] = 0
+    LAYOUT: ClassVar[tuple] = ()
 
     def parts(self) -> list[bytes]:
         """The payload as a list of byte strings, in order; large blobs are
         the message's own objects, not copies."""
-        raise NotImplementedError
+        layout = zip(self.LAYOUT, fields(self), strict=True)
+        return [p for codec, f in layout for p in codec.pack(getattr(self, f.name))]
 
     def encode(self) -> bytes:
         return b"".join(self.parts())
@@ -113,7 +191,7 @@ class Message:
 
     @classmethod
     def _read(cls, r: _Reader) -> "Message":
-        raise NotImplementedError
+        return cls(*(codec.read(r) for codec in cls.LAYOUT))
 
     @property
     def type_name(self) -> str:
@@ -126,27 +204,14 @@ class Ack(Message):
 
     TYPE: ClassVar[int] = 0x00
 
-    def parts(self) -> list[bytes]:
-        return []
-
-    @classmethod
-    def _read(cls, r: _Reader) -> "Ack":
-        return cls()
-
 
 @dataclass(frozen=True)
 class ErrorReply(Message):
     """Transport-level error propagation from a remote role."""
 
     TYPE: ClassVar[int] = 0x7F
+    LAYOUT: ClassVar[tuple] = (TEXT,)
     detail: str = ""
-
-    def parts(self) -> list[bytes]:
-        return _pack_str(self.detail)
-
-    @classmethod
-    def _read(cls, r: _Reader) -> "ErrorReply":
-        return cls(r.text())
 
 
 @dataclass(frozen=True)
@@ -155,16 +220,10 @@ class PublicKeyDist(Message):
     is empty when the computation's HE plan multiplies no ciphertexts)."""
 
     TYPE: ClassVar[int] = 0x01
+    LAYOUT: ClassVar[tuple] = (TEXT, BLOB, BLOB)
     params_repr: str = ""
     pk: bytes = b""
     rk: bytes = b""
-
-    def parts(self) -> list[bytes]:
-        return _pack_str(self.params_repr) + _pack_blob(self.pk) + _pack_blob(self.rk)
-
-    @classmethod
-    def _read(cls, r: _Reader) -> "PublicKeyDist":
-        return cls(r.text(), r.blob(), r.blob())
 
 
 @dataclass(frozen=True)
@@ -172,19 +231,9 @@ class EncryptedListing(Message):
     """Protocol 1 step 2: one maker's ciphertexts, keyed by listing tag."""
 
     TYPE: ClassVar[int] = 0x02
+    LAYOUT: ClassVar[tuple] = (U16, Seq(TEXT, BLOB))
     maker: int = 0
     entries: tuple[tuple[str, bytes], ...] = ()
-
-    def parts(self) -> list[bytes]:
-        parts = [struct.pack(">HI", self.maker, len(self.entries))]
-        for name, blob in self.entries:
-            parts += _pack_str(name) + _pack_blob(blob)
-        return parts
-
-    @classmethod
-    def _read(cls, r: _Reader) -> "EncryptedListing":
-        maker, count = r.unpack(">HI")
-        return cls(maker, tuple((r.text(), r.blob()) for _ in range(count)))
 
 
 @dataclass(frozen=True)
@@ -192,43 +241,32 @@ class Query(Message):
     """Step 3 of both protocols: a buyer asks for the protected listings."""
 
     TYPE: ClassVar[int] = 0x03
+    LAYOUT: ClassVar[tuple] = (U16, TEXT, TEXT)
     buyer: int = 0
     computation_id: str = ""
     params_json: str = "{}"
-
-    def parts(self) -> list[bytes]:
-        return (
-            [struct.pack(">H", self.buyer)]
-            + _pack_str(self.computation_id)
-            + _pack_str(self.params_json)
-        )
-
-    @classmethod
-    def _read(cls, r: _Reader) -> "Query":
-        (buyer,) = r.unpack(">H")
-        return cls(buyer, r.text(), r.text())
 
 
 @dataclass(frozen=True)
 class ListingBundle(Message):
     """Datatrust response: every stored ciphertext entry (HE) or every
-    stored active input label (GC)."""
+    stored active input label (GC). Both counts come first."""
 
     TYPE: ClassVar[int] = 0x04
+    LAYOUT: ClassVar[tuple] = (Seq(U16, TEXT, BLOB), WIRE_LABELS)
     ciphertexts: tuple[tuple[int, str, bytes], ...] = ()
     labels: tuple[tuple[int, int], ...] = ()  # (wire index, 128-bit label)
 
     def parts(self) -> list[bytes]:
-        parts = [struct.pack(">II", len(self.ciphertexts), len(self.labels))]
-        for maker, name, blob in self.ciphertexts:
-            parts += [struct.pack(">H", maker)] + _pack_str(name) + _pack_blob(blob)
-        return parts + _pack_labels(self.labels)
+        cts, labels = self.LAYOUT
+        counts = U32.pack(len(self.ciphertexts)) + U32.pack(len(self.labels))
+        return counts + cts.items(self.ciphertexts) + labels.items(self.labels)
 
     @classmethod
     def _read(cls, r: _Reader) -> "ListingBundle":
-        n_ct, n_lab = r.unpack(">II")
-        cts = tuple((*r.unpack(">H"), r.text(), r.blob()) for _ in range(n_ct))
-        return cls(cts, r.labels(n_lab))
+        cts, labels = cls.LAYOUT
+        n_ct, n_lab = U32.read(r), U32.read(r)
+        return cls(cts.read_items(r, n_ct), labels.read_items(r, n_lab))
 
 
 @dataclass(frozen=True)
@@ -236,18 +274,8 @@ class DecryptRequest(Message):
     """Protocol 1 step 5 request: homomorphically computed ciphertexts."""
 
     TYPE: ClassVar[int] = 0x05
+    LAYOUT: ClassVar[tuple] = (Seq(TEXT, BLOB),)
     entries: tuple[tuple[str, bytes], ...] = ()
-
-    def parts(self) -> list[bytes]:
-        parts = [struct.pack(">I", len(self.entries))]
-        for tag, blob in self.entries:
-            parts += _pack_str(tag) + _pack_blob(blob)
-        return parts
-
-    @classmethod
-    def _read(cls, r: _Reader) -> "DecryptRequest":
-        (count,) = r.unpack(">I")
-        return cls(tuple((r.text(), r.blob()) for _ in range(count)))
 
 
 @dataclass(frozen=True)
@@ -255,14 +283,8 @@ class Result(Message):
     """Protocol 1 step 5 response: the decrypted, finished result."""
 
     TYPE: ClassVar[int] = 0x06
+    LAYOUT: ClassVar[tuple] = (TEXT,)
     payload_json: str = "{}"
-
-    def parts(self) -> list[bytes]:
-        return _pack_str(self.payload_json)
-
-    @classmethod
-    def _read(cls, r: _Reader) -> "Result":
-        return cls(r.text())
 
     def as_dict(self) -> dict:
         return json.loads(self.payload_json)
@@ -273,15 +295,9 @@ class DeltaKeyDist(Message):
     """Protocol 2 step 1: delta and the shared PRF key, makers only."""
 
     TYPE: ClassVar[int] = 0x07
+    LAYOUT: ClassVar[tuple] = (RAW16, RAW16)
     delta: bytes = b"\x00" * 16
     prf_key: bytes = b"\x00" * 16
-
-    def parts(self) -> list[bytes]:
-        return [self.delta, self.prf_key]
-
-    @classmethod
-    def _read(cls, r: _Reader) -> "DeltaKeyDist":
-        return cls(r.take(16), r.take(16))
 
 
 @dataclass(frozen=True)
@@ -289,16 +305,9 @@ class InputLabels(Message):
     """Protocol 2 step 2: a maker's active labels for its own input wires."""
 
     TYPE: ClassVar[int] = 0x08
+    LAYOUT: ClassVar[tuple] = (U16, WIRE_LABELS)
     maker: int = 0
     labels: tuple[tuple[int, int], ...] = ()
-
-    def parts(self) -> list[bytes]:
-        return [struct.pack(">HI", self.maker, len(self.labels))] + _pack_labels(self.labels)
-
-    @classmethod
-    def _read(cls, r: _Reader) -> "InputLabels":
-        maker, count = r.unpack(">HI")
-        return cls(maker, r.labels(count))
 
 
 @dataclass(frozen=True)
@@ -308,14 +317,8 @@ class GarbledCircuitMsg(Message):
     the buyer builds it from the registered computation it queried."""
 
     TYPE: ClassVar[int] = 0x09
+    LAYOUT: ClassVar[tuple] = (BLOB,)
     garbled: bytes = b""
-
-    def parts(self) -> list[bytes]:
-        return _pack_blob(self.garbled)
-
-    @classmethod
-    def _read(cls, r: _Reader) -> "GarbledCircuitMsg":
-        return cls(r.blob())
 
 
 @dataclass(frozen=True)
@@ -323,18 +326,8 @@ class OutputLabels(Message):
     """Protocol 2 step 5: the buyer's active output labels."""
 
     TYPE: ClassVar[int] = 0x0A
+    LAYOUT: ClassVar[tuple] = (LABELS,)
     labels: tuple[int, ...] = ()
-
-    def parts(self) -> list[bytes]:
-        return [struct.pack(">I", len(self.labels))] + [
-            label.to_bytes(16, "big") for label in self.labels
-        ]
-
-    @classmethod
-    def _read(cls, r: _Reader) -> "OutputLabels":
-        (count,) = r.unpack(">I")
-        labels = struct.iter_unpack(">16s", r.take(16 * count))
-        return cls(tuple(int.from_bytes(label, "big") for (label,) in labels))
 
 
 @dataclass(frozen=True)
@@ -342,48 +335,23 @@ class OutputDecoding(Message):
     """Protocol 2 step 6: the meaning of the output labels."""
 
     TYPE: ClassVar[int] = 0x0B
+    LAYOUT: ClassVar[tuple] = (BITS,)
     bits: tuple[int, ...] = ()
 
-    def parts(self) -> list[bytes]:
-        packed = bytearray((len(self.bits) + 7) // 8)
-        for i, b in enumerate(self.bits):
-            if b & 1:
-                packed[i // 8] |= 1 << (i % 8)
-        return [struct.pack(">I", len(self.bits)), bytes(packed)]
 
-    @classmethod
-    def _read(cls, r: _Reader) -> "OutputDecoding":
-        (count,) = r.unpack(">I")
-        body = r.take((count + 7) // 8)
-        if count % 8 and body[-1] >> (count % 8):
-            raise FramingError("nonzero padding bits after the last output bit")
-        return cls(tuple((body[i // 8] >> (i % 8)) & 1 for i in range(count)))
+# Every message class above, by type byte.
+MESSAGE_TYPES: dict[int, type[Message]] = {cls.TYPE: cls for cls in Message.__subclasses__()}
 
 
-MESSAGE_TYPES: dict[int, type[Message]] = {
-    cls.TYPE: cls
-    for cls in (
-        Ack,
-        ErrorReply,
-        PublicKeyDist,
-        EncryptedListing,
-        Query,
-        ListingBundle,
-        DecryptRequest,
-        Result,
-        DeltaKeyDist,
-        InputLabels,
-        GarbledCircuitMsg,
-        OutputLabels,
-        OutputDecoding,
-    )
-}
+def frame_size(parts: list[bytes]) -> int:
+    """Length of the frame that carries these payload parts, header included."""
+    return FRAME_HEADER.size + sum(map(len, parts))
 
 
 def pack_frame(msg: Message, session_id: bytes, seq: int) -> bytes:
     """Header and payload parts joined once; the payload is not built first."""
     parts = msg.parts()
-    length = FRAME_HEADER.size - 4 + sum(map(len, parts))  # everything after the length field
+    length = frame_size(parts) - 4  # everything after the length field
     return b"".join([FRAME_HEADER.pack(length, msg.TYPE, session_id, seq), *parts])
 
 
@@ -397,5 +365,4 @@ def parse_frame(data: bytes) -> tuple[Message, bytes, int]:
     cls = MESSAGE_TYPES.get(mtype)
     if cls is None:
         raise FramingError(f"unknown message type 0x{mtype:02x}")
-    payload = data[FRAME_HEADER.size :]
-    return cls.decode(payload), session, seq
+    return cls.decode(data[FRAME_HEADER.size :]), session, seq

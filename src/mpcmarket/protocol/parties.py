@@ -46,14 +46,12 @@ class DataTrust:
 
     def __init__(self) -> None:
         self.name = "datatrust"
-        self.public_bundle: PublicKeyDist | None = None
         self.listings: list[EncryptedListing] = []
         self.labels: dict[int, int] = {}
 
     def receive(self, msg: Message) -> Message | None:
         if isinstance(msg, PublicKeyDist):
-            self.public_bundle = msg
-            return None
+            return None  # accepted, not stored: no datatrust step reads it
         if isinstance(msg, EncryptedListing):
             self.listings.append(msg)
             return None
@@ -94,12 +92,12 @@ class Csp:
 
     # -- Protocol 1 ----------------------------------------------------------
 
-    def he_setup(self, params: HeParams) -> PublicKeyDist:
-        """Validate the plan, then generate keys. The relinearization key is
-        built and shipped only for circuits that multiply ciphertexts;
-        otherwise ``rk`` is empty."""
+    def he_setup(self, params: HeParams, makers: int) -> PublicKeyDist:
+        """Validate the plan for the session's number of makers, then
+        generate keys. The relinearization key is built and shipped only
+        for circuits that multiply ciphertexts; otherwise ``rk`` is empty."""
         t0 = time.perf_counter()
-        self._plan = self.computation.he_plan(params)
+        self._plan = self.computation.he_plan(params, makers)
         seed = int(self._rng.integers(0, 2**63, dtype=np.int64))
         self._sk, pk, rk = bfv.keygen(params, seed, relin=self._plan.relin)
         self.timings["keygen_s"] = time.perf_counter() - t0

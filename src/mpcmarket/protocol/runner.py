@@ -44,9 +44,10 @@ def _session_id(seed: int, tag: bytes) -> bytes:
 def _merge_inputs(
     computation: Computation, maker_inputs: Sequence[Mapping[str, int]]
 ) -> dict[str, int]:
-    """Check that the makers' groups tile the computation's input schema and
-    that every value is a bit pattern of its group's width: an integer in
-    [0, 2^width), a signed value given in two's complement."""
+    """Check that the makers' groups tile the computation's input schema,
+    that every value is a bit pattern of its group's width (an integer in
+    [0, 2^width), a signed value given in two's complement), and that the
+    values keep the computation's promise."""
     merged: dict[str, int] = {}
     for values in maker_inputs:
         for name, value in values.items():
@@ -64,6 +65,7 @@ def _merge_inputs(
     for name, value in merged.items():
         if not 0 <= value < 1 << schema[name]:
             raise ProtocolError(f"value for {name} does not fit {schema[name]} bits")
+    computation.check_promise(merged)
     return merged
 
 
@@ -127,7 +129,7 @@ def run_protocol1(
     datatrust, the buyer computes on ciphertexts, the CSP decrypts."""
 
     def steps(channel, csp, dt, makers, buyer) -> dict:
-        bundle = csp.he_setup(params)
+        bundle = csp.he_setup(params, len(makers))
         channel.send(csp.name, dt.name, bundle)
         for maker in makers:
             channel.send(maker.name, dt.name, maker.make_encrypted_listing(params, bundle))

@@ -256,6 +256,11 @@ MALFORMED = {
         ["run", "--backend", "he", "--repeat", "1", "--no-verify", "--data", "{data}"],
         {"data": "n_AB,n_Ab,n_aB,n_ab\n50,50,0,0\n"},
     ),
+    # Every count fits 11 bits, but the total N = 4096 does not.
+    "data-ld-total-too-wide-no-verify": (
+        ["run", "--repeat", "1", "--no-verify", "--data", "{data}"],
+        {"data": "n_AB,n_Ab,n_aB,n_ab\n2047,1,1,2047\n"},
+    ),
     "model-non-integer": (
         ["run", "--workload", "lr", "--rows", "1", "--repeat", "1", "--model", "{model}"],
         {"model": "16 8\n3\n1.5\n"},

@@ -1,5 +1,6 @@
 """End-to-end protocol choreography, hygiene, and transcripts (in-process)."""
 
+import itertools
 import json
 
 import numpy as np
@@ -168,6 +169,24 @@ class TestHePipeline:
         with pytest.raises(PlanRejected):
             ld_comp.he_evaluate(params8192, rk, plan, [(0, tag, blob) for tag, blob in entries])
 
+    def test_plan_counts_the_session_makers(self, monkeypatch):
+        # On this ring the LD circuit fits the sums of four makers' shares
+        # but not of eight: the CSP rejects the eight-maker session before
+        # it generates any key.
+        q = bfv.find_ntt_primes(28, 8192, 2) + bfv.find_ntt_primes(27, 8192, 4)
+        params = HeParams(8192, tuple(q), bfv.find_ntt_primes(20, 8192)[0])
+        comp = LdComputation(count_bits=11, m_instances=2)
+        groups = [f"i{i}.{k}" for i in range(2) for k in ("n_AB", "n_Ab", "n_aB", "n_ab")]
+        four = [{g: 25 for g in groups[j::4]} for j in range(4)]
+        assert run_protocol1(comp, four, params, seed=3).verified
+
+        def no_keygen(*args, **kwargs):
+            raise AssertionError("keys generated for a plan that does not fit")
+
+        monkeypatch.setattr(bfv, "keygen", no_keygen)
+        with pytest.raises(PlanRejected):
+            run_protocol1(comp, [{g: 25} for g in groups], params, seed=3)
+
     def test_finish_needs_one_entry_per_output_and_modulus(self, ld_comp, params8192, keys8192):
         sk, _, _ = keys8192
         plan = ld_comp.he_plan(params8192)
@@ -213,21 +232,25 @@ class TestBackendIndependence:
     def test_value_wider_than_schema_rejected(self, ld_comp, lr_comp, lr_row_input, params8192):
         # Values are bit patterns of their group's width: a negative value
         # is rejected too, not wrapped or handed to HE as a negative count.
+        # An LD instance whose total N reaches 2^count_bits breaks the
+        # promise the circuit and the HE bounds rest on, though every count fits.
         cases = [
             (ld_comp, [{"i0.n_AB": v, "i0.n_Ab": 20, "i0.n_aB": 20, "i0.n_ab": 30}], 11)
             for v in (1 << 11, -1, -(1 << 20))
         ] + [(lr_comp, [{**lr_row_input, "x0": v}], 16) for v in (1 << 16, -1, -(1 << 20))]
-        for comp, bad, width in cases:
+        wide_total = {"i0.n_AB": 2047, "i0.n_Ab": 1, "i0.n_aB": 1, "i0.n_ab": 2047}
+        cases.append((ld_comp, [wide_total], 11))
+        for (comp, bad, width), verify in itertools.product(cases, (True, False)):
             with pytest.raises(ProtocolError, match=f"does not fit {width} bits"):
-                run_protocol1(comp, bad, params8192, seed=21)
+                run_protocol1(comp, bad, params8192, seed=21, verify=verify)
             with pytest.raises(ProtocolError, match=f"does not fit {width} bits"):
-                run_protocol2(comp, bad, seed=21)
+                run_protocol2(comp, bad, seed=21, verify=verify)
 
     def test_relin_key_shipped_only_when_plan_multiplies(
         self, ld_comp, lr_comp, params4096, params8192
     ):
-        assert Csp(lr_comp, seed=1).he_setup(params4096).rk == b""
-        assert len(Csp(ld_comp, seed=1).he_setup(params8192).rk) > 0
+        assert Csp(lr_comp, seed=1).he_setup(params4096, 1).rk == b""
+        assert len(Csp(ld_comp, seed=1).he_setup(params8192, 1).rk) > 0
 
     def test_protocol1_builds_no_circuit(self, monkeypatch, bundled_model, lr_row_input):
         import mpcmarket.protocol.computations as comps
