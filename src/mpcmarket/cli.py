@@ -162,7 +162,8 @@ def _maker_inputs_for(groups: dict[str, int], makers: int) -> list[dict[str, int
 def _sessions(cfg: RunConfig) -> tuple[Computation, list[list[dict[str, int]]]]:
     """The computation and the maker inputs of each session in one
     repetition: LD runs all M instances in one session, or one session per
-    instance under ``--no-batch``; LR runs one session per row."""
+    instance under ``--no-batch``; LR runs one session per row. Either deals
+    its input groups to ``cfg.makers`` makers."""
     if cfg.workload == "lr":
         model = datagen.load_bundled_model() if cfg.model is None else _read(cfg.model, load_model)
         if cfg.data:
@@ -171,7 +172,8 @@ def _sessions(cfg: RunConfig) -> tuple[Computation, list[list[dict[str, int]]]]:
             rows, _labels = datagen.load_bundled_dataset(model)
         mask = (1 << model.spec.total_bits) - 1
         comp = LrComputation(model=model, range_bits=cfg.range_bits)
-        return comp, [[{f"x{j}": v & mask for j, v in enumerate(row)}] for row in rows[: cfg.rows]]
+        groups = [{f"x{j}": v & mask for j, v in enumerate(row)} for row in rows[: cfg.rows]]
+        return comp, [_maker_inputs_for(g, cfg.makers) for g in groups]
     if cfg.data:
         counts = _read(cfg.data, datagen.read_haplotype_csv)
         # Checked here, not only by the oracle, so --no-verify rejects it too.
@@ -249,7 +251,7 @@ def _drive(cfg: RunConfig) -> dict:
         rec.update(gates=st.total, non_xor=st.non_xor, garbling_ms=mean_ms("garble_s"))
     rec.update(
         comm_bytes=sum(o.transcript.total_bytes() for o in first),
-        evaluation_ms=mean_ms("evaluate_s" if gc else "he_eval_s"),
+        evaluation_ms=mean_ms("evaluate_s"),
         total_ms=mean_ms("total_s"),
         verified=all(o.verified for outs in reps for o in outs) if cfg.verify else None,
     )

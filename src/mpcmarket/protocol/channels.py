@@ -51,7 +51,6 @@ class TranscriptEntry:
 
 @dataclass
 class Transcript:
-    session_id: bytes = b""
     entries: list[TranscriptEntry] = field(default_factory=list)
 
     def type_sequence(self) -> list[str]:
@@ -95,7 +94,7 @@ class BaseChannel:
         if len(session_id) != 16:
             raise ProtocolError("session id must be 16 bytes")
         self.session_id = session_id
-        self.transcript = Transcript(session_id=session_id)
+        self.transcript = Transcript()
         self._seq = 0
         self._lock = threading.Lock()
 

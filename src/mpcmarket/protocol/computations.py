@@ -1,7 +1,7 @@
 """Registered computations: what a buyer may query and how each backend
-realizes it. The runner hands every role the same computation object; the
-id and public parameters a buyer's query names are carried on the wire but
-read by no role. Ad-hoc circuit upload is deliberately unsupported.
+realizes it. The runner hands every role the same computation object, so
+a buyer's query names none. Ad-hoc circuit upload is deliberately
+unsupported.
 
 Both computations offer the same interface: ``input_schema`` (input-group
 name -> bit width, the same for both backends), ``check_promise`` (what the
@@ -17,7 +17,6 @@ of the plan.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -137,10 +136,10 @@ class HePipeline:
     """
 
     def he_plan(self, params: HeParams, makers: int = 1) -> HePlan:
-        """Moduli covering the output range, each checked by replaying the
-        circuit on noise estimates, every input starting as the buyer's sum
-        of ``makers`` fresh shares. Only that check depends on ``makers``;
-        the plan itself does not."""
+        """At most ``params.n`` slots, and moduli covering the output range,
+        each checked by replaying the circuit on noise estimates, every input
+        starting as the buyer's sum of ``makers`` fresh shares. Only that
+        check depends on ``makers``; the plan itself does not."""
         bits, bound = self.he_output_range()
         moduli: list[int] = []
         while math.prod(moduli) <= bound:
@@ -148,12 +147,14 @@ class HePipeline:
                 raise PlanRejected("cannot cover the output range with CRT moduli")
             moduli = bfv.find_ntt_primes(bits, params.n, len(moduli) + 1)
         inputs = self.he_inputs({})
+        slots = len(next(iter(inputs.values())))
+        if slots > params.n:
+            raise PlanRejected(f"{slots} slots do not fit one ciphertext at n={params.n}")
         share_sum = reduce(bfv.add_noise_log2, [params.fresh_noise_log2()] * makers)
         start = dict.fromkeys(inputs, share_sum)
         for t in moduli:
             ops = NoiseOps(params, t)
             outputs = self.he_circuit(ops, start)
-        slots = len(next(iter(inputs.values())))
         # The circuit's ops do not depend on t: any replay tells whether it multiplies.
         return HePlan(tuple(moduli), tuple(inputs), tuple(outputs), slots, ops.multiplies)
 
@@ -248,19 +249,6 @@ class LdComputation(HePipeline):
     threshold_den: int = 1000
     contributors: int = 1
 
-    computation_id = "ld-test"
-
-    def params_json(self) -> str:
-        return json.dumps(
-            {
-                "count_bits": self.count_bits,
-                "m": self.m_instances,
-                "threshold": [self.threshold_num, self.threshold_den],
-                "contributors": self.contributors,
-            },
-            sort_keys=True,
-        )
-
     @cached_property
     def circuit(self) -> Circuit:
         return build_ld_circuit(
@@ -344,14 +332,6 @@ class LrComputation(HePipeline):
 
     model: LrModel
     range_bits: int = 10
-
-    computation_id = "lr-predict"
-
-    def params_json(self) -> str:
-        return json.dumps(
-            {"model": "bundled", "range_bits": self.range_bits, "dim": self.model.dim},
-            sort_keys=True,
-        )
 
     @cached_property
     def table(self) -> SigmoidTable:

@@ -220,8 +220,7 @@ class PublicKeyDist(Message):
     is empty when the computation's HE plan multiplies no ciphertexts)."""
 
     TYPE: ClassVar[int] = 0x01
-    LAYOUT: ClassVar[tuple] = (TEXT, BLOB, BLOB)
-    params_repr: str = ""
+    LAYOUT: ClassVar[tuple] = (BLOB, BLOB)
     pk: bytes = b""
     rk: bytes = b""
 
@@ -238,13 +237,9 @@ class EncryptedListing(Message):
 
 @dataclass(frozen=True)
 class Query(Message):
-    """Step 3 of both protocols: a buyer asks for the protected listings."""
+    """Step 3 of both protocols: a buyer asks for everything the datatrust holds."""
 
     TYPE: ClassVar[int] = 0x03
-    LAYOUT: ClassVar[tuple] = (U16, TEXT, TEXT)
-    buyer: int = 0
-    computation_id: str = ""
-    params_json: str = "{}"
 
 
 @dataclass(frozen=True)
@@ -305,8 +300,7 @@ class InputLabels(Message):
     """Protocol 2 step 2: a maker's active labels for its own input wires."""
 
     TYPE: ClassVar[int] = 0x08
-    LAYOUT: ClassVar[tuple] = (U16, WIRE_LABELS)
-    maker: int = 0
+    LAYOUT: ClassVar[tuple] = (WIRE_LABELS,)
     labels: tuple[tuple[int, int], ...] = ()
 
 
@@ -314,7 +308,7 @@ class InputLabels(Message):
 class GarbledCircuitMsg(Message):
     """Protocol 2 step 4: the garbled tables (which carry the circuit digest
     and the constant wires' active labels). The circuit itself is not sent:
-    the buyer builds it from the registered computation it queried."""
+    the buyer builds it from the session's registered computation."""
 
     TYPE: ClassVar[int] = 0x09
     LAYOUT: ClassVar[tuple] = (BLOB,)

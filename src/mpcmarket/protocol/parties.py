@@ -96,13 +96,10 @@ class Csp:
         """Validate the plan for the session's number of makers, then
         generate keys. The relinearization key is built and shipped only
         for circuits that multiply ciphertexts; otherwise ``rk`` is empty."""
-        t0 = time.perf_counter()
         self._plan = self.computation.he_plan(params, makers)
         seed = int(self._rng.integers(0, 2**63, dtype=np.int64))
         self._sk, pk, rk = bfv.keygen(params, seed, relin=self._plan.relin)
-        self.timings["keygen_s"] = time.perf_counter() - t0
         return PublicKeyDist(
-            params_repr=params.canonical_repr(),
             pk=bfv.public_key_to_bytes(pk),
             rk=b"" if rk is None else bfv.relin_key_to_bytes(rk),
         )
@@ -143,9 +140,7 @@ class Csp:
         if isinstance(msg, DecryptRequest):
             if self._sk is None:
                 raise ProtocolError("CSP has no secret key for this session")
-            t0 = time.perf_counter()
             result = self.computation.he_finish(self._sk, self._plan, msg.entries)
-            self.timings["decrypt_s"] = time.perf_counter() - t0
             return Result(payload_json=json.dumps(result, sort_keys=True))
         if isinstance(msg, OutputLabels):
             if self._decoding is None:
@@ -204,7 +199,7 @@ class Maker:
         labels = gb.active_input_labels(
             self._delta, zero.__getitem__, circuit.input_bits(self.values)
         )
-        return InputLabels(maker=self.index, labels=tuple(labels))
+        return InputLabels(labels=tuple(labels))
 
 
 class Buyer:
@@ -212,18 +207,10 @@ class Buyer:
 
     def __init__(self, index: int, computation: Computation) -> None:
         self.name = f"buyer{index}"
-        self.index = index
         self.computation = computation
         self.timings: dict[str, float] = {}
         self._garbled_msg: GarbledCircuitMsg | None = None
         self.result: dict | None = None
-
-    def make_query(self) -> Query:
-        return Query(
-            buyer=self.index,
-            computation_id=self.computation.computation_id,
-            params_json=self.computation.params_json(),
-        )
 
     # -- Protocol 1 ----------------------------------------------------------
 
@@ -237,7 +224,7 @@ class Buyer:
         rk = bfv.relin_key_from_bytes(bundle.rk, params) if plan.relin else None
         t0 = time.perf_counter()
         entries = self.computation.he_evaluate(params, rk, plan, listings.ciphertexts)
-        self.timings["he_eval_s"] = time.perf_counter() - t0
+        self.timings["evaluate_s"] = time.perf_counter() - t0
         return DecryptRequest(entries=tuple(entries))
 
     def accept_result(self, msg: Result) -> dict:
@@ -253,7 +240,7 @@ class Buyer:
         raise ProtocolError(f"buyer cannot accept {msg.type_name}")
 
     def evaluate_garbled(self, listings: ListingBundle) -> OutputLabels:
-        """Evaluate on the circuit of the queried computation; the tables'
+        """Evaluate on the circuit of the session's computation; the tables'
         digest binds them to it (``gb.evaluate`` rejects a mismatch)."""
         if self._garbled_msg is None:
             raise ProtocolError("buyer has no garbled circuit")

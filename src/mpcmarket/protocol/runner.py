@@ -17,12 +17,14 @@ from typing import Callable, Mapping, Sequence
 from ..he.bfv import HeParams
 from .channels import BaseChannel, Transcript, make_channel
 from .computations import Computation
-from .messages import ProtocolError
+from .messages import ProtocolError, Query
 from .parties import Buyer, Csp, DataTrust, Maker
 
 
 @dataclass
 class ProtocolOutcome:
+    """``timings`` holds ``total_s``, ``evaluate_s`` and, on GC, ``garble_s``."""
+
     result: dict
     oracle: dict | None
     transcript: Transcript
@@ -133,7 +135,7 @@ def run_protocol1(
         channel.send(csp.name, dt.name, bundle)
         for maker in makers:
             channel.send(maker.name, dt.name, maker.make_encrypted_listing(params, bundle))
-        listings = channel.send(buyer.name, dt.name, buyer.make_query())
+        listings = channel.send(buyer.name, dt.name, Query())
         request = buyer.make_decrypt_request(params, bundle, listings)
         return buyer.accept_result(channel.send(buyer.name, csp.name, request))
 
@@ -156,7 +158,7 @@ def run_protocol2(
             channel.send(csp.name, maker.name, delta_msg)
         for maker in makers:
             channel.send(maker.name, dt.name, maker.make_input_labels())
-        listings = channel.send(buyer.name, dt.name, buyer.make_query())
+        listings = channel.send(buyer.name, dt.name, Query())
         channel.send(csp.name, buyer.name, csp.make_garbled())
         out_labels = buyer.evaluate_garbled(listings)
         decoding = channel.send(buyer.name, csp.name, out_labels)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import mpcmarket
 from mpcmarket.circuits import build_adder, serialize_circuit
-from mpcmarket.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from mpcmarket.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, RunConfig, _sessions, main
 
 
 class TestRun:
@@ -97,6 +97,14 @@ class TestRun:
                    "--rows", "1", "--repeat", "1"])
         assert rc == EXIT_OK
         assert "verified against plaintext oracle: True" in capsys.readouterr().out
+
+
+def test_lr_row_is_dealt_to_the_makers():
+    _, sessions = _sessions(RunConfig(workload="lr", rows=1, makers=3))
+    (makers,) = sessions
+    assert len(makers) == 3
+    groups = [name for maker in makers for name in maker]
+    assert sorted(groups) == sorted(f"x{j}" for j in range(30))
 
 
 @pytest.fixture(scope="module")

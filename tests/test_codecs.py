@@ -83,9 +83,9 @@ _entries = st.lists(st.tuples(_text, _blob), max_size=3).map(tuple)
 MESSAGES = {
     Ack: st.builds(Ack),
     ErrorReply: st.builds(ErrorReply, _text),
-    PublicKeyDist: st.builds(PublicKeyDist, _text, _blob, _blob),
+    PublicKeyDist: st.builds(PublicKeyDist, _blob, _blob),
     EncryptedListing: st.builds(EncryptedListing, _u16, _entries),
-    Query: st.builds(Query, _u16, _text, _text),
+    Query: st.builds(Query),
     ListingBundle: st.builds(
         ListingBundle, st.lists(st.tuples(_u16, _text, _blob), max_size=3).map(tuple), _labels
     ),
@@ -93,7 +93,7 @@ MESSAGES = {
     Result: st.builds(Result, _text),
     DeltaKeyDist: st.builds(DeltaKeyDist, st.binary(min_size=16, max_size=16),
                             st.binary(min_size=16, max_size=16)),
-    InputLabels: st.builds(InputLabels, _u16, _labels),
+    InputLabels: st.builds(InputLabels, _labels),
     GarbledCircuitMsg: st.builds(GarbledCircuitMsg, _blob),
     OutputLabels: st.builds(OutputLabels, st.lists(_label, max_size=3).map(tuple)),
     OutputDecoding: st.builds(OutputDecoding, st.lists(st.integers(0, 1), max_size=20).map(tuple)),

@@ -1,0 +1,40 @@
+"""The benchmark's workloads still run against the package.
+
+``perfbench/workloads.py`` drives the package through its public entry
+points, so an API change that breaks it fails every benchmark run. This
+constructs all four workloads and runs one session of each of the three
+cheap ones through the workload's own check. he-ld is constructed only:
+that covers its parameters, and its session takes seconds.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    yield workloads
+    # perfbench's modules have generic names; leave none of them behind.
+    for name in ("workloads", "checks", "inputs"):
+        sys.modules.pop(name, None)
+
+
+def test_every_workload_constructs(workloads):
+    for factory, twin in workloads.WORKLOADS.values():
+        factory()
+        assert twin in workloads.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["gc-ld", "gc-lr-tcp", "he-lr"])
+def test_one_session_passes_its_check(workloads, name):
+    factory, _ = workloads.WORKLOADS[name]
+    workload = factory()
+    session = workload.session(seed=1, worker=0, index=0)
+    assert workload.check(session, workload.run(session))

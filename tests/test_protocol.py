@@ -187,6 +187,19 @@ class TestHePipeline:
         with pytest.raises(PlanRejected):
             run_protocol1(comp, [{g: 25} for g in groups], params, seed=3)
 
+    def test_plan_rejects_more_instances_than_slots(self, params8192, monkeypatch):
+        assert LdComputation(m_instances=8192).he_plan(params8192).slots == 8192
+        comp = LdComputation(m_instances=8193)
+        with pytest.raises(PlanRejected):
+            comp.he_plan(params8192)
+
+        def no_keygen(*args, **kwargs):
+            raise AssertionError("keys generated for a plan that does not fit")
+
+        monkeypatch.setattr(bfv, "keygen", no_keygen)
+        with pytest.raises(PlanRejected):
+            Csp(comp, seed=0).he_setup(params8192, 1)
+
     def test_finish_needs_one_entry_per_output_and_modulus(self, ld_comp, params8192, keys8192):
         sk, _, _ = keys8192
         plan = ld_comp.he_plan(params8192)

@@ -50,20 +50,20 @@ P2_LR_TYPES = [
 
 FRAMES = {
     "p1-ld": [
-        "082f0d2372d4f079ae42ba233864f07a65517df64c15e48a6308f94755b73bb8",
+        "61bd50b1317392d18f853e9a1c98274a99456194ee12e931b54a923589d1d1e4",
         "9432cbab2d6c6d46e8fba297127c71843aca4e626c0f405c056ae2a1314fe566",
         "7e2db823a1f60721181b301615e24510b3064f16be877271b7c19ac9212fcdb0",
         "b20e63cfcfa2f86ec49f2689237227510470570422a25c71569dceef3491ed1c",
         "34d54ec588a6dfbe18801b846c52644babceac155c30e3c2d303dc8ea622aa1a",
-        "75feca5ec0cf925eac9dcc7e8d687cb47083d678e51cb566c670648eca86f1ab",
+        "554eae367d3b46bc2e731b1c25a0284b7d17a6d0ba30da605de3a26a29fe09ce",
         "36a596878e49bd395827479335a58b4db332e926958dee2c2af39b8afa273ed7",
         "c977f041eadce051de015b98d76b2b7d87a624e09e5a6ca399be9418f9f49954",
         "d82c07798b87d00629b069a01e6dcfd3ecc22cda4d974cc62d4f40ed3a3337d9",
     ],
     "p1-lr": [
-        "443fd98511c59a60b6b17848bfdedb580f9e677601b0eaf1ea24951d4a28438e",
+        "c669aac5274c48f20848d5bdaf9b1d0da1967fe705d25f3cbc7fa3fbd1e81d48",
         "be5db8326c14264e1e2ce12caaaddf6046a6bf36873f11a8396067fa684587ea",
-        "518b5d7a921b18188761da26ddd4172a236bf7bb04bb8f9d2c7f396e76743007",
+        "2155d60f20f95f278f1da51e578eaea9dfdb69c3470a752c556f94a711157c79",
         "cfead7888156f5b117aa241c18d48188d54ca92806d78621459a54c443677fb7",
         "fa977a7671f1922d81b64e54c9e8f72b34c65041687ed9e7524a71620f1c5ef3",
         "065a7fc87398666be98326193c89e12dee1aba1f1d0c83808ab9db03e633ebfb",
@@ -73,11 +73,11 @@ FRAMES = {
         "36e5caf6231a8d4d930d8f47615e150c51eb5975790ce934ce84dcd2d8e3dc08",
         "8554d9be11db2d3036b73e231a101acfa2407082a56787390fed88dd15e89e3d",
         "6dfe6972e794455c0156b1c780ba7c446cff3be5ead844fc6c731d0e500c49f7",
-        "c9f41d20d95bfb0c34d6270efdeb99106ed5aa2419d089bac49a61f48378b4e8",
-        "beff3591915621f8e3953046a9f99a73b49104eac6b6e5ac366004a6f51fc0ad",
-        "b92c6ec47ed926b5e084c9c2b9f92e4d2be9e1201e8af7b68e1bad1b9b3ffd16",
-        "237e978da6c22ca70afba4df25a170c0b4c63c9dc3115cf59cae0e4a7945e14e",
-        "b47b2b24fdd1fd3845608aaba12ecdc7faa1040d7c6f59710ecdb4216170bcc5",
+        "8b4c939cb9abb7c20836056b9254c7f02bc410c8d8a8dc55842b58836c5ced83",
+        "16e5dcd83c99a930b772f22adc10d498a35325afe5707ea3b148602e113824ef",
+        "0dffc51c914280bf58fbb2c4fd5211b300f015e5f19c93e1e94431c49e486565",
+        "6b0c89f1dff863e924d549231a77975081e6a0fdbf23343839486440407db66e",
+        "88a7b7c9db483d166a6119c5c7e6a2df222f5763ccfefa5ba27fe6f4c764e724",
         "18b470913434db7b2bb3b6cf7cd38547f43ff92f686fcf08196bc469eb054125",
         "0395e486b4eef40317d6b8754db3f44bb2bd99837acf3b944e52d439045ed813",
         "349a6a22b602a6c127bd48aefa0f42439ff9379f3efdaca43640d55bd15c469d",
@@ -85,8 +85,8 @@ FRAMES = {
     ],
     "p2-lr-tcp": [
         "f3c2221f314fb2e1631a19fd237cd5df89bb13c1892de2f0957844e9d2e5087b",
-        "115b2d0840937ba8e40b711b2ca0e3fd9bc4c57a2a58c61471bdb7998181ae89",
-        "d18b37a2ee75bdb302c1a544c4b527f6442862bb734950a0e22b116d0b68dd35",
+        "f4a89871f9c2065d6c49360b0a4982dca47cb252b6f7922141da9f4ea503adda",
+        "26cda3fbedf6e4d3e1e83060291e6fe48fa1185833dceb51d47916a3faf6c38b",
         "7b4c2cd404ccbbabec360cdbd001339b31f870a64d1d0b45663bd934080924f3",
         "151fc3f29698b5e511c9add4e51c40c6846705201188f5538e09e13db1a51f4d",
         "4615900fe72204ea61fd5d4bd45827077ca6b6bc5824b39b8dde6db08eb90bbc",

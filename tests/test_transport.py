@@ -77,7 +77,7 @@ class TestFraming:
                 # server drops the connection without a response
                 assert sock.recv(64) == b""
             # channel still works for well-formed traffic afterwards
-            assert ch.send("x", "echo", Query(buyer=0, computation_id="c")) is None
+            assert ch.send("x", "echo", Query()) is None
         assert role.count == 1
 
     def test_garbage_length_prefix_rejected(self):
@@ -101,13 +101,13 @@ class TestFraming:
         ch = TcpChannel(b"U" * 16, {"echo": role})
         ch.close()
         with pytest.raises(TransportError):
-            ch.send("x", "echo", Query(buyer=0, computation_id="c"))
+            ch.send("x", "echo", Query())
 
     def test_wrong_session_id_rejected(self):
         role = _EchoRole()
         with TcpChannel(b"V" * 16, {"echo": role}) as ch:
             host, port = ch.endpoint("echo")
-            frame = pack_frame(Query(buyer=0, computation_id="c"), b"W" * 16, 1)
+            frame = pack_frame(Query(), b"W" * 16, 1)
             with socket.create_connection((host, port)) as sock:
                 sock.sendall(frame)
                 sock.shutdown(socket.SHUT_WR)
@@ -118,13 +118,13 @@ class TestFraming:
         role = _EchoRole()
         with TcpChannel(b"X" * 16, {"echo": role}) as ch:
             for _ in range(1000):
-                ch.send("driver", "echo", Query(buyer=0, computation_id="c"))
+                ch.send("driver", "echo", Query())
             seqs = [e.seq for e in ch.transcript.entries]
         assert len(seqs) == 1000
         assert seqs == sorted(seqs) and len(set(seqs)) == 1000
 
     def test_frame_round_trip(self):
-        msg = Query(buyer=3, computation_id="ld-test", params_json='{"m":1}')
+        msg = Query()
         frame = pack_frame(msg, b"Z" * 16, 9)
         back, session, seq = parse_frame(frame)
         assert back == msg and session == b"Z" * 16 and seq == 9
@@ -148,26 +148,26 @@ class TestFraming:
                     except OSError as exc:
                         if exc.errno not in (errno.ECONNRESET, errno.ENOTCONN):
                             raise
-            assert ch.send("x", "echo", Query(buyer=0, computation_id="c")) is None
+            assert ch.send("x", "echo", Query()) is None
         assert role.count == 1
 
     def test_ack_frames_not_logged(self):
         role = _EchoRole()
         with TcpChannel(b"Y" * 16, {"echo": role}) as ch:
-            ch.send("driver", "echo", Query(buyer=0, computation_id="c"))
+            ch.send("driver", "echo", Query())
             assert [e.type_name for e in ch.transcript.entries] == ["Query"]
 
 
 class TestExactLengthDecoders:
     MESSAGES = [
-        InputLabels(maker=2, labels=((5, (1 << 128) - 1), (6, 7), (9, 1 << 100))),
+        InputLabels(labels=((5, (1 << 128) - 1), (6, 7), (9, 1 << 100))),
         OutputLabels(labels=(3, (1 << 127) + 1, 0)),
         GarbledCircuitMsg(garbled=b"tables" * 5),
         Ack(),
         ErrorReply(detail="ValueError: b\u00e4d"),
-        PublicKeyDist(params_repr="bfv:n=4096", pk=b"pk" * 4, rk=b""),
+        PublicKeyDist(pk=b"pk" * 4, rk=b""),
         EncryptedListing(maker=1, entries=(("7:n_AB", b"ct" * 3), ("7:n_Ab", b""))),
-        Query(buyer=3, computation_id="ld-test", params_json='{"m":1}'),
+        Query(),
         ListingBundle(
             ciphertexts=((0, "7:n_AB", b"ct" * 3), (2, "", b"x")),
             labels=((1, (1 << 128) - 1), (2, 3)),
