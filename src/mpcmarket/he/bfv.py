@@ -15,9 +15,10 @@ Both work in int64 and float64 (Halevi, Polyakov and Shoup, CT-RSA
 recomputed in Python integers, so results equal exact integer arithmetic.
 
 Keys and ciphertexts serialize as their (k, n) arrays in coefficient form,
-prime-major, little-endian int64; the decoders take exactly one such
-buffer, check n and k against the parameters and every residue against its
-prime, and raise :class:`HeParamsError` on anything else.
+prime-major, one little-endian uint32 per residue (every prime is below
+2^30); the decoders take exactly one such buffer, check n and k against
+the parameters and every residue against its prime, and raise
+:class:`HeParamsError` on anything else.
 
 Noise is tracked two ways: a conservative running estimate carried on every
 ciphertext (used to flag budget exhaustion eagerly, the scheme's bottom
@@ -666,14 +667,15 @@ _CT_MAGIC = b"HECT"
 _PK_MAGIC = b"HEPK"
 _SK_MAGIC = b"HESK"
 _RK_MAGIC = b"HERK"
-_CT_VERSION = 2
+_CT_VERSION = 3
+_KEY_VERSION = 2  # public and relinearization keys; the secret key stays at 1
 _CT_HEAD = struct.Struct(">B8sQIBd")
 _KEY_HEAD = struct.Struct(">B8sIB")
 _SK_HEAD = struct.Struct(">B8sI")
 
 
 def _pack_rows(polys) -> bytes:
-    return np.ascontiguousarray(np.stack(polys), dtype="<i8").tobytes()
+    return np.ascontiguousarray(np.stack(polys), dtype="<u4").tobytes()
 
 
 def _read(
@@ -699,11 +701,11 @@ def _read_rows(
         raise HeParamsError(
             f"{what} has n={n}, k={k}; params have n={params.n}, k={len(params.q_primes)}"
         )
-    size = 8 * count * k * n
+    size = 4 * count * k * n
     if len(body) != size:
         raise HeParamsError(f"{what} body is {len(body)} bytes, expected {size}")
-    rows = np.frombuffer(body, dtype="<i8").astype(np.int64).reshape(count, k, n)
-    if not ((rows >= 0) & (rows < params.ntt.mod)).all():
+    rows = np.frombuffer(body, dtype="<u4").astype(np.int64).reshape(count, k, n)
+    if not (rows < params.ntt.mod).all():
         raise HeParamsError(f"{what} residue out of range")
     return rows
 
@@ -726,27 +728,29 @@ def ciphertext_from_bytes(data: bytes, params: HeParams) -> HeCiphertext:
     return HeCiphertext(params, t, (c0, c1), noise)
 
 
+def _key_to_bytes(magic: bytes, params: HeParams, rows: np.ndarray) -> bytes:
+    """A public or relinearization key: its header, then its NTT-form rows
+    in coefficient form."""
+    head = magic + _KEY_HEAD.pack(_KEY_VERSION, params.param_hash, params.n, len(params.q_primes))
+    return head + _pack_rows(params.ntt.inverse(rows))
+
+
 def public_key_to_bytes(pk: PublicKey) -> bytes:
-    params = pk.params
-    head = _PK_MAGIC + _KEY_HEAD.pack(1, params.param_hash, params.n, len(params.q_primes))
-    return head + _pack_rows(params.ntt.inverse(np.stack((pk.pk0_ntt, pk.pk1_ntt))))
+    return _key_to_bytes(_PK_MAGIC, pk.params, np.stack((pk.pk0_ntt, pk.pk1_ntt)))
 
 
 def public_key_from_bytes(data: bytes, params: HeParams) -> PublicKey:
-    (n, k), body = _read(data, _PK_MAGIC, _KEY_HEAD, params, "public key")
+    (n, k), body = _read(data, _PK_MAGIC, _KEY_HEAD, params, "public key", _KEY_VERSION)
     pk0, pk1 = params.ntt.forward(_read_rows(body, 2, n, k, params, "public key"))
     return PublicKey(params, pk0, pk1)
 
 
 def relin_key_to_bytes(rk: RelinKey) -> bytes:
-    params = rk.params
-    head = _RK_MAGIC + _KEY_HEAD.pack(1, params.param_hash, params.n, len(params.q_primes))
-    rows = np.stack([x for pair in rk.pairs for x in pair])
-    return head + _pack_rows(params.ntt.inverse(rows))
+    return _key_to_bytes(_RK_MAGIC, rk.params, np.stack([x for pair in rk.pairs for x in pair]))
 
 
 def relin_key_from_bytes(data: bytes, params: HeParams) -> RelinKey:
-    (n, k), body = _read(data, _RK_MAGIC, _KEY_HEAD, params, "relin key")
+    (n, k), body = _read(data, _RK_MAGIC, _KEY_HEAD, params, "relin key", _KEY_VERSION)
     rows = params.ntt.forward(_read_rows(body, 2 * k, n, k, params, "relin key"))
     return RelinKey(params, tuple(zip(rows[0::2], rows[1::2])))
 

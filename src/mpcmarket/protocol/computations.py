@@ -121,7 +121,8 @@ class HePipeline:
     """Protocol 1 for a computation that states four things:
 
     - ``he_inputs(maker_input)``: input name -> the maker's share per slot,
-      0 where the maker owns no group;
+      for the inputs fed by a group the maker owns (given every group, every
+      input);
     - ``he_circuit(ops, x)``: its integer circuit over the op set ``add``,
       ``sub``, ``mul``, ``mul_const``, ``add_const``, returning output name
       -> value;
@@ -146,7 +147,7 @@ class HePipeline:
             if len(moduli) == 8:
                 raise PlanRejected("cannot cover the output range with CRT moduli")
             moduli = bfv.find_ntt_primes(bits, params.n, len(moduli) + 1)
-        inputs = self.he_inputs({})
+        inputs = self.he_inputs(dict.fromkeys(self.input_schema, 0))
         slots = len(next(iter(inputs.values())))
         if slots > params.n:
             raise PlanRejected(f"{slots} slots do not fit one ciphertext at n={params.n}")
@@ -165,13 +166,12 @@ class HePipeline:
         maker_input: MakerInput,
         rng: np.random.Generator,
     ) -> list[tuple[str, bytes]]:
-        """One ciphertext per (plan modulus, input), tagged ``{t}:{input}``:
-        scalar-encoded for one slot, batched otherwise."""
+        """One ciphertext per (plan modulus, input the maker feeds), tagged
+        ``{t}:{input}``: scalar-encoded for one slot, batched otherwise."""
         shares = self.he_inputs(maker_input)
         entries = []
         for t in plan.moduli:
-            for name in plan.inputs:
-                v = shares[name]
+            for name, v in shares.items():
                 pt = (
                     bfv.batch_encode(v, pk.params, t) if plan.slots > 1
                     else bfv.encode_scalar(v[0], pk.params, t)
@@ -292,19 +292,22 @@ class LdComputation(HePipeline):
     # -- HE path -------------------------------------------------------------
 
     def he_inputs(self, maker_input: MakerInput) -> dict[str, list[int]]:
-        """Per count name, the maker's share of each instance's count (the
-        counts themselves, given every input group)."""
-        return {
-            name: [
-                sum(maker_input.get(g, 0) for g in ld_group_names(i, name, self.contributors))
-                for i in range(self.m_instances)
-            ]
+        """Per count name the maker owns a group of, its share of each
+        instance's count (the counts themselves, given every input group)."""
+        groups = {
+            name: [ld_group_names(i, name, self.contributors) for i in range(self.m_instances)]
             for name in HaplotypeCounts._fields
+        }
+        return {
+            name: [sum(maker_input.get(g, 0) for g in gs) for gs in per_instance]
+            for name, per_instance in groups.items()
+            if any(g in maker_input for gs in per_instance for g in gs)
         }
 
     def he_circuit(self, ops, x: Mapping) -> dict:
-        """lhs = 2N*(N*N_AB - N_A*N_B)^2 * den and rhs = N_A*N_a*N_B*N_b * num:
-        multiplicative depth 3, decided as lhs > rhs after decryption."""
+        """e = den*lhs - num*rhs + rhs_max with lhs = 2N*(N*N_AB - N_A*N_B)^2
+        and rhs = N_A*N_a*N_B*N_b: multiplicative depth 3, one value in
+        [0, lhs_max + rhs_max], decided as e > rhs_max after decryption."""
         n_A = ops.add(x["n_AB"], x["n_Ab"])
         n_a = ops.add(x["n_aB"], x["n_ab"])
         n_B = ops.add(x["n_AB"], x["n_aB"])
@@ -313,17 +316,21 @@ class LdComputation(HePipeline):
         diff = ops.sub(ops.mul(n, x["n_AB"]), ops.mul(n_A, n_B))
         lhs = ops.mul(ops.mul(diff, diff), ops.add(n, n))
         rhs = ops.mul(ops.mul(n_A, n_a), ops.mul(n_B, n_b))
-        return {
-            "lhs": ops.mul_const(lhs, self.threshold_den),
-            "rhs": ops.mul_const(rhs, self.threshold_num),
-        }
+        lhs = ops.mul_const(lhs, self.threshold_den)
+        rhs = ops.mul_const(rhs, self.threshold_num)
+        return {"e": ops.add_const(ops.sub(lhs, rhs), self._bounds[1])}
+
+    @cached_property
+    def _bounds(self) -> tuple[int, int]:
+        return ld_value_bounds(self.count_bits, self.threshold_num, self.threshold_den)
 
     def he_output_range(self) -> tuple[int, int]:
-        """21-bit batching primes; lhs and rhs lie in [0, their bound]."""
-        return 21, max(ld_value_bounds(self.count_bits, self.threshold_num, self.threshold_den))
+        """21-bit batching primes; e lies in [0, lhs_max + rhs_max]."""
+        return 21, sum(self._bounds)
 
     def he_result(self, outputs: Mapping[str, list[int]], modulus: int) -> dict:
-        return {"decisions": [lhs > rhs for lhs, rhs in zip(outputs["lhs"], outputs["rhs"])]}
+        """den*lhs > num*rhs exactly when e > rhs_max."""
+        return {"decisions": [e > self._bounds[1] for e in outputs["e"]]}
 
 
 @dataclass(frozen=True)
@@ -367,8 +374,10 @@ class LrComputation(HePipeline):
     # -- HE path -------------------------------------------------------------
 
     def he_inputs(self, maker_input: MakerInput) -> dict[str, list[int]]:
-        """Each feature the maker owns as a signed integer, 0 for the others."""
-        return {f"x{j}": [x] for j, x in enumerate(self._row(maker_input))}
+        """Each feature the maker owns as a signed integer."""
+        return {
+            f"x{j}": [x] for j, x in enumerate(self._row(maker_input)) if f"x{j}" in maker_input
+        }
 
     def he_circuit(self, ops, x: Mapping) -> dict:
         """The affine part z = x.w + b with plaintext weights; the sigmoid

@@ -380,15 +380,18 @@ class TestGoldenBytes:
     noise rule became |p|_1 * (v + t): only its 8-byte noise field moved.
     The ciphertext digests were re-recorded for ciphertext version 2: each
     blob is the version 1 blob with byte 4 set to 2 and the part-count,
-    level and encoding bytes (26, 35 and 36) removed."""
+    level and encoding bytes (26, 35 and 36) removed. Every digest was
+    re-recorded for ciphertext version 3 and key version 2: each blob is
+    the previous one with its version byte (byte 4) raised by one and the
+    same residues packed as little-endian uint32 instead of int64."""
 
     def test_keys(self, keys4096):
         _, pk, rk = keys4096
         assert _sha(bfv.public_key_to_bytes(pk)) == (
-            "100d6d0f5119bf859095624f94d199c9dbc101a7aedf8a79743fa8901f9bccad"
+            "5b7da2f57cfd7a5d37dbbc81fa1148d2b05fea952d4fbea3aa4f2bbbfac223a4"
         )
         assert _sha(bfv.relin_key_to_bytes(rk)) == (
-            "b64c1ead773675aac65efd7229cb3f8bd14c0a1432ff2497b0d9c545a03666be"
+            "31f2a847fe5c618bcefd9568c98441f7470365b6e53c1b23dd01d804e54ec520"
         )
 
     def test_ciphertexts(self, params4096, keys4096):
@@ -404,11 +407,11 @@ class TestGoldenBytes:
             "he_mul": bfv.he_mul(a, b, rk),
         }
         assert {k: _sha(bfv.ciphertext_to_bytes(v)) for k, v in got.items()} == {
-            "encrypt": "d733f0946ab150db2f84c43043f41c23537301b0c1ca3a3956b58d35695bcfb3",
-            "he_add": "007be318a17d7f2f8ae74e483f857eba2a88728f7ab6de46dcd2420585c341e3",
-            "he_sub": "32bb2b2d753aab69fced1207575ef2d8e81a38b8c3f8c6686e1e70013424c19f",
-            "he_mul_plain": "3eed8b1291ba97613dbdfac72fab411beb1ca9f368330e9e18df0c37080c8abd",
-            "he_mul": "6e0f5baf3a7c4818a9d13a46bfac44a104f618dc2595570665a45c6b20b3ddd1",
+            "encrypt": "78a2f5a8fd14a0e4eec07436c15d6ae69791290efd70158d137ca0d6a205502b",
+            "he_add": "7929d3ee144a0397dcfb994e5f131281e1f33dfd5553f6ddef81eade08f5dc37",
+            "he_sub": "e39bb65cded57e4436145f75b827d341374e264c0937b1c3f84ec591462aada5",
+            "he_mul_plain": "345f2e0686cef8701e21da7b36fddac5e3194a9d7cf0c4a06bcd9c01e3f2793a",
+            "he_mul": "98468b2f523dc7fd98dcb34eaf7ba2bb6c5b8d0c123a18d0d3b478a7ced06cca",
         }
 
 
@@ -445,6 +448,32 @@ class TestMalformedBlobs:
             bad = blob[:head] + residue.to_bytes(8, "little", signed=True) + blob[head + 8 :]
             with pytest.raises(bfv.HeParamsError):
                 decode(bad, params4096)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_four_byte_residue_at_or_above_its_prime(self, params4096, blobs, first):
+        # Residues travel as little-endian uint32; the first residue is
+        # checked against the first prime, the last against the last.
+        prime = params4096.q_primes[0 if first else -1]
+        for decode, (blob, head) in blobs.items():
+            if decode is bfv.secret_key_from_bytes:
+                continue
+            at = head if first else len(blob) - 4
+            for residue in (prime, 0xFFFFFFFF):
+                bad = blob[:at] + residue.to_bytes(4, "little") + blob[at + 4 :]
+                with pytest.raises(bfv.HeParamsError, match="out of range"):
+                    decode(bad, params4096)
+
+    def test_previous_versions_rejected(self, params4096, blobs):
+        # Ciphertext version 2 and key version 1 carried 8-byte residues.
+        for decode, old in (
+            (bfv.ciphertext_from_bytes, 2),
+            (bfv.public_key_from_bytes, 1),
+            (bfv.relin_key_from_bytes, 1),
+        ):
+            blob, _ = blobs[decode]
+            assert blob[4] == old + 1
+            with pytest.raises(bfv.HeParamsError, match=f"version {old}"):
+                decode(blob[:4] + bytes([old]) + blob[5:], params4096)
 
     def test_secret_key_not_ternary(self, params4096, blobs):
         blob, head = blobs[bfv.secret_key_from_bytes]

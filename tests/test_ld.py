@@ -20,6 +20,7 @@ from mpcmarket.analytics.ld import (
 )
 from mpcmarket.circuits import CircuitError, eval_plain
 from mpcmarket.he import bfv
+from mpcmarket.protocol import run_protocol1
 from mpcmarket.protocol.computations import CiphertextOps, LdComputation, NoiseOps
 
 THRESH = (3841, 1000)  # chi-square at 1 dof, p = 0.05
@@ -154,12 +155,11 @@ class TestCrtCombine:
 
 
 def planned_noise(params, t, num, den):
-    """The planner's (lhs, rhs) noise estimates under modulus ``t``: the LD
-    circuit replayed on noise at four fresh maker shares per count."""
+    """The planner's noise estimate of e under modulus ``t``: the LD circuit
+    replayed on noise at four fresh maker shares per count."""
     comp = LdComputation(count_bits=11, threshold_num=num, threshold_den=den)
     start = dict.fromkeys(HaplotypeCounts._fields, params.fresh_noise_log2() + 2)
-    out = comp.he_circuit(NoiseOps(params, t), start)
-    return out["lhs"], out["rhs"]
+    return comp.he_circuit(NoiseOps(params, t), start)["e"]
 
 
 class TestHePlan:
@@ -179,8 +179,8 @@ class TestHePlan:
 
     def test_planner_estimate_is_the_runtime_estimate(self, params8192, keys8192):
         # Four maker shares per count, summed as the buyer sums them, under
-        # the plan's last modulus (not params.t): the planner's (lhs, rhs)
-        # estimates are the ones the runtime operations carry.
+        # the plan's last modulus (not params.t): the planner's estimate of e
+        # is the one the runtime operations carry.
         _, pk, rk = keys8192
         num, den = 1_000_003, 3
         comp = LdComputation(count_bits=11, threshold_num=num, threshold_den=den)
@@ -192,12 +192,10 @@ class TestHePlan:
             cts = [bfv.encrypt(pk, bfv.encode_scalar(1, params8192, t), rng) for _ in range(4)]
             shares[name] = bfv.he_add(bfv.he_add(bfv.he_add(cts[0], cts[1]), cts[2]), cts[3])
         out = comp.he_circuit(CiphertextOps(params8192, t, rk), shares)
-        assert (out["lhs"].noise_log2, out["rhs"].noise_log2) == pytest.approx(
-            planned_noise(params8192, t, num, den)
-        )
+        assert out["e"].noise_log2 == pytest.approx(planned_noise(params8192, t, num, den))
+        # Scaling both thresholds scales both terms of e, and the estimate.
         base = planned_noise(params8192, t, 1, 1)
-        assert planned_noise(params8192, t, 1, 1 << 12)[0] == pytest.approx(base[0] + 12)
-        assert planned_noise(params8192, t, 1 << 12, 1)[1] == pytest.approx(base[1] + 12)
+        assert planned_noise(params8192, t, 1 << 12, 1 << 12) == pytest.approx(base + 12)
 
     def test_worked_example_encrypted(self, params8192, keys8192):
         sk, pk, rk = keys8192
@@ -212,13 +210,34 @@ class TestHePlan:
         for tag, blob in entries:
             pt = bfv.decrypt(sk, bfv.ciphertext_from_bytes(blob, params8192))
             residues[tuple(tag.split(":"))] = bfv.batch_decode(pt, 2)
-        ts = [str(t) for t in plan.moduli]
-        # instance 0: the worked example with den folded into the lhs
-        lhs0 = crt_combine({int(t): residues["lhs", t][0] for t in ts})
-        rhs0 = crt_combine({int(t): residues["rhs", t][0] for t in ts})
-        assert lhs0 == 50_000_000_000
-        assert rhs0 == 24_006_250_000
-        # instance 1: equilibrium, lhs exactly zero
-        lhs1 = crt_combine({int(t): residues["lhs", t][1] for t in ts})
-        assert lhs1 == 0
+        e = [crt_combine({t: residues["e", str(t)][i] for t in plan.moduli}) for i in (0, 1)]
+        _, rhs_max = ld_value_bounds(11, *THRESH)
+        # instance 0: the worked example, den*lhs = 50_000_000_000 and
+        # num*rhs = 24_006_250_000; instance 1: equilibrium, lhs exactly zero
+        assert e == [50_000_000_000 - 24_006_250_000 + rhs_max, rhs_max - 24_006_250_000]
         assert comp.he_finish(sk, plan, entries) == {"decisions": [True, False]}
+
+    def test_single_value_decision_at_its_edge(self):
+        # den*lhs > num*rhs exactly when e = den*lhs - num*rhs + rhs_max > rhs_max.
+        comp = LdComputation(count_bits=11, m_instances=3)
+        lhs_max, rhs_max = ld_value_bounds(11, *THRESH)
+        outputs = {"e": [rhs_max - 1, rhs_max, rhs_max + 1]}
+        assert comp.he_result(outputs, lhs_max + rhs_max + 1) == {
+            "decisions": [False, False, True]
+        }
+
+    def test_session_at_the_promise_maximum(self, params8192):
+        # (1023, 0, 0, 1024) has N = 2047, the largest total the promise
+        # allows, and reaches both bounds: e = lhs_max, the top of its range,
+        # which the plan moduli cover without wrapping. Instance 1 is at
+        # equilibrium (lhs = 0).
+        comp = LdComputation(count_bits=11, m_instances=2)
+        lhs_max, rhs_max = ld_value_bounds(11, *THRESH)
+        assert math.prod(comp.he_plan(params8192).moduli) > lhs_max + rhs_max
+        counts = [HaplotypeCounts(1023, 0, 0, 1024), HaplotypeCounts(25, 25, 25, 25)]
+        top = ld_decide_plain(counts[0], *THRESH)
+        assert (top.lhs * THRESH[1], top.rhs) == (lhs_max, rhs_max)
+        maker = {f"i{i}.{k}": v for i, c in enumerate(counts) for k, v in c._asdict().items()}
+        out = run_protocol1(comp, [maker], params8192, seed=24)
+        assert out.verified
+        assert out.result == {"decisions": [True, False]}

@@ -13,10 +13,12 @@ from mpcmarket.he import bfv
 from mpcmarket.he.bfv import HeParams
 from mpcmarket.protocol import (
     DeltaKeyDist,
+    EncryptedListing,
     LdComputation,
     LrComputation,
     ProtocolError,
     Result,
+    channels,
 )
 from mpcmarket.protocol.parties import Csp, DataTrust
 from mpcmarket.protocol.runner import (
@@ -45,6 +47,21 @@ def lr_row_input(bundled_model, bundled_dataset):
     rows, _ = bundled_dataset
     mask = (1 << bundled_model.spec.total_bits) - 1
     return {f"x{j}": rows[0][j] & mask for j in range(bundled_model.dim)}
+
+
+@pytest.fixture
+def listed(monkeypatch):
+    """(maker, ciphertext count) of every EncryptedListing a session sends."""
+    seen = []
+    log = channels.BaseChannel._log
+
+    def spy(self, seq, sender, receiver, msg, n_bytes):
+        if isinstance(msg, EncryptedListing):
+            seen.append((msg.maker, len(msg.entries)))
+        log(self, seq, sender, receiver, msg, n_bytes)
+
+    monkeypatch.setattr(channels.BaseChannel, "_log", spy)
+    return seen
 
 
 class TestProtocol2:
@@ -144,6 +161,33 @@ class TestHePipeline:
         assert he.result == run_protocol2(lr_comp, split, seed=31).result
         assert he.verified
 
+    def test_listings_do_not_grow_with_the_makers(
+        self, lr_comp, lr_row_input, params4096, listed
+    ):
+        # A maker lists only the features it owns: the row's 30 ciphertexts
+        # (one plan modulus) in all, whether one maker holds it or two split it.
+        names = sorted(lr_row_input)
+        split = [{k: lr_row_input[k] for k in names[i::2]} for i in (0, 1)]
+        one = run_protocol1(lr_comp, [lr_row_input], params4096, seed=32)
+        assert listed == [(0, 30)]
+        listed.clear()
+        two = run_protocol1(lr_comp, split, params4096, seed=32)
+        assert listed == [(0, 15), (1, 15)]
+        assert two.verified and two.result == one.result
+        growth = two.transcript.total_bytes() - one.transcript.total_bytes()
+        assert 0 < growth < 200
+
+    def test_ld_maker_lists_one_ciphertext_per_modulus(self, ld_comp, params8192, listed):
+        assert len(ld_comp.he_plan(params8192).moduli) == 3
+        out = run_protocol1(ld_comp, LD_SPLIT_4, params8192, seed=33)
+        assert out.verified and out.result == {"decisions": [True]}
+        assert listed == [(j, 3) for j in range(4)]
+
+    def test_maker_without_inputs_lists_nothing(self, lr_comp, lr_row_input, params4096, listed):
+        out = run_protocol1(lr_comp, [{}, lr_row_input], params4096, seed=34)
+        assert out.verified
+        assert listed == [(0, 0), (1, 30)]
+
     def test_lr_plan_rejected_at_n2048(self, lr_comp):
         with pytest.raises(PlanRejected):
             lr_comp.he_plan(HeParams.default(2048))
@@ -203,8 +247,8 @@ class TestHePipeline:
     def test_finish_needs_one_entry_per_output_and_modulus(self, ld_comp, params8192, keys8192):
         sk, _, _ = keys8192
         plan = ld_comp.he_plan(params8192)
-        entries = [(f"{name}:{t}", b"") for t in plan.moduli for name in ("lhs", "rhs")]
-        for bad in (entries[:-1], entries + entries[:1], entries[:-1] + [("lhs:7", b"")]):
+        entries = [(f"{name}:{t}", b"") for t in plan.moduli for name in plan.outputs]
+        for bad in (entries[:-1], entries + entries[:1], entries[:-1] + [("e:7", b"")]):
             with pytest.raises(ProtocolError):
                 ld_comp.he_finish(sk, plan, bad)
 
@@ -228,7 +272,7 @@ class TestHePipeline:
         counts = {"i0.n_AB": 30, "i0.n_Ab": 20, "i0.n_aB": 20, "i0.n_ab": 30}
         counts.update({f"i1.{k[3:]}": 25 for k in counts})
         assert run_protocol1(ld, [counts], params8192, seed=43).verified
-        assert len(seen) == 3 + 2 * 3
+        assert len(seen) == 3 + 3
         for estimate, exact in seen:
             assert estimate <= exact
 

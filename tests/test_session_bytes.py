@@ -50,22 +50,22 @@ P2_LR_TYPES = [
 
 FRAMES = {
     "p1-ld": [
-        "61bd50b1317392d18f853e9a1c98274a99456194ee12e931b54a923589d1d1e4",
-        "9432cbab2d6c6d46e8fba297127c71843aca4e626c0f405c056ae2a1314fe566",
-        "7e2db823a1f60721181b301615e24510b3064f16be877271b7c19ac9212fcdb0",
-        "b20e63cfcfa2f86ec49f2689237227510470570422a25c71569dceef3491ed1c",
-        "34d54ec588a6dfbe18801b846c52644babceac155c30e3c2d303dc8ea622aa1a",
+        "8a747466598e8268b2bcd45ae4faddba7d4ad04cd72d0ba4416b7adff4ffafc8",
+        "9ab88e4f040c7cf1a869834fd95f59709394cbc17a84f645b70232f1974c6f32",
+        "4d6cb1a06c2b6fedc94a65f9031a0aa88de02dc5a0b687e2d99965d8929679a2",
+        "6ea09352360142349b8c2e967a1fe6e32b0a5a454c5dc47f4e9c4c8af1c7397a",
+        "7c10b2d428799edc9d80bb09b22d5ccd974be76996d89dea2ddca4cb666cdc37",
         "554eae367d3b46bc2e731b1c25a0284b7d17a6d0ba30da605de3a26a29fe09ce",
-        "36a596878e49bd395827479335a58b4db332e926958dee2c2af39b8afa273ed7",
-        "c977f041eadce051de015b98d76b2b7d87a624e09e5a6ca399be9418f9f49954",
+        "2b0db72e909de76ff6cf22ef46e6d6bf9b74e3c27cc0c274d126dcc0825012a6",
+        "5f0864013b501f65bb81d1becb3b462bff1875dc5c5a0735c2e83e54ae25d932",
         "d82c07798b87d00629b069a01e6dcfd3ecc22cda4d974cc62d4f40ed3a3337d9",
     ],
     "p1-lr": [
-        "c669aac5274c48f20848d5bdaf9b1d0da1967fe705d25f3cbc7fa3fbd1e81d48",
-        "be5db8326c14264e1e2ce12caaaddf6046a6bf36873f11a8396067fa684587ea",
+        "1c4bbdd09d0e04fea2da9ff807dd24e2d022dcba74658d0f9dac27d6c5b59356",
+        "3b8b3f5e98863b3247b4b63f99031239fb52cb9ee0ef25b0031ddb6934a77ee9",
         "2155d60f20f95f278f1da51e578eaea9dfdb69c3470a752c556f94a711157c79",
-        "cfead7888156f5b117aa241c18d48188d54ca92806d78621459a54c443677fb7",
-        "fa977a7671f1922d81b64e54c9e8f72b34c65041687ed9e7524a71620f1c5ef3",
+        "4f990ccdc2e026cb86753d35fd01055c02e12eb3c9880f5c1344152f180726f6",
+        "421c45a9bea9a8d5c56472711368b08cc49188c0b1148743a8af843ed0f8f72d",
         "065a7fc87398666be98326193c89e12dee1aba1f1d0c83808ab9db03e633ebfb",
     ],
     "p2-ld": [
