@@ -1,5 +1,5 @@
 """Textbook BFV: keygen, encrypt/decrypt, add, multiply-with-relinearization,
-scalar and batched encodings, and noise-budget tracking.
+coefficient and batched encodings, and noise-budget tracking.
 
 Representation: every polynomial is one (k, n) int64 array in RNS form,
 one residue row per coefficient-modulus prime, and every operation is one
@@ -335,8 +335,9 @@ class RelinKey:
 
 @dataclass(frozen=True)
 class HePlaintext:
-    """Polynomial mod t: a scalar in the constant coefficient, or one value
-    per slot when batched; the caller knows which."""
+    """Polynomial mod t: values in its coefficients (a scalar in the
+    constant one), or one value per slot when batched; the caller knows
+    which."""
 
     poly: np.ndarray
     t: int
@@ -462,11 +463,18 @@ def keygen(
 # -- encodings ----------------------------------------------------------------
 
 
-def encode_scalar(value: int, params: HeParams, t: int | None = None) -> HePlaintext:
+def encode_coeffs(values: Sequence[int], params: HeParams, t: int | None = None) -> HePlaintext:
+    """Up to n integers as the coefficients of X^0, X^1, ... mod t."""
     t = params.t if t is None else t
+    if len(values) > params.n:
+        raise HeParamsError(f"too many coefficients: {len(values)} > {params.n}")
     poly = np.zeros(params.n, dtype=np.int64)
-    poly[0] = value % t
+    poly[: len(values)] = np.mod(np.asarray(values, dtype=object), t).astype(np.int64)
     return HePlaintext(poly, t)
+
+
+def encode_scalar(value: int, params: HeParams, t: int | None = None) -> HePlaintext:
+    return encode_coeffs([value], params, t)
 
 
 def decode_scalar(pt: HePlaintext) -> int:
@@ -509,7 +517,8 @@ def encrypt(pk: PublicKey, pt: HePlaintext, rng: np.random.Generator | None = No
     e2 = _sample_gaussian(rng, n, params.noise_sigma)
     u_ntt = plan.forward(u)
     delta = params.residues(params.q // pt.t)
-    c0 = (plan.inverse(pk.pk0_ntt * u_ntt % q) + e1 + delta * pt.poly) % q
+    # pt.poly is reduced first: residues below 2^30 keep delta * m in int64 for any t.
+    c0 = (plan.inverse(pk.pk0_ntt * u_ntt % q) + e1 + delta * (pt.poly % q)) % q
     c1 = (plan.inverse(pk.pk1_ntt * u_ntt % q) + e2) % q
     return HeCiphertext(params, pt.t, (c0, c1), params.fresh_noise_log2())
 
@@ -593,7 +602,8 @@ def he_add_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
     params = ct.params
-    c0 = (ct.polys[0] + params.residues(params.q // ct.t) * pt.poly) % params.ntt.mod
+    q = params.ntt.mod
+    c0 = (ct.polys[0] + params.residues(params.q // ct.t) * (pt.poly % q)) % q
     return HeCiphertext(
         params=params,
         t=ct.t,

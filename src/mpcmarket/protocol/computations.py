@@ -53,21 +53,56 @@ MakerInput = Mapping[str, int]  # input-group name -> integer value
 class HePlan:
     """What every role derives from the public (computation, params): the
     plaintext moduli the circuit runs under, its input and output names, the
-    slots per ciphertext, and whether it multiplies ciphertexts (so the
-    evaluator needs the relinearization key)."""
+    values per input (``slots``), whether it multiplies ciphertexts (so the
+    evaluator needs the relinearization key), and whether it takes a dot
+    product (``packed``).
+
+    The layout follows: a packed plan encodes each input's values as
+    coefficients and yields one value per output, read from coefficient 0;
+    more than one slot without a dot product is batched, one value per slot;
+    one slot is a scalar, the one-coefficient case of the packed encoding."""
 
     moduli: tuple[int, ...]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     slots: int
     relin: bool
+    packed: bool
+
+    @property
+    def batched(self) -> bool:
+        return self.slots > 1 and not self.packed
+
+    def encode(self, values: Sequence[int], params: HeParams, t: int) -> bfv.HePlaintext:
+        if self.batched:
+            return bfv.batch_encode(values, params, t)
+        return bfv.encode_coeffs(values, params, t)
+
+    def decode(self, pt: bfv.HePlaintext) -> list[int]:
+        return bfv.batch_decode(pt, self.slots) if self.batched else [bfv.decode_scalar(pt)]
+
+
+def _dot_plaintext(weights: Sequence[int], params: HeParams, t: int) -> bfv.HePlaintext:
+    """The negacyclic reversal w'(X) = w_0 - sum_{j>=1} w_j X^(n-j): for x(X)
+    = sum x_j X^j, coefficient 0 of x(X) w'(X) mod X^n + 1 is x.w (Huang,
+    Lu, Hong and Ding, "Cheetah", USENIX Security 2022)."""
+    coeffs = [weights[0]] + [0] * (params.n - len(weights)) + [-w for w in weights[:0:-1]]
+    return bfv.encode_coeffs(coeffs, params, t)
 
 
 class CiphertextOps:
-    """The circuit op set on ciphertexts under plaintext modulus ``t``."""
+    """The circuit op set on ciphertexts under plaintext modulus ``t``; the
+    buyer's ``rng`` draws the mask of a packed circuit's outputs."""
 
-    def __init__(self, params: HeParams, t: int, rk: RelinKey | None) -> None:
-        self.params, self.t, self.rk = params, t, rk
+    def __init__(
+        self,
+        params: HeParams,
+        t: int,
+        rk: RelinKey | None,
+        rng: np.random.Generator | None = None,
+    ) -> None:
+        self.params, self.t, self.rk, self.rng = params, t, rk, rng
+        self.packed = False
 
     add = staticmethod(bfv.he_add)
     sub = staticmethod(bfv.he_sub)
@@ -81,17 +116,31 @@ class CiphertextOps:
     def add_const(self, a: HeCiphertext, c: int) -> HeCiphertext:
         return bfv.he_add_plain(a, bfv.encode_scalar(c, self.params, self.t))
 
+    def dot_const(self, a: HeCiphertext, weights: Sequence[int]) -> HeCiphertext:
+        self.packed = True
+        return bfv.he_mul_plain(a, _dot_plaintext(weights, self.params, self.t))
+
+    def mask(self, a: HeCiphertext) -> HeCiphertext:
+        """A uniform value mod t added to every coefficient but 0, which
+        holds the output (Juvekar, Vaikuntanathan and Chandrakasan,
+        "GAZELLE", USENIX Security 2018)."""
+        m = self.rng.integers(0, self.t, self.params.n, dtype=np.int64)
+        m[0] = 0
+        return bfv.he_add_plain(a, bfv.HePlaintext(m, self.t))
+
 
 class NoiseOps:
     """The same op set on noise estimates (log2), through the rules the bfv
     operations apply. Raises :class:`PlanRejected` where a value would leave
-    no budget, which is where the runtime would fail; ``multiplies`` records
-    whether the circuit multiplied ciphertexts."""
+    no budget, which is where the runtime would fail; ``multiplies`` and
+    ``packed`` record whether the circuit multiplied ciphertexts and took a
+    dot product."""
 
     def __init__(self, params: HeParams, t: int) -> None:
         self.params, self.t = params, t
         self.capacity = params.budget_capacity(t)
         self.multiplies = False
+        self.packed = False
 
     def _fit(self, v: float) -> float:
         if self.capacity - v <= 0:
@@ -116,31 +165,49 @@ class NoiseOps:
     def add_const(self, a: float, c: int) -> float:
         return self._fit(bfv.plain_add_noise_log2(a, self.t))
 
+    def dot_const(self, a: float, weights: Sequence[int]) -> float:
+        if len(weights) > self.params.n:
+            raise PlanRejected(f"{len(weights)} weights exceed the ring degree {self.params.n}")
+        self.packed = True
+        return self._fit(bfv.plain_mul_noise_log2(a, _dot_plaintext(weights, self.params, self.t)))
+
+    def mask(self, a: float) -> float:
+        return self.add_const(a, 0)
+
 
 class HePipeline:
     """Protocol 1 for a computation that states four things:
 
-    - ``he_inputs(maker_input)``: input name -> the maker's share per slot,
-      for the inputs fed by a group the maker owns (given every group, every
-      input);
+    - ``he_inputs(maker_input)``: input name -> the maker's values (its
+      share per slot, or the vector a dot product takes), for the inputs fed
+      by a group the maker owns (given every group, every input);
     - ``he_circuit(ops, x)``: its integer circuit over the op set ``add``,
-      ``sub``, ``mul``, ``mul_const``, ``add_const``, returning output name
-      -> value;
+      ``sub``, ``mul``, ``mul_const``, ``add_const`` and ``dot_const`` (the
+      inner product of an input's values with plaintext weights), returning
+      output name -> value;
     - ``he_output_range()``: (prime bits, bound); the product of the plan
       moduli exceeds the bound, so every output is known modulo it;
     - ``he_result(outputs, modulus)``: the result from the CRT-combined
-      outputs (name -> one integer in [0, modulus) per slot).
+      outputs (name -> one integer in [0, modulus) per output value).
 
     The circuit runs on :class:`CiphertextOps` at the buyer and on
     :class:`NoiseOps` in the planner and in the buyer's check, so both see
-    the same noise rules.
+    the same noise rules. A circuit that takes a dot product leaves partial
+    sums in every other coefficient, so each of its outputs is masked
+    there before it goes to the CSP; the replays count the mask too.
     """
+
+    def _circuit(self, ops, x: Mapping) -> dict:
+        y = self.he_circuit(ops, x)
+        return {name: ops.mask(v) for name, v in y.items()} if ops.packed else y
 
     def he_plan(self, params: HeParams, makers: int = 1) -> HePlan:
         """At most ``params.n`` slots, and moduli covering the output range,
         each checked by replaying the circuit on noise estimates, every input
         starting as the buyer's sum of ``makers`` fresh shares. Only that
-        check depends on ``makers``; the plan itself does not."""
+        check depends on ``makers``; the plan itself does not. A circuit
+        that takes a dot product and multiplies ciphertexts is rejected: a
+        product of packed ciphertexts would mix their coefficients."""
         bits, bound = self.he_output_range()
         moduli: list[int] = []
         while math.prod(moduli) <= bound:
@@ -155,9 +222,13 @@ class HePipeline:
         start = dict.fromkeys(inputs, share_sum)
         for t in moduli:
             ops = NoiseOps(params, t)
-            outputs = self.he_circuit(ops, start)
-        # The circuit's ops do not depend on t: any replay tells whether it multiplies.
-        return HePlan(tuple(moduli), tuple(inputs), tuple(outputs), slots, ops.multiplies)
+            outputs = self._circuit(ops, start)
+        # The circuit's ops do not depend on t: any replay tells which it uses.
+        if ops.packed and ops.multiplies:
+            raise PlanRejected("a dot product cannot share a circuit with a ciphertext multiply")
+        return HePlan(
+            tuple(moduli), tuple(inputs), tuple(outputs), slots, ops.multiplies, ops.packed
+        )
 
     def he_encrypt_inputs(
         self,
@@ -167,16 +238,13 @@ class HePipeline:
         rng: np.random.Generator,
     ) -> list[tuple[str, bytes]]:
         """One ciphertext per (plan modulus, input the maker feeds), tagged
-        ``{t}:{input}``: scalar-encoded for one slot, batched otherwise."""
+        ``{t}:{input}`` and encoded in the plan's layout."""
         shares = self.he_inputs(maker_input)
         entries = []
         for t in plan.moduli:
             for name, v in shares.items():
-                pt = (
-                    bfv.batch_encode(v, pk.params, t) if plan.slots > 1
-                    else bfv.encode_scalar(v[0], pk.params, t)
-                )
-                entries.append((f"{t}:{name}", bfv.ciphertext_to_bytes(bfv.encrypt(pk, pt, rng))))
+                ct = bfv.encrypt(pk, plan.encode(v, pk.params, t), rng)
+                entries.append((f"{t}:{name}", bfv.ciphertext_to_bytes(ct)))
         return entries
 
     def he_evaluate(
@@ -185,10 +253,12 @@ class HePipeline:
         rk: RelinKey | None,
         plan: HePlan,
         listings: Sequence[tuple[int, str, bytes]],
+        rng: np.random.Generator | None = None,
     ) -> list[tuple[str, bytes]]:
         """Buyer side: sum every maker's shares (free additions), check that
         the circuit fits the sums' noise estimates under every modulus, then
-        run it per modulus; outputs are tagged ``{output}:{t}``."""
+        run it per modulus, masking a packed circuit's outputs from ``rng``;
+        outputs are tagged ``{output}:{t}``."""
         want = {f"{t}:{name}": t for t in plan.moduli for name in plan.inputs}
         sums: dict[str, HeCiphertext] = {}
         for maker, tag, blob in listings:
@@ -203,10 +273,11 @@ class HePipeline:
             raise ProtocolError(f"no shares for inputs {sorted(missing)[:4]}")
         inputs = {t: {name: sums[f"{t}:{name}"] for name in plan.inputs} for t in plan.moduli}
         for t, x in inputs.items():
-            self.he_circuit(NoiseOps(params, t), {n: ct.noise_log2 for n, ct in x.items()})
+            self._circuit(NoiseOps(params, t), {n: ct.noise_log2 for n, ct in x.items()})
+        rng = np.random.default_rng() if rng is None else rng
         out = []
         for t, x in inputs.items():
-            y = self.he_circuit(CiphertextOps(params, t, rk), x)
+            y = self._circuit(CiphertextOps(params, t, rk, rng), x)
             out += [(f"{name}:{t}", bfv.ciphertext_to_bytes(y[name])) for name in plan.outputs]
         return out
 
@@ -217,7 +288,7 @@ class HePipeline:
         entries: Sequence[tuple[str, bytes]],
     ) -> dict:
         """CSP side: decrypt exactly one entry per (output, plan modulus),
-        CRT-combine each output slot-wise, and derive the result."""
+        CRT-combine each output value-wise, and derive the result."""
         want = {f"{name}:{t}": (name, t) for t in plan.moduli for name in plan.outputs}
         tags = [tag for tag, _ in entries]
         if sorted(tags) != sorted(want):
@@ -228,12 +299,9 @@ class HePipeline:
             ct = bfv.ciphertext_from_bytes(blob, sk.params)
             if ct.t != t:
                 raise ProtocolError(f"output {tag!r} is encrypted under t={ct.t}")
-            pt = bfv.decrypt(sk, ct)
-            residues[name][t] = (
-                bfv.batch_decode(pt, plan.slots) if plan.slots > 1 else [bfv.decode_scalar(pt)]
-            )
+            residues[name][t] = plan.decode(bfv.decrypt(sk, ct))
         outputs = {
-            name: [crt_combine({t: r[t][i] for t in plan.moduli}) for i in range(plan.slots)]
+            name: [crt_combine(dict(zip(plan.moduli, v))) for v in zip(*map(r.get, plan.moduli))]
             for name, r in residues.items()
         }
         return self.he_result(outputs, math.prod(plan.moduli))
@@ -374,23 +442,15 @@ class LrComputation(HePipeline):
     # -- HE path -------------------------------------------------------------
 
     def he_inputs(self, maker_input: MakerInput) -> dict[str, list[int]]:
-        """Each feature the maker owns as a signed integer."""
-        return {
-            f"x{j}": [x] for j, x in enumerate(self._row(maker_input)) if f"x{j}" in maker_input
-        }
+        """The features as one vector ``x`` of signed integers, 0 where the
+        maker owns none; nothing for a maker that owns no feature."""
+        return {"x": self._row(maker_input)} if maker_input else {}
 
     def he_circuit(self, ops, x: Mapping) -> dict:
-        """The affine part z = x.w + b with plaintext weights; the sigmoid
-        tail runs after decryption."""
-        acc = None
-        for j, w in enumerate(self.model.weights):
-            if w == 0:
-                continue
-            term = ops.mul_const(x[f"x{j}"], w)
-            acc = term if acc is None else ops.add(acc, term)
-        if acc is None:
-            raise PlanRejected("model has no nonzero weights")
-        return {"z": ops.add_const(acc, self.model.bias << self.model.spec.frac_bits)}
+        """The affine part z = x.w + b, one dot product with the plaintext
+        weights; the sigmoid tail runs after decryption."""
+        z = ops.dot_const(x["x"], self.model.weights)
+        return {"z": ops.add_const(z, self.model.bias << self.model.spec.frac_bits)}
 
     def he_output_range(self) -> tuple[int, int]:
         """One prime above 2|z|max, so that a signed z survives."""

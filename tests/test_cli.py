@@ -99,6 +99,25 @@ class TestRun:
         assert "verified against plaintext oracle: True" in capsys.readouterr().out
 
 
+def test_lr_he_sends_one_ciphertext_per_maker(monkeypatch, capsys):
+    from mpcmarket.protocol import EncryptedListing, channels
+
+    listed = []
+    log = channels.BaseChannel._log
+
+    def spy(self, seq, sender, receiver, msg, n_bytes):
+        if isinstance(msg, EncryptedListing):
+            listed.append((msg.maker, len(msg.entries)))
+        log(self, seq, sender, receiver, msg, n_bytes)
+
+    monkeypatch.setattr(channels.BaseChannel, "_log", spy)
+    rc = main(["run", "--backend", "he", "--workload", "lr", "--makers", "3", "--rows", "2"])
+    assert rc == EXIT_OK
+    assert "verified against plaintext oracle: True" in capsys.readouterr().out
+    # Two rows, repeated ten times by default: every session lists one entry per maker.
+    assert listed == [(0, 1), (1, 1), (2, 1)] * 2 * 10
+
+
 def test_lr_row_is_dealt_to_the_makers():
     _, sessions = _sessions(RunConfig(workload="lr", rows=1, makers=3))
     (makers,) = sessions

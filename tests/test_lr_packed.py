@@ -1,0 +1,172 @@
+"""LR on HE as one packed dot product: exactness, what the CSP sees, and
+the plans the planner must reject before any key exists."""
+
+import random
+
+import numpy as np
+import pytest
+
+from mpcmarket.analytics.ld import PlanRejected
+from mpcmarket.analytics.lr import LrModel, lr_affine_fixed, lr_he_plan_bound
+from mpcmarket.circuits.ir import FixedPointSpec
+from mpcmarket.he import bfv
+from mpcmarket.he.bfv import HeParams
+from mpcmarket.protocol import LdComputation, LrComputation
+from mpcmarket.protocol.computations import CiphertextOps, NoiseOps
+from mpcmarket.protocol.parties import Csp
+
+SPEC = FixedPointSpec(total_bits=16, frac_bits=8)
+W = (1 << 15) - 1  # the widest 16-bit weight magnitude
+X_MIN, X_MAX = -(1 << 15), (1 << 15) - 1
+
+
+def _bits(row):
+    return {f"x{j}": v & 0xFFFF for j, v in enumerate(row)}
+
+
+def _session(comp, params, keys, maker, seed=0):
+    """The plan, one maker's packed listing and the buyer's request entries."""
+    _, pk, _ = keys
+    plan = comp.he_plan(params)
+    rng = np.random.default_rng(seed)
+    listing = [(0, tag, blob) for tag, blob in comp.he_encrypt_inputs(pk, plan, maker, rng)]
+    return plan, listing, comp.he_evaluate(params, None, plan, listing, rng)
+
+
+def _extreme_and_mixed(d):
+    """(weights, bias, features) for z = +bound, z = -bound and a mix of
+    every weight and feature sign."""
+    r = random.Random(d)
+    mixed = (
+        [r.choice((-W, W, r.randint(-W, W))) for _ in range(d)],
+        r.randint(-W, W),
+        [r.choice((X_MIN, X_MAX, r.randint(X_MIN, X_MAX))) for _ in range(d)],
+    )
+    return [([-W] * d, W, [X_MIN] * d), ([W] * d, -W, [X_MIN] * d), mixed]
+
+
+@pytest.fixture(scope="module", params=[1024, 4096])
+def wide_ring(request):
+    """A ring whose five 30-bit primes leave room for 16-bit weights over
+    n features (test-only parameters), and its keys."""
+    n = request.param
+    params = HeParams(n, tuple(bfv.find_ntt_primes(30, n, 5)), bfv.find_ntt_primes(20, n)[0])
+    return params, bfv.keygen(params, seed=n, relin=False)
+
+
+@pytest.mark.parametrize("dim", ["one", "n"])
+def test_packed_inner_product_is_exact(wide_ring, dim):
+    params, keys = wide_ring
+    d = 1 if dim == "one" else params.n
+    for k, (weights, bias, row) in enumerate(_extreme_and_mixed(d)):
+        model = LrModel(tuple(weights), bias, SPEC)
+        comp = LrComputation(model=model)
+        z = lr_affine_fixed(model, row)
+        bound = lr_he_plan_bound(model)
+        if k < 2:
+            assert z == (bound if k == 0 else -bound)
+        plan, _, out = _session(comp, params, keys, _bits(row), seed=k)
+        # One modulus above 2|z|max carries every z in [-bound, bound].
+        (t,) = plan.moduli
+        assert plan.packed and t > 2 * bound
+        ((_, blob),) = out
+        got = bfv.decode_scalar(bfv.decrypt(keys[0], bfv.ciphertext_from_bytes(blob, params)))
+        assert (got - t if got > t // 2 else got) == z
+        assert comp.he_finish(keys[0], plan, out) == comp.oracle(_bits(row))
+
+
+class TestWhatTheCspSees:
+    @pytest.fixture(scope="class")
+    def lr(self, bundled_model, bundled_dataset, params4096):
+        rows, _ = bundled_dataset
+        comp = LrComputation(model=bundled_model, range_bits=10)
+        keys = bfv.keygen(params4096, seed=7, relin=False)
+        return comp, rows[0], keys
+
+    def _decrypt(self, keys, params, entries):
+        ((_, blob),) = entries
+        return bfv.decrypt(keys[0], bfv.ciphertext_from_bytes(blob, params)).poly
+
+    def test_only_coefficient_zero_survives_the_mask(self, lr, params4096):
+        comp, row, keys = lr
+        plan, listing, first = _session(comp, params4096, keys, _bits(row))
+        second = comp.he_evaluate(params4096, None, plan, listing, np.random.default_rng(99))
+        a, b = (self._decrypt(keys, params4096, e) for e in (first, second))
+        (t,) = plan.moduli
+        z = lr_affine_fixed(comp.model, row)
+        assert a[0] == b[0] == z % t
+        result = comp.he_finish(keys[0], plan, first)
+        assert result == comp.he_finish(keys[0], plan, second) == comp.oracle(_bits(row))
+        assert (a[1:] != b[1:]).mean() > 0.999
+
+    def test_unmasked_coefficients_hold_cross_sums(self, lr, params4096, monkeypatch):
+        monkeypatch.setattr(CiphertextOps, "mask", lambda self, a: a)
+        comp, row, keys = lr
+        plan, _, out = _session(comp, params4096, keys, _bits(row))
+        poly = self._decrypt(keys, params4096, out)
+        (t,) = plan.moduli
+        n, w, d = params4096.n, comp.model.weights, comp.model.dim
+        want = [0] * n
+        want[0] = lr_affine_fixed(comp.model, row)
+        for k in range(1, d):
+            # x(X) w'(X): x_{j+k} w_j lands on X^k, x_j w_{j+k} on -X^(n-k).
+            want[k] = sum(row[j + k] * w[j] for j in range(d - k))
+            want[n - k] = -sum(row[j] * w[j + k] for j in range(d - k))
+        assert [int(c) for c in poly] == [v % t for v in want]
+
+    def test_batched_ld_draws_no_mask(self, params8192, keys8192, monkeypatch):
+        def no_mask(self, a):
+            raise AssertionError("a batched plan was masked")
+
+        monkeypatch.setattr(CiphertextOps, "mask", no_mask)
+        comp = LdComputation(count_bits=11, m_instances=2)
+        plan = comp.he_plan(params8192)
+        assert plan.batched and not plan.packed
+        counts = {f"i{i}.{k}": 25 for i in range(2) for k in ("n_AB", "n_Ab", "n_aB", "n_ab")}
+        enc = comp.he_encrypt_inputs(keys8192[1], plan, counts, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        out = comp.he_evaluate(params8192, keys8192[2], plan, [(0, *e) for e in enc], rng)
+        assert rng.bit_generator.state == before
+        assert comp.he_finish(keys8192[0], plan, out) == {"decisions": [False, False]}
+
+
+class _DotThenMultiply(LrComputation):
+    def he_circuit(self, ops, x):
+        z = ops.dot_const(x["x"], self.model.weights)
+        return {"z": ops.mul(z, z)}
+
+
+class _MultiplyThenDot(LrComputation):
+    def he_circuit(self, ops, x):
+        return {"z": ops.dot_const(ops.mul(x["x"], x["x"]), self.model.weights)}
+
+
+@pytest.fixture
+def no_keygen(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("keys generated for a plan that cannot run")
+
+    monkeypatch.setattr(bfv, "keygen", fail)
+
+
+@pytest.mark.parametrize("circuit", [_DotThenMultiply, _MultiplyThenDot])
+def test_plan_rejects_a_dot_product_with_a_ciphertext_multiply(
+    circuit, bundled_model, params8192, no_keygen
+):
+    comp = circuit(model=bundled_model)
+    with pytest.raises(PlanRejected, match="dot product"):
+        comp.he_plan(params8192)
+    with pytest.raises(PlanRejected, match="dot product"):
+        Csp(comp, seed=0).he_setup(params8192, 1)
+
+
+def test_plan_rejects_a_packed_vector_longer_than_n(no_keygen):
+    params = HeParams.default(1024)
+    comp = LrComputation(model=LrModel((1,) * 1025, 0, SPEC))
+    with pytest.raises(PlanRejected, match="1025 slots do not fit"):
+        comp.he_plan(params)
+    with pytest.raises(PlanRejected, match="1025 slots do not fit"):
+        Csp(comp, seed=0).he_setup(params, 1)
+    with pytest.raises(PlanRejected, match="1025 weights exceed"):
+        NoiseOps(params, params.t).dot_const(0.0, [1] * 1025)

@@ -164,18 +164,20 @@ class TestHePipeline:
     def test_listings_do_not_grow_with_the_makers(
         self, lr_comp, lr_row_input, params4096, listed
     ):
-        # A maker lists only the features it owns: the row's 30 ciphertexts
-        # (one plan modulus) in all, whether one maker holds it or two split it.
+        # A maker lists its features as one packed ciphertext (one plan
+        # modulus), whether it holds the whole row or half of it.
         names = sorted(lr_row_input)
         split = [{k: lr_row_input[k] for k in names[i::2]} for i in (0, 1)]
         one = run_protocol1(lr_comp, [lr_row_input], params4096, seed=32)
-        assert listed == [(0, 30)]
+        assert listed == [(0, 1)]
         listed.clear()
         two = run_protocol1(lr_comp, split, params4096, seed=32)
-        assert listed == [(0, 15), (1, 15)]
+        assert listed == [(0, 1), (1, 1)]
         assert two.verified and two.result == one.result
+        # The second maker adds one ciphertext entry to the listings and one to the bundle.
+        ct_bytes = 2 * len(params4096.q_primes) * params4096.n * 4
         growth = two.transcript.total_bytes() - one.transcript.total_bytes()
-        assert 0 < growth < 200
+        assert 2 * ct_bytes < growth < 2 * ct_bytes + 200
 
     def test_ld_maker_lists_one_ciphertext_per_modulus(self, ld_comp, params8192, listed):
         assert len(ld_comp.he_plan(params8192).moduli) == 3
@@ -186,7 +188,7 @@ class TestHePipeline:
     def test_maker_without_inputs_lists_nothing(self, lr_comp, lr_row_input, params4096, listed):
         out = run_protocol1(lr_comp, [{}, lr_row_input], params4096, seed=34)
         assert out.verified
-        assert listed == [(0, 0), (1, 30)]
+        assert listed == [(0, 0), (1, 1)]
 
     def test_lr_plan_rejected_at_n2048(self, lr_comp):
         with pytest.raises(PlanRejected):

@@ -62,10 +62,10 @@ FRAMES = {
     ],
     "p1-lr": [
         "1c4bbdd09d0e04fea2da9ff807dd24e2d022dcba74658d0f9dac27d6c5b59356",
-        "3b8b3f5e98863b3247b4b63f99031239fb52cb9ee0ef25b0031ddb6934a77ee9",
+        "34bc7d27f81ab93fa9f0143436f77aeb8896b66bc194d725a095e74c9831418b",
         "2155d60f20f95f278f1da51e578eaea9dfdb69c3470a752c556f94a711157c79",
-        "4f990ccdc2e026cb86753d35fd01055c02e12eb3c9880f5c1344152f180726f6",
-        "421c45a9bea9a8d5c56472711368b08cc49188c0b1148743a8af843ed0f8f72d",
+        "86525e940f00b648f6427696381e836b5c82f0dddfa4feabc4861a7c1f4c4945",
+        "935beb723ca09265995db76a39f1880f9402e31faa358fa5266bb97c7955a8ff",
         "065a7fc87398666be98326193c89e12dee1aba1f1d0c83808ab9db03e633ebfb",
     ],
     "p2-ld": [
