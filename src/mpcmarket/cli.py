@@ -352,6 +352,14 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer (argparse exits 2 otherwise)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mpcmarket", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -368,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n", type=int, dest="n_degree")
     run.add_argument("--batch", action=argparse.BooleanOptionalAction, default=None)
     run.add_argument("--transport", choices=("inproc", "tcp"))
-    run.add_argument("--seed", type=int)
+    run.add_argument("--seed", type=_seed)
     run.add_argument("--repeat", type=int)
     run.add_argument("--verify", action=argparse.BooleanOptionalAction, default=None)
     run.add_argument("--data")
@@ -384,13 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--N", type=int, default=200)
     gen.add_argument("--D", type=float, default=None)
     gen.add_argument("--dims", type=int, default=30)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
 
     kg = sub.add_parser("keygen", help="generate and store BFV keys")
     kg.add_argument("--n", type=int, default=8192)
     kg.add_argument("--t-bits", type=int, default=21)
     kg.add_argument("--out", required=True)
-    kg.add_argument("--seed", type=int, default=0)
+    kg.add_argument("--seed", type=_seed, default=0)
 
     ins = sub.add_parser("inspect", help="print circuit-file statistics")
     ins.add_argument("circuit")
@@ -403,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--range-bits", type=int, nargs="+", default=[10, 11, 12])
     bench.add_argument("--n", type=int)
     bench.add_argument("--repeat", type=int, default=10)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_seed, default=0)
     bench.add_argument("--compare-scalar", action="store_true")
     bench.add_argument("--jsonl")
     return ap

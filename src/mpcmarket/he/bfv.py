@@ -6,13 +6,21 @@ one residue row per coefficient-modulus prime, and every operation is one
 broadcast against the (k, 1) column of primes (``HeParams.ntt.mod``); one
 NTT call transforms all k rows. The coefficient modulus q is a product of
 30-bit NTT-friendly primes (kept word-sized so numpy int64 products never
-overflow). Multiplication extends the operands' centered lifts from q to
-an extended prime basis by exact RNS base conversion, runs the tensor
-product there, scale-rounds by t/q in RNS, and relinearizes with an
-RNS-decomposed key-switching key; decryption uses the same rounding.
-Both work in int64 and float64 (Halevi, Polyakov and Shoup, CT-RSA
-2019); a column whose float sum lies too near a rounding boundary is
-recomputed in Python integers, so results equal exact integer arithmetic.
+overflow). Products in the transform domain take no int64 remainder:
+:func:`~mpcmarket.he.ntt.dot_mod` estimates each quotient in float64 and
+subtracts it exactly. The transforms keep their natural output order, so
+only :func:`batch_encode` and :func:`batch_decode` apply the (bit-reversed)
+slot order; keys and ciphertexts travel in coefficient form, which the
+order does not touch.
+
+Multiplication extends the operands' centered lifts from q to an extended
+prime basis by exact RNS base conversion, runs the tensor product there
+(a square transforms its operand once), scale-rounds by t/q in RNS, and
+relinearizes with an RNS-decomposed key-switching key; decryption uses the
+same rounding. Both work in int64 and float64 (Halevi, Polyakov and Shoup,
+CT-RSA 2019); a column whose float sum lies too near a rounding boundary
+is recomputed in Python integers, so results equal exact integer
+arithmetic.
 
 Keys and ciphertexts serialize as their (k, n) arrays in coefficient form,
 prime-major, one little-endian uint32 per residue (every prime is below
@@ -42,7 +50,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ntt import _LIMB, _LIMB_MASK, NttPlan, _join_limbs, get_plan, is_prime
+from .ntt import NttPlan, _join, canonical, dot_mod, get_plan, is_prime, split_limbs
 
 VALID_DEGREES = (1024, 2048, 4096, 8192)
 
@@ -204,7 +212,7 @@ def _conversion(src: tuple[int, ...], dst: tuple[int, ...]) -> _Conversion:
     return _Conversion(
         _rns(src),
         _rns(dst),
-        np.concatenate((hats & _LIMB_MASK, hats >> _LIMB)).astype(np.float64),
+        split_limbs(hats, axis=0),
         np.array([q % d for d in dst], dtype=np.int64)[:, None],
         np.array([pow(q, -1, d) for d in dst], dtype=np.int64)[:, None],
     )
@@ -263,7 +271,8 @@ def _lift(x: np.ndarray, conv: _Conversion):
     kd = len(dst.primes)
     lo = sums[..., :kd, :]
     lo -= v[..., None, :] * conv.q_dst
-    return y, v.astype(np.int64), _join_limbs(lo, sums[..., kd:, :], dst.col), near
+    w = _join(lo, sums[..., kd:, :], dst.col, dst.inv[:, None])
+    return y, v.astype(np.int64), canonical(w, dst.col), near
 
 
 def _extend(x: np.ndarray, conv: _Conversion) -> np.ndarray:
@@ -440,24 +449,24 @@ def keygen(
     s = _sample_ternary(rng, n)
     s_ntt = plan.forward(s)
 
-    e = _sample_gaussian(rng, n, params.noise_sigma)
-    a_ntt = plan.forward(_sample_uniform_rns(rng, n, primes))
-    b_ntt = plan.forward(-plan.inverse(a_ntt * s_ntt % q) - e)
-    pk = PublicKey(params, b_ntt, a_ntt)
+    def rlwe(body: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(b, a) in the transform domain with b = body - a s; b is reduced
+        before its transform, which takes inputs below 2^30."""
+        a_ntt = plan.forward(_sample_uniform_rns(rng, n, primes))
+        return plan.forward((body - plan.inverse(dot_mod((a_ntt,), (s_ntt,), q))) % q), a_ntt
+
+    pk = PublicKey(params, *rlwe(-_sample_gaussian(rng, n, params.noise_sigma)))
     sk = SecretKey(params, s, s_ntt)
     if not relin:
         return sk, pk, None
 
     # s^2 mod every prime.
-    s2 = plan.inverse(s_ntt * s_ntt % q)
-    pairs = []
-    for p_i in primes:
-        e_i = _sample_gaussian(rng, n, params.noise_sigma)
-        a_ntt = plan.forward(_sample_uniform_rns(rng, n, primes))
-        body = params.residues(params.q // p_i) * s2 + e_i
-        b_ntt = plan.forward(-plan.inverse(a_ntt * s_ntt % q) + body)
-        pairs.append((b_ntt, a_ntt))
-    return sk, pk, RelinKey(params, tuple(pairs))
+    s2 = plan.inverse(dot_mod((s_ntt,), (s_ntt,), q))
+    pairs = tuple(
+        rlwe(params.residues(params.q // p_i) * s2 + _sample_gaussian(rng, n, params.noise_sigma))
+        for p_i in primes
+    )
+    return sk, pk, RelinKey(params, pairs)
 
 
 # -- encodings ----------------------------------------------------------------
@@ -488,16 +497,16 @@ def batch_encode(values: Sequence[int], params: HeParams, t: int | None = None) 
         raise HeParamsError(f"t={t} incompatible with batching at n={params.n}")
     if len(values) > params.n:
         raise HeParamsError(f"too many values to batch: {len(values)} > {params.n}")
+    plan = get_plan(params.n, (t,))
     slots = np.zeros(params.n, dtype=np.int64)
-    slots[: len(values)] = np.mod(np.asarray(values, dtype=object), t).astype(np.int64)
-    poly = get_plan(params.n, (t,)).inverse(slots)[0]
-    return HePlaintext(poly, t)
+    slots[plan.slot_index[: len(values)]] = np.mod(np.asarray(values, dtype=object), t)
+    return HePlaintext(plan.inverse(slots)[0], t)
 
 
 def batch_decode(pt: HePlaintext, count: int | None = None) -> list[int]:
-    n = len(pt.poly)
-    slots = get_plan(n, (pt.t,)).forward(pt.poly)[0]
-    return [int(v) for v in slots[: count if count is not None else n]]
+    plan = get_plan(len(pt.poly), (pt.t,))
+    slots = plan.forward(pt.poly)[0][plan.slot_index[:count]]
+    return [int(v) for v in slots]
 
 
 # -- encryption / decryption ---------------------------------------------------
@@ -518,8 +527,8 @@ def encrypt(pk: PublicKey, pt: HePlaintext, rng: np.random.Generator | None = No
     u_ntt = plan.forward(u)
     delta = params.residues(params.q // pt.t)
     # pt.poly is reduced first: residues below 2^30 keep delta * m in int64 for any t.
-    c0 = (plan.inverse(pk.pk0_ntt * u_ntt % q) + e1 + delta * (pt.poly % q)) % q
-    c1 = (plan.inverse(pk.pk1_ntt * u_ntt % q) + e2) % q
+    c0 = (plan.inverse(dot_mod((pk.pk0_ntt,), (u_ntt,), q)) + e1 + delta * (pt.poly % q)) % q
+    c1 = (plan.inverse(dot_mod((pk.pk1_ntt,), (u_ntt,), q)) + e2) % q
     return HeCiphertext(params, pt.t, (c0, c1), params.fresh_noise_log2())
 
 
@@ -528,7 +537,7 @@ def _dot_secret(ct: HeCiphertext, sk: SecretKey) -> np.ndarray:
     plan = ct.params.ntt
     q = plan.mod
     c0, c1 = ct.polys
-    return (c0 + plan.inverse(plan.forward(c1) * sk.s_ntt % q)) % q
+    return (c0 + plan.inverse(dot_mod((plan.forward(c1),), (sk.s_ntt,), q))) % q
 
 
 def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
@@ -621,11 +630,13 @@ def he_mul_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     est = plain_mul_noise_log2(ct.noise_log2, pt)
     _within_budget(params, ct.t, est, "plaintext multiply")
     plan = params.ntt
-    m_ntt = plan.forward(pt.centered())
+    q = plan.mod
+    # The centered plaintext exceeds 2^30 for t > 2^31; reduce it once.
+    m_ntt = plan.forward(pt.centered() % q)
     return HeCiphertext(
         params=params,
         t=ct.t,
-        polys=tuple(plan.inverse(plan.forward(c) * m_ntt % plan.mod) for c in ct.polys),
+        polys=tuple(plan.inverse(dot_mod((plan.forward(c),), (m_ntt,), q)) for c in ct.polys),
         noise_log2=est,
     )
 
@@ -641,18 +652,28 @@ def he_mul(a: HeCiphertext, b: HeCiphertext, rk: RelinKey) -> HeCiphertext:
     est = mul_noise_log2(params, t, a.noise_log2, b.noise_log2)
     _within_budget(params, t, est, "multiplication")
 
-    # Extend all four operands exactly from q to the whole basis, multiply
-    # there, and scale-round the three tensor components back to q.
+    # Extend the operands exactly from q to the whole basis, multiply there,
+    # and scale-round the three tensor components back to q. A square
+    # (a is b) transforms its two polynomials once: (f0^2, 2 f0 f1, f1^2).
+    # The RNS steps take one polynomial at a time: on the stack of four,
+    # their temporaries grow to several MB, which glibc's allocator returns
+    # to the system after each call and faults in again on the next; that
+    # made them about 3x slower.
     basis = _mul_basis(n, params.q_primes)
     k = len(params.q_primes)
     ext = get_plan(n, basis)
     P = ext.mod
-    ops = np.stack(a.polys + b.polys)
-    fa0, fa1, fb0, fb1 = ext.forward(
-        np.concatenate((ops, _extend(ops, _conversion(basis[:k], basis[k:]))), axis=-2)
-    )
-    tensor = np.stack((fa0 * fb0 % P, (fa0 * fb1 + fa1 * fb0) % P, fa1 * fb1 % P))
-    e0, e1, e2 = _scale_round(ext.inverse(tensor), basis, k, t)
+    to_p = _conversion(basis[:k], basis[k:])
+    polys = a.polys if a is b else a.polys + b.polys
+    f = ext.forward(np.stack([np.concatenate((x, _extend(x, to_p))) for x in polys]))
+    if a is b:
+        f0, f1 = f
+        pairs = ((f0,), (f0,)), ((f0,), (2 * f1,)), ((f1,), (f1,))
+    else:
+        fa0, fa1, fb0, fb1 = f
+        pairs = ((fa0,), (fb0,)), ((fa0, fa1), (fb1, fb0)), ((fa1,), (fb1,))
+    tensor = np.stack([dot_mod(x, y, P) for x, y in pairs])
+    e0, e1, e2 = (_scale_round(w, basis, k, t) for w in ext.inverse(tensor))
 
     plan = params.ntt
     Q = plan.mod
@@ -660,8 +681,7 @@ def he_mul(a: HeCiphertext, b: HeCiphertext, rk: RelinKey) -> HeCiphertext:
     # Relinearize e2 with the RNS-digit key-switching key: digit i is
     # row i of e2 * q_hat_i^-1, spread onto every prime by the transform.
     digits_ntt = plan.forward((e2 * _rns(params.q_primes).hat_inv % Q)[:, None, :])
-    acc0 = sum(d * b_i % Q for d, (b_i, _) in zip(digits_ntt, rk.pairs))
-    acc1 = sum(d * a_i % Q for d, (_, a_i) in zip(digits_ntt, rk.pairs))
+    acc0, acc1 = (dot_mod(digits_ntt, keys, Q) for keys in zip(*rk.pairs))
     return HeCiphertext(
         params=params,
         t=t,

@@ -3,13 +3,40 @@
 Polynomials live in Z_p[X]/(X^n + 1) with n a power of two and
 p = 1 (mod 2n). The forward transform evaluates at the odd powers of the
 2n-th root psi, so pointwise products in the transform domain correspond
-to negacyclic convolution; its output is in bit-reversed order.
+to negacyclic convolution. Its output is in natural order, position r
+holding the evaluation at psi^(2 r + 1): the order the matrix products
+leave it in, with no bit reversal. Pointwise products do not care about
+the order; only the batch encoding shows slots, and it applies
+:attr:`NttPlan.slot_index` (bit-reversed order) itself.
 
-Each transform is four-step: two float64 matrix products per prime with
-a pointwise twiddle between them. Primes stay below 2^30 and the data is
-split into two 15-bit limbs, so every product is below 2^45 and every
-sum of at most 128 of them below 2^52: exact in float64 whatever order
-the BLAS sums in. Twiddle products stay below 2^60 in int64.
+Each transform is four-step: one float64 matrix product per stage and
+prime, with a pointwise twiddle between the two stages. The data goes into
+float64 once per prime and call, and no step takes an int64 remainder:
+every reduction estimates its quotient in float64 and subtracts quotient
+times p exactly (:func:`_reduce` in float64, :func:`_sub_quotient` in
+int64). :func:`dot_mod` takes pointwise products and their sums the same
+way.
+
+Exactness. Primes are below 2^30. A quotient estimate within 1/2 of the
+true quotient leaves a remainder r with |r| < p, and every float64 value
+below is an integer of magnitude below 2^53, so each sum is exact in
+whatever order the BLAS adds.
+
+- Input: integers with |a| < 2^30, any representative. Callers reduce
+  wider values once, where they make them.
+- Stage products: each table T is stored as its 15-bit limbs,
+  T = L + 2^15 H, stacked, so one GEMM gives both limb sums of the unsplit
+  data. The data is the input or a remainder, below 2^30 in magnitude, and
+  a GEMM sums at most n2 <= 128 products below 2^15 * 2^30, so each limb
+  sum is below 2^52.
+- Join (:func:`_join`): the high sum is reduced to |H'| < p, then
+  2^15 H' + L < 2^45 + 2^52 is reduced again. For |x| < 2^53 - 2^30 the
+  estimate x * fl(1/p) is off by at most |x / p| 2^-52 < 2 / p, below 1/2,
+  and rint(x / p) p stays below 2^53.
+- Twiddle: a remainder z and a twiddle w are below 2^30, so |z w| < 2^60
+  in int64. The estimate z * fl(w / p) is off by less than 2^-21, and
+  |rint(z w / p) p| < 2^60 + 2^30.
+- Output: the remainder, plus p where it is negative, so it lies in [0, p).
 """
 
 from __future__ import annotations
@@ -78,44 +105,65 @@ def _powers(root: int, p: int, count: int) -> np.ndarray:
     return pw
 
 
-def _reduce_float(x: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> None:
-    """x -= floor(x / p) * p in place, for integers x below 2^53 in float64:
-    exact, and lands in [-p, 2p) since the quotient is off by at most one."""
-    quot = x * p_inv
-    np.floor(quot, out=quot)
+def split_limbs(table: np.ndarray, axis: int) -> np.ndarray:
+    """A table of residues below 2^30 as float64: its low 15-bit limbs, then
+    its high ones, stacked along ``axis``."""
+    return np.concatenate((table & _LIMB_MASK, table >> _LIMB), axis=axis).astype(np.float64)
+
+
+def _reduce(x: np.ndarray, p, p_inv, scratch: np.ndarray | None = None) -> np.ndarray:
+    """x - rint(x / p) p in place, for float64 integers |x| < 2^53 - 2^30:
+    exact, and |x| < p after. ``p`` and ``p_inv`` (1 / p) broadcast against
+    x; the quotient goes to ``scratch`` when given."""
+    quot = np.multiply(x, p_inv, out=scratch)
+    np.rint(quot, out=quot)
     quot *= p
     x -= quot
+    return x
 
 
-def _join_limbs(lo: np.ndarray, hi: np.ndarray, p) -> np.ndarray:
-    """(lo + 2^15 hi) mod p as int64, for float64 integer sums below 2^52;
-    ``hi`` is overwritten. p is an int or an int64 array that broadcasts."""
-    pf = np.asarray(p, dtype=np.float64)
-    p_inv = 1.0 / pf
-    _reduce_float(hi, pf, p_inv)
-    # Now |hi| < 2^31, so 2^15 hi + lo stays below 2^53.
+def _join(lo: np.ndarray, hi: np.ndarray, p, p_inv) -> np.ndarray:
+    """A remainder of lo + 2^15 hi mod p, |result| < p, for float64 limb
+    sums below 2^52; ``hi`` is returned, and both are overwritten."""
+    _reduce(hi, p, p_inv)
     hi *= 1 << _LIMB
     hi += lo
-    _reduce_float(hi, pf, p_inv)
-    y = hi.astype(np.int64)
-    y %= p
-    return y
+    return _reduce(hi, p, p_inv, scratch=lo)
 
 
-def _gemm_mod(x: np.ndarray, mat: np.ndarray, p: int, left: bool) -> np.ndarray:
-    """``mat @ x`` over axis 0 (``left``) or ``x @ mat`` over the last axis,
-    mod p, for x of shape (n2, m, n1) reduced mod p."""
-    n2, m, n1 = x.shape
-    axis = 1 if left else 0
-    limbs = np.empty(x.shape[:axis] + (2,) + x.shape[axis:])
-    pick = (slice(None),) * axis
-    limbs[pick + (0,)] = x & _LIMB_MASK
-    limbs[pick + (1,)] = x >> _LIMB
-    if left:
-        sums = (mat @ limbs.reshape(n2, -1)).reshape(limbs.shape)
-    else:
-        sums = (limbs.reshape(-1, n1) @ mat).reshape(limbs.shape)
-    return _join_limbs(sums[pick + (0,)], sums[pick + (1,)], p)
+def canonical(x: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
+    """Remainders |x| < p as int64 in [0, p), written to ``out`` when given."""
+    if out is None:
+        out = np.empty(x.shape, dtype=np.int64)
+    out[...] = x
+    out += p & (out >> 63)
+    return out
+
+
+def _sub_quotient(prod: np.ndarray, quot: np.ndarray, p) -> np.ndarray:
+    """prod - rint(quot) p in place, for an int64 product (or sum of
+    products, which may wrap) and a float64 estimate ``quot`` within 1/2 of
+    prod / p: exact, since the true remainder is below p."""
+    np.rint(quot, out=quot)
+    quot_int = quot.astype(np.int64)
+    quot_int *= p
+    prod -= quot_int
+    return prod
+
+
+def dot_mod(xs, ys, p: np.ndarray) -> np.ndarray:
+    """sum_i xs[i] ys[i] mod p as int64 remainders |r| < p, for int64
+    arrays |x|, |y| < 2p and ``p`` that broadcasts against one term. Each
+    product is below 2^62; a sum of more terms may wrap past 2^63, but
+    numpy integer arithmetic wraps mod 2^64 and the remainder is small, so
+    it comes out exact. The float64 estimate of K products is off by about
+    4 K^2 p 2^-52 in the quotient."""
+    prod = quot = 0
+    for x, y in zip(xs, ys):
+        prod = prod + x * y
+        quot = quot + x.astype(np.float64) * y.astype(np.float64)
+    quot *= 1.0 / p
+    return _sub_quotient(prod, quot, p)
 
 
 class NttPlan:
@@ -126,10 +174,16 @@ class NttPlan:
 
     The transform is the four-step method (Bailey, "FFTs in External or
     Hierarchical Memory", 1990) for n = n1 * n2: view a row as an (n2, n1)
-    matrix, multiply on the left by an n2-point DFT matrix, scale pointwise
-    by twiddles, multiply on the right by an n1-point DFT matrix. The
-    negacyclic twist psi^i is folded into the first matrix and the twiddles,
-    and n^-1 into the inverse's first matrix."""
+    matrix X, multiply on the left by an n2-point DFT matrix, scale
+    pointwise by twiddles, and multiply the transpose on the left by an
+    n1-point DFT matrix. The negacyclic twist psi^i is folded into the
+    first matrix and the twiddles, and n^-1 into the inverse's first
+    matrix. Both stages are left products, so each limb sum is one
+    contiguous block. The output (n1, n2) matrix, read row by row, holds
+    the evaluation at psi^(2 r + 1) at position r: the natural order.
+
+    A call takes one prime at a time, all its rows at once, which keeps
+    each step's temporaries to a few hundred kB."""
 
     def __init__(self, n: int, primes: tuple[int, ...]) -> None:
         if n & (n - 1) or n < 2:
@@ -144,7 +198,7 @@ class NttPlan:
             if (q - 1) % (2 * n) != 0 or not is_prime(q):
                 raise ValueError(f"modulus {q} is not NTT-friendly for n={n}")
         self.n = n
-        self._n1 = n1
+        self._n1, self._n2 = n1, n2
         self.mod = np.array(primes, dtype=np.int64)[:, None]
         self._primes = primes
 
@@ -155,57 +209,61 @@ class NttPlan:
         def table(exp: np.ndarray, sign: int = 1) -> np.ndarray:
             return np.stack([pw[sign * exp % (2 * n)] for pw in pws])
 
+        def steps(first: np.ndarray, w: np.ndarray, second: np.ndarray) -> list[tuple]:
+            """Per prime: the two stage matrices, each (2 r, r) with its low
+            limbs above its high ones, and between them the twiddles (int32)
+            with their quotient estimates w / p."""
+            return [
+                (f, w_q.astype(np.int32), w_q / q, s)
+                for q, f, w_q, s in zip(primes, split_limbs(first, 1), w, split_limbs(second, 1))
+            ]
+
         k2, j2 = np.arange(n2)[:, None], np.arange(n2)[None, :]
         j1, k1 = np.arange(n1)[:, None], np.arange(n1)[None, :]
         e_f1 = n1 * j2 * (2 * k2 + 1)  # [k2, j2]: the n2-point DFT and psi^(n1 j2)
         e_tw = j1.T * (2 * k2 + 1)  # [k2, j1]: omega^(j1 k2) psi^j1
-        e_f2 = 2 * n2 * j1 * k1  # [j1, k1]: the n1-point DFT
+        e_f2 = 2 * n2 * j1 * k1  # [k1, j1] (symmetric): the n1-point DFT
         n_inv = np.array([pow(n, -1, q) for q in primes], dtype=np.int64)[:, None, None]
-        self._f1 = table(e_f1).astype(np.float64)
-        self._tw = table(e_tw)[:, :, None, :]
-        self._f2 = table(e_f2).astype(np.float64)
-        self._g1 = (table(e_f2, -1) * n_inv % np.array(primes)[:, None, None]).astype(np.float64)
-        self._itw = table(e_tw, -1)[:, :, None, :]
-        self._g2 = table(e_f1.T, -1).astype(np.float64)
-        # Output slot s holds the evaluation at psi^(2 r + 1), r = bitrev(s),
-        # which the GEMMs leave at row r % n2, column r // n2.
-        rev = _bitrev_perm(n)
-        self._gather = rev % n2 * n1 + rev // n2
-        self._scatter = np.argsort(self._gather)
+        self._forward = steps(table(e_f1), table(e_tw), table(e_f2))
+        self._inverse = steps(
+            table(e_f2, -1) * n_inv % self.mod[:, :, None], table(e_tw.T, -1), table(e_f1.T, -1)
+        )
+        # Batch slot s holds the evaluation at psi^(2 bitrev(s) + 1).
+        self.slot_index = _bitrev_perm(n)
 
-    def _rows(self, a: np.ndarray) -> np.ndarray:
-        """``a`` reduced, as (m, k, n)."""
-        a = np.mod(a, self.mod).astype(np.int64, copy=False)
-        return a.reshape(-1, *a.shape[-2:])
+    @staticmethod
+    def _stage(mat: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+        """``mat @ x`` mod p as float64 remainders |r| < p, for a stacked
+        (2 r, r) limb table and float64 x of shape (m, r, c)."""
+        sums = mat @ x
+        half = len(mat) // 2
+        return _join(sums[:, :half], sums[:, half:], p, 1.0 / p)
 
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        """Negacyclic NTT; input in natural order, output in bit-reversed order."""
-        shape = np.broadcast_shapes(np.shape(a), np.shape(self.mod))
-        rows = self._rows(a)
-        m, k, n = rows.shape
-        out = np.empty_like(rows)
-        for i, p in enumerate(self._primes):
-            x = rows[:, i].reshape(m, -1, self._n1).transpose(1, 0, 2)
-            z = _gemm_mod(x, self._f1[i], p, left=True)
-            z *= self._tw[i]
-            z %= p
-            y = _gemm_mod(z, self._f2[i], p, left=False)
-            out[:, i] = y.transpose(1, 0, 2).reshape(m, n)[:, self._gather]
+    def _transform(self, a, steps: list[tuple], dims: tuple[int, int]) -> np.ndarray:
+        """Either transform of ``a`` broadcast against ``mod`` to (..., k, n),
+        each prime's m rows taken as a stack of ``dims`` matrices."""
+        a = np.asarray(a)
+        shape = np.broadcast_shapes(a.shape, self.mod.shape)
+        rows = np.broadcast_to(a, shape).reshape(-1, *shape[-2:])
+        out = np.empty(rows.shape, dtype=np.int64)
+        for i, (p, (first, w, w_p, second)) in enumerate(zip(self._primes, steps)):
+            z = self._stage(first, rows[:, i].reshape(-1, *dims).astype(np.float64), p)
+            prod = z.astype(np.int64)
+            prod *= w
+            z = _sub_quotient(prod, z * w_p, p).astype(np.float64)
+            y = self._stage(second, z.swapaxes(1, 2), p)
+            canonical(y, p, out=out[:, i].reshape(y.shape))
         return out.reshape(shape)
 
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        """Negacyclic NTT of integers |a| < 2^30; output in [0, p), in
+        natural order (position r holds the evaluation at psi^(2 r + 1))."""
+        return self._transform(a, self._forward, (self._n2, self._n1))
+
     def inverse(self, a: np.ndarray) -> np.ndarray:
-        """Inverse negacyclic NTT; undoes :meth:`forward`."""
-        shape = np.broadcast_shapes(np.shape(a), np.shape(self.mod))
-        rows = self._rows(a)[..., self._scatter]
-        m, k, n = rows.shape
-        for i, p in enumerate(self._primes):
-            x = rows[:, i].reshape(m, -1, self._n1).transpose(1, 0, 2)
-            u = _gemm_mod(x, self._g1[i], p, left=False)
-            u *= self._itw[i]
-            u %= p
-            y = _gemm_mod(u, self._g2[i], p, left=True)
-            rows[:, i] = y.transpose(1, 0, 2).reshape(m, n)
-        return rows.reshape(shape)
+        """Inverse negacyclic NTT of integers |a| < 2^30 in :meth:`forward`'s
+        order; undoes it, with output in [0, p)."""
+        return self._transform(a, self._inverse, (self._n1, self._n2))
 
 
 @lru_cache(maxsize=128)

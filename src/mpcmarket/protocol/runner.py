@@ -83,6 +83,10 @@ def _run_session(
     """Validate the inputs, set up the roles and the channel, run one
     protocol's message ``steps`` (which return the buyer's result), then
     check the result against the plaintext oracle."""
+    if not 0 <= seed < 1 << 63:
+        # The roles seed numpy generators, which take no negative seed, and
+        # the session id holds the seed in 8 bytes.
+        raise ProtocolError(f"seed must be in [0, 2^63), got {seed}")
     if not maker_inputs:
         raise ProtocolError("need at least one maker")
     merged = _merge_inputs(computation, maker_inputs)

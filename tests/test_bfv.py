@@ -6,10 +6,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpcmarket.he import bfv
 from mpcmarket.he.bfv import find_ntt_primes
-from mpcmarket.he.ntt import NttPlan, get_plan, is_prime, schoolbook_negacyclic
+from mpcmarket.he.ntt import (
+    NttPlan,
+    _primitive_2n_root,
+    get_plan,
+    is_prime,
+    schoolbook_negacyclic,
+)
 
 
 def ntt_mul(a, b, n: int, p: int) -> list[int]:
@@ -51,6 +59,34 @@ class TestNtt:
         a[where] = rng.integers(1, p, len(where))
         b = rng.integers(0, p, n, dtype=np.int64)
         assert ntt_mul(a, b, n, p) == schoolbook_negacyclic(a, b, p)
+
+    def test_extreme_rows_at_the_multiply_basis(self, params8192):
+        # Every residue p - 1, the most negative input the transforms take,
+        # and the two alternating: the largest limb sums and joins. Output
+        # position r holds the evaluation at psi^(2 r + 1), checked in Python
+        # integers at a handful of positions; the inverse returns the input
+        # reduced mod p.
+        n = params8192.n
+        basis = bfv._mul_basis(n, params8192.q_primes)
+        plan = get_plan(n, basis)
+        p = plan.mod
+        low = -((1 << 30) - 1)
+        rows = np.stack([
+            np.broadcast_to(p - 1, (len(basis), n)),
+            np.full((len(basis), n), low),
+            np.where(np.arange(n) % 2 == 0, p - 1, low),
+        ])
+        got = plan.forward(rows)
+        assert np.array_equal(plan.inverse(got), rows % p)
+        for i, q in enumerate(basis):
+            psi = _primitive_2n_root(q, n)
+            coeffs = [list(map(int, row)) for row in rows[:, i]]
+            for r in (0, 1, 2, n // 2 - 1, n // 2, n - 2, n - 1):
+                x, powers = pow(psi, 2 * r + 1, q), [1]
+                for _ in range(n - 1):
+                    powers.append(powers[-1] * x % q)
+                want = [sum(c * w for c, w in zip(row, powers)) % q for row in coeffs]
+                assert got[:, i, r].tolist() == want
 
     def test_rejects_primes_of_31_bits_and_wide_splits(self):
         n = 64
@@ -196,6 +232,16 @@ class TestKeygenRoundTrip:
 
 
 class TestHomomorphicOps:
+    def test_square_equals_product_with_a_copy(self, params4096, keys4096):
+        # he_mul(a, a) transforms a's polynomials once and forms
+        # (f0^2, 2 f0 f1, f1^2); the bytes match the general product.
+        sk, pk, rk = keys4096
+        a = bfv.encrypt(pk, bfv.encode_scalar(1234, params4096), np.random.default_rng(9))
+        copy = bfv.HeCiphertext(a.params, a.t, tuple(x.copy() for x in a.polys), a.noise_log2)
+        square = bfv.he_mul(a, a, rk)
+        assert bfv.ciphertext_to_bytes(square) == bfv.ciphertext_to_bytes(bfv.he_mul(a, copy, rk))
+        assert bfv.decode_scalar(bfv.decrypt(sk, square)) == 1234 * 1234 % params4096.t
+
     def test_add_examples(self, params4096, keys4096):
         sk, pk, _ = keys4096
         rng = np.random.default_rng(3)
@@ -336,6 +382,23 @@ class TestBatching:
         slot0 = bfv.batch_decode(bfv.decrypt(sk, bfv.he_mul(ba, bb, rk)), 1)[0]
         assert slot0 == scalar == (ma * mb) % t
 
+    @settings(derandomize=True, max_examples=8, deadline=None, database=None)
+    @given(data=st.data())
+    def test_plaintext_product_multiplies_slots(self, params4096, data):
+        # For any two slot vectors, the negacyclic product of their
+        # encodings (np.convolve, exact in int64 here) decodes to the
+        # slotwise product: the slot order is the same on both sides.
+        n, t = params4096.n, params4096.t
+        vec = st.lists(st.integers(-(1 << 40), 1 << 40), max_size=n)
+        v, w = data.draw(vec), data.draw(vec)
+        pv = bfv.batch_encode(v, params4096).poly
+        pw = bfv.batch_encode(w, params4096).poly
+        full = np.convolve(pv, pw)
+        prod = (full[:n] - np.append(full[n:], 0)) % t
+        got = bfv.batch_decode(bfv.HePlaintext(prod, t))
+        v, w = v + [0] * (n - len(v)), w + [0] * (n - len(w))
+        assert got == [x * y % t for x, y in zip(v, w)]
+
     def test_incompatible_modulus_rejected(self, params8192):
         with pytest.raises(bfv.HeParamsError):
             bfv.batch_encode([1, 2, 3], params8192, t=12289)  # 12288 % 16384 != 0
@@ -393,6 +456,18 @@ class TestGoldenBytes:
         assert _sha(bfv.relin_key_to_bytes(rk)) == (
             "31f2a847fe5c618bcefd9568c98441f7470365b6e53c1b23dd01d804e54ec520"
         )
+
+    def test_batch_encode(self, params4096, params8192):
+        # Recorded when the slot permutation moved out of the transforms and
+        # into batch_encode/batch_decode: the polynomials did not change.
+        got = {}
+        for params in (params4096, params8192):
+            values = [(i * 7919) % 2001 - 1000 for i in range(params.n)]
+            got[params.n] = _sha(bfv.batch_encode(values, params).poly.astype("<i8").tobytes())
+        assert got == {
+            4096: "19f5423fc0969b89ff5e30197226336686fb9d8496581b98712749bd90b372ba",
+            8192: "039ead503e030dac33b849a765eff082592939b0dbe4c2bba228ebcbfc8721bf",
+        }
 
     def test_ciphertexts(self, params4096, keys4096):
         _, pk, rk = keys4096

@@ -347,6 +347,28 @@ def test_bad_input_exits_without_traceback(case, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    # "run --workload lr --backend he --seed -5" used to end in a numpy
+    # ValueError traceback (exit 1) from the CSP's generator.
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("workload=lr\nbackend=he\nrows=1\nrepeat=1\nseed=-5\n")
+    out = str(tmp_path / "x")
+    for argv in (
+        ["run", "--workload", "lr", "--backend", "he", "--rows", "1", "--repeat", "1",
+         "--seed", "-5"],
+        ["bench", "--workload", "lr", "--range-bits", "10", "--repeat", "1", "--seed", "-5"],
+        ["keygen", "--n", "4096", "--out", out, "--seed", "-5"],
+        ["gen-data", "--kind", "haplotypes", "--out", out, "--seed", "-5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "seed must be in [0, 2^63)" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+
+
 def test_decryption_failure_is_a_config_rejection(monkeypatch, capsys):
     from mpcmarket.he import bfv
 

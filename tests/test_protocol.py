@@ -305,6 +305,19 @@ class TestBackendIndependence:
             with pytest.raises(ProtocolError, match=f"does not fit {width} bits"):
                 run_protocol2(comp, bad, seed=21, verify=verify)
 
+    def test_seed_outside_range_rejected_before_any_role(self, ld_comp, params8192, monkeypatch):
+        # A negative seed used to reach np.random.default_rng in Csp.__init__
+        # and end in a numpy ValueError; a seed of 2^63 does not fit the
+        # session id's 8 bytes.
+        from mpcmarket.protocol import runner
+
+        monkeypatch.setattr(runner, "Csp", lambda *a, **k: pytest.fail("a role was built"))
+        for seed in (-5, -1, 1 << 63):
+            with pytest.raises(ProtocolError, match="seed must be in"):
+                run_protocol1(ld_comp, LD_SPLIT_4, params8192, seed=seed)
+            with pytest.raises(ProtocolError, match="seed must be in"):
+                run_protocol2(ld_comp, LD_SPLIT_4, seed=seed)
+
     def test_relin_key_shipped_only_when_plan_multiplies(
         self, ld_comp, lr_comp, params4096, params8192
     ):
