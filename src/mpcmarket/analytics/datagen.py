@@ -26,10 +26,9 @@ def load_bundled_model() -> LrModel:
     return load_model(str(bundled_path("lr_model.txt")))
 
 
-def load_bundled_dataset(model: LrModel | None = None) -> tuple[list[list[int]], list[int]]:
+def load_bundled_dataset(model: LrModel) -> tuple[list[list[int]], list[int]]:
     """Bundled 30-feature binary-classification sample set, quantized to the
     model's fixed-point spec. Returns (rows, labels)."""
-    model = model or load_bundled_model()
     return load_lr_csv(str(bundled_path("wdbc.csv")), model)
 
 
@@ -154,16 +153,9 @@ def gen_lr_samples(seed: int, rows: int, dims: int = 30) -> list[list[float]]:
     return out
 
 
-def write_lr_csv(path: str, rows: Sequence[Sequence[float]], labels: Sequence[int] | None = None) -> None:
+def write_lr_csv(path: str, rows: Sequence[Sequence[float]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         dims = len(rows[0]) if rows else 0
-        header = [f"f{i}" for i in range(dims)]
-        if labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i, row in enumerate(rows):
-            line = [f"{v:.6f}" for v in row]
-            if labels is not None:
-                line.append(str(labels[i]))
-            writer.writerow(line)
+        writer.writerow([f"f{i}" for i in range(dims)])
+        writer.writerows([f"{v:.6f}" for v in row] for row in rows)

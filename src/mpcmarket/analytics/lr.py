@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from ..circuits.builders import CircuitBuilder
 from ..circuits.ir import Circuit, CircuitError, FixedPointSpec
 
 DEFAULT_PROB_SPEC = FixedPointSpec(total_bits=32, frac_bits=31)
-DEFAULT_RANGE_BITS = 10
-DEFAULT_Z_MIN = -8.0
-DEFAULT_Z_MAX = 8.0
+Z_MIN = -8.0
+Z_SPAN_BITS = 4  # the table covers z in [Z_MIN, Z_MIN + 2^Z_SPAN_BITS) = [-8, 8)
+# An index holds z's integer bits at least; 2^16 entries is the largest table.
+RANGE_BITS = range(Z_SPAN_BITS, 17)
 
 
 @dataclass(frozen=True)
@@ -67,26 +68,28 @@ def load_model(path: str) -> LrModel:
     return LrModel(weights=weights, bias=bias, spec=spec)
 
 
+def check_range_bits(range_bits: int) -> None:
+    if range_bits not in RANGE_BITS:
+        raise CircuitError(f"range_bits {range_bits} outside [{RANGE_BITS[0]}, {RANGE_BITS[-1]}]")
+
+
 @dataclass(frozen=True)
 class SigmoidTable:
-    """Uniform sigmoid samples over [z_min, z_max), clamped outside.
+    """2^range_bits uniform sigmoid samples over z in [-8, 8), clamped
+    outside, each a probability in ``out_spec`` (32 bits, 31 fractional).
 
-    The z span must be a power of two so that the table index is a pure
-    bit-slice of the fixed-point accumulator: with 2^range_bits entries over
-    a 2^span span, z is quantized to range_bits - span fractional bits and
-    offset-binary maps it to the entry index.
+    The span is a power of two, so the table index is a pure bit-slice of
+    the fixed-point accumulator: z is quantized to range_bits - Z_SPAN_BITS
+    fractional bits and offset-binary maps it to the entry index.
     """
 
-    out_spec: FixedPointSpec
+    out_spec: ClassVar[FixedPointSpec] = DEFAULT_PROB_SPEC
     range_bits: int
-    z_min: float
-    z_max: float
     entries: tuple[int, ...]
 
     @property
     def z_frac_bits(self) -> int:
-        span = round(math.log2(self.z_max - self.z_min))
-        return self.range_bits - span
+        return self.range_bits - Z_SPAN_BITS
 
     def index_for_z(self, z_fixed: int, z_frac_in: int) -> int:
         """Table index for a z value held at ``z_frac_in`` fractional bits.
@@ -106,31 +109,19 @@ class SigmoidTable:
         return self.entries[index]
 
 
-def build_sigmoid_table(
-    out_spec: FixedPointSpec = DEFAULT_PROB_SPEC,
-    range_bits: int = DEFAULT_RANGE_BITS,
-    z_min: float = DEFAULT_Z_MIN,
-    z_max: float = DEFAULT_Z_MAX,
-) -> SigmoidTable:
-    """Tabulate round(sigmoid(z) * 2^frac) on a uniform grid of 2^range_bits."""
-    if not (2 <= range_bits <= 16):
-        raise CircuitError(f"range_bits {range_bits} out of range [2, 16]")
-    span = z_max - z_min
-    if span <= 0:
-        raise CircuitError(f"degenerate z range [{z_min}, {z_max}]")
-    log_span = math.log2(span)
-    if abs(log_span - round(log_span)) > 1e-9 or range_bits < round(log_span):
-        raise CircuitError("z span must be a power of two not exceeding 2^range_bits")
+def build_sigmoid_table(range_bits: int) -> SigmoidTable:
+    """Tabulate round(sigmoid(z) * 2^31) on a uniform grid of 2^range_bits."""
+    check_range_bits(range_bits)
     count = 1 << range_bits
-    step = span / count
-    scale = out_spec.scale
-    limit = (1 << out_spec.total_bits) - 1
+    step = (1 << Z_SPAN_BITS) / count
+    scale = SigmoidTable.out_spec.scale
+    limit = (1 << SigmoidTable.out_spec.total_bits) - 1
     entries = []
     for i in range(count):
-        z = z_min + i * step
+        z = Z_MIN + i * step
         p = 1.0 / (1.0 + math.exp(-z))
         entries.append(min(round(p * scale), limit))
-    return SigmoidTable(out_spec, range_bits, z_min, z_max, tuple(entries))
+    return SigmoidTable(range_bits, tuple(entries))
 
 
 # -- plaintext oracle ---------------------------------------------------------------
@@ -197,7 +188,7 @@ def build_lr_circuit(model: LrModel, table: SigmoidTable) -> Circuit:
     shift = 2 * spec.frac_bits - table.z_frac_bits
     if shift < 0:
         raise CircuitError("table finer than the accumulator precision")
-    z_t = b.shift_right(acc, shift, signed=True)
+    z_t = b.shift_right(acc, shift)
     k = table.range_bits
     half = 1 << (k - 1)
     wz = len(z_t)

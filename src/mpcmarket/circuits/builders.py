@@ -116,12 +116,9 @@ class CircuitBuilder:
         return [self.zero] * amount + list(a)
 
     @staticmethod
-    def shift_right(a: Word, amount: int, signed: bool) -> Word:
-        """Arithmetic (signed) or logical shift; callers pad if width matters."""
-        if amount >= len(a):
-            amount = len(a) - 1 if signed else len(a)
-        out = list(a[amount:])
-        return out
+    def shift_right(a: Word, amount: int) -> Word:
+        """Arithmetic shift, keeping the sign bit; callers pad if width matters."""
+        return list(a[min(amount, len(a) - 1) :])
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -49,8 +49,7 @@ class RunConfig:
     backend: str = "gc"
     m_instances: int = 1
     count_bits: int = 11
-    threshold_num: int = 3841
-    threshold_den: int = 1000
+    threshold: tuple[int, int] = (3841, 1000)  # num/den
     range_bits: int = 10
     rows: int = 10
     makers: int = 1
@@ -66,49 +65,17 @@ class RunConfig:
     jsonl: str | None = None
 
     def validate(self) -> None:
-        if self.workload not in ("ld", "lr"):
-            raise ConfigRejected(f"workload must be ld or lr, got {self.workload!r}")
-        if self.backend not in ("gc", "he"):
-            raise ConfigRejected(f"backend must be gc or he, got {self.backend!r}")
-        if self.transport not in ("inproc", "tcp"):
-            raise ConfigRejected(f"transport must be inproc or tcp, got {self.transport!r}")
+        """Bounds that run and bench share; the run flags check choices and syntax."""
         if self.m_instances < 1:
             raise ConfigRejected("M must be >= 1")
         if self.repeat < 1:
             raise ConfigRejected("repeat must be >= 1")
         if self.count_bits < 2:  # the backends check their own upper limits
             raise ConfigRejected(f"count-bits {self.count_bits} below 2; N >= 2 must fit")
-        if self.threshold_num < 0 or self.threshold_den <= 0:
-            num, den = self.threshold_num, self.threshold_den
-            raise ConfigRejected(f"threshold needs num >= 0 and den > 0, got {num}/{den}")
-        if not (2 <= self.range_bits <= 16):
-            raise ConfigRejected(f"range-bits {self.range_bits} outside [2, 16]")
         if self.makers < 1:
             raise ConfigRejected("makers must be >= 1")
         if self.rows < 1:
             raise ConfigRejected("rows must be >= 1")
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigRejected(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-_CONFIG_TYPES = {
-    "m_instances": int, "count_bits": int, "threshold_num": int,
-    "threshold_den": int, "range_bits": int, "rows": int, "makers": int,
-    "n_degree": int, "seed": int, "repeat": int,
-    "batch": lambda v: v.lower() in ("1", "true", "yes"),
-    "verify": lambda v: v.lower() in ("1", "true", "yes"),
-}
 
 
 def _read(path: str, read, *args):
@@ -192,8 +159,8 @@ def _sessions(cfg: RunConfig) -> tuple[Computation, list[list[dict[str, int]]]]:
     comp = LdComputation(
         count_bits=cfg.count_bits,
         m_instances=size,
-        threshold_num=cfg.threshold_num,
-        threshold_den=cfg.threshold_den,
+        threshold_num=cfg.threshold[0],
+        threshold_den=cfg.threshold[1],
     )
     sessions = []
     for start in range(0, cfg.m_instances, size):
@@ -301,7 +268,7 @@ def cmd_keygen(args) -> int:
                 "n": params.n,
                 "q_primes": list(params.q_primes),
                 "t": params.t,
-                "noise_sigma": params.noise_sigma,
+                "noise_sigma": bfv.NOISE_SIGMA,
                 "note": bfv.SECURITY_NOTE,
             },
             indent=2,
@@ -360,16 +327,28 @@ def _seed(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mpcmarket", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+def _threshold(text: str) -> tuple[int, int]:
+    """A --threshold value num/den (den defaults to 1) with num >= 0 and den > 0."""
+    num, _, den = text.partition("/")
+    try:
+        value = int(num), int(den or 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"threshold must be num/den, got {text!r}") from None
+    if value[0] < 0 or value[1] <= 0:
+        raise argparse.ArgumentTypeError(f"threshold needs num >= 0 and den > 0, got {text}")
+    return value
 
-    run = sub.add_parser("run", help="run a protocol end to end")
+
+def _run_flags() -> argparse.ArgumentParser:
+    """The run settings, each a flag whose destination is a ``RunConfig``
+    field and whose type or choices are its one parser; a ``--config`` line
+    names a flag by that destination."""
+    run = argparse.ArgumentParser(prog="mpcmarket run --config", add_help=False)
     run.add_argument("--workload", choices=("ld", "lr"))
     run.add_argument("--backend", choices=("gc", "he"))
     run.add_argument("--M", type=int, dest="m_instances")
     run.add_argument("--count-bits", type=int, dest="count_bits")
-    run.add_argument("--threshold", help="chi-square threshold as num/den")
+    run.add_argument("--threshold", type=_threshold, help="chi-square threshold as num/den")
     run.add_argument("--range-bits", type=int, dest="range_bits")
     run.add_argument("--rows", type=int)
     run.add_argument("--makers", type=int)
@@ -383,7 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model")
     run.add_argument("--save-circuit", dest="save_circuit")
     run.add_argument("--jsonl")
-    run.add_argument("--config")
+    return run
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="mpcmarket", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    run = sub.add_parser("run", parents=[_run_flags()], help="run a protocol end to end")
+    run.add_argument("--config", help="key=value lines, one run flag each")
 
     gen = sub.add_parser("gen-data", help="write deterministic synthetic fixtures")
     gen.add_argument("--kind", choices=("haplotypes", "lr-samples"), required=True)
@@ -417,35 +404,42 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_BOOLEAN = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _config_argv(flags: argparse.ArgumentParser, path: str) -> list[str]:
+    """The run flags that a config file's ``key=value`` lines stand for. A
+    key is a flag's destination, ``-`` read as ``_``; a boolean takes
+    true/false, yes/no or 1/0."""
+    by_dest = {action.dest: action for action in flags._actions}
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigRejected(f"{path} is not text: {exc}") from None
+    argv = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        action = by_dest.get(key.replace("-", "_"))
+        if not eq or action is None:
+            raise ConfigRejected(f"{path}:{lineno}: {line!r} is not key=value for a run flag")
+        if isinstance(action, argparse.BooleanOptionalAction):
+            if value.lower() not in _BOOLEAN:
+                raise ConfigRejected(f"{path}:{lineno}: {key} takes true/false, yes/no or 1/0")
+            argv.append(action.option_strings[0 if _BOOLEAN[value.lower()] else 1])
+        else:
+            argv.append(f"{action.option_strings[0]}={value}")
+    return argv
+
+
 def _run_config_from_args(args) -> RunConfig:
     """Defaults, overridden by the config file, overridden by explicit flags."""
-    cfg = RunConfig()
-    if args.config:
-        for key, value in _load_config_file(args.config).items():
-            if key == "threshold":
-                _apply_threshold(cfg, value)
-                continue
-            if not hasattr(cfg, key):
-                raise ConfigRejected(f"unknown config key {key!r}")
-            try:
-                setattr(cfg, key, _CONFIG_TYPES.get(key, str)(value))
-            except ValueError:
-                raise ConfigRejected(f"{args.config}: bad value {value!r} for {key}") from None
-    for name in vars(cfg):
-        arg_val = getattr(args, name, None)
-        if arg_val is not None:
-            setattr(cfg, name, arg_val)
-    if args.threshold is not None:
-        _apply_threshold(cfg, args.threshold)
-    return cfg
-
-
-def _apply_threshold(cfg: RunConfig, spec: str) -> None:
-    num, _, den = spec.partition("/")
-    try:
-        cfg.threshold_num, cfg.threshold_den = int(num), int(den or 1)
-    except ValueError:
-        raise ConfigRejected(f"threshold must be num/den, got {spec!r}") from None
+    flags = _run_flags()
+    settings = vars(flags.parse_args(_config_argv(flags, args.config) if args.config else []))
+    settings.update((k, v) for k, v in vars(args).items() if k in settings and v is not None)
+    return RunConfig(**{k: v for k, v in settings.items() if v is not None})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -65,6 +65,9 @@ _DEFAULT_Q_BITS = {
 
 SECURITY_NOTE = "desk-scale parameters, not production-audited"
 
+# Standard deviation of every error polynomial, clipped at 6 sigma.
+NOISE_SIGMA = 3.2
+
 
 class HeParamsError(ValueError):
     """Invalid or mismatched encryption parameters."""
@@ -97,12 +100,11 @@ def find_ntt_primes(bits: int, n: int, count: int = 1, exclude: tuple[int, ...] 
 
 @dataclass(frozen=True)
 class HeParams:
-    """Ring degree, RNS coefficient modulus, plaintext modulus, noise width."""
+    """Ring degree, RNS coefficient modulus, plaintext modulus; noise width NOISE_SIGMA."""
 
     n: int
     q_primes: tuple[int, ...]
     t: int
-    noise_sigma: float = 3.2
 
     def __post_init__(self) -> None:
         if self.n not in VALID_DEGREES:
@@ -138,7 +140,7 @@ class HeParams:
         return sum(math.log2(p) for p in self.q_primes)
 
     def fresh_noise_log2(self) -> float:
-        bound = 6 * self.noise_sigma
+        bound = 6 * NOISE_SIGMA
         return math.log2(2 * self.n * bound + bound)
 
     def budget_capacity(self, t: int | None = None) -> float:
@@ -151,7 +153,7 @@ class HeParams:
 
     def canonical_repr(self) -> str:
         qs = ",".join(str(p) for p in self.q_primes)
-        return f"bfv:n={self.n}:q={qs}:t={self.t}:sigma={self.noise_sigma}"
+        return f"bfv:n={self.n}:q={qs}:t={self.t}:sigma={NOISE_SIGMA}"
 
     @property
     def param_hash(self) -> bytes:
@@ -394,7 +396,7 @@ def mul_noise_log2(params: HeParams, t: int, va: float, vb: float) -> float:
         math.log2(len(params.q_primes))
         + math.log2(params.n)
         + max(math.log2(p) for p in params.q_primes)
-        + math.log2(6 * params.noise_sigma)
+        + math.log2(6 * NOISE_SIGMA)
     )
     return add_noise_log2(mult, relin)
 
@@ -422,9 +424,9 @@ def _sample_ternary(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(-1, 2, n, dtype=np.int64)
 
 
-def _sample_gaussian(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
-    bound = math.ceil(6 * sigma)
-    e = np.rint(rng.normal(0.0, sigma, n)).astype(np.int64)
+def _sample_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
+    bound = math.ceil(6 * NOISE_SIGMA)
+    e = np.rint(rng.normal(0.0, NOISE_SIGMA, n)).astype(np.int64)
     return np.clip(e, -bound, bound)
 
 
@@ -455,7 +457,7 @@ def keygen(
         a_ntt = plan.forward(_sample_uniform_rns(rng, n, primes))
         return plan.forward((body - plan.inverse(dot_mod((a_ntt,), (s_ntt,), q))) % q), a_ntt
 
-    pk = PublicKey(params, *rlwe(-_sample_gaussian(rng, n, params.noise_sigma)))
+    pk = PublicKey(params, *rlwe(-_sample_gaussian(rng, n)))
     sk = SecretKey(params, s, s_ntt)
     if not relin:
         return sk, pk, None
@@ -463,7 +465,7 @@ def keygen(
     # s^2 mod every prime.
     s2 = plan.inverse(dot_mod((s_ntt,), (s_ntt,), q))
     pairs = tuple(
-        rlwe(params.residues(params.q // p_i) * s2 + _sample_gaussian(rng, n, params.noise_sigma))
+        rlwe(params.residues(params.q // p_i) * s2 + _sample_gaussian(rng, n))
         for p_i in primes
     )
     return sk, pk, RelinKey(params, pairs)
@@ -522,8 +524,8 @@ def encrypt(pk: PublicKey, pt: HePlaintext, rng: np.random.Generator | None = No
     n, plan = params.n, params.ntt
     q = plan.mod
     u = _sample_ternary(rng, n)
-    e1 = _sample_gaussian(rng, n, params.noise_sigma)
-    e2 = _sample_gaussian(rng, n, params.noise_sigma)
+    e1 = _sample_gaussian(rng, n)
+    e2 = _sample_gaussian(rng, n)
     u_ntt = plan.forward(u)
     delta = params.residues(params.q // pt.t)
     # pt.poly is reduced first: residues below 2^30 keep delta * m in int64 for any t.

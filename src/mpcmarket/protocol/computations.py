@@ -38,6 +38,7 @@ from ..analytics.lr import (
     SigmoidTable,
     build_lr_circuit,
     build_sigmoid_table,
+    check_range_bits,
     lr_he_plan_bound,
     lr_predict_fixed,
 )
@@ -407,6 +408,9 @@ class LrComputation(HePipeline):
 
     model: LrModel
     range_bits: int = 10
+
+    def __post_init__(self) -> None:
+        check_range_bits(self.range_bits)  # before any session, on either backend
 
     @cached_property
     def table(self) -> SigmoidTable:

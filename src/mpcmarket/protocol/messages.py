@@ -92,65 +92,60 @@ class _Text(_Blob):
             raise FramingError(f"text is not UTF-8: {exc}") from exc
 
 
-class _Counted:
-    """u32 item count, then the items; ``items`` and ``read_items`` are the
-    body alone, for a layout that writes its counts first."""
-
-    def pack(self, value) -> list[bytes]:
-        return [*U32.pack(len(value)), *self.items(value)]
-
-    def read(self, r: _Reader) -> tuple:
-        return self.read_items(r, U32.read(r))
-
-
-class Seq(_Counted):
-    """Tuples, each written field by field with ``codecs``."""
+class Seq:
+    """u32 item count, then the tuples, each written field by field with
+    ``codecs``."""
 
     def __init__(self, *codecs) -> None:
         self.codecs = codecs
 
-    def items(self, value) -> list[bytes]:
-        return [
+    def pack(self, value) -> list[bytes]:
+        items = [
             p for item in value for c, v in zip(self.codecs, item, strict=True) for p in c.pack(v)
         ]
+        return [*U32.pack(len(value)), *items]
 
-    def read_items(self, r: _Reader, count: int) -> tuple:
-        return tuple(tuple(c.read(r) for c in self.codecs) for _ in range(count))
+    def read(self, r: _Reader) -> tuple:
+        return tuple(tuple(c.read(r) for c in self.codecs) for _ in range(U32.read(r)))
 
 
-class _Labels(_Counted):
-    """128-bit labels as two u64 halves each, one struct pass per sequence;
-    with ``wires``, (u32 wire, label) pairs."""
+class _Labels:
+    """u32 label count, then 128-bit labels as two u64 halves each, one
+    struct pass per sequence; with ``wires``, (u32 wire, label) pairs."""
 
     def __init__(self, wires: bool) -> None:
         self.wires = wires
         self.s = struct.Struct(">IQQ" if wires else ">QQ")
 
-    def items(self, value) -> list[bytes]:
+    def pack(self, value) -> list[bytes]:
         pack, m = self.s.pack, (1 << 64) - 1
         if self.wires:
-            return [b"".join([pack(w, label >> 64, label & m) for w, label in value])]
-        return [b"".join([pack(label >> 64, label & m) for label in value])]
+            body = b"".join([pack(w, label >> 64, label & m) for w, label in value])
+        else:
+            body = b"".join([pack(label >> 64, label & m) for label in value])
+        return [*U32.pack(len(value)), body]
 
-    def read_items(self, r: _Reader, count: int) -> tuple:
+    def read(self, r: _Reader) -> tuple:
+        count = U32.read(r)
         records = self.s.iter_unpack(r.take(self.s.size * count))
         if self.wires:
             return tuple((w, hi << 64 | lo) for w, hi, lo in records)
         return tuple(hi << 64 | lo for hi, lo in records)
 
 
-class _Bits(_Counted):
-    """Bits packed eight to a byte, least significant first; the padding
-    bits after the last one must be zero."""
+class _Bits:
+    """u32 bit count, then the bits packed eight to a byte, least
+    significant first; the padding bits after the last one must be zero."""
 
-    def items(self, value) -> list[bytes]:
+    def pack(self, value) -> list[bytes]:
         packed = bytearray((len(value) + 7) // 8)
         for i, b in enumerate(value):
             if b & 1:
                 packed[i // 8] |= 1 << (i % 8)
-        return [bytes(packed)]
+        return [*U32.pack(len(value)), bytes(packed)]
 
-    def read_items(self, r: _Reader, count: int) -> tuple:
+    def read(self, r: _Reader) -> tuple:
+        count = U32.read(r)
         body = r.take((count + 7) // 8)
         if count % 8 and body[-1] >> (count % 8):
             raise FramingError("nonzero padding bits after the last output bit")
@@ -245,23 +240,12 @@ class Query(Message):
 @dataclass(frozen=True)
 class ListingBundle(Message):
     """Datatrust response: every stored ciphertext entry (HE) or every
-    stored active input label (GC). Both counts come first."""
+    stored active input label (GC)."""
 
     TYPE: ClassVar[int] = 0x04
     LAYOUT: ClassVar[tuple] = (Seq(U16, TEXT, BLOB), WIRE_LABELS)
     ciphertexts: tuple[tuple[int, str, bytes], ...] = ()
     labels: tuple[tuple[int, int], ...] = ()  # (wire index, 128-bit label)
-
-    def parts(self) -> list[bytes]:
-        cts, labels = self.LAYOUT
-        counts = U32.pack(len(self.ciphertexts)) + U32.pack(len(self.labels))
-        return counts + cts.items(self.ciphertexts) + labels.items(self.labels)
-
-    @classmethod
-    def _read(cls, r: _Reader) -> "ListingBundle":
-        cts, labels = cls.LAYOUT
-        n_ct, n_lab = U32.read(r), U32.read(r)
-        return cls(cts.read_items(r, n_ct), labels.read_items(r, n_lab))
 
 
 @dataclass(frozen=True)

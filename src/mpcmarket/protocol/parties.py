@@ -248,9 +248,9 @@ class Buyer:
         circuit: Circuit = self.computation.circuit
         garbled = gb.parse_garbled(self._garbled_msg.garbled)
         label_map = dict(listings.labels)
-        if len(label_map) != circuit.n_inputs:
+        if label_map.keys() != set(range(circuit.n_inputs)):
             raise ProtocolError(
-                f"expected {circuit.n_inputs} input labels, got {len(label_map)}"
+                f"input labels are not exactly for wires 0..{circuit.n_inputs - 1}"
             )
         active = [label_map[i] for i in range(circuit.n_inputs)]
         t0 = time.perf_counter()

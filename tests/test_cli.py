@@ -1,6 +1,8 @@
 """Command-line interface: commands, exit codes, determinism."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -8,7 +10,17 @@ from pathlib import Path
 
 import mpcmarket
 from mpcmarket.circuits import build_adder, serialize_circuit
-from mpcmarket.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, RunConfig, _sessions, main
+from mpcmarket import cli
+from mpcmarket.cli import (
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_OK,
+    RunConfig,
+    _run_config_from_args,
+    _sessions,
+    build_parser,
+    main,
+)
 
 
 class TestRun:
@@ -73,6 +85,18 @@ class TestRun:
         cfg.write_text("wrkload=ld\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_range_bits_rejected_before_any_session(self, monkeypatch, capsys):
+        sessions = []
+        monkeypatch.setattr(cli, "run_protocol1", lambda *a, **k: sessions.append(a))
+        monkeypatch.setattr(cli, "run_protocol2", lambda *a, **k: sessions.append(a))
+        for argv in (["run", "--backend", "gc", "--rows", "1"],
+                     ["run", "--backend", "he", "--rows", "1"],
+                     ["bench", "--backend", "he"]):
+            rc = main([*argv, "--workload", "lr", "--range-bits", "3", "--repeat", "1"])
+            assert rc == EXIT_CONFIG
+            assert "range_bits 3 outside [4, 16]" in capsys.readouterr().err
+        assert sessions == []
+
     def test_save_circuit(self, tmp_path):
         path = tmp_path / "ld.btxt"
         rc = main(["run", "--workload", "ld", "--M", "1", "--repeat", "1",
@@ -116,6 +140,68 @@ def test_lr_he_sends_one_ciphertext_per_maker(monkeypatch, capsys):
     assert "verified against plaintext oracle: True" in capsys.readouterr().out
     # Two rows, repeated ten times by default: every session lists one entry per maker.
     assert listed == [(0, 1), (1, 1), (2, 1)] * 2 * 10
+
+
+# One value per run setting, none of them its default: (config line, flags).
+EVERY_SETTING = [
+    ("workload=lr", ["--workload", "lr"]),
+    ("backend=he", ["--backend", "he"]),
+    ("m_instances=3", ["--M", "3"]),
+    ("count-bits=9", ["--count-bits", "9"]),
+    ("threshold=5/2", ["--threshold", "5/2"]),
+    ("range_bits=12", ["--range-bits", "12"]),
+    ("rows=2", ["--rows", "2"]),
+    ("makers=2", ["--makers", "2"]),
+    ("n_degree=2048", ["--n", "2048"]),
+    ("batch=no", ["--no-batch"]),
+    ("transport=tcp", ["--transport", "tcp"]),
+    ("seed=7", ["--seed", "7"]),
+    ("repeat=3", ["--repeat", "3"]),
+    ("verify=0", ["--no-verify"]),
+    ("data=d.csv", ["--data", "d.csv"]),
+    ("model=m.txt", ["--model", "m.txt"]),
+    ("save-circuit=c.btxt", ["--save-circuit", "c.btxt"]),
+    ("jsonl=r.jsonl", ["--jsonl", "r.jsonl"]),
+]
+
+
+def _config(argv: list[str]) -> RunConfig:
+    return _run_config_from_args(build_parser().parse_args(["run", *argv]))
+
+
+class TestConfigFile:
+    def test_every_setting_reads_as_its_flag(self, tmp_path):
+        path = tmp_path / "all.cfg"
+        path.write_text("\n".join(line for line, _ in EVERY_SETTING) + "\n")
+        from_file = _config(["--config", str(path)])
+        assert from_file == _config([a for _, flags in EVERY_SETTING for a in flags])
+        default = RunConfig()
+        assert all(getattr(from_file, f.name) != getattr(default, f.name)
+                   for f in fields(RunConfig))
+        # An explicit flag still overrides the file.
+        assert _config(["--config", str(path), "--seed", "8"]).seed == 8
+        assert _config(["--config", str(path), "--verify"]).verify is True
+
+    def test_config_keys_are_the_run_destinations(self, tmp_path):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for a in sub.choices["run"]._actions} - {"help", "config"}
+        assert dests == {f.name for f in fields(RunConfig)}
+        assert {line.split("=")[0].replace("-", "_") for line, _ in EVERY_SETTING} == dests
+        path = tmp_path / "one.cfg"
+        for key in ("config", "help", "threshold_num", "threshold_den", "M"):
+            path.write_text(f"{key}=1\n")
+            with pytest.raises(cli.ConfigRejected, match="is not key=value for a run flag"):
+                _config(["--config", str(path)])
+
+    @pytest.mark.parametrize("value, on", [
+        ("true", True), ("Yes", True), ("1", True), ("false", False), ("NO", False), ("0", False),
+    ])
+    def test_boolean_values(self, tmp_path, value, on):
+        path = tmp_path / "b.cfg"
+        path.write_text(f"batch={value}\nverify={value}\n")
+        cfg = _config(["--config", str(path)])
+        assert (cfg.batch, cfg.verify) == (on, on)
 
 
 def test_lr_row_is_dealt_to_the_makers():
@@ -293,6 +379,13 @@ MALFORMED = {
         {"model": "16 8\n3\n1.5\n"},
     ),
     "config-non-integer": (["run", "--config", "{cfg}"], {"cfg": "seed=abc\n"}),
+    # A boolean typo used to read as false, a non-boolean batch as no batching,
+    # and the old threshold_num key as a setting.
+    "config-verify-typo": (["run", "--config", "{cfg}"], {"cfg": "verify=ture\n"}),
+    "config-batch-typo": (["run", "--config", "{cfg}"], {"cfg": "batch=nope\n"}),
+    "config-transport-udp": (["run", "--config", "{cfg}"], {"cfg": "transport=udp\n"}),
+    "config-threshold-num": (["run", "--config", "{cfg}"], {"cfg": "threshold_num=5\n"}),
+    "config-binary": (["run", "--config", "{cfg}"], {"cfg": "\xff\xfe=1\n"}),
     "inspect-consts": (["inspect", "{c}"], {"c": _circuit_with(2, "consts 4 x")}),
     "inspect-outputs": (["inspect", "{c}"], {"c": _circuit_with(3, "outputs 2 5 y")}),
     "inspect-gate-wire": (["inspect", "{c}"], {"c": _circuit_with(4, "2 1 0 z 6 XOR")}),
@@ -364,8 +457,10 @@ def test_negative_seed_exits_2(tmp_path, capsys):
             main(argv)
         assert exc.value.code == EXIT_CONFIG
         assert "seed must be >= 0" in capsys.readouterr().err
-    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
-    assert "seed must be in [0, 2^63)" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "seed must be >= 0" in capsys.readouterr().err
     assert not list(tmp_path.glob("x*"))
 
 

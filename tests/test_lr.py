@@ -1,7 +1,8 @@
 """Logistic-regression inference: sigmoid table, fixed-point oracle, circuit."""
 
-import math
+import hashlib
 import random
+import struct
 
 import pytest
 
@@ -22,6 +23,7 @@ from mpcmarket.analytics.lr import (
 )
 from mpcmarket.circuits import CircuitError, FixedPointSpec, eval_plain
 from mpcmarket.circuits.ir import int_from_bits
+from mpcmarket.protocol import LrComputation
 
 
 def lr_bits(circuit, row) -> list[int]:
@@ -39,25 +41,27 @@ class TestSigmoidTable:
         t = build_sigmoid_table(range_bits=11)
         assert all(a <= b for a, b in zip(t.entries, t.entries[1:]))
 
-    def test_boundaries_within_one_quantum_for_coarse_spec(self):
-        # |z| >= 8 saturates below one 2^-8 quantum
-        t = build_sigmoid_table(FixedPointSpec(16, 8), range_bits=10)
-        assert t.entries[0] == 0
-        assert abs(t.entries[-1] - (1 << 8)) <= 1
-        sigma = 1 / (1 + math.exp(8.0))
-        assert sigma < 2**-8
-
     def test_symmetry(self):
         t = build_sigmoid_table(range_bits=10)
         q = t.out_spec.scale
         for i in range(1, 1 << 10):
             assert abs(t.entries[i] + t.entries[(1 << 10) - i] - q) <= 1
 
-    def test_degenerate_range_rejected(self):
-        with pytest.raises(CircuitError):
-            build_sigmoid_table(range_bits=10, z_min=4.0, z_max=4.0)
-        with pytest.raises(CircuitError):
-            build_sigmoid_table(range_bits=10, z_min=-3.0, z_max=3.0)  # span not 2^k
+    @pytest.mark.parametrize("range_bits, digest", [
+        (4, "418c2997827e176e12bc1d7a8df28fa1b62042a7b270dc9d816ba1bcf7a1c15b"),
+        (16, "42c8551760bc4342d9995173c7bccff75da9cd2500f53806b270c522d114285f"),
+    ])
+    def test_entries_pinned(self, range_bits, digest):
+        # The smallest and the largest table, as little-endian u32 entries.
+        e = build_sigmoid_table(range_bits).entries
+        assert hashlib.sha256(struct.pack(f"<{len(e)}I", *e)).hexdigest() == digest
+
+    @pytest.mark.parametrize("range_bits", [3, 17])
+    def test_range_bits_outside_4_to_16_rejected(self, range_bits, bundled_model):
+        with pytest.raises(CircuitError, match=f"range_bits {range_bits} outside"):
+            build_sigmoid_table(range_bits)
+        with pytest.raises(CircuitError, match=f"range_bits {range_bits} outside"):
+            LrComputation(model=bundled_model, range_bits=range_bits)
 
     def test_index_clamps(self):
         t = build_sigmoid_table(range_bits=10)

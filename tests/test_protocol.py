@@ -15,6 +15,7 @@ from mpcmarket.protocol import (
     DeltaKeyDist,
     EncryptedListing,
     LdComputation,
+    ListingBundle,
     LrComputation,
     ProtocolError,
     Result,
@@ -114,6 +115,21 @@ class TestProtocol2:
     def test_missing_group_rejected(self, ld_comp):
         with pytest.raises(ProtocolError, match="do not tile"):
             run_protocol2(ld_comp, [{"i0.n_AB": 30}], seed=7)
+
+    def test_misplaced_label_wire_rejected(self, ld_comp, monkeypatch):
+        # Wire 0's label arrives as wire n + 7: as many labels, not wires 0..n-1.
+        receive = DataTrust.receive
+
+        def misplace(self, msg):
+            reply = receive(self, msg)
+            if isinstance(reply, ListingBundle):
+                (_, label), *rest = reply.labels
+                reply = ListingBundle(labels=(*rest, (len(reply.labels) + 7, label)))
+            return reply
+
+        monkeypatch.setattr(DataTrust, "receive", misplace)
+        with pytest.raises(ProtocolError, match="not exactly for wires 0..43"):
+            run_protocol2(ld_comp, LD_SPLIT_4, seed=7)
 
     def test_deterministic_under_seed(self, ld_comp):
         a = run_protocol2(ld_comp, LD_SPLIT_4, seed=8)

@@ -56,7 +56,7 @@ FRAMES = {
         "6ea09352360142349b8c2e967a1fe6e32b0a5a454c5dc47f4e9c4c8af1c7397a",
         "7c10b2d428799edc9d80bb09b22d5ccd974be76996d89dea2ddca4cb666cdc37",
         "554eae367d3b46bc2e731b1c25a0284b7d17a6d0ba30da605de3a26a29fe09ce",
-        "2b0db72e909de76ff6cf22ef46e6d6bf9b74e3c27cc0c274d126dcc0825012a6",
+        "9d2ac3a08336e9e147c3d9079e5f74fc942a6df89abd4e0502077ce9a2c7aa5b",
         "5f0864013b501f65bb81d1becb3b462bff1875dc5c5a0735c2e83e54ae25d932",
         "d82c07798b87d00629b069a01e6dcfd3ecc22cda4d974cc62d4f40ed3a3337d9",
     ],
@@ -64,7 +64,7 @@ FRAMES = {
         "1c4bbdd09d0e04fea2da9ff807dd24e2d022dcba74658d0f9dac27d6c5b59356",
         "34bc7d27f81ab93fa9f0143436f77aeb8896b66bc194d725a095e74c9831418b",
         "2155d60f20f95f278f1da51e578eaea9dfdb69c3470a752c556f94a711157c79",
-        "86525e940f00b648f6427696381e836b5c82f0dddfa4feabc4861a7c1f4c4945",
+        "71172c6914f5b6aff6cdf77b7c83657484dbd875371a53166747f6855bf2ba36",
         "935beb723ca09265995db76a39f1880f9402e31faa358fa5266bb97c7955a8ff",
         "065a7fc87398666be98326193c89e12dee1aba1f1d0c83808ab9db03e633ebfb",
     ],
