@@ -19,7 +19,6 @@ from .builders import (
     build_lookup,
     build_multiplier,
 )
-from .bristol import parse_circuit, serialize_circuit
 
 __all__ = [
     "AND",
@@ -37,6 +36,4 @@ __all__ = [
     "build_lookup",
     "build_multiplier",
     "eval_plain",
-    "parse_circuit",
-    "serialize_circuit",
 ]

@@ -19,9 +19,6 @@ XOR = 0
 AND = 1
 INV = 2
 
-KIND_NAMES = {XOR: "XOR", AND: "AND", INV: "INV"}
-KIND_BY_NAME = {v: k for k, v in KIND_NAMES.items()}
-
 
 class CircuitError(ValueError):
     """Raised for malformed circuits or invalid builder parameters."""

@@ -1,6 +1,7 @@
 """Operator command-line interface.
 
-Commands: run, gen-data, keygen, inspect, bench.
+Commands: run, gen-data, keygen, inspect, bench. ``run``, ``inspect`` and
+``bench`` read a computation through the same run flags and ``--config``.
 Exit codes: 0 success, 1 verification failure, 2 configuration rejection,
 3 I/O or transport failure.
 """
@@ -14,12 +15,9 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .analytics import datagen
 from .analytics.ld import LdStatisticUndefined, PlanRejected, ld_group_names
 from .analytics.lr import load_model
-from .circuits.bristol import parse_circuit, serialize_circuit
 from .circuits.ir import CircuitError
 from .garbling import HEADER_SIZE
 from .he import bfv
@@ -61,7 +59,6 @@ class RunConfig:
     verify: bool = True
     data: str | None = None
     model: str | None = None
-    save_circuit: str | None = None
     jsonl: str | None = None
 
     def validate(self) -> None:
@@ -101,7 +98,6 @@ _COLUMNS = [
     ("#gates", "gates"),
     ("#non-XOR", "non_xor"),
     ("comm bytes", "comm_bytes"),
-    ("scalar total ms", "scalar_total_ms"),
 ]
 
 
@@ -126,6 +122,13 @@ def _maker_inputs_for(groups: dict[str, int], makers: int) -> list[dict[str, int
     return [{name: groups[name] for name in names[i::k]} for i in range(k)]
 
 
+def _first(rows: list, n: int, what: str) -> list:
+    """The first ``n`` rows of a run's input; fewer rejects the run."""
+    if len(rows) < n:
+        raise ConfigRejected(f"need {n} {what} rows, file has {len(rows)}")
+    return rows[:n]
+
+
 def _sessions(cfg: RunConfig) -> tuple[Computation, list[list[dict[str, int]]]]:
     """The computation and the maker inputs of each session in one
     repetition: LD runs all M instances in one session, or one session per
@@ -139,12 +142,15 @@ def _sessions(cfg: RunConfig) -> tuple[Computation, list[list[dict[str, int]]]]:
             rows, _labels = datagen.load_bundled_dataset(model)
         mask = (1 << model.spec.total_bits) - 1
         comp = LrComputation(model=model, range_bits=cfg.range_bits)
-        groups = [{f"x{j}": v & mask for j, v in enumerate(row)} for row in rows[: cfg.rows]]
+        groups = [
+            {f"x{j}": v & mask for j, v in enumerate(row)}
+            for row in _first(rows, cfg.rows, "sample")
+        ]
         return comp, [_maker_inputs_for(g, cfg.makers) for g in groups]
     if cfg.data:
-        counts = _read(cfg.data, datagen.read_haplotype_csv)
+        counts = _first(_read(cfg.data, datagen.read_haplotype_csv), cfg.m_instances, "haplotype")
         # Checked here, not only by the oracle, so --no-verify rejects it too.
-        for row, c in enumerate(counts[: cfg.m_instances], start=1):
+        for row, c in enumerate(counts, start=1):
             if min(c.margins) == 0:
                 raise ConfigRejected(
                     f"{cfg.data}: row {row} {tuple(c)} has a zero margin; chi-square is undefined"
@@ -153,8 +159,6 @@ def _sessions(cfg: RunConfig) -> tuple[Computation, list[list[dict[str, int]]]]:
         counts = datagen.gen_haplotype_counts(
             cfg.seed, cfg.m_instances, n_total=min(200, (1 << cfg.count_bits) - 1)
         )
-    if len(counts) < cfg.m_instances:
-        raise ConfigRejected(f"need {cfg.m_instances} haplotype rows, file has {len(counts)}")
     size = cfg.m_instances if cfg.batch else 1
     comp = LdComputation(
         count_bits=cfg.count_bits,
@@ -180,8 +184,6 @@ def _drive(cfg: RunConfig) -> dict:
     transcript total of the first repetition."""
     cfg.validate()
     comp, sessions = _sessions(cfg)
-    if cfg.save_circuit:
-        Path(cfg.save_circuit).write_text(serialize_circuit(comp.circuit))
     gc = cfg.backend == "gc"
     if not gc:
         n = cfg.n_degree or (8192 if cfg.workload == "ld" else 4096)
@@ -281,15 +283,10 @@ def cmd_keygen(args) -> int:
     return EXIT_OK
 
 
-def cmd_inspect(args) -> int:
-    try:
-        text = Path(args.circuit).read_text()
-    except OSError as exc:
-        print(f"cannot read {args.circuit}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except UnicodeDecodeError as exc:
-        raise CircuitError(f"{args.circuit} is not circuit text: {exc}") from None
-    circuit = parse_circuit(text)
+def cmd_inspect(cfg: RunConfig) -> int:
+    """Statistics of the circuit that ``run`` with the same flags garbles."""
+    cfg.validate()
+    circuit = _sessions(cfg)[0].circuit
     st = circuit.stats
     groups = ", ".join(f"{g.name}[{g.width}]" for g in circuit.input_groups)
     print(f"gates:            {st.total}")
@@ -301,21 +298,17 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """One ``_drive`` record per --M (LD) or --range-bits (LR) value."""
-    ld = args.workload == "ld"
-    base = RunConfig(
-        workload=args.workload, backend=args.backend, count_bits=args.count_bits,
-        rows=1, n_degree=args.n, seed=args.seed, repeat=args.repeat,
-    )
-    records: list[dict] = []
-    for value in args.M if ld else args.range_bits:
-        cfg = replace(base, m_instances=value) if ld else replace(base, range_bits=value)
-        rec = {"bench": f"{args.backend}-{args.workload}", **_drive(cfg)}
-        if args.compare_scalar:
-            rec["scalar_total_ms"] = _drive(replace(cfg, batch=False))["total_ms"]
-        records.append(rec)
+    """One ``_drive`` record per --M (LD) or --range-bits (LR) value; without
+    that list, one record at the configured value."""
+    sweeps = {key: vars(args).pop(key) for key in ("m_instances", "range_bits")}
+    base = _run_config_from_args(args)
+    key = "m_instances" if base.workload == "ld" else "range_bits"
+    records = [
+        {"bench": f"{base.backend}-{base.workload}", **_drive(replace(base, **{key: value}))}
+        for value in sweeps[key] or [getattr(base, key)]
+    ]
     _print_table(records)
-    _emit(records, args.jsonl)
+    _emit(records, base.jsonl)
     return EXIT_OK
 
 
@@ -360,7 +353,6 @@ def _run_flags() -> argparse.ArgumentParser:
     run.add_argument("--verify", action=argparse.BooleanOptionalAction, default=None)
     run.add_argument("--data")
     run.add_argument("--model")
-    run.add_argument("--save-circuit", dest="save_circuit")
     run.add_argument("--jsonl")
     return run
 
@@ -370,7 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", parents=[_run_flags()], help="run a protocol end to end")
-    run.add_argument("--config", help="key=value lines, one run flag each")
+    ins = sub.add_parser("inspect", parents=[_run_flags()], help="print the circuit's statistics")
+    bench = sub.add_parser("bench", parents=[_run_flags()], conflict_handler="resolve",
+                           help="one run record per --M (LD) or --range-bits (LR) value")
+    bench.add_argument("--M", type=int, nargs="+", dest="m_instances")
+    bench.add_argument("--range-bits", type=int, nargs="+", dest="range_bits")
+    for parser in (run, ins, bench):
+        parser.add_argument("--config", help="key=value lines, one run flag each")
 
     gen = sub.add_parser("gen-data", help="write deterministic synthetic fixtures")
     gen.add_argument("--kind", choices=("haplotypes", "lr-samples"), required=True)
@@ -386,21 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     kg.add_argument("--t-bits", type=int, default=21)
     kg.add_argument("--out", required=True)
     kg.add_argument("--seed", type=_seed, default=0)
-
-    ins = sub.add_parser("inspect", help="print circuit-file statistics")
-    ins.add_argument("circuit")
-
-    bench = sub.add_parser("bench", help="table-shaped benchmark reports")
-    bench.add_argument("--workload", choices=("ld", "lr"), default="ld")
-    bench.add_argument("--backend", choices=("gc", "he"), default="gc")
-    bench.add_argument("--M", type=int, nargs="+", default=[10])
-    bench.add_argument("--count-bits", type=int, default=8)
-    bench.add_argument("--range-bits", type=int, nargs="+", default=[10, 11, 12])
-    bench.add_argument("--n", type=int)
-    bench.add_argument("--repeat", type=int, default=10)
-    bench.add_argument("--seed", type=_seed, default=0)
-    bench.add_argument("--compare-scalar", action="store_true")
-    bench.add_argument("--jsonl")
     return ap
 
 
@@ -452,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "keygen":
             return cmd_keygen(args)
         if args.command == "inspect":
-            return cmd_inspect(args)
+            return cmd_inspect(_run_config_from_args(args))
         if args.command == "bench":
             return cmd_bench(args)
         raise ConfigRejected(f"unknown command {args.command!r}")

@@ -1,20 +1,23 @@
-"""Circuit IR, builders, plaintext evaluation, and the text format."""
+"""Circuit IR, its validation, builders and plaintext evaluation."""
 
 import random
 
 import pytest
 
 from mpcmarket.circuits import (
+    AND,
+    INV,
+    Circuit,
     CircuitBuilder,
     CircuitError,
     FixedPointSpec,
+    Gate,
+    InputGroup,
     build_adder,
     build_greater_than,
     build_lookup,
     build_multiplier,
     eval_plain,
-    parse_circuit,
-    serialize_circuit,
 )
 from mpcmarket.circuits.ir import bits_from_int, int_from_bits
 
@@ -202,40 +205,29 @@ class TestBuilderInternals:
             b.add_input_group("x", 2)
 
 
-class TestSerialization:
-    def test_builder_determinism_byte_identical(self):
-        assert serialize_circuit(build_adder(16)) == serialize_circuit(build_adder(16))
+class TestValidation:
+    # Two inputs, the constant wires 2 and 3, and one AND gate writing wire 4.
+    GOOD = dict(n_inputs=2, input_groups=(InputGroup("x", 0, 2),), const_zero=2, const_one=3,
+                gates=(Gate(AND, 0, 1, 4),), output_wires=(4,), n_wires=5)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(const_zero=3, const_one=2), "constant wires must directly follow the inputs"),
+        (dict(gates=(Gate(INV, 0, 1, 4),)), "INV gate with two inputs at wire 4"),
+        (dict(gates=(Gate(AND, 0, 4, 4),)), "gate output 4 reads undefined wire 4"),
+        (dict(gates=(Gate(AND, 0, 1, 5),), n_wires=6), "must be dense, got 5 expected 4"),
+        (dict(n_wires=6), "wire count mismatch: 5 != 6"),
+        (dict(output_wires=(5,)), "output wire 5 out of range"),
+    ], ids=["consts", "inv-arity", "undefined-wire", "sparse-outputs", "wire-count",
+            "output-range"])
+    def test_malformed_circuit_rejected(self, change, message):
+        assert Circuit(**self.GOOD).stats == (1, 1)
+        with pytest.raises(CircuitError, match=message):
+            Circuit(**{**self.GOOD, **change})
+
+    def test_builders_are_deterministic(self):
+        assert build_adder(16) == build_adder(16)
         t1 = [3, 1, 4, 1]
-        assert serialize_circuit(build_lookup(t1, 2, 3)) == serialize_circuit(
-            build_lookup(t1, 2, 3)
-        )
-
-    def test_round_trip(self):
-        for c in (build_adder(8), build_multiplier(6), build_greater_than(12)):
-            back = parse_circuit(serialize_circuit(c))
-            assert back == c
-            assert back.digest == c.digest
-
-    def test_parse_error_has_line_number(self):
-        text = serialize_circuit(build_adder(4))
-        broken = text.replace("XOR", "XNOR", 1)
-        with pytest.raises(CircuitError, match=r"line \d+"):
-            parse_circuit(broken)
-
-    @pytest.mark.parametrize("line,text", [
-        (0, "13 x"), (1, "inputs two a:2 b:2"), (1, "inputs 2 a:2 b:x"), (2, "consts 4 x"),
-        (3, "outputs 2 5 y"), (3, "outputs x"), (4, "2 1 0 z 6 XOR"), (4, "XOR"),
-        (4, "2 1 0 6 INV"), (4, "0 1 6 AND"),
-    ])
-    def test_malformed_field_names_its_line(self, line, text):
-        lines = serialize_circuit(build_adder(2)).splitlines()
-        lines[line] = text
-        with pytest.raises(CircuitError, match=rf"line {line + 1}:"):
-            parse_circuit("\n".join(lines) + "\n")
-
-    def test_truncated_header(self):
-        with pytest.raises(CircuitError):
-            parse_circuit("3 10\n")
+        assert build_lookup(t1, 2, 3) == build_lookup(t1, 2, 3)
 
 
 class TestFixedPointSpec:

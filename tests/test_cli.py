@@ -9,7 +9,6 @@ import pytest
 from pathlib import Path
 
 import mpcmarket
-from mpcmarket.circuits import build_adder, serialize_circuit
 from mpcmarket import cli
 from mpcmarket.cli import (
     EXIT_CONFIG,
@@ -97,13 +96,6 @@ class TestRun:
             assert "range_bits 3 outside [4, 16]" in capsys.readouterr().err
         assert sessions == []
 
-    def test_save_circuit(self, tmp_path):
-        path = tmp_path / "ld.btxt"
-        rc = main(["run", "--workload", "ld", "--M", "1", "--repeat", "1",
-                   "--save-circuit", str(path)])
-        assert rc == EXIT_OK
-        assert path.read_text().startswith("13255 ")
-
     def test_report_reproducible_modulo_timings(self, tmp_path):
         recs = []
         for name in ("r1.jsonl", "r2.jsonl"):
@@ -160,7 +152,6 @@ EVERY_SETTING = [
     ("verify=0", ["--no-verify"]),
     ("data=d.csv", ["--data", "d.csv"]),
     ("model=m.txt", ["--model", "m.txt"]),
-    ("save-circuit=c.btxt", ["--save-circuit", "c.btxt"]),
     ("jsonl=r.jsonl", ["--jsonl", "r.jsonl"]),
 ]
 
@@ -187,6 +178,15 @@ class TestConfigFile:
                   if isinstance(a, argparse._SubParsersAction)]
         dests = {a.dest for a in sub.choices["run"]._actions} - {"help", "config"}
         assert dests == {f.name for f in fields(RunConfig)}
+        # bench and inspect read every run flag as run does; bench's --M and
+        # --range-bits take lists.
+        every = [a for _, flags in EVERY_SETTING for a in flags]
+        run = {**vars(build_parser().parse_args(["run", *every])), "command": None}
+        lists = {"inspect": {}, "bench": {"m_instances": [3], "range_bits": [12]}}
+        for command in lists:
+            assert {a.dest for a in sub.choices[command]._actions} - {"help", "config"} == dests
+            parsed = vars(build_parser().parse_args([command, *every]))
+            assert {**parsed, "command": None} == {**run, **lists[command]}
         assert {line.split("=")[0].replace("-", "_") for line, _ in EVERY_SETTING} == dests
         path = tmp_path / "one.cfg"
         for key in ("config", "help", "threshold_num", "threshold_den", "M"):
@@ -280,32 +280,21 @@ class TestGenData:
 
 
 class TestInspect:
-    def test_adder_stats(self, tmp_path, capsys):
-        path = tmp_path / "adder8.btxt"
-        path.write_text(serialize_circuit(build_adder(8)))
-        assert main(["inspect", str(path)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "non-XOR gates:    7" in out
-        assert "garbled size:" in out
-
-    def test_xor_only_circuit(self, tmp_path, capsys):
-        from mpcmarket.circuits import CircuitBuilder
-
-        b = CircuitBuilder()
-        x = b.add_input_group("x", 4)
-        y = b.add_input_group("y", 4)
-        c = b.build([b.xor(a, bb) for a, bb in zip(x, y)])
-        path = tmp_path / "xor.btxt"
-        path.write_text(serialize_circuit(c))
-        assert main(["inspect", str(path)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "non-XOR gates:    0" in out
+    def test_stats_of_the_circuit_run_garbles(self, tmp_path, capsys):
         from mpcmarket.garbling import HEADER_SIZE
 
-        assert f"garbled size:     {HEADER_SIZE} bytes" in out
+        assert main(["inspect", "--M", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "gates:            13255\n" in out
+        path = tmp_path / "r.jsonl"
+        assert main(["run", "--M", "1", "--repeat", "1", "--jsonl", str(path)]) == EXIT_OK
+        rec = json.loads(path.read_text())
+        assert f"gates:            {rec['gates']}\n" in out
+        assert f"non-XOR gates:    {rec['non_xor']}\n" in out
+        assert f"garbled size:     {HEADER_SIZE + 32 * rec['non_xor']} bytes" in out
 
     def test_missing_file_is_io_error(self, capsys):
-        assert main(["inspect", "/nonexistent/file.btxt"]) == EXIT_IO
+        assert main(["inspect", "--data", "/nonexistent"]) == EXIT_IO
 
 
 class TestKeygen:
@@ -332,18 +321,34 @@ class TestBench:
         assert rec["bench"] == "gc-ld" and rec["M"] == 1
 
     def test_gc_lr_shape(self, capsys):
-        rc = main(["bench", "--workload", "lr", "--range-bits", "10", "--repeat", "1"])
+        rc = main(["bench", "--workload", "lr", "--range-bits", "10", "--rows", "1",
+                   "--repeat", "1"])
         assert rc == EXIT_OK
         assert "range" in capsys.readouterr().out
 
+    def test_record_is_the_run_record(self, tmp_path):
+        recs = []
+        for command in ("run", "bench"):
+            path = tmp_path / f"{command}.jsonl"
+            assert main([command, "--M", "2", "--rows", "1", "--repeat", "1", "--seed", "21",
+                         "--jsonl", str(path)]) == EXIT_OK
+            rec = json.loads(path.read_text())
+            recs.append({k: v for k, v in rec.items() if k != "bench" and not k.endswith("_ms")})
+        assert recs[0] == recs[1]
 
-_ADDER = serialize_circuit(build_adder(2)).splitlines()
+    def test_config_value_unless_swept(self, tmp_path):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("m_instances=2\nrows=1\nrepeat=1\n")
+        for flags, swept in (([], [2]), (["--M", "1", "2"], [1, 2])):
+            path = tmp_path / "b.jsonl"
+            assert main(["bench", "--config", str(cfg), "--jsonl", str(path), *flags]) == EXIT_OK
+            assert [json.loads(line)["M"] for line in path.read_text().splitlines()] == swept
 
-
-def _circuit_with(line: int, text: str) -> str:
-    lines = list(_ADDER)
-    lines[line] = text
-    return "\n".join(lines) + "\n"
+    def test_lr_over_tcp_with_two_makers(self, capsys):
+        rc = main(["bench", "--workload", "lr", "--transport", "tcp", "--makers", "2",
+                   "--rows", "1", "--repeat", "1"])
+        assert rc == EXIT_OK
+        assert "comm bytes" in capsys.readouterr().out
 
 
 # (argv, {placeholder: file content}); "{placeholder}" in argv becomes the
@@ -386,16 +391,17 @@ MALFORMED = {
     "config-transport-udp": (["run", "--config", "{cfg}"], {"cfg": "transport=udp\n"}),
     "config-threshold-num": (["run", "--config", "{cfg}"], {"cfg": "threshold_num=5\n"}),
     "config-binary": (["run", "--config", "{cfg}"], {"cfg": "\xff\xfe=1\n"}),
-    "inspect-consts": (["inspect", "{c}"], {"c": _circuit_with(2, "consts 4 x")}),
-    "inspect-outputs": (["inspect", "{c}"], {"c": _circuit_with(3, "outputs 2 5 y")}),
-    "inspect-gate-wire": (["inspect", "{c}"], {"c": _circuit_with(4, "2 1 0 z 6 XOR")}),
-    "inspect-binary": (["inspect", "{c}"], {"c": "\xff\xfe"}),
     "he-threshold-zero-den": (
         ["run", "--backend", "he", "--threshold", "1/0", "--repeat", "1"], {}
     ),
     "data-lr-empty-header": (
         ["run", "--workload", "lr", "--rows", "1", "--repeat", "1", "--data", "{data}"],
         {"data": "\r\n"},
+    ),
+    # A header with no rows used to run no session and report verified.
+    "data-lr-no-rows": (
+        ["run", "--workload", "lr", "--rows", "1", "--repeat", "1", "--data", "{data}"],
+        {"data": ",".join(f"f{i}" for i in range(30)) + "\n"},
     ),
     "data-lr-infinite-feature": (
         ["run", "--workload", "lr", "--rows", "1", "--repeat", "1", "--data", "{data}"],

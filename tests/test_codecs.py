@@ -1,10 +1,9 @@
 """Property tests for every decoder of untrusted bytes: frames, garbled
-tables, BFV keys and ciphertexts, circuit text.
+tables, BFV keys and ciphertexts.
 
 Each codec round-trips, and a flipped byte, a truncation or an insertion
 either raises the codec's own error or decodes to a value that encodes back
-to exactly the mutated bytes (for circuit text, whose whitespace is free, to
-a circuit that parses back to itself). Any other exception is a decoder bug.
+to exactly the mutated bytes. Any other exception is a decoder bug.
 """
 
 from functools import lru_cache
@@ -15,8 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcmarket import garbling as gb
-from mpcmarket.circuits import CircuitBuilder, build_adder, parse_circuit, serialize_circuit
-from mpcmarket.circuits.ir import CircuitError
 from mpcmarket.he import bfv
 from mpcmarket.protocol.messages import (
     MESSAGE_TYPES,
@@ -167,34 +164,3 @@ def test_bfv_blob_round_trip_and_mutations(name, data):
     assert encode(decode(blob, params)) == blob
     bad = data.draw(mutations(blob, head=48))
     check_mutations(lambda b: decode(b, params), encode, bfv.HeParamsError, bad)
-
-
-# -- circuit text -----------------------------------------------------------------
-
-
-def _circuits():
-    b = CircuitBuilder()
-    x = b.add_input_group("x", 2)
-    with_inv = b.build([b.inv(x[0]), b.and_(x[0], b.one), b.zero])
-    return {"adder2": build_adder(2), "inv-and-consts": with_inv}
-
-
-CIRCUITS = _circuits()
-_char = st.sampled_from("0123456789 \n\t:-+_xXORANDINV") | st.characters()
-
-
-@pytest.mark.parametrize("name", CIRCUITS)
-@PROPERTY
-@given(char=_char, into=st.integers(0, 1 << 10), extra=st.text(_char, min_size=1, max_size=4))
-def test_circuit_text_round_trip_and_mutations(name, char, into, extra):
-    text = serialize_circuit(CIRCUITS[name])
-    assert parse_circuit(text) == CIRCUITS[name]
-    into = min(into, len(text))
-    mutated = [text[:i] + char + text[i + 1 :] for i in range(len(text))]
-    mutated += [text[:i] for i in range(len(text))] + [text[:into] + extra + text[into:]]
-    for bad in mutated:
-        try:
-            circuit = parse_circuit(bad)
-        except CircuitError:
-            continue
-        assert parse_circuit(serialize_circuit(circuit)) == circuit
