@@ -7,7 +7,6 @@ from .ir import (
     Circuit,
     CircuitError,
     FixedPointSpec,
-    Gate,
     GateStats,
     InputGroup,
     eval_plain,
@@ -28,7 +27,6 @@ __all__ = [
     "CircuitBuilder",
     "CircuitError",
     "FixedPointSpec",
-    "Gate",
     "GateStats",
     "InputGroup",
     "build_adder",

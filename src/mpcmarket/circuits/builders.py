@@ -9,9 +9,12 @@ rewiring and cost nothing.
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
-from .ir import AND, INV, XOR, Circuit, CircuitError, Gate, InputGroup
+import numpy as np
+
+from .ir import AND, INV, XOR, Circuit, CircuitError, InputGroup
 
 Word = list[int]
 
@@ -19,24 +22,22 @@ Word = list[int]
 class CircuitBuilder:
     """Accumulates gates over named input groups, then freezes to a Circuit.
 
-    Topological validity is asserted on every emitted gate: outputs are
-    allocated densely above all existing wires, so a gate can never read a
-    wire that does not yet exist.
+    Gates go into one flat int32 array, four entries (kind, a, b, out) per
+    gate, with outputs allocated densely above all existing wires. The
+    builder does not check the wires a gate reads; ``build`` hands the
+    array to ``Circuit``, which validates it once.
     """
 
     def __init__(self) -> None:
         self._groups: list[InputGroup] = []
         self._n_inputs = 0
-        self._gates: list[Gate] = []
-        self._frozen_inputs = False
-        self._const_zero = -1
-        self._const_one = -1
-        self._n_wires = 0
+        self._gates = array("i")
+        self._n_wires = 0  # stays 0 until the inputs are frozen
 
     # -- inputs and constants -------------------------------------------------
 
     def add_input_group(self, name: str, width: int) -> Word:
-        if self._frozen_inputs:
+        if self._n_wires:
             raise CircuitError("cannot add inputs after gates or constants")
         if width < 1:
             raise CircuitError(f"input group {name!r} must have positive width")
@@ -48,30 +49,25 @@ class CircuitBuilder:
         return list(range(start, start + width))
 
     def _freeze_inputs(self) -> None:
-        if not self._frozen_inputs:
-            self._frozen_inputs = True
-            self._const_zero = self._n_inputs
-            self._const_one = self._n_inputs + 1
+        if not self._n_wires:
             self._n_wires = self._n_inputs + 2
 
     @property
     def zero(self) -> int:
         self._freeze_inputs()
-        return self._const_zero
+        return self._n_inputs
 
     @property
     def one(self) -> int:
         self._freeze_inputs()
-        return self._const_one
+        return self._n_inputs + 1
 
     # -- gate primitives ------------------------------------------------------
 
     def _emit(self, kind: int, a: int, b: int) -> int:
         self._freeze_inputs()
         out = self._n_wires
-        if a >= out or (kind != INV and b >= out):
-            raise CircuitError("gate input references an unallocated wire")
-        self._gates.append(Gate(kind, a, b, out))
+        self._gates.extend((kind, a, b, out))
         self._n_wires = out + 1
         return out
 
@@ -343,11 +339,8 @@ class CircuitBuilder:
         return Circuit(
             n_inputs=self._n_inputs,
             input_groups=tuple(self._groups),
-            const_zero=self._const_zero,
-            const_one=self._const_one,
-            gates=tuple(self._gates),
+            gates=np.frombuffer(self._gates, dtype=np.int32).reshape(-1, 4),
             output_wires=tuple(output_wires),
-            n_wires=self._n_wires,
         )
 
 

@@ -7,10 +7,11 @@ followed by gate outputs in topological order.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -22,13 +23,6 @@ INV = 2
 
 class CircuitError(ValueError):
     """Raised for malformed circuits or invalid builder parameters."""
-
-
-class Gate(NamedTuple):
-    kind: int
-    a: int
-    b: int  # -1 for INV gates
-    out: int
 
 
 class InputGroup(NamedTuple):
@@ -93,84 +87,97 @@ class FixedPointSpec:
         return fixed / self.scale
 
 
-@dataclass(frozen=True)
+# One gate row as ``struct.pack(">BiiI", kind, a, b, out)`` writes it.
+_DIGEST_ROW = np.dtype([("kind", "u1"), ("a", ">i4"), ("b", ">i4"), ("out", ">u4")])
+
+
+@dataclass(frozen=True, eq=False)
 class Circuit:
     """Immutable topologically-ordered Boolean circuit, validated once, when
     constructed.
 
-    ``const_zero``/``const_one`` are distinguished wires pinned to 0 and 1;
-    constants embedded by builders (thresholds, weights, lookup tables) are
-    wired from them, which keeps INV/constant handling free under free-XOR.
+    ``gates`` is a read-only copy of the given (g, 4) rows (kind, a, b, out)
+    as int32, b = -1 for INV; row i writes wire ``n_inputs + 2 + i``.
+    ``const_zero``/``const_one`` are the two wires before the first gate
+    output, pinned to 0 and 1; constants embedded by builders (thresholds,
+    weights, lookup tables) are wired from them, which keeps INV/constant
+    handling free under free-XOR.
     """
 
     n_inputs: int
     input_groups: tuple[InputGroup, ...]
-    const_zero: int
-    const_one: int
-    gates: tuple[Gate, ...]
+    gates: np.ndarray
     output_wires: tuple[int, ...]
-    n_wires: int
 
     def __post_init__(self) -> None:
-        seen = self.n_inputs + 2  # inputs plus the two constant wires
-        if self.const_zero != self.n_inputs or self.const_one != self.n_inputs + 1:
-            raise CircuitError("constant wires must directly follow the inputs")
-        for g in self.gates:
-            ins = (g.a,) if g.kind == INV else (g.a, g.b)
-            if g.kind == INV and g.b != -1:
-                raise CircuitError(f"INV gate with two inputs at wire {g.out}")
-            for w in ins:
-                if not (0 <= w < seen):
-                    raise CircuitError(f"gate output {g.out} reads undefined wire {w}")
-            if g.out != seen:
-                raise CircuitError(f"gate outputs must be dense, got {g.out} expected {seen}")
-            seen += 1
-        if seen != self.n_wires:
-            raise CircuitError(f"wire count mismatch: {seen} != {self.n_wires}")
+        gates = np.array(self.gates, dtype=np.int32)
+        if gates.ndim != 2 or gates.shape[1] != 4 or not np.array_equal(gates, self.gates):
+            raise CircuitError(f"gates must be (g, 4) int32 rows, got shape {gates.shape}")
+        gates.flags.writeable = False
+        object.__setattr__(self, "gates", gates)
+        kind, a, b, out = gates.T
+        seen = np.arange(self.n_inputs + 2, self.n_wires)  # the wire each gate writes
+
+        def first(bad: np.ndarray) -> int | None:
+            hits = np.flatnonzero(bad)
+            return int(hits[0]) if hits.size else None
+
+        if (i := first((kind != XOR) & (kind != AND) & (kind != INV))) is not None:
+            raise CircuitError(f"unknown gate kind {kind[i]} at wire {out[i]}")
+        if (i := first((kind == INV) & (b != -1))) is not None:
+            raise CircuitError(f"INV gate with two inputs at wire {out[i]}")
+        bad_a = (a < 0) | (a >= seen)
+        if (i := first(bad_a | ((kind != INV) & ((b < 0) | (b >= seen))))) is not None:
+            raise CircuitError(
+                f"gate output {out[i]} reads undefined wire {a[i] if bad_a[i] else b[i]}"
+            )
+        if (i := first(out != seen)) is not None:
+            raise CircuitError(f"gate outputs must be dense, got {out[i]} expected {seen[i]}")
         for w in self.output_wires:
             if not (0 <= w < self.n_wires):
                 raise CircuitError(f"output wire {w} out of range")
 
+    @property
+    def const_zero(self) -> int:
+        return self.n_inputs
+
+    @property
+    def const_one(self) -> int:
+        return self.n_inputs + 1
+
+    @property
+    def n_wires(self) -> int:
+        return self.n_inputs + 2 + len(self.gates)
+
     @cached_property
     def stats(self) -> GateStats:
         """Total and non-XOR gate counts; INV is free, so non-XOR counts AND only."""
-        non_xor = sum(1 for g in self.gates if g.kind == AND)
+        non_xor = int(np.count_nonzero(self.gates[:, 0] == AND))
         return GateStats(total=len(self.gates), non_xor=non_xor)
 
     @cached_property
     def digest(self) -> bytes:
         """Content hash binding garbled tables to this exact circuit."""
-        import hashlib
-        import struct
-
-        h = hashlib.sha256()
-        h.update(
-            struct.pack(
-                ">IIII", self.n_inputs, self.const_zero, self.const_one, self.n_wires
-            )
+        h = hashlib.sha256(
+            struct.pack(">IIII", self.n_inputs, self.const_zero, self.const_one, self.n_wires)
         )
         for g in self.input_groups:
             h.update(g.name.encode())
             h.update(struct.pack(">II", g.start, g.width))
         h.update(struct.pack(f">{len(self.output_wires)}I", *self.output_wires))
-        arr = bytearray()
-        pack = struct.pack
-        for kind, a, b, out in self.gates:
-            arr += pack(">BiiI", kind, a, b, out)
-        h.update(bytes(arr))
+        h.update(np.rec.fromarrays(self.gates.T, dtype=_DIGEST_ROW).tobytes())
         return h.digest()
 
     @cached_property
     def levels(self) -> tuple[Level, ...]:
         """Level schedule: gates grouped by topological depth (inputs and
         constants have depth 0, a gate one more than its deepest input)."""
-        n = len(self.gates)
+        g = self.gates.astype(np.intp)  # fancy indexing converts anything else per call
         # The spare last slot stays 0; INV gates read it through b = -1.
         depth = [0] * (self.n_wires + 1)
-        for _, a, b, out in self.gates:
+        for a, b, out in zip(*g[:, 1:].T.tolist()):
             da, db = depth[a], depth[b]
             depth[out] = (da if da > db else db) + 1
-        g = np.fromiter(chain.from_iterable(self.gates), np.intp, 4 * n).reshape(n, 4)
         kind = g[:, 0]
         and_ord = np.cumsum(kind == AND) - 1
         gate_depth = np.array(depth[self.n_inputs + 2 : self.n_wires], dtype=np.intp)
@@ -212,7 +219,7 @@ def eval_plain(circuit: Circuit, input_bits: Sequence[int]) -> list[int]:
         values[i] = b & 1
     values[circuit.const_zero] = 0
     values[circuit.const_one] = 1
-    for kind, a, b, out in circuit.gates:
+    for kind, a, b, out in zip(*circuit.gates.T.tolist()):  # columns convert fastest
         if kind == XOR:
             values[out] = values[a] ^ values[b]
         elif kind == AND:

@@ -1,7 +1,10 @@
 """Circuit IR, its validation, builders and plaintext evaluation."""
 
+import hashlib
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from mpcmarket.circuits import (
@@ -11,7 +14,6 @@ from mpcmarket.circuits import (
     CircuitBuilder,
     CircuitError,
     FixedPointSpec,
-    Gate,
     InputGroup,
     build_adder,
     build_greater_than,
@@ -207,27 +209,73 @@ class TestBuilderInternals:
 
 class TestValidation:
     # Two inputs, the constant wires 2 and 3, and one AND gate writing wire 4.
-    GOOD = dict(n_inputs=2, input_groups=(InputGroup("x", 0, 2),), const_zero=2, const_one=3,
-                gates=(Gate(AND, 0, 1, 4),), output_wires=(4,), n_wires=5)
+    GOOD = dict(n_inputs=2, input_groups=(InputGroup("x", 0, 2),),
+                gates=np.array([[AND, 0, 1, 4]]), output_wires=(4,))
 
     @pytest.mark.parametrize("change, message", [
-        (dict(const_zero=3, const_one=2), "constant wires must directly follow the inputs"),
-        (dict(gates=(Gate(INV, 0, 1, 4),)), "INV gate with two inputs at wire 4"),
-        (dict(gates=(Gate(AND, 0, 4, 4),)), "gate output 4 reads undefined wire 4"),
-        (dict(gates=(Gate(AND, 0, 1, 5),), n_wires=6), "must be dense, got 5 expected 4"),
-        (dict(n_wires=6), "wire count mismatch: 5 != 6"),
+        (dict(gates=np.array([[3, 0, 0, 4]])), "unknown gate kind 3 at wire 4"),
+        (dict(gates=np.array([[INV, 0, 1, 4]])), "INV gate with two inputs at wire 4"),
+        (dict(gates=np.array([[AND, 0, 4, 4]])), "gate output 4 reads undefined wire 4"),
+        (dict(gates=np.array([[AND, 0, 1, 5]])), "must be dense, got 5 expected 4"),
         (dict(output_wires=(5,)), "output wire 5 out of range"),
-    ], ids=["consts", "inv-arity", "undefined-wire", "sparse-outputs", "wire-count",
-            "output-range"])
+        (dict(gates=np.array([[AND, 0, 2**32 + 1, 4]])), r"\(g, 4\) int32 rows"),
+        (dict(gates=np.array([AND, 0, 1, 4])), r"got shape \(4,\)"),
+    ], ids=["unknown-kind", "inv-arity", "undefined-wire", "sparse-outputs", "output-range",
+            "beyond-int32", "not-rows"])
     def test_malformed_circuit_rejected(self, change, message):
         assert Circuit(**self.GOOD).stats == (1, 1)
         with pytest.raises(CircuitError, match=message):
             Circuit(**{**self.GOOD, **change})
 
     def test_builders_are_deterministic(self):
-        assert build_adder(16) == build_adder(16)
+        assert build_adder(16).digest == build_adder(16).digest
         t1 = [3, 1, 4, 1]
-        assert build_lookup(t1, 2, 3) == build_lookup(t1, 2, 3)
+        assert build_lookup(t1, 2, 3).digest == build_lookup(t1, 2, 3).digest
+
+    def test_gate_array_is_read_only(self):
+        c = build_adder(8)
+        with pytest.raises(ValueError):
+            c.gates[0, 1] = 0
+        # The circuit copies the rows it is given, so the caller's array
+        # cannot change it either.
+        rows = np.array([[AND, 0, 1, 4]], dtype=np.int32)
+        c = Circuit(**{**self.GOOD, "gates": rows})
+        rows[0, 0] = INV
+        assert c.gates.tolist() == [[AND, 0, 1, 4]]
+
+
+def _digest_by_struct(c):
+    """``Circuit.digest`` rebuilt field by field with ``struct``."""
+    n_wires = c.n_inputs + 2 + len(c.gates)
+    h = hashlib.sha256(struct.pack(">IIII", c.n_inputs, c.n_inputs, c.n_inputs + 1, n_wires))
+    for g in c.input_groups:
+        h.update(g.name.encode() + struct.pack(">II", g.start, g.width))
+    h.update(struct.pack(f">{len(c.output_wires)}I", *c.output_wires))
+    for kind, a, b, out in c.gates.tolist():
+        h.update(struct.pack(">BiiI", kind, a, b, out))
+    return h.digest()
+
+
+class TestDigestLayout:
+    """The digest binds garbled tables to a circuit; its bytes must not move."""
+
+    def test_adder(self):
+        c = build_adder(8)
+        assert c.digest == _digest_by_struct(c)
+
+    def test_ld(self):
+        from mpcmarket.protocol import LdComputation
+
+        c = LdComputation(count_bits=11, m_instances=10).circuit
+        assert c.stats.total == 132550
+        assert c.digest == _digest_by_struct(c)
+
+    def test_lr(self, bundled_model):
+        from mpcmarket.protocol import LrComputation
+
+        c = LrComputation(model=bundled_model, range_bits=10).circuit
+        assert c.stats.total == 114560
+        assert c.digest == _digest_by_struct(c)
 
 
 class TestFixedPointSpec:

@@ -313,7 +313,7 @@ class TestLevelSchedule:
             gates_seen += len(lv.xor_out) + len(lv.inv_out) + len(lv.and_out)
         assert gates_seen == len(c.gates)
         assert sorted(seen_ands) == list(range(c.stats.non_xor))
-        and_outs = [g.out for g in c.gates if g.kind == AND]
+        and_outs = c.gates[c.gates[:, 0] == AND, 3].tolist()  # the out column of AND rows
         for lv in c.levels:
             assert [and_outs[k] for k in lv.and_ord] == lv.and_out.tolist()
 

@@ -22,7 +22,7 @@ def workloads(monkeypatch):
 
     yield workloads
     # perfbench's modules have generic names; leave none of them behind.
-    for name in ("workloads", "checks", "inputs"):
+    for name in ("workloads", "checks", "inputs", "worker"):
         sys.modules.pop(name, None)
 
 
@@ -38,3 +38,14 @@ def test_one_session_passes_its_check(workloads, name):
     workload = factory()
     session = workload.session(seed=1, worker=0, index=0)
     assert workload.check(session, workload.run(session))
+
+
+@pytest.mark.parametrize("name, counts", [("gc-ld", (41610, 82)), ("gc-lr-tcp", (36214, 60))])
+def test_worker_reads_the_circuit_counts(workloads, name, counts):
+    """``--trace 1`` reports the AND count and AND depth of the garbled circuit."""
+    import worker
+
+    factory, _ = workloads.WORKLOADS[name]
+    computation = factory().computation
+    computation.circuit  # the worker reads only a circuit the session built
+    assert worker.circuit_counts(computation) == counts
