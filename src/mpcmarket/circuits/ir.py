@@ -40,19 +40,22 @@ class Level(NamedTuple):
     """The gates of one topological depth as wire-index arrays, per kind.
 
     Every gate on a level reads only wires of lower depth, so the gates of
-    a level can be processed in any order or all at once. ``and_ord`` is
-    each AND gate's ordinal among the circuit's AND gates in gate order.
+    a level can be processed in any order or all at once. ``xor_in`` and
+    ``and_in`` are (2, g) arrays, first inputs over second inputs. An AND
+    gate with ordinal k among the circuit's AND gates in gate order owns
+    rows 2k and 2k + 1 of the garbled table (``and_rows``, (2, g)) and
+    hashes with the tweaks 2k + 1 and 2k + 2 (``and_tweak``, the same plus
+    one, as uint64).
     """
 
-    xor_a: np.ndarray
-    xor_b: np.ndarray
+    xor_in: np.ndarray
     xor_out: np.ndarray
-    inv_a: np.ndarray
+    inv_in: np.ndarray
     inv_out: np.ndarray
-    and_a: np.ndarray
-    and_b: np.ndarray
+    and_in: np.ndarray
     and_out: np.ndarray
-    and_ord: np.ndarray
+    and_rows: np.ndarray
+    and_tweak: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -186,9 +189,10 @@ class Circuit:
         for idx in np.split(order, np.flatnonzero(np.diff(gate_depth[order])) + 1):
             k = kind[idx]
             x, i, a = idx[k == XOR], idx[k == INV], idx[k == AND]
+            table_rows = 2 * and_ord[a] + np.array([[0], [1]])
             levels.append(
-                Level(g[x, 1], g[x, 2], g[x, 3], g[i, 1], g[i, 3],
-                      g[a, 1], g[a, 2], g[a, 3], and_ord[a])
+                Level(g[x, 1:3].T.copy(), g[x, 3], g[i, 1], g[i, 3], g[a, 1:3].T.copy(),
+                      g[a, 3], table_rows, (table_rows + 1).astype(np.uint64))
             )
         return tuple(levels)
 

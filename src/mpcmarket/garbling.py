@@ -13,9 +13,11 @@ PRF(k, i) XOR b*delta directly.
 The gate hash is a Davies-Meyer construction over a fixed-key AES-128:
 H(L, tweak) = AES(2L ^ tweak) ^ 2L ^ tweak, with per-gate tweaks. It works
 on each block on its own, so garbling and evaluation run one circuit level
-at a time: every level is a handful of numpy operations on the labels and
-one AES call, and the tables come out byte for byte as a gate-by-gate
-engine would write them.
+at a time. Labels and table rows move between the wire array and a level
+as whole 16-byte items, and each level with AND gates makes one fused
+half-gates step: one gather of both inputs, one AES call for all of its
+hashes and one store of its table rows. The tables come out byte for byte
+as a gate-by-gate engine would write them.
 """
 
 from __future__ import annotations
@@ -137,10 +139,14 @@ def parse_garbled(data: bytes) -> GarbledCircuit:
 
 # -- level-batched engine -------------------------------------------------------
 #
-# A label is a row (hi, lo) of a uint64 array, so a block of n labels is an
-# (n, 2) array whose big-endian bytes are the labels' 16-byte encodings. The
-# gates of one level of ``Circuit.levels`` are independent, so each level
-# costs a few array operations and one AES call whatever its width.
+# A label is a row (hi, lo) of a C-contiguous uint64 array whose big-endian
+# words are its 16-byte encoding; the garbled table is such an array with two
+# rows per AND gate. Gathers and scatters go through a view of these arrays
+# as 16-byte items, which numpy moves several times faster than it
+# fancy-indexes 2-D rows. Arithmetic runs on whole blocks of words or on the
+# strided hi or lo words, never by broadcasting one row against many (numpy
+# then loops two words at a time). The gates of a level of ``Circuit.levels``
+# are independent, so a level costs a fixed number of array operations.
 
 
 def _blocks(values) -> np.ndarray:
@@ -154,42 +160,64 @@ def _ints(blocks: np.ndarray) -> list[int]:
     return [int.from_bytes(blob[i : i + 16], "big") for i in range(0, len(blob), 16)]
 
 
-def _double(x: np.ndarray) -> np.ndarray:
-    """Double each label in GF(2^128) (multiply by the polynomial x); this is
-    linear over XOR."""
-    hi, lo = x[:, 0], x[:, 1]
-    return np.stack(((hi << 1) | (lo >> 63), (lo << 1) ^ ((hi >> 63) * _GF_POLY)), axis=1)
+def _rows(words: np.ndarray) -> np.ndarray:
+    """A C-contiguous (..., 2) uint64 array as an array of 16-byte items."""
+    return words.view("V16")[..., 0]
+
+
+def _gather(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The items of ``rows`` at ``idx`` as an idx.shape + (2,) uint64 array."""
+    return rows[idx].view(np.uint64).reshape(*idx.shape, 2)
+
+
+def _double(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Double each label of a C-contiguous (..., 2) array in GF(2^128)
+    (multiply by the polynomial x); this is linear over XOR."""
+    out = np.left_shift(x, 1, out=out)
+    carry = (x >> 63).reshape(-1)
+    words = out.reshape(-1)
+    words[0::2] |= carry[1::2]  # lo's top bit moves into hi
+    words[1::2] ^= carry[0::2] * _GF_POLY  # hi's top bit folds back into lo
+    return out
+
+
+def _keys(lv: Level, ab: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Hash inputs of a level's AND gates from their (2, m, 2) input labels:
+    2a ^ j0 over 2b ^ j1, with the tweaks j0 = 2*ordinal + 1 and j1 = j0 + 1."""
+    k = _double(ab, out)
+    k[..., 1] ^= lv.and_tweak
+    return k
 
 
 def _hash(update, k: np.ndarray) -> np.ndarray:
     """H = AES(k) ^ k for every block of k, in one cipher call."""
-    out = np.frombuffer(update(k.astype(">u8").tobytes()), dtype=">u8").reshape(k.shape)
-    return out ^ k
+    data = memoryview(k.astype(">u8")).cast("B")
+    return np.frombuffer(update(data), dtype=">u8").reshape(k.shape) ^ k
 
 
-def _select(bit_of: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x where lsb(bit_of) is 1, else 0, row by row."""
-    return (bit_of[:, 1:] & 1) * x
-
-
-def _keys(lv: Level, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hash inputs of a level's AND gates: 2a ^ j0 stacked over 2b ^ j1, with
-    the tweaks j0 = 2*ordinal + 1 and j1 = j0 + 1."""
-    j = (2 * lv.and_ord + 1).astype(np.uint64)
-    k = _double(np.concatenate((a, b)))
-    k[:, 1] ^= np.concatenate((j, j + 1))
-    return k
+def _permute_bits(ab: np.ndarray) -> np.ndarray:
+    """lsb of each label of ab, as 0 or 1 in both of its words."""
+    s = ab & 1
+    words = s.reshape(-1)
+    words[0::2] = words[1::2]
+    return s
 
 
 def _sweep(circuit: Circuit, labels: np.ndarray, inv_offset, and_gates) -> None:
     """Fill ``labels`` level by level: XOR gates, INV gates (input label ^
     ``inv_offset``: delta when garbling, 0 when evaluating) and AND gates
-    through ``and_gates(update, level, a, b)``, which returns their labels."""
+    through ``and_gates(update, level, ab)``, which takes their (2, m, 2)
+    input labels (a over b) and returns their (m, 2) output labels."""
+    rows = _rows(labels)
     update = _new_cipher().update
     for lv in circuit.levels:
-        labels[lv.xor_out] = labels[lv.xor_a] ^ labels[lv.xor_b]
-        labels[lv.inv_out] = labels[lv.inv_a] ^ inv_offset
-        labels[lv.and_out] = and_gates(update, lv, labels[lv.and_a], labels[lv.and_b])
+        if len(lv.xor_out):
+            a, b = _gather(rows, lv.xor_in)
+            rows[lv.xor_out] = _rows(a ^ b)
+        if len(lv.inv_out):
+            rows[lv.inv_out] = _rows(_gather(rows, lv.inv_in) ^ inv_offset)
+        if len(lv.and_out):
+            rows[lv.and_out] = _rows(and_gates(update, lv, _gather(rows, lv.and_in)))
 
 
 def garble(
@@ -206,25 +234,36 @@ def garble(
     labels = np.zeros((circuit.n_wires, 2), dtype=np.uint64)
     labels[:n_fixed] = _blocks(zero_label(i) for i in range(n_fixed))
     d = _blocks([delta.bits])
-    dd = _double(d)
-    tables = np.zeros((circuit.stats.non_xor, 4), dtype=np.uint64)
+    # delta and 2*delta once per gate of the widest AND level, to combine
+    # with a level's labels block by block
+    ds = np.tile(d, (max((len(lv.and_out) for lv in circuit.levels), default=0), 1))
+    dds = _double(ds)
+    n_and = circuit.stats.non_xor
+    tables = np.zeros((2 * n_and, 2), dtype=np.uint64)  # TG, TE per AND gate
+    table_rows = _rows(tables)
 
-    def and_gates(update, lv, a0, b0):
-        m = len(a0)
-        k = _keys(lv, a0, b0)
-        # H(a0), H(a1), H(b0), H(b1): doubling is linear, so 2(x ^ delta) = 2x ^ 2delta.
-        h = _hash(update, np.concatenate((k[:m], k[:m] ^ dd, k[m:], k[m:] ^ dd)))
-        ha0, ha1, hb0, hb1 = h[:m], h[m : 2 * m], h[2 * m : 3 * m], h[3 * m :]
-        tg = ha0 ^ ha1 ^ _select(b0, d)
-        te = hb0 ^ hb1 ^ a0
-        tables[lv.and_ord] = np.concatenate((tg, te), axis=1)
-        return ha0 ^ _select(a0, tg) ^ hb0 ^ _select(b0, te ^ a0)
+    def and_gates(update, lv, ab):
+        m = ab.shape[1]
+        p = _permute_bits(ab)
+        # Keys of label 0 over those of label 1: doubling is linear, so
+        # 2(x ^ delta) = 2x ^ 2delta.
+        k = np.empty((2, 2, m, 2), dtype=np.uint64)
+        _keys(lv, ab, out=k[0])
+        np.bitwise_xor(k[0], dds[:m], out=k[1])
+        h0, h1 = _hash(update, k)  # h0 = H(a0) over H(b0), h1 = H(a1) over H(b1)
+        t = h0 ^ h1
+        t[0] ^= p[1] * ds[:m]  # TG = H(a0) ^ H(a1) ^ pb*delta
+        w = p * t  # pa*TG over pb*(H(b0) ^ H(b1))
+        w ^= h0
+        t[1] ^= ab[0]  # TE = H(b0) ^ H(b1) ^ a0
+        table_rows[lv.and_rows] = _rows(t)
+        return w[0] ^ w[1]
 
     _sweep(circuit, labels, d, and_gates)
     cz, co = _ints(labels[[circuit.const_zero, circuit.const_one]])
     gc = GarbledCircuit(
         circuit_hash=circuit.digest,
-        n_and=len(tables),
+        n_and=n_and,
         tables=tables.astype(">u8").tobytes(),
         const_zero_active=cz,
         const_one_active=co ^ delta.bits,
@@ -255,15 +294,16 @@ def evaluate(
     labels[: circuit.n_inputs + 2] = _blocks(
         [*active_labels, garbled.const_zero_active, garbled.const_one_active]
     )
-    tables = np.frombuffer(garbled.tables, dtype=">u8").reshape(-1, 4).astype(np.uint64)
+    table_rows = _rows(np.frombuffer(garbled.tables, dtype=">u8").reshape(-1, 2).astype(np.uint64))
 
-    def and_gates(update, lv, la, lb):
-        m = len(la)
-        h = _hash(update, _keys(lv, la, lb))
-        row = tables[lv.and_ord]
-        return h[:m] ^ _select(la, row[:, :2]) ^ h[m:] ^ _select(lb, row[:, 2:] ^ la)
+    def and_gates(update, lv, ab):
+        t = _gather(table_rows, lv.and_rows)  # TG over TE
+        t[1] ^= ab[0]
+        t *= _permute_bits(ab)
+        t ^= _hash(update, _keys(lv, ab))
+        return t[0] ^ t[1]
 
-    _sweep(circuit, labels, 0, and_gates)
+    _sweep(circuit, labels, np.uint64(0), and_gates)
     return _ints(labels[list(circuit.output_wires)])
 
 

@@ -247,8 +247,9 @@ class Buyer:
             raise ProtocolError("buyer has no garbled circuit")
         circuit: Circuit = self.computation.circuit
         garbled = gb.parse_garbled(self._garbled_msg.garbled)
-        label_map = dict(listings.labels)
-        if label_map.keys() != set(range(circuit.n_inputs)):
+        label_map = dict(listings.labels)  # a repeated wire keeps its last label
+        wires = set(range(circuit.n_inputs))
+        if len(listings.labels) != len(wires) or label_map.keys() != wires:
             raise ProtocolError(
                 f"input labels are not exactly for wires 0..{circuit.n_inputs - 1}"
             )

@@ -3,12 +3,15 @@
 import dataclasses
 import hashlib
 import random
+import types
 
 import pytest
 
 from mpcmarket import garbling as gb
 from mpcmarket.circuits import (
     AND,
+    INV,
+    XOR,
     CircuitBuilder,
     build_adder,
     build_greater_than,
@@ -303,19 +306,24 @@ class TestLevelSchedule:
         c = build_multiplier(6)
         depth = [0] * c.n_wires
         seen_ands = []
-        gates_seen = 0
+        rebuilt = []  # (kind, a, b, out) of every gate, from the levels
         for d, lv in enumerate(c.levels, start=1):
-            reads = [*lv.xor_a, *lv.xor_b, *lv.inv_a, *lv.and_a, *lv.and_b]
+            reads = [*lv.xor_in.ravel(), *lv.inv_in, *lv.and_in.ravel()]
             assert all(depth[w] < d for w in reads) and max(depth[w] for w in reads) == d - 1
             for w in (*lv.xor_out, *lv.inv_out, *lv.and_out):
                 depth[w] = d
-            seen_ands += lv.and_ord.tolist()
-            gates_seen += len(lv.xor_out) + len(lv.inv_out) + len(lv.and_out)
-        assert gates_seen == len(c.gates)
+            ords = lv.and_rows[0] // 2
+            assert lv.and_rows.tolist() == [(2 * ords).tolist(), (2 * ords + 1).tolist()]
+            assert lv.and_tweak.tolist() == (lv.and_rows + 1).tolist()
+            seen_ands += ords.tolist()
+            rebuilt += [(XOR, a, b, o) for a, b, o in zip(*lv.xor_in, lv.xor_out)]
+            rebuilt += [(INV, a, -1, o) for a, o in zip(lv.inv_in, lv.inv_out)]
+            rebuilt += [(AND, a, b, o) for a, b, o in zip(*lv.and_in, lv.and_out)]
+        assert sorted(rebuilt, key=lambda g: g[3]) == [tuple(g) for g in c.gates.tolist()]
         assert sorted(seen_ands) == list(range(c.stats.non_xor))
         and_outs = c.gates[c.gates[:, 0] == AND, 3].tolist()  # the out column of AND rows
         for lv in c.levels:
-            assert [and_outs[k] for k in lv.and_ord] == lv.and_out.tolist()
+            assert [and_outs[k] for k in lv.and_rows[0] // 2] == lv.and_out.tolist()
 
     def test_schedule_built_once_per_circuit(self, monkeypatch):
         from functools import cached_property
@@ -338,6 +346,50 @@ class TestLevelSchedule:
         for seed in range(2):
             assert run_protocol2(comp, inputs, seed=seed).verified
         assert builds == [comp.circuit]
+
+
+class TestAesCallsPerLevel:
+    """Garbling and evaluation call the cipher once per level that has AND
+    gates, with all of its hash blocks, and never on the other levels."""
+
+    @staticmethod
+    def _blocks_per_call(monkeypatch, circuit):
+        calls = []
+        cipher = gb._new_cipher
+
+        def counting():
+            update = cipher().update
+
+            def counted(data):
+                calls.append(len(data) // 16)
+                return update(data)
+
+            return types.SimpleNamespace(update=counted)
+
+        monkeypatch.setattr(gb, "_new_cipher", counting)
+        garbled, _ = gb.garble(circuit, DELTA, SOURCE)
+        garbling = calls[:]
+        calls.clear()
+        gb.evaluate(garbled, circuit, active([0] * circuit.n_inputs))
+        return garbling, calls
+
+    def _check(self, monkeypatch, circuit, and_levels, levels):
+        widths = [len(lv.and_out) for lv in circuit.levels if len(lv.and_out)]
+        assert (len(widths), len(circuit.levels)) == (and_levels, levels)
+        garbling, evaluation = self._blocks_per_call(monkeypatch, circuit)
+        assert garbling == [4 * m for m in widths]  # H(a0), H(a1), H(b0), H(b1)
+        assert evaluation == [2 * m for m in widths]  # H(a), H(b)
+
+    def test_ld_m10(self, monkeypatch):
+        from mpcmarket.protocol import LdComputation
+
+        self._check(monkeypatch, LdComputation(count_bits=11, m_instances=10).circuit, 326, 336)
+
+    def test_lr_range10(self, monkeypatch, bundled_model):
+        from mpcmarket.protocol import LrComputation
+
+        circuit = LrComputation(model=bundled_model, range_bits=10).circuit
+        self._check(monkeypatch, circuit, 177, 243)
 
 
 class TestEvaluateRejects:

@@ -131,6 +131,21 @@ class TestProtocol2:
         with pytest.raises(ProtocolError, match="not exactly for wires 0..43"):
             run_protocol2(ld_comp, LD_SPLIT_4, seed=7)
 
+    def test_repeated_label_wire_rejected(self, ld_comp, monkeypatch):
+        # One entry more than the 44 input wires: wire 0 again, with another label.
+        receive = DataTrust.receive
+
+        def repeat(self, msg):
+            reply = receive(self, msg)
+            if isinstance(reply, ListingBundle):
+                (wire, label), *_ = reply.labels
+                reply = ListingBundle(labels=(*reply.labels, (wire, label ^ 2)))
+            return reply
+
+        monkeypatch.setattr(DataTrust, "receive", repeat)
+        with pytest.raises(ProtocolError, match="not exactly for wires 0..43"):
+            run_protocol2(ld_comp, LD_SPLIT_4, seed=7)
+
     def test_deterministic_under_seed(self, ld_comp):
         a = run_protocol2(ld_comp, LD_SPLIT_4, seed=8)
         b = run_protocol2(ld_comp, LD_SPLIT_4, seed=8)
