@@ -70,14 +70,14 @@ def derive_delta(seed: bytes) -> GlobalDelta:
     return GlobalDelta(int.from_bytes(block, "big") | 1)
 
 
-def derive_input_labels(prf_key: bytes, count: int) -> list[int]:
-    """Zero-labels PRF(k, i) for input wires i = 0..count-1: AES-128 under
-    k of the 16-byte block (0, i), in one cipher pass."""
+def derive_input_labels(prf_key: bytes, wires: Iterable[int]) -> list[int]:
+    """Zero-labels PRF(k, i) for the input wires i in ``wires``, in that
+    order: AES-128 under k of the 16-byte block (0, i), in one cipher pass."""
     if len(prf_key) != 16:
         raise GarblingError("PRF key must be 16 bytes")
     enc = Cipher(algorithms.AES(prf_key), modes.ECB()).encryptor()
-    blob = enc.update(b"".join(struct.pack(">QQ", 0, i) for i in range(count)))
-    return [int.from_bytes(blob[i : i + 16], "big") for i in range(0, 16 * count, 16)]
+    blob = enc.update(b"".join(struct.pack(">QQ", 0, i) for i in wires))
+    return [int.from_bytes(blob[i : i + 16], "big") for i in range(0, len(blob), 16)]
 
 
 def seeded_label_source(seed: bytes, domain: int = 1) -> Callable[[int], int]:

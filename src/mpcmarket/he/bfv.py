@@ -26,7 +26,10 @@ Keys and ciphertexts serialize as their (k, n) arrays in coefficient form,
 prime-major, one little-endian uint32 per residue (every prime is below
 2^30); the decoders take exactly one such buffer, check n and k against
 the parameters and every residue against its prime, and raise
-:class:`HeParamsError` on anything else.
+:class:`HeParamsError` on anything else. A public or relinearization key
+sends only its b rows and a 32-byte seed: its uniform a halves are public,
+so every party expands them from the seed (:func:`_expand_uniform`), as
+SEAL's seeded serialization does.
 
 Noise is tracked two ways: a conservative running estimate carried on every
 ciphertext (used to flag budget exhaustion eagerly, the scheme's bottom
@@ -330,7 +333,10 @@ class SecretKey:
 
 @dataclass(frozen=True)
 class PublicKey:
+    """(b, a) in the transform domain; a is half 0 of ``seed``."""
+
     params: HeParams
+    seed: bytes
     pk0_ntt: np.ndarray = field(repr=False)  # (k, n)
     pk1_ntt: np.ndarray = field(repr=False)  # (k, n)
 
@@ -338,9 +344,11 @@ class PublicKey:
 @dataclass(frozen=True)
 class RelinKey:
     """Key-switching key for s^2 -> s, RNS-decomposed: one (b, a) pair of
-    (k, n) arrays per coefficient prime, stored in the transform domain."""
+    (k, n) arrays per coefficient prime, stored in the transform domain;
+    pair i's a is half i of ``seed``."""
 
     params: HeParams
+    seed: bytes
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
 
@@ -430,8 +438,27 @@ def _sample_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.clip(e, -bound, bound)
 
 
-def _sample_uniform_rns(rng: np.random.Generator, n: int, primes) -> np.ndarray:
-    return np.stack([rng.integers(0, p, n, dtype=np.int64) for p in primes])
+def _expand_uniform(seed: bytes, half: int, n: int, primes: Sequence[int]) -> np.ndarray:
+    """Uniform half ``half`` of a key, as its (k, n) transform-domain rows.
+    Row i holds the first n words below p_i of SHAKE-128(seed, half, i)
+    (one byte each for half and i), read as little-endian uint32 and masked
+    to p_i's bit length. The stream is fixed by the hash, not by numpy's
+    generators, whose output may change between versions."""
+    rows = np.empty((len(primes), n), dtype=np.int64)
+    for i, p in enumerate(primes):
+        xof = hashlib.shake_128(seed + bytes((half, i)))
+        mask = (1 << p.bit_length()) - 1
+        words = n + n // 4
+        while True:
+            # A longer digest extends the shorter one, so the rows do not
+            # depend on how many words were read.
+            w = np.frombuffer(xof.digest(4 * words), dtype="<u4") & mask
+            w = w[w < p]
+            if len(w) >= n:
+                break
+            words *= 2
+        rows[i] = w[:n]
+    return rows
 
 
 # -- key generation -----------------------------------------------------------
@@ -440,9 +467,10 @@ def _sample_uniform_rns(rng: np.random.Generator, n: int, primes) -> np.ndarray:
 def keygen(
     params: HeParams, seed=None, relin: bool = True
 ) -> tuple[SecretKey, PublicKey, RelinKey | None]:
-    """Generate (sk, pk, rk); deterministic under a fixed seed. With
-    ``relin=False`` no relinearization key is built and rk is None; rk is
-    sampled last, so sk and pk are the same either way."""
+    """Generate (sk, pk, rk); deterministic under a fixed seed. The rng
+    draws s, then pk's 32-byte seed and error, then rk's seed and errors.
+    With ``relin=False`` no relinearization key is built and rk is None;
+    rk is sampled last, so sk and pk are the same either way."""
     rng = np.random.default_rng(seed)
     n, primes = params.n, params.q_primes
     plan = params.ntt
@@ -451,24 +479,25 @@ def keygen(
     s = _sample_ternary(rng, n)
     s_ntt = plan.forward(s)
 
-    def rlwe(body: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(b, a) in the transform domain with b = body - a s; b is reduced
-        before its transform, which takes inputs below 2^30."""
-        a_ntt = plan.forward(_sample_uniform_rns(rng, n, primes))
-        return plan.forward((body - plan.inverse(dot_mod((a_ntt,), (s_ntt,), q))) % q), a_ntt
+    def rlwe(seed: bytes, half: int, body_ntt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(b, a) in the transform domain with b = body - a s."""
+        a_ntt = _expand_uniform(seed, half, n, primes)
+        return (body_ntt - dot_mod((a_ntt,), (s_ntt,), q)) % q, a_ntt
 
-    pk = PublicKey(params, *rlwe(-_sample_gaussian(rng, n)))
+    pk_seed = rng.bytes(32)
+    pk = PublicKey(params, pk_seed, *rlwe(pk_seed, 0, plan.forward(-_sample_gaussian(rng, n))))
     sk = SecretKey(params, s, s_ntt)
     if not relin:
         return sk, pk, None
 
-    # s^2 mod every prime.
-    s2 = plan.inverse(dot_mod((s_ntt,), (s_ntt,), q))
+    rk_seed = rng.bytes(32)
+    s2_ntt = dot_mod((s_ntt,), (s_ntt,), q)
     pairs = tuple(
-        rlwe(params.residues(params.q // p_i) * s2 + _sample_gaussian(rng, n))
-        for p_i in primes
+        rlwe(rk_seed, i, params.residues(params.q // p_i) * s2_ntt
+             + plan.forward(_sample_gaussian(rng, n)))
+        for i, p_i in enumerate(primes)
     )
-    return sk, pk, RelinKey(params, pairs)
+    return sk, pk, RelinKey(params, rk_seed, pairs)
 
 
 # -- encodings ----------------------------------------------------------------
@@ -700,9 +729,9 @@ _PK_MAGIC = b"HEPK"
 _SK_MAGIC = b"HESK"
 _RK_MAGIC = b"HERK"
 _CT_VERSION = 3
-_KEY_VERSION = 2  # public and relinearization keys; the secret key stays at 1
+_KEY_VERSION = 3  # public and relinearization keys; the secret key stays at 1
 _CT_HEAD = struct.Struct(">B8sQIBd")
-_KEY_HEAD = struct.Struct(">B8sIB")
+_KEY_HEAD = struct.Struct(">B8sIB32s")
 _SK_HEAD = struct.Struct(">B8sI")
 
 
@@ -760,31 +789,40 @@ def ciphertext_from_bytes(data: bytes, params: HeParams) -> HeCiphertext:
     return HeCiphertext(params, t, (c0, c1), noise)
 
 
-def _key_to_bytes(magic: bytes, params: HeParams, rows: np.ndarray) -> bytes:
-    """A public or relinearization key: its header, then its NTT-form rows
-    in coefficient form."""
-    head = magic + _KEY_HEAD.pack(_KEY_VERSION, params.param_hash, params.n, len(params.q_primes))
-    return head + _pack_rows(params.ntt.inverse(rows))
+def _key_to_bytes(magic: bytes, params: HeParams, seed: bytes, b_ntt: np.ndarray) -> bytes:
+    """A public or relinearization key: its header with the seed of its a
+    halves, then its NTT-form b rows in coefficient form."""
+    head = magic + _KEY_HEAD.pack(
+        _KEY_VERSION, params.param_hash, params.n, len(params.q_primes), seed
+    )
+    return head + _pack_rows(params.ntt.inverse(b_ntt))
+
+
+def _key_from_bytes(data: bytes, magic: bytes, params: HeParams, what: str, count: int):
+    """The seed and the ``count`` b rows, in the transform domain, of a key."""
+    (n, k, seed), body = _read(data, magic, _KEY_HEAD, params, what, _KEY_VERSION)
+    return seed, params.ntt.forward(_read_rows(body, count, n, k, params, what))
 
 
 def public_key_to_bytes(pk: PublicKey) -> bytes:
-    return _key_to_bytes(_PK_MAGIC, pk.params, np.stack((pk.pk0_ntt, pk.pk1_ntt)))
+    return _key_to_bytes(_PK_MAGIC, pk.params, pk.seed, pk.pk0_ntt[None])
 
 
 def public_key_from_bytes(data: bytes, params: HeParams) -> PublicKey:
-    (n, k), body = _read(data, _PK_MAGIC, _KEY_HEAD, params, "public key", _KEY_VERSION)
-    pk0, pk1 = params.ntt.forward(_read_rows(body, 2, n, k, params, "public key"))
-    return PublicKey(params, pk0, pk1)
+    seed, (b,) = _key_from_bytes(data, _PK_MAGIC, params, "public key", 1)
+    return PublicKey(params, seed, b, _expand_uniform(seed, 0, params.n, params.q_primes))
 
 
 def relin_key_to_bytes(rk: RelinKey) -> bytes:
-    return _key_to_bytes(_RK_MAGIC, rk.params, np.stack([x for pair in rk.pairs for x in pair]))
+    return _key_to_bytes(_RK_MAGIC, rk.params, rk.seed, np.stack([b for b, _ in rk.pairs]))
 
 
 def relin_key_from_bytes(data: bytes, params: HeParams) -> RelinKey:
-    (n, k), body = _read(data, _RK_MAGIC, _KEY_HEAD, params, "relin key", _KEY_VERSION)
-    rows = params.ntt.forward(_read_rows(body, 2 * k, n, k, params, "relin key"))
-    return RelinKey(params, tuple(zip(rows[0::2], rows[1::2])))
+    n, primes = params.n, params.q_primes
+    seed, bs = _key_from_bytes(data, _RK_MAGIC, params, "relin key", len(primes))
+    return RelinKey(
+        params, seed, tuple((b, _expand_uniform(seed, i, n, primes)) for i, b in enumerate(bs))
+    )
 
 
 def secret_key_to_bytes(sk: SecretKey) -> bytes:

@@ -121,7 +121,7 @@ class Csp:
         circuit = self.computation.circuit
         const_source = gb.seeded_label_source(self._const_seed, domain=2)
         n_inputs = circuit.n_inputs
-        input_zero = gb.derive_input_labels(self._prf_key, n_inputs)
+        input_zero = gb.derive_input_labels(self._prf_key, range(n_inputs))
 
         def zero_label(wire: int) -> int:
             if wire < n_inputs:
@@ -195,10 +195,10 @@ class Maker:
         if self._delta is None or self._prf_key is None:
             raise ProtocolError("maker has not received delta and k")
         circuit: Circuit = self.computation.circuit
-        zero = gb.derive_input_labels(self._prf_key, circuit.n_inputs)
-        labels = gb.active_input_labels(
-            self._delta, zero.__getitem__, circuit.input_bits(self.values)
-        )
+        wire_bits = list(circuit.input_bits(self.values))
+        wires = [wire for wire, _ in wire_bits]
+        zero = dict(zip(wires, gb.derive_input_labels(self._prf_key, wires)))
+        labels = gb.active_input_labels(self._delta, zero.__getitem__, wire_bits)
         return InputLabels(labels=tuple(labels))
 
 

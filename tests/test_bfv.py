@@ -446,15 +446,22 @@ class TestGoldenBytes:
     level and encoding bytes (26, 35 and 36) removed. Every digest was
     re-recorded for ciphertext version 3 and key version 2: each blob is
     the previous one with its version byte (byte 4) raised by one and the
-    same residues packed as little-endian uint32 instead of int64."""
+    same residues packed as little-endian uint32 instead of int64. The
+    public and relinearization key digests, and with them every ciphertext
+    digest (each encrypts under the public key), were re-recorded for key
+    version 3, whose uniform halves come from a 32-byte seed: the secret
+    key digest, recorded before that change, did not move."""
 
     def test_keys(self, keys4096):
-        _, pk, rk = keys4096
+        sk, pk, rk = keys4096
+        assert _sha(bfv.secret_key_to_bytes(sk)) == (
+            "e4ee8d6fcd812d6bee9dae2b5d2a827357638e6a40d80a6bced06d532536044a"
+        )
         assert _sha(bfv.public_key_to_bytes(pk)) == (
-            "5b7da2f57cfd7a5d37dbbc81fa1148d2b05fea952d4fbea3aa4f2bbbfac223a4"
+            "5dd39c644db02e667288e6ac5f8c0916601732ecabb9e486912b3a208b206d3a"
         )
         assert _sha(bfv.relin_key_to_bytes(rk)) == (
-            "31f2a847fe5c618bcefd9568c98441f7470365b6e53c1b23dd01d804e54ec520"
+            "2e225243f0e8f402f35e4cdab1204fe3791dd01598440b467649db8456c83296"
         )
 
     def test_batch_encode(self, params4096, params8192):
@@ -482,12 +489,75 @@ class TestGoldenBytes:
             "he_mul": bfv.he_mul(a, b, rk),
         }
         assert {k: _sha(bfv.ciphertext_to_bytes(v)) for k, v in got.items()} == {
-            "encrypt": "78a2f5a8fd14a0e4eec07436c15d6ae69791290efd70158d137ca0d6a205502b",
-            "he_add": "7929d3ee144a0397dcfb994e5f131281e1f33dfd5553f6ddef81eade08f5dc37",
-            "he_sub": "e39bb65cded57e4436145f75b827d341374e264c0937b1c3f84ec591462aada5",
-            "he_mul_plain": "345f2e0686cef8701e21da7b36fddac5e3194a9d7cf0c4a06bcd9c01e3f2793a",
-            "he_mul": "98468b2f523dc7fd98dcb34eaf7ba2bb6c5b8d0c123a18d0d3b478a7ced06cca",
+            "encrypt": "2308ca40cdc2c8dc8372d0604475ec8d72ed52e6e07066efca0fb48c9045a767",
+            "he_add": "4aa4a6f1fc97e9c68bc4cce9fc7bab2174ace7dcc7e133aa23c846d2034f8912",
+            "he_sub": "4bdf516a47d2a995c970dbd88b905d84dffa1150057ad80c404670a2cd6ec5cc",
+            "he_mul_plain": "f377d68b98df8fdf3fb2210c597fca981252b0e68bc6f13be2ca2b71c7823195",
+            "he_mul": "a1a957df52511146c107ca4eea18cb4ab8bec52bb2dec45dcd408e81ff412c68",
         }
+
+
+class TestSeededKeys:
+    """Key version 3: each key blob carries a 32-byte seed in place of its
+    uniform a halves, which :func:`bfv._expand_uniform` rebuilds."""
+
+    def test_expansion_pinned(self, params4096):
+        a = bfv._expand_uniform(bytes(32), 0, 4096, params4096.q_primes)
+        assert _sha(a.astype("<u4").tobytes()) == (
+            "acb1ff5f0a8e555a5bd1b298135b25341dec9669f1ed79ef5ce1939ab8beac64"
+        )
+
+    def test_expansion_rule(self, params4096):
+        # Row i: the words of SHAKE-128(seed, half, i), masked to p_i's
+        # bit length, that fall below p_i.
+        seed, primes = bytes(range(32)), params4096.q_primes
+        a = bfv._expand_uniform(seed, 2, 64, primes)
+        for i, p in enumerate(primes):
+            stream = hashlib.shake_128(seed + bytes((2, i))).digest(4 * 256)
+            words = [int.from_bytes(stream[j : j + 4], "little") for j in range(0, len(stream), 4)]
+            masked = [w & ((1 << p.bit_length()) - 1) for w in words]
+            assert a[i].tolist() == [w for w in masked if w < p][:64]
+
+    def test_residues_below_their_primes(self, params8192):
+        for half in range(3):
+            a = bfv._expand_uniform(b"\x07" * 32, half, params8192.n, params8192.q_primes)
+            assert a.shape == (len(params8192.q_primes), params8192.n)
+            assert (a >= 0).all() and (a < params8192.ntt.mod).all()
+
+    def test_halves_of_one_key_differ(self, keys4096):
+        _, pk, rk = keys4096
+        halves = [pk.pk1_ntt] + [a for _, a in rk.pairs]
+        rows = {row.tobytes() for half in halves for row in half}
+        assert len(rows) == len(halves) * len(halves[0])
+        assert pk.seed != rk.seed
+
+    def test_decoded_keys_equal_keygen(self, params4096, keys4096):
+        _, pk, rk = keys4096
+        pk2 = bfv.public_key_from_bytes(bfv.public_key_to_bytes(pk), params4096)
+        rk2 = bfv.relin_key_from_bytes(bfv.relin_key_to_bytes(rk), params4096)
+        assert pk2.seed == pk.seed and rk2.seed == rk.seed
+        assert np.array_equal(pk2.pk0_ntt, pk.pk0_ntt)
+        assert np.array_equal(pk2.pk1_ntt, pk.pk1_ntt)
+        assert len(rk2.pairs) == len(rk.pairs)
+        for (b2, a2), (b, a) in zip(rk2.pairs, rk.pairs):
+            assert np.array_equal(b2, b) and np.array_equal(a2, a)
+
+    def test_blob_lengths(self, params4096, keys4096):
+        _, pk, rk = keys4096
+        n, k = params4096.n, len(params4096.q_primes)
+        assert len(bfv.public_key_to_bytes(pk)) == 50 + k * n * 4
+        assert len(bfv.relin_key_to_bytes(rk)) == 50 + k * k * n * 4
+
+    def test_seed_travels_in_the_header(self, params4096, keys4096):
+        _, pk, rk = keys4096
+        for blob, key, decode in (
+            (bfv.public_key_to_bytes(pk), pk, bfv.public_key_from_bytes),
+            (bfv.relin_key_to_bytes(rk), rk, bfv.relin_key_from_bytes),
+        ):
+            assert blob[18:50] == key.seed
+            for cut in (18, 34, 49):
+                with pytest.raises(bfv.HeParamsError, match="header"):
+                    decode(blob[:cut], params4096)
 
 
 class TestMalformedBlobs:
@@ -500,8 +570,8 @@ class TestMalformedBlobs:
         ct = bfv.encrypt(pk, bfv.encode_scalar(5, params4096), np.random.default_rng(1))
         return {
             bfv.ciphertext_from_bytes: (bfv.ciphertext_to_bytes(ct), 34),
-            bfv.public_key_from_bytes: (bfv.public_key_to_bytes(pk), 18),
-            bfv.relin_key_from_bytes: (bfv.relin_key_to_bytes(rk), 18),
+            bfv.public_key_from_bytes: (bfv.public_key_to_bytes(pk), 50),
+            bfv.relin_key_from_bytes: (bfv.relin_key_to_bytes(rk), 50),
             bfv.secret_key_from_bytes: (bfv.secret_key_to_bytes(sk), 17),
         }
 
@@ -539,11 +609,12 @@ class TestMalformedBlobs:
                     decode(bad, params4096)
 
     def test_previous_versions_rejected(self, params4096, blobs):
-        # Ciphertext version 2 and key version 1 carried 8-byte residues.
+        # Ciphertext version 2 carried 8-byte residues; key version 2 sent
+        # the uniform halves in place of their seed.
         for decode, old in (
             (bfv.ciphertext_from_bytes, 2),
-            (bfv.public_key_from_bytes, 1),
-            (bfv.relin_key_from_bytes, 1),
+            (bfv.public_key_from_bytes, 2),
+            (bfv.relin_key_from_bytes, 2),
         ):
             blob, _ = blobs[decode]
             assert blob[4] == old + 1

@@ -162,5 +162,5 @@ def test_bfv_blob_round_trip_and_mutations(name, data):
     decode, encode = CODECS[name]
     blob = blobs[name]
     assert encode(decode(blob, params)) == blob
-    bad = data.draw(mutations(blob, head=48))
+    bad = data.draw(mutations(blob, head=64))
     check_mutations(lambda b: decode(b, params), encode, bfv.HeParamsError, bad)

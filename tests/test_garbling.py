@@ -57,12 +57,20 @@ class TestDeltaDerivation:
 class TestInputLabelDerivation:
     def test_deterministic(self):
         k = b"k" * 16
-        assert gb.derive_input_labels(k, 8) == gb.derive_input_labels(k, 8)
+        assert gb.derive_input_labels(k, range(8)) == gb.derive_input_labels(k, range(8))
         # a prefix: wire i's label does not depend on the count
-        assert gb.derive_input_labels(k, 3) == gb.derive_input_labels(k, 8)[:3]
+        assert gb.derive_input_labels(k, range(3)) == gb.derive_input_labels(k, range(8))[:3]
+
+    def test_subset_equals_full_derivation_at_its_wires(self):
+        # A maker derives only the wires it sends labels for.
+        k = b"k" * 16
+        full = gb.derive_input_labels(k, range(440))
+        wires = [439, 7, 110, 111, 0, 300]
+        assert gb.derive_input_labels(k, wires) == [full[w] for w in wires]
+        assert gb.derive_input_labels(k, []) == []
 
     def test_distinct_across_indices(self):
-        assert len(set(gb.derive_input_labels(b"k" * 16, 1000))) == 1000
+        assert len(set(gb.derive_input_labels(b"k" * 16, range(1000)))) == 1000
 
     def test_one_label_is_zero_label_xor_delta(self):
         bits = [1, 0, 1, 1, 0, 0, 1, 0]
