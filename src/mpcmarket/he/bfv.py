@@ -22,22 +22,45 @@ CT-RSA 2019); a column whose float sum lies too near a rounding boundary
 is recomputed in Python integers, so results equal exact integer
 arithmetic.
 
+A ciphertext's last operation may be :func:`mod_switch`, which keeps only
+the first k of q's primes: it divides by the product D of the dropped
+primes and rounds, (c - [c]_D) / D with [c]_D the centered lift of the
+dropped residues (Brakerski, Gentry and Vaikuntanathan, ITCS 2012). The
+switched ciphertext lives under q' = q / D with Delta' = floor(q'/t); it
+can be serialized, decrypted and measured, and every other operation
+rejects it.
+
 Keys and ciphertexts serialize as their (k, n) arrays in coefficient form,
 prime-major, one little-endian uint32 per residue (every prime is below
 2^30); the decoders take exactly one such buffer, check n and k against
-the parameters and every residue against its prime, and raise
-:class:`HeParamsError` on anything else. A public or relinearization key
-sends only its b rows and a 32-byte seed: its uniform a halves are public,
-so every party expands them from the seed (:func:`_expand_uniform`), as
-SEAL's seeded serialization does.
+the parameters (a ciphertext may hold the first k of the K primes) and
+every residue against its prime, and raise :class:`HeParamsError` on
+anything else. A public or relinearization key sends only its b rows and a
+32-byte seed: its uniform a halves are public, so every party expands them
+from the seed (:func:`_expand_uniform`), as SEAL's seeded serialization
+does.
 
 Noise is tracked two ways: a conservative running estimate carried on every
 ciphertext (used to flag budget exhaustion eagerly, the scheme's bottom
 element), and an exact secret-key measurement via :func:`noise_budget`.
-The estimate follows three rules, which the operations and the computation
-planner share: a sum or difference adds the noises; a relinearized product
-follows :func:`mul_noise_log2`; a multiply by a plaintext p (its centered
-representative) gives |p|_1 * (v + t), the t term covering the r_t(q) wrap.
+The estimate follows five rules, which the operations and the computation
+planner share (Fan and Vercauteren, 2012; v and t as log2 values, a (+) b
+= log2(2^a + 2^b)):
+
+- a sum or difference adds the noises;
+- a relinearized product follows :func:`mul_noise_log2`;
+- a multiply by a plaintext p (its centered representative) gives
+  |p|_1 * (v + t), the t term covering the r_t(q) wrap;
+- adding a plaintext gives v (+) t, since Delta m differs from m q / t by
+  less than t;
+- a switch from q to q' gives (v - log2(q/q')) (+) t (+) log2((1 + n)/2):
+  the scaled noise, the wrap of Delta' against q'/t, and the rounding
+  error r0 + r1 s with |r_i| <= 1/2 and s ternary.
+
+Both the estimate and :func:`noise_budget` measure against Delta =
+floor(q/t), so they count the wrap r_t(q) m / t (below t) as noise. Where
+q/t is small the exact budget can therefore read below 0 while decryption
+is still exact, as for an LR output switched to 2 of 4 primes at n=4096.
 
 Parameter sets here are desk-scale and not production-audited.
 """
@@ -121,7 +144,7 @@ class HeParams:
             raise HeParamsError(f"plaintext modulus {self.t} must satisfy 2 <= t < q")
         if self.fresh_budget() <= 0:
             raise HeParamsError(
-                f"no fresh noise budget at n={self.n}, log2(q)={self.log2_q:.0f}, t={self.t}"
+                f"no fresh noise budget at n={self.n}, log2(q)={math.log2(self.q):.0f}, t={self.t}"
             )
 
     @property
@@ -138,18 +161,15 @@ class HeParams:
         """The (k, 1) column of x mod each coefficient prime."""
         return np.array([x % p for p in self.q_primes], dtype=np.int64)[:, None]
 
-    @property
-    def log2_q(self) -> float:
-        return sum(math.log2(p) for p in self.q_primes)
-
     def fresh_noise_log2(self) -> float:
         bound = 6 * NOISE_SIGMA
         return math.log2(2 * self.n * bound + bound)
 
-    def budget_capacity(self, t: int | None = None) -> float:
+    def budget_capacity(self, t: int | None = None, k: int | None = None) -> float:
         """log2(q / 2t): the noise (log2) at which decryption under t
-        (default ``self.t``) fails."""
-        return self.log2_q - math.log2(2 * (self.t if t is None else t))
+        (default ``self.t``) and the first k primes (default all) fails."""
+        log2_q = sum(math.log2(p) for p in self.q_primes[:k])
+        return log2_q - math.log2(2 * (self.t if t is None else t))
 
     def fresh_budget(self) -> float:
         return self.budget_capacity() - self.fresh_noise_log2()
@@ -374,7 +394,8 @@ class HeCiphertext:
     ``noise_log2`` is the conservative running noise estimate used for eager
     budget checks. ``t`` travels with the ciphertext: one keypair serves any
     plaintext modulus over the same ring, which the CRT computation plans
-    rely on.
+    rely on. The polys hold one row per prime of ``primes``, all of q's
+    primes until :func:`mod_switch` keeps a prefix of them.
     """
 
     params: HeParams
@@ -383,8 +404,12 @@ class HeCiphertext:
     noise_log2: float
 
     @property
+    def primes(self) -> tuple[int, ...]:
+        return self.params.q_primes[: len(self.polys[0])]
+
+    @property
     def budget_estimate(self) -> float:
-        return self.params.budget_capacity(self.t) - self.noise_log2
+        return self.params.budget_capacity(self.t, len(self.primes)) - self.noise_log2
 
 
 # -- noise rules ------------------------------------------------------------------
@@ -423,6 +448,18 @@ def plain_add_noise_log2(v: float, t: int) -> float:
     """Noise estimate (log2) after adding a plaintext under modulus ``t`` to
     noise ``v``: Delta * m differs from m * q / t by less than t."""
     return add_noise_log2(v, math.log2(t))
+
+
+def switch_noise_log2(params: HeParams, t: int, v: float, k: int) -> float:
+    """Noise estimate (log2) after :func:`mod_switch` keeps the first ``k``
+    of q's primes: v q'/q, plus the wrap of Delta' = floor(q'/t) against
+    q'/t (below t), plus the rounding r0 + r1 s (at most (1 + n)/2 for a
+    ternary s). Keeping every prime changes nothing."""
+    dropped = params.q_primes[k:]
+    if not dropped:
+        return v
+    scaled = v - sum(math.log2(p) for p in dropped)
+    return add_noise_log2(plain_add_noise_log2(scaled, t), math.log2((1 + params.n) / 2))
 
 
 # -- sampling -----------------------------------------------------------------
@@ -564,11 +601,12 @@ def encrypt(pk: PublicKey, pt: HePlaintext, rng: np.random.Generator | None = No
 
 
 def _dot_secret(ct: HeCiphertext, sk: SecretKey) -> np.ndarray:
-    """Residues of c0 + c1*s mod q."""
-    plan = ct.params.ntt
+    """Residues of c0 + c1*s mod the ciphertext's primes."""
+    plan = get_plan(ct.params.n, ct.primes)
     q = plan.mod
     c0, c1 = ct.polys
-    return (c0 + plan.inverse(dot_mod((plan.forward(c1),), (sk.s_ntt,), q))) % q
+    s_ntt = sk.s_ntt[: len(ct.primes)]  # each row transforms under its own prime
+    return (c0 + plan.inverse(dot_mod((plan.forward(c1),), (s_ntt,), q))) % q
 
 
 def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
@@ -581,7 +619,7 @@ def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
             f"noise budget exhausted (estimate {ct.budget_estimate:.1f} bits)"
         )
     w = _dot_secret(ct, sk)
-    rns, t = _rns(ct.params.q_primes), ct.t
+    rns, t = _rns(ct.primes), ct.t
     # round(t W / q) mod t, where the t v term of the rounding vanishes.
     m, near = _round_tq(w * rns.hat_inv % rns.col, rns, t)
     poly = m % t
@@ -592,9 +630,11 @@ def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
 
 
 def noise_budget(sk: SecretKey, ct: HeCiphertext) -> int:
-    """Exact remaining budget in bits: floor(log2(q / (2 t |noise|)))."""
-    w = _exact_columns(_dot_secret(ct, sk), np.ones(ct.params.n, bool), ct.params.q_primes)
-    q, t = ct.params.q, ct.t
+    """Exact remaining budget in bits: floor(log2(q / (2 t |noise|))), q the
+    product of the ciphertext's primes and the noise taken against
+    Delta = floor(q/t)."""
+    w = _exact_columns(_dot_secret(ct, sk), np.ones(ct.params.n, bool), ct.primes)
+    q, t = math.prod(ct.primes), ct.t
     v = w - (2 * t * w + q) // (2 * q) * (q // t)
     vmax = int(np.abs(v).max()) or 1
     return math.floor(math.log2(q) - math.log2(2 * t) - math.log2(vmax))
@@ -603,18 +643,27 @@ def noise_budget(sk: SecretKey, ct: HeCiphertext) -> int:
 # -- homomorphic operations -----------------------------------------------------
 
 
-def _within_budget(params: HeParams, t: int, est: float, what: str) -> None:
-    """Raise unless noise ``est`` leaves some budget under ``t``."""
-    capacity = params.budget_capacity(t)
+def _within_budget(
+    params: HeParams, t: int, est: float, what: str, k: int | None = None
+) -> None:
+    """Raise unless noise ``est`` leaves some budget under ``t`` and the
+    first ``k`` primes (default all)."""
+    capacity = params.budget_capacity(t, k)
     if capacity - est <= 0:
         raise NoiseBudgetExhausted(
             f"{what} would exhaust the noise budget (estimate {est:.1f} bits of {capacity:.1f})"
         )
 
 
-def _check_compat(a: HeCiphertext, b: HeCiphertext) -> None:
-    if a.params != b.params or a.t != b.t:
-        raise HeParamsError("ciphertext parameter/modulus mismatch")
+def _check_compat(a: HeCiphertext, *others: HeCiphertext) -> None:
+    """Operands share parameters and plaintext modulus and hold all of q's
+    primes: a switched ciphertext is only serialized and decrypted."""
+    k = len(a.params.q_primes)
+    for b in (a, *others):
+        if b.params != a.params or b.t != a.t:
+            raise HeParamsError("ciphertext parameter/modulus mismatch")
+        if len(b.primes) != k:
+            raise HeParamsError(f"ciphertext holds {len(b.primes)} of the {k} primes")
 
 
 def _add_or_sub(a: HeCiphertext, b: HeCiphertext, op) -> HeCiphertext:
@@ -639,6 +688,7 @@ def he_sub(a: HeCiphertext, b: HeCiphertext) -> HeCiphertext:
 
 
 def he_add_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
+    _check_compat(ct)
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
     params = ct.params
@@ -654,7 +704,9 @@ def he_add_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
 
 def he_mul_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     """Multiply by a plaintext polynomial, taken as its centered
-    representative (no relinearization needed)."""
+    representative (no relinearization needed). A constant polynomial
+    multiplies each residue row by its residue and takes no transform."""
+    _check_compat(ct)
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
     params = ct.params
@@ -663,13 +715,13 @@ def he_mul_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     plan = params.ntt
     q = plan.mod
     # The centered plaintext exceeds 2^30 for t > 2^31; reduce it once.
-    m_ntt = plan.forward(pt.centered() % q)
-    return HeCiphertext(
-        params=params,
-        t=ct.t,
-        polys=tuple(plan.inverse(dot_mod((plan.forward(c),), (m_ntt,), q)) for c in ct.polys),
-        noise_log2=est,
-    )
+    m = pt.centered()
+    if not m[1:].any():
+        polys = tuple(c * (m[:1] % q) % q for c in ct.polys)
+    else:
+        m_ntt = plan.forward(m % q)
+        polys = tuple(plan.inverse(dot_mod((plan.forward(c),), (m_ntt,), q)) for c in ct.polys)
+    return HeCiphertext(params=params, t=ct.t, polys=polys, noise_log2=est)
 
 
 def he_mul(a: HeCiphertext, b: HeCiphertext, rk: RelinKey) -> HeCiphertext:
@@ -721,6 +773,26 @@ def he_mul(a: HeCiphertext, b: HeCiphertext, rk: RelinKey) -> HeCiphertext:
     )
 
 
+def mod_switch(ct: HeCiphertext, k: int) -> HeCiphertext:
+    """The ciphertext under the first ``k`` of q's primes: c' = (c - [c]_D)
+    / D for the product D of the dropped primes, [c]_D the centered lift of
+    the dropped residues, which rounds c q'/q to the nearest integer.
+    Noise follows :func:`switch_noise_log2`; keeping every prime returns
+    ``ct`` itself."""
+    _check_compat(ct)
+    primes = ct.params.q_primes
+    if not 1 <= k <= len(primes):
+        raise HeParamsError(f"cannot switch to {k} of {len(primes)} primes")
+    if k == len(primes):
+        return ct
+    est = switch_noise_log2(ct.params, ct.t, ct.noise_log2, k)
+    _within_budget(ct.params, ct.t, est, "modulus switch", k)
+    conv = _conversion(primes[k:], primes[:k])
+    q = conv.dst.col
+    polys = tuple((c[:k] - _extend(c[k:], conv)) * conv.q_inv_dst % q for c in ct.polys)
+    return HeCiphertext(ct.params, ct.t, polys, est)
+
+
 # -- serialization ---------------------------------------------------------------
 
 
@@ -728,7 +800,7 @@ _CT_MAGIC = b"HECT"
 _PK_MAGIC = b"HEPK"
 _SK_MAGIC = b"HESK"
 _RK_MAGIC = b"HERK"
-_CT_VERSION = 3
+_CT_VERSION = 4
 _KEY_VERSION = 3  # public and relinearization keys; the secret key stays at 1
 _CT_HEAD = struct.Struct(">B8sQIBd")
 _KEY_HEAD = struct.Struct(">B8sIB32s")
@@ -755,18 +827,18 @@ def _read(
 
 
 def _read_rows(
-    body: bytes, count: int, n: int, k: int, params: HeParams, what: str
+    body: bytes, count: int, n: int, k: int, params: HeParams, what: str, prefix: bool = False
 ) -> np.ndarray:
-    """Exactly ``count`` (k, n) polynomials of residues, each below its prime."""
-    if (n, k) != (params.n, len(params.q_primes)):
-        raise HeParamsError(
-            f"{what} has n={n}, k={k}; params have n={params.n}, k={len(params.q_primes)}"
-        )
+    """Exactly ``count`` (k, n) polynomials of residues, each below its
+    prime: under all K primes, or with ``prefix`` under the first 1 <= k <= K."""
+    big_k = len(params.q_primes)
+    if n != params.n or not (1 <= k <= big_k if prefix else k == big_k):
+        raise HeParamsError(f"{what} has n={n}, k={k}; params have n={params.n}, k={big_k}")
     size = 4 * count * k * n
     if len(body) != size:
         raise HeParamsError(f"{what} body is {len(body)} bytes, expected {size}")
     rows = np.frombuffer(body, dtype="<u4").astype(np.int64).reshape(count, k, n)
-    if not (rows < params.ntt.mod).all():
+    if not (rows < params.ntt.mod[:k]).all():
         raise HeParamsError(f"{what} residue out of range")
     return rows
 
@@ -774,18 +846,19 @@ def _read_rows(
 def ciphertext_to_bytes(ct: HeCiphertext) -> bytes:
     params = ct.params
     head = _CT_MAGIC + _CT_HEAD.pack(
-        _CT_VERSION, params.param_hash, ct.t, params.n, len(params.q_primes), ct.noise_log2
+        _CT_VERSION, params.param_hash, ct.t, params.n, len(ct.primes), ct.noise_log2
     )
     return head + _pack_rows(ct.polys)
 
 
 def ciphertext_from_bytes(data: bytes, params: HeParams) -> HeCiphertext:
+    """A ciphertext under the first k of the session's primes, k from its header."""
     (t, n, k, noise), body = _read(data, _CT_MAGIC, _CT_HEAD, params, "ciphertext", _CT_VERSION)
-    if not 2 <= t < params.q:
+    c0, c1 = _read_rows(body, 2, n, k, params, "ciphertext", prefix=True)
+    if not 2 <= t < math.prod(params.q_primes[:k]):
         raise HeParamsError(f"malformed ciphertext header: t={t}")
     if not math.isfinite(noise):
         raise HeParamsError(f"malformed ciphertext header: noise estimate {noise}")
-    c0, c1 = _read_rows(body, 2, n, k, params, "ciphertext")
     return HeCiphertext(params, t, (c0, c1), noise)
 
 

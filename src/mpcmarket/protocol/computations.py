@@ -55,8 +55,9 @@ class HePlan:
     """What every role derives from the public (computation, params): the
     plaintext moduli the circuit runs under, its input and output names, the
     values per input (``slots``), whether it multiplies ciphertexts (so the
-    evaluator needs the relinearization key), and whether it takes a dot
-    product (``packed``).
+    evaluator needs the relinearization key), whether it takes a dot
+    product (``packed``), and how many of q's primes each output keeps when
+    it goes to the CSP (``output_primes``).
 
     The layout follows: a packed plan encodes each input's values as
     coefficients and yields one value per output, read from coefficient 0;
@@ -69,6 +70,7 @@ class HePlan:
     slots: int
     relin: bool
     packed: bool
+    output_primes: int
 
     @property
     def batched(self) -> bool:
@@ -107,6 +109,7 @@ class CiphertextOps:
 
     add = staticmethod(bfv.he_add)
     sub = staticmethod(bfv.he_sub)
+    switch = staticmethod(bfv.mod_switch)
 
     def mul(self, a: HeCiphertext, b: HeCiphertext) -> HeCiphertext:
         return bfv.he_mul(a, b, self.rk)
@@ -139,15 +142,15 @@ class NoiseOps:
 
     def __init__(self, params: HeParams, t: int) -> None:
         self.params, self.t = params, t
-        self.capacity = params.budget_capacity(t)
         self.multiplies = False
         self.packed = False
 
-    def _fit(self, v: float) -> float:
-        if self.capacity - v <= 0:
+    def _fit(self, v: float, k: int | None = None) -> float:
+        capacity = self.params.budget_capacity(self.t, k)
+        if capacity - v <= 0:
             raise PlanRejected(
                 f"HE plan needs ~{v:.0f} noise bits but t={self.t} leaves "
-                f"{self.capacity:.0f} at n={self.params.n}; increase ring degree"
+                f"{capacity:.0f} at n={self.params.n}; increase ring degree"
             )
         return v
 
@@ -175,6 +178,25 @@ class NoiseOps:
     def mask(self, a: float) -> float:
         return self.add_const(a, 0)
 
+    def switch(self, a: float, k: int) -> float:
+        return self._fit(bfv.switch_noise_log2(self.params, self.t, a, k), k)
+
+
+def _fewest_primes(params: HeParams, ends: Mapping[int, Mapping[str, float]]) -> int:
+    """The fewest leading primes of q that every output noise in ``ends``
+    (plan modulus -> output -> noise) can be switched to, replaying the
+    switch on :class:`NoiseOps`. All of them always fit: that is no switch."""
+    for k in range(1, len(params.q_primes)):
+        try:
+            for t, y in ends.items():
+                ops = NoiseOps(params, t)
+                for v in y.values():
+                    ops.switch(v, k)
+        except PlanRejected:
+            continue
+        return k
+    return len(params.q_primes)
+
 
 class HePipeline:
     """Protocol 1 for a computation that states four things:
@@ -195,20 +217,27 @@ class HePipeline:
     :class:`NoiseOps` in the planner and in the buyer's check, so both see
     the same noise rules. A circuit that takes a dot product leaves partial
     sums in every other coefficient, so each of its outputs is masked
-    there before it goes to the CSP; the replays count the mask too.
+    there before it goes to the CSP. Every output is then switched to the
+    plan's first ``output_primes`` primes, the fewest the noise rule
+    allows; the replays count the mask and the switch too.
     """
 
-    def _circuit(self, ops, x: Mapping) -> dict:
+    def _circuit(self, ops, x: Mapping, primes: int) -> dict:
         y = self.he_circuit(ops, x)
-        return {name: ops.mask(v) for name, v in y.items()} if ops.packed else y
+        if ops.packed:
+            y = {name: ops.mask(v) for name, v in y.items()}
+        return {name: ops.switch(v, primes) for name, v in y.items()}
 
     def he_plan(self, params: HeParams, makers: int = 1) -> HePlan:
-        """At most ``params.n`` slots, and moduli covering the output range,
-        each checked by replaying the circuit on noise estimates, every input
-        starting as the buyer's sum of ``makers`` fresh shares. Only that
-        check depends on ``makers``; the plan itself does not. A circuit
-        that takes a dot product and multiplies ciphertexts is rejected: a
-        product of packed ciphertexts would mix their coefficients."""
+        """At most ``params.n`` slots, moduli covering the output range, and
+        the output prime count, found by replaying the circuit on noise
+        estimates under each modulus, every input starting as one fresh
+        share. The session's check then replays the circuit, switch
+        included, on the buyer's sums of ``makers`` fresh shares. Only that
+        check depends on ``makers``; the plan itself does not, so every role
+        derives the same. A circuit that takes a dot product and multiplies
+        ciphertexts is rejected: a product of packed ciphertexts would mix
+        their coefficients."""
         bits, bound = self.he_output_range()
         moduli: list[int] = []
         while math.prod(moduli) <= bound:
@@ -219,16 +248,29 @@ class HePipeline:
         slots = len(next(iter(inputs.values())))
         if slots > params.n:
             raise PlanRejected(f"{slots} slots do not fit one ciphertext at n={params.n}")
-        share_sum = reduce(bfv.add_noise_log2, [params.fresh_noise_log2()] * makers)
-        start = dict.fromkeys(inputs, share_sum)
+        fresh = params.fresh_noise_log2()
+        # Keeping every prime is no switch: these are the outputs' noises
+        # before it.
+        ends = {}
         for t in moduli:
             ops = NoiseOps(params, t)
-            outputs = self._circuit(ops, start)
+            ends[t] = self._circuit(ops, dict.fromkeys(inputs, fresh), len(params.q_primes))
         # The circuit's ops do not depend on t: any replay tells which it uses.
         if ops.packed and ops.multiplies:
             raise PlanRejected("a dot product cannot share a circuit with a ciphertext multiply")
+        primes = _fewest_primes(params, ends)
+        if makers > 1:
+            share_sum = reduce(bfv.add_noise_log2, [fresh] * makers)
+            for t in moduli:
+                self._circuit(NoiseOps(params, t), dict.fromkeys(inputs, share_sum), primes)
         return HePlan(
-            tuple(moduli), tuple(inputs), tuple(outputs), slots, ops.multiplies, ops.packed
+            tuple(moduli),
+            tuple(inputs),
+            tuple(ends[moduli[0]]),
+            slots,
+            ops.multiplies,
+            ops.packed,
+            primes,
         )
 
     def he_encrypt_inputs(
@@ -258,8 +300,9 @@ class HePipeline:
     ) -> list[tuple[str, bytes]]:
         """Buyer side: sum every maker's shares (free additions), check that
         the circuit fits the sums' noise estimates under every modulus, then
-        run it per modulus, masking a packed circuit's outputs from ``rng``;
-        outputs are tagged ``{output}:{t}``."""
+        run it per modulus, masking a packed circuit's outputs from ``rng``
+        and switching each to the plan's ``output_primes``; outputs are
+        tagged ``{output}:{t}``."""
         want = {f"{t}:{name}": t for t in plan.moduli for name in plan.inputs}
         sums: dict[str, HeCiphertext] = {}
         for maker, tag, blob in listings:
@@ -268,17 +311,20 @@ class HePipeline:
             ct = bfv.ciphertext_from_bytes(blob, params)
             if ct.t != want[tag]:
                 raise ProtocolError(f"input {tag!r} is encrypted under t={ct.t}")
+            if ct.primes != params.q_primes:
+                raise ProtocolError(f"input {tag!r} holds {len(ct.primes)} of q's primes")
             sums[tag] = bfv.he_add(sums[tag], ct) if tag in sums else ct
         missing = want.keys() - sums.keys()
         if missing:
             raise ProtocolError(f"no shares for inputs {sorted(missing)[:4]}")
         inputs = {t: {name: sums[f"{t}:{name}"] for name in plan.inputs} for t in plan.moduli}
         for t, x in inputs.items():
-            self._circuit(NoiseOps(params, t), {n: ct.noise_log2 for n, ct in x.items()})
+            noises = {n: ct.noise_log2 for n, ct in x.items()}
+            self._circuit(NoiseOps(params, t), noises, plan.output_primes)
         rng = np.random.default_rng() if rng is None else rng
         out = []
         for t, x in inputs.items():
-            y = self._circuit(CiphertextOps(params, t, rk, rng), x)
+            y = self._circuit(CiphertextOps(params, t, rk, rng), x, plan.output_primes)
             out += [(f"{name}:{t}", bfv.ciphertext_to_bytes(y[name])) for name in plan.outputs]
         return out
 
@@ -289,7 +335,8 @@ class HePipeline:
         entries: Sequence[tuple[str, bytes]],
     ) -> dict:
         """CSP side: decrypt exactly one entry per (output, plan modulus),
-        CRT-combine each output value-wise, and derive the result."""
+        each under the plan's ``output_primes``, CRT-combine each output
+        value-wise, and derive the result."""
         want = {f"{name}:{t}": (name, t) for t in plan.moduli for name in plan.outputs}
         tags = [tag for tag, _ in entries]
         if sorted(tags) != sorted(want):
@@ -300,6 +347,11 @@ class HePipeline:
             ct = bfv.ciphertext_from_bytes(blob, sk.params)
             if ct.t != t:
                 raise ProtocolError(f"output {tag!r} is encrypted under t={ct.t}")
+            if len(ct.primes) != plan.output_primes:
+                raise ProtocolError(
+                    f"output {tag!r} holds {len(ct.primes)} primes, "
+                    f"the plan {plan.output_primes}"
+                )
             residues[name][t] = plan.decode(bfv.decrypt(sk, ct))
         outputs = {
             name: [crt_combine(dict(zip(plan.moduli, v))) for v in zip(*map(r.get, plan.moduli))]

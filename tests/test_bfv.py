@@ -2,6 +2,7 @@
 noise budgets, batching, serialization."""
 
 import hashlib
+import math
 import random
 
 import numpy as np
@@ -14,10 +15,12 @@ from mpcmarket.he.bfv import find_ntt_primes
 from mpcmarket.he.ntt import (
     NttPlan,
     _primitive_2n_root,
+    dot_mod,
     get_plan,
     is_prime,
     schoolbook_negacyclic,
 )
+from mpcmarket.protocol.computations import CiphertextOps
 
 
 def ntt_mul(a, b, n: int, p: int) -> list[int]:
@@ -351,6 +354,105 @@ class TestDepthAndBudget:
         assert prod.budget_estimate <= bfv.noise_budget(sk, prod)
 
 
+class TestModSwitch:
+    """mod_switch keeps the first k of q's primes; switch_noise_log2 is its
+    noise rule, shared with the computation planner."""
+
+    def test_switched_product_decrypts_within_its_estimate(self, params8192, keys8192):
+        sk, pk, rk = keys8192
+        rng = np.random.default_rng(21)
+        t = params8192.t
+        va, vb = [rng.integers(t) for _ in range(64)], [rng.integers(t) for _ in range(64)]
+        ca = bfv.encrypt(pk, bfv.batch_encode(va, params8192), rng)
+        cb = bfv.encrypt(pk, bfv.batch_encode(vb, params8192), rng)
+        prod = bfv.he_mul(bfv.he_mul(ca, cb, rk), ca, rk)
+        want = [int(x) * int(y) * int(x) % t for x, y in zip(va, vb)]
+        for k in (2, 3, 5):
+            sw = bfv.mod_switch(prod, k)
+            assert sw.primes == params8192.q_primes[:k]
+            assert bfv.batch_decode(bfv.decrypt(sk, sw), 64) == want
+            assert 0 < sw.budget_estimate <= bfv.noise_budget(sk, sw)
+
+    def test_switch_rounds_exactly(self, params4096, keys4096):
+        # c' = round(c q'/q) mod q' per coefficient, from the integers c in
+        # [0, q) rebuilt in Python; ties (c/D half-integral) cannot occur,
+        # since D is odd.
+        _, pk, _ = keys4096
+        ct = bfv.encrypt(pk, bfv.encode_scalar(9, params4096), np.random.default_rng(22))
+        primes, k = params4096.q_primes, 2
+        q, d = params4096.q, math.prod(primes[k:])
+        sw = bfv.mod_switch(ct, k)
+        for poly, out in zip(ct.polys, sw.polys):
+            for j in range(0, params4096.n, 97):
+                residues = zip(map(int, poly[:, j]), primes)
+                c = sum(r * (q // p) * pow(q // p, -1, p) for r, p in residues) % q
+                c_new = (2 * c + d) // (2 * d)
+                assert [int(x) for x in out[:, j]] == [c_new % p for p in primes[:k]]
+
+    def test_noise_rule(self, params8192):
+        n, t, primes = params8192.n, params8192.t, params8192.q_primes
+        assert bfv.switch_noise_log2(params8192, t, 140.0, len(primes)) == 140.0
+        dropped = sum(math.log2(p) for p in primes[2:])
+        want = math.log2(2 ** (140.0 - dropped) + t + (1 + n) / 2)
+        assert bfv.switch_noise_log2(params8192, t, 140.0, 2) == pytest.approx(want)
+
+    def test_all_primes_is_no_switch_and_the_count_is_checked(self, params4096, keys4096):
+        _, pk, _ = keys4096
+        ct = bfv.encrypt(pk, bfv.encode_scalar(3, params4096))
+        assert bfv.mod_switch(ct, len(params4096.q_primes)) is ct
+        for k in (0, len(params4096.q_primes) + 1):
+            with pytest.raises(bfv.HeParamsError):
+                bfv.mod_switch(ct, k)
+
+    def test_switch_without_budget_rejected(self, params4096, keys4096):
+        # One 27-bit prime leaves log2(p/2t) = 10 bits, below t = 2^16.
+        _, pk, _ = keys4096
+        ct = bfv.encrypt(pk, bfv.encode_scalar(3, params4096))
+        with pytest.raises(bfv.NoiseBudgetExhausted):
+            bfv.mod_switch(ct, 1)
+
+    def test_switched_ciphertext_takes_no_other_op(self, params4096, keys4096):
+        _, pk, rk = keys4096
+        ct = bfv.encrypt(pk, bfv.encode_scalar(3, params4096))
+        sw = bfv.mod_switch(ct, 2)
+        pt = bfv.encode_scalar(2, params4096)
+        for op in (
+            lambda: bfv.he_add(sw, ct),
+            lambda: bfv.he_sub(ct, sw),
+            lambda: bfv.he_add(sw, sw),
+            lambda: bfv.he_mul(sw, sw, rk),
+            lambda: bfv.he_mul_plain(sw, pt),
+            lambda: bfv.he_add_plain(sw, pt),
+            lambda: bfv.mod_switch(sw, 1),
+        ):
+            with pytest.raises(bfv.HeParamsError, match="2 of the 4 primes"):
+                op()
+
+    @pytest.mark.parametrize("c", [0, 1000, 3841, -7, "t-1"])
+    def test_constant_plaintext_multiply_takes_no_transform(
+        self, params8192, keys8192, monkeypatch, c
+    ):
+        # Each residue row times c mod p_i equals the transform route
+        # bit for bit, and the noise rule is the plaintext multiply's.
+        _, pk, _ = keys8192
+        c = params8192.t - 1 if c == "t-1" else c
+        ct = bfv.encrypt(pk, bfv.batch_encode([5, 6, 7], params8192), np.random.default_rng(23))
+        pt = bfv.encode_scalar(c, params8192)
+        plan = params8192.ntt
+        q = plan.mod
+        m_ntt = plan.forward(pt.centered() % q)
+        want = [plan.inverse(dot_mod((plan.forward(x),), (m_ntt,), q)) for x in ct.polys]
+
+        def no_transform(*args):
+            raise AssertionError("a constant multiply ran a transform")
+
+        monkeypatch.setattr(NttPlan, "forward", no_transform)
+        monkeypatch.setattr(NttPlan, "inverse", no_transform)
+        got = CiphertextOps(params8192, params8192.t, None).mul_const(ct, c)
+        assert all(np.array_equal(a, b) for a, b in zip(got.polys, want))
+        assert got.noise_log2 == bfv.plain_mul_noise_log2(ct.noise_log2, pt)
+
+
 class TestBatching:
     def test_encode_decode_identity(self, params8192):
         values = list(range(1, 17))
@@ -450,7 +552,11 @@ class TestGoldenBytes:
     public and relinearization key digests, and with them every ciphertext
     digest (each encrypts under the public key), were re-recorded for key
     version 3, whose uniform halves come from a 32-byte seed: the secret
-    key digest, recorded before that change, did not move."""
+    key digest, recorded before that change, did not move. The ciphertext
+    digests were re-recorded for ciphertext version 4, whose header k counts
+    the leading primes a (modulus-switched) ciphertext holds: each blob is
+    the version 3 blob with byte 4 set to 4. The he_mul_plain blob, whose
+    constant plaintext now takes no transform, did not move otherwise."""
 
     def test_keys(self, keys4096):
         sk, pk, rk = keys4096
@@ -489,11 +595,11 @@ class TestGoldenBytes:
             "he_mul": bfv.he_mul(a, b, rk),
         }
         assert {k: _sha(bfv.ciphertext_to_bytes(v)) for k, v in got.items()} == {
-            "encrypt": "2308ca40cdc2c8dc8372d0604475ec8d72ed52e6e07066efca0fb48c9045a767",
-            "he_add": "4aa4a6f1fc97e9c68bc4cce9fc7bab2174ace7dcc7e133aa23c846d2034f8912",
-            "he_sub": "4bdf516a47d2a995c970dbd88b905d84dffa1150057ad80c404670a2cd6ec5cc",
-            "he_mul_plain": "f377d68b98df8fdf3fb2210c597fca981252b0e68bc6f13be2ca2b71c7823195",
-            "he_mul": "a1a957df52511146c107ca4eea18cb4ab8bec52bb2dec45dcd408e81ff412c68",
+            "encrypt": "77c1a2ae5915ede57ceb84284e0e79b6676c05c0cd1d23b3a3b5144d75677a2f",
+            "he_add": "20880f7d59c5a6237c092322f2364d747ebd8cd6db3f1b2505a8e65efb851d99",
+            "he_sub": "c2f13f206c35cc423915a9c660d9f7e144349de6e4d6c83dc5cf99e6f4145b38",
+            "he_mul_plain": "ad0b30e60bbc7649f8e8bc0c4a7b0db91be9e2e0ad8516419af12ad23d43a23e",
+            "he_mul": "123bb50eba5cfb218339e4b7fa59ad223d110091c61933f96b0c72ed39bd2fe7",
         }
 
 
@@ -609,10 +715,10 @@ class TestMalformedBlobs:
                     decode(bad, params4096)
 
     def test_previous_versions_rejected(self, params4096, blobs):
-        # Ciphertext version 2 carried 8-byte residues; key version 2 sent
-        # the uniform halves in place of their seed.
+        # Ciphertext version 3 held all K primes whatever its header k said;
+        # key version 2 sent the uniform halves in place of their seed.
         for decode, old in (
-            (bfv.ciphertext_from_bytes, 2),
+            (bfv.ciphertext_from_bytes, 3),
             (bfv.public_key_from_bytes, 2),
             (bfv.relin_key_from_bytes, 2),
         ):
@@ -620,6 +726,52 @@ class TestMalformedBlobs:
             assert blob[4] == old + 1
             with pytest.raises(bfv.HeParamsError, match=f"version {old}"):
                 decode(blob[:4] + bytes([old]) + blob[5:], params4096)
+
+    @pytest.fixture(scope="class")
+    def switched(self, params4096, keys4096):
+        """A ciphertext under the first 2 of the 4 primes, and its blob."""
+        _, pk, _ = keys4096
+        ct = bfv.encrypt(pk, bfv.encode_scalar(5, params4096), np.random.default_rng(2))
+        sw = bfv.mod_switch(ct, 2)
+        return sw, bfv.ciphertext_to_bytes(sw)
+
+    def test_prime_count_travels_in_the_header(self, params4096, keys4096, switched):
+        ct, blob = switched
+        assert blob[25] == 2 and len(blob) == 34 + 2 * 2 * params4096.n * 4
+        back = bfv.ciphertext_from_bytes(blob, params4096)
+        assert back.primes == params4096.q_primes[:2]
+        assert back.noise_log2 == ct.noise_log2
+        assert all(np.array_equal(a, b) for a, b in zip(back.polys, ct.polys))
+        assert bfv.decode_scalar(bfv.decrypt(keys4096[0], back)) == 5
+
+    @pytest.mark.parametrize("k", [0, 5, 255])
+    def test_prime_count_outside_one_to_k_rejected(self, params4096, switched, k):
+        _, blob = switched
+        with pytest.raises(bfv.HeParamsError):
+            bfv.ciphertext_from_bytes(blob[:25] + bytes([k]) + blob[26:], params4096)
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_body_sized_for_another_prime_count_rejected(self, params4096, switched, k):
+        # A 2-prime body under a header claiming k primes, and a 2-prime
+        # header over a body of k primes' rows.
+        _, blob = switched
+        n = params4096.n
+        with pytest.raises(bfv.HeParamsError, match="body"):
+            bfv.ciphertext_from_bytes(blob[:25] + bytes([k]) + blob[26:], params4096)
+        rows = np.zeros((2, k, n), dtype="<u4").tobytes()
+        with pytest.raises(bfv.HeParamsError, match="body"):
+            bfv.ciphertext_from_bytes(blob[:34] + rows, params4096)
+
+    def test_last_kept_row_checked_against_its_own_prime(self, params4096, switched):
+        # The last residue belongs to row 1, whose prime p_1 lies below p_0:
+        # p_1 - 1 decodes, and p_1 is out of range although below p_0.
+        _, blob = switched
+        p0, p1 = params4096.q_primes[:2]
+        assert p1 < p0
+        at = len(blob) - 4
+        bfv.ciphertext_from_bytes(blob[:at] + (p1 - 1).to_bytes(4, "little"), params4096)
+        with pytest.raises(bfv.HeParamsError, match="out of range"):
+            bfv.ciphertext_from_bytes(blob[:at] + p1.to_bytes(4, "little"), params4096)
 
     def test_secret_key_not_ternary(self, params4096, blobs):
         blob, head = blobs[bfv.secret_key_from_bytes]

@@ -9,8 +9,12 @@ package (for LD, its own decision rule on the counts).
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from mpcmarket.he import bfv
+from mpcmarket.protocol.computations import HePipeline
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,3 +53,31 @@ def test_worker_reads_the_circuit_counts(workloads, name, counts):
     computation = factory().computation
     computation.circuit  # the worker reads only a circuit the session built
     assert worker.circuit_counts(computation) == counts
+
+
+@pytest.mark.parametrize("name", ["he-ld", "he-lr"])
+def test_worker_measures_every_switched_output(workloads, name, monkeypatch):
+    """``--trace 1`` keeps ``he_finish``'s (args[1], args[-1]), the CSP's
+    key and the entries it decrypts, and measures each entry's exact budget
+    next to its estimate. Every output arrives switched to fewer primes,
+    and its estimate is above 0 and at or below the exact budget."""
+    import worker
+
+    finished = []
+    he_finish = HePipeline.he_finish
+
+    def keep(*args):
+        finished.append((args[1], args[-1]))
+        return he_finish(*args)
+
+    monkeypatch.setattr(HePipeline, "he_finish", keep)
+    factory, _ = workloads.WORKLOADS[name]
+    workload = factory()
+    session = workload.session(seed=1, worker=0, index=0)
+    assert workload.check(session, workload.run(session))
+    ((sk, entries),) = finished
+    for entry in entries:
+        ct = bfv.ciphertext_from_bytes(entry[1], sk.params)
+        assert len(ct.primes) < len(sk.params.q_primes)
+        exact, estimate = worker.measure_budgets(SimpleNamespace(finished=[(sk, [entry])]))
+        assert exact >= estimate > 0

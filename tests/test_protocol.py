@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mpcmarket.protocol import (
     Result,
     channels,
 )
+from mpcmarket.protocol.computations import NoiseOps
 from mpcmarket.protocol.parties import Csp, DataTrust
 from mpcmarket.protocol.runner import (
     VerificationError,
@@ -284,6 +286,52 @@ class TestHePipeline:
         for bad in (entries[:-1], entries + entries[:1], entries[:-1] + [("e:7", b"")]):
             with pytest.raises(ProtocolError):
                 ld_comp.he_finish(sk, plan, bad)
+
+    def test_plan_keeps_the_fewest_output_primes_the_rule_allows(self, lr_comp):
+        # he-ld keeps 2 of 6 primes, he-lr 3 of 4; one prime fewer leaves
+        # no budget under the switch rule.
+        cases = (
+            (LdComputation(count_bits=11, m_instances=10), HeParams.default(8192, 21), 4, 2),
+            (lr_comp, HeParams.default(4096), 1, 3),
+        )
+        for comp, params, makers, k in cases:
+            plan = comp.he_plan(params, makers)
+            assert plan.output_primes == k
+            assert comp.he_plan(params) == plan
+            fresh = params.fresh_noise_log2()
+            start = dict.fromkeys(plan.inputs, fresh + math.log2(makers))
+            for t in plan.moduli:
+                comp._circuit(NoiseOps(params, t), start, k)
+                with pytest.raises(PlanRejected):
+                    comp._circuit(NoiseOps(params, t), start, k - 1)
+
+    def test_finish_rejects_an_output_under_the_wrong_prime_count(
+        self, ld_comp, params8192, keys8192
+    ):
+        sk, pk, _ = keys8192
+        plan = ld_comp.he_plan(params8192)
+        assert plan.output_primes == 2
+        rng = np.random.default_rng(6)
+        cts = {t: bfv.encrypt(pk, plan.encode([7], params8192, t), rng) for t in plan.moduli}
+        entries = [
+            (f"e:{t}", bfv.ciphertext_to_bytes(bfv.mod_switch(ct, 2))) for t, ct in cts.items()
+        ]
+        assert ld_comp.he_finish(sk, plan, entries) == {"decisions": [7 > ld_comp._bounds[1]]}
+        t = plan.moduli[0]
+        for k in (6, 3, 5):
+            ct = cts[t] if k == 6 else bfv.mod_switch(cts[t], k)
+            bad = [(f"e:{t}", bfv.ciphertext_to_bytes(ct))] + entries[1:]
+            with pytest.raises(ProtocolError, match=f"holds {k} primes"):
+                ld_comp.he_finish(sk, plan, bad)
+
+    def test_buyer_rejects_an_input_under_fewer_primes(self, ld_comp, params8192, keys8192):
+        _, pk, rk = keys8192
+        plan = ld_comp.he_plan(params8192)
+        entries = ld_comp.he_encrypt_inputs(pk, plan, LD_EQUILIBRIUM[0], np.random.default_rng(7))
+        ct = bfv.ciphertext_from_bytes(entries[0][1], params8192)
+        entries[0] = (entries[0][0], bfv.ciphertext_to_bytes(bfv.mod_switch(ct, 3)))
+        with pytest.raises(ProtocolError, match="holds 3 of q's primes"):
+            ld_comp.he_evaluate(params8192, rk, plan, [(0, tag, blob) for tag, blob in entries])
 
     def test_estimates_never_exceed_exact_budget(
         self, lr_comp, bundled_model, bundled_dataset, params8192, monkeypatch

@@ -11,6 +11,13 @@ The P1 digests were re-recorded for key version 3, whose public and
 relinearization keys carry a 32-byte seed in place of their uniform halves:
 every frame that holds a key or a ciphertext moved, and the Query and
 Result frames, the results, the type sequences and every P2 digest did not.
+
+They were re-recorded again for ciphertext version 4, when the buyer began
+to modulus-switch its outputs to the plan's fewest primes. The
+DecryptRequest frames moved and shrank. Each EncryptedListing and
+ListingBundle frame is the previous frame with every ciphertext's version
+byte raised from 3 to 4. Every other frame, the results, the type
+sequences and every P2 digest did not move.
 """
 
 import hashlib
@@ -56,21 +63,21 @@ P2_LR_TYPES = [
 FRAMES = {
     "p1-ld": [
         "ab58ed6908462e442e0dbf740b356d4ca0dca6876309dd01b4ab42433038eb11",
-        "d7ae28d2f595b03e1f9b3a18fdd703843e7efb1cfd0ca4026956d4306535220c",
-        "768ba5889897e5cb5f16f3b25105a1f81d0285acdbb3491f2246477626044c5b",
-        "70aa5605c7c434beec58148425f701f3de29fcff68e81c56dc85f50c6ef85ee7",
-        "42efbb40bd571a50db4bde43be39f2de7abb4862006bb6b88d218f87c29b5da6",
+        "283b83dbfd8d1790053c60f820135d18300ce04814ae36ea839d5615e0f59063",
+        "b1d0e698ec6db26ce05f3f82fbd2b8f50afd76570b8bea3f327d70a3e8b9162e",
+        "464557eb5426bf2450841b3464e77e9e156b9e4f50d69becff487cc02806aeaa",
+        "e31435674befd45d0d8504e3e0113abd23cb1fd74b266a15ec22ae87f20c33ee",
         "554eae367d3b46bc2e731b1c25a0284b7d17a6d0ba30da605de3a26a29fe09ce",
-        "c009e4770a02fa03bdd75cc13992e7c2445b788bb9c5f317e3067ce4009fdba6",
-        "f2f5c1e90fb138bab2ed21c24f8a1ea8b123c5baf435c5bd808529c4cd51a362",
+        "383f9564393e141aa8a9998b207a48e19b9d2f1b9bbf4bdabb68dd8825c94f64",
+        "c484bbbc1b0618e0cdc365ca2f977412c0e03d83bc63c90231dee0285a8f1abc",
         "d82c07798b87d00629b069a01e6dcfd3ecc22cda4d974cc62d4f40ed3a3337d9",
     ],
     "p1-lr": [
         "7646b38edaa63b8be50d13eeb846a7cda7cf62c3d9a5f47a853652fc8d087953",
-        "0cfc9dcedb398868decb498d052d59312577661d162c6b344b2858e5152311ca",
+        "6a60c88d490084c913eab42f826c7556bc5d48a6fff0de5c6c687e7826dafff2",
         "2155d60f20f95f278f1da51e578eaea9dfdb69c3470a752c556f94a711157c79",
-        "6f7388a77f3ce98bb8c17ca13d2f4c804b2dba2359248e3f6138dd12639169c1",
-        "32c5d71b9579cafe3a3d27a8518ac538cc15fe50c57907b6c7e9d730ba34a7ad",
+        "05b772c4f7cab8db8be8c798656e9c3aa7379eb3c8f98fa1b5d35cb5cee798a4",
+        "cd0f086a9868c8142b22b21fc8ebfc9ab6e4934d20d4c402b26060156cddf843",
         "065a7fc87398666be98326193c89e12dee1aba1f1d0c83808ab9db03e633ebfb",
     ],
     "p2-ld": [
