@@ -19,7 +19,6 @@ from .lr import (
     lr_he_plan_bound,
     lr_predict_fixed,
     lr_predict_float,
-    save_model,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "lr_he_plan_bound",
     "lr_predict_fixed",
     "lr_predict_float",
-    "save_model",
 ]

@@ -46,17 +46,9 @@ class LrModel:
         return len(self.weights)
 
 
-def save_model(model: LrModel, path: str) -> None:
+def load_model(path: str) -> LrModel:
     """Plain-text model file: line 1 = total/frac bits, line 2 = bias,
     remaining lines = weights (all fixed-point integers)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{model.spec.total_bits} {model.spec.frac_bits}\n")
-        fh.write(f"{model.bias}\n")
-        for w in model.weights:
-            fh.write(f"{w}\n")
-
-
-def load_model(path: str) -> LrModel:
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if len(lines) < 3:

@@ -228,12 +228,6 @@ class CircuitBuilder:
         assert acc is not None
         return low_bits + acc
 
-    def mul_signed(self, a: Word, b: Word) -> Word:
-        """Two's-complement product via sign-magnitude, width len(a)+len(b)."""
-        sign = self.xor(a[-1], b[-1])
-        p = self.mul_unsigned(self.abs_signed(a), self.abs_signed(b))
-        return self.cond_negate(p, sign)
-
     def square_signed(self, a: Word) -> Word:
         """a*a (always non-negative), width 2*len(a)."""
         m = self.abs_signed(a)

@@ -233,13 +233,6 @@ def eval_plain(circuit: Circuit, input_bits: Sequence[int]) -> list[int]:
     return [values[w] for w in circuit.output_wires]
 
 
-def bits_from_int(value: int, width: int) -> list[int]:
-    """Little-endian bit vector of ``value`` (two's complement for negatives)."""
-    mask = (1 << width) - 1
-    v = value & mask
-    return [(v >> i) & 1 for i in range(width)]
-
-
 def int_from_bits(bits: Sequence[int], signed: bool = False) -> int:
     v = 0
     for i, b in enumerate(bits):

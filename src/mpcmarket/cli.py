@@ -1,6 +1,6 @@
 """Operator command-line interface.
 
-Commands: run, gen-data, keygen, inspect, bench. ``run``, ``inspect`` and
+Commands: run, gen-data, inspect, bench. ``run``, ``inspect`` and
 ``bench`` read a computation through the same run flags and ``--config``.
 Exit codes: 0 success, 1 verification failure, 2 configuration rejection,
 3 I/O or transport failure.
@@ -20,7 +20,6 @@ from .analytics.ld import LdStatisticUndefined, PlanRejected, ld_group_names
 from .analytics.lr import load_model
 from .circuits.ir import CircuitError
 from .garbling import HEADER_SIZE
-from .he import bfv
 from .he.bfv import DecryptionFailure, HeParams, HeParamsError
 from .protocol.channels import TransportError
 from .protocol.computations import Computation, LdComputation, LrComputation
@@ -259,30 +258,6 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def cmd_keygen(args) -> int:
-    params = HeParams.default(args.n, t_bits=args.t_bits)
-    sk, pk, rk = bfv.keygen(params, seed=args.seed)
-    prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    Path(f"{prefix}.params.json").write_text(
-        json.dumps(
-            {
-                "n": params.n,
-                "q_primes": list(params.q_primes),
-                "t": params.t,
-                "noise_sigma": bfv.NOISE_SIGMA,
-                "note": bfv.SECURITY_NOTE,
-            },
-            indent=2,
-        )
-    )
-    Path(f"{prefix}.sk").write_bytes(bfv.secret_key_to_bytes(sk))
-    Path(f"{prefix}.pk").write_bytes(bfv.public_key_to_bytes(pk))
-    Path(f"{prefix}.rk").write_bytes(bfv.relin_key_to_bytes(rk))
-    print(f"wrote {prefix}.params.json, .sk, .pk, .rk  (n={params.n}, t={params.t})")
-    return EXIT_OK
-
-
 def cmd_inspect(cfg: RunConfig) -> int:
     """Statistics of the circuit that ``run`` with the same flags garbles."""
     cfg.validate()
@@ -379,11 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dims", type=int, default=30)
     gen.add_argument("--seed", type=_seed, default=0)
 
-    kg = sub.add_parser("keygen", help="generate and store BFV keys")
-    kg.add_argument("--n", type=int, default=8192)
-    kg.add_argument("--t-bits", type=int, default=21)
-    kg.add_argument("--out", required=True)
-    kg.add_argument("--seed", type=_seed, default=0)
     return ap
 
 
@@ -432,8 +402,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(_run_config_from_args(args))
         if args.command == "gen-data":
             return cmd_gen_data(args)
-        if args.command == "keygen":
-            return cmd_keygen(args)
         if args.command == "inspect":
             return cmd_inspect(_run_config_from_args(args))
         if args.command == "bench":

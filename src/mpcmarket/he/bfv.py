@@ -50,7 +50,8 @@ planner share (Fan and Vercauteren, 2012; v and t as log2 values, a (+) b
 - a sum or difference adds the noises;
 - a relinearized product follows :func:`mul_noise_log2`;
 - a multiply by a plaintext p (its centered representative) gives
-  |p|_1 * (v + t), the t term covering the r_t(q) wrap;
+  |p|_1 * (v + t), the t term covering the r_t(q) wrap; the planner takes
+  |p|_1 from the constant or weights (:func:`centered_l1`), not from p;
 - adding a plaintext gives v (+) t, since Delta m differs from m q / t by
   less than t;
 - a switch from q to q' gives (v - log2(q/q')) (+) t (+) log2((1 + n)/2):
@@ -88,8 +89,6 @@ _DEFAULT_Q_BITS = {
     4096: (27, 27, 27, 27),
     8192: (30, 30, 30, 30, 30, 30),
 }
-
-SECURITY_NOTE = "desk-scale parameters, not production-audited"
 
 # Standard deviation of every error polynomial, clipped at 6 sigma.
 NOISE_SIGMA = 3.2
@@ -434,14 +433,18 @@ def mul_noise_log2(params: HeParams, t: int, va: float, vb: float) -> float:
     return add_noise_log2(mult, relin)
 
 
-def plain_mul_noise_log2(v: float, pt: HePlaintext) -> float:
-    """Noise estimate (log2) after multiplying noise ``v`` by ``pt``'s centered
-    representative p: |p|_1 * (v + t). The t term bounds the wrap
-    r_t(q) * floor(x*p / t), where Delta * t = q - r_t(q) and r_t(q) < t
-    (Fan and Vercauteren, "Somewhat Practical Fully Homomorphic Encryption",
-    2012)."""
-    l1 = int(np.abs(pt.centered()).sum())
-    return math.log2(max(l1, 1)) + add_noise_log2(v, math.log2(pt.t))
+def centered_l1(values: Sequence[int], t: int) -> int:
+    """The l1 norm of ``values``' representatives mod ``t`` in (-t/2, t/2]."""
+    return sum(min(v % t, t - v % t) for v in values)
+
+
+def plain_mul_noise_log2(v: float, l1: int, t: int) -> float:
+    """Noise estimate (log2) after multiplying noise ``v`` by a plaintext p
+    mod ``t`` whose centered representative has l1 norm ``l1``:
+    |p|_1 * (v + t). The t term bounds the wrap r_t(q) * floor(x*p / t),
+    where Delta * t = q - r_t(q) and r_t(q) < t (Fan and Vercauteren,
+    "Somewhat Practical Fully Homomorphic Encryption", 2012)."""
+    return math.log2(max(l1, 1)) + add_noise_log2(v, math.log2(t))
 
 
 def plain_add_noise_log2(v: float, t: int) -> float:
@@ -710,7 +713,7 @@ def he_mul_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
     params = ct.params
-    est = plain_mul_noise_log2(ct.noise_log2, pt)
+    est = plain_mul_noise_log2(ct.noise_log2, int(np.abs(pt.centered()).sum()), pt.t)
     _within_budget(params, ct.t, est, "plaintext multiply")
     plan = params.ntt
     q = plan.mod
@@ -798,13 +801,11 @@ def mod_switch(ct: HeCiphertext, k: int) -> HeCiphertext:
 
 _CT_MAGIC = b"HECT"
 _PK_MAGIC = b"HEPK"
-_SK_MAGIC = b"HESK"
 _RK_MAGIC = b"HERK"
 _CT_VERSION = 4
-_KEY_VERSION = 3  # public and relinearization keys; the secret key stays at 1
+_KEY_VERSION = 3  # public and relinearization keys
 _CT_HEAD = struct.Struct(">B8sQIBd")
 _KEY_HEAD = struct.Struct(">B8sIB32s")
-_SK_HEAD = struct.Struct(">B8sI")
 
 
 def _pack_rows(polys) -> bytes:
@@ -812,7 +813,7 @@ def _pack_rows(polys) -> bytes:
 
 
 def _read(
-    data: bytes, magic: bytes, head: struct.Struct, params: HeParams, what: str, version: int = 1
+    data: bytes, magic: bytes, head: struct.Struct, params: HeParams, what: str, version: int
 ):
     """Check a blob's magic, version and parameter hash; return the other
     header fields and the body."""
@@ -896,18 +897,3 @@ def relin_key_from_bytes(data: bytes, params: HeParams) -> RelinKey:
     return RelinKey(
         params, seed, tuple((b, _expand_uniform(seed, i, n, primes)) for i, b in enumerate(bs))
     )
-
-
-def secret_key_to_bytes(sk: SecretKey) -> bytes:
-    head = _SK_MAGIC + _SK_HEAD.pack(1, sk.params.param_hash, sk.params.n)
-    return head + np.ascontiguousarray(sk.s_coeff, dtype="<i1").tobytes()
-
-
-def secret_key_from_bytes(data: bytes, params: HeParams) -> SecretKey:
-    (n,), body = _read(data, _SK_MAGIC, _SK_HEAD, params, "secret key")
-    if n != params.n or len(body) != n:
-        raise HeParamsError(f"secret key must hold {params.n} coefficients")
-    s = np.frombuffer(body, dtype="<i1").astype(np.int64)
-    if (np.abs(s) > 1).any():
-        raise HeParamsError("secret key coefficient is not ternary")
-    return SecretKey(params, s, params.ntt.forward(s))

@@ -9,7 +9,6 @@ are never logged.
 
 from __future__ import annotations
 
-import json
 import logging
 import socket
 import struct
@@ -61,24 +60,6 @@ class Transcript:
 
     def total_bytes(self) -> int:
         return sum(e.n_bytes for e in self.entries)
-
-    def to_jsonl(self) -> str:
-        lines = []
-        for e in self.entries:
-            lines.append(
-                json.dumps(
-                    {
-                        "seq": e.seq,
-                        "from": e.sender,
-                        "to": e.receiver,
-                        "type": e.type_name,
-                        "bytes": e.n_bytes,
-                        "ts": e.timestamp,
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + "\n"
 
 
 class Role(Protocol):

@@ -164,7 +164,7 @@ class NoiseOps:
         return self._fit(bfv.mul_noise_log2(self.params, self.t, a, b))
 
     def mul_const(self, a: float, c: int) -> float:
-        return self._fit(bfv.plain_mul_noise_log2(a, bfv.encode_scalar(c, self.params, self.t)))
+        return self._fit(bfv.plain_mul_noise_log2(a, bfv.centered_l1([c], self.t), self.t))
 
     def add_const(self, a: float, c: int) -> float:
         return self._fit(bfv.plain_add_noise_log2(a, self.t))
@@ -173,7 +173,8 @@ class NoiseOps:
         if len(weights) > self.params.n:
             raise PlanRejected(f"{len(weights)} weights exceed the ring degree {self.params.n}")
         self.packed = True
-        return self._fit(bfv.plain_mul_noise_log2(a, _dot_plaintext(weights, self.params, self.t)))
+        # _dot_plaintext negates w_1.., which keeps each centered magnitude.
+        return self._fit(bfv.plain_mul_noise_log2(a, bfv.centered_l1(weights, self.t), self.t))
 
     def mask(self, a: float) -> float:
         return self.add_const(a, 0)

@@ -223,7 +223,7 @@ class TestKeygenRoundTrip:
         sk1, pk1, rk1 = bfv.keygen(params4096, seed=99)
         sk2, pk2, rk2 = bfv.keygen(params4096, seed=99, relin=False)
         assert rk1 is not None and rk2 is None
-        assert bfv.secret_key_to_bytes(sk1) == bfv.secret_key_to_bytes(sk2)
+        assert np.array_equal(sk1.s_coeff, sk2.s_coeff)
         assert bfv.public_key_to_bytes(pk1) == bfv.public_key_to_bytes(pk2)
 
     def test_encryption_randomized(self, params4096, keys4096):
@@ -450,7 +450,8 @@ class TestModSwitch:
         monkeypatch.setattr(NttPlan, "inverse", no_transform)
         got = CiphertextOps(params8192, params8192.t, None).mul_const(ct, c)
         assert all(np.array_equal(a, b) for a, b in zip(got.polys, want))
-        assert got.noise_log2 == bfv.plain_mul_noise_log2(ct.noise_log2, pt)
+        t = params8192.t
+        assert got.noise_log2 == bfv.plain_mul_noise_log2(ct.noise_log2, bfv.centered_l1([c], t), t)
 
 
 class TestBatching:
@@ -521,10 +522,9 @@ class TestSerialization:
         sk, pk, rk = keys4096
         pk2 = bfv.public_key_from_bytes(bfv.public_key_to_bytes(pk), params4096)
         rk2 = bfv.relin_key_from_bytes(bfv.relin_key_to_bytes(rk), params4096)
-        sk2 = bfv.secret_key_from_bytes(bfv.secret_key_to_bytes(sk), params4096)
         ct = bfv.encrypt(pk2, bfv.encode_scalar(42, params4096))
         prod = bfv.he_mul(ct, bfv.encrypt(pk2, bfv.encode_scalar(2, params4096)), rk2)
-        assert bfv.decode_scalar(bfv.decrypt(sk2, prod)) == 84
+        assert bfv.decode_scalar(bfv.decrypt(sk, prod)) == 84
 
     def test_wrong_params_detected(self, params4096, params8192, keys4096):
         _, pk, _ = keys4096
@@ -556,12 +556,14 @@ class TestGoldenBytes:
     digests were re-recorded for ciphertext version 4, whose header k counts
     the leading primes a (modulus-switched) ciphertext holds: each blob is
     the version 3 blob with byte 4 set to 4. The he_mul_plain blob, whose
-    constant plaintext now takes no transform, did not move otherwise."""
+    constant plaintext now takes no transform, did not move otherwise. The
+    secret key has no codec: its digest is of its coefficients as int8
+    bytes, the old secret-key blob without its 17-byte header."""
 
     def test_keys(self, keys4096):
         sk, pk, rk = keys4096
-        assert _sha(bfv.secret_key_to_bytes(sk)) == (
-            "e4ee8d6fcd812d6bee9dae2b5d2a827357638e6a40d80a6bced06d532536044a"
+        assert _sha(sk.s_coeff.astype("<i1").tobytes()) == (
+            "7e6fc472c653669dad7f47d45131ca688b015f8efb7ec4d2f4e86071666a029c"
         )
         assert _sha(bfv.public_key_to_bytes(pk)) == (
             "5dd39c644db02e667288e6ac5f8c0916601732ecabb9e486912b3a208b206d3a"
@@ -672,13 +674,12 @@ class TestMalformedBlobs:
 
     @pytest.fixture(scope="class")
     def blobs(self, params4096, keys4096):
-        sk, pk, rk = keys4096
+        _, pk, rk = keys4096
         ct = bfv.encrypt(pk, bfv.encode_scalar(5, params4096), np.random.default_rng(1))
         return {
             bfv.ciphertext_from_bytes: (bfv.ciphertext_to_bytes(ct), 34),
             bfv.public_key_from_bytes: (bfv.public_key_to_bytes(pk), 50),
             bfv.relin_key_from_bytes: (bfv.relin_key_to_bytes(rk), 50),
-            bfv.secret_key_from_bytes: (bfv.secret_key_to_bytes(sk), 17),
         }
 
     def test_truncations_and_trailing_byte(self, params4096, blobs):
@@ -693,8 +694,6 @@ class TestMalformedBlobs:
     @pytest.mark.parametrize("value", ["prime", 2**62, -1])
     def test_residue_out_of_range(self, params4096, blobs, value):
         for decode, (blob, head) in blobs.items():
-            if decode is bfv.secret_key_from_bytes:
-                continue
             residue = params4096.q_primes[0] if value == "prime" else value
             bad = blob[:head] + residue.to_bytes(8, "little", signed=True) + blob[head + 8 :]
             with pytest.raises(bfv.HeParamsError):
@@ -706,8 +705,6 @@ class TestMalformedBlobs:
         # checked against the first prime, the last against the last.
         prime = params4096.q_primes[0 if first else -1]
         for decode, (blob, head) in blobs.items():
-            if decode is bfv.secret_key_from_bytes:
-                continue
             at = head if first else len(blob) - 4
             for residue in (prime, 0xFFFFFFFF):
                 bad = blob[:at] + residue.to_bytes(4, "little") + blob[at + 4 :]
@@ -772,11 +769,6 @@ class TestMalformedBlobs:
         bfv.ciphertext_from_bytes(blob[:at] + (p1 - 1).to_bytes(4, "little"), params4096)
         with pytest.raises(bfv.HeParamsError, match="out of range"):
             bfv.ciphertext_from_bytes(blob[:at] + p1.to_bytes(4, "little"), params4096)
-
-    def test_secret_key_not_ternary(self, params4096, blobs):
-        blob, head = blobs[bfv.secret_key_from_bytes]
-        with pytest.raises(bfv.HeParamsError):
-            bfv.secret_key_from_bytes(blob[:head] + b"\x02" + blob[head + 1 :], params4096)
 
     def test_header_fields_checked(self, params4096, blobs):
         ct_blob, _ = blobs[bfv.ciphertext_from_bytes]

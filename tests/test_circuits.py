@@ -21,7 +21,9 @@ from mpcmarket.circuits import (
     build_multiplier,
     eval_plain,
 )
-from mpcmarket.circuits.ir import bits_from_int, int_from_bits
+from mpcmarket.circuits.ir import int_from_bits
+
+from helpers import bits_from_int
 
 
 def run(circuit, *values_widths):
@@ -146,22 +148,19 @@ class TestBuilderInternals:
         y = b.add_input_group("y", 12)
         s = b.add_signed(x, y)
         d = b.sub_signed(x, y)
-        p = b.mul_signed(x, y)
         q = b.square_signed(x)
         n = b.negate(x)
-        c = b.build(s + d + p + q + n)
+        c = b.build(s + d + q + n)
         for _ in range(500):
             a = rng.randrange(-(1 << 11), 1 << 11)
             bb = rng.randrange(-(1 << 11), 1 << 11)
             out = run(c, (a, 12), (bb, 12))
-            ls, ld_, lp, lq, ln = len(s), len(d), len(p), len(q), len(n)
+            ls, ld_, lq, ln = len(s), len(d), len(q), len(n)
             off = 0
             assert int_from_bits(out[off : off + ls], signed=True) == a + bb
             off += ls
             assert int_from_bits(out[off : off + ld_], signed=True) == a - bb
             off += ld_
-            assert int_from_bits(out[off : off + lp], signed=True) == a * bb
-            off += lp
             assert int_from_bits(out[off : off + lq], signed=False) == a * a
             off += lq
             if a != -(1 << 11):  # two's-complement negation edge

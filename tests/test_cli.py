@@ -297,16 +297,20 @@ class TestInspect:
         assert main(["inspect", "--data", "/nonexistent"]) == EXIT_IO
 
 
-class TestKeygen:
-    def test_writes_key_files(self, tmp_path, capsys):
-        prefix = tmp_path / "keys" / "k"
-        assert main(["keygen", "--n", "4096", "--out", str(prefix), "--seed", "7"]) == EXIT_OK
-        assert (tmp_path / "keys" / "k.sk").exists()
-        assert (tmp_path / "keys" / "k.pk").exists()
-        assert (tmp_path / "keys" / "k.rk").exists()
-        meta = json.loads((tmp_path / "keys" / "k.params.json").read_text())
-        assert meta["n"] == 4096
-        assert "not production-audited" in meta["note"]
+class TestCommands:
+    # Only the CSP holds a secret key, and it makes a fresh one per session:
+    # no command writes keys.
+    def test_the_four_commands(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == ["bench", "gen-data", "inspect", "run"]
+
+    def test_keygen_is_not_a_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["keygen", "--out", str(tmp_path / "k")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice: 'keygen'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestBench:
@@ -456,7 +460,6 @@ def test_negative_seed_exits_2(tmp_path, capsys):
         ["run", "--workload", "lr", "--backend", "he", "--rows", "1", "--repeat", "1",
          "--seed", "-5"],
         ["bench", "--workload", "lr", "--range-bits", "10", "--repeat", "1", "--seed", "-5"],
-        ["keygen", "--n", "4096", "--out", out, "--seed", "-5"],
         ["gen-data", "--kind", "haplotypes", "--out", out, "--seed", "-5"],
     ):
         with pytest.raises(SystemExit) as exc:

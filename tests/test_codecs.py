@@ -141,16 +141,15 @@ CODECS = {
     "ciphertext": (bfv.ciphertext_from_bytes, bfv.ciphertext_to_bytes),
     "public": (bfv.public_key_from_bytes, bfv.public_key_to_bytes),
     "relinearization": (bfv.relin_key_from_bytes, bfv.relin_key_to_bytes),
-    "secret": (bfv.secret_key_from_bytes, bfv.secret_key_to_bytes),
 }
 
 
 @lru_cache(maxsize=1)
 def _bfv_blobs():
     params = bfv.HeParams.default(1024)
-    sk, pk, rk = bfv.keygen(params, seed=8)
+    _, pk, rk = bfv.keygen(params, seed=8)
     ct = bfv.encrypt(pk, bfv.encode_scalar(5, params), np.random.default_rng(8))
-    values = {"ciphertext": ct, "public": pk, "relinearization": rk, "secret": sk}
+    values = {"ciphertext": ct, "public": pk, "relinearization": rk}
     return params, {name: CODECS[name][1](v) for name, v in values.items()}
 
 

@@ -19,7 +19,9 @@ from mpcmarket.circuits import (
     build_multiplier,
     eval_plain,
 )
-from mpcmarket.circuits.ir import bits_from_int, int_from_bits
+from mpcmarket.circuits.ir import int_from_bits
+
+from helpers import bits_from_int
 
 DELTA = gb.derive_delta(bytes(range(16)))
 SOURCE = gb.seeded_label_source(b"label-seed-00000"[:16])

@@ -19,7 +19,6 @@ from mpcmarket.analytics.lr import (
     load_model,
     lr_predict_fixed,
     lr_predict_float,
-    save_model,
 )
 from mpcmarket.circuits import CircuitError, FixedPointSpec, eval_plain
 from mpcmarket.circuits.ir import int_from_bits
@@ -75,7 +74,7 @@ class TestModelFiles:
     def test_round_trip(self, tmp_path):
         m = LrModel(weights=(128, -320, 0), bias=192, spec=FixedPointSpec(16, 8))
         path = tmp_path / "model.txt"
-        save_model(m, str(path))
+        path.write_text("16 8\n192\n128\n-320\n0\n")
         back = load_model(str(path))
         assert back == m
         assert back.weights == (128, -320, 0)

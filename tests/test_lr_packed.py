@@ -170,3 +170,32 @@ def test_plan_rejects_a_packed_vector_longer_than_n(no_keygen):
         Csp(comp, seed=0).he_setup(params, 1)
     with pytest.raises(PlanRejected, match="1025 weights exceed"):
         NoiseOps(params, params.t).dot_const(0.0, [1] * 1025)
+
+
+def test_planner_l1_is_that_of_the_multiplied_plaintext(
+    monkeypatch, bundled_model, params4096, params8192
+):
+    # NoiseOps takes |p|_1 from the constant or the weights (centered_l1);
+    # it must equal the l1 of the plaintext that CiphertextOps multiplies by.
+    built = []
+    monkeypatch.setattr(bfv, "he_mul_plain", lambda ct, pt: built.append(pt))
+
+    def check(params, t, constants=(), vectors=()):
+        ops = CiphertextOps(params, t, None)
+        for c in constants:
+            ops.mul_const(None, c)
+            assert bfv.centered_l1([c], t) == int(np.abs(built.pop().centered()).sum())
+        for w in vectors:
+            ops.dot_const(None, w)
+            assert bfv.centered_l1(w, t) == int(np.abs(built.pop().centered()).sum())
+
+    ld = LdComputation()
+    for t in ld.he_plan(params8192).moduli:
+        check(params8192, t, constants=(ld.threshold_num, ld.threshold_den))
+    lr = LrComputation(model=bundled_model)
+    for t in lr.he_plan(params4096).moduli:
+        check(params4096, t, vectors=[bundled_model.weights])
+    for t in (65537, 1 << 16):  # odd, and even with t/2 its own negation
+        h = t // 2
+        extreme = [-1, -W, h, h + 1, -h, -h - 1, t - 1, t, 3 * t + 5]
+        check(params4096, t, constants=extreme, vectors=[extreme, [-w for w in extreme]])

@@ -1,7 +1,6 @@
 """End-to-end protocol choreography, hygiene, and transcripts (in-process)."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -438,15 +437,6 @@ class TestHygieneStructural:
         for e in out.transcript.entries:
             if e.receiver.startswith("maker") or e.receiver == "datatrust":
                 assert e.type_name not in ("Result", "DecryptRequest")
-
-    def test_transcript_export_jsonl(self, ld_comp):
-        out = run_protocol2(ld_comp, LD_SPLIT_4, seed=15)
-        lines = out.transcript.to_jsonl().strip().splitlines()
-        assert len(lines) == len(out.transcript.entries)
-        rec = json.loads(lines[0])
-        assert set(rec) == {"seq", "from", "to", "type", "bytes", "ts"}
-        # replaying logged sizes reproduces the totals exactly
-        assert sum(json.loads(ln)["bytes"] for ln in lines) == out.transcript.total_bytes()
 
     def test_sequence_numbers_strictly_increasing(self, ld_comp):
         out = run_protocol2(ld_comp, LD_SPLIT_4, seed=16)
