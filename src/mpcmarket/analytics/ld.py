@@ -173,9 +173,7 @@ def build_ld_circuit(
         diff = b.sub_signed(b.zext(m1, 2 * c + 1), b.zext(m2, 2 * c + 1))
         diff = b.truncate(diff, 2 * c - 1)  # |diff| <= N^2/4 < 2^(2c-2)
         sq = b.truncate(b.square_signed(diff), 4 * c - 4)
-        two_n = b.shift_left(n, 1)
-        lhs = b.mul_unsigned(sq, two_n)  # < 2^(5c-3), width 5c-3 exactly
-        lhs = b.truncate(lhs, 5 * c - 3)
+        lhs = b.shift_left(b.truncate(b.mul_unsigned(sq, n), 5 * c - 4), 1)  # 2N*sq < 2^(5c-3)
         lhs = b.mul_const_unsigned(lhs, threshold_den)
 
         m_a = b.truncate(b.mul_unsigned(n_A, n_a), 2 * c - 2)  # <= N^2/4

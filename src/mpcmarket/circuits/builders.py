@@ -1,10 +1,15 @@
 """Composable arithmetic circuit builders.
 
 Words are little-endian lists of wire ids. Constructions favour
-free-XOR-friendly shapes: ripple-carry adders cost one AND per stage,
-schoolbook multipliers one AND per partial-product bit, multiplexers one
-AND per selected bit. Shifts, truncations, and sign extensions are pure
-rewiring and cost nothing.
+free-XOR-friendly shapes: one AND per full adder, so a ripple-carry adder
+costs one AND per stage; multiplexers cost one AND per selected bit.
+Shifts, truncations, and sign extensions are pure rewiring and cost nothing.
+
+Adders and products share one column adder, ``sum_columns``: full adders
+reduce each column to two bits, then one ripple pass adds the two rows. A
+product puts one AND per partial-product bit into the columns; the squarer
+forms each cross product once; a constant multiply is recoded in signed
+digits and forms no partial product at all.
 """
 
 from __future__ import annotations
@@ -118,62 +123,93 @@ class CircuitBuilder:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _ripple(self, a: Word, b: Word, carry_in: int | None, keep_carry: bool) -> Word:
-        """Ripple-carry: one AND per stage with carry-out, none for the last
-        stage when the carry is dropped."""
-        if len(a) != len(b):
-            raise CircuitError("ripple add requires equal widths")
-        n = len(a)
+    def _add_bits(self, bits: Word, keep_carry: bool) -> tuple[int, int | None]:
+        """Sum and carry of two or three bits: one AND, or none when the
+        carry is dropped. The carry of x+y+z is ((x^z) & (y^z)) ^ z."""
+        if len(bits) == 2:
+            x, y = bits
+            return self.xor(x, y), self.and_(x, y) if keep_carry else None
+        x, y, z = bits
+        t1 = self.xor(x, z)
+        s = self.xor(t1, y)
+        if not keep_carry:
+            return s, None
+        return s, self.xor(self.and_(t1, self.xor(y, z)), z)
+
+    def sum_columns(self, cols: Sequence[Sequence[int]], width: int) -> Word:
+        """Sum of bit columns, where ``cols[k]`` holds bits of weight 2^k,
+        modulo 2^width.
+
+        Full adders (one AND each) take three bits of a column to one bit
+        there and one above, in rounds, until no column holds more than
+        two bits (Wallace 1964). One ripple pass then adds the two rows.
+        No column at or above ``width`` is built: the top column's carries
+        are dropped, so its adders cost no AND.
+        """
+        cols = [list(col) for col in cols[:width]]
+        cols += [[] for _ in range(width - len(cols))]
+        top = width - 1
+        while any(len(col) > 2 for col in cols):
+            nxt: list[Word] = [[] for _ in range(width)]
+            for k, col in enumerate(cols):
+                n_full = len(col) // 3
+                for i in range(0, 3 * n_full, 3):
+                    s, carry = self._add_bits(col[i : i + 3], k < top)
+                    nxt[k].append(s)
+                    if carry is not None:
+                        nxt[k + 1].append(carry)
+                nxt[k] += col[3 * n_full :]
+            cols = nxt
         out: Word = []
-        carry = carry_in
-        for i in range(n):
-            ai, bi = a[i], b[i]
-            last = i == n - 1
-            if carry is None:
-                out.append(self.xor(ai, bi))
-                if not (last and not keep_carry):
-                    carry = self.and_(ai, bi)
+        carry: int | None = None
+        for k, col in enumerate(cols):
+            bits = col if carry is None else col + [carry]
+            if not bits:
+                out.append(self.zero)
+                carry = None
+            elif len(bits) == 1:
+                out.append(bits[0])
+                carry = None
             else:
-                t1 = self.xor(ai, carry)
-                out.append(self.xor(t1, bi))
-                if not (last and not keep_carry):
-                    t2 = self.xor(bi, carry)
-                    carry = self.xor(self.and_(t1, t2), carry)
-        if keep_carry:
-            assert carry is not None
-            out.append(carry)
+                s, carry = self._add_bits(bits, k < top)
+                out.append(s)
         return out
 
     def add_unsigned(self, a: Word, b: Word) -> Word:
         """Exact unsigned sum, width max(len)+1."""
         w = max(len(a), len(b))
-        return self._ripple(self.zext(a, w), self.zext(b, w), None, keep_carry=True)
+        return self.sum_columns(list(zip(self.zext(a, w), self.zext(b, w))), w + 1)
 
     def add_signed(self, a: Word, b: Word) -> Word:
         """Exact two's-complement sum, width max(len)+1."""
         w = max(len(a), len(b)) + 1
-        return self._ripple(self.sext(a, w), self.sext(b, w), None, keep_carry=False)
+        return self.add_wrap(self.sext(a, w), self.sext(b, w))
 
     def add_wrap(self, a: Word, b: Word) -> Word:
         """Modular sum at the common width (wraparound, no carry out)."""
         if len(a) != len(b):
             raise CircuitError("add_wrap requires equal widths")
-        return self._ripple(a, b, None, keep_carry=False)
+        return self.sum_columns(list(zip(a, b)), len(a))
 
     def sub_signed(self, a: Word, b: Word) -> Word:
-        """Exact two's-complement difference a-b, width max(len)+1.
+        """Exact two's-complement difference a-b, width max(len)+1."""
+        w = max(len(a), len(b)) + 1
+        return self.sub_wrap(self.sext(a, w), self.sext(b, w))
+
+    def sub_wrap(self, a: Word, b: Word) -> Word:
+        """Modular difference a-b at the common width.
 
         Computed as a + ~b + 1; the injected carry specialises stage 0 to
         s0 = a0 XOR b0 with carry a0 OR ~b0.
         """
-        w = max(len(a), len(b)) + 1
-        aa = self.sext(a, w)
-        bb = self.sext(b, w)
-        out: Word = [self.xor(aa[0], bb[0])]
-        carry = self.or_(aa[0], self.inv(bb[0]))
+        if len(a) != len(b):
+            raise CircuitError("sub_wrap requires equal widths")
+        w = len(a)
+        out: Word = [self.xor(a[0], b[0])]
+        carry = self.or_(a[0], self.inv(b[0]))
         for i in range(1, w):
-            nb = self.inv(bb[i])
-            t1 = self.xor(aa[i], carry)
+            nb = self.inv(b[i])
+            t1 = self.xor(a[i], carry)
             out.append(self.xor(t1, nb))
             if i != w - 1:
                 t2 = self.xor(nb, carry)
@@ -213,42 +249,62 @@ class CircuitBuilder:
         return self.cond_negate(a, a[-1])
 
     def mul_unsigned(self, a: Word, b: Word) -> Word:
-        """Schoolbook product, full width len(a)+len(b)."""
+        """Product at full width len(a)+len(b): each partial product
+        a_j*b_i is one AND into column i+j, then ``sum_columns``."""
         if not a or not b:
             raise CircuitError("empty multiplier operand")
-        acc: Word | None = None
-        low_bits: Word = []
+        cols: list[Word] = [[] for _ in range(len(a) + len(b))]
         for i, bi in enumerate(b):
-            row = [self.and_(aj, bi) for aj in a]
-            if acc is None:
-                acc = row
-            else:
-                low_bits.append(acc[0])
-                acc = self.add_unsigned(acc[1:], row)
-        assert acc is not None
-        return low_bits + acc
+            for j, aj in enumerate(a):
+                cols[i + j].append(self.and_(aj, bi))
+        return self.sum_columns(cols, len(a) + len(b))
 
     def square_signed(self, a: Word) -> Word:
-        """a*a (always non-negative), width 2*len(a)."""
+        """a*a (always non-negative), width 2*len(a).
+
+        With m = |a|, m^2 is the sum of m_i at weight 2i, which is free,
+        and of m_i*m_j at weight i+j+1 for each i < j, one AND each.
+        """
         m = self.abs_signed(a)
-        return self.mul_unsigned(m, m)
+        cols: list[Word] = [[] for _ in range(2 * len(m))]
+        for i, mi in enumerate(m):
+            cols[2 * i].append(mi)
+            for j in range(i + 1, len(m)):
+                cols[i + j + 1].append(self.and_(mi, m[j]))
+        return self.sum_columns(cols, 2 * len(m))
 
     def mul_const_unsigned(self, a: Word, c: int) -> Word:
-        """Shift-and-add product with a non-negative constant; no AND gates
-        for the partial products, adds only where the constant has set bits."""
+        """Product with a non-negative constant, at the width of its largest
+        value; no AND gates for the partial products.
+
+        The constant is recoded in non-adjacent form, e.g. 1000 = 2^10 -
+        2^5 + 2^3 (Reitwiesner 1960). ``sum_columns`` adds the shifts of a
+        for the positive digits. Each negative digit's shift of a is then
+        subtracted from the bits at and above that shift, zero-extended
+        and wrapping at the final width.
+        """
         if c < 0:
             raise CircuitError("mul_const_unsigned requires c >= 0")
         if c == 0:
             return [self.zero]
-        acc: Word | None = None
+        width = (((1 << len(a)) - 1) * c).bit_length()
+        cols: list[Word] = [[] for _ in range(width)]
+        negative: list[int] = []
         shift = 0
         while c:
             if c & 1:
-                row = self.shift_left(a, shift)
-                acc = row if acc is None else self.add_unsigned(self.zext(acc, len(row)), row)
+                digit = 2 - (c & 3)  # +1 or -1, so the next digit is 0
+                if digit > 0:
+                    for i, bit in enumerate(a[: width - shift]):
+                        cols[shift + i].append(bit)
+                else:
+                    negative.append(shift)
+                c -= digit
             c >>= 1
             shift += 1
-        assert acc is not None
+        acc = self.sum_columns(cols, width)
+        for shift in negative:
+            acc = acc[:shift] + self.sub_wrap(acc[shift:], self.zext(a, width - shift))
         return acc
 
     def mul_const_signed(self, a: Word, c: int) -> Word:

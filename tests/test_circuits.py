@@ -77,6 +77,108 @@ class TestMultiplier:
             build_multiplier(33)
 
 
+def _word_circuit(build, *widths):
+    """Circuit over input groups of the given widths, with ``build``'s word as output."""
+    b = CircuitBuilder()
+    words = [b.add_input_group(f"x{i}", w) for i, w in enumerate(widths)]
+    return b.build(build(b, *words))
+
+
+def _value(circuit, *values):
+    widths = [g.width for g in circuit.input_groups]
+    return int_from_bits(run(circuit, *zip(values, widths)))
+
+
+class TestColumnArithmetic:
+    """``sum_columns`` and the three products built on it, against Python
+    integers: exhaustive at small widths, random at the LD circuit's widths."""
+
+    def test_sum_columns_random_heights(self):
+        rng = random.Random(0xC0)
+        for _ in range(40):
+            heights = [rng.randrange(6) for _ in range(rng.randrange(1, 9))]
+            width = rng.randrange(1, len(heights) + 3)
+            b = CircuitBuilder()
+            x = b.add_input_group("x", max(1, sum(heights)))
+            it = iter(x)
+            cols = [[next(it) for _ in range(h)] for h in heights]
+            c = b.build(b.sum_columns(cols, width))
+            assert len(c.output_wires) == width
+            for _ in range(20):
+                v = rng.randrange(1 << len(x))
+                want = sum(((v >> w) & 1) << k for k, col in enumerate(cols) for w in col)
+                assert _value(c, v) == want % (1 << width)
+
+    @pytest.mark.parametrize(
+        "la, lb", [(w, w) for w in range(1, 7)] + [(1, 6), (6, 1), (3, 5), (6, 4)]
+    )
+    def test_mul_unsigned_exhaustive(self, la, lb):
+        c = _word_circuit(CircuitBuilder.mul_unsigned, la, lb)
+        assert len(c.output_wires) == la + lb
+        for x in range(1 << la):
+            for y in range(1 << lb):
+                assert _value(c, x, y) == x * y
+
+    @pytest.mark.parametrize("la, lb", [(11, 11), (20, 11), (20, 20), (40, 11)])
+    def test_mul_unsigned_random_at_ld_widths(self, la, lb):
+        c = _word_circuit(CircuitBuilder.mul_unsigned, la, lb)
+        rng = random.Random(la * 64 + lb)
+        top = [((1 << la) - 1, (1 << lb) - 1), (1 << (la - 1), 1 << (lb - 1))]
+        for x, y in top + [(rng.randrange(1 << la), rng.randrange(1 << lb)) for _ in range(150)]:
+            assert _value(c, x, y) == x * y
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_square_signed_exhaustive(self, width):
+        # The minimum -2^(width-1) is included: its |a| reads as an unsigned word.
+        c = _word_circuit(CircuitBuilder.square_signed, width)
+        assert len(c.output_wires) == 2 * width
+        for v in range(1 << width):
+            a = v - (1 << width) if v >> (width - 1) else v
+            assert _value(c, v) == a * a
+
+    def test_square_signed_random_at_21_bits(self):
+        c = _word_circuit(CircuitBuilder.square_signed, 21)
+        rng = random.Random(0x5A)
+        values = [0, 1, -1, (1 << 20) - 1, -(1 << 20) + 1, -(1 << 20)]
+        for a in values + [rng.randrange(-(1 << 20), 1 << 20) for _ in range(150)]:
+            assert _value(c, a & ((1 << 21) - 1)) == a * a
+
+    CONSTANTS = [0, 1, 2, 3, 1 << 5, (1 << 5) - 1, (1 << 7) - 1, 1000, 3841]
+
+    @pytest.mark.parametrize("const", CONSTANTS)
+    def test_mul_const_unsigned_exhaustive_at_8_bits(self, const):
+        # Every operand with the top bit set is here too: a sign-extended
+        # subtrahend would get those wrong.
+        c = _word_circuit(lambda b, x: b.mul_const_unsigned(x, const), 8)
+        assert len(c.output_wires) == max(1, (255 * const).bit_length())
+        for x in range(256):
+            assert _value(c, x) == x * const
+
+    @pytest.mark.parametrize("const", CONSTANTS)
+    def test_mul_const_unsigned_random_at_40_bits(self, const):
+        c = _word_circuit(lambda b, x: b.mul_const_unsigned(x, const), 40)
+        rng = random.Random(const)
+        top = [(1 << 40) - 1, 1 << 39] + [rng.randrange(1 << 39, 1 << 40) for _ in range(40)]
+        for x in top + [rng.randrange(1 << 40) for _ in range(60)]:
+            assert _value(c, x) == x * const
+
+    def test_signed_digits_use_fewer_ands_than_binary_shift_add(self):
+        def shift_add(b, x, const):
+            # one add_unsigned per further set bit of the constant
+            rows = [b.shift_left(x, k) for k in range(const.bit_length()) if const >> k & 1]
+            acc = rows[0]
+            for row in rows[1:]:
+                acc = b.add_unsigned(b.zext(acc, len(row)), row)
+            return acc
+
+        for width in (8, 52):
+            naf = _word_circuit(lambda b, x: b.mul_const_unsigned(x, 1000), width)
+            binary = _word_circuit(lambda b, x: shift_add(b, x, 1000), width)
+            assert naf.stats.non_xor < binary.stats.non_xor / 2
+            for x in (0, 1, (1 << width) - 1):
+                assert _value(binary, x) == _value(naf, x) == 1000 * x
+
+
 class TestGreaterThan:
     def test_strict(self):
         c = build_greater_than(4)
@@ -263,10 +365,12 @@ class TestDigestLayout:
         assert c.digest == _digest_by_struct(c)
 
     def test_ld(self):
+        """The total was 132550 before the LD products moved to column
+        addition, a dedicated squarer and signed-digit constants."""
         from mpcmarket.protocol import LdComputation
 
         c = LdComputation(count_bits=11, m_instances=10).circuit
-        assert c.stats.total == 132550
+        assert c.stats.total == 102760
         assert c.digest == _digest_by_struct(c)
 
     def test_lr(self, bundled_model):

@@ -281,11 +281,13 @@ class TestGenData:
 
 class TestInspect:
     def test_stats_of_the_circuit_run_garbles(self, tmp_path, capsys):
+        """The LD instance had 13255 gates before its products moved to
+        column addition, a dedicated squarer and signed-digit constants."""
         from mpcmarket.garbling import HEADER_SIZE
 
         assert main(["inspect", "--M", "1"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "gates:            13255\n" in out
+        assert "gates:            10276\n" in out
         path = tmp_path / "r.jsonl"
         assert main(["run", "--M", "1", "--repeat", "1", "--jsonl", str(path)]) == EXIT_OK
         rec = json.loads(path.read_text())

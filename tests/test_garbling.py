@@ -283,13 +283,16 @@ class TestGoldenBytes:
         assert _sha(b"".join(v.to_bytes(16, "big") for v in labels)) == outputs
 
     def test_ld_m10(self):
+        """Re-recorded from the level-batched engine when the LD products
+        moved to column addition, a dedicated squarer and signed-digit
+        constants: the circuit changed, so its tables did."""
         from mpcmarket.protocol import LdComputation
 
         self._check_workload(
             LdComputation(count_bits=11, m_instances=10).circuit,
-            "30802246ba48af58fce2231a6c626ee90998dc7b6237201bf42e2325e727be24",
-            "8cc976adc1cfe7a4f597e90dab11539386108fc3e9dbaf34f7b9358192c4c76d",
-            "715ac6a824de2bc68217f1b52f67201b51353e85c7fac525e3466cde43a0934c",
+            "d5bf51297998e22e2cf73b5b06681041b1e3e147b9e6f19a3cc9dbf9ba30a4b1",
+            "1daaabd4b55bded74aa768d488e67b26c49f230c5f30d4d2b34efc89bb2883e1",
+            "036c550a69c3e31a2d3c585c29e010d61674254d4f4f24119ba0652c1c9741d3",
         )
 
     def test_lr_range10(self, bundled_model):
@@ -391,9 +394,11 @@ class TestAesCallsPerLevel:
         assert evaluation == [2 * m for m in widths]  # H(a), H(b)
 
     def test_ld_m10(self, monkeypatch):
+        """(326, 336) before the LD products moved to column addition, a
+        dedicated squarer and signed-digit constants."""
         from mpcmarket.protocol import LdComputation
 
-        self._check(monkeypatch, LdComputation(count_bits=11, m_instances=10).circuit, 326, 336)
+        self._check(monkeypatch, LdComputation(count_bits=11, m_instances=10).circuit, 239, 265)
 
     def test_lr_range10(self, monkeypatch, bundled_model):
         from mpcmarket.protocol import LrComputation

@@ -101,6 +101,31 @@ class TestLdCircuit:
             want = ld_decide_plain(c, *THRESH).decision
             assert eval_plain(circ, ld_bits(circ, c)) == [1 if want else 0]
 
+    def test_every_defined_table_at_count_bits_4(self):
+        circ = build_ld_circuit(4, 1, *THRESH)
+        tables = [
+            HaplotypeCounts(a, b, c, d)
+            for a in range(16) for b in range(16 - a) for c in range(16 - a - b)
+            for d in range(16 - a - b - c)
+        ]
+        tables = [t for t in tables if min(t.margins) > 0]
+        assert len(tables) == 3395
+        for t in tables:
+            want = ld_decide_plain(t, *THRESH).decision
+            assert eval_plain(circ, ld_bits(circ, t)) == [int(want)]
+
+    def test_lhs_at_its_top_bit(self):
+        # N = 2047 with |diff| at its N^2/4 bound: den*lhs reaches bit 61,
+        # the top of the 62-bit word the constant multiply builds.
+        circ = build_ld_circuit(11, 1, *THRESH)
+        tables = [HaplotypeCounts(1023, 0, 0, 1024), HaplotypeCounts(1024, 0, 0, 1023),
+                  HaplotypeCounts(0, 1023, 1024, 0), HaplotypeCounts(0, 1024, 1023, 0),
+                  HaplotypeCounts(1, 1023, 1023, 0)]
+        for t in tables:
+            r = ld_decide_plain(t, *THRESH)
+            assert (r.lhs * THRESH[1]).bit_length() == 62
+            assert eval_plain(circ, ld_bits(circ, t)) == [int(r.decision)]
+
     def test_multi_instance_outputs(self):
         circ = build_ld_circuit(8, 3, *THRESH)
         rng = random.Random(0xC2)

@@ -18,6 +18,12 @@ DecryptRequest frames moved and shrank. Each EncryptedListing and
 ListingBundle frame is the previous frame with every ciphertext's version
 byte raised from 3 to 4. Every other frame, the results, the type
 sequences and every P2 digest did not move.
+
+The p2-ld digests were re-recorded when the LD circuit's products moved to
+column addition, a dedicated squarer and signed-digit constants. Its
+GarbledCircuitMsg and OutputLabels frames moved, as the circuit did. Every
+other frame, the results, the type sequences and every P1 and p2-lr-tcp
+digest did not move.
 """
 
 import hashlib
@@ -91,8 +97,8 @@ FRAMES = {
         "6b0c89f1dff863e924d549231a77975081e6a0fdbf23343839486440407db66e",
         "88a7b7c9db483d166a6119c5c7e6a2df222f5763ccfefa5ba27fe6f4c764e724",
         "18b470913434db7b2bb3b6cf7cd38547f43ff92f686fcf08196bc469eb054125",
-        "0395e486b4eef40317d6b8754db3f44bb2bd99837acf3b944e52d439045ed813",
-        "349a6a22b602a6c127bd48aefa0f42439ff9379f3efdaca43640d55bd15c469d",
+        "74e426662e2d5ab1c0f4155af98c1ae085e0d3ddb011eb330f714d96436b8962",
+        "b308e336729be99b45219c59dad83960c1edd59d2cb11b594a410dbecab8af7e",
         "dd580c87cd80317ece5b69b05f4bb3a096f675879c9c961534c4bf1ad8b0b099",
     ],
     "p2-lr-tcp": [
