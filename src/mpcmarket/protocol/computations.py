@@ -18,9 +18,9 @@ of the plan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache, reduce
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,8 +56,9 @@ class HePlan:
     plaintext moduli the circuit runs under, its input and output names, the
     values per input (``slots``), whether it multiplies ciphertexts (so the
     evaluator needs the relinearization key), whether it takes a dot
-    product (``packed``), and how many of q's primes each output keeps when
-    it goes to the CSP (``output_primes``).
+    product (``packed``), how many leading primes of q the session's keys
+    and listings use (``key_primes``), and how many of those each output
+    keeps when it goes to the CSP (``output_primes``).
 
     The layout follows: a packed plan encodes each input's values as
     coefficients and yields one value per output, read from coefficient 0;
@@ -71,10 +72,16 @@ class HePlan:
     relin: bool
     packed: bool
     output_primes: int
+    key_primes: int
 
     @property
     def batched(self) -> bool:
         return self.slots > 1 and not self.packed
+
+    def key_params(self, params: HeParams) -> HeParams:
+        """The session's parameters: ``params`` under its first ``key_primes``
+        primes, for keygen, the key and ciphertext codecs and evaluation."""
+        return _prefix(params, self.key_primes)
 
     def encode(self, values: Sequence[int], params: HeParams, t: int) -> bfv.HePlaintext:
         if self.batched:
@@ -183,20 +190,25 @@ class NoiseOps:
         return self._fit(bfv.switch_noise_log2(self.params, self.t, a, k), k)
 
 
-def _fewest_primes(params: HeParams, ends: Mapping[int, Mapping[str, float]]) -> int:
-    """The fewest leading primes of q that every output noise in ``ends``
-    (plan modulus -> output -> noise) can be switched to, replaying the
-    switch on :class:`NoiseOps`. All of them always fit: that is no switch."""
-    for k in range(1, len(params.q_primes)):
+@lru_cache(maxsize=32)
+def _prefix(params: HeParams, k: int) -> HeParams:
+    """``params`` under its first k primes; cached, since every role derives
+    the plan each session and :class:`HeParams` tests every prime."""
+    return replace(params, q_primes=params.q_primes[:k])
+
+
+def _fewest_primes(count: int, fits: Callable[[int], object]) -> int:
+    """The fewest leading primes k < ``count`` of q for which ``fits(k)``,
+    a replay on :class:`NoiseOps`, raises neither :class:`PlanRejected` nor
+    :class:`HeParamsError` (a prefix :class:`HeParams` rejects does not
+    fit); ``count`` when no fewer does."""
+    for k in range(1, count):
         try:
-            for t, y in ends.items():
-                ops = NoiseOps(params, t)
-                for v in y.values():
-                    ops.switch(v, k)
-        except PlanRejected:
+            fits(k)
+        except (PlanRejected, bfv.HeParamsError):
             continue
         return k
-    return len(params.q_primes)
+    return count
 
 
 class HePipeline:
@@ -218,9 +230,10 @@ class HePipeline:
     :class:`NoiseOps` in the planner and in the buyer's check, so both see
     the same noise rules. A circuit that takes a dot product leaves partial
     sums in every other coefficient, so each of its outputs is masked
-    there before it goes to the CSP. Every output is then switched to the
-    plan's first ``output_primes`` primes, the fewest the noise rule
-    allows; the replays count the mask and the switch too.
+    there before it goes to the CSP. Keys and listings hold the plan's
+    first ``key_primes`` primes of q, and every output is switched to its
+    first ``output_primes``, each the fewest the noise rules allow; the
+    replays count the mask and the switch too.
     """
 
     def _circuit(self, ops, x: Mapping, primes: int) -> dict:
@@ -231,8 +244,11 @@ class HePipeline:
 
     def he_plan(self, params: HeParams, makers: int = 1) -> HePlan:
         """At most ``params.n`` slots, moduli covering the output range, and
-        the output prime count, found by replaying the circuit on noise
-        estimates under each modulus, every input starting as one fresh
+        two prime counts, each the fewest leading primes of q under which
+        the circuit replays on noise estimates under every modulus. First
+        ``key_primes``, on the worst input any session can bring: every
+        input the sum of one fresh share per input group of the schema.
+        Then ``output_primes`` under that prefix, every input one fresh
         share. The session's check then replays the circuit, switch
         included, on the buyer's sums of ``makers`` fresh shares. Only that
         check depends on ``makers``; the plan itself does not, so every role
@@ -250,28 +266,38 @@ class HePipeline:
         if slots > params.n:
             raise PlanRejected(f"{slots} slots do not fit one ciphertext at n={params.n}")
         fresh = params.fresh_noise_log2()
-        # Keeping every prime is no switch: these are the outputs' noises
-        # before it.
-        ends = {}
-        for t in moduli:
-            ops = NoiseOps(params, t)
-            ends[t] = self._circuit(ops, dict.fromkeys(inputs, fresh), len(params.q_primes))
+
+        def replay(p: HeParams, shares: int, primes: int) -> tuple[NoiseOps, dict]:
+            """The circuit under ``p`` and every modulus, each input the sum
+            of ``shares`` fresh shares and each output switched to
+            ``primes``: the last modulus's op set and outputs."""
+            x = dict.fromkeys(inputs, reduce(bfv.add_noise_log2, [fresh] * shares))
+            for t in moduli:
+                ops = NoiseOps(p, t)
+                y = self._circuit(ops, x, primes)
+            return ops, y
+
+        worst = len(self.input_schema)
+        key_primes = _fewest_primes(
+            len(params.q_primes), lambda k: replay(_prefix(params, k), worst, k)
+        )
+        params = _prefix(params, key_primes)
+        ops, y = replay(params, 1, key_primes)
         # The circuit's ops do not depend on t: any replay tells which it uses.
         if ops.packed and ops.multiplies:
             raise PlanRejected("a dot product cannot share a circuit with a ciphertext multiply")
-        primes = _fewest_primes(params, ends)
+        primes = _fewest_primes(key_primes, lambda k: replay(params, 1, k))
         if makers > 1:
-            share_sum = reduce(bfv.add_noise_log2, [fresh] * makers)
-            for t in moduli:
-                self._circuit(NoiseOps(params, t), dict.fromkeys(inputs, share_sum), primes)
+            replay(params, makers, primes)
         return HePlan(
             tuple(moduli),
             tuple(inputs),
-            tuple(ends[moduli[0]]),
+            tuple(y),
             slots,
             ops.multiplies,
             ops.packed,
             primes,
+            key_primes,
         )
 
     def he_encrypt_inputs(

@@ -94,9 +94,11 @@ class Csp:
 
     def he_setup(self, params: HeParams, makers: int) -> PublicKeyDist:
         """Validate the plan for the session's number of makers, then
-        generate keys. The relinearization key is built and shipped only
-        for circuits that multiply ciphertexts; otherwise ``rk`` is empty."""
+        generate keys under the plan's first ``key_primes`` primes. The
+        relinearization key is built and shipped only for circuits that
+        multiply ciphertexts; otherwise ``rk`` is empty."""
         self._plan = self.computation.he_plan(params, makers)
+        params = self._plan.key_params(params)
         seed = int(self._rng.integers(0, 2**63, dtype=np.int64))
         self._sk, pk, rk = bfv.keygen(params, seed, relin=self._plan.relin)
         return PublicKeyDist(
@@ -173,8 +175,8 @@ class Maker:
     def make_encrypted_listing(
         self, params: HeParams, bundle: PublicKeyDist
     ) -> EncryptedListing:
-        pk = bfv.public_key_from_bytes(bundle.pk, params)
         plan = self.computation.he_plan(params)
+        pk = bfv.public_key_from_bytes(bundle.pk, plan.key_params(params))
         entries = self.computation.he_encrypt_inputs(pk, plan, self.values, self._rng)
         return EncryptedListing(maker=self.index, entries=tuple(entries))
 
@@ -222,6 +224,7 @@ class Buyer:
         listings: ListingBundle,
     ) -> DecryptRequest:
         plan = self.computation.he_plan(params)
+        params = plan.key_params(params)
         rk = bfv.relin_key_from_bytes(bundle.rk, params) if plan.relin else None
         t0 = time.perf_counter()
         entries = self.computation.he_evaluate(params, rk, plan, listings.ciphertexts, self._rng)

@@ -62,15 +62,17 @@ def test_worker_reads_the_circuit_counts(workloads, name, counts):
 def test_worker_measures_every_switched_output(workloads, name, monkeypatch):
     """``--trace 1`` keeps ``he_finish``'s (args[1], args[-1]), the CSP's
     key and the entries it decrypts, and measures each entry's exact budget
-    next to its estimate. Every output arrives switched to fewer primes,
-    and its estimate is above 0 and at or below the exact budget."""
+    next to its estimate. Every output arrives under the plan's
+    ``output_primes`` (he-ld switches 6 key primes to 2; he-lr's keys hold
+    its 3 and it switches none), and its estimate is above 0 and at or
+    below the exact budget."""
     import worker
 
     finished = []
     he_finish = HePipeline.he_finish
 
     def keep(*args):
-        finished.append((args[1], args[-1]))
+        finished.append((args[1], args[2], args[-1]))
         return he_finish(*args)
 
     monkeypatch.setattr(HePipeline, "he_finish", keep)
@@ -78,9 +80,9 @@ def test_worker_measures_every_switched_output(workloads, name, monkeypatch):
     workload = factory()
     session = workload.session(seed=1, worker=0, index=0)
     assert workload.check(session, workload.run(session))
-    ((sk, entries),) = finished
+    ((sk, plan, entries),) = finished
     for entry in entries:
         ct = bfv.ciphertext_from_bytes(entry[1], sk.params)
-        assert len(ct.primes) < len(sk.params.q_primes)
+        assert len(ct.primes) == plan.output_primes
         exact, estimate = worker.measure_budgets(SimpleNamespace(finished=[(sk, [entry])]))
         assert exact >= estimate > 0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from mpcmarket.analytics.ld import PlanRejected
 from mpcmarket.analytics.lr import build_sigmoid_table, lr_predict_fixed
 from mpcmarket.circuits.ir import CircuitError
 from mpcmarket.he import bfv
-from mpcmarket.he.bfv import HeParams
+from mpcmarket.cli import EXIT_CONFIG, main
+from mpcmarket.he.bfv import HeParams, HeParamsError
 from mpcmarket.protocol import (
     DeltaKeyDist,
     EncryptedListing,
@@ -18,11 +20,12 @@ from mpcmarket.protocol import (
     ListingBundle,
     LrComputation,
     ProtocolError,
+    PublicKeyDist,
     Result,
     channels,
 )
 from mpcmarket.protocol.computations import NoiseOps
-from mpcmarket.protocol.parties import Csp, DataTrust
+from mpcmarket.protocol.parties import Buyer, Csp, DataTrust, Maker
 from mpcmarket.protocol.runner import (
     VerificationError,
     assert_datatrust_hygiene,
@@ -206,8 +209,9 @@ class TestHePipeline:
         two = run_protocol1(lr_comp, split, params4096, seed=32)
         assert listed == [(0, 1), (1, 1)]
         assert two.verified and two.result == one.result
-        # The second maker adds one ciphertext entry to the listings and one to the bundle.
-        ct_bytes = 2 * len(params4096.q_primes) * params4096.n * 4
+        # The second maker adds one ciphertext entry to the listings and one
+        # to the bundle, each under the plan's key prefix of q.
+        ct_bytes = 2 * lr_comp.he_plan(params4096).key_primes * params4096.n * 4
         growth = two.transcript.total_bytes() - one.transcript.total_bytes()
         assert 2 * ct_bytes < growth < 2 * ct_bytes + 200
 
@@ -355,6 +359,103 @@ class TestHePipeline:
         assert len(seen) == 3 + 3
         for estimate, exact in seen:
             assert estimate <= exact
+
+    def test_plan_keys_the_fewest_primes_the_worst_session_allows(self, lr_comp):
+        # A session's inputs are sums of at most one share per input group;
+        # under one prime fewer, that worst case leaves no budget (LD has
+        # no prime to spare even with one share).
+        cases = (
+            (lr_comp, HeParams.default(4096), 3),
+            (lr_comp, HeParams.default(8192), 3),
+            (LdComputation(count_bits=11, m_instances=10), HeParams.default(8192, 21), 6),
+        )
+        for comp, params, k in cases:
+            plan = comp.he_plan(params)
+            assert plan.key_primes == k
+            assert plan.key_params(params).q_primes == params.q_primes[:k]
+            worst = params.fresh_noise_log2() + math.log2(len(comp.input_schema))
+            start = dict.fromkeys(plan.inputs, worst)
+            fewer = HeParams(params.n, params.q_primes[: k - 1], params.t)
+            for t in plan.moduli:
+                with pytest.raises(PlanRejected):
+                    comp._circuit(NoiseOps(fewer, t), start, k - 1)
+
+    def test_plan_is_the_same_for_every_maker_count(self, lr_comp, params8192):
+        for comp, params in (
+            (lr_comp, HeParams.default(4096)),
+            (LdComputation(count_bits=11, m_instances=1), params8192),
+            (LdComputation(count_bits=11, m_instances=10), params8192),
+        ):
+            plan = comp.he_plan(params)
+            for makers in range(1, len(comp.input_schema) + 1):
+                assert comp.he_plan(params, makers) == plan
+
+    def test_lr_one_feature_per_maker_under_the_key_prefix(
+        self, lr_comp, lr_row_input, listed, monkeypatch
+    ):
+        keyed = []
+        keygen = bfv.keygen
+
+        def spy(params, *args, **kwargs):
+            keyed.append(len(params.q_primes))
+            return keygen(params, *args, **kwargs)
+
+        monkeypatch.setattr(bfv, "keygen", spy)
+        makers = [{name: v} for name, v in sorted(lr_row_input.items())]
+        assert len(makers) == 30
+        out = run_protocol1(lr_comp, makers, HeParams.default(4096), seed=36)
+        assert out.verified and keyed == [3]
+        assert listed == [(j, 1) for j in range(30)]
+
+    @pytest.fixture
+    def keys_under_every_prime(self, monkeypatch):
+        """A CSP that keys under all of the caller's primes, whatever the
+        plan's ``key_primes``."""
+
+        def he_setup(self, params, makers):
+            self._plan = self.computation.he_plan(params, makers)
+            self._sk, pk, rk = bfv.keygen(params, 5, relin=self._plan.relin)
+            return PublicKeyDist(
+                pk=bfv.public_key_to_bytes(pk),
+                rk=b"" if rk is None else bfv.relin_key_to_bytes(rk),
+            )
+
+        monkeypatch.setattr(Csp, "he_setup", he_setup)
+
+    def test_maker_and_buyer_reject_keys_under_every_prime(
+        self, lr_comp, lr_row_input, keys_under_every_prime
+    ):
+        # LR's plan keys 3 of the 4 primes; LD's keys 6 of these 7, and its
+        # buyer reads the relinearization key.
+        ld_params = HeParams(
+            8192, tuple(bfv.find_ntt_primes(30, 8192, 7)), bfv.find_ntt_primes(21, 8192)[0]
+        )
+        ld = LdComputation(count_bits=11, m_instances=1)
+        for comp, params, values in (
+            (lr_comp, HeParams.default(4096), lr_row_input),
+            (ld, ld_params, LD_EQUILIBRIUM[0]),
+        ):
+            plan = comp.he_plan(params)
+            assert plan.key_primes < len(params.q_primes)
+            bundle = Csp(comp, seed=0).he_setup(params, 1)
+            with pytest.raises(HeParamsError, match="different parameters"):
+                Maker(0, comp, values, seed=1).make_encrypted_listing(params, bundle)
+            # What a maker that took the key would have listed.
+            pk = bfv.public_key_from_bytes(bundle.pk, params)
+            entries = comp.he_encrypt_inputs(pk, plan, values, np.random.default_rng(8))
+            listings = ListingBundle(ciphertexts=tuple((0, tag, ct) for tag, ct in entries))
+            with pytest.raises(HeParamsError, match="different parameters"):
+                Buyer(0, comp, seed=2).make_decrypt_request(params, bundle, listings)
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_keys_under_every_prime_exit_as_a_config_rejection(
+        self, transport, keys_under_every_prime, capsys
+    ):
+        rc = main(["run", "--backend", "he", "--workload", "lr", "--rows", "1",
+                   "--repeat", "1", "--transport", transport])
+        assert rc == EXIT_CONFIG
+        assert "different parameters" in capsys.readouterr().err
+        assert not [th for th in threading.enumerate() if th.name.startswith("role-")]
 
 
 class TestBackendIndependence:

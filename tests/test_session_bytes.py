@@ -24,6 +24,14 @@ column addition, a dedicated squarer and signed-digit constants. Its
 GarbledCircuitMsg and OutputLabels frames moved, as the circuit did. Every
 other frame, the results, the type sequences and every P1 and p2-lr-tcp
 digest did not move.
+
+The p1-lr digests were re-recorded when the HE plan began to choose the
+session's key prefix of q: LR's keys, listings and output now hold 3 of
+the 4 default primes at n = 4096. Its PublicKeyDist, EncryptedListing and
+ListingBundle frames shrank by a quarter of their rows; its DecryptRequest
+kept its size (the output held 3 primes before, after a switch) and moved
+with the parameter hash. The Query and Result frames, the result, the type
+sequence and every p1-ld, p2-ld and p2-lr-tcp digest did not move.
 """
 
 import hashlib
@@ -79,11 +87,11 @@ FRAMES = {
         "d82c07798b87d00629b069a01e6dcfd3ecc22cda4d974cc62d4f40ed3a3337d9",
     ],
     "p1-lr": [
-        "7646b38edaa63b8be50d13eeb846a7cda7cf62c3d9a5f47a853652fc8d087953",
-        "6a60c88d490084c913eab42f826c7556bc5d48a6fff0de5c6c687e7826dafff2",
+        "4adc16e60ae47cdcd7083bad18dbb3d845af0c7960c29c6b4c20a7c217f9e0ad",
+        "c03364859180e05c34b5942d21a6a5836c9189d2e77f5d78c6937b12812b99e4",
         "2155d60f20f95f278f1da51e578eaea9dfdb69c3470a752c556f94a711157c79",
-        "05b772c4f7cab8db8be8c798656e9c3aa7379eb3c8f98fa1b5d35cb5cee798a4",
-        "cd0f086a9868c8142b22b21fc8ebfc9ab6e4934d20d4c402b26060156cddf843",
+        "6216470fdf5273034d551b25172dd222cfd9993703ca1866621fe4841438fa80",
+        "941620c593abe6c32d0ff503e0a7e3800bc3a10e4cefff3fbf56b541786fc6bf",
         "065a7fc87398666be98326193c89e12dee1aba1f1d0c83808ab9db03e633ebfb",
     ],
     "p2-ld": [
