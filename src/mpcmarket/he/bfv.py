@@ -13,22 +13,29 @@ only :func:`batch_encode` and :func:`batch_decode` apply the (bit-reversed)
 slot order; keys and ciphertexts travel in coefficient form, which the
 order does not touch.
 
-Multiplication extends the operands' centered lifts from q to an extended
-prime basis by exact RNS base conversion, runs the tensor product there
-(a square transforms its operand once), scale-rounds by t/q in RNS, and
-relinearizes with an RNS-decomposed key-switching key; decryption uses the
-same rounding. Both work in int64 and float64 (Halevi, Polyakov and Shoup,
-CT-RSA 2019); a column whose float sum lies too near a rounding boundary
-is recomputed in Python integers, so results equal exact integer
-arithmetic.
+Multiplication takes a signed sum of products, a*b or a*b - c*d. It
+extends the operands' centered lifts from q to an extended prime basis by
+exact RNS base conversion, accumulates the tensor of every product there
+(a square transforms its operand once), then scale-rounds by t/q in RNS
+and relinearizes with an RNS-decomposed key-switching key once for the
+whole sum (lazy relinearization: Kim, Polyakov and Zucca, ASIACRYPT 2021);
+decryption uses the same rounding. Both work in int64 and float64 (Halevi,
+Polyakov and Shoup, CT-RSA 2019); a column whose float sum lies too near
+a rounding boundary is recomputed in Python integers, so results equal
+exact integer arithmetic.
 
-A ciphertext's last operation may be :func:`mod_switch`, which keeps only
-the first k of q's primes: it divides by the product D of the dropped
-primes and rounds, (c - [c]_D) / D with [c]_D the centered lift of the
-dropped residues (Brakerski, Gentry and Vaikuntanathan, ITCS 2012). The
-switched ciphertext lives under q' = q / D with Delta' = floor(q'/t); it
-can be serialized, decrypted and measured, and every other operation
-rejects it.
+A ciphertext lives under any leading prefix of the key's primes, its
+level. :func:`mod_switch` keeps the first k of them: it divides by the
+product D of the dropped primes and rounds, (c - [c]_D) / D with [c]_D the
+centered lift of the dropped residues (Brakerski, Gentry and
+Vaikuntanathan, ITCS 2012). The result lives under q' = q / D with
+Delta' = floor(q'/t) and takes every operation. Every product settles to
+the fewest leading primes that lose less than one bit of budget
+(:func:`settle_primes`), and an operation on two levels first switches
+the operand with more primes down to the other's count. A product under
+the first k primes relinearizes with the first k digits and key rows; the
+key encrypts (q/p_i) s^2 for the full q, so the digits take the full q's
+constants q_hat_i^-1 mod p_i, sliced to the first k.
 
 Keys and ciphertexts serialize as their (k, n) arrays in coefficient form,
 prime-major, one little-endian uint32 per residue (every prime is below
@@ -48,7 +55,7 @@ planner share (Fan and Vercauteren, 2012; v and t as log2 values, a (+) b
 = log2(2^a + 2^b)):
 
 - a sum or difference adds the noises;
-- a relinearized product follows :func:`mul_noise_log2`;
+- a relinearized sum of products follows :func:`mul_noise_log2`;
 - a multiply by a plaintext p (its centered representative) gives
   |p|_1 * (v + t), the t term covering the r_t(q) wrap; the planner takes
   |p|_1 from the constant or weights (:func:`centered_l1`), not from p;
@@ -56,7 +63,8 @@ planner share (Fan and Vercauteren, 2012; v and t as log2 values, a (+) b
   less than t;
 - a switch from q to q' gives (v - log2(q/q')) (+) t (+) log2((1 + n)/2):
   the scaled noise, the wrap of Delta' against q'/t, and the rounding
-  error r0 + r1 s with |r_i| <= 1/2 and s ternary.
+  error r0 + r1 s with |r_i| <= 1/2 and s ternary; a product switches to
+  the prime count :func:`settle_primes` gives.
 
 Both the estimate and :func:`noise_budget` measure against Delta =
 floor(q/t), so they count the wrap r_t(q) m / t (below t) as noise. Where
@@ -72,7 +80,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -204,7 +212,7 @@ class _Rns(NamedTuple):
     inv: np.ndarray  # (k,) float64 1 / p_i
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _rns(primes: tuple[int, ...]) -> _Rns:
     q = math.prod(primes)
     hat_invs = [pow(q // p % p, -1, p) for p in primes]
@@ -229,7 +237,7 @@ class _Conversion(NamedTuple):
     q_inv_dst: np.ndarray  # (kd, 1) int64: q^-1 mod d_j
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _conversion(src: tuple[int, ...], dst: tuple[int, ...]) -> _Conversion:
     q = math.prod(src)
     hats = np.array([[q // p % d for p in src] for d in dst], dtype=np.int64)
@@ -242,14 +250,14 @@ def _conversion(src: tuple[int, ...], dst: tuple[int, ...]) -> _Conversion:
     )
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=32)
 def _mul_basis(n: int, q_primes: tuple[int, ...]) -> tuple[int, ...]:
-    """q's primes, then extension primes with product P > n q. The exact
-    tensor product of two centered operands (|W| < n q^2 / 2) then fits the
-    whole basis, and the quotient h of W = w_q + q h (|h| < n q / 2) lifts
-    from P without ambiguity."""
+    """q's primes, then extension primes with product P > 2 n q. The exact
+    tensor of a sum of two products of centered operands (|W| < n q^2)
+    then fits the whole basis, and the quotient h of W = w_q + q h
+    (|h| < n q) lifts from P without ambiguity."""
     q = math.prod(q_primes)
-    need = n * q * q
+    need = 2 * n * q * q
     basis = list(q_primes)
     prod = q
     bits = 30
@@ -393,8 +401,8 @@ class HeCiphertext:
     ``noise_log2`` is the conservative running noise estimate used for eager
     budget checks. ``t`` travels with the ciphertext: one keypair serves any
     plaintext modulus over the same ring, which the CRT computation plans
-    rely on. The polys hold one row per prime of ``primes``, all of q's
-    primes until :func:`mod_switch` keeps a prefix of them.
+    rely on. The polys hold one row per prime of ``primes``, a leading
+    prefix of q's primes (all of them when fresh).
     """
 
     params: HeParams
@@ -405,6 +413,11 @@ class HeCiphertext:
     @property
     def primes(self) -> tuple[int, ...]:
         return self.params.q_primes[: len(self.polys[0])]
+
+    @property
+    def plan(self) -> NttPlan:
+        """The transform over ``primes``; ``plan.mod`` is their (k, 1) column."""
+        return get_plan(self.params.n, self.primes)
 
     @property
     def budget_estimate(self) -> float:
@@ -419,15 +432,19 @@ def add_noise_log2(va: float, vb: float) -> float:
     return float(np.logaddexp2(va, vb))
 
 
-def mul_noise_log2(params: HeParams, t: int, va: float, vb: float) -> float:
-    """Noise estimate (log2) after a relinearized product of two ciphertexts
-    under plaintext modulus ``t`` whose estimates are ``va`` and ``vb``."""
-    base = add_noise_log2(va, vb)
+def mul_noise_log2(
+    params: HeParams, t: int, k: int, products: Sequence[tuple[float, float]]
+) -> float:
+    """Noise estimate (log2) after one relinearization, under the first
+    ``k`` primes and plaintext modulus ``t``, of a signed sum of products
+    of ciphertexts, each product given by its operands' estimates: every
+    product adds its tensor noise, and the key switch adds its own once."""
+    base = reduce(add_noise_log2, (add_noise_log2(va, vb) for va, vb in products))
     mult = math.log2(t) + math.log2(params.n) + 2 + base
     relin = (
-        math.log2(len(params.q_primes))
+        math.log2(k)
         + math.log2(params.n)
-        + max(math.log2(p) for p in params.q_primes)
+        + max(math.log2(p) for p in params.q_primes[:k])
         + math.log2(6 * NOISE_SIGMA)
     )
     return add_noise_log2(mult, relin)
@@ -453,16 +470,35 @@ def plain_add_noise_log2(v: float, t: int) -> float:
     return add_noise_log2(v, math.log2(t))
 
 
-def switch_noise_log2(params: HeParams, t: int, v: float, k: int) -> float:
+def switch_noise_log2(
+    params: HeParams, t: int, v: float, k: int, held: int | None = None
+) -> float:
     """Noise estimate (log2) after :func:`mod_switch` keeps the first ``k``
-    of q's primes: v q'/q, plus the wrap of Delta' = floor(q'/t) against
-    q'/t (below t), plus the rounding r0 + r1 s (at most (1 + n)/2 for a
-    ternary s). Keeping every prime changes nothing."""
-    dropped = params.q_primes[k:]
+    of the first ``held`` (default all) of q's primes: v q'/q, plus the
+    wrap of Delta' = floor(q'/t) against q'/t (below t), plus the rounding
+    r0 + r1 s (at most (1 + n)/2 for a ternary s). Keeping every prime
+    changes nothing."""
+    dropped = params.q_primes[k:held]
     if not dropped:
         return v
     scaled = v - sum(math.log2(p) for p in dropped)
     return add_noise_log2(plain_add_noise_log2(scaled, t), math.log2((1 + params.n) / 2))
+
+
+def settle_primes(params: HeParams, t: int, v: float, k: int) -> int:
+    """The fewest leading primes j <= k to which a product of noise ``v``
+    under the first ``k`` primes switches losing less than one bit of
+    budget (and keeping some): the switch's noise exceeds the scaled v by
+    less than a bit. Dropping a prime pays off while the scaled noise
+    still dominates the switch's own terms, t and (1 + n)/2."""
+    j = k
+    while j > 1:
+        after = switch_noise_log2(params, t, v, j - 1, k)
+        scaled = v - sum(math.log2(p) for p in params.q_primes[j - 1 : k])
+        if after - scaled >= 1 or after >= params.budget_capacity(t, j - 1):
+            break
+        j -= 1
+    return j
 
 
 # -- sampling -----------------------------------------------------------------
@@ -658,21 +694,23 @@ def _within_budget(
         )
 
 
-def _check_compat(a: HeCiphertext, *others: HeCiphertext) -> None:
-    """Operands share parameters and plaintext modulus and hold all of q's
-    primes: a switched ciphertext is only serialized and decrypted."""
-    k = len(a.params.q_primes)
-    for b in (a, *others):
+def _align(*cts: HeCiphertext) -> list[HeCiphertext]:
+    """The operands, which share parameters and plaintext modulus, under
+    their fewest primes: each one holding more is switched down (once,
+    however often it appears)."""
+    a = cts[0]
+    for b in cts:
         if b.params != a.params or b.t != a.t:
             raise HeParamsError("ciphertext parameter/modulus mismatch")
-        if len(b.primes) != k:
-            raise HeParamsError(f"ciphertext holds {len(b.primes)} of the {k} primes")
+    k = min(len(c.primes) for c in cts)
+    at_k = {id(c): mod_switch(c, k) for c in cts}
+    return [at_k[id(c)] for c in cts]
 
 
 def _add_or_sub(a: HeCiphertext, b: HeCiphertext, op) -> HeCiphertext:
     """Component-wise ``op``; noise grows by at most one bit."""
-    _check_compat(a, b)
-    q = a.params.ntt.mod
+    a, b = _align(a, b)
+    q = a.plan.mod
     return HeCiphertext(
         params=a.params,
         t=a.t,
@@ -691,14 +729,15 @@ def he_sub(a: HeCiphertext, b: HeCiphertext) -> HeCiphertext:
 
 
 def he_add_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
-    _check_compat(ct)
+    """Add Delta m, Delta = floor(q/t) for the q of the ciphertext's primes."""
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
-    params = ct.params
-    q = params.ntt.mod
-    c0 = (ct.polys[0] + params.residues(params.q // ct.t) * (pt.poly % q)) % q
+    q = ct.plan.mod
+    delta = math.prod(ct.primes) // ct.t
+    delta_q = np.array([delta % p for p in ct.primes], dtype=np.int64)[:, None]
+    c0 = (ct.polys[0] + delta_q * (pt.poly % q)) % q
     return HeCiphertext(
-        params=params,
+        params=ct.params,
         t=ct.t,
         polys=(c0, ct.polys[1]),
         noise_log2=plain_add_noise_log2(ct.noise_log2, ct.t),
@@ -709,13 +748,12 @@ def he_mul_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     """Multiply by a plaintext polynomial, taken as its centered
     representative (no relinearization needed). A constant polynomial
     multiplies each residue row by its residue and takes no transform."""
-    _check_compat(ct)
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
-    params = ct.params
+    params, k = ct.params, len(ct.primes)
     est = plain_mul_noise_log2(ct.noise_log2, int(np.abs(pt.centered()).sum()), pt.t)
-    _within_budget(params, ct.t, est, "plaintext multiply")
-    plan = params.ntt
+    _within_budget(params, ct.t, est, "plaintext multiply", k)
+    plan = ct.plan
     q = plan.mod
     # The centered plaintext exceeds 2^30 for t > 2^31; reduce it once.
     m = pt.centered()
@@ -727,72 +765,104 @@ def he_mul_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     return HeCiphertext(params=params, t=ct.t, polys=polys, noise_log2=est)
 
 
-def he_mul(a: HeCiphertext, b: HeCiphertext, rk: RelinKey) -> HeCiphertext:
-    """Relinearized homomorphic product: exact integer tensor in an extended
-    prime basis, scale-round by t/q, then key-switch the s^2 component."""
-    _check_compat(a, b)
-    if rk.params != a.params:
-        raise HeParamsError("relinearization key parameter mismatch")
-    params = a.params
-    n, t = params.n, a.t
-    est = mul_noise_log2(params, t, a.noise_log2, b.noise_log2)
-    _within_budget(params, t, est, "multiplication")
+def _tensor_terms(f, g, square: bool) -> tuple[list, list, list]:
+    """The (x, y) factor pairs of the three tensor components of the product
+    of transformed ciphertexts f = (f0, f1) and g: (f0 g0, f0 g1 + f1 g0,
+    f1 g1), with 2 g1 in place of the middle pair for a square."""
+    (f0, f1), (g0, g1) = f, g
+    if square:
+        return [(f0, g0)], [(f0, 2 * g1)], [(f1, g1)]
+    return [(f0, g0)], [(f0, g1), (f1, g0)], [(f1, g1)]
 
-    # Extend the operands exactly from q to the whole basis, multiply there,
-    # and scale-round the three tensor components back to q. A square
-    # (a is b) transforms its two polynomials once: (f0^2, 2 f0 f1, f1^2).
-    # The RNS steps take one polynomial at a time: on the stack of four,
+
+def he_mul(
+    a: HeCiphertext,
+    b: HeCiphertext,
+    rk: RelinKey,
+    minus: tuple[HeCiphertext, HeCiphertext] | None = None,
+) -> HeCiphertext:
+    """Relinearized homomorphic product a*b, or a*b - c*d for ``minus`` =
+    (c, d): the exact integer tensor of every product accumulated in an
+    extended prime basis, one scale-round by t/q and one key switch of the
+    s^2 component. The operands first meet at their fewest primes, and the
+    result settles to the count :func:`settle_primes` gives."""
+    cts = _align(a, b, *(minus or ()))
+    if rk.params != cts[0].params:
+        raise HeParamsError("relinearization key parameter mismatch")
+    params, t = cts[0].params, cts[0].t
+    primes = cts[0].primes
+    n, k = params.n, len(primes)
+    products = list(zip(cts[::2], cts[1::2]))
+    est = mul_noise_log2(params, t, k, [(x.noise_log2, y.noise_log2) for x, y in products])
+    _within_budget(params, t, est, "multiplication", k)
+
+    # Extend each distinct operand exactly from q to the whole basis and
+    # transform it once, accumulate the tensor components of every product
+    # there (the subtracted one negated), and scale-round them back to q.
+    # The RNS steps take one polynomial at a time: on a stack of several,
     # their temporaries grow to several MB, which glibc's allocator returns
     # to the system after each call and faults in again on the next; that
     # made them about 3x slower.
-    basis = _mul_basis(n, params.q_primes)
-    k = len(params.q_primes)
+    basis = _mul_basis(n, primes)
     ext = get_plan(n, basis)
     P = ext.mod
-    to_p = _conversion(basis[:k], basis[k:])
-    polys = a.polys if a is b else a.polys + b.polys
-    f = ext.forward(np.stack([np.concatenate((x, _extend(x, to_p))) for x in polys]))
-    if a is b:
-        f0, f1 = f
-        pairs = ((f0,), (f0,)), ((f0,), (2 * f1,)), ((f1,), (f1,))
-    else:
-        fa0, fa1, fb0, fb1 = f
-        pairs = ((fa0,), (fb0,)), ((fa0, fa1), (fb1, fb0)), ((fa1,), (fb1,))
-    tensor = np.stack([dot_mod(x, y, P) for x, y in pairs])
+    to_p = _conversion(primes, basis[k:])
+    distinct = list({id(c): c for c in cts}.values())
+    f = ext.forward(
+        np.stack([np.concatenate((x, _extend(x, to_p))) for c in distinct for x in c.polys])
+    )
+    transformed = {id(c): (f[2 * i], f[2 * i + 1]) for i, c in enumerate(distinct)}
+    terms: tuple[list, list, list] = ([], [], [])
+    for j, (x, y) in enumerate(products):
+        g = transformed[id(y)]
+        if j:
+            g = tuple(-gi for gi in g)
+        for acc, more in zip(terms, _tensor_terms(transformed[id(x)], g, x is y)):
+            acc += more
+    tensor = np.stack([dot_mod(*zip(*pairs), P) for pairs in terms])
     e0, e1, e2 = (_scale_round(w, basis, k, t) for w in ext.inverse(tensor))
 
-    plan = params.ntt
+    # Relinearize e2 with the first k RNS digits and key rows: digit i is
+    # row i of e2 * q_hat_i^-1 (the full q's constant), spread onto every
+    # prime by the transform.
+    plan = cts[0].plan
     Q = plan.mod
-
-    # Relinearize e2 with the RNS-digit key-switching key: digit i is
-    # row i of e2 * q_hat_i^-1, spread onto every prime by the transform.
-    digits_ntt = plan.forward((e2 * _rns(params.q_primes).hat_inv % Q)[:, None, :])
-    acc0, acc1 = (dot_mod(digits_ntt, keys, Q) for keys in zip(*rk.pairs))
-    return HeCiphertext(
+    digits_ntt = plan.forward((e2 * _rns(params.q_primes).hat_inv[:k] % Q)[:, None, :])
+    keys = [(kb[:k], ka[:k]) for kb, ka in rk.pairs[:k]]
+    acc0, acc1 = (dot_mod(digits_ntt, rows, Q) for rows in zip(*keys))
+    product = HeCiphertext(
         params=params,
         t=t,
         polys=((e0 + plan.inverse(acc0)) % Q, (e1 + plan.inverse(acc1)) % Q),
         noise_log2=est,
     )
+    return mod_switch(product, settle_primes(params, t, est, k))
 
 
 def mod_switch(ct: HeCiphertext, k: int) -> HeCiphertext:
-    """The ciphertext under the first ``k`` of q's primes: c' = (c - [c]_D)
+    """The ciphertext under the first ``k`` of its primes: c' = (c - [c]_D)
     / D for the product D of the dropped primes, [c]_D the centered lift of
     the dropped residues, which rounds c q'/q to the nearest integer.
     Noise follows :func:`switch_noise_log2`; keeping every prime returns
     ``ct`` itself."""
-    _check_compat(ct)
-    primes = ct.params.q_primes
-    if not 1 <= k <= len(primes):
-        raise HeParamsError(f"cannot switch to {k} of {len(primes)} primes")
-    if k == len(primes):
+    held = len(ct.primes)
+    if not 1 <= k <= held:
+        raise HeParamsError(f"cannot switch to {k} of {held} primes")
+    if k == held:
         return ct
-    est = switch_noise_log2(ct.params, ct.t, ct.noise_log2, k)
+    est = switch_noise_log2(ct.params, ct.t, ct.noise_log2, k, held)
     _within_budget(ct.params, ct.t, est, "modulus switch", k)
-    conv = _conversion(primes[k:], primes[:k])
+    conv = _conversion(ct.primes[k:], ct.primes[:k])
     q = conv.dst.col
-    polys = tuple((c[:k] - _extend(c[k:], conv)) * conv.q_inv_dst % q for c in ct.polys)
+    if held - k == 1:
+        # One dropped prime p: [c]_p is its residue, centered. Each
+        # difference lies within p/2 of [0, q_i), below 2^30 + 2^29, so
+        # dot_mod's int64 product and its quotient estimate stay exact.
+        p = ct.primes[k]
+        lifted = (c[:k] - np.where(c[k] > p // 2, c[k] - p, c[k]) for c in ct.polys)
+        polys = tuple(canonical(dot_mod((x,), (conv.q_inv_dst,), q), q) for x in lifted)
+    else:
+        polys = tuple((c[:k] - _extend(c[k:], conv)) * conv.q_inv_dst % q for c in ct.polys)
     return HeCiphertext(ct.params, ct.t, polys, est)
 
 

@@ -166,6 +166,42 @@ def dot_mod(xs, ys, p: np.ndarray) -> np.ndarray:
     return _sub_quotient(prod, quot, p)
 
 
+def _split(n: int) -> int:
+    """n2 of the four-step split n = n1 * n2, n1 <= n2 <= _MAX_N2."""
+    if n & (n - 1) or n < 2:
+        raise ValueError(f"ring degree {n} must be a power of two")
+    n2 = 1 << (n.bit_length() // 2)
+    if n2 > _MAX_N2:
+        raise ValueError(f"ring degree {n} needs n2={n2} > {_MAX_N2}; sums would be inexact")
+    return n2
+
+
+@lru_cache(maxsize=64)
+def _prime_steps(n: int, q: int) -> tuple[tuple, tuple]:
+    """The forward and inverse steps of the four-step transform mod q (see
+    :class:`NttPlan`): the two stage matrices, each (2 r, r) with its low
+    limbs above its high ones, and between them the twiddles (int32) with
+    their quotient estimates w / q. The tables are exponents of psi, looked
+    up in q's powers; the inverse tables negate them (psi^-e = psi^(2n - e))."""
+    n2 = _split(n)
+    n1 = n // n2
+    pw = _powers(_primitive_2n_root(q, n), q, 2 * n)
+
+    def steps(first: np.ndarray, w: np.ndarray, second: np.ndarray) -> tuple:
+        return split_limbs(first, 0), w.astype(np.int32), w / q, split_limbs(second, 0)
+
+    k2, j2 = np.arange(n2)[:, None], np.arange(n2)[None, :]
+    j1, k1 = np.arange(n1)[:, None], np.arange(n1)[None, :]
+    e_f1 = n1 * j2 * (2 * k2 + 1)  # [k2, j2]: the n2-point DFT and psi^(n1 j2)
+    e_tw = j1.T * (2 * k2 + 1)  # [k2, j1]: omega^(j1 k2) psi^j1
+    e_f2 = 2 * n2 * j1 * k1  # [k1, j1] (symmetric): the n1-point DFT
+    forward = steps(pw[e_f1 % (2 * n)], pw[e_tw % (2 * n)], pw[e_f2 % (2 * n)])
+    inverse = steps(
+        pw[-e_f2 % (2 * n)] * pow(n, -1, q) % q, pw[-e_tw.T % (2 * n)], pw[-e_f1.T % (2 * n)]
+    )
+    return forward, inverse
+
+
 class NttPlan:
     """Precomputed tables for ring degree n and a tuple of k primes. A plan
     transforms (..., k, n) arrays, one residue row per prime, in one call,
@@ -183,51 +219,24 @@ class NttPlan:
     the evaluation at psi^(2 r + 1) at position r: the natural order.
 
     A call takes one prime at a time, all its rows at once, which keeps
-    each step's temporaries to a few hundred kB."""
+    each step's temporaries to a few hundred kB. Each prime's tables are
+    built once per ring degree (:func:`_prime_steps`) and shared by every
+    plan over a tuple that holds the prime."""
 
     def __init__(self, n: int, primes: tuple[int, ...]) -> None:
-        if n & (n - 1) or n < 2:
-            raise ValueError(f"ring degree {n} must be a power of two")
-        n2 = 1 << (n.bit_length() // 2)
-        if n2 > _MAX_N2:
-            raise ValueError(f"ring degree {n} needs n2={n2} > {_MAX_N2}; sums would be inexact")
-        n1 = n // n2
+        n2 = _split(n)
         for q in primes:
             if q >= 1 << 30:
                 raise ValueError(f"modulus {q} is not below 2^30")
             if (q - 1) % (2 * n) != 0 or not is_prime(q):
                 raise ValueError(f"modulus {q} is not NTT-friendly for n={n}")
         self.n = n
-        self._n1, self._n2 = n1, n2
+        self._n1, self._n2 = n // n2, n2
         self.mod = np.array(primes, dtype=np.int64)[:, None]
         self._primes = primes
-
-        # Tables as exponents of psi, looked up in each prime's powers; the
-        # inverse tables negate them (psi^-e = psi^(2n - e)).
-        pws = [_powers(_primitive_2n_root(q, n), q, 2 * n) for q in primes]
-
-        def table(exp: np.ndarray, sign: int = 1) -> np.ndarray:
-            return np.stack([pw[sign * exp % (2 * n)] for pw in pws])
-
-        def steps(first: np.ndarray, w: np.ndarray, second: np.ndarray) -> list[tuple]:
-            """Per prime: the two stage matrices, each (2 r, r) with its low
-            limbs above its high ones, and between them the twiddles (int32)
-            with their quotient estimates w / p."""
-            return [
-                (f, w_q.astype(np.int32), w_q / q, s)
-                for q, f, w_q, s in zip(primes, split_limbs(first, 1), w, split_limbs(second, 1))
-            ]
-
-        k2, j2 = np.arange(n2)[:, None], np.arange(n2)[None, :]
-        j1, k1 = np.arange(n1)[:, None], np.arange(n1)[None, :]
-        e_f1 = n1 * j2 * (2 * k2 + 1)  # [k2, j2]: the n2-point DFT and psi^(n1 j2)
-        e_tw = j1.T * (2 * k2 + 1)  # [k2, j1]: omega^(j1 k2) psi^j1
-        e_f2 = 2 * n2 * j1 * k1  # [k1, j1] (symmetric): the n1-point DFT
-        n_inv = np.array([pow(n, -1, q) for q in primes], dtype=np.int64)[:, None, None]
-        self._forward = steps(table(e_f1), table(e_tw), table(e_f2))
-        self._inverse = steps(
-            table(e_f2, -1) * n_inv % self.mod[:, :, None], table(e_tw.T, -1), table(e_f1.T, -1)
-        )
+        steps = [_prime_steps(n, q) for q in primes]
+        self._forward = [f for f, _ in steps]
+        self._inverse = [i for _, i in steps]
         # Batch slot s holds the evaluation at psi^(2 bitrev(s) + 1).
         self.slot_index = _bitrev_perm(n)
 

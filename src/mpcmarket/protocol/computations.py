@@ -10,9 +10,9 @@ inputs must satisfy beyond their widths), ``oracle``, the GC side
 (``he_plan(params, makers)``, ``he_encrypt_inputs``, ``he_evaluate``, ``he_finish``)
 over what each computation states: its HE inputs, its integer circuit, its
 output range and its result. The HE plan follows from the public
-(computation, params) pair, so every role derives it on its own; the CSP
-also checks it for the session's number of makers, which changes no field
-of the plan.
+(computation, params) pair, so every role derives it on its own, once per
+pair; the CSP also checks it for the session's number of makers, which
+changes no field of the plan.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,8 +118,8 @@ class CiphertextOps:
     sub = staticmethod(bfv.he_sub)
     switch = staticmethod(bfv.mod_switch)
 
-    def mul(self, a: HeCiphertext, b: HeCiphertext) -> HeCiphertext:
-        return bfv.he_mul(a, b, self.rk)
+    def mul(self, a: HeCiphertext, b: HeCiphertext, minus=None) -> HeCiphertext:
+        return bfv.he_mul(a, b, self.rk, minus)
 
     def mul_const(self, a: HeCiphertext, c: int) -> HeCiphertext:
         return bfv.he_mul_plain(a, bfv.encode_scalar(c, self.params, self.t))
@@ -140,60 +140,83 @@ class CiphertextOps:
         return bfv.he_add_plain(a, bfv.HePlaintext(m, self.t))
 
 
+class Estimate(NamedTuple):
+    """A value of :class:`NoiseOps`: its noise estimate (log2) and the
+    number of leading primes of q it holds."""
+
+    log2: float
+    primes: int
+
+
 class NoiseOps:
-    """The same op set on noise estimates (log2), through the rules the bfv
-    operations apply. Raises :class:`PlanRejected` where a value would leave
-    no budget, which is where the runtime would fail; ``multiplies`` and
-    ``packed`` record whether the circuit multiplied ciphertexts and took a
-    dot product."""
+    """The same op set on :class:`Estimate` values, through the rules the
+    bfv operations apply, the level rules included. Raises
+    :class:`PlanRejected` where a value would leave no budget, which is
+    where the runtime would fail; ``multiplies`` and ``packed`` record
+    whether the circuit multiplied ciphertexts and took a dot product."""
 
     def __init__(self, params: HeParams, t: int) -> None:
         self.params, self.t = params, t
         self.multiplies = False
         self.packed = False
 
-    def _fit(self, v: float, k: int | None = None) -> float:
+    def _fit(self, v: float, k: int) -> Estimate:
         capacity = self.params.budget_capacity(self.t, k)
         if capacity - v <= 0:
             raise PlanRejected(
                 f"HE plan needs ~{v:.0f} noise bits but t={self.t} leaves "
                 f"{capacity:.0f} at n={self.params.n}; increase ring degree"
             )
-        return v
+        return Estimate(v, k)
 
-    def add(self, a: float, b: float) -> float:
-        return self._fit(bfv.add_noise_log2(a, b))
+    def _align(self, *xs: Estimate) -> list[Estimate]:
+        k = min(x.primes for x in xs)
+        return [self.switch(x, k) for x in xs]
+
+    def add(self, a: Estimate, b: Estimate) -> Estimate:
+        a, b = self._align(a, b)
+        return self._fit(bfv.add_noise_log2(a.log2, b.log2), a.primes)
 
     sub = add
 
-    def mul(self, a: float, b: float) -> float:
+    def mul(self, a: Estimate, b: Estimate, minus=None) -> Estimate:
         self.multiplies = True
-        return self._fit(bfv.mul_noise_log2(self.params, self.t, a, b))
+        xs = self._align(a, b, *(minus or ()))
+        k = xs[0].primes
+        products = [(x.log2, y.log2) for x, y in zip(xs[::2], xs[1::2])]
+        v = self._fit(bfv.mul_noise_log2(self.params, self.t, k, products), k)
+        return self.switch(v, bfv.settle_primes(self.params, self.t, v.log2, k))
 
-    def mul_const(self, a: float, c: int) -> float:
-        return self._fit(bfv.plain_mul_noise_log2(a, bfv.centered_l1([c], self.t), self.t))
+    def mul_const(self, a: Estimate, c: int) -> Estimate:
+        l1 = bfv.centered_l1([c], self.t)
+        return self._fit(bfv.plain_mul_noise_log2(a.log2, l1, self.t), a.primes)
 
-    def add_const(self, a: float, c: int) -> float:
-        return self._fit(bfv.plain_add_noise_log2(a, self.t))
+    def add_const(self, a: Estimate, c: int) -> Estimate:
+        return self._fit(bfv.plain_add_noise_log2(a.log2, self.t), a.primes)
 
-    def dot_const(self, a: float, weights: Sequence[int]) -> float:
+    def dot_const(self, a: Estimate, weights: Sequence[int]) -> Estimate:
         if len(weights) > self.params.n:
             raise PlanRejected(f"{len(weights)} weights exceed the ring degree {self.params.n}")
         self.packed = True
         # _dot_plaintext negates w_1.., which keeps each centered magnitude.
-        return self._fit(bfv.plain_mul_noise_log2(a, bfv.centered_l1(weights, self.t), self.t))
+        l1 = bfv.centered_l1(weights, self.t)
+        return self._fit(bfv.plain_mul_noise_log2(a.log2, l1, self.t), a.primes)
 
-    def mask(self, a: float) -> float:
+    def mask(self, a: Estimate) -> Estimate:
         return self.add_const(a, 0)
 
-    def switch(self, a: float, k: int) -> float:
-        return self._fit(bfv.switch_noise_log2(self.params, self.t, a, k), k)
+    def switch(self, a: Estimate, k: int) -> Estimate:
+        if not 1 <= k <= a.primes:
+            raise bfv.HeParamsError(f"cannot switch to {k} of {a.primes} primes")
+        if k == a.primes:
+            return a
+        return self._fit(bfv.switch_noise_log2(self.params, self.t, a.log2, k, a.primes), k)
 
 
 @lru_cache(maxsize=32)
 def _prefix(params: HeParams, k: int) -> HeParams:
-    """``params`` under its first k primes; cached, since every role derives
-    the plan each session and :class:`HeParams` tests every prime."""
+    """``params`` under its first k primes; cached, since every role reads
+    the key prefix each session and :class:`HeParams` tests every prime."""
     return replace(params, q_primes=params.q_primes[:k])
 
 
@@ -218,9 +241,10 @@ class HePipeline:
       share per slot, or the vector a dot product takes), for the inputs fed
       by a group the maker owns (given every group, every input);
     - ``he_circuit(ops, x)``: its integer circuit over the op set ``add``,
-      ``sub``, ``mul``, ``mul_const``, ``add_const`` and ``dot_const`` (the
-      inner product of an input's values with plaintext weights), returning
-      output name -> value;
+      ``sub``, ``mul`` (a*b, or a*b - c*d with ``minus=(c, d)``, one
+      relinearization either way), ``mul_const``, ``add_const`` and
+      ``dot_const`` (the inner product of an input's values with plaintext
+      weights), returning output name -> value;
     - ``he_output_range()``: (prime bits, bound); the product of the plan
       moduli exceeds the bound, so every output is known modulo it;
     - ``he_result(outputs, modulus)``: the result from the CRT-combined
@@ -236,25 +260,57 @@ class HePipeline:
     replays count the mask and the switch too.
     """
 
-    def _circuit(self, ops, x: Mapping, primes: int) -> dict:
+    def _circuit(self, ops, x: Mapping, primes: int | None = None) -> dict:
         y = self.he_circuit(ops, x)
         if ops.packed:
             y = {name: ops.mask(v) for name, v in y.items()}
+        if primes is None:
+            return y
         return {name: ops.switch(v, primes) for name, v in y.items()}
 
+    def _replay(
+        self, params: HeParams, moduli, inputs, shares: int, primes: int | None = None
+    ) -> tuple[NoiseOps, dict]:
+        """The circuit on noise estimates under ``params`` and every modulus
+        in ``moduli``, each input the sum of ``shares`` fresh shares under
+        all of params' primes and, with ``primes``, each output switched to
+        that many: the last modulus's op set and outputs."""
+        fresh = reduce(bfv.add_noise_log2, [params.fresh_noise_log2()] * shares)
+        x = dict.fromkeys(inputs, Estimate(fresh, len(params.q_primes)))
+        for t in moduli:
+            ops = NoiseOps(params, t)
+            y = self._circuit(ops, x, primes)
+        return ops, y
+
+    @cached_property
+    def _plans(self) -> dict[HeParams, HePlan]:
+        return {}
+
     def he_plan(self, params: HeParams, makers: int = 1) -> HePlan:
+        """The plan for ``params`` (derived once, then kept), checked for the
+        session's ``makers``: the circuit, switch included, replays on the
+        buyer's sums of ``makers`` fresh shares. Only that check depends on
+        ``makers``; the plan itself does not, so every role derives the
+        same."""
+        plan = self._plans.get(params)
+        if plan is None:
+            plan = self._plans.setdefault(params, self._derive_plan(params))
+        if makers > 1:
+            self._replay(
+                plan.key_params(params), plan.moduli, plan.inputs, makers, plan.output_primes
+            )
+        return plan
+
+    def _derive_plan(self, params: HeParams) -> HePlan:
         """At most ``params.n`` slots, moduli covering the output range, and
         two prime counts, each the fewest leading primes of q under which
         the circuit replays on noise estimates under every modulus. First
         ``key_primes``, on the worst input any session can bring: every
         input the sum of one fresh share per input group of the schema.
         Then ``output_primes`` under that prefix, every input one fresh
-        share. The session's check then replays the circuit, switch
-        included, on the buyer's sums of ``makers`` fresh shares. Only that
-        check depends on ``makers``; the plan itself does not, so every role
-        derives the same. A circuit that takes a dot product and multiplies
-        ciphertexts is rejected: a product of packed ciphertexts would mix
-        their coefficients."""
+        share, at most the primes every output already holds. A circuit
+        that takes a dot product and multiplies ciphertexts is rejected: a
+        product of packed ciphertexts would mix their coefficients."""
         bits, bound = self.he_output_range()
         moduli: list[int] = []
         while math.prod(moduli) <= bound:
@@ -265,30 +321,20 @@ class HePipeline:
         slots = len(next(iter(inputs.values())))
         if slots > params.n:
             raise PlanRejected(f"{slots} slots do not fit one ciphertext at n={params.n}")
-        fresh = params.fresh_noise_log2()
-
-        def replay(p: HeParams, shares: int, primes: int) -> tuple[NoiseOps, dict]:
-            """The circuit under ``p`` and every modulus, each input the sum
-            of ``shares`` fresh shares and each output switched to
-            ``primes``: the last modulus's op set and outputs."""
-            x = dict.fromkeys(inputs, reduce(bfv.add_noise_log2, [fresh] * shares))
-            for t in moduli:
-                ops = NoiseOps(p, t)
-                y = self._circuit(ops, x, primes)
-            return ops, y
-
         worst = len(self.input_schema)
         key_primes = _fewest_primes(
-            len(params.q_primes), lambda k: replay(_prefix(params, k), worst, k)
+            len(params.q_primes),
+            lambda k: self._replay(_prefix(params, k), moduli, inputs, worst),
         )
         params = _prefix(params, key_primes)
-        ops, y = replay(params, 1, key_primes)
+        ops, y = self._replay(params, moduli, inputs, 1)
         # The circuit's ops do not depend on t: any replay tells which it uses.
         if ops.packed and ops.multiplies:
             raise PlanRejected("a dot product cannot share a circuit with a ciphertext multiply")
-        primes = _fewest_primes(key_primes, lambda k: replay(params, 1, k))
-        if makers > 1:
-            replay(params, makers, primes)
+        primes = _fewest_primes(
+            min(v.primes for v in y.values()),
+            lambda k: self._replay(params, moduli, inputs, 1, k),
+        )
         return HePlan(
             tuple(moduli),
             tuple(inputs),
@@ -346,7 +392,7 @@ class HePipeline:
             raise ProtocolError(f"no shares for inputs {sorted(missing)[:4]}")
         inputs = {t: {name: sums[f"{t}:{name}"] for name in plan.inputs} for t in plan.moduli}
         for t, x in inputs.items():
-            noises = {n: ct.noise_log2 for n, ct in x.items()}
+            noises = {n: Estimate(ct.noise_log2, len(ct.primes)) for n, ct in x.items()}
             self._circuit(NoiseOps(params, t), noises, plan.output_primes)
         rng = np.random.default_rng() if rng is None else rng
         out = []
@@ -455,18 +501,19 @@ class LdComputation(HePipeline):
     def he_circuit(self, ops, x: Mapping) -> dict:
         """e = den*lhs - num*rhs + rhs_max with lhs = 2N*(N*N_AB - N_A*N_B)^2
         and rhs = N_A*N_a*N_B*N_b: multiplicative depth 3, one value in
-        [0, lhs_max + rhs_max], decided as e > rhs_max after decryption."""
+        [0, lhs_max + rhs_max], decided as e > rhs_max after decryption.
+        Five relinearizations: the difference and the final a*b - c*d each
+        take one."""
         n_A = ops.add(x["n_AB"], x["n_Ab"])
         n_a = ops.add(x["n_aB"], x["n_ab"])
         n_B = ops.add(x["n_AB"], x["n_aB"])
         n_b = ops.add(x["n_Ab"], x["n_ab"])
         n = ops.add(n_A, n_a)
-        diff = ops.sub(ops.mul(n, x["n_AB"]), ops.mul(n_A, n_B))
-        lhs = ops.mul(ops.mul(diff, diff), ops.add(n, n))
-        rhs = ops.mul(ops.mul(n_A, n_a), ops.mul(n_B, n_b))
-        lhs = ops.mul_const(lhs, self.threshold_den)
-        rhs = ops.mul_const(rhs, self.threshold_num)
-        return {"e": ops.add_const(ops.sub(lhs, rhs), self._bounds[1])}
+        diff = ops.mul(n, x["n_AB"], minus=(n_A, n_B))
+        lhs = ops.mul_const(ops.mul(diff, diff), self.threshold_den)
+        rhs = ops.mul_const(ops.mul(n_A, n_a), self.threshold_num)
+        e = ops.mul(lhs, ops.add(n, n), minus=(rhs, ops.mul(n_B, n_b)))
+        return {"e": ops.add_const(e, self._bounds[1])}
 
     @cached_property
     def _bounds(self) -> tuple[int, int]:

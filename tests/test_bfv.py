@@ -367,7 +367,9 @@ class TestModSwitch:
         cb = bfv.encrypt(pk, bfv.batch_encode(vb, params8192), rng)
         prod = bfv.he_mul(bfv.he_mul(ca, cb, rk), ca, rk)
         want = [int(x) * int(y) * int(x) % t for x, y in zip(va, vb)]
-        for k in (2, 3, 5):
+        # Each product settled one prime lower; a switch takes the rest.
+        assert prod.primes == params8192.q_primes[:4]
+        for k in (2, 3, 4):
             sw = bfv.mod_switch(prod, k)
             assert sw.primes == params8192.q_primes[:k]
             assert bfv.batch_decode(bfv.decrypt(sk, sw), 64) == want
@@ -376,18 +378,19 @@ class TestModSwitch:
     def test_switch_rounds_exactly(self, params4096, keys4096):
         # c' = round(c q'/q) mod q' per coefficient, from the integers c in
         # [0, q) rebuilt in Python; ties (c/D half-integral) cannot occur,
-        # since D is odd.
+        # since D is odd. Dropping one prime (k = 3) takes its own path.
         _, pk, _ = keys4096
         ct = bfv.encrypt(pk, bfv.encode_scalar(9, params4096), np.random.default_rng(22))
-        primes, k = params4096.q_primes, 2
-        q, d = params4096.q, math.prod(primes[k:])
-        sw = bfv.mod_switch(ct, k)
-        for poly, out in zip(ct.polys, sw.polys):
-            for j in range(0, params4096.n, 97):
-                residues = zip(map(int, poly[:, j]), primes)
-                c = sum(r * (q // p) * pow(q // p, -1, p) for r, p in residues) % q
-                c_new = (2 * c + d) // (2 * d)
-                assert [int(x) for x in out[:, j]] == [c_new % p for p in primes[:k]]
+        primes, q = params4096.q_primes, params4096.q
+        for k in (2, 3):
+            d = math.prod(primes[k:])
+            sw = bfv.mod_switch(ct, k)
+            for poly, out in zip(ct.polys, sw.polys):
+                for j in range(0, params4096.n, 97):
+                    residues = zip(map(int, poly[:, j]), primes)
+                    c = sum(r * (q // p) * pow(q // p, -1, p) for r, p in residues) % q
+                    c_new = (2 * c + d) // (2 * d)
+                    assert [int(x) for x in out[:, j]] == [c_new % p for p in primes[:k]]
 
     def test_noise_rule(self, params8192):
         n, t, primes = params8192.n, params8192.t, params8192.q_primes
@@ -411,22 +414,28 @@ class TestModSwitch:
         with pytest.raises(bfv.NoiseBudgetExhausted):
             bfv.mod_switch(ct, 1)
 
-    def test_switched_ciphertext_takes_no_other_op(self, params4096, keys4096):
-        _, pk, rk = keys4096
+    def test_switched_ciphertext_takes_every_op(self, params4096, keys4096):
+        # A switched ciphertext is an ordinary operand; the other operand
+        # meets it at its 3 primes. Only a count outside 1 up to the primes
+        # it holds is rejected.
+        sk, pk, rk = keys4096
         ct = bfv.encrypt(pk, bfv.encode_scalar(3, params4096))
-        sw = bfv.mod_switch(ct, 2)
+        sw = bfv.mod_switch(ct, 3)
         pt = bfv.encode_scalar(2, params4096)
-        for op in (
-            lambda: bfv.he_add(sw, ct),
-            lambda: bfv.he_sub(ct, sw),
-            lambda: bfv.he_add(sw, sw),
-            lambda: bfv.he_mul(sw, sw, rk),
-            lambda: bfv.he_mul_plain(sw, pt),
-            lambda: bfv.he_add_plain(sw, pt),
-            lambda: bfv.mod_switch(sw, 1),
+        for got, want in (
+            (bfv.he_add(sw, ct), 6),
+            (bfv.he_sub(ct, sw), 0),
+            (bfv.he_add(sw, sw), 6),
+            (bfv.he_mul(sw, sw, rk), 9),
+            (bfv.he_mul_plain(sw, pt), 6),
+            (bfv.he_add_plain(sw, pt), 5),
+            (bfv.mod_switch(sw, 2), 3),
         ):
-            with pytest.raises(bfv.HeParamsError, match="2 of the 4 primes"):
-                op()
+            assert len(got.primes) <= 3
+            assert bfv.decode_scalar(bfv.decrypt(sk, got)) == want
+        for c, k in ((ct, 0), (ct, 5), (sw, 0), (sw, 4), (sw, 5)):
+            with pytest.raises(bfv.HeParamsError, match=f"cannot switch to {k} of {len(c.primes)}"):
+                bfv.mod_switch(c, k)
 
     @pytest.mark.parametrize("c", [0, 1000, 3841, -7, "t-1"])
     def test_constant_plaintext_multiply_takes_no_transform(
@@ -452,6 +461,89 @@ class TestModSwitch:
         assert all(np.array_equal(a, b) for a, b in zip(got.polys, want))
         t = params8192.t
         assert got.noise_log2 == bfv.plain_mul_noise_log2(ct.noise_log2, bfv.centered_l1([c], t), t)
+
+
+class TestLevels:
+    """he_mul takes a*b or a*b - c*d with one relinearization under any
+    leading prefix of the key's primes, and settles its result."""
+
+    @pytest.fixture(scope="class")
+    def operands(self, params8192, keys8192):
+        _, pk, _ = keys8192
+        rng = np.random.default_rng(31)
+        t = params8192.t
+        values = [[int(v) for v in rng.integers(t, size=32)] for _ in range(4)]
+        cts = [bfv.encrypt(pk, bfv.batch_encode(v, params8192), rng) for v in values]
+        return values, cts
+
+    @pytest.mark.parametrize("k", [6, 5, 4])
+    def test_difference_of_products_decrypts_exactly(self, params8192, keys8192, operands, k):
+        sk, _, rk = keys8192
+        (va, vb, vc, vd), cts = operands
+        a, b, c, d = (bfv.mod_switch(x, k) for x in cts)
+        got = bfv.he_mul(a, b, rk, minus=(c, d))
+        t = params8192.t
+        want = [(w * x - y * z) % t for w, x, y, z in zip(va, vb, vc, vd)]
+        assert bfv.batch_decode(bfv.decrypt(sk, got), 32) == want
+        assert 0 < got.budget_estimate <= bfv.noise_budget(sk, got)
+        est = bfv.mul_noise_log2(
+            params8192, t, k, [(a.noise_log2, b.noise_log2), (c.noise_log2, d.noise_log2)]
+        )
+        assert len(got.primes) == bfv.settle_primes(params8192, t, est, k) < k
+
+    def test_multiply_basis_holds_a_difference_of_products(self, params4096, params8192):
+        # |a*b - c*d| < n q^2 for centered operands, so the whole basis
+        # exceeds 2 n q^2 under every prefix; at n=4096 under all 4 primes
+        # that takes one more extension prime than a single product.
+        for params in (params4096, params8192):
+            for k in range(1, len(params.q_primes) + 1):
+                primes = params.q_primes[:k]
+                q = math.prod(primes)
+                basis = bfv._mul_basis(params.n, primes)
+                assert basis[:k] == primes and math.prod(basis) > 2 * params.n * q * q
+
+    def test_prefix_square_relinearizes_with_the_sliced_key(self, params8192, keys8192):
+        # The key rows encrypt (q/p_i) s^2 for the full q, so the digits of
+        # a 5-prime product take the full q's q_hat_i^-1 mod p_i; the
+        # prefix's own constants would decrypt to garbage.
+        sk, pk, rk = keys8192
+        x = bfv.encrypt(pk, bfv.encode_scalar(1234, params8192), np.random.default_rng(32))
+        x5 = bfv.mod_switch(x, 5)
+        square = bfv.he_mul(x5, x5, rk)
+        assert bfv.decode_scalar(bfv.decrypt(sk, square)) == 1234 * 1234 % params8192.t
+        assert 0 < square.budget_estimate <= bfv.noise_budget(sk, square)
+
+    def test_operands_at_different_prefixes_are_aligned(self, params8192, keys8192, operands):
+        # The operand holding more primes is switched down first: the result
+        # is the one from switching it by hand.
+        _, _, rk = keys8192
+        _, (a, b, c, d) = operands
+        b4, c5 = bfv.mod_switch(b, 4), bfv.mod_switch(c, 5)
+        cases = (
+            (bfv.he_add(a, b4), bfv.he_add(bfv.mod_switch(a, 4), b4)),
+            (bfv.he_sub(c5, a), bfv.he_sub(c5, bfv.mod_switch(a, 5))),
+            (
+                bfv.he_mul(a, c5, rk, minus=(b4, d)),
+                bfv.he_mul(*(bfv.mod_switch(x, 4) for x in (a, c5)), rk,
+                           minus=(b4, bfv.mod_switch(d, 4))),
+            ),
+        )
+        for got, want in cases:
+            assert bfv.ciphertext_to_bytes(got) == bfv.ciphertext_to_bytes(want)
+
+    def test_settling_loses_less_than_a_bit(self, params8192):
+        # Dropping a prime costs about nothing while the scaled noise is far
+        # above t and (1 + n)/2, and a switch further down costs more than
+        # a bit: 60 bits under 6 primes settle to 5, 90 bits to 4.
+        t = params8192.t
+        for v, j in ((60.0, 5), (90.0, 4), (20.0, 6)):
+            assert bfv.settle_primes(params8192, t, v, 6) == j
+            budget = params8192.budget_capacity(t, 6) - v
+            after = params8192.budget_capacity(t, j) - bfv.switch_noise_log2(params8192, t, v, j)
+            assert budget - 1 < after <= budget
+            if j > 1:
+                below = bfv.switch_noise_log2(params8192, t, v, j - 1)
+                assert params8192.budget_capacity(t, j - 1) - below <= budget - 1
 
 
 class TestBatching:
@@ -557,8 +649,12 @@ class TestGoldenBytes:
     the leading primes a (modulus-switched) ciphertext holds: each blob is
     the version 3 blob with byte 4 set to 4. The he_mul_plain blob, whose
     constant plaintext now takes no transform, did not move otherwise. The
-    secret key has no codec: its digest is of its coefficients as int8
-    bytes, the old secret-key blob without its 17-byte header."""
+    he_mul digest was re-recorded when every product began to settle to
+    the fewest primes that lose less than a bit of budget: the blob is the
+    previous product modulus-switched from 4 to 3 primes, bit for bit
+    (noise field included). The secret key has no codec: its digest is of
+    its coefficients as int8 bytes, the old secret-key blob without its
+    17-byte header."""
 
     def test_keys(self, keys4096):
         sk, pk, rk = keys4096
@@ -601,7 +697,7 @@ class TestGoldenBytes:
             "he_add": "20880f7d59c5a6237c092322f2364d747ebd8cd6db3f1b2505a8e65efb851d99",
             "he_sub": "c2f13f206c35cc423915a9c660d9f7e144349de6e4d6c83dc5cf99e6f4145b38",
             "he_mul_plain": "ad0b30e60bbc7649f8e8bc0c4a7b0db91be9e2e0ad8516419af12ad23d43a23e",
-            "he_mul": "123bb50eba5cfb218339e4b7fa59ad223d110091c61933f96b0c72ed39bd2fe7",
+            "he_mul": "0dc7734eec239c006ca5e5962547762800a8d97db0fbb2ba9b0c8c899a820b5b",
         }
 
 

@@ -21,7 +21,7 @@ from mpcmarket.analytics.ld import (
 from mpcmarket.circuits import CircuitError, eval_plain
 from mpcmarket.he import bfv
 from mpcmarket.protocol import run_protocol1
-from mpcmarket.protocol.computations import CiphertextOps, LdComputation, NoiseOps
+from mpcmarket.protocol.computations import CiphertextOps, Estimate, LdComputation, NoiseOps
 
 THRESH = (3841, 1000)  # chi-square at 1 dof, p = 0.05
 
@@ -179,12 +179,35 @@ class TestCrtCombine:
         assert crt_combine({m: value % m for m in moduli}) == value
 
 
-def planned_noise(params, t, num, den):
-    """The planner's noise estimate of e under modulus ``t``: the LD circuit
-    replayed on noise at four fresh maker shares per count."""
+def planned_noise(params, t, num, den, ops=None):
+    """The planner's estimate of e under modulus ``t`` (on ``ops``, by
+    default a fresh :class:`NoiseOps`): the LD circuit replayed on noise at
+    four fresh maker shares per count, under all of params' primes."""
     comp = LdComputation(count_bits=11, threshold_num=num, threshold_den=den)
-    start = dict.fromkeys(HaplotypeCounts._fields, params.fresh_noise_log2() + 2)
-    return comp.he_circuit(NoiseOps(params, t), start)["e"]
+    fresh = Estimate(params.fresh_noise_log2() + 2, len(params.q_primes))
+    start = dict.fromkeys(HaplotypeCounts._fields, fresh)
+    return comp.he_circuit(NoiseOps(params, t) if ops is None else ops, start)["e"]
+
+
+class Recorded:
+    """An op set that keeps, in order, every value its ops return, and the
+    names of those ops."""
+
+    def __init__(self, ops) -> None:
+        self.ops, self.values, self.names = ops, [], []
+
+    def __getattr__(self, name):
+        op = getattr(self.ops, name)
+
+        def record(*args, **kwargs):
+            self.values.append(op(*args, **kwargs))
+            self.names.append(name)
+            return self.values[-1]
+
+        return record
+
+    def of(self, name: str) -> list:
+        return [v for n, v in zip(self.names, self.values) if n == name]
 
 
 class TestHePlan:
@@ -205,7 +228,8 @@ class TestHePlan:
     def test_planner_estimate_is_the_runtime_estimate(self, params8192, keys8192):
         # Four maker shares per count, summed as the buyer sums them, under
         # the plan's last modulus (not params.t): the planner's estimate of e
-        # is the one the runtime operations carry.
+        # is the one the runtime operations carry, and every value of the
+        # circuit holds as many primes in the planner as at runtime.
         _, pk, rk = keys8192
         num, den = 1_000_003, 3
         comp = LdComputation(count_bits=11, threshold_num=num, threshold_den=den)
@@ -216,11 +240,51 @@ class TestHePlan:
         for name in ("n_AB", "n_Ab", "n_aB", "n_ab"):
             cts = [bfv.encrypt(pk, bfv.encode_scalar(1, params8192, t), rng) for _ in range(4)]
             shares[name] = bfv.he_add(bfv.he_add(bfv.he_add(cts[0], cts[1]), cts[2]), cts[3])
-        out = comp.he_circuit(CiphertextOps(params8192, t, rk), shares)
-        assert out["e"].noise_log2 == pytest.approx(planned_noise(params8192, t, num, den))
-        # Scaling both thresholds scales both terms of e, and the estimate.
-        base = planned_noise(params8192, t, 1, 1)
-        assert planned_noise(params8192, t, 1 << 12, 1 << 12) == pytest.approx(base + 12)
+        runtime = Recorded(CiphertextOps(params8192, t, rk))
+        out = comp.he_circuit(runtime, shares)
+        planner = Recorded(NoiseOps(params8192, t))
+        planned = planned_noise(params8192, t, num, den, planner)
+        assert out["e"].noise_log2 == pytest.approx(planned.log2)
+        assert [len(ct.primes) for ct in runtime.values] == [v.primes for v in planner.values]
+        assert [ct.noise_log2 for ct in runtime.values] == pytest.approx(
+            [v.log2 for v in planner.values]
+        )
+        # Scaling both thresholds scales both terms of e (den*lhs and
+        # num*rhs), and with them e's remaining budget: e settles to fewer
+        # primes when its noise grows, losing less than a bit there.
+        base, scaled = Recorded(NoiseOps(params8192, t)), Recorded(NoiseOps(params8192, t))
+        e = [planned_noise(params8192, t, c, c, ops) for c, ops in ((1, base), (1 << 12, scaled))]
+        for x, y in zip(base.of("mul_const"), scaled.of("mul_const")):
+            assert (y.log2, y.primes) == (pytest.approx(x.log2 + 12), x.primes)
+        budget = [params8192.budget_capacity(t, v.primes) - v.log2 for v in e]
+        assert budget[0] - budget[1] == pytest.approx(12, abs=1)
+
+    def test_session_relinearizes_five_times_per_modulus(self, params8192, monkeypatch):
+        # The benchmark's he-ld session: M=10, four makers, n=8192 and three
+        # moduli. Per modulus, in call order: the difference
+        # n*N_AB - N_A*N_B in one call under 6 primes, its square under 5,
+        # N_A*N_a and N_B*N_b under 6, and the final a*b - c*d under 4:
+        # 15 he_mul calls, where one per product made 21.
+        levels = []
+        he_mul = bfv.he_mul
+
+        def counted(*args):
+            operands = [args[0], args[1], *(args[3] if len(args) > 3 and args[3] else ())]
+            levels.append(min(len(ct.primes) for ct in operands))
+            return he_mul(*args)
+
+        monkeypatch.setattr(bfv, "he_mul", counted)
+        comp = LdComputation(count_bits=11, m_instances=10)
+        rng = random.Random(5)
+        counts = [[rng.randrange(256) for _ in range(4)] for _ in range(10)]
+        makers = [
+            {f"i{i}.{name}": c[j] for i, c in enumerate(counts)}
+            for j, name in enumerate(HaplotypeCounts._fields)
+        ]
+        out = run_protocol1(comp, makers, params8192, seed=26)
+        assert out.verified
+        assert len(comp.he_plan(params8192).moduli) == 3
+        assert levels == [6, 5, 6, 6, 4] * 3
 
     def test_worked_example_encrypted(self, params8192, keys8192):
         sk, pk, rk = keys8192

@@ -24,7 +24,7 @@ from mpcmarket.protocol import (
     Result,
     channels,
 )
-from mpcmarket.protocol.computations import NoiseOps
+from mpcmarket.protocol.computations import Estimate, NoiseOps
 from mpcmarket.protocol.parties import Buyer, Csp, DataTrust, Maker
 from mpcmarket.protocol.runner import (
     VerificationError,
@@ -302,7 +302,9 @@ class TestHePipeline:
             assert plan.output_primes == k
             assert comp.he_plan(params) == plan
             fresh = params.fresh_noise_log2()
-            start = dict.fromkeys(plan.inputs, fresh + math.log2(makers))
+            start = dict.fromkeys(
+                plan.inputs, Estimate(fresh + math.log2(makers), plan.key_primes)
+            )
             for t in plan.moduli:
                 comp._circuit(NoiseOps(params, t), start, k)
                 with pytest.raises(PlanRejected):
@@ -374,7 +376,7 @@ class TestHePipeline:
             assert plan.key_primes == k
             assert plan.key_params(params).q_primes == params.q_primes[:k]
             worst = params.fresh_noise_log2() + math.log2(len(comp.input_schema))
-            start = dict.fromkeys(plan.inputs, worst)
+            start = dict.fromkeys(plan.inputs, Estimate(worst, k - 1))
             fewer = HeParams(params.n, params.q_primes[: k - 1], params.t)
             for t in plan.moduli:
                 with pytest.raises(PlanRejected):

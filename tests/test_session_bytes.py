@@ -32,6 +32,13 @@ ListingBundle frames shrank by a quarter of their rows; its DecryptRequest
 kept its size (the output held 3 primes before, after a switch) and moved
 with the parameter hash. The Query and Result frames, the result, the type
 sequence and every p1-ld, p2-ld and p2-lr-tcp digest did not move.
+
+The p1-ld DecryptRequest digest was re-recorded when P1 products began to
+settle to fewer primes and the LD circuit to relinearize a*b - c*d once:
+its output ciphertexts are computed along another path (fused products,
+lower levels) and carry other residues and noise fields, at the same 2
+primes and the same size. Every other frame, the result, the type
+sequences and every p1-lr, p2-ld and p2-lr-tcp digest did not move.
 """
 
 import hashlib
@@ -83,7 +90,7 @@ FRAMES = {
         "e31435674befd45d0d8504e3e0113abd23cb1fd74b266a15ec22ae87f20c33ee",
         "554eae367d3b46bc2e731b1c25a0284b7d17a6d0ba30da605de3a26a29fe09ce",
         "383f9564393e141aa8a9998b207a48e19b9d2f1b9bbf4bdabb68dd8825c94f64",
-        "c484bbbc1b0618e0cdc365ca2f977412c0e03d83bc63c90231dee0285a8f1abc",
+        "41544d3132ac7c38b4ec977ce381a1a208966d3b509844273894fca6b7d807ea",
         "d82c07798b87d00629b069a01e6dcfd3ecc22cda4d974cc62d4f40ed3a3337d9",
     ],
     "p1-lr": [
