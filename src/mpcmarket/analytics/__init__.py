@@ -18,7 +18,6 @@ from .lr import (
     load_model,
     lr_he_plan_bound,
     lr_predict_fixed,
-    lr_predict_float,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "load_model",
     "lr_he_plan_bound",
     "lr_predict_fixed",
-    "lr_predict_float",
 ]

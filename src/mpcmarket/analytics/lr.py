@@ -136,16 +136,6 @@ def lr_predict_fixed(model: LrModel, x_fixed: Sequence[int], table: SigmoidTable
     return table.probability(idx)
 
 
-def lr_predict_float(model: LrModel, x_fixed: Sequence[int]) -> float:
-    """Full-precision sigmoid on the same quantized inputs; the reference
-    path for measuring table/fixed-point error."""
-    z = lr_affine_fixed(model, x_fixed) / (1 << (2 * model.spec.frac_bits))
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
 # -- garbled-circuit path -------------------------------------------------------------
 
 

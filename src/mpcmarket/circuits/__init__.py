@@ -1,4 +1,4 @@
-"""Boolean circuit IR, arithmetic circuit builders, and plaintext evaluation."""
+"""Boolean circuit IR and arithmetic circuit builders."""
 
 from .ir import (
     AND,
@@ -9,15 +9,8 @@ from .ir import (
     FixedPointSpec,
     GateStats,
     InputGroup,
-    eval_plain,
 )
-from .builders import (
-    CircuitBuilder,
-    build_adder,
-    build_greater_than,
-    build_lookup,
-    build_multiplier,
-)
+from .builders import CircuitBuilder
 
 __all__ = [
     "AND",
@@ -29,9 +22,4 @@ __all__ = [
     "FixedPointSpec",
     "GateStats",
     "InputGroup",
-    "build_adder",
-    "build_greater_than",
-    "build_lookup",
-    "build_multiplier",
-    "eval_plain",
 ]

@@ -392,48 +392,3 @@ class CircuitBuilder:
             gates=np.frombuffer(self._gates, dtype=np.int32).reshape(-1, 4),
             output_wires=tuple(output_wires),
         )
-
-
-# -- standalone builders -------------------------------------------------------
-
-
-def build_adder(n_bits: int) -> Circuit:
-    """Two's-complement adder with wraparound: 2n inputs, n outputs,
-    n-1 AND gates (ripple carry, carry-out dropped)."""
-    if not (1 <= n_bits <= 64):
-        raise CircuitError(f"adder width {n_bits} out of range [1, 64]")
-    b = CircuitBuilder()
-    x = b.add_input_group("a", n_bits)
-    y = b.add_input_group("b", n_bits)
-    return b.build(b.add_wrap(x, y))
-
-
-def build_multiplier(n_bits: int) -> Circuit:
-    """Unsigned schoolbook multiplier: 2n inputs, 2n outputs (full product)."""
-    if not (1 <= n_bits <= 32):
-        raise CircuitError(f"multiplier width {n_bits} out of range [1, 32]")
-    b = CircuitBuilder()
-    x = b.add_input_group("a", n_bits)
-    y = b.add_input_group("b", n_bits)
-    return b.build(b.mul_unsigned(x, y))
-
-
-def build_greater_than(n_bits: int) -> Circuit:
-    """Unsigned strict comparison: 2n inputs, 1 output bit (a > b)."""
-    if not (1 <= n_bits <= 128):
-        raise CircuitError(f"comparator width {n_bits} out of range [1, 128]")
-    b = CircuitBuilder()
-    x = b.add_input_group("a", n_bits)
-    y = b.add_input_group("b", n_bits)
-    return b.build([b.greater_unsigned(x, y)])
-
-
-def build_lookup(table: Sequence[int], index_bits: int, out_bits: int) -> Circuit:
-    """Constant-table lookup circuit: index_bits inputs, out_bits outputs."""
-    if not (1 <= index_bits <= 20):
-        raise CircuitError(f"index width {index_bits} out of range [1, 20]")
-    if not (1 <= out_bits <= 64):
-        raise CircuitError(f"output width {out_bits} out of range [1, 64]")
-    b = CircuitBuilder()
-    idx = b.add_input_group("index", index_bits)
-    return b.build(b.lookup(idx, table, out_bits))

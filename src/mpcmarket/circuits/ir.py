@@ -1,4 +1,4 @@
-"""Core circuit data structures and the plaintext evaluator.
+"""Core circuit data structures.
 
 Wire numbering convention: data input wires occupy ids 0..n_inputs-1,
 followed by the two constant wires (always allocated, fixed to 0 and 1),
@@ -210,27 +210,6 @@ class Circuit:
             group = self.group(name)
             for k in range(group.width):
                 yield group.start + k, (value >> k) & 1
-
-
-def eval_plain(circuit: Circuit, input_bits: Sequence[int]) -> list[int]:
-    """Evaluate the circuit on plaintext bits; the oracle for the garbling engine."""
-    if len(input_bits) != circuit.n_inputs:
-        raise CircuitError(
-            f"expected {circuit.n_inputs} input bits, got {len(input_bits)}"
-        )
-    values = [0] * circuit.n_wires
-    for i, b in enumerate(input_bits):
-        values[i] = b & 1
-    values[circuit.const_zero] = 0
-    values[circuit.const_one] = 1
-    for kind, a, b, out in zip(*circuit.gates.T.tolist()):  # columns convert fastest
-        if kind == XOR:
-            values[out] = values[a] ^ values[b]
-        elif kind == AND:
-            values[out] = values[a] & values[b]
-        else:
-            values[out] = values[a] ^ 1
-    return [values[w] for w in circuit.output_wires]
 
 
 def int_from_bits(bits: Sequence[int], signed: bool = False) -> int:

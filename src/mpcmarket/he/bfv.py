@@ -10,8 +10,7 @@ overflow). Products in the transform domain take no int64 remainder:
 :func:`~mpcmarket.he.ntt.dot_mod` estimates each quotient in float64 and
 subtracts it exactly. The transforms keep their natural output order, so
 only :func:`batch_encode` and :func:`batch_decode` apply the (bit-reversed)
-slot order; keys and ciphertexts travel in coefficient form, which the
-order does not touch.
+slot order.
 
 Multiplication takes a signed sum of products, a*b or a*b - c*d. It
 extends the operands' centered lifts from q to an extended prime basis by
@@ -37,15 +36,19 @@ the first k primes relinearizes with the first k digits and key rows; the
 key encrypts (q/p_i) s^2 for the full q, so the digits take the full q's
 constants q_hat_i^-1 mod p_i, sliced to the first k.
 
-Keys and ciphertexts serialize as their (k, n) arrays in coefficient form,
-prime-major, one little-endian uint32 per residue (every prime is below
-2^30); the decoders take exactly one such buffer, check n and k against
-the parameters (a ciphertext may hold the first k of the K primes) and
-every residue against its prime, and raise :class:`HeParamsError` on
-anything else. A public or relinearization key sends only its b rows and a
-32-byte seed: its uniform a halves are public, so every party expands them
-from the seed (:func:`_expand_uniform`), as SEAL's seeded serialization
-does.
+Keys and ciphertexts serialize as their (k, n) arrays, prime-major, each
+residue in w bits, w the bit length of the largest prime the blob's rows
+hold (30 at n=8192, 27 below, for the default primes): residue j of the
+body sits at bits [w j, w j + w) of the body read as one little-endian
+integer (:func:`_pack_rows`). Ciphertexts travel in coefficient form and
+keys in the transform domain, in its natural order, so no party
+transforms a key to send or receive it. The decoders take exactly one
+such buffer, check n and k against the parameters (a ciphertext may hold
+the first k of the K primes) and every residue against its prime, and
+raise :class:`HeParamsError` on anything else. A public or
+relinearization key sends only its b rows and a 32-byte seed: its uniform
+a halves are public, so every party expands them from the seed
+(:func:`_expand_uniform`), as SEAL's seeded serialization does.
 
 Noise is tracked two ways: a conservative running estimate carried on every
 ciphertext (used to flag budget exhaustion eagerly, the scheme's bottom
@@ -872,14 +875,39 @@ def mod_switch(ct: HeCiphertext, k: int) -> HeCiphertext:
 _CT_MAGIC = b"HECT"
 _PK_MAGIC = b"HEPK"
 _RK_MAGIC = b"HERK"
-_CT_VERSION = 4
-_KEY_VERSION = 3  # public and relinearization keys
+_CT_VERSION = 5
+_KEY_VERSION = 4  # public and relinearization keys
 _CT_HEAD = struct.Struct(">B8sQIBd")
 _KEY_HEAD = struct.Struct(">B8sIB32s")
 
 
-def _pack_rows(polys) -> bytes:
-    return np.ascontiguousarray(np.stack(polys), dtype="<u4").tobytes()
+def _windows(w: int) -> list[tuple[int, int]]:
+    """For residue i of a group of 8 in w bytes: the byte at which a
+    uint64 that holds it starts, and the residue's bit within that uint64.
+    The last windows end at the group's end, so none reaches past it."""
+    starts = [min(w * i // 8, w - 8) for i in range(8)]
+    return [(at, w * i - 8 * at) for i, at in enumerate(starts)]
+
+
+def _words(buf: np.ndarray, at: int, w: int, groups: int) -> np.ndarray:
+    """The little-endian uint64 at byte ``at`` of each w-byte group of buf."""
+    return np.ndarray((groups,), "<u8", buf, at, (w,))
+
+
+def _pack_rows(head: bytes, polys, primes: Sequence[int]) -> bytes:
+    """``head``, then the (k, n) polynomials ``polys``, residues below
+    ``primes``, in w bits a residue, w the bit length of the largest prime.
+    Every n is a multiple of 8, so the residues form groups of 8 in w
+    bytes, and each residue, shifted to its bit, fits one uint64 of its
+    group."""
+    w = max(p.bit_length() for p in primes)
+    r = np.ascontiguousarray(np.stack(polys), dtype=np.int64).reshape(-1, 8).view(np.uint64)
+    out = np.zeros(len(head) + len(r) * w, np.uint8)
+    out[: len(head)] = np.frombuffer(head, np.uint8)
+    for i, (at, shift) in enumerate(_windows(w)):
+        v = _words(out, len(head) + at, w, len(r))
+        v |= r[:, i] << np.uint64(shift)
+    return out.tobytes()
 
 
 def _read(
@@ -900,15 +928,23 @@ def _read(
 def _read_rows(
     body: bytes, count: int, n: int, k: int, params: HeParams, what: str, prefix: bool = False
 ) -> np.ndarray:
-    """Exactly ``count`` (k, n) polynomials of residues, each below its
-    prime: under all K primes, or with ``prefix`` under the first 1 <= k <= K."""
+    """Exactly ``count`` (k, n) polynomials of residues packed by
+    :func:`_pack_rows`, each below its prime: under all K primes, or with
+    ``prefix`` under the first 1 <= k <= K."""
     big_k = len(params.q_primes)
     if n != params.n or not (1 <= k <= big_k if prefix else k == big_k):
         raise HeParamsError(f"{what} has n={n}, k={k}; params have n={params.n}, k={big_k}")
-    size = 4 * count * k * n
-    if len(body) != size:
-        raise HeParamsError(f"{what} body is {len(body)} bytes, expected {size}")
-    rows = np.frombuffer(body, dtype="<u4").astype(np.int64).reshape(count, k, n)
+    w = max(p.bit_length() for p in params.q_primes[:k])
+    groups = count * k * n // 8
+    if len(body) != groups * w:
+        raise HeParamsError(f"{what} body is {len(body)} bytes, expected {groups * w}")
+    buf = np.frombuffer(body, np.uint8)
+    rows = np.empty((groups, 8), np.int64)
+    u = rows.view(np.uint64)
+    for i, (at, shift) in enumerate(_windows(w)):
+        np.right_shift(_words(buf, at, w, groups), np.uint64(shift), out=u[:, i])
+    u &= np.uint64((1 << w) - 1)
+    rows = rows.reshape(count, k, n)
     if not (rows < params.ntt.mod[:k]).all():
         raise HeParamsError(f"{what} residue out of range")
     return rows
@@ -919,7 +955,7 @@ def ciphertext_to_bytes(ct: HeCiphertext) -> bytes:
     head = _CT_MAGIC + _CT_HEAD.pack(
         _CT_VERSION, params.param_hash, ct.t, params.n, len(ct.primes), ct.noise_log2
     )
-    return head + _pack_rows(ct.polys)
+    return _pack_rows(head, ct.polys, ct.primes)
 
 
 def ciphertext_from_bytes(data: bytes, params: HeParams) -> HeCiphertext:
@@ -933,23 +969,23 @@ def ciphertext_from_bytes(data: bytes, params: HeParams) -> HeCiphertext:
     return HeCiphertext(params, t, (c0, c1), noise)
 
 
-def _key_to_bytes(magic: bytes, params: HeParams, seed: bytes, b_ntt: np.ndarray) -> bytes:
+def _key_to_bytes(magic: bytes, params: HeParams, seed: bytes, b_ntt: Sequence) -> bytes:
     """A public or relinearization key: its header with the seed of its a
-    halves, then its NTT-form b rows in coefficient form."""
+    halves, then its b rows as they are, in the transform domain."""
     head = magic + _KEY_HEAD.pack(
         _KEY_VERSION, params.param_hash, params.n, len(params.q_primes), seed
     )
-    return head + _pack_rows(params.ntt.inverse(b_ntt))
+    return _pack_rows(head, b_ntt, params.q_primes)
 
 
 def _key_from_bytes(data: bytes, magic: bytes, params: HeParams, what: str, count: int):
     """The seed and the ``count`` b rows, in the transform domain, of a key."""
     (n, k, seed), body = _read(data, magic, _KEY_HEAD, params, what, _KEY_VERSION)
-    return seed, params.ntt.forward(_read_rows(body, count, n, k, params, what))
+    return seed, _read_rows(body, count, n, k, params, what)
 
 
 def public_key_to_bytes(pk: PublicKey) -> bytes:
-    return _key_to_bytes(_PK_MAGIC, pk.params, pk.seed, pk.pk0_ntt[None])
+    return _key_to_bytes(_PK_MAGIC, pk.params, pk.seed, [pk.pk0_ntt])
 
 
 def public_key_from_bytes(data: bytes, params: HeParams) -> PublicKey:
@@ -958,7 +994,7 @@ def public_key_from_bytes(data: bytes, params: HeParams) -> PublicKey:
 
 
 def relin_key_to_bytes(rk: RelinKey) -> bytes:
-    return _key_to_bytes(_RK_MAGIC, rk.params, rk.seed, np.stack([b for b, _ in rk.pairs]))
+    return _key_to_bytes(_RK_MAGIC, rk.params, rk.seed, [b for b, _ in rk.pairs])
 
 
 def relin_key_from_bytes(data: bytes, params: HeParams) -> RelinKey:

@@ -278,17 +278,3 @@ class NttPlan:
 @lru_cache(maxsize=128)
 def get_plan(n: int, primes: tuple[int, ...]) -> NttPlan:
     return NttPlan(n, primes)
-
-
-def schoolbook_negacyclic(a, b, p: int) -> list[int]:
-    """Quadratic negacyclic convolution in exact integers; the NTT oracle."""
-    n = len(a)
-    assert len(b) == n
-    full = [0] * (2 * n)
-    for i in range(n):
-        ai = int(a[i])
-        if ai == 0:
-            continue
-        for j in range(n):
-            full[i + j] += ai * int(b[j])
-    return [(full[i] - full[i + n]) % p for i in range(n)]

@@ -52,9 +52,6 @@ class TranscriptEntry:
 class Transcript:
     entries: list[TranscriptEntry] = field(default_factory=list)
 
-    def type_sequence(self) -> list[str]:
-        return [e.type_name for e in self.entries]
-
     def received_by(self, receiver: str) -> list[TranscriptEntry]:
         return [e for e in self.entries if e.receiver == receiver]
 
@@ -165,9 +162,6 @@ class TcpChannel(BaseChannel):
             )
             th.start()
             self._threads.append(th)
-
-    def endpoint(self, name: str) -> tuple[str, int]:
-        return (self._host, self._ports[name])
 
     def _serve(self, srv: socket.socket, role: Role) -> None:
         while not self._stop.is_set():

@@ -375,7 +375,9 @@ class HePipeline:
         the circuit fits the sums' noise estimates under every modulus, then
         run it per modulus, masking a packed circuit's outputs from ``rng``
         and switching each to the plan's ``output_primes``; outputs are
-        tagged ``{output}:{t}``."""
+        tagged ``{output}:{t}``. Every share is fresh, so it takes the
+        fresh estimate of ``params``, not the noise field its maker wrote:
+        a forged field reaches no level decision and aborts nothing."""
         want = {f"{t}:{name}": t for t in plan.moduli for name in plan.inputs}
         sums: dict[str, HeCiphertext] = {}
         for maker, tag, blob in listings:
@@ -386,6 +388,7 @@ class HePipeline:
                 raise ProtocolError(f"input {tag!r} is encrypted under t={ct.t}")
             if ct.primes != params.q_primes:
                 raise ProtocolError(f"input {tag!r} holds {len(ct.primes)} of q's primes")
+            ct.noise_log2 = params.fresh_noise_log2()
             sums[tag] = bfv.he_add(sums[tag], ct) if tag in sums else ct
         missing = want.keys() - sums.keys()
         if missing:

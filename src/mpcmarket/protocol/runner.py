@@ -169,25 +169,3 @@ def run_protocol2(
         return buyer.accept_decoding(decoding)
 
     return _run_session(computation, maker_inputs, steps, b"p2", transport, seed, verify)
-
-
-# Message types whose payloads could carry plaintext listings or secrets;
-# the datatrust must never receive any of them (transcript-level check used
-# by tests alongside the structural schema restriction in parties).
-DT_FORBIDDEN_TYPES = frozenset(
-    {"Result", "DeltaKeyDist", "DecryptRequest", "GarbledCircuitMsg", "OutputDecoding"}
-)
-
-# No message type implements oblivious transfer; this name set documents the
-# absence and lets tests assert it against transcripts.
-OT_TYPE_NAMES = frozenset({"OtOffer", "OtRequest", "OtResponse", "ObliviousTransfer"})
-
-
-def assert_datatrust_hygiene(transcript: Transcript) -> None:
-    seen = {e.type_name for e in transcript.received_by("datatrust")}
-    bad = seen & DT_FORBIDDEN_TYPES
-    if bad:
-        raise ProtocolError(f"datatrust received forbidden message types: {sorted(bad)}")
-    ot = {e.type_name for e in transcript.entries} & OT_TYPE_NAMES
-    if ot:
-        raise ProtocolError(f"transcript contains OT messages: {sorted(ot)}")

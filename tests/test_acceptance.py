@@ -22,23 +22,23 @@ from mpcmarket.analytics.lr import (
     build_lr_circuit,
     build_sigmoid_table,
     lr_predict_fixed,
-    lr_predict_float,
 )
-from mpcmarket.circuits import (
-    CircuitBuilder,
+from mpcmarket.circuits import CircuitBuilder
+from mpcmarket.he import bfv
+from mpcmarket.he.ntt import get_plan
+from mpcmarket.protocol import LdComputation, LrComputation
+from mpcmarket.protocol.runner import run_protocol1, run_protocol2
+
+from helpers import (
+    assert_datatrust_hygiene,
     build_adder,
     build_greater_than,
     build_lookup,
     build_multiplier,
     eval_plain,
-)
-from mpcmarket.he import bfv
-from mpcmarket.he.ntt import get_plan, schoolbook_negacyclic
-from mpcmarket.protocol import LdComputation, LrComputation
-from mpcmarket.protocol.runner import (
-    assert_datatrust_hygiene,
-    run_protocol1,
-    run_protocol2,
+    lr_predict_float,
+    schoolbook_negacyclic,
+    type_sequence,
 )
 
 THRESH = (3841, 1000)
@@ -359,7 +359,7 @@ def test_criterion_9_transport_equivalence(params8192, params4096, bundled_model
         b = _record(runner("tcp"))
         if a.result != b.result:
             failures.append(f"{name}: results differ")
-        if a.transcript.type_sequence() != b.transcript.type_sequence():
+        if type_sequence(a.transcript) != type_sequence(b.transcript):
             failures.append(f"{name}: type sequences differ")
         if [e.n_bytes for e in a.transcript.entries] != [
             e.n_bytes for e in b.transcript.entries

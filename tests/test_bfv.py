@@ -12,15 +12,10 @@ from hypothesis import strategies as st
 
 from mpcmarket.he import bfv
 from mpcmarket.he.bfv import find_ntt_primes
-from mpcmarket.he.ntt import (
-    NttPlan,
-    _primitive_2n_root,
-    dot_mod,
-    get_plan,
-    is_prime,
-    schoolbook_negacyclic,
-)
+from mpcmarket.he.ntt import NttPlan, _primitive_2n_root, dot_mod, get_plan, is_prime
 from mpcmarket.protocol.computations import CiphertextOps
+
+from helpers import schoolbook_negacyclic
 
 
 def ntt_mul(a, b, n: int, p: int) -> list[int]:
@@ -654,7 +649,16 @@ class TestGoldenBytes:
     previous product modulus-switched from 4 to 3 primes, bit for bit
     (noise field included). The secret key has no codec: its digest is of
     its coefficients as int8 bytes, the old secret-key blob without its
-    17-byte header."""
+    17-byte header.
+
+    Every key and ciphertext digest was re-recorded for ciphertext version
+    5 and key version 4, which pack each residue in the bit length of its
+    blob's largest prime (27 bits here) instead of a uint32. Each
+    ciphertext blob is the version 4 blob with byte 4 raised by one and the
+    same residues repacked, bit for bit as ``np.packbits(bitorder=
+    "little")`` of their 27 low bits. Each key blob is the version 3 blob
+    with byte 4 raised by one and its b rows forward-transformed, then
+    repacked the same way: keys now travel in the transform domain."""
 
     def test_keys(self, keys4096):
         sk, pk, rk = keys4096
@@ -662,10 +666,10 @@ class TestGoldenBytes:
             "7e6fc472c653669dad7f47d45131ca688b015f8efb7ec4d2f4e86071666a029c"
         )
         assert _sha(bfv.public_key_to_bytes(pk)) == (
-            "5dd39c644db02e667288e6ac5f8c0916601732ecabb9e486912b3a208b206d3a"
+            "7e1e63b8ec1b9bfa44beca575d84dbea017e257ba47dd72b949320da5956823f"
         )
         assert _sha(bfv.relin_key_to_bytes(rk)) == (
-            "2e225243f0e8f402f35e4cdab1204fe3791dd01598440b467649db8456c83296"
+            "e612e0f9325bd5e27afc001965d7514d7200d69b426ee3d14dbb475920764d42"
         )
 
     def test_batch_encode(self, params4096, params8192):
@@ -693,11 +697,11 @@ class TestGoldenBytes:
             "he_mul": bfv.he_mul(a, b, rk),
         }
         assert {k: _sha(bfv.ciphertext_to_bytes(v)) for k, v in got.items()} == {
-            "encrypt": "77c1a2ae5915ede57ceb84284e0e79b6676c05c0cd1d23b3a3b5144d75677a2f",
-            "he_add": "20880f7d59c5a6237c092322f2364d747ebd8cd6db3f1b2505a8e65efb851d99",
-            "he_sub": "c2f13f206c35cc423915a9c660d9f7e144349de6e4d6c83dc5cf99e6f4145b38",
-            "he_mul_plain": "ad0b30e60bbc7649f8e8bc0c4a7b0db91be9e2e0ad8516419af12ad23d43a23e",
-            "he_mul": "0dc7734eec239c006ca5e5962547762800a8d97db0fbb2ba9b0c8c899a820b5b",
+            "encrypt": "1f65545dddfdf2c69042d957d44492cbe7f892ea99a8d7d5a95dfdb80377a519",
+            "he_add": "a5207d92f2ced9400f96999e7fb8993f69597494fc1481ad3fb3cdd2098d734c",
+            "he_sub": "59b21fd81fcc449845fd99b370aa56bc4effdb8baa4971d12ca78a3e4fd4481a",
+            "he_mul_plain": "8ce9a60fa2b103236d4674bb23c50cd747be499b667483fadae8ae39557db565",
+            "he_mul": "28ce266d8ee0a7b958b796cf7b63c74ae265ee9fede808cd2da24c05d9b97022",
         }
 
 
@@ -748,9 +752,9 @@ class TestSeededKeys:
 
     def test_blob_lengths(self, params4096, keys4096):
         _, pk, rk = keys4096
-        n, k = params4096.n, len(params4096.q_primes)
-        assert len(bfv.public_key_to_bytes(pk)) == 50 + k * n * 4
-        assert len(bfv.relin_key_to_bytes(rk)) == 50 + k * k * n * 4
+        n, k, w = params4096.n, len(params4096.q_primes), 27
+        assert len(bfv.public_key_to_bytes(pk)) == 50 + k * n * w // 8
+        assert len(bfv.relin_key_to_bytes(rk)) == 50 + k * k * n * w // 8
 
     def test_seed_travels_in_the_header(self, params4096, keys4096):
         _, pk, rk = keys4096
@@ -764,9 +768,61 @@ class TestSeededKeys:
                     decode(blob[:cut], params4096)
 
 
+def _packbits(rows: np.ndarray, w: int) -> bytes:
+    """The reference layout: the w low bits of every residue, in order,
+    each little-endian, as one little-endian bit string."""
+    words = np.ascontiguousarray(rows, dtype="<u4").reshape(-1, 1).view(np.uint8)
+    bits = np.unpackbits(words, axis=1, bitorder="little")[:, :w]
+    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+
+
+class TestPackedResidues:
+    """Ciphertext version 5 and key version 4: every residue travels in w
+    bits, w the bit length of the largest prime the blob holds."""
+
+    @pytest.mark.parametrize("n", [1024, 4096, 8192])
+    def test_packer_matches_packbits_for_every_prefix(self, n):
+        params = bfv.HeParams.default(n)
+        rng = np.random.default_rng(n)
+        for k in range(1, len(params.q_primes) + 1):
+            primes = params.q_primes[:k]
+            w = max(p.bit_length() for p in primes)
+            rows = rng.integers(0, params.ntt.mod[:k], (2, k, n))
+            rows[0, :, :3] = 0
+            rows[1, :, -3:] = params.ntt.mod[:k] - 1
+            body = bfv._pack_rows(b"", tuple(rows), primes)
+            assert len(body) == 2 * k * n * w // 8
+            assert body == _packbits(rows, w)
+            back = bfv._read_rows(body, 2, n, k, params, "ciphertext", prefix=True)
+            assert np.array_equal(back, rows)
+
+    def test_keys_travel_in_the_transform_domain(self, params8192, keys8192):
+        # 30-bit primes at n=8192: each body is keygen's own b rows, packed.
+        _, pk, rk = keys8192
+        pk_blob, rk_blob = bfv.public_key_to_bytes(pk), bfv.relin_key_to_bytes(rk)
+        assert pk_blob[50:] == _packbits(pk.pk0_ntt, 30)
+        assert rk_blob[50:] == _packbits(np.stack([b for b, _ in rk.pairs]), 30)
+        pk2 = bfv.public_key_from_bytes(pk_blob, params8192)
+        rk2 = bfv.relin_key_from_bytes(rk_blob, params8192)
+        assert np.array_equal(pk2.pk0_ntt, pk.pk0_ntt)
+        assert np.array_equal(pk2.pk1_ntt, pk.pk1_ntt)
+        for (b2, a2), (b, a) in zip(rk2.pairs, rk.pairs, strict=True):
+            assert np.array_equal(b2, b) and np.array_equal(a2, a)
+
+
+def _with_residue(blob: bytes, head: int, j: int, value: int, w: int = 27) -> bytes:
+    """The blob with residue ``j`` of its packed body, the w bits from bit
+    w j, set to ``value``."""
+    lo, hi = head + w * j // 8, head + (w * j + w + 7) // 8
+    shift = w * j % 8
+    chunk = int.from_bytes(blob[lo:hi], "little") & ~(((1 << w) - 1) << shift)
+    return blob[:lo] + (chunk | value << shift).to_bytes(hi - lo, "little") + blob[hi:]
+
+
 class TestMalformedBlobs:
     """Every key and ciphertext decoder reads one exact-length buffer and
-    raises HeParamsError on anything else."""
+    raises HeParamsError on anything else. Residues travel in w = 27 bits
+    here, the bit length of every prime at n=4096."""
 
     @pytest.fixture(scope="class")
     def blobs(self, params4096, keys4096):
@@ -787,33 +843,38 @@ class TestMalformedBlobs:
             with pytest.raises(bfv.HeParamsError):
                 decode(blob + b"\x00", params4096)
 
-    @pytest.mark.parametrize("value", ["prime", 2**62, -1])
+    @pytest.mark.parametrize("value", ["prime", "straddling", -1])
     def test_residue_out_of_range(self, params4096, blobs, value):
+        # The first residue set to p_0; residue 2, whose bits 54 to 80
+        # cross the body's first 64-bit word, set to p_0; and the first 8
+        # bytes set to ones, over residues 0 to 2.
+        p0 = params4096.q_primes[0]
         for decode, (blob, head) in blobs.items():
-            residue = params4096.q_primes[0] if value == "prime" else value
-            bad = blob[:head] + residue.to_bytes(8, "little", signed=True) + blob[head + 8 :]
-            with pytest.raises(bfv.HeParamsError):
+            if value == -1:
+                bad = blob[:head] + bytes([255] * 8) + blob[head + 8 :]
+            else:
+                bad = _with_residue(blob, head, 0 if value == "prime" else 2, p0)
+            with pytest.raises(bfv.HeParamsError, match="out of range"):
                 decode(bad, params4096)
 
     @pytest.mark.parametrize("first", [True, False])
     def test_four_byte_residue_at_or_above_its_prime(self, params4096, blobs, first):
-        # Residues travel as little-endian uint32; the first residue is
-        # checked against the first prime, the last against the last.
+        # The first residue is checked against the first prime, the last
+        # against the last; p and 2^w - 1 bound the w-bit values above it.
         prime = params4096.q_primes[0 if first else -1]
         for decode, (blob, head) in blobs.items():
-            at = head if first else len(blob) - 4
-            for residue in (prime, 0xFFFFFFFF):
-                bad = blob[:at] + residue.to_bytes(4, "little") + blob[at + 4 :]
+            j = 0 if first else (len(blob) - head) * 8 // 27 - 1
+            for residue in (prime, 2**27 - 1):
                 with pytest.raises(bfv.HeParamsError, match="out of range"):
-                    decode(bad, params4096)
+                    decode(_with_residue(blob, head, j, residue), params4096)
 
     def test_previous_versions_rejected(self, params4096, blobs):
-        # Ciphertext version 3 held all K primes whatever its header k said;
-        # key version 2 sent the uniform halves in place of their seed.
+        # Ciphertext version 4 and key version 3 sent every residue as a
+        # uint32, and key version 3 its b rows in coefficient form.
         for decode, old in (
-            (bfv.ciphertext_from_bytes, 3),
-            (bfv.public_key_from_bytes, 2),
-            (bfv.relin_key_from_bytes, 2),
+            (bfv.ciphertext_from_bytes, 4),
+            (bfv.public_key_from_bytes, 3),
+            (bfv.relin_key_from_bytes, 3),
         ):
             blob, _ = blobs[decode]
             assert blob[4] == old + 1
@@ -830,7 +891,7 @@ class TestMalformedBlobs:
 
     def test_prime_count_travels_in_the_header(self, params4096, keys4096, switched):
         ct, blob = switched
-        assert blob[25] == 2 and len(blob) == 34 + 2 * 2 * params4096.n * 4
+        assert blob[25] == 2 and len(blob) == 34 + 2 * 2 * params4096.n * 27 // 8
         back = bfv.ciphertext_from_bytes(blob, params4096)
         assert back.primes == params4096.q_primes[:2]
         assert back.noise_log2 == ct.noise_log2
@@ -851,7 +912,7 @@ class TestMalformedBlobs:
         n = params4096.n
         with pytest.raises(bfv.HeParamsError, match="body"):
             bfv.ciphertext_from_bytes(blob[:25] + bytes([k]) + blob[26:], params4096)
-        rows = np.zeros((2, k, n), dtype="<u4").tobytes()
+        rows = bytes(2 * k * n * 27 // 8)
         with pytest.raises(bfv.HeParamsError, match="body"):
             bfv.ciphertext_from_bytes(blob[:34] + rows, params4096)
 
@@ -861,10 +922,10 @@ class TestMalformedBlobs:
         _, blob = switched
         p0, p1 = params4096.q_primes[:2]
         assert p1 < p0
-        at = len(blob) - 4
-        bfv.ciphertext_from_bytes(blob[:at] + (p1 - 1).to_bytes(4, "little"), params4096)
+        last = 2 * 2 * params4096.n - 1
+        bfv.ciphertext_from_bytes(_with_residue(blob, 34, last, p1 - 1), params4096)
         with pytest.raises(bfv.HeParamsError, match="out of range"):
-            bfv.ciphertext_from_bytes(blob[:at] + p1.to_bytes(4, "little"), params4096)
+            bfv.ciphertext_from_bytes(_with_residue(blob, 34, last, p1), params4096)
 
     def test_header_fields_checked(self, params4096, blobs):
         ct_blob, _ = blobs[bfv.ciphertext_from_bytes]

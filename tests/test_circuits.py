@@ -15,15 +15,17 @@ from mpcmarket.circuits import (
     CircuitError,
     FixedPointSpec,
     InputGroup,
+)
+from mpcmarket.circuits.ir import int_from_bits
+
+from helpers import (
+    bits_from_int,
     build_adder,
     build_greater_than,
     build_lookup,
     build_multiplier,
     eval_plain,
 )
-from mpcmarket.circuits.ir import int_from_bits
-
-from helpers import bits_from_int
 
 
 def run(circuit, *values_widths):

@@ -13,15 +13,17 @@ from mpcmarket.circuits import (
     INV,
     XOR,
     CircuitBuilder,
+)
+from mpcmarket.circuits.ir import int_from_bits
+
+from helpers import (
+    bits_from_int,
     build_adder,
     build_greater_than,
     build_lookup,
     build_multiplier,
     eval_plain,
 )
-from mpcmarket.circuits.ir import int_from_bits
-
-from helpers import bits_from_int
 
 DELTA = gb.derive_delta(bytes(range(16)))
 SOURCE = gb.seeded_label_source(b"label-seed-00000"[:16])

@@ -18,10 +18,12 @@ from mpcmarket.analytics.ld import (
     ld_group_names,
     ld_value_bounds,
 )
-from mpcmarket.circuits import CircuitError, eval_plain
+from mpcmarket.circuits import CircuitError
 from mpcmarket.he import bfv
 from mpcmarket.protocol import run_protocol1
 from mpcmarket.protocol.computations import CiphertextOps, Estimate, LdComputation, NoiseOps
+
+from helpers import eval_plain
 
 THRESH = (3841, 1000)  # chi-square at 1 dof, p = 0.05
 

@@ -18,11 +18,12 @@ from mpcmarket.analytics.lr import (
     build_sigmoid_table,
     load_model,
     lr_predict_fixed,
-    lr_predict_float,
 )
-from mpcmarket.circuits import CircuitError, FixedPointSpec, eval_plain
+from mpcmarket.circuits import CircuitError, FixedPointSpec
 from mpcmarket.circuits.ir import int_from_bits
 from mpcmarket.protocol import LrComputation
+
+from helpers import eval_plain, lr_predict_float
 
 
 def lr_bits(circuit, row) -> list[int]:

@@ -11,20 +11,8 @@ import mpcmarket
 ROOT = Path(mpcmarket.__file__).parent
 
 ALLOWED = {
-    # Plaintext references that tests compare the real paths against.
-    "eval_plain": "tests evaluate circuits in plaintext against garbled evaluation",
-    "schoolbook_negacyclic": "tests check the NTT products against the schoolbook product",
-    "lr_predict_float": "tests bound the fixed-point LR prediction by the float one",
-    "assert_datatrust_hygiene": "tests check the message types the DataTrust received",
     "noise_budget": "tests and perfbench's he.bfv.min_budget_bits measure the exact budget",
-    # Acceptance criterion 4 garbles and evaluates this circuit corpus.
-    "build_adder": "criterion 4's circuit corpus",
-    "build_multiplier": "criterion 4's circuit corpus",
-    "build_greater_than": "criterion 4's circuit corpus",
-    "build_lookup": "criterion 4's circuit corpus",
-    # Test harness: raw-socket tests and transcript comparisons drive these.
-    "TcpChannel.endpoint": "raw-socket transport tests look up a peer's address",
-    "Transcript.type_sequence": "tests compare the message types of two transcripts",
+    "Transcript.received_by": "perfbench's workloads check the datatrust's message types",
 }
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 import threading
 
 import numpy as np
@@ -14,6 +15,7 @@ from mpcmarket.he import bfv
 from mpcmarket.cli import EXIT_CONFIG, main
 from mpcmarket.he.bfv import HeParams, HeParamsError
 from mpcmarket.protocol import (
+    DecryptRequest,
     DeltaKeyDist,
     EncryptedListing,
     LdComputation,
@@ -26,12 +28,9 @@ from mpcmarket.protocol import (
 )
 from mpcmarket.protocol.computations import Estimate, NoiseOps
 from mpcmarket.protocol.parties import Buyer, Csp, DataTrust, Maker
-from mpcmarket.protocol.runner import (
-    VerificationError,
-    assert_datatrust_hygiene,
-    run_protocol1,
-    run_protocol2,
-)
+from mpcmarket.protocol.runner import VerificationError, run_protocol1, run_protocol2
+
+from helpers import assert_datatrust_hygiene, type_sequence
 
 LD_SPLIT_4 = [{"i0.n_AB": 30}, {"i0.n_Ab": 20}, {"i0.n_aB": 20}, {"i0.n_ab": 30}]
 LD_EQUILIBRIUM = [{"i0.n_AB": 25, "i0.n_Ab": 25, "i0.n_aB": 25, "i0.n_ab": 25}]
@@ -87,7 +86,7 @@ class TestProtocol2:
             + ["InputLabels"] * 4
             + ["Query", "ListingBundle", "GarbledCircuitMsg", "OutputLabels", "OutputDecoding"]
         )
-        assert out.transcript.type_sequence() == expected
+        assert type_sequence(out.transcript) == expected
 
     def test_lr_row_matches_fixed_point_oracle(
         self, lr_comp, lr_row_input, bundled_model, bundled_dataset
@@ -153,7 +152,7 @@ class TestProtocol2:
     def test_deterministic_under_seed(self, ld_comp):
         a = run_protocol2(ld_comp, LD_SPLIT_4, seed=8)
         b = run_protocol2(ld_comp, LD_SPLIT_4, seed=8)
-        assert a.transcript.type_sequence() == b.transcript.type_sequence()
+        assert type_sequence(a.transcript) == type_sequence(b.transcript)
         assert [e.n_bytes for e in a.transcript.entries] == [
             e.n_bytes for e in b.transcript.entries
         ]
@@ -165,7 +164,7 @@ class TestProtocol1:
         out = run_protocol1(ld_comp, LD_SPLIT_4, params8192, seed=11)
         assert out.result == {"decisions": [True]}
         assert out.verified
-        assert out.transcript.type_sequence() == [
+        assert type_sequence(out.transcript) == [
             "PublicKeyDist",
             "EncryptedListing", "EncryptedListing", "EncryptedListing", "EncryptedListing",
             "Query", "ListingBundle", "DecryptRequest", "Result",
@@ -210,8 +209,9 @@ class TestHePipeline:
         assert listed == [(0, 1), (1, 1)]
         assert two.verified and two.result == one.result
         # The second maker adds one ciphertext entry to the listings and one
-        # to the bundle, each under the plan's key prefix of q.
-        ct_bytes = 2 * lr_comp.he_plan(params4096).key_primes * params4096.n * 4
+        # to the bundle, each under the plan's key prefix of q, 27 bits a
+        # residue.
+        ct_bytes = 2 * lr_comp.he_plan(params4096).key_primes * params4096.n * 27 // 8
         growth = two.transcript.total_bytes() - one.transcript.total_bytes()
         assert 2 * ct_bytes < growth < 2 * ct_bytes + 200
 
@@ -234,22 +234,34 @@ class TestHePipeline:
         assert ld_comp.he_plan(params8192).relin
         assert not lr_comp.he_plan(params8192).relin
 
-    def test_inflated_noise_rejected_before_any_he_mul(
-        self, ld_comp, params8192, keys8192, monkeypatch
-    ):
-        _, pk, rk = keys8192
+    def test_forged_noise_fields_change_nothing(self, ld_comp, params8192, keys8192):
+        # The buyer takes every share's noise from the plan, so listings
+        # whose noise fields claim -40, 0 or 1e6 bits give the honest
+        # DecryptRequest, byte for byte, and the honest result.
+        sk, pk, rk = keys8192
         plan = ld_comp.he_plan(params8192)
-        entries = ld_comp.he_encrypt_inputs(pk, plan, LD_EQUILIBRIUM[0], np.random.default_rng(5))
-        ct = bfv.ciphertext_from_bytes(entries[-1][1], params8192)
-        ct.noise_log2 = 100.0
-        entries[-1] = (entries[-1][0], bfv.ciphertext_to_bytes(ct))
+        rng = np.random.default_rng(5)
+        entries = [e for share in LD_SPLIT_4 for e in ld_comp.he_encrypt_inputs(pk, plan, share, rng)]
+        assert all(
+            struct.unpack_from(">d", blob, 26)[0] == params8192.fresh_noise_log2()
+            for _, blob in entries
+        )
 
-        def no_mul(*args):
-            raise AssertionError("he_mul ran before the noise check")
+        def request(noise):
+            listings = [
+                (0, tag, blob if noise is None else blob[:26] + struct.pack(">d", noise) + blob[34:])
+                for tag, blob in entries
+            ]
+            out = ld_comp.he_evaluate(params8192, rk, plan, listings, np.random.default_rng(7))
+            return DecryptRequest(entries=tuple(out))
 
-        monkeypatch.setattr(bfv, "he_mul", no_mul)
-        with pytest.raises(PlanRejected):
-            ld_comp.he_evaluate(params8192, rk, plan, [(0, tag, blob) for tag, blob in entries])
+        honest = request(None)
+        result = ld_comp.he_finish(sk, plan, honest.entries)
+        assert result == {"decisions": [True]}
+        for noise in (-40.0, 0.0, 1e6):
+            forged = request(noise)
+            assert forged.encode() == honest.encode()
+            assert ld_comp.he_finish(sk, plan, forged.entries) == result
 
     def test_plan_counts_the_session_makers(self, monkeypatch):
         # On this ring the LD circuit fits the sums of four makers' shares

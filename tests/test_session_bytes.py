@@ -39,6 +39,15 @@ its output ciphertexts are computed along another path (fused products,
 lower levels) and carry other residues and noise fields, at the same 2
 primes and the same size. Every other frame, the result, the type
 sequences and every p1-lr, p2-ld and p2-lr-tcp digest did not move.
+
+The p1-ld and p1-lr digests were re-recorded for ciphertext version 5 and
+key version 4, which pack every residue in the bit length of its blob's
+largest prime (30 bits for p1-ld, 27 for p1-lr) instead of a uint32, and
+send keys in the transform domain. Every PublicKeyDist, EncryptedListing,
+ListingBundle and DecryptRequest frame moved and shrank; each key and
+ciphertext in them decodes to the same residues, t and noise field as
+before. The Query and Result frames, the results, the type sequences and
+every P2 digest did not move.
 """
 
 import hashlib
@@ -54,6 +63,8 @@ from mpcmarket.protocol import (
     run_protocol2,
 )
 from mpcmarket.protocol.messages import pack_frame
+
+from helpers import type_sequence
 
 # Two LD instances, one deciding True and one at equilibrium; each of four
 # makers holds one count of both.
@@ -83,22 +94,22 @@ P2_LR_TYPES = [
 
 FRAMES = {
     "p1-ld": [
-        "ab58ed6908462e442e0dbf740b356d4ca0dca6876309dd01b4ab42433038eb11",
-        "283b83dbfd8d1790053c60f820135d18300ce04814ae36ea839d5615e0f59063",
-        "b1d0e698ec6db26ce05f3f82fbd2b8f50afd76570b8bea3f327d70a3e8b9162e",
-        "464557eb5426bf2450841b3464e77e9e156b9e4f50d69becff487cc02806aeaa",
-        "e31435674befd45d0d8504e3e0113abd23cb1fd74b266a15ec22ae87f20c33ee",
+        "b0a516d759ec8942d5ee4742b3d8134b50894cf865d14ce388787060e10e6c62",
+        "b340cbc56ef8768544baa38a1a5a785a37acc47c78ec1ebc82962b0aab131412",
+        "cc8b58e5691bb3fec446d5b16e154427f3b4d749f1fe6690f70ddb6c845f87de",
+        "dde9ce793dc34789d880370f83fb9f4adfda1ce62fa3d5d4f16a551f1f131f09",
+        "9561a71f0ff2a8bc5a2eed8227ce6fc4901e0f776b264a97ab07366bdefb5637",
         "554eae367d3b46bc2e731b1c25a0284b7d17a6d0ba30da605de3a26a29fe09ce",
-        "383f9564393e141aa8a9998b207a48e19b9d2f1b9bbf4bdabb68dd8825c94f64",
-        "41544d3132ac7c38b4ec977ce381a1a208966d3b509844273894fca6b7d807ea",
+        "07e260c3a3af462b850dd885f1aa884495f97be075b1a0b862171c4374d83919",
+        "0acc5efef9dc1da1205c5a610b33b5376ac28909293e2af56f2a17b0e832f17c",
         "d82c07798b87d00629b069a01e6dcfd3ecc22cda4d974cc62d4f40ed3a3337d9",
     ],
     "p1-lr": [
-        "4adc16e60ae47cdcd7083bad18dbb3d845af0c7960c29c6b4c20a7c217f9e0ad",
-        "c03364859180e05c34b5942d21a6a5836c9189d2e77f5d78c6937b12812b99e4",
+        "f20a651bbfe417d8f1d4d0660c7a18fa1edcb0e4175084a5f5c5865776613f78",
+        "d58cf6d55f9aca8f3a56fd1f05880fe39188c0a8e80cdc4f7a43a3639b18835b",
         "2155d60f20f95f278f1da51e578eaea9dfdb69c3470a752c556f94a711157c79",
-        "6216470fdf5273034d551b25172dd222cfd9993703ca1866621fe4841438fa80",
-        "941620c593abe6c32d0ff503e0a7e3800bc3a10e4cefff3fbf56b541786fc6bf",
+        "a3406f2c67cbd1cf22bd38fd2d4ece19ffc544d9f2810a45aef8551695632b02",
+        "d8e85e4ceb46c8ed0388a3696df7cb67fc6ce63ff398fc21ca7c08803f50dd83",
         "065a7fc87398666be98326193c89e12dee1aba1f1d0c83808ab9db03e633ebfb",
     ],
     "p2-ld": [
@@ -167,5 +178,5 @@ def test_fixed_seed_session_bytes(name, monkeypatch, bundled_model, lr_row):
     run, result, types = _sessions(bundled_model, lr_row)[name]
     outcome, digests = frame_digests(run, monkeypatch)
     assert outcome.result == result
-    assert outcome.transcript.type_sequence() == types
+    assert type_sequence(outcome.transcript) == types
     assert digests == FRAMES[name]

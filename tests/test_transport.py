@@ -33,6 +33,8 @@ from mpcmarket.protocol.messages import (
 )
 from mpcmarket.protocol.runner import run_protocol1, run_protocol2
 
+from helpers import endpoint
+
 LD_SPLIT = [{"i0.n_AB": 30}, {"i0.n_Ab": 20}, {"i0.n_aB": 20}, {"i0.n_ab": 30}]
 
 
@@ -70,7 +72,7 @@ class TestFraming:
     def test_truncated_frame_aborts_session(self):
         role = _EchoRole()
         with TcpChannel(b"S" * 16, {"echo": role}) as ch:
-            host, port = ch.endpoint("echo")
+            host, port = endpoint(ch, "echo")
             with socket.create_connection((host, port)) as sock:
                 sock.sendall(struct.pack(">I", 100) + b"\x03")  # header lies
                 sock.shutdown(socket.SHUT_WR)
@@ -83,7 +85,7 @@ class TestFraming:
     def test_garbage_length_prefix_rejected(self):
         role = _EchoRole()
         with TcpChannel(b"T" * 16, {"echo": role}) as ch:
-            host, port = ch.endpoint("echo")
+            host, port = endpoint(ch, "echo")
             with socket.create_connection((host, port)) as sock:
                 sock.sendall(b"\xff\xff\xff\xff garbage")
                 try:
@@ -106,7 +108,7 @@ class TestFraming:
     def test_wrong_session_id_rejected(self):
         role = _EchoRole()
         with TcpChannel(b"V" * 16, {"echo": role}) as ch:
-            host, port = ch.endpoint("echo")
+            host, port = endpoint(ch, "echo")
             frame = pack_frame(Query(), b"W" * 16, 1)
             with socket.create_connection((host, port)) as sock:
                 sock.sendall(frame)
@@ -137,7 +139,7 @@ class TestFraming:
             (Result.TYPE, b"\x00\x00\x00\x02\xff\xfe"),
         ]
         with TcpChannel(session, {"echo": role}) as ch:
-            host, port = ch.endpoint("echo")
+            host, port = endpoint(ch, "echo")
             for mtype, payload in bad:
                 frame = FRAME_HEADER.pack(21 + len(payload), mtype, session, 1) + payload
                 with socket.create_connection((host, port), timeout=10) as sock:
