@@ -36,16 +36,24 @@ the first k primes relinearizes with the first k digits and key rows; the
 key encrypts (q/p_i) s^2 for the full q, so the digits take the full q's
 constants q_hat_i^-1 mod p_i, sliced to the first k.
 
+A ciphertext whose reader needs coefficient 0 alone takes the
+constant-term form (:func:`keep_constant`): c0 keeps only its constant
+coefficient and c1 stays whole, since (c1 s)_0 = c1_0 s_0 - sum_{j>=1}
+c1_j s_{n-j} needs every coefficient of c1 but no other of c0. It
+decrypts with no transform and takes no homomorphic operation.
+
 Keys and ciphertexts serialize as their (k, n) arrays, prime-major, each
 residue in w bits, w the bit length of the largest prime the blob's rows
 hold (30 at n=8192, 27 below, for the default primes): residue j of the
 body sits at bits [w j, w j + w) of the body read as one little-endian
-integer (:func:`_pack_rows`). Ciphertexts travel in coefficient form and
-keys in the transform domain, in its natural order, so no party
-transforms a key to send or receive it. The decoders take exactly one
-such buffer, check n and k against the parameters (a ciphertext may hold
-the first k of the K primes) and every residue against its prime, and
-raise :class:`HeParamsError` on anything else. A public or
+integer (:func:`_pack_rows`). A constant-term ciphertext packs c1's rows,
+then c0's k residues and zero residues up to a whole group of 8.
+Ciphertexts travel in coefficient form and keys in the transform domain,
+in its natural order, so no party transforms a key to send or receive
+it. The decoders take exactly one such buffer, check n and k against the
+parameters (a ciphertext may hold the first k of the K primes), every
+residue against its prime and every pad residue against 0, and raise
+:class:`HeParamsError` on anything else. A public or
 relinearization key sends only its b rows and a 32-byte seed: its uniform
 a halves are public, so every party expands them from the seed
 (:func:`_expand_uniform`), as SEAL's seeded serialization does.
@@ -72,7 +80,7 @@ planner share (Fan and Vercauteren, 2012; v and t as log2 values, a (+) b
 Both the estimate and :func:`noise_budget` measure against Delta =
 floor(q/t), so they count the wrap r_t(q) m / t (below t) as noise. Where
 q/t is small the exact budget can therefore read below 0 while decryption
-is still exact, as for an LR output switched to 2 of 4 primes at n=4096.
+is still exact.
 
 Parameter sets here are desk-scale and not production-audited.
 """
@@ -405,7 +413,8 @@ class HeCiphertext:
     budget checks. ``t`` travels with the ciphertext: one keypair serves any
     plaintext modulus over the same ring, which the CRT computation plans
     rely on. The polys hold one row per prime of ``primes``, a leading
-    prefix of q's primes (all of them when fresh).
+    prefix of q's primes (all of them when fresh); in the constant-term
+    form c0 is the (k, 1) column of its coefficient 0.
     """
 
     params: HeParams
@@ -416,6 +425,11 @@ class HeCiphertext:
     @property
     def primes(self) -> tuple[int, ...]:
         return self.params.q_primes[: len(self.polys[0])]
+
+    @property
+    def constant_term(self) -> bool:
+        """Whether this is the constant-term form (:func:`keep_constant`)."""
+        return self.polys[0].shape[-1] == 1
 
     @property
     def plan(self) -> NttPlan:
@@ -642,18 +656,34 @@ def encrypt(pk: PublicKey, pt: HePlaintext, rng: np.random.Generator | None = No
     return HeCiphertext(params, pt.t, (c0, c1), params.fresh_noise_log2())
 
 
+def keep_constant(ct: HeCiphertext) -> HeCiphertext:
+    """The constant-term form of ``ct``: c0's coefficient 0 and all of c1,
+    which is all that decrypting coefficient 0 reads."""
+    c0, c1 = ct.polys
+    return HeCiphertext(ct.params, ct.t, (c0[:, :1].copy(), c1), ct.noise_log2)
+
+
 def _dot_secret(ct: HeCiphertext, sk: SecretKey) -> np.ndarray:
-    """Residues of c0 + c1*s mod the ciphertext's primes."""
+    """Residues of c0 + c1*s mod the ciphertext's primes, (k, n); for a
+    constant-term ciphertext the (k, 1) column of coefficient 0, with no
+    transform: (c1 s)_0 is one int64 dot product per prime of c1's row
+    with the negacyclic reversal (s_0, -s_{n-1}, ..., -s_1) of s, exact
+    since |sum| < 2^30 n <= 2^43."""
+    c0, c1 = ct.polys
+    if ct.constant_term:
+        s = sk.s_coeff
+        return (c0 + (c1 @ np.concatenate((s[:1], -s[:0:-1])))[:, None]) % _rns(ct.primes).col
     plan = get_plan(ct.params.n, ct.primes)
     q = plan.mod
-    c0, c1 = ct.polys
     s_ntt = sk.s_ntt[: len(ct.primes)]  # each row transforms under its own prime
     return (c0 + plan.inverse(dot_mod((plan.forward(c1),), (s_ntt,), q))) % q
 
 
 def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
     """Decrypt; raises :class:`DecryptionFailure` when the tracked noise
-    estimate says the result would be garbage (the scheme's bottom element)."""
+    estimate says the result would be garbage (the scheme's bottom element).
+    A constant-term ciphertext gives the one-coefficient plaintext of its
+    coefficient 0."""
     if sk.params != ct.params:
         raise HeParamsError("secret key / ciphertext parameter mismatch")
     if ct.budget_estimate <= 0:
@@ -674,8 +704,10 @@ def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
 def noise_budget(sk: SecretKey, ct: HeCiphertext) -> int:
     """Exact remaining budget in bits: floor(log2(q / (2 t |noise|))), q the
     product of the ciphertext's primes and the noise taken against
-    Delta = floor(q/t)."""
-    w = _exact_columns(_dot_secret(ct, sk), np.ones(ct.params.n, bool), ct.primes)
+    Delta = floor(q/t), over every coefficient (coefficient 0 alone for a
+    constant-term ciphertext)."""
+    x = _dot_secret(ct, sk)
+    w = _exact_columns(x, np.ones(x.shape[-1], bool), ct.primes)
     q, t = math.prod(ct.primes), ct.t
     v = w - (2 * t * w + q) // (2 * q) * (q // t)
     vmax = int(np.abs(v).max()) or 1
@@ -698,15 +730,19 @@ def _within_budget(
 
 
 def _align(*cts: HeCiphertext) -> list[HeCiphertext]:
-    """The operands, which share parameters and plaintext modulus, under
-    their fewest primes: each one holding more is switched down (once,
-    however often it appears)."""
+    """The ciphertext operands of a homomorphic operation, every one of
+    which passes through here: they share parameters and plaintext modulus
+    and none is a constant-term ciphertext. Returned under their fewest
+    primes: each one holding more is switched down (once, however often it
+    appears)."""
     a = cts[0]
     for b in cts:
         if b.params != a.params or b.t != a.t:
             raise HeParamsError("ciphertext parameter/modulus mismatch")
+        if b.constant_term:
+            raise HeParamsError("a constant-term ciphertext takes no homomorphic operation")
     k = min(len(c.primes) for c in cts)
-    at_k = {id(c): mod_switch(c, k) for c in cts}
+    at_k = {id(c): c if len(c.primes) == k else mod_switch(c, k) for c in cts}
     return [at_k[id(c)] for c in cts]
 
 
@@ -733,6 +769,7 @@ def he_sub(a: HeCiphertext, b: HeCiphertext) -> HeCiphertext:
 
 def he_add_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     """Add Delta m, Delta = floor(q/t) for the q of the ciphertext's primes."""
+    (ct,) = _align(ct)
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
     q = ct.plan.mod
@@ -751,6 +788,7 @@ def he_mul_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     """Multiply by a plaintext polynomial, taken as its centered
     representative (no relinearization needed). A constant polynomial
     multiplies each residue row by its residue and takes no transform."""
+    (ct,) = _align(ct)
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
     params, k = ct.params, len(ct.primes)
@@ -848,6 +886,7 @@ def mod_switch(ct: HeCiphertext, k: int) -> HeCiphertext:
     the dropped residues, which rounds c q'/q to the nearest integer.
     Noise follows :func:`switch_noise_log2`; keeping every prime returns
     ``ct`` itself."""
+    (ct,) = _align(ct)
     held = len(ct.primes)
     if not 1 <= k <= held:
         raise HeParamsError(f"cannot switch to {k} of {held} primes")
@@ -872,10 +911,10 @@ def mod_switch(ct: HeCiphertext, k: int) -> HeCiphertext:
 # -- serialization ---------------------------------------------------------------
 
 
-_CT_MAGIC = b"HECT"
+# (magic, version) of a ciphertext blob, by whether it is constant-term.
+_CT_FORMATS = {False: (b"HECT", 5), True: (b"HECX", 1)}
 _PK_MAGIC = b"HEPK"
 _RK_MAGIC = b"HERK"
-_CT_VERSION = 5
 _KEY_VERSION = 4  # public and relinearization keys
 _CT_HEAD = struct.Struct(">B8sQIBd")
 _KEY_HEAD = struct.Struct(">B8sIB32s")
@@ -926,42 +965,63 @@ def _read(
 
 
 def _read_rows(
-    body: bytes, count: int, n: int, k: int, params: HeParams, what: str, prefix: bool = False
-) -> np.ndarray:
+    body: bytes,
+    count: int,
+    n: int,
+    k: int,
+    params: HeParams,
+    what: str,
+    prefix: bool = False,
+    column: bool = False,
+):
     """Exactly ``count`` (k, n) polynomials of residues packed by
     :func:`_pack_rows`, each below its prime: under all K primes, or with
-    ``prefix`` under the first 1 <= k <= K."""
+    ``prefix`` under the first 1 <= k <= K. With ``column`` the body ends
+    in a (k, 1) column of residues and zero residues up to a whole group
+    of 8, and the column comes first in what is returned."""
     big_k = len(params.q_primes)
     if n != params.n or not (1 <= k <= big_k if prefix else k == big_k):
         raise HeParamsError(f"{what} has n={n}, k={k}; params have n={params.n}, k={big_k}")
     w = max(p.bit_length() for p in params.q_primes[:k])
-    groups = count * k * n // 8
+    size = count * k * n
+    groups = (size + (k + -k % 8 if column else 0)) // 8
     if len(body) != groups * w:
         raise HeParamsError(f"{what} body is {len(body)} bytes, expected {groups * w}")
     buf = np.frombuffer(body, np.uint8)
-    rows = np.empty((groups, 8), np.int64)
-    u = rows.view(np.uint64)
+    flat = np.empty((groups, 8), np.int64)
+    u = flat.view(np.uint64)
     for i, (at, shift) in enumerate(_windows(w)):
         np.right_shift(_words(buf, at, w, groups), np.uint64(shift), out=u[:, i])
     u &= np.uint64((1 << w) - 1)
-    rows = rows.reshape(count, k, n)
-    if not (rows < params.ntt.mod[:k]).all():
+    flat = flat.reshape(-1)
+    rows, col, q = flat[:size].reshape(count, k, n), flat[size : size + k, None], params.ntt.mod[:k]
+    if flat[size + k :].any():
+        raise HeParamsError(f"{what} pad residue is not zero")
+    if not (rows < q).all() or (column and not (col < q).all()):
         raise HeParamsError(f"{what} residue out of range")
-    return rows
+    return (col, *rows) if column else rows
 
 
 def ciphertext_to_bytes(ct: HeCiphertext) -> bytes:
-    params = ct.params
-    head = _CT_MAGIC + _CT_HEAD.pack(
-        _CT_VERSION, params.param_hash, ct.t, params.n, len(ct.primes), ct.noise_log2
-    )
-    return _pack_rows(head, ct.polys, ct.primes)
+    params, k = ct.params, len(ct.primes)
+    magic, version = _CT_FORMATS[ct.constant_term]
+    head = magic + _CT_HEAD.pack(version, params.param_hash, ct.t, params.n, k, ct.noise_log2)
+    if not ct.constant_term:
+        return _pack_rows(head, ct.polys, ct.primes)
+    c0, c1 = ct.polys
+    body = np.concatenate((c1.reshape(-1), c0[:, 0], np.zeros(-k % 8, np.int64)))
+    return _pack_rows(head, [body], ct.primes)
 
 
 def ciphertext_from_bytes(data: bytes, params: HeParams) -> HeCiphertext:
-    """A ciphertext under the first k of the session's primes, k from its header."""
-    (t, n, k, noise), body = _read(data, _CT_MAGIC, _CT_HEAD, params, "ciphertext", _CT_VERSION)
-    c0, c1 = _read_rows(body, 2, n, k, params, "ciphertext", prefix=True)
+    """A ciphertext under the first k of the session's primes, k from its
+    header: whole, or the constant-term form under its own magic."""
+    constant = data[:4] == _CT_FORMATS[True][0]
+    magic, version = _CT_FORMATS[constant]
+    (t, n, k, noise), body = _read(data, magic, _CT_HEAD, params, "ciphertext", version)
+    c0, c1 = _read_rows(
+        body, 2 - constant, n, k, params, "ciphertext", prefix=True, column=constant
+    )
     if not 2 <= t < math.prod(params.q_primes[:k]):
         raise HeParamsError(f"malformed ciphertext header: t={t}")
     if not math.isfinite(noise):

@@ -101,18 +101,10 @@ def _dot_plaintext(weights: Sequence[int], params: HeParams, t: int) -> bfv.HePl
 
 
 class CiphertextOps:
-    """The circuit op set on ciphertexts under plaintext modulus ``t``; the
-    buyer's ``rng`` draws the mask of a packed circuit's outputs."""
+    """The circuit op set on ciphertexts under plaintext modulus ``t``."""
 
-    def __init__(
-        self,
-        params: HeParams,
-        t: int,
-        rk: RelinKey | None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        self.params, self.t, self.rk, self.rng = params, t, rk, rng
-        self.packed = False
+    def __init__(self, params: HeParams, t: int, rk: RelinKey | None) -> None:
+        self.params, self.t, self.rk = params, t, rk
 
     add = staticmethod(bfv.he_add)
     sub = staticmethod(bfv.he_sub)
@@ -128,16 +120,7 @@ class CiphertextOps:
         return bfv.he_add_plain(a, bfv.encode_scalar(c, self.params, self.t))
 
     def dot_const(self, a: HeCiphertext, weights: Sequence[int]) -> HeCiphertext:
-        self.packed = True
         return bfv.he_mul_plain(a, _dot_plaintext(weights, self.params, self.t))
-
-    def mask(self, a: HeCiphertext) -> HeCiphertext:
-        """A uniform value mod t added to every coefficient but 0, which
-        holds the output (Juvekar, Vaikuntanathan and Chandrakasan,
-        "GAZELLE", USENIX Security 2018)."""
-        m = self.rng.integers(0, self.t, self.params.n, dtype=np.int64)
-        m[0] = 0
-        return bfv.he_add_plain(a, bfv.HePlaintext(m, self.t))
 
 
 class Estimate(NamedTuple):
@@ -202,9 +185,6 @@ class NoiseOps:
         l1 = bfv.centered_l1(weights, self.t)
         return self._fit(bfv.plain_mul_noise_log2(a.log2, l1, self.t), a.primes)
 
-    def mask(self, a: Estimate) -> Estimate:
-        return self.add_const(a, 0)
-
     def switch(self, a: Estimate, k: int) -> Estimate:
         if not 1 <= k <= a.primes:
             raise bfv.HeParamsError(f"cannot switch to {k} of {a.primes} primes")
@@ -252,18 +232,19 @@ class HePipeline:
 
     The circuit runs on :class:`CiphertextOps` at the buyer and on
     :class:`NoiseOps` in the planner and in the buyer's check, so both see
-    the same noise rules. A circuit that takes a dot product leaves partial
-    sums in every other coefficient, so each of its outputs is masked
-    there before it goes to the CSP. Keys and listings hold the plan's
-    first ``key_primes`` primes of q, and every output is switched to its
-    first ``output_primes``, each the fewest the noise rules allow; the
-    replays count the mask and the switch too.
+    the same noise rules. Keys and listings hold the plan's first
+    ``key_primes`` primes of q, and every output is switched to its first
+    ``output_primes``, each the fewest the noise rules allow; the replays
+    count the switch too. A plan that is not batched reads each output at
+    coefficient 0 alone, so the buyer sends its constant-term form
+    (:func:`bfv.keep_constant`): c0's coefficient 0 and all of c1. The
+    partial sums x_i w_j that a dot product leaves in c0's other
+    coefficients never leave the buyer, and c1 does not depend on the
+    inputs' values.
     """
 
     def _circuit(self, ops, x: Mapping, primes: int | None = None) -> dict:
         y = self.he_circuit(ops, x)
-        if ops.packed:
-            y = {name: ops.mask(v) for name, v in y.items()}
         if primes is None:
             return y
         return {name: ops.switch(v, primes) for name, v in y.items()}
@@ -369,15 +350,15 @@ class HePipeline:
         rk: RelinKey | None,
         plan: HePlan,
         listings: Sequence[tuple[int, str, bytes]],
-        rng: np.random.Generator | None = None,
     ) -> list[tuple[str, bytes]]:
         """Buyer side: sum every maker's shares (free additions), check that
         the circuit fits the sums' noise estimates under every modulus, then
-        run it per modulus, masking a packed circuit's outputs from ``rng``
-        and switching each to the plan's ``output_primes``; outputs are
-        tagged ``{output}:{t}``. Every share is fresh, so it takes the
-        fresh estimate of ``params``, not the noise field its maker wrote:
-        a forged field reaches no level decision and aborts nothing."""
+        run it per modulus and switch each output to the plan's
+        ``output_primes``, sending the constant-term form unless the plan is
+        batched; outputs are tagged ``{output}:{t}``. Every share is fresh,
+        so it takes the fresh estimate of ``params``, not the noise field
+        its maker wrote: a forged field reaches no level decision and
+        aborts nothing."""
         want = {f"{t}:{name}": t for t in plan.moduli for name in plan.inputs}
         sums: dict[str, HeCiphertext] = {}
         for maker, tag, blob in listings:
@@ -397,11 +378,12 @@ class HePipeline:
         for t, x in inputs.items():
             noises = {n: Estimate(ct.noise_log2, len(ct.primes)) for n, ct in x.items()}
             self._circuit(NoiseOps(params, t), noises, plan.output_primes)
-        rng = np.random.default_rng() if rng is None else rng
         out = []
         for t, x in inputs.items():
-            y = self._circuit(CiphertextOps(params, t, rk, rng), x, plan.output_primes)
-            out += [(f"{name}:{t}", bfv.ciphertext_to_bytes(y[name])) for name in plan.outputs]
+            y = self._circuit(CiphertextOps(params, t, rk), x, plan.output_primes)
+            for name in plan.outputs:
+                ct = y[name] if plan.batched else bfv.keep_constant(y[name])
+                out.append((f"{name}:{t}", bfv.ciphertext_to_bytes(ct)))
         return out
 
     def he_finish(
@@ -411,7 +393,8 @@ class HePipeline:
         entries: Sequence[tuple[str, bytes]],
     ) -> dict:
         """CSP side: decrypt exactly one entry per (output, plan modulus),
-        each under the plan's ``output_primes``, CRT-combine each output
+        each under the plan's ``output_primes`` and in the constant-term
+        form exactly when the plan is not batched, CRT-combine each output
         value-wise, and derive the result."""
         want = {f"{name}:{t}": (name, t) for t in plan.moduli for name in plan.outputs}
         tags = [tag for tag, _ in entries]
@@ -428,6 +411,9 @@ class HePipeline:
                     f"output {tag!r} holds {len(ct.primes)} primes, "
                     f"the plan {plan.output_primes}"
                 )
+            if ct.constant_term == plan.batched:
+                form = "every coefficient" if plan.batched else "only the constant term"
+                raise ProtocolError(f"output {tag!r} must carry {form} of c0")
             residues[name][t] = plan.decode(bfv.decrypt(sk, ct))
         outputs = {
             name: [crt_combine(dict(zip(plan.moduli, v))) for v in zip(*map(r.get, plan.moduli))]

@@ -207,10 +207,9 @@ class Maker:
 class Buyer:
     """Queries the datatrust and drives the computation on protected data."""
 
-    def __init__(self, index: int, computation: Computation, seed: int) -> None:
+    def __init__(self, index: int, computation: Computation) -> None:
         self.name = f"buyer{index}"
         self.computation = computation
-        self._rng = np.random.default_rng(seed)
         self.timings: dict[str, float] = {}
         self._garbled_msg: GarbledCircuitMsg | None = None
         self.result: dict | None = None
@@ -227,7 +226,7 @@ class Buyer:
         params = plan.key_params(params)
         rk = bfv.relin_key_from_bytes(bundle.rk, params) if plan.relin else None
         t0 = time.perf_counter()
-        entries = self.computation.he_evaluate(params, rk, plan, listings.ciphertexts, self._rng)
+        entries = self.computation.he_evaluate(params, rk, plan, listings.ciphertexts)
         self.timings["evaluate_s"] = time.perf_counter() - t0
         return DecryptRequest(entries=tuple(entries))
 

@@ -97,7 +97,7 @@ def _run_session(
         Maker(i, computation, values, seed=seed * 1009 + 31 * i + 1)
         for i, values in enumerate(maker_inputs)
     ]
-    buyer = Buyer(0, computation, seed=seed * 1009 + 2)
+    buyer = Buyer(0, computation)
     roles = {r.name: r for r in (csp, dt, buyer, *makers)}
 
     t_start = time.perf_counter()

@@ -658,7 +658,15 @@ class TestGoldenBytes:
     same residues repacked, bit for bit as ``np.packbits(bitorder=
     "little")`` of their 27 low bits. Each key blob is the version 3 blob
     with byte 4 raised by one and its b rows forward-transformed, then
-    repacked the same way: keys now travel in the transform domain."""
+    repacked the same way: keys now travel in the transform domain.
+
+    The constant-term digest, recorded when that form was added, is of the
+    encrypt blob switched to 3 primes, as an he-lr output is, then cut to
+    c0's coefficient 0 and c1 (:func:`bfv.keep_constant`). It was checked
+    against the version 5 blob of the same ciphertext: magic HECX, version
+    1, the same 29 header bytes after them, then the same residues of c1,
+    c0's first residue of each row, and five zero residues, each in 27
+    bits."""
 
     def test_keys(self, keys4096):
         sk, pk, rk = keys4096
@@ -703,6 +711,15 @@ class TestGoldenBytes:
             "he_mul_plain": "8ce9a60fa2b103236d4674bb23c50cd747be499b667483fadae8ae39557db565",
             "he_mul": "28ce266d8ee0a7b958b796cf7b63c74ae265ee9fede808cd2da24c05d9b97022",
         }
+
+
+    def test_constant_term_ciphertext(self, params4096, keys4096):
+        _, pk, _ = keys4096
+        a = bfv.encrypt(pk, bfv.encode_scalar(1234, params4096), np.random.default_rng(2024))
+        blob = bfv.ciphertext_to_bytes(bfv.keep_constant(bfv.mod_switch(a, 3)))
+        assert _sha(blob) == (
+            "9752dd23ec297d2777ae36839758d5a2dd7ecf23b6839a916d42a067a55812e7"
+        )
 
 
 class TestSeededKeys:
@@ -940,3 +957,90 @@ class TestMalformedBlobs:
         bad[17] = len(params4096.q_primes) - 1  # k
         with pytest.raises(bfv.HeParamsError):
             bfv.public_key_from_bytes(bytes(bad), params4096)
+
+
+class TestConstantTermBlobs:
+    """A constant-term ciphertext (magic HECX, version 1): the 34-byte
+    ciphertext header, then c1's k rows packed as in version 5, then c0's
+    k residues and zero residues up to a group of 8, w more bytes."""
+
+    K = 3  # as an he-lr output holds
+
+    @pytest.fixture(scope="class")
+    def constant(self, params4096, keys4096):
+        _, pk, _ = keys4096
+        ct = bfv.encrypt(pk, bfv.encode_scalar(5, params4096), np.random.default_rng(3))
+        ct = bfv.keep_constant(bfv.mod_switch(ct, self.K))
+        return ct, bfv.ciphertext_to_bytes(ct)
+
+    def test_layout(self, params4096, keys4096, constant):
+        ct, blob = constant
+        c0, c1 = ct.polys
+        n, k = params4096.n, self.K
+        assert c0.shape == (k, 1) and c1.shape == (k, n)
+        assert blob[:5] == b"HECX\x01" and blob[25] == k
+        column = np.zeros(8, np.int64)
+        column[:k] = c0[:, 0]
+        assert blob[34:] == _packbits(np.concatenate((c1.reshape(-1), column)), 27)
+        assert len(blob) == 34 + k * n * 27 // 8 + 27
+        back = bfv.ciphertext_from_bytes(blob, params4096)
+        assert back.constant_term and back.noise_log2 == ct.noise_log2
+        assert all(np.array_equal(x, y) for x, y in zip(back.polys, ct.polys, strict=True))
+        assert bfv.decrypt(keys4096[0], back).poly.tolist() == [5]
+
+    def test_constant_term_takes_no_operation(self, params4096, keys4096, constant):
+        ct, _ = constant
+        _, pk, rk = keys4096
+        whole = bfv.mod_switch(bfv.encrypt(pk, bfv.encode_scalar(2, params4096)), self.K)
+        pt = bfv.encode_scalar(2, params4096)
+        for op in (
+            lambda: bfv.he_add(whole, ct),
+            lambda: bfv.he_sub(ct, whole),
+            lambda: bfv.he_add_plain(ct, pt),
+            lambda: bfv.he_mul_plain(ct, pt),
+            lambda: bfv.he_mul(whole, ct, rk),
+            lambda: bfv.he_mul(whole, whole, rk, minus=(whole, ct)),
+            lambda: bfv.mod_switch(ct, 2),
+        ):
+            with pytest.raises(bfv.HeParamsError, match="constant-term"):
+                op()
+
+    @pytest.mark.parametrize(
+        "j, i",
+        [(0, 0), (K * 4096 - 1, K - 1), (K * 4096, 0), (K * 4096 + 1, 1), (K * 4096 + 2, 2)],
+        ids=["c1-first", "c1-last", "c0-0", "c0-1", "c0-2"],
+    )
+    def test_residue_at_or_above_its_prime(self, params4096, constant, j, i):
+        # Residue j of the body, checked against p_i: c1's first residue
+        # against p_0 and its last against p_{k-1}, c0's residue i against p_i.
+        _, blob = constant
+        prime = params4096.q_primes[i]
+        bfv.ciphertext_from_bytes(_with_residue(blob, 34, j, prime - 1), params4096)
+        for value in (prime, 2**27 - 1):
+            with pytest.raises(bfv.HeParamsError, match="out of range"):
+                bfv.ciphertext_from_bytes(_with_residue(blob, 34, j, value), params4096)
+
+    def test_pad_residues_must_be_zero(self, params4096, constant):
+        _, blob = constant
+        n, k = params4096.n, self.K
+        for j in range(k * n + k, k * n + 8):
+            with pytest.raises(bfv.HeParamsError, match="pad"):
+                bfv.ciphertext_from_bytes(_with_residue(blob, 34, j, 1), params4096)
+
+    def test_body_one_byte_short_or_long(self, params4096, constant):
+        _, blob = constant
+        for bad in (blob[:-1], blob + b"\x00"):
+            with pytest.raises(bfv.HeParamsError, match="body"):
+                bfv.ciphertext_from_bytes(bad, params4096)
+
+    def test_each_magic_takes_its_own_version(self, params4096, constant):
+        # A whole ciphertext is version 5 and a constant-term one version 1;
+        # the other magic's version, or its body, is rejected.
+        ct, blob = constant
+        with pytest.raises(bfv.HeParamsError, match="version 5"):
+            bfv.ciphertext_from_bytes(blob[:4] + b"\x05" + blob[5:], params4096)
+        with pytest.raises(bfv.HeParamsError, match="body"):
+            bfv.ciphertext_from_bytes(b"HECT\x05" + blob[5:], params4096)
+        with pytest.raises(bfv.HeParamsError, match="header"):
+            bfv.ciphertext_from_bytes(b"HECY" + blob[4:], params4096)
+

@@ -1,5 +1,5 @@
 """Property tests for every decoder of untrusted bytes: frames, garbled
-tables, BFV keys and ciphertexts.
+tables, BFV keys and ciphertexts (whole and constant-term).
 
 Each codec round-trips, and a flipped byte, a truncation or an insertion
 either raises the codec's own error or decodes to a value that encodes back
@@ -139,6 +139,7 @@ def test_garbled_round_trip_and_mutations(data, garbled):
 
 CODECS = {
     "ciphertext": (bfv.ciphertext_from_bytes, bfv.ciphertext_to_bytes),
+    "constant-term": (bfv.ciphertext_from_bytes, bfv.ciphertext_to_bytes),
     "public": (bfv.public_key_from_bytes, bfv.public_key_to_bytes),
     "relinearization": (bfv.relin_key_from_bytes, bfv.relin_key_to_bytes),
 }
@@ -149,7 +150,12 @@ def _bfv_blobs():
     params = bfv.HeParams.default(1024)
     _, pk, rk = bfv.keygen(params, seed=8)
     ct = bfv.encrypt(pk, bfv.encode_scalar(5, params), np.random.default_rng(8))
-    values = {"ciphertext": ct, "public": pk, "relinearization": rk}
+    values = {
+        "ciphertext": ct,
+        "constant-term": bfv.keep_constant(ct),
+        "public": pk,
+        "relinearization": rk,
+    }
     return params, {name: CODECS[name][1](v) for name, v in values.items()}
 
 

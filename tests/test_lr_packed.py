@@ -1,6 +1,7 @@
 """LR on HE as one packed dot product: exactness, what the CSP sees, and
 the plans the planner must reject before any key exists."""
 
+import math
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from mpcmarket.he import bfv
 from mpcmarket.he.bfv import HeParams
 from mpcmarket.protocol import LdComputation, LrComputation
 from mpcmarket.protocol.computations import CiphertextOps, NoiseOps
+from mpcmarket.protocol.messages import ProtocolError
 from mpcmarket.protocol.parties import Csp
 
 SPEC = FixedPointSpec(total_bits=16, frac_bits=8)
@@ -30,7 +32,7 @@ def _session(comp, params, keys, maker, seed=0):
     plan = comp.he_plan(params)
     rng = np.random.default_rng(seed)
     listing = [(0, tag, blob) for tag, blob in comp.he_encrypt_inputs(pk, plan, maker, rng)]
-    return plan, listing, comp.he_evaluate(params, None, plan, listing, rng)
+    return plan, listing, comp.he_evaluate(params, None, plan, listing)
 
 
 def _extreme_and_mixed(d):
@@ -76,6 +78,10 @@ def test_packed_inner_product_is_exact(wide_ring, dim):
 
 
 class TestWhatTheCspSees:
+    """A packed output goes to the CSP in the constant-term form: c0's
+    coefficient 0 and all of c1. The partial cross sums x_i w_j that the
+    dot product leaves in c0's other coefficients stay with the buyer."""
+
     @pytest.fixture(scope="class")
     def lr(self, bundled_model, bundled_dataset, params4096):
         rows, _ = bundled_dataset
@@ -87,23 +93,49 @@ class TestWhatTheCspSees:
         ((_, blob),) = entries
         return bfv.decrypt(keys[0], bfv.ciphertext_from_bytes(blob, params)).poly
 
-    def test_only_coefficient_zero_survives_the_mask(self, lr, params4096):
-        comp, row, keys = lr
-        plan, listing, first = _session(comp, params4096, keys, _bits(row))
-        second = comp.he_evaluate(params4096, None, plan, listing, np.random.default_rng(99))
-        a, b = (self._decrypt(keys, params4096, e) for e in (first, second))
+    def _full_output(self, comp, params, plan, listing):
+        """The whole output ciphertext of the buyer's circuit on ``listing``."""
+        ((_, _, blob),) = listing
         (t,) = plan.moduli
-        z = lr_affine_fixed(comp.model, row)
-        assert a[0] == b[0] == z % t
-        result = comp.he_finish(keys[0], plan, first)
-        assert result == comp.he_finish(keys[0], plan, second) == comp.oracle(_bits(row))
-        assert (a[1:] != b[1:]).mean() > 0.999
+        x = {"x": bfv.ciphertext_from_bytes(blob, params)}
+        return comp.he_circuit(CiphertextOps(params, t, None), x)["z"]
 
-    def test_unmasked_coefficients_hold_cross_sums(self, lr, params4096, monkeypatch):
-        monkeypatch.setattr(CiphertextOps, "mask", lambda self, a: a)
+    def test_rows_with_one_z_send_identical_bytes(self, lr, params4096):
+        # x' moves features 0 and 2 along w_2 and -w_0 (over their gcd), so
+        # x'.w = x.w, and keeps every feature's sign, so the wrap term of
+        # the plaintext multiply is the same too. Under the same seeds the
+        # DecryptRequest entries are then byte-identical: what the CSP
+        # receives is a function of z alone. The whole ciphertexts differ,
+        # and a row with another z sends other bytes.
         comp, row, keys = lr
-        plan, _, out = _session(comp, params4096, keys, _bits(row))
-        poly = self._decrypt(keys, params4096, out)
+        w = comp.model.weights
+        g = math.gcd(w[0], w[2])
+        moved = list(row)
+        moved[0] += w[2] // g
+        moved[2] -= w[0] // g
+        other = list(row)
+        other[0] += 1
+        assert moved != row
+        assert lr_affine_fixed(comp.model, moved) == lr_affine_fixed(comp.model, row)
+        assert lr_affine_fixed(comp.model, other) != lr_affine_fixed(comp.model, row)
+        assert all((a < 0) == (b < 0) and X_MIN <= b <= X_MAX for a, b in zip(row, moved))
+        plan, listing, out = _session(comp, params4096, keys, _bits(row))
+        _, moved_listing, moved_out = _session(comp, params4096, keys, _bits(moved))
+        _, _, other_out = _session(comp, params4096, keys, _bits(other))
+        assert moved_out == out
+        assert other_out != out
+        full, moved_full = (
+            bfv.ciphertext_to_bytes(self._full_output(comp, params4096, plan, x))
+            for x in (listing, moved_listing)
+        )
+        assert full != moved_full
+        assert comp.he_finish(keys[0], plan, out) == comp.oracle(_bits(row))
+
+    def test_constant_term_is_coefficient_zero_of_the_full_product(self, lr, params4096):
+        comp, row, keys = lr
+        plan, listing, out = _session(comp, params4096, keys, _bits(row))
+        full = self._full_output(comp, params4096, plan, listing)
+        poly = bfv.decrypt(keys[0], full).poly
         (t,) = plan.moduli
         n, w, d = params4096.n, comp.model.weights, comp.model.dim
         want = [0] * n
@@ -113,22 +145,51 @@ class TestWhatTheCspSees:
             want[k] = sum(row[j + k] * w[j] for j in range(d - k))
             want[n - k] = -sum(row[j] * w[j + k] for j in range(d - k))
         assert [int(c) for c in poly] == [v % t for v in want]
+        # The buyer sends coefficient 0 alone: c0's (k, 1) column and c1.
+        ((_, blob),) = out
+        sent = bfv.ciphertext_from_bytes(blob, params4096)
+        k = plan.output_primes
+        assert blob[:4] == b"HECX" and sent.constant_term
+        assert sent.polys[0].shape == (k, 1) and sent.polys[1].shape == (k, n)
+        assert len(blob) == 34 + (k * n + 8) * 27 // 8
+        assert self._decrypt(keys, params4096, out).tolist() == [poly[0]]
+        assert bfv.decrypt(keys[0], bfv.keep_constant(full)).poly.tolist() == [poly[0]]
 
-    def test_batched_ld_draws_no_mask(self, params8192, keys8192, monkeypatch):
-        def no_mask(self, a):
-            raise AssertionError("a batched plan was masked")
-
-        monkeypatch.setattr(CiphertextOps, "mask", no_mask)
+    @pytest.fixture(scope="class")
+    def ld(self, params8192, keys8192):
+        """A batched LD plan and the buyer's request entries."""
         comp = LdComputation(count_bits=11, m_instances=2)
         plan = comp.he_plan(params8192)
-        assert plan.batched and not plan.packed
         counts = {f"i{i}.{k}": 25 for i in range(2) for k in ("n_AB", "n_Ab", "n_aB", "n_ab")}
         enc = comp.he_encrypt_inputs(keys8192[1], plan, counts, np.random.default_rng(3))
-        rng = np.random.default_rng(4)
-        before = rng.bit_generator.state
-        out = comp.he_evaluate(params8192, keys8192[2], plan, [(0, *e) for e in enc], rng)
-        assert rng.bit_generator.state == before
+        return comp, plan, comp.he_evaluate(params8192, keys8192[2], plan, [(0, *e) for e in enc])
+
+    def test_batched_ld_outputs_keep_every_coefficient(self, ld, params8192, keys8192):
+        comp, plan, out = ld
+        assert plan.batched and not plan.packed
+        for _, blob in out:
+            ct = bfv.ciphertext_from_bytes(blob, params8192)
+            assert blob[:4] == b"HECT" and not ct.constant_term
+            assert ct.polys[0].shape == ct.polys[1].shape == (plan.output_primes, params8192.n)
         assert comp.he_finish(keys8192[0], plan, out) == {"decisions": [False, False]}
+
+    def test_finish_takes_only_the_plan_s_form(self, lr, ld, params4096, params8192, keys8192):
+        # A whole ciphertext for a packed plan, and a constant-term one for
+        # a batched plan, are protocol errors.
+        comp, row, keys = lr
+        plan, listing, _ = _session(comp, params4096, keys, _bits(row))
+        (t,) = plan.moduli
+        full = self._full_output(comp, params4096, plan, listing)
+        full = bfv.mod_switch(full, plan.output_primes)
+        whole = [(f"z:{t}", bfv.ciphertext_to_bytes(full))]
+        with pytest.raises(ProtocolError, match="only the constant term"):
+            comp.he_finish(keys[0], plan, whole)
+        ld_comp, ld_plan, out = ld
+        tag, blob = out[0]
+        ct = bfv.ciphertext_from_bytes(blob, params8192)
+        constant = bfv.ciphertext_to_bytes(bfv.keep_constant(ct))
+        with pytest.raises(ProtocolError, match="every coefficient"):
+            ld_comp.he_finish(keys8192[0], ld_plan, [(tag, constant), *out[1:]])
 
 
 class _DotThenMultiply(LrComputation):

@@ -252,7 +252,7 @@ class TestHePipeline:
                 (0, tag, blob if noise is None else blob[:26] + struct.pack(">d", noise) + blob[34:])
                 for tag, blob in entries
             ]
-            out = ld_comp.he_evaluate(params8192, rk, plan, listings, np.random.default_rng(7))
+            out = ld_comp.he_evaluate(params8192, rk, plan, listings)
             return DecryptRequest(entries=tuple(out))
 
         honest = request(None)
@@ -329,15 +329,18 @@ class TestHePipeline:
         plan = ld_comp.he_plan(params8192)
         assert plan.output_primes == 2
         rng = np.random.default_rng(6)
+        # One instance is a scalar plan, whose outputs are constant-term.
+        assert not plan.batched
         cts = {t: bfv.encrypt(pk, plan.encode([7], params8192, t), rng) for t in plan.moduli}
-        entries = [
-            (f"e:{t}", bfv.ciphertext_to_bytes(bfv.mod_switch(ct, 2))) for t, ct in cts.items()
-        ]
+
+        def entry(t, k):
+            return f"e:{t}", bfv.ciphertext_to_bytes(bfv.keep_constant(bfv.mod_switch(cts[t], k)))
+
+        entries = [entry(t, 2) for t in plan.moduli]
         assert ld_comp.he_finish(sk, plan, entries) == {"decisions": [7 > ld_comp._bounds[1]]}
         t = plan.moduli[0]
         for k in (6, 3, 5):
-            ct = cts[t] if k == 6 else bfv.mod_switch(cts[t], k)
-            bad = [(f"e:{t}", bfv.ciphertext_to_bytes(ct))] + entries[1:]
+            bad = [entry(t, k)] + entries[1:]
             with pytest.raises(ProtocolError, match=f"holds {k} primes"):
                 ld_comp.he_finish(sk, plan, bad)
 
@@ -459,7 +462,7 @@ class TestHePipeline:
             entries = comp.he_encrypt_inputs(pk, plan, values, np.random.default_rng(8))
             listings = ListingBundle(ciphertexts=tuple((0, tag, ct) for tag, ct in entries))
             with pytest.raises(HeParamsError, match="different parameters"):
-                Buyer(0, comp, seed=2).make_decrypt_request(params, bundle, listings)
+                Buyer(0, comp).make_decrypt_request(params, bundle, listings)
 
     @pytest.mark.parametrize("transport", ["inproc", "tcp"])
     def test_keys_under_every_prime_exit_as_a_config_rejection(

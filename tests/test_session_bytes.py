@@ -48,6 +48,15 @@ ListingBundle and DecryptRequest frame moved and shrank; each key and
 ciphertext in them decodes to the same residues, t and noise field as
 before. The Query and Result frames, the results, the type sequences and
 every P2 digest did not move.
+
+The p1-lr DecryptRequest digest was re-recorded when the buyer began to
+send a plan that is not batched its outputs in the constant-term form
+(magic HECX: c0's coefficient 0 and all of c1), with no mask. The frame
+shrank from 83,027 to 41,582 B. Its ciphertext holds the same c1 and the
+same c0 coefficient 0 as before, since the mask touched neither; only the
+noise field moved, by the mask's plaintext add it no longer counts. The
+other p1-lr frames, the result, the type sequence and every p1-ld, p2-ld
+and p2-lr-tcp digest did not move.
 """
 
 import hashlib
@@ -109,7 +118,7 @@ FRAMES = {
         "d58cf6d55f9aca8f3a56fd1f05880fe39188c0a8e80cdc4f7a43a3639b18835b",
         "2155d60f20f95f278f1da51e578eaea9dfdb69c3470a752c556f94a711157c79",
         "a3406f2c67cbd1cf22bd38fd2d4ece19ffc544d9f2810a45aef8551695632b02",
-        "d8e85e4ceb46c8ed0388a3696df7cb67fc6ce63ff398fc21ca7c08803f50dd83",
+        "ccb8ac83e5078c11c6af21f327dcc64f1b829db74fe5a9b2a45439ae37a921fa",
         "065a7fc87398666be98326193c89e12dee1aba1f1d0c83808ab9db03e633ebfb",
     ],
     "p2-ld": [
