@@ -16,7 +16,7 @@ Multiplication takes a signed sum of products, a*b or a*b - c*d. It
 extends the operands' centered lifts from q to an extended prime basis by
 exact RNS base conversion, accumulates the tensor of every product there
 (a square transforms its operand once), then scale-rounds by t/q in RNS
-and relinearizes with an RNS-decomposed key-switching key once for the
+and relinearizes with a hybrid key-switching key (below) once for the
 whole sum (lazy relinearization: Kim, Polyakov and Zucca, ASIACRYPT 2021);
 decryption uses the same rounding. Both work in int64 and float64 (Halevi,
 Polyakov and Shoup, CT-RSA 2019); a column whose float sum lies too near
@@ -31,10 +31,20 @@ Vaikuntanathan, ITCS 2012). The result lives under q' = q / D with
 Delta' = floor(q'/t) and takes every operation. Every product settles to
 the fewest leading primes that lose less than one bit of budget
 (:func:`settle_primes`), and an operation on two levels first switches
-the operand with more primes down to the other's count. A product under
-the first k primes relinearizes with the first k digits and key rows; the
-key encrypts (q/p_i) s^2 for the full q, so the digits take the full q's
-constants q_hat_i^-1 mod p_i, sliced to the first k.
+the operand with more primes down to the other's count.
+
+Relinearization is hybrid key switching over q P (Gentry, Halevi and
+Smart, CRYPTO 2012; Kim, Polyakov and Zucca, ASIACRYPT 2021), P the
+special prime (:attr:`HeParams.special_prime`). q's primes form digits of
+two, Q_j = p_2j p_2j+1 (the last holds one prime when K is odd), and key
+pair j encrypts P (q/Q_j) s^2 under q's primes and P. A product under the
+first k primes takes the digits cut to those k: digit j is
+[x (q/Q_j)^-1]_Qj for its s^2 component x, with the full q's constants
+also where the cut leaves one prime of a pair. Each digit is extended
+exactly onto the other primes and P and multiplied into its key rows;
+the sum is divided by P and rounded (the one-prime drop that
+:func:`mod_switch` takes too), which leaves x s^2 plus noise near
+n max Q_j / P.
 
 A ciphertext whose reader needs coefficient 0 alone takes the
 constant-term form (:func:`keep_constant`): c0 keeps only its constant
@@ -56,7 +66,9 @@ residue against its prime and every pad residue against 0, and raise
 :class:`HeParamsError` on anything else. A public or
 relinearization key sends only its b rows and a 32-byte seed: its uniform
 a halves are public, so every party expands them from the seed
-(:func:`_expand_uniform`), as SEAL's seeded serialization does.
+(:func:`_expand_uniform`), as SEAL's seeded serialization does. A
+relinearization key's rows include P's, so its residues are checked
+against P there.
 
 Noise is tracked two ways: a conservative running estimate carried on every
 ciphertext (used to flag budget exhaustion eagerly, the scheme's bottom
@@ -101,7 +113,12 @@ from .ntt import NttPlan, _join, canonical, dot_mod, get_plan, is_prime, split_l
 VALID_DEGREES = (1024, 2048, 4096, 8192)
 
 # q-prime bit layout per degree, loosely following the usual 128-bit-security
-# modulus budgets (109 bits at n=4096, ~180 of the 218 available at n=8192).
+# modulus budgets (109 bits at n=4096, 218 at n=8192). A relinearization key
+# lives under q P, one special prime more (HeParams.special_prime): 210 of
+# the 218 bits at n=8192. At n <= 4096 such a key exceeds the budget by
+# that prime (135 bits against 109 at n=4096); no plan of the shipped
+# computations relinearizes there: the planner rejects LD below n=8192, and
+# LR multiplies no ciphertexts.
 _DEFAULT_Q_BITS = {
     1024: (27, 27),
     2048: (27, 27),
@@ -144,7 +161,11 @@ def find_ntt_primes(bits: int, n: int, count: int = 1, exclude: tuple[int, ...] 
 
 @dataclass(frozen=True)
 class HeParams:
-    """Ring degree, RNS coefficient modulus, plaintext modulus; noise width NOISE_SIGMA."""
+    """Ring degree, RNS coefficient modulus, plaintext modulus; noise width
+    NOISE_SIGMA. A relinearization key adds :attr:`special_prime` to q's
+    primes: q P has 210 bits for ``default(8192)``, inside the 218 of the
+    128-bit budget; at n <= 4096 it exceeds the budget by that one prime,
+    and no shipped plan relinearizes there (``_DEFAULT_Q_BITS``)."""
 
     n: int
     q_primes: tuple[int, ...]
@@ -174,6 +195,12 @@ class HeParams:
         """The transform for all k coefficient primes; ``ntt.mod`` is their
         (k, 1) column."""
         return get_plan(self.n, self.q_primes)
+
+    @property
+    def special_prime(self) -> int:
+        """P of key switching: the largest prime of q's widest bit width with
+        P = 1 (mod 2n) that is not in q."""
+        return _special_prime(self.n, self.q_primes)
 
     def residues(self, x: int) -> np.ndarray:
         """The (k, 1) column of x mod each coefficient prime."""
@@ -279,6 +306,31 @@ def _mul_basis(n: int, q_primes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(basis)
 
 
+@lru_cache(maxsize=32)
+def _special_prime(n: int, q_primes: tuple[int, ...]) -> int:
+    """See :attr:`HeParams.special_prime`. At n=8192 it is the first
+    extension prime of :func:`_mul_basis`, so it shares that prime's NTT
+    tables."""
+    bits = max(p.bit_length() for p in q_primes)
+    return find_ntt_primes(bits, n, 1, exclude=q_primes)[0]
+
+
+def _digits(primes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The key-switching digits of ``primes``: leading pairs, the last one
+    cut to one prime when their count is odd. The digits of a prefix of q
+    are q's own digits cut to it."""
+    return [primes[i : i + 2] for i in range(0, len(primes), 2)]
+
+
+@lru_cache(maxsize=32)
+def _digit_inv(q_primes: tuple[int, ...]) -> np.ndarray:
+    """The (K, 1) column of (q/Q_j)^-1 mod p_i, Q_j the digit of q that holds
+    p_i."""
+    q = math.prod(q_primes)
+    inv = [pow(q // math.prod(d) % p, -1, p) for d in _digits(q_primes) for p in d]
+    return np.array(inv, dtype=np.int64)[:, None]
+
+
 # -- exact RNS arithmetic in int64 and float64 ----------------------------------
 #
 # Halevi, Polyakov and Shoup, "An Improved RNS Variant of the BFV Homomorphic
@@ -381,9 +433,10 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class RelinKey:
-    """Key-switching key for s^2 -> s, RNS-decomposed: one (b, a) pair of
-    (k, n) arrays per coefficient prime, stored in the transform domain;
-    pair i's a is half i of ``seed``."""
+    """Hybrid key-switching key for s^2 -> s: one (b, a) pair per digit of
+    q (ceil(K/2) pairs of two primes), each of (K + 1, n) arrays in the
+    transform domain under q's primes and then the special prime P. Pair
+    j's b encrypts P (q/Q_j) s^2, and its a is half j of ``seed``."""
 
     params: HeParams
     seed: bytes
@@ -455,16 +508,21 @@ def mul_noise_log2(
     """Noise estimate (log2) after one relinearization, under the first
     ``k`` primes and plaintext modulus ``t``, of a signed sum of products
     of ciphertexts, each product given by its operands' estimates: every
-    product adds its tensor noise, and the key switch adds its own once."""
+    product adds its tensor noise, and the key switch adds its own once.
+    That is d digits below max Q_j each, times key errors below 6 sigma,
+    over n terms, divided by P; then the rounding of that division, r0 +
+    r1 s with |r_i| <= 1/2, at most (1 + n)/2 for a ternary s."""
     base = reduce(add_noise_log2, (add_noise_log2(va, vb) for va, vb in products))
     mult = math.log2(t) + math.log2(params.n) + 2 + base
+    digits = _digits(params.q_primes[:k])
     relin = (
-        math.log2(k)
+        math.log2(len(digits))
         + math.log2(params.n)
-        + max(math.log2(p) for p in params.q_primes[:k])
+        + max(sum(map(math.log2, d)) for d in digits)
+        - math.log2(params.special_prime)
         + math.log2(6 * NOISE_SIGMA)
     )
-    return add_noise_log2(mult, relin)
+    return add_noise_log2(mult, add_noise_log2(relin, math.log2((1 + params.n) / 2)))
 
 
 def centered_l1(values: Sequence[int], t: int) -> int:
@@ -567,30 +625,39 @@ def keygen(
     rng = np.random.default_rng(seed)
     n, primes = params.n, params.q_primes
     plan = params.ntt
-    q = plan.mod
 
     s = _sample_ternary(rng, n)
     s_ntt = plan.forward(s)
 
-    def rlwe(seed: bytes, half: int, body_ntt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(b, a) in the transform domain with b = body - a s."""
+    def rlwe(
+        seed: bytes, half: int, body_ntt: np.ndarray, s_ntt: np.ndarray, primes: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(b, a) under ``primes`` in the transform domain with b = body - a s."""
+        q = get_plan(n, primes).mod
         a_ntt = _expand_uniform(seed, half, n, primes)
         return (body_ntt - dot_mod((a_ntt,), (s_ntt,), q)) % q, a_ntt
 
     pk_seed = rng.bytes(32)
-    pk = PublicKey(params, pk_seed, *rlwe(pk_seed, 0, plan.forward(-_sample_gaussian(rng, n))))
+    pk_body = plan.forward(-_sample_gaussian(rng, n))
+    pk = PublicKey(params, pk_seed, *rlwe(pk_seed, 0, pk_body, s_ntt, primes))
     sk = SecretKey(params, s, s_ntt)
     if not relin:
         return sk, pk, None
 
+    # Pair j: b = P (q/Q_j) s^2 + e - a s under q's primes and P.
     rk_seed = rng.bytes(32)
-    s2_ntt = dot_mod((s_ntt,), (s_ntt,), q)
-    pairs = tuple(
-        rlwe(rk_seed, i, params.residues(params.q // p_i) * s2_ntt
-             + plan.forward(_sample_gaussian(rng, n)))
-        for i, p_i in enumerate(primes)
-    )
-    return sk, pk, RelinKey(params, rk_seed, pairs)
+    special = params.special_prime
+    key_primes = primes + (special,)
+    ext = get_plan(n, key_primes)
+    s_ext = np.concatenate((s_ntt, get_plan(n, (special,)).forward(s)))
+    s2_ext = dot_mod((s_ext,), (s_ext,), ext.mod)
+    pairs = []
+    for j, d in enumerate(_digits(primes)):
+        factor = special * (params.q // math.prod(d))
+        body = np.array([factor % p for p in key_primes])[:, None] * s2_ext
+        body += ext.forward(_sample_gaussian(rng, n))
+        pairs.append(rlwe(rk_seed, j, body, s_ext, key_primes))
+    return sk, pk, RelinKey(params, rk_seed, tuple(pairs))
 
 
 # -- encodings ----------------------------------------------------------------
@@ -863,21 +930,39 @@ def he_mul(
     tensor = np.stack([dot_mod(*zip(*pairs), P) for pairs in terms])
     e0, e1, e2 = (_scale_round(w, basis, k, t) for w in ext.inverse(tensor))
 
-    # Relinearize e2 with the first k RNS digits and key rows: digit i is
-    # row i of e2 * q_hat_i^-1 (the full q's constant), spread onto every
-    # prime by the transform.
-    plan = cts[0].plan
-    Q = plan.mod
-    digits_ntt = plan.forward((e2 * _rns(params.q_primes).hat_inv[:k] % Q)[:, None, :])
-    keys = [(kb[:k], ka[:k]) for kb, ka in rk.pairs[:k]]
-    acc0, acc1 = (dot_mod(digits_ntt, rows, Q) for rows in zip(*keys))
+    Q = cts[0].plan.mod
+    s0, s1 = _key_switch(e2, rk, k)
     product = HeCiphertext(
-        params=params,
-        t=t,
-        polys=((e0 + plan.inverse(acc0)) % Q, (e1 + plan.inverse(acc1)) % Q),
-        noise_log2=est,
+        params=params, t=t, polys=((e0 + s0) % Q, (e1 + s1) % Q), noise_log2=est
     )
     return mod_switch(product, settle_primes(params, t, est, k))
+
+
+def _key_switch(x: np.ndarray, rk: RelinKey, k: int) -> list[np.ndarray]:
+    """The pair of (k, n) arrays, in coefficient form under the first ``k``
+    primes, that decrypts to x s^2 plus the key switch's noise, for x
+    (k, n): the digits of q cut to the first k primes, each
+    [x (q/Q_j)^-1]_Qj with the full q's constants (the key encrypts
+    P (q/Q_j) s^2 for the full q), extended exactly onto the other primes
+    and P, multiplied into the key rows of those primes, and divided by P."""
+    params = rk.params
+    primes, big_k = params.q_primes[:k], len(params.q_primes)
+    basis = primes + (params.special_prime,)
+    plan = get_plan(params.n, basis)
+    x = x * _digit_inv(params.q_primes)[:k] % plan.mod[:k]
+    digits = []
+    for lo in range(0, k, 2):
+        d = x[lo : lo + 2]
+        hi = lo + len(d)
+        up = _extend(d, _conversion(primes[lo:hi], primes[:lo] + basis[hi:]))
+        digits.append(np.concatenate((up[:lo], d, up[lo:])))
+    rows = slice(None) if k == big_k else np.r_[:k, big_k]
+    digits_ntt = plan.forward(np.stack(digits))
+    keys = rk.pairs[: len(digits)]
+    # One half at a time, as he_mul's RNS steps: a stacked pair's
+    # temporaries made the drop of P about twice as slow.
+    halves = (dot_mod(digits_ntt, [key[half][rows] for key in keys], plan.mod) for half in (0, 1))
+    return [_drop_last(plan.inverse(acc), basis) for acc in halves]
 
 
 def mod_switch(ct: HeCiphertext, k: int) -> HeCiphertext:
@@ -894,18 +979,27 @@ def mod_switch(ct: HeCiphertext, k: int) -> HeCiphertext:
         return ct
     est = switch_noise_log2(ct.params, ct.t, ct.noise_log2, k, held)
     _within_budget(ct.params, ct.t, est, "modulus switch", k)
-    conv = _conversion(ct.primes[k:], ct.primes[:k])
-    q = conv.dst.col
     if held - k == 1:
-        # One dropped prime p: [c]_p is its residue, centered. Each
-        # difference lies within p/2 of [0, q_i), below 2^30 + 2^29, so
-        # dot_mod's int64 product and its quotient estimate stay exact.
-        p = ct.primes[k]
-        lifted = (c[:k] - np.where(c[k] > p // 2, c[k] - p, c[k]) for c in ct.polys)
-        polys = tuple(canonical(dot_mod((x,), (conv.q_inv_dst,), q), q) for x in lifted)
+        polys = tuple(_drop_last(c, ct.primes) for c in ct.polys)
     else:
+        conv = _conversion(ct.primes[k:], ct.primes[:k])
+        q = conv.dst.col
         polys = tuple((c[:k] - _extend(c[k:], conv)) * conv.q_inv_dst % q for c in ct.polys)
     return HeCiphertext(ct.params, ct.t, polys, est)
+
+
+def _drop_last(c: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
+    """round(c / p) under the other primes for c (..., k + 1, n) under
+    ``primes``, p the last: (c - [c]_p) p^-1 with [c]_p the residue mod p,
+    centered. Each difference lies within p/2 of [0, q_i), below
+    2^30 + 2^29, so dot_mod's int64 product and its quotient estimate stay
+    exact."""
+    p = primes[-1]
+    conv = _conversion((p,), primes[:-1])
+    q = conv.dst.col
+    top = c[..., -1:, :]
+    lifted = c[..., :-1, :] - np.where(top > p // 2, top - p, top)
+    return canonical(dot_mod((lifted,), (conv.q_inv_dst,), q), q)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -913,9 +1007,9 @@ def mod_switch(ct: HeCiphertext, k: int) -> HeCiphertext:
 
 # (magic, version) of a ciphertext blob, by whether it is constant-term.
 _CT_FORMATS = {False: (b"HECT", 5), True: (b"HECX", 1)}
-_PK_MAGIC = b"HEPK"
-_RK_MAGIC = b"HERK"
-_KEY_VERSION = 4  # public and relinearization keys
+# (magic, version) of a public and of a relinearization key blob.
+_PK_FORMAT = (b"HEPK", 4)
+_RK_FORMAT = (b"HERK", 5)
 _CT_HEAD = struct.Struct(">B8sQIBd")
 _KEY_HEAD = struct.Struct(">B8sIB32s")
 
@@ -973,17 +1067,22 @@ def _read_rows(
     what: str,
     prefix: bool = False,
     column: bool = False,
+    special: bool = False,
 ):
-    """Exactly ``count`` (k, n) polynomials of residues packed by
-    :func:`_pack_rows`, each below its prime: under all K primes, or with
-    ``prefix`` under the first 1 <= k <= K. With ``column`` the body ends
-    in a (k, 1) column of residues and zero residues up to a whole group
-    of 8, and the column comes first in what is returned."""
+    """Exactly ``count`` polynomials of residues packed by
+    :func:`_pack_rows`, each below its prime: (k, n) under all K primes,
+    or with ``prefix`` under the first 1 <= k <= K, or with ``special``
+    (K + 1, n) under all K primes and then the special prime. With
+    ``column`` the body ends in a (k, 1) column of residues and zero
+    residues up to a whole group of 8, and the column comes first in what
+    is returned."""
     big_k = len(params.q_primes)
     if n != params.n or not (1 <= k <= big_k if prefix else k == big_k):
         raise HeParamsError(f"{what} has n={n}, k={k}; params have n={params.n}, k={big_k}")
-    w = max(p.bit_length() for p in params.q_primes[:k])
-    size = count * k * n
+    primes = params.q_primes[:k] + ((params.special_prime,) if special else ())
+    w = max(p.bit_length() for p in primes)
+    rows_k = len(primes)
+    size = count * rows_k * n
     groups = (size + (k + -k % 8 if column else 0)) // 8
     if len(body) != groups * w:
         raise HeParamsError(f"{what} body is {len(body)} bytes, expected {groups * w}")
@@ -994,7 +1093,8 @@ def _read_rows(
         np.right_shift(_words(buf, at, w, groups), np.uint64(shift), out=u[:, i])
     u &= np.uint64((1 << w) - 1)
     flat = flat.reshape(-1)
-    rows, col, q = flat[:size].reshape(count, k, n), flat[size : size + k, None], params.ntt.mod[:k]
+    q = np.array(primes, dtype=np.int64)[:, None]
+    rows, col = flat[:size].reshape(count, rows_k, n), flat[size : size + k, None]
     if flat[size + k :].any():
         raise HeParamsError(f"{what} pad residue is not zero")
     if not (rows < q).all() or (column and not (col < q).all()):
@@ -1029,37 +1129,46 @@ def ciphertext_from_bytes(data: bytes, params: HeParams) -> HeCiphertext:
     return HeCiphertext(params, t, (c0, c1), noise)
 
 
-def _key_to_bytes(magic: bytes, params: HeParams, seed: bytes, b_ntt: Sequence) -> bytes:
-    """A public or relinearization key: its header with the seed of its a
-    halves, then its b rows as they are, in the transform domain."""
-    head = magic + _KEY_HEAD.pack(
-        _KEY_VERSION, params.param_hash, params.n, len(params.q_primes), seed
-    )
+def _key_to_bytes(fmt: tuple[bytes, int], params: HeParams, seed: bytes, b_ntt: Sequence) -> bytes:
+    """A public or relinearization key: its header with n, K and the seed of
+    its a halves, then its b rows as they are, in the transform domain, in
+    the bit length of q's widest prime, which the special prime shares."""
+    magic, version = fmt
+    head = magic + _KEY_HEAD.pack(version, params.param_hash, params.n, len(params.q_primes), seed)
     return _pack_rows(head, b_ntt, params.q_primes)
 
 
-def _key_from_bytes(data: bytes, magic: bytes, params: HeParams, what: str, count: int):
-    """The seed and the ``count`` b rows, in the transform domain, of a key."""
-    (n, k, seed), body = _read(data, magic, _KEY_HEAD, params, what, _KEY_VERSION)
-    return seed, _read_rows(body, count, n, k, params, what)
+def _key_from_bytes(
+    data: bytes,
+    fmt: tuple[bytes, int],
+    params: HeParams,
+    what: str,
+    count: int,
+    special: bool = False,
+):
+    """The seed and the ``count`` b rows, in the transform domain, of a key;
+    with ``special`` each holds a last row under the special prime."""
+    (n, k, seed), body = _read(data, fmt[0], _KEY_HEAD, params, what, fmt[1])
+    return seed, _read_rows(body, count, n, k, params, what, special=special)
 
 
 def public_key_to_bytes(pk: PublicKey) -> bytes:
-    return _key_to_bytes(_PK_MAGIC, pk.params, pk.seed, [pk.pk0_ntt])
+    return _key_to_bytes(_PK_FORMAT, pk.params, pk.seed, [pk.pk0_ntt])
 
 
 def public_key_from_bytes(data: bytes, params: HeParams) -> PublicKey:
-    seed, (b,) = _key_from_bytes(data, _PK_MAGIC, params, "public key", 1)
+    seed, (b,) = _key_from_bytes(data, _PK_FORMAT, params, "public key", 1)
     return PublicKey(params, seed, b, _expand_uniform(seed, 0, params.n, params.q_primes))
 
 
 def relin_key_to_bytes(rk: RelinKey) -> bytes:
-    return _key_to_bytes(_RK_MAGIC, rk.params, rk.seed, [b for b, _ in rk.pairs])
+    return _key_to_bytes(_RK_FORMAT, rk.params, rk.seed, [b for b, _ in rk.pairs])
 
 
 def relin_key_from_bytes(data: bytes, params: HeParams) -> RelinKey:
-    n, primes = params.n, params.q_primes
-    seed, bs = _key_from_bytes(data, _RK_MAGIC, params, "relin key", len(primes))
+    n, primes = params.n, params.q_primes + (params.special_prime,)
+    count = len(_digits(params.q_primes))
+    seed, bs = _key_from_bytes(data, _RK_FORMAT, params, "relin key", count, special=True)
     return RelinKey(
-        params, seed, tuple((b, _expand_uniform(seed, i, n, primes)) for i, b in enumerate(bs))
+        params, seed, tuple((b, _expand_uniform(seed, j, n, primes)) for j, b in enumerate(bs))
     )

@@ -541,6 +541,134 @@ class TestLevels:
                 assert params8192.budget_capacity(t, j - 1) - below <= budget - 1
 
 
+def _negacyclic(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
+    """a b mod (X^n + 1, t) for small non-negative coefficients."""
+    full = np.convolve(a, b)
+    n = len(a)
+    return (full[:n] - np.append(full[n:], 0)) % t
+
+
+class TestHybridKeySwitch:
+    """Relinearization over q P: the special prime P, digits of two primes
+    of the full q cut to a product's level, and the drop of P."""
+
+    def test_special_prime_within_the_security_budget(self):
+        params = bfv.HeParams.default(8192)
+        special, q_primes = params.special_prime, params.q_primes
+        assert special not in q_primes
+        assert special.bit_length() == max(p.bit_length() for p in q_primes) == 30
+        assert math.log2(params.q * special) <= 218
+        # The first extension prime of the multiply basis: no new NTT tables.
+        assert special == bfv._mul_basis(params.n, q_primes)[len(q_primes)] == 1_073_184_769
+
+    @pytest.mark.parametrize("n", bfv.VALID_DEGREES)
+    def test_special_prime_of_every_default(self, n):
+        params = bfv.HeParams.default(n)
+        special = params.special_prime
+        assert special not in params.q_primes and is_prime(special)
+        assert (special - 1) % (2 * n) == 0
+        assert special.bit_length() == max(p.bit_length() for p in params.q_primes)
+
+    @pytest.mark.parametrize("k", [6, 5, 4, 3, 2, 1])
+    def test_switch_meets_its_noise_rule_at_every_level(self, params8192, keys8192, k):
+        # The switched pair decrypts to x s^2 under the first k primes, off
+        # by at most the rule's term: d digits below max Q_j, key errors
+        # below 6 sigma, n terms, over P, plus the rounding (1 + n)/2. At
+        # odd k the last digit is a pair of the full q cut to one prime.
+        sk, _, rk = keys8192
+        n, primes = params8192.n, params8192.q_primes[:k]
+        plan = get_plan(n, primes)
+        q = plan.mod
+        x = np.random.default_rng(40 + k).integers(0, q, (k, n))
+        s0, s1 = bfv._key_switch(x, rk, k)
+        s_ntt = sk.s_ntt[:k]
+        s2 = dot_mod((s_ntt,), (s_ntt,), q)
+        got = s0 + plan.inverse(dot_mod((plan.forward(s1),), (s_ntt,), q))
+        diff = (got - plan.inverse(dot_mod((plan.forward(x),), (s2,), q))) % q
+        err = bfv._exact_columns(diff, np.ones(n, bool), primes)
+        digits = [math.prod(primes[i : i + 2]) for i in range(0, k, 2)]
+        bound = len(digits) * n * max(digits) * 6 * bfv.NOISE_SIGMA / params8192.special_prime
+        assert 0 < max(abs(int(v)) for v in err) <= bound + (1 + n) / 2
+
+    @pytest.fixture(scope="class")
+    def operands(self, params8192, keys8192):
+        # Dense coefficient plaintexts mod a small t, so that a product
+        # fits down to 2 of the 30-bit primes.
+        _, pk, _ = keys8192
+        t, rng = 257, np.random.default_rng(41)
+        values = [rng.integers(t, size=params8192.n) for _ in range(4)]
+        cts = [bfv.encrypt(pk, bfv.encode_coeffs(v, params8192, t), rng) for v in values]
+        return t, values, cts
+
+    @pytest.mark.parametrize("k", [6, 5, 4, 3, 2, 1])
+    def test_products_decrypt_exactly_at_every_level(self, params8192, keys8192, operands, k):
+        # a b, a b - c d and a a, each relinearized once under the first k
+        # primes. Under one prime no product has budget at n=8192 (its
+        # tensor noise alone exceeds p/2t), and the eager check says so.
+        sk, _, rk = keys8192
+        t, (va, vb, vc, vd), cts = operands
+        a, b, c, d = (bfv.mod_switch(x, k) for x in cts)
+        cases = (
+            ((a, b, rk), _negacyclic(va, vb, t)),
+            ((a, b, rk, (c, d)), (_negacyclic(va, vb, t) - _negacyclic(vc, vd, t)) % t),
+            ((a, a, rk), _negacyclic(va, va, t)),
+        )
+        for args, want in cases:
+            if k == 1:
+                with pytest.raises(bfv.NoiseBudgetExhausted):
+                    bfv.he_mul(*args)
+                continue
+            got = bfv.he_mul(*args)
+            assert np.array_equal(bfv.decrypt(sk, got).poly, want)
+            assert 0 < got.budget_estimate <= bfv.noise_budget(sk, got)
+
+    @pytest.mark.parametrize("k", [6, 5, 2, 1])
+    def test_switch_rounds_the_digit_sum_over_p(self, params8192, k):
+        # With constant key polynomials c_j (b) and c'_j (a), the switch is
+        # round(sum_j d_j c_j / P) per coefficient, d_j the centered
+        # [x (q/Q_j)^-1]_Qj of the full q: checked in Python integers.
+        params, n = params8192, params8192.n
+        basis = params.q_primes + (params.special_prime,)
+        special, q = basis[-1], params.q
+        rng = random.Random(43 + k)
+        consts = [[rng.randrange(q * special) for _ in range(2)] for _ in range(3)]
+        pairs = tuple(
+            tuple(np.array([[c % p] * n for p in basis], dtype=np.int64) for c in pair)
+            for pair in consts
+        )
+        rk = bfv.RelinKey(params, bytes(32), pairs)
+        primes = params.q_primes[:k]
+        x = np.random.default_rng(43 + k).integers(0, np.array(primes)[:, None], (k, n))
+        got = bfv._key_switch(x, rk, k)
+        for col in range(0, n, 331):
+            digits = []
+            for i in range(0, k, 2):
+                cut, whole = primes[i : i + 2], math.prod(params.q_primes[i : i + 2])
+                mod = math.prod(cut)
+                y = sum(
+                    int(x[i + r, col]) * pow(q // whole, -1, p) * (mod // p) * pow(mod // p, -1, p)
+                    for r, p in enumerate(cut)
+                ) % mod
+                digits.append(y - mod if y > mod // 2 else y)
+            for half in range(2):
+                total = sum(d * pair[half] for d, pair in zip(digits, consts))
+                want = (2 * total + special) // (2 * special)
+                assert got[half][:, col].tolist() == [want % p for p in primes]
+
+    def test_drop_of_the_special_prime_rounds(self, params8192):
+        # round(c / P) under q's primes for c in [0, qP): the residue mod P
+        # taken centered makes it round rather than floor.
+        basis = params8192.q_primes + (params8192.special_prime,)
+        special, big_q = basis[-1], math.prod(basis)
+        rng = np.random.default_rng(42)
+        c = rng.integers(0, np.array(basis)[:, None], (len(basis), 64))
+        out = bfv._drop_last(c, basis)
+        for j in range(64):
+            x = sum(int(r) * (big_q // p) * pow(big_q // p, -1, p) for r, p in zip(c[:, j], basis))
+            want = (2 * (x % big_q) + special) // (2 * special)
+            assert out[:, j].tolist() == [want % p for p in basis[:-1]]
+
+
 class TestBatching:
     def test_encode_decode_identity(self, params8192):
         values = list(range(1, 17))
@@ -666,7 +794,15 @@ class TestGoldenBytes:
     against the version 5 blob of the same ciphertext: magic HECX, version
     1, the same 29 header bytes after them, then the same residues of c1,
     c0's first residue of each row, and five zero residues, each in 27
-    bits."""
+    bits.
+
+    The relinearization key and he_mul digests were re-recorded for
+    relinearization key version 5, hybrid key switching: the key holds
+    ceil(K/2) = 2 pairs of two-prime digits, each of K + 1 = 5 rows under
+    q's primes and the special prime P, instead of 4 pairs of 4 rows, and
+    the product is relinearized with it. The secret key, public key and
+    every other ciphertext digest did not move: keygen draws s and the
+    public key from the seed before the relinearization key, as before."""
 
     def test_keys(self, keys4096):
         sk, pk, rk = keys4096
@@ -677,7 +813,7 @@ class TestGoldenBytes:
             "7e1e63b8ec1b9bfa44beca575d84dbea017e257ba47dd72b949320da5956823f"
         )
         assert _sha(bfv.relin_key_to_bytes(rk)) == (
-            "e612e0f9325bd5e27afc001965d7514d7200d69b426ee3d14dbb475920764d42"
+            "939138be4e778f9a4ea0e9804087a07ba716730fd75b9932c4b4378c92df3b09"
         )
 
     def test_batch_encode(self, params4096, params8192):
@@ -709,7 +845,7 @@ class TestGoldenBytes:
             "he_add": "a5207d92f2ced9400f96999e7fb8993f69597494fc1481ad3fb3cdd2098d734c",
             "he_sub": "59b21fd81fcc449845fd99b370aa56bc4effdb8baa4971d12ca78a3e4fd4481a",
             "he_mul_plain": "8ce9a60fa2b103236d4674bb23c50cd747be499b667483fadae8ae39557db565",
-            "he_mul": "28ce266d8ee0a7b958b796cf7b63c74ae265ee9fede808cd2da24c05d9b97022",
+            "he_mul": "2ac6eaa2e2bbd050ecb6678628b194423a31747cdbef49c7b5b3fd1c8298b395",
         }
 
 
@@ -753,7 +889,7 @@ class TestSeededKeys:
         _, pk, rk = keys4096
         halves = [pk.pk1_ntt] + [a for _, a in rk.pairs]
         rows = {row.tobytes() for half in halves for row in half}
-        assert len(rows) == len(halves) * len(halves[0])
+        assert len(rows) == sum(len(half) for half in halves)
         assert pk.seed != rk.seed
 
     def test_decoded_keys_equal_keygen(self, params4096, keys4096):
@@ -771,7 +907,7 @@ class TestSeededKeys:
         _, pk, rk = keys4096
         n, k, w = params4096.n, len(params4096.q_primes), 27
         assert len(bfv.public_key_to_bytes(pk)) == 50 + k * n * w // 8
-        assert len(bfv.relin_key_to_bytes(rk)) == 50 + k * k * n * w // 8
+        assert len(bfv.relin_key_to_bytes(rk)) == 50 + math.ceil(k / 2) * (k + 1) * n * w // 8
 
     def test_seed_travels_in_the_header(self, params4096, keys4096):
         _, pk, rk = keys4096
@@ -814,11 +950,14 @@ class TestPackedResidues:
             assert np.array_equal(back, rows)
 
     def test_keys_travel_in_the_transform_domain(self, params8192, keys8192):
-        # 30-bit primes at n=8192: each body is keygen's own b rows, packed.
+        # 30-bit primes at n=8192: each body is keygen's own b rows, packed;
+        # the relinearization key's 3 polynomials of 7 rows end in P's row.
         _, pk, rk = keys8192
         pk_blob, rk_blob = bfv.public_key_to_bytes(pk), bfv.relin_key_to_bytes(rk)
         assert pk_blob[50:] == _packbits(pk.pk0_ntt, 30)
-        assert rk_blob[50:] == _packbits(np.stack([b for b, _ in rk.pairs]), 30)
+        rk_rows = np.stack([b for b, _ in rk.pairs])
+        assert rk_rows.shape == (3, 7, params8192.n) and len(rk_blob) == 50 + 645_120
+        assert rk_blob[50:] == _packbits(rk_rows, 30)
         pk2 = bfv.public_key_from_bytes(pk_blob, params8192)
         rk2 = bfv.relin_key_from_bytes(rk_blob, params8192)
         assert np.array_equal(pk2.pk0_ntt, pk.pk0_ntt)
@@ -888,10 +1027,11 @@ class TestMalformedBlobs:
     def test_previous_versions_rejected(self, params4096, blobs):
         # Ciphertext version 4 and key version 3 sent every residue as a
         # uint32, and key version 3 its b rows in coefficient form.
+        # Relinearization key version 4 held K one-prime digits of K rows.
         for decode, old in (
             (bfv.ciphertext_from_bytes, 4),
             (bfv.public_key_from_bytes, 3),
-            (bfv.relin_key_from_bytes, 3),
+            (bfv.relin_key_from_bytes, 4),
         ):
             blob, _ = blobs[decode]
             assert blob[4] == old + 1
@@ -957,6 +1097,50 @@ class TestMalformedBlobs:
         bad[17] = len(params4096.q_primes) - 1  # k
         with pytest.raises(bfv.HeParamsError):
             bfv.public_key_from_bytes(bytes(bad), params4096)
+
+
+class TestRelinKeyBlobs:
+    """Relinearization key version 5: the 50-byte key header (n, K and the
+    seed), then ceil(K/2) b polynomials of K + 1 rows each, under q's
+    primes and then the special prime P, packed in w bits (30 at n=8192).
+    Pair j's a rows are half j of the seed over the same K + 1 primes."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, keys8192):
+        return bfv.relin_key_to_bytes(keys8192[2])
+
+    def test_layout_and_the_special_row_stream(self, params8192, keys8192, blob):
+        _, _, rk = keys8192
+        n, big_k, special = params8192.n, len(params8192.q_primes), params8192.special_prime
+        assert blob[:5] == b"HERK\x05" and blob[17] == big_k and blob[18:50] == rk.seed
+        back = bfv.relin_key_from_bytes(blob, params8192)
+        for j, ((b2, a2), (b, a)) in enumerate(zip(back.pairs, rk.pairs, strict=True)):
+            assert b2.shape == a2.shape == (big_k + 1, n)
+            assert np.array_equal(b2, b) and np.array_equal(a2, a)
+            # Row K: the words of SHAKE-128(seed, j, K), masked to P's bit
+            # length, that fall below P.
+            stream = hashlib.shake_128(rk.seed + bytes((j, big_k))).digest(4 * 2 * n)
+            words = np.frombuffer(stream, "<u4") & ((1 << special.bit_length()) - 1)
+            assert np.array_equal(a2[big_k], words[words < special][:n])
+
+    def test_special_row_residue_at_or_above_p_rejected(self, params8192, blob):
+        # Residue 6 n is the first of pair 0's P row. P lies below every
+        # prime of q, so P itself would pass a row of q.
+        special, j = params8192.special_prime, 6 * params8192.n
+        assert special < min(params8192.q_primes)
+        bfv.relin_key_from_bytes(_with_residue(blob, 50, j, special - 1, 30), params8192)
+        for value in (special, 2**30 - 1):
+            with pytest.raises(bfv.HeParamsError, match="out of range"):
+                bfv.relin_key_from_bytes(_with_residue(blob, 50, j, value, 30), params8192)
+
+    def test_old_version_and_lengths_rejected(self, params8192, blob):
+        n = params8192.n
+        with pytest.raises(bfv.HeParamsError, match="version 4"):
+            bfv.relin_key_from_bytes(blob[:4] + b"\x04" + blob[5:], params8192)
+        old_body = bytes(6 * 6 * n * 30 // 8)  # version 4's 6 pairs of 6 rows
+        for bad in (blob[:50] + old_body, blob[:-1], blob + b"\x00"):
+            with pytest.raises(bfv.HeParamsError, match="body"):
+                bfv.relin_key_from_bytes(bad, params8192)
 
 
 class TestConstantTermBlobs:

@@ -142,30 +142,34 @@ CODECS = {
     "constant-term": (bfv.ciphertext_from_bytes, bfv.ciphertext_to_bytes),
     "public": (bfv.public_key_from_bytes, bfv.public_key_to_bytes),
     "relinearization": (bfv.relin_key_from_bytes, bfv.relin_key_to_bytes),
+    "relinearization, odd K": (bfv.relin_key_from_bytes, bfv.relin_key_to_bytes),
 }
 
 
 @lru_cache(maxsize=1)
 def _bfv_blobs():
+    """Each blob and the parameters it decodes under. The odd-K key holds
+    two digits, the second cut to one prime, and pairs of 4 rows."""
     params = bfv.HeParams.default(1024)
     _, pk, rk = bfv.keygen(params, seed=8)
     ct = bfv.encrypt(pk, bfv.encode_scalar(5, params), np.random.default_rng(8))
+    odd = bfv.HeParams(1024, tuple(bfv.find_ntt_primes(27, 1024, 3)), params.t)
     values = {
-        "ciphertext": ct,
-        "constant-term": bfv.keep_constant(ct),
-        "public": pk,
-        "relinearization": rk,
+        "ciphertext": (params, ct),
+        "constant-term": (params, bfv.keep_constant(ct)),
+        "public": (params, pk),
+        "relinearization": (params, rk),
+        "relinearization, odd K": (odd, bfv.keygen(odd, seed=8)[2]),
     }
-    return params, {name: CODECS[name][1](v) for name, v in values.items()}
+    return {name: (p, CODECS[name][1](v)) for name, (p, v) in values.items()}
 
 
 @pytest.mark.parametrize("name", CODECS)
 @PROPERTY
 @given(data=st.data())
 def test_bfv_blob_round_trip_and_mutations(name, data):
-    params, blobs = _bfv_blobs()
+    params, blob = _bfv_blobs()[name]
     decode, encode = CODECS[name]
-    blob = blobs[name]
     assert encode(decode(blob, params)) == blob
     bad = data.draw(mutations(blob, head=64))
     check_mutations(lambda b: decode(b, params), encode, bfv.HeParamsError, bad)

@@ -27,6 +27,7 @@ from mpcmarket.protocol import (
     channels,
 )
 from mpcmarket.protocol.computations import Estimate, NoiseOps
+from mpcmarket.protocol.messages import frame_size
 from mpcmarket.protocol.parties import Buyer, Csp, DataTrust, Maker
 from mpcmarket.protocol.runner import VerificationError, run_protocol1, run_protocol2
 
@@ -519,6 +520,33 @@ class TestBackendIndependence:
     ):
         assert Csp(lr_comp, seed=1).he_setup(params4096, 1).rk == b""
         assert len(Csp(ld_comp, seed=1).he_setup(params8192, 1).rk) > 0
+
+    def test_ld_public_key_bytes_follow_the_key_formats(self, params8192):
+        # he-ld's PublicKeyDist (M=10, four makers): each key's 50-byte
+        # header, then b rows of n residues in w = 30 bits. The public key
+        # has K = 6 rows; the relinearization key ceil(K/2) = 3 polynomials
+        # of K + 1 = 7 rows, the last under the special prime.
+        comp = LdComputation(count_bits=11, m_instances=10)
+        assert comp.he_plan(params8192).key_primes == 6
+        msg = Csp(comp, seed=1).he_setup(params8192, 4)
+        n, big_k, w = params8192.n, 6, 30
+        pk = 50 + big_k * n * w // 8
+        rk = 50 + math.ceil(big_k / 2) * (big_k + 1) * n * w // 8
+        assert (len(msg.pk), len(msg.rk)) == (pk, rk) == (184_370, 645_170)
+        assert frame_size(msg.parts()) == frame_size(PublicKeyDist().parts()) + pk + rk
+        assert frame_size(msg.parts()) == 829_573
+
+    @pytest.mark.parametrize("n", [1024, 2048, 4096])
+    def test_no_plan_relinearizes_below_n8192(self, lr_comp, n):
+        # A relinearization key's q P exceeds the security budget by its
+        # special prime at n <= 4096: LD is rejected there, at the
+        # narrowest count width as at the default, and LR multiplies no
+        # ciphertexts.
+        for count_bits in (2, 11):
+            with pytest.raises(PlanRejected):
+                LdComputation(count_bits=count_bits).he_plan(HeParams.default(n))
+        if n == 4096:
+            assert not lr_comp.he_plan(HeParams.default(n)).relin
 
     def test_protocol1_builds_no_circuit(self, monkeypatch, bundled_model, lr_row_input):
         import mpcmarket.protocol.computations as comps

@@ -57,6 +57,17 @@ same c0 coefficient 0 as before, since the mask touched neither; only the
 noise field moved, by the mask's plaintext add it no longer counts. The
 other p1-lr frames, the result, the type sequence and every p1-ld, p2-ld
 and p2-lr-tcp digest did not move.
+
+The p1-ld PublicKeyDist and DecryptRequest digests were re-recorded for
+relinearization key version 5, hybrid key switching: the key holds 3
+digits of two primes, each of 7 rows under q's 6 primes and the special
+prime P, instead of 6 one-prime digits of 6 rows. The PublicKeyDist frame
+shrank from 1,290,373 to 829,573 B, its public key unchanged. The
+DecryptRequest kept its 368,822 B: its outputs hold the same 2 primes but
+were relinearized with the new key, so their residues and noise fields
+moved. The EncryptedListing, ListingBundle, Query and Result frames, the
+result, the type sequence and every p1-lr, p2-ld and p2-lr-tcp digest did
+not move.
 """
 
 import hashlib
@@ -103,14 +114,14 @@ P2_LR_TYPES = [
 
 FRAMES = {
     "p1-ld": [
-        "b0a516d759ec8942d5ee4742b3d8134b50894cf865d14ce388787060e10e6c62",
+        "62fda153bbc113c08646754158e74f937549090f53ee16077b1d8ce2706d0fba",
         "b340cbc56ef8768544baa38a1a5a785a37acc47c78ec1ebc82962b0aab131412",
         "cc8b58e5691bb3fec446d5b16e154427f3b4d749f1fe6690f70ddb6c845f87de",
         "dde9ce793dc34789d880370f83fb9f4adfda1ce62fa3d5d4f16a551f1f131f09",
         "9561a71f0ff2a8bc5a2eed8227ce6fc4901e0f776b264a97ab07366bdefb5637",
         "554eae367d3b46bc2e731b1c25a0284b7d17a6d0ba30da605de3a26a29fe09ce",
         "07e260c3a3af462b850dd885f1aa884495f97be075b1a0b862171c4374d83919",
-        "0acc5efef9dc1da1205c5a610b33b5376ac28909293e2af56f2a17b0e832f17c",
+        "105c7b5078f53de3150f164a66911de8e2e4a317b7837efca18610c3ac3b58f2",
         "d82c07798b87d00629b069a01e6dcfd3ecc22cda4d974cc62d4f40ed3a3337d9",
     ],
     "p1-lr": [
