@@ -50,7 +50,16 @@ A ciphertext whose reader needs coefficient 0 alone takes the
 constant-term form (:func:`keep_constant`): c0 keeps only its constant
 coefficient and c1 stays whole, since (c1 s)_0 = c1_0 s_0 - sum_{j>=1}
 c1_j s_{n-j} needs every coefficient of c1 but no other of c0. It
-decrypts with no transform and takes no homomorphic operation.
+decrypts with no transform. It takes the operations that act coefficient
+by coefficient: a sum or difference (a whole operand is cut to the form
+first), a plaintext add (at coefficient 0), a multiply by a constant and
+a modulus switch; no ciphertext multiply and no multiply by any other
+plaintext. A plaintext multiply returns the form directly with
+``constant_term=True``: coefficient 0 of c0 p is one dot product per
+prime with the negacyclic reversal of p, as (c1 s)_0 is
+(:func:`_constant_coefficient`), so c0's other coefficients are never
+computed, and c1 p takes one forward and one inverse transform against
+the plaintext's kept transform (:meth:`HePlaintext.transformed`).
 
 Keys and ciphertexts serialize as their (k, n) arrays, prime-major, each
 residue in w bits, w the bit length of the largest prime the blob's rows
@@ -108,7 +117,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ntt import NttPlan, _join, canonical, dot_mod, get_plan, is_prime, split_limbs
+from .ntt import _LIMB, NttPlan, _join, canonical, dot_mod, get_plan, is_prime, split_limbs
 
 VALID_DEGREES = (1024, 2048, 4096, 8192)
 
@@ -172,6 +181,8 @@ class HeParams:
     t: int
 
     def __post_init__(self) -> None:
+        # Any sequence of primes is kept as a tuple, so the params hash.
+        object.__setattr__(self, "q_primes", tuple(self.q_primes))
         if self.n not in VALID_DEGREES:
             raise HeParamsError(f"ring degree {self.n} not in {VALID_DEGREES}")
         if len(set(self.q_primes)) != len(self.q_primes):
@@ -451,10 +462,22 @@ class HePlaintext:
 
     poly: np.ndarray
     t: int
+    _transforms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def centered(self) -> np.ndarray:
         """The coefficients as representatives in (-t/2, t/2]."""
         return np.where(self.poly > self.t // 2, self.poly - self.t, self.poly)
+
+    def transformed(self, primes: tuple[int, ...]) -> np.ndarray:
+        """The centered representative in the transform domain of ``primes``,
+        reduced below each prime first (it exceeds 2^30 for t > 2^31). It is
+        computed once per tuple and kept, so a plaintext that multiplies
+        many ciphertexts is transformed once."""
+        out = self._transforms.get(primes)
+        if out is None:
+            plan = get_plan(len(self.poly), primes)
+            out = self._transforms[primes] = plan.forward(self.centered() % plan.mod)
+        return out
 
 
 @dataclass
@@ -725,21 +748,39 @@ def encrypt(pk: PublicKey, pt: HePlaintext, rng: np.random.Generator | None = No
 
 def keep_constant(ct: HeCiphertext) -> HeCiphertext:
     """The constant-term form of ``ct``: c0's coefficient 0 and all of c1,
-    which is all that decrypting coefficient 0 reads."""
+    which is all that decrypting coefficient 0 reads. A ciphertext already
+    in the form is returned as it is."""
+    if ct.constant_term:
+        return ct
     c0, c1 = ct.polys
     return HeCiphertext(ct.params, ct.t, (c0[:, :1].copy(), c1), ct.noise_log2)
+
+
+def _constant_coefficient(c: np.ndarray, p: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """The (k, 1) column of coefficient 0 of c p mod each prime of the
+    (k, 1) ``col``, for c (k, n) residues below 2^30 in magnitude and p
+    (n,) any int64 polynomial, with no transform: (c p)_0 = c_0 p_0 -
+    sum_{j>=1} c_j p_{n-j}, one dot product per prime of c's row with the
+    negacyclic reversal (p_0, -p_{n-1}, ..., -p_1) of p. c enters as its
+    15-bit limbs, so each limb's sum stays below 2^15 2^34 n <= 2^62, exact
+    in int64, for a reversal below 2^34; a wider one is first reduced below
+    each prime."""
+    r = np.concatenate((p[:1], -p[:0:-1]))
+    if np.abs(r).max() >> 34:
+        r = r % col
+    lo = ((c & ((1 << _LIMB) - 1)) * r).sum(axis=-1, keepdims=True) % col
+    hi = ((c >> _LIMB) * r).sum(axis=-1, keepdims=True) % col
+    return (lo + (hi << _LIMB)) % col
 
 
 def _dot_secret(ct: HeCiphertext, sk: SecretKey) -> np.ndarray:
     """Residues of c0 + c1*s mod the ciphertext's primes, (k, n); for a
     constant-term ciphertext the (k, 1) column of coefficient 0, with no
-    transform: (c1 s)_0 is one int64 dot product per prime of c1's row
-    with the negacyclic reversal (s_0, -s_{n-1}, ..., -s_1) of s, exact
-    since |sum| < 2^30 n <= 2^43."""
+    transform (:func:`_constant_coefficient`)."""
     c0, c1 = ct.polys
     if ct.constant_term:
-        s = sk.s_coeff
-        return (c0 + (c1 @ np.concatenate((s[:1], -s[:0:-1])))[:, None]) % _rns(ct.primes).col
+        col = _rns(ct.primes).col
+        return (c0 + _constant_coefficient(c1, sk.s_coeff, col)) % col
     plan = get_plan(ct.params.n, ct.primes)
     q = plan.mod
     s_ntt = sk.s_ntt[: len(ct.primes)]  # each row transforms under its own prime
@@ -796,18 +837,24 @@ def _within_budget(
         )
 
 
-def _align(*cts: HeCiphertext) -> list[HeCiphertext]:
+def _align(*cts: HeCiphertext, constant: bool = False) -> list[HeCiphertext]:
     """The ciphertext operands of a homomorphic operation, every one of
-    which passes through here: they share parameters and plaintext modulus
-    and none is a constant-term ciphertext. Returned under their fewest
-    primes: each one holding more is switched down (once, however often it
-    appears)."""
+    which passes through here: they share parameters and plaintext modulus.
+    With ``constant``, for an operation that acts coefficient by
+    coefficient, one constant-term operand puts every operand in that
+    form; without it none may be constant-term. Returned under their
+    fewest primes: each one holding more is switched down (once, however
+    often it appears)."""
     a = cts[0]
     for b in cts:
         if b.params != a.params or b.t != a.t:
             raise HeParamsError("ciphertext parameter/modulus mismatch")
-        if b.constant_term:
-            raise HeParamsError("a constant-term ciphertext takes no homomorphic operation")
+    if any(c.constant_term for c in cts):
+        if not constant:
+            raise HeParamsError(
+                "a constant-term ciphertext takes no ciphertext or polynomial multiply"
+            )
+        cts = tuple(map(keep_constant, cts))
     k = min(len(c.primes) for c in cts)
     at_k = {id(c): c if len(c.primes) == k else mod_switch(c, k) for c in cts}
     return [at_k[id(c)] for c in cts]
@@ -815,7 +862,7 @@ def _align(*cts: HeCiphertext) -> list[HeCiphertext]:
 
 def _add_or_sub(a: HeCiphertext, b: HeCiphertext, op) -> HeCiphertext:
     """Component-wise ``op``; noise grows by at most one bit."""
-    a, b = _align(a, b)
+    a, b = _align(a, b, constant=True)
     q = a.plan.mod
     return HeCiphertext(
         params=a.params,
@@ -835,14 +882,16 @@ def he_sub(a: HeCiphertext, b: HeCiphertext) -> HeCiphertext:
 
 
 def he_add_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
-    """Add Delta m, Delta = floor(q/t) for the q of the ciphertext's primes."""
-    (ct,) = _align(ct)
+    """Add Delta m, Delta = floor(q/t) for the q of the ciphertext's primes;
+    to a constant-term ciphertext, at coefficient 0 alone."""
+    (ct,) = _align(ct, constant=True)
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
     q = ct.plan.mod
     delta = math.prod(ct.primes) // ct.t
     delta_q = np.array([delta % p for p in ct.primes], dtype=np.int64)[:, None]
-    c0 = (ct.polys[0] + delta_q * (pt.poly % q)) % q
+    c0 = ct.polys[0]
+    c0 = (c0 + delta_q * (pt.poly[: c0.shape[-1]] % q)) % q
     return HeCiphertext(
         params=ct.params,
         t=ct.t,
@@ -851,26 +900,39 @@ def he_add_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     )
 
 
-def he_mul_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
+def he_mul_plain(ct: HeCiphertext, pt: HePlaintext, constant_term: bool = False) -> HeCiphertext:
     """Multiply by a plaintext polynomial, taken as its centered
     representative (no relinearization needed). A constant polynomial
-    multiplies each residue row by its residue and takes no transform."""
-    (ct,) = _align(ct)
+    multiplies each residue row by its residue, takes no transform and
+    takes a constant-term ``ct`` too. Any other polynomial multiplies in
+    the transform domain against its kept transform
+    (:meth:`HePlaintext.transformed`). With ``constant_term`` the product
+    comes in that form, as :func:`keep_constant` would leave it: c0's
+    column is one dot product per prime (:func:`_constant_coefficient`),
+    so only c1 takes a forward and an inverse transform."""
+    m = pt.centered()
+    scalar = not m[1:].any()
+    (ct,) = _align(ct, constant=scalar)
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
     params, k = ct.params, len(ct.primes)
-    est = plain_mul_noise_log2(ct.noise_log2, int(np.abs(pt.centered()).sum()), pt.t)
+    est = plain_mul_noise_log2(ct.noise_log2, int(np.abs(m).sum()), pt.t)
     _within_budget(params, ct.t, est, "plaintext multiply", k)
     plan = ct.plan
     q = plan.mod
-    # The centered plaintext exceeds 2^30 for t > 2^31; reduce it once.
-    m = pt.centered()
-    if not m[1:].any():
+    if scalar:
+        # The centered plaintext exceeds 2^30 for t > 2^31; reduce it once.
         polys = tuple(c * (m[:1] % q) % q for c in ct.polys)
     else:
-        m_ntt = plan.forward(m % q)
-        polys = tuple(plan.inverse(dot_mod((plan.forward(c),), (m_ntt,), q)) for c in ct.polys)
-    return HeCiphertext(params=params, t=ct.t, polys=polys, noise_log2=est)
+        m_ntt = pt.transformed(ct.primes)
+
+        def times(c: np.ndarray) -> np.ndarray:
+            return plan.inverse(dot_mod((plan.forward(c),), (m_ntt,), q))
+
+        c0, c1 = ct.polys
+        polys = (_constant_coefficient(c0, m, q) if constant_term else times(c0), times(c1))
+    product = HeCiphertext(params=params, t=ct.t, polys=polys, noise_log2=est)
+    return keep_constant(product) if constant_term else product
 
 
 def _tensor_terms(f, g, square: bool) -> tuple[list, list, list]:
@@ -970,8 +1032,8 @@ def mod_switch(ct: HeCiphertext, k: int) -> HeCiphertext:
     / D for the product D of the dropped primes, [c]_D the centered lift of
     the dropped residues, which rounds c q'/q to the nearest integer.
     Noise follows :func:`switch_noise_log2`; keeping every prime returns
-    ``ct`` itself."""
-    (ct,) = _align(ct)
+    ``ct`` itself. Row by row, so a constant-term ``ct`` switches too."""
+    (ct,) = _align(ct, constant=True)
     held = len(ct.primes)
     if not 1 <= k <= held:
         raise HeParamsError(f"cannot switch to {k} of {held} primes")

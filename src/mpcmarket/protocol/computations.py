@@ -92,12 +92,17 @@ class HePlan:
         return bfv.batch_decode(pt, self.slots) if self.batched else [bfv.decode_scalar(pt)]
 
 
-def _dot_plaintext(weights: Sequence[int], params: HeParams, t: int) -> bfv.HePlaintext:
+@lru_cache(maxsize=16)
+def _dot_plaintext(weights: tuple[int, ...], params: HeParams, t: int) -> bfv.HePlaintext:
     """The negacyclic reversal w'(X) = w_0 - sum_{j>=1} w_j X^(n-j): for x(X)
     = sum x_j X^j, coefficient 0 of x(X) w'(X) mod X^n + 1 is x.w (Huang,
-    Lu, Hong and Ding, "Cheetah", USENIX Security 2022)."""
+    Lu, Hong and Ding, "Cheetah", USENIX Security 2022). Cached, so w'(X)
+    is built and transformed (:meth:`bfv.HePlaintext.transformed`) once per
+    (weights, params, t), not once per session."""
     coeffs = [weights[0]] + [0] * (params.n - len(weights)) + [-w for w in weights[:0:-1]]
-    return bfv.encode_coeffs(coeffs, params, t)
+    pt = bfv.encode_coeffs(coeffs, params, t)
+    pt.poly.setflags(write=False)  # every session shares it
+    return pt
 
 
 class CiphertextOps:
@@ -120,22 +125,29 @@ class CiphertextOps:
         return bfv.he_add_plain(a, bfv.encode_scalar(c, self.params, self.t))
 
     def dot_const(self, a: HeCiphertext, weights: Sequence[int]) -> HeCiphertext:
-        return bfv.he_mul_plain(a, _dot_plaintext(weights, self.params, self.t))
+        """x.w in the constant-term form: only a plan that is not batched
+        takes a dot product, and it reads coefficient 0 alone."""
+        pt = _dot_plaintext(tuple(weights), self.params, self.t)
+        return bfv.he_mul_plain(a, pt, constant_term=True)
 
 
 class Estimate(NamedTuple):
-    """A value of :class:`NoiseOps`: its noise estimate (log2) and the
-    number of leading primes of q it holds."""
+    """A value of :class:`NoiseOps`: its noise estimate (log2), the number
+    of leading primes of q it holds, and whether it is in the constant-term
+    form, which a dot product leaves and every value it feeds keeps."""
 
     log2: float
     primes: int
+    constant: bool = False
 
 
 class NoiseOps:
     """The same op set on :class:`Estimate` values, through the rules the
     bfv operations apply, the level rules included. Raises
     :class:`PlanRejected` where a value would leave no budget, which is
-    where the runtime would fail; ``multiplies`` and ``packed`` record
+    where the runtime would fail, and where a ciphertext multiply or a
+    second dot product would take a dot product's value, which the runtime
+    holds in the constant-term form; ``multiplies`` and ``packed`` record
     whether the circuit multiplied ciphertexts and took a dot product."""
 
     def __init__(self, params: HeParams, t: int) -> None:
@@ -143,14 +155,19 @@ class NoiseOps:
         self.multiplies = False
         self.packed = False
 
-    def _fit(self, v: float, k: int) -> Estimate:
+    def _fit(self, v: float, k: int, constant: bool) -> Estimate:
         capacity = self.params.budget_capacity(self.t, k)
         if capacity - v <= 0:
             raise PlanRejected(
                 f"HE plan needs ~{v:.0f} noise bits but t={self.t} leaves "
                 f"{capacity:.0f} at n={self.params.n}; increase ring degree"
             )
-        return Estimate(v, k)
+        return Estimate(v, k, constant)
+
+    @staticmethod
+    def _whole(what: str, *xs: Estimate) -> None:
+        if any(x.constant for x in xs):
+            raise PlanRejected(f"a dot product's value cannot feed {what}")
 
     def _align(self, *xs: Estimate) -> list[Estimate]:
         k = min(x.primes for x in xs)
@@ -158,39 +175,42 @@ class NoiseOps:
 
     def add(self, a: Estimate, b: Estimate) -> Estimate:
         a, b = self._align(a, b)
-        return self._fit(bfv.add_noise_log2(a.log2, b.log2), a.primes)
+        return self._fit(bfv.add_noise_log2(a.log2, b.log2), a.primes, a.constant or b.constant)
 
     sub = add
 
     def mul(self, a: Estimate, b: Estimate, minus=None) -> Estimate:
         self.multiplies = True
         xs = self._align(a, b, *(minus or ()))
+        self._whole("a ciphertext multiply", *xs)
         k = xs[0].primes
         products = [(x.log2, y.log2) for x, y in zip(xs[::2], xs[1::2])]
-        v = self._fit(bfv.mul_noise_log2(self.params, self.t, k, products), k)
+        v = self._fit(bfv.mul_noise_log2(self.params, self.t, k, products), k, False)
         return self.switch(v, bfv.settle_primes(self.params, self.t, v.log2, k))
 
     def mul_const(self, a: Estimate, c: int) -> Estimate:
         l1 = bfv.centered_l1([c], self.t)
-        return self._fit(bfv.plain_mul_noise_log2(a.log2, l1, self.t), a.primes)
+        return self._fit(bfv.plain_mul_noise_log2(a.log2, l1, self.t), a.primes, a.constant)
 
     def add_const(self, a: Estimate, c: int) -> Estimate:
-        return self._fit(bfv.plain_add_noise_log2(a.log2, self.t), a.primes)
+        return self._fit(bfv.plain_add_noise_log2(a.log2, self.t), a.primes, a.constant)
 
     def dot_const(self, a: Estimate, weights: Sequence[int]) -> Estimate:
         if len(weights) > self.params.n:
             raise PlanRejected(f"{len(weights)} weights exceed the ring degree {self.params.n}")
+        self._whole("a second dot product", a)
         self.packed = True
         # _dot_plaintext negates w_1.., which keeps each centered magnitude.
         l1 = bfv.centered_l1(weights, self.t)
-        return self._fit(bfv.plain_mul_noise_log2(a.log2, l1, self.t), a.primes)
+        return self._fit(bfv.plain_mul_noise_log2(a.log2, l1, self.t), a.primes, True)
 
     def switch(self, a: Estimate, k: int) -> Estimate:
         if not 1 <= k <= a.primes:
             raise bfv.HeParamsError(f"cannot switch to {k} of {a.primes} primes")
         if k == a.primes:
             return a
-        return self._fit(bfv.switch_noise_log2(self.params, self.t, a.log2, k, a.primes), k)
+        v = bfv.switch_noise_log2(self.params, self.t, a.log2, k, a.primes)
+        return self._fit(v, k, a.constant)
 
 
 @lru_cache(maxsize=32)
@@ -237,10 +257,10 @@ class HePipeline:
     ``output_primes``, each the fewest the noise rules allow; the replays
     count the switch too. A plan that is not batched reads each output at
     coefficient 0 alone, so the buyer sends its constant-term form
-    (:func:`bfv.keep_constant`): c0's coefficient 0 and all of c1. The
-    partial sums x_i w_j that a dot product leaves in c0's other
-    coefficients never leave the buyer, and c1 does not depend on the
-    inputs' values.
+    (:func:`bfv.keep_constant`): c0's coefficient 0 and all of c1. A dot
+    product yields that form directly, so the partial sums x_i w_j that
+    c0's other coefficients would hold are never computed, and c1 does not
+    depend on the inputs' values.
     """
 
     def _circuit(self, ops, x: Mapping, primes: int | None = None) -> dict:
@@ -291,8 +311,12 @@ class HePipeline:
         Then ``output_primes`` under that prefix, every input one fresh
         share, at most the primes every output already holds. A circuit
         that takes a dot product and multiplies ciphertexts is rejected: a
-        product of packed ciphertexts would mix their coefficients."""
+        product of packed ciphertexts would mix their coefficients. So is
+        an output range that needs no modulus, a result known before any
+        input."""
         bits, bound = self.he_output_range()
+        if bound < 1:
+            raise PlanRejected(f"output range [0, {bound}] needs no plaintext modulus")
         moduli: list[int] = []
         while math.prod(moduli) <= bound:
             if len(moduli) == 8:

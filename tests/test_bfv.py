@@ -185,6 +185,18 @@ class TestParams:
         with pytest.raises(bfv.HeParamsError):
             bfv.HeParams(n=4096, q_primes=params4096.q_primes, t=params4096.q + 1)
 
+    def test_a_list_of_primes_is_kept_as_a_tuple(self):
+        # Every cached helper keys on q_primes, so the params must hash.
+        primes = bfv.find_ntt_primes(27, 1024, 2)
+        t = bfv.find_ntt_primes(20, 1024)[0]
+        params = bfv.HeParams(1024, primes, t)
+        assert params.q_primes == tuple(primes)
+        assert params == bfv.HeParams(1024, tuple(primes), t)
+        sk, pk, rk = bfv.keygen(params, seed=5)
+        assert len(rk.pairs) == 1
+        ct = bfv.encrypt(pk, bfv.encode_scalar(7, params), np.random.default_rng(5))
+        assert bfv.decode_scalar(bfv.decrypt(sk, bfv.he_add(ct, ct))) == 14
+
     def test_param_hash_stable(self, params4096):
         again = bfv.HeParams(
             n=4096, q_primes=params4096.q_primes, t=params4096.t
@@ -1172,19 +1184,37 @@ class TestConstantTermBlobs:
         assert all(np.array_equal(x, y) for x, y in zip(back.polys, ct.polys, strict=True))
         assert bfv.decrypt(keys4096[0], back).poly.tolist() == [5]
 
-    def test_constant_term_takes_no_operation(self, params4096, keys4096, constant):
-        ct, _ = constant
-        _, pk, rk = keys4096
-        whole = bfv.mod_switch(bfv.encrypt(pk, bfv.encode_scalar(2, params4096)), self.K)
-        pt = bfv.encode_scalar(2, params4096)
+    def test_constant_term_takes_coefficientwise_operations_only(self, params4096, keys4096):
+        # A sum, a difference (with a whole operand too), a plaintext add, a
+        # multiply by a constant and a switch act coefficient by coefficient:
+        # on the form each gives the form of the whole result, residue for
+        # residue. A ciphertext multiply and a multiply by any other
+        # plaintext mix coefficients, so the form takes neither.
+        sk, pk, rk = keys4096
+        rng = np.random.default_rng(3)
+        a, b = (
+            bfv.mod_switch(bfv.encrypt(pk, bfv.encode_coeffs([v, 1], params4096), rng), self.K)
+            for v in (5, 2)
+        )
+        ca, cb = bfv.keep_constant(a), bfv.keep_constant(b)
+        two = bfv.encode_scalar(2, params4096)
+        for op, value in (
+            (lambda x: bfv.he_add(b, x), 7),
+            (lambda x: bfv.he_add(cb, x), 7),
+            (lambda x: bfv.he_sub(x, b), 3),
+            (lambda x: bfv.he_add_plain(x, two), 7),
+            (lambda x: bfv.he_mul_plain(x, two), 10),
+            (lambda x: bfv.mod_switch(x, 2), 5),
+        ):
+            got, want = op(ca), bfv.keep_constant(op(a))
+            assert got.constant_term and got.noise_log2 == want.noise_log2
+            assert all(np.array_equal(u, v) for u, v in zip(got.polys, want.polys, strict=True))
+            assert bfv.decrypt(sk, got).poly.tolist() == [value]
+        poly = bfv.encode_coeffs([0, 1], params4096)
         for op in (
-            lambda: bfv.he_add(whole, ct),
-            lambda: bfv.he_sub(ct, whole),
-            lambda: bfv.he_add_plain(ct, pt),
-            lambda: bfv.he_mul_plain(ct, pt),
-            lambda: bfv.he_mul(whole, ct, rk),
-            lambda: bfv.he_mul(whole, whole, rk, minus=(whole, ct)),
-            lambda: bfv.mod_switch(ct, 2),
+            lambda: bfv.he_mul_plain(ca, poly),
+            lambda: bfv.he_mul(b, ca, rk),
+            lambda: bfv.he_mul(b, b, rk, minus=(b, ca)),
         ):
             with pytest.raises(bfv.HeParamsError, match="constant-term"):
                 op()

@@ -13,7 +13,7 @@ from mpcmarket.circuits.ir import FixedPointSpec
 from mpcmarket.he import bfv
 from mpcmarket.he.bfv import HeParams
 from mpcmarket.protocol import LdComputation, LrComputation
-from mpcmarket.protocol.computations import CiphertextOps, NoiseOps
+from mpcmarket.protocol.computations import CiphertextOps, NoiseOps, _dot_plaintext
 from mpcmarket.protocol.messages import ProtocolError
 from mpcmarket.protocol.parties import Csp
 
@@ -77,10 +77,17 @@ def test_packed_inner_product_is_exact(wide_ring, dim):
         assert comp.he_finish(keys[0], plan, out) == comp.oracle(_bits(row))
 
 
+class _WholeOps(CiphertextOps):
+    """The buyer's op set with a dot product that keeps every coefficient."""
+
+    def dot_const(self, a, weights):
+        return bfv.he_mul_plain(a, _dot_plaintext(tuple(weights), self.params, self.t))
+
+
 class TestWhatTheCspSees:
     """A packed output goes to the CSP in the constant-term form: c0's
     coefficient 0 and all of c1. The partial cross sums x_i w_j that the
-    dot product leaves in c0's other coefficients stay with the buyer."""
+    whole product would leave in c0's other coefficients are never computed."""
 
     @pytest.fixture(scope="class")
     def lr(self, bundled_model, bundled_dataset, params4096):
@@ -94,11 +101,12 @@ class TestWhatTheCspSees:
         return bfv.decrypt(keys[0], bfv.ciphertext_from_bytes(blob, params)).poly
 
     def _full_output(self, comp, params, plan, listing):
-        """The whole output ciphertext of the buyer's circuit on ``listing``."""
+        """The whole ciphertext whose constant-term form the buyer's circuit
+        outputs on ``listing``."""
         ((_, _, blob),) = listing
         (t,) = plan.moduli
         x = {"x": bfv.ciphertext_from_bytes(blob, params)}
-        return comp.he_circuit(CiphertextOps(params, t, None), x)["z"]
+        return comp.he_circuit(_WholeOps(params, t, None), x)["z"]
 
     def test_rows_with_one_z_send_identical_bytes(self, lr, params4096):
         # x' moves features 0 and 2 along w_2 and -w_0 (over their gcd), so
@@ -192,6 +200,59 @@ class TestWhatTheCspSees:
             ld_comp.he_finish(keys8192[0], ld_plan, [(tag, constant), *out[1:]])
 
 
+class TestConstantTermProduct:
+    """The plaintext multiply that returns the constant-term form equals
+    the whole product cut to that form, residue for residue and with the
+    same noise field, and so do a plaintext add and a switch after it."""
+
+    # Above 2^31, centered coefficients exceed 2^30; above 2^35 they exceed
+    # 2^34, where the dot product reduces them below each prime first.
+    T_WIDE = {"wide": (1 << 33) + 17, "wider": (1 << 40) + 15}
+
+    @pytest.fixture(scope="class", params=[1024, 4096, 8192])
+    def ring(self, request):
+        n = request.param
+        params = HeParams(n, tuple(bfv.find_ntt_primes(30, n, 5)), bfv.find_ntt_primes(20, n)[0])
+        return params, bfv.keygen(params, seed=n, relin=False)
+
+    @staticmethod
+    def _same(got, want):
+        assert got.constant_term and got.noise_log2 == want.noise_log2
+        assert all(np.array_equal(x, y) for x, y in zip(got.polys, want.polys, strict=True))
+
+    @pytest.mark.parametrize("t_bits", [20, 30, "wide", "wider"])
+    @pytest.mark.parametrize("w", ["sparse", "dense", "extreme"])
+    def test_matches_the_whole_product(self, ring, t_bits, w):
+        params, (sk, pk, _) = ring
+        n = params.n
+        t = self.T_WIDE.get(t_bits) or bfv.find_ntt_primes(t_bits, n)[0]
+        rng = np.random.default_rng(n + len(w))
+        if w == "sparse":
+            pt = _dot_plaintext(tuple(rng.integers(-W, W + 1, 30).tolist()), params, t)
+        else:
+            # Every coefficient nonzero: at random, or each at -t/2, so that
+            # every term of the negacyclic reversal has the same sign.
+            dense = rng.integers(1, t, n) if w == "dense" else np.full(n, t - t // 2)
+            pt = bfv.encode_coeffs(dense.tolist(), params, t)
+        assert pt.poly.all() == (w != "sparse")
+        ct = bfv.encrypt(pk, bfv.encode_coeffs(rng.integers(0, t, n).tolist(), params, t), rng)
+        whole = bfv.he_mul_plain(ct, pt)
+        got = bfv.he_mul_plain(ct, pt, constant_term=True)
+        self._same(got, bfv.keep_constant(whole))
+        assert bfv.decrypt(sk, got).poly.tolist() == [bfv.decrypt(sk, whole).poly[0]]
+        c = bfv.encode_scalar(-12345, params, t)
+        self._same(bfv.he_add_plain(got, c), bfv.keep_constant(bfv.he_add_plain(whole, c)))
+        # One prime dropped, and several: down to the fewest primes with
+        # budget left (2 or 3 of the 5 here).
+        fewest = min(
+            k
+            for k in range(1, 4)
+            if bfv.switch_noise_log2(params, t, got.noise_log2, k) < params.budget_capacity(t, k)
+        )
+        for k in (4, fewest):
+            self._same(bfv.mod_switch(got, k), bfv.keep_constant(bfv.mod_switch(whole, k)))
+
+
 class _DotThenMultiply(LrComputation):
     def he_circuit(self, ops, x):
         z = ops.dot_const(x["x"], self.model.weights)
@@ -222,6 +283,44 @@ def test_plan_rejects_a_dot_product_with_a_ciphertext_multiply(
         Csp(comp, seed=0).he_setup(params8192, 1)
 
 
+class _DotThenDot(LrComputation):
+    def he_circuit(self, ops, x):
+        z = ops.dot_const(x["x"], self.model.weights)
+        return {"z": ops.dot_const(z, self.model.weights)}
+
+
+def test_plan_rejects_a_dot_product_of_a_dot_product(bundled_model, params8192, no_keygen):
+    # A dot product's value is in the constant-term form, which holds
+    # coefficient 0 alone, so no second dot product can read it.
+    comp = _DotThenDot(model=bundled_model)
+    with pytest.raises(PlanRejected, match="second dot product"):
+        comp.he_plan(params8192)
+    with pytest.raises(PlanRejected, match="second dot product"):
+        Csp(comp, seed=0).he_setup(params8192, 1)
+
+
+class _SumOfDots(LrComputation):
+    def he_circuit(self, ops, x):
+        w = self.model.weights
+        z = ops.sub(ops.add(ops.dot_const(x["x"], w), x["x"]), ops.dot_const(x["x"], w))
+        z = ops.add(ops.dot_const(x["x"], w), ops.sub(z, x["x"]))
+        return {"z": ops.add_const(z, self.model.bias << self.model.spec.frac_bits)}
+
+
+def test_dot_products_take_sums_with_each_other_and_with_whole_values(
+    bundled_model, bundled_dataset, params4096
+):
+    # Sums and differences act coefficient by coefficient, so a plan that
+    # adds dot products to each other and to a whole input runs: z = w.x +
+    # x - w.x + w.x - x + b, read at coefficient 0.
+    rows, _ = bundled_dataset
+    comp = _SumOfDots(model=bundled_model)
+    keys = bfv.keygen(params4096, seed=9, relin=False)
+    for row in rows[:3]:
+        plan, _, out = _session(comp, params4096, keys, _bits(row))
+        assert comp.he_finish(keys[0], plan, out) == comp.oracle(_bits(row))
+
+
 def test_plan_rejects_a_packed_vector_longer_than_n(no_keygen):
     params = HeParams.default(1024)
     comp = LrComputation(model=LrModel((1,) * 1025, 0, SPEC))
@@ -239,7 +338,7 @@ def test_planner_l1_is_that_of_the_multiplied_plaintext(
     # NoiseOps takes |p|_1 from the constant or the weights (centered_l1);
     # it must equal the l1 of the plaintext that CiphertextOps multiplies by.
     built = []
-    monkeypatch.setattr(bfv, "he_mul_plain", lambda ct, pt: built.append(pt))
+    monkeypatch.setattr(bfv, "he_mul_plain", lambda ct, pt, **kwargs: built.append(pt))
 
     def check(params, t, constants=(), vectors=()):
         ops = CiphertextOps(params, t, None)

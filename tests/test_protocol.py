@@ -1,8 +1,10 @@
 """End-to-end protocol choreography, hygiene, and transcripts (in-process)."""
 
+import collections
 import itertools
 import math
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -14,6 +16,7 @@ from mpcmarket.circuits.ir import CircuitError
 from mpcmarket.he import bfv
 from mpcmarket.cli import EXIT_CONFIG, main
 from mpcmarket.he.bfv import HeParams, HeParamsError
+from mpcmarket.he.ntt import NttPlan
 from mpcmarket.protocol import (
     DecryptRequest,
     DeltaKeyDist,
@@ -282,6 +285,13 @@ class TestHePipeline:
         with pytest.raises(PlanRejected):
             run_protocol1(comp, [{g: 25} for g in groups], params, seed=3)
 
+    def test_plan_rejects_a_range_that_needs_no_modulus(self, params8192):
+        # At one count bit the LD output range is [0, 0]: no plaintext
+        # modulus is needed, and the planner says so in its own error.
+        assert LdComputation(count_bits=1).he_output_range()[1] == 0
+        with pytest.raises(PlanRejected, match="needs no plaintext modulus"):
+            LdComputation(count_bits=1).he_plan(params8192)
+
     def test_plan_rejects_more_instances_than_slots(self, params8192, monkeypatch):
         assert LdComputation(m_instances=8192).he_plan(params8192).slots == 8192
         comp = LdComputation(m_instances=8193)
@@ -474,6 +484,45 @@ class TestHePipeline:
         assert rc == EXIT_CONFIG
         assert "different parameters" in capsys.readouterr().err
         assert not [th for th in threading.enumerate() if th.name.startswith("role-")]
+
+
+class TestTransformCounts:
+    """NTT calls per Protocol 1 session, by the step that makes them. LR's
+    dot product transforms only c1: c0's coefficient 0 is a dot product,
+    and w'(X)'s transform is kept from the first session."""
+
+    STEPS = ("keygen", "he_encrypt_inputs", "he_evaluate", "he_finish")
+
+    def _count(self, monkeypatch, session):
+        counts = collections.Counter()
+        real = NttPlan._transform
+
+        def counted(plan, *args):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name not in self.STEPS:
+                frame = frame.f_back
+            counts[frame.f_code.co_name] += 1
+            return real(plan, *args)
+
+        monkeypatch.setattr(NttPlan, "_transform", counted)
+        assert session().verified
+        return dict(counts)
+
+    def test_lr_session(self, monkeypatch, lr_comp, lr_row_input):
+        params = HeParams.default(4096)
+        run_protocol1(lr_comp, [lr_row_input], params, seed=41)
+        counts = self._count(
+            monkeypatch, lambda: run_protocol1(lr_comp, [lr_row_input], params, seed=42)
+        )
+        assert counts == {"keygen": 2, "he_encrypt_inputs": 3, "he_evaluate": 2}
+
+    def test_ld_session(self, monkeypatch, params8192):
+        comp = LdComputation(count_bits=11, m_instances=10)
+        groups = [(f"i{i}.{k}", 20 + i) for i in range(10) for k in ("n_AB", "n_Ab", "n_aB", "n_ab")]
+        makers = [dict(groups[j::4]) for j in range(4)]
+        counts = self._count(monkeypatch, lambda: run_protocol1(comp, makers, params8192, seed=43))
+        assert counts == {"keygen": 6, "he_encrypt_inputs": 48, "he_evaluate": 75, "he_finish": 9}
+        assert sum(counts.values()) == 138
 
 
 class TestBackendIndependence:
