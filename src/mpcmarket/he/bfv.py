@@ -82,12 +82,16 @@ against P there.
 Noise is tracked two ways: a conservative running estimate carried on every
 ciphertext (used to flag budget exhaustion eagerly, the scheme's bottom
 element), and an exact secret-key measurement via :func:`noise_budget`.
-The estimate follows five rules, which the operations and the computation
-planner share (Fan and Vercauteren, 2012; v and t as log2 values, a (+) b
-= log2(2^a + 2^b)):
+One :class:`NoiseRules` decides every value's estimate, level and form,
+and both the operations and the computation planner run it: the budget
+check after every operation (and before decryption), the level and form
+at which operands meet, the bounds of a switch, and five formulas (Fan
+and Vercauteren, 2012; v and t as log2 values, a (+) b = log2(2^a +
+2^b)):
 
 - a sum or difference adds the noises;
-- a relinearized sum of products follows :func:`mul_noise_log2`;
+- a relinearized sum of products follows :func:`mul_noise_log2`, then
+  switches to the prime count :func:`settle_primes` gives;
 - a multiply by a plaintext p (its centered representative) gives
   |p|_1 * (v + t), the t term covering the r_t(q) wrap; the planner takes
   |p|_1 from the constant or weights (:func:`centered_l1`), not from p;
@@ -95,8 +99,7 @@ planner share (Fan and Vercauteren, 2012; v and t as log2 values, a (+) b
   less than t;
 - a switch from q to q' gives (v - log2(q/q')) (+) t (+) log2((1 + n)/2):
   the scaled noise, the wrap of Delta' against q'/t, and the rounding
-  error r0 + r1 s with |r_i| <= 1/2 and s ternary; a product switches to
-  the prime count :func:`settle_primes` gives.
+  error r0 + r1 s with |r_i| <= 1/2 and s ternary.
 
 Both the estimate and :func:`noise_budget` measure against Delta =
 floor(q/t), so they count the wrap r_t(q) m / t (below t) as noise. Where
@@ -516,6 +519,11 @@ class HeCiphertext:
     def budget_estimate(self) -> float:
         return self.params.budget_capacity(self.t, len(self.primes)) - self.noise_log2
 
+    @property
+    def estimate(self) -> Estimate:
+        """What :class:`NoiseRules` reads of this ciphertext."""
+        return Estimate(self.noise_log2, len(self.primes), self.constant_term)
+
 
 # -- noise rules ------------------------------------------------------------------
 
@@ -597,6 +605,89 @@ def settle_primes(params: HeParams, t: int, v: float, k: int) -> int:
             break
         j -= 1
     return j
+
+
+class Estimate(NamedTuple):
+    """What the noise rules know of a value: its noise estimate (log2), the
+    number of leading primes of q it holds, and whether it is in the
+    constant-term form (:func:`keep_constant`)."""
+
+    log2: float
+    primes: int
+    constant: bool = False
+
+
+class NoiseRules:
+    """Every value's estimate, level and form under ``params`` and plaintext
+    modulus ``t``, from its operands' :class:`Estimate` values. The bfv
+    operations take each result's estimate and prime count from these
+    rules, and the computation planner replays a circuit on them alone.
+    Each rule raises :attr:`exhausted` where a value would leave no budget,
+    and :attr:`invalid` for a switch out of range or a constant-term
+    operand of an operation that takes whole ciphertexts."""
+
+    exhausted: type[Exception] = NoiseBudgetExhausted
+    invalid: type[Exception] = HeParamsError
+
+    def __init__(self, params: HeParams, t: int) -> None:
+        self.params, self.t = params, t
+
+    def fit(self, v: float, k: int, constant: bool = False) -> Estimate:
+        """The budget check: noise ``v`` under the first ``k`` primes."""
+        capacity = self.params.budget_capacity(self.t, k)
+        if capacity - v <= 0:
+            raise self.exhausted(
+                f"~{v:.1f} noise bits exhaust the {capacity:.1f} that t={self.t} leaves "
+                f"under {k} primes at n={self.params.n}"
+            )
+        return Estimate(v, k, constant)
+
+    def align(self, *xs: Estimate, whole: bool = False) -> list[Estimate]:
+        """The operands as they meet: under their fewest primes, and all in
+        the constant-term form if one is. With ``whole``, for a ciphertext
+        or polynomial multiply, a constant-term operand is rejected."""
+        constant = any(x.constant for x in xs)
+        if constant and whole:
+            raise self.invalid(
+                "a constant-term value, as a dot product leaves it, takes no ciphertext "
+                "or polynomial multiply, so no second dot product"
+            )
+        k = min(x.primes for x in xs)
+        return [self.switch(x._replace(constant=constant), k) for x in xs]
+
+    def switch(self, x: Estimate, k: int) -> Estimate:
+        """:func:`mod_switch` to the first ``k`` of the primes ``x`` holds."""
+        if not 1 <= k <= x.primes:
+            raise self.invalid(f"cannot switch to {k} of {x.primes} primes")
+        if k == x.primes:
+            return x
+        v = switch_noise_log2(self.params, self.t, x.log2, k, x.primes)
+        return self.fit(v, k, x.constant)
+
+    def add(self, a: Estimate, b: Estimate) -> Estimate:
+        """A sum or difference."""
+        a, b = self.align(a, b)
+        return self.fit(add_noise_log2(a.log2, b.log2), a.primes, a.constant)
+
+    def add_plain(self, a: Estimate) -> Estimate:
+        return self.fit(plain_add_noise_log2(a.log2, self.t), a.primes, a.constant)
+
+    def mul_plain(self, a: Estimate, l1: int, whole=False, constant=False) -> Estimate:
+        """A multiply by a plaintext whose centered l1 norm is ``l1``: with
+        ``whole`` one that is not a constant, and with ``constant`` into the
+        constant-term form."""
+        (a,) = self.align(a, whole=whole)
+        return self.fit(plain_mul_noise_log2(a.log2, l1, self.t), a.primes, a.constant or constant)
+
+    def product(self, *xs: Estimate) -> tuple[Estimate, int]:
+        """The relinearized product x0*x1, or x0*x1 - x2*x3, where its
+        operands meet, and the prime count it settles to
+        (:func:`settle_primes`)."""
+        xs = self.align(*xs, whole=True)
+        k = xs[0].primes
+        pairs = [(x.log2, y.log2) for x, y in zip(xs[::2], xs[1::2])]
+        v = self.fit(mul_noise_log2(self.params, self.t, k, pairs), k)
+        return v, settle_primes(self.params, self.t, v.log2, k)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -788,16 +879,13 @@ def _dot_secret(ct: HeCiphertext, sk: SecretKey) -> np.ndarray:
 
 
 def decrypt(sk: SecretKey, ct: HeCiphertext) -> HePlaintext:
-    """Decrypt; raises :class:`DecryptionFailure` when the tracked noise
-    estimate says the result would be garbage (the scheme's bottom element).
-    A constant-term ciphertext gives the one-coefficient plaintext of its
-    coefficient 0."""
+    """Decrypt; raises :class:`NoiseBudgetExhausted`, a
+    :class:`DecryptionFailure`, when the tracked noise estimate says the
+    result would be garbage (the scheme's bottom element). A constant-term
+    ciphertext gives the one-coefficient plaintext of its coefficient 0."""
     if sk.params != ct.params:
         raise HeParamsError("secret key / ciphertext parameter mismatch")
-    if ct.budget_estimate <= 0:
-        raise DecryptionFailure(
-            f"noise budget exhausted (estimate {ct.budget_estimate:.1f} bits)"
-        )
+    NoiseRules(ct.params, ct.t).fit(ct.noise_log2, len(ct.primes))
     w = _dot_secret(ct, sk)
     rns, t = _rns(ct.primes), ct.t
     # round(t W / q) mod t, where the t v term of the rounding vanishes.
@@ -825,51 +913,29 @@ def noise_budget(sk: SecretKey, ct: HeCiphertext) -> int:
 # -- homomorphic operations -----------------------------------------------------
 
 
-def _within_budget(
-    params: HeParams, t: int, est: float, what: str, k: int | None = None
-) -> None:
-    """Raise unless noise ``est`` leaves some budget under ``t`` and the
-    first ``k`` primes (default all)."""
-    capacity = params.budget_capacity(t, k)
-    if capacity - est <= 0:
-        raise NoiseBudgetExhausted(
-            f"{what} would exhaust the noise budget (estimate {est:.1f} bits of {capacity:.1f})"
-        )
-
-
-def _align(*cts: HeCiphertext, constant: bool = False) -> list[HeCiphertext]:
-    """The ciphertext operands of a homomorphic operation, every one of
-    which passes through here: they share parameters and plaintext modulus.
-    With ``constant``, for an operation that acts coefficient by
-    coefficient, one constant-term operand puts every operand in that
-    form; without it none may be constant-term. Returned under their
-    fewest primes: each one holding more is switched down (once, however
-    often it appears)."""
-    a = cts[0]
-    for b in cts:
-        if b.params != a.params or b.t != a.t:
-            raise HeParamsError("ciphertext parameter/modulus mismatch")
-    if any(c.constant_term for c in cts):
-        if not constant:
-            raise HeParamsError(
-                "a constant-term ciphertext takes no ciphertext or polynomial multiply"
-            )
-        cts = tuple(map(keep_constant, cts))
-    k = min(len(c.primes) for c in cts)
-    at_k = {id(c): c if len(c.primes) == k else mod_switch(c, k) for c in cts}
-    return [at_k[id(c)] for c in cts]
+def _align(*cts: HeCiphertext, whole: bool = False) -> tuple[NoiseRules, list[HeCiphertext]]:
+    """The noise rules of the ciphertext operands of a homomorphic
+    operation, every one of which passes through here: they share
+    parameters and plaintext modulus. Then the operands in the form and
+    under the primes that :meth:`NoiseRules.align` gives them, each one
+    switched once, however often it appears."""
+    if len({(c.params, c.t) for c in cts}) > 1:
+        raise HeParamsError("ciphertext parameter/modulus mismatch")
+    rules = NoiseRules(cts[0].params, cts[0].t)
+    met = {}
+    for c, x in zip(cts, rules.align(*(c.estimate for c in cts), whole=whole)):
+        if id(c) not in met:
+            met[id(c)] = mod_switch(keep_constant(c) if x.constant else c, x.primes)
+    return rules, [met[id(c)] for c in cts]
 
 
 def _add_or_sub(a: HeCiphertext, b: HeCiphertext, op) -> HeCiphertext:
     """Component-wise ``op``; noise grows by at most one bit."""
-    a, b = _align(a, b, constant=True)
+    rules, (a, b) = _align(a, b)
+    est = rules.add(a.estimate, b.estimate)
     q = a.plan.mod
-    return HeCiphertext(
-        params=a.params,
-        t=a.t,
-        polys=tuple(op(x, y) % q for x, y in zip(a.polys, b.polys)),
-        noise_log2=add_noise_log2(a.noise_log2, b.noise_log2),
-    )
+    polys = tuple(op(x, y) % q for x, y in zip(a.polys, b.polys))
+    return HeCiphertext(a.params, a.t, polys, est.log2)
 
 
 def he_add(a: HeCiphertext, b: HeCiphertext) -> HeCiphertext:
@@ -884,20 +950,15 @@ def he_sub(a: HeCiphertext, b: HeCiphertext) -> HeCiphertext:
 def he_add_plain(ct: HeCiphertext, pt: HePlaintext) -> HeCiphertext:
     """Add Delta m, Delta = floor(q/t) for the q of the ciphertext's primes;
     to a constant-term ciphertext, at coefficient 0 alone."""
-    (ct,) = _align(ct, constant=True)
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
+    est = NoiseRules(ct.params, ct.t).add_plain(ct.estimate)
     q = ct.plan.mod
     delta = math.prod(ct.primes) // ct.t
     delta_q = np.array([delta % p for p in ct.primes], dtype=np.int64)[:, None]
     c0 = ct.polys[0]
     c0 = (c0 + delta_q * (pt.poly[: c0.shape[-1]] % q)) % q
-    return HeCiphertext(
-        params=ct.params,
-        t=ct.t,
-        polys=(c0, ct.polys[1]),
-        noise_log2=plain_add_noise_log2(ct.noise_log2, ct.t),
-    )
+    return HeCiphertext(params=ct.params, t=ct.t, polys=(c0, ct.polys[1]), noise_log2=est.log2)
 
 
 def he_mul_plain(ct: HeCiphertext, pt: HePlaintext, constant_term: bool = False) -> HeCiphertext:
@@ -910,14 +971,13 @@ def he_mul_plain(ct: HeCiphertext, pt: HePlaintext, constant_term: bool = False)
     comes in that form, as :func:`keep_constant` would leave it: c0's
     column is one dot product per prime (:func:`_constant_coefficient`),
     so only c1 takes a forward and an inverse transform."""
-    m = pt.centered()
-    scalar = not m[1:].any()
-    (ct,) = _align(ct, constant=scalar)
     if pt.t != ct.t:
         raise HeParamsError("plaintext modulus mismatch")
-    params, k = ct.params, len(ct.primes)
-    est = plain_mul_noise_log2(ct.noise_log2, int(np.abs(m).sum()), pt.t)
-    _within_budget(params, ct.t, est, "plaintext multiply", k)
+    m = pt.centered()
+    scalar = not m[1:].any()
+    l1 = int(np.abs(m).sum())
+    rules = NoiseRules(ct.params, ct.t)
+    est = rules.mul_plain(ct.estimate, l1, whole=not scalar, constant=constant_term)
     plan = ct.plan
     q = plan.mod
     if scalar:
@@ -931,7 +991,7 @@ def he_mul_plain(ct: HeCiphertext, pt: HePlaintext, constant_term: bool = False)
 
         c0, c1 = ct.polys
         polys = (_constant_coefficient(c0, m, q) if constant_term else times(c0), times(c1))
-    product = HeCiphertext(params=params, t=ct.t, polys=polys, noise_log2=est)
+    product = HeCiphertext(params=ct.params, t=ct.t, polys=polys, noise_log2=est.log2)
     return keep_constant(product) if constant_term else product
 
 
@@ -956,15 +1016,13 @@ def he_mul(
     extended prime basis, one scale-round by t/q and one key switch of the
     s^2 component. The operands first meet at their fewest primes, and the
     result settles to the count :func:`settle_primes` gives."""
-    cts = _align(a, b, *(minus or ()))
+    rules, cts = _align(a, b, *(minus or ()), whole=True)
     if rk.params != cts[0].params:
         raise HeParamsError("relinearization key parameter mismatch")
-    params, t = cts[0].params, cts[0].t
-    primes = cts[0].primes
-    n, k = params.n, len(primes)
+    est, settled = rules.product(*(c.estimate for c in cts))
+    params, t, primes = rules.params, rules.t, cts[0].primes
+    n, k = params.n, est.primes
     products = list(zip(cts[::2], cts[1::2]))
-    est = mul_noise_log2(params, t, k, [(x.noise_log2, y.noise_log2) for x, y in products])
-    _within_budget(params, t, est, "multiplication", k)
 
     # Extend each distinct operand exactly from q to the whole basis and
     # transform it once, accumulate the tensor components of every product
@@ -994,10 +1052,8 @@ def he_mul(
 
     Q = cts[0].plan.mod
     s0, s1 = _key_switch(e2, rk, k)
-    product = HeCiphertext(
-        params=params, t=t, polys=((e0 + s0) % Q, (e1 + s1) % Q), noise_log2=est
-    )
-    return mod_switch(product, settle_primes(params, t, est, k))
+    polys = ((e0 + s0) % Q, (e1 + s1) % Q)
+    return mod_switch(HeCiphertext(params, t, polys, est.log2), settled)
 
 
 def _key_switch(x: np.ndarray, rk: RelinKey, k: int) -> list[np.ndarray]:
@@ -1033,21 +1089,17 @@ def mod_switch(ct: HeCiphertext, k: int) -> HeCiphertext:
     the dropped residues, which rounds c q'/q to the nearest integer.
     Noise follows :func:`switch_noise_log2`; keeping every prime returns
     ``ct`` itself. Row by row, so a constant-term ``ct`` switches too."""
-    (ct,) = _align(ct, constant=True)
+    est = NoiseRules(ct.params, ct.t).switch(ct.estimate, k)
     held = len(ct.primes)
-    if not 1 <= k <= held:
-        raise HeParamsError(f"cannot switch to {k} of {held} primes")
     if k == held:
         return ct
-    est = switch_noise_log2(ct.params, ct.t, ct.noise_log2, k, held)
-    _within_budget(ct.params, ct.t, est, "modulus switch", k)
     if held - k == 1:
         polys = tuple(_drop_last(c, ct.primes) for c in ct.polys)
     else:
         conv = _conversion(ct.primes[k:], ct.primes[:k])
         q = conv.dst.col
         polys = tuple((c[:k] - _extend(c[k:], conv)) * conv.q_inv_dst % q for c in ct.polys)
-    return HeCiphertext(ct.params, ct.t, polys, est)
+    return HeCiphertext(ct.params, ct.t, polys, est.log2)
 
 
 def _drop_last(c: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Message delivery: in-process dispatch and framed TCP loopback.
 
 Both channels drive the same role state machines and produce identical
-transcripts (modulo timestamps): one entry per delivered protocol message,
-sized by its frame length, sequence numbers strictly increasing
-within a session. Transport acknowledgements are not protocol messages and
-are never logged.
+transcripts: one entry per delivered protocol message, sized by its frame
+length, sequence numbers strictly increasing within a session. Transport
+acknowledgements are not protocol messages and are never logged.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import logging
 import socket
 import struct
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -45,7 +43,6 @@ class TranscriptEntry:
     receiver: str
     type_name: str
     n_bytes: int
-    timestamp: float
 
 
 @dataclass
@@ -82,9 +79,8 @@ class BaseChannel:
             return self._seq
 
     def _log(self, seq: int, sender: str, receiver: str, msg: Message, n_bytes: int) -> None:
-        self.transcript.entries.append(
-            TranscriptEntry(seq, sender, receiver, msg.type_name, n_bytes, time.time())
-        )
+        entry = TranscriptEntry(seq, sender, receiver, msg.type_name, n_bytes)
+        self.transcript.entries.append(entry)
 
     def send(self, sender: str, receiver: str, msg: Message) -> Message | None:
         raise NotImplementedError

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from ..analytics.lr import (
 )
 from ..circuits.ir import Circuit, int_from_bits
 from ..he import bfv
-from ..he.bfv import HeCiphertext, HeParams, PublicKey, RelinKey, SecretKey
+from ..he.bfv import Estimate, HeCiphertext, HeParams, PublicKey, RelinKey, SecretKey
 from .messages import ProtocolError
 
 MakerInput = Mapping[str, int]  # input-group name -> integer value
@@ -131,86 +131,35 @@ class CiphertextOps:
         return bfv.he_mul_plain(a, pt, constant_term=True)
 
 
-class Estimate(NamedTuple):
-    """A value of :class:`NoiseOps`: its noise estimate (log2), the number
-    of leading primes of q it holds, and whether it is in the constant-term
-    form, which a dot product leaves and every value it feeds keeps."""
+class NoiseOps(bfv.NoiseRules):
+    """The op set on :class:`bfv.Estimate` values: the rules the bfv
+    operations apply, under the names the circuits call, raising
+    :class:`PlanRejected` wherever the runtime would fail. ``multiplies``
+    and ``packed`` record whether the circuit multiplied ciphertexts and
+    took a dot product."""
 
-    log2: float
-    primes: int
-    constant: bool = False
+    exhausted = invalid = PlanRejected
+    multiplies = packed = False
 
-
-class NoiseOps:
-    """The same op set on :class:`Estimate` values, through the rules the
-    bfv operations apply, the level rules included. Raises
-    :class:`PlanRejected` where a value would leave no budget, which is
-    where the runtime would fail, and where a ciphertext multiply or a
-    second dot product would take a dot product's value, which the runtime
-    holds in the constant-term form; ``multiplies`` and ``packed`` record
-    whether the circuit multiplied ciphertexts and took a dot product."""
-
-    def __init__(self, params: HeParams, t: int) -> None:
-        self.params, self.t = params, t
-        self.multiplies = False
-        self.packed = False
-
-    def _fit(self, v: float, k: int, constant: bool) -> Estimate:
-        capacity = self.params.budget_capacity(self.t, k)
-        if capacity - v <= 0:
-            raise PlanRejected(
-                f"HE plan needs ~{v:.0f} noise bits but t={self.t} leaves "
-                f"{capacity:.0f} at n={self.params.n}; increase ring degree"
-            )
-        return Estimate(v, k, constant)
-
-    @staticmethod
-    def _whole(what: str, *xs: Estimate) -> None:
-        if any(x.constant for x in xs):
-            raise PlanRejected(f"a dot product's value cannot feed {what}")
-
-    def _align(self, *xs: Estimate) -> list[Estimate]:
-        k = min(x.primes for x in xs)
-        return [self.switch(x, k) for x in xs]
-
-    def add(self, a: Estimate, b: Estimate) -> Estimate:
-        a, b = self._align(a, b)
-        return self._fit(bfv.add_noise_log2(a.log2, b.log2), a.primes, a.constant or b.constant)
-
-    sub = add
+    sub = bfv.NoiseRules.add
 
     def mul(self, a: Estimate, b: Estimate, minus=None) -> Estimate:
         self.multiplies = True
-        xs = self._align(a, b, *(minus or ()))
-        self._whole("a ciphertext multiply", *xs)
-        k = xs[0].primes
-        products = [(x.log2, y.log2) for x, y in zip(xs[::2], xs[1::2])]
-        v = self._fit(bfv.mul_noise_log2(self.params, self.t, k, products), k, False)
-        return self.switch(v, bfv.settle_primes(self.params, self.t, v.log2, k))
+        v, settled = self.product(a, b, *(minus or ()))
+        return self.switch(v, settled)
 
     def mul_const(self, a: Estimate, c: int) -> Estimate:
-        l1 = bfv.centered_l1([c], self.t)
-        return self._fit(bfv.plain_mul_noise_log2(a.log2, l1, self.t), a.primes, a.constant)
+        return self.mul_plain(a, bfv.centered_l1([c], self.t))
 
     def add_const(self, a: Estimate, c: int) -> Estimate:
-        return self._fit(bfv.plain_add_noise_log2(a.log2, self.t), a.primes, a.constant)
+        return self.add_plain(a)
 
     def dot_const(self, a: Estimate, weights: Sequence[int]) -> Estimate:
         if len(weights) > self.params.n:
             raise PlanRejected(f"{len(weights)} weights exceed the ring degree {self.params.n}")
-        self._whole("a second dot product", a)
         self.packed = True
         # _dot_plaintext negates w_1.., which keeps each centered magnitude.
-        l1 = bfv.centered_l1(weights, self.t)
-        return self._fit(bfv.plain_mul_noise_log2(a.log2, l1, self.t), a.primes, True)
-
-    def switch(self, a: Estimate, k: int) -> Estimate:
-        if not 1 <= k <= a.primes:
-            raise bfv.HeParamsError(f"cannot switch to {k} of {a.primes} primes")
-        if k == a.primes:
-            return a
-        v = bfv.switch_noise_log2(self.params, self.t, a.log2, k, a.primes)
-        return self._fit(v, k, a.constant)
+        return self.mul_plain(a, bfv.centered_l1(weights, self.t), whole=True, constant=True)
 
 
 @lru_cache(maxsize=32)
@@ -400,8 +349,8 @@ class HePipeline:
             raise ProtocolError(f"no shares for inputs {sorted(missing)[:4]}")
         inputs = {t: {name: sums[f"{t}:{name}"] for name in plan.inputs} for t in plan.moduli}
         for t, x in inputs.items():
-            noises = {n: Estimate(ct.noise_log2, len(ct.primes)) for n, ct in x.items()}
-            self._circuit(NoiseOps(params, t), noises, plan.output_primes)
+            estimates = {name: ct.estimate for name, ct in x.items()}
+            self._circuit(NoiseOps(params, t), estimates, plan.output_primes)
         out = []
         for t, x in inputs.items():
             y = self._circuit(CiphertextOps(params, t, rk), x, plan.output_primes)

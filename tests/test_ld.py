@@ -21,7 +21,13 @@ from mpcmarket.analytics.ld import (
 from mpcmarket.circuits import CircuitError
 from mpcmarket.he import bfv
 from mpcmarket.protocol import run_protocol1
-from mpcmarket.protocol.computations import CiphertextOps, Estimate, LdComputation, NoiseOps
+from mpcmarket.protocol.computations import (
+    CiphertextOps,
+    Estimate,
+    LdComputation,
+    LrComputation,
+    NoiseOps,
+)
 
 from helpers import eval_plain
 
@@ -227,7 +233,7 @@ class TestHePlan:
         lhs_max, rhs_max = ld_value_bounds(11, *THRESH)
         assert math.prod(plan.moduli) > max(lhs_max, rhs_max)
 
-    def test_planner_estimate_is_the_runtime_estimate(self, params8192, keys8192):
+    def test_planner_estimate_is_the_runtime_estimate(self, params8192, keys8192, bundled_model):
         # Four maker shares per count, summed as the buyer sums them, under
         # the plan's last modulus (not params.t): the planner's estimate of e
         # is the one the runtime operations carry, and every value of the
@@ -260,6 +266,20 @@ class TestHePlan:
             assert (y.log2, y.primes) == (pytest.approx(x.log2 + 12), x.primes)
         budget = [params8192.budget_capacity(t, v.primes) - v.log2 for v in e]
         assert budget[0] - budget[1] == pytest.approx(12, abs=1)
+        # LR's dot product, plaintext add and output switch, from an input
+        # under all six primes down to the plan's output primes, carry the
+        # planner's estimate, prime count and form, value by value.
+        lr = LrComputation(model=bundled_model)
+        plan = lr.he_plan(params8192)
+        (t,) = plan.moduli
+        ct = bfv.encrypt(pk, plan.encode(range(bundled_model.dim), params8192, t), rng)
+        runtime = Recorded(CiphertextOps(params8192, t, None))
+        planner = Recorded(NoiseOps(params8192, t))
+        lr._circuit(runtime, {"x": ct}, plan.output_primes)
+        lr._circuit(planner, {"x": Estimate(ct.noise_log2, len(ct.primes))}, plan.output_primes)
+        assert runtime.names == planner.names == ["dot_const", "add_const", "switch"]
+        assert [c.estimate for c in runtime.values] == planner.values
+        assert len(ct.primes) > plan.output_primes == planner.values[-1].primes
 
     def test_session_relinearizes_five_times_per_modulus(self, params8192, monkeypatch):
         # The benchmark's he-ld session: M=10, four makers, n=8192 and three

@@ -388,6 +388,45 @@ class TestHePipeline:
         for estimate, exact in seen:
             assert estimate <= exact
 
+    def test_sums_check_the_budget_where_the_planner_does(self, params4096, keys4096):
+        # he_add, he_sub and he_add_plain raise NoiseBudgetExhausted on
+        # exactly the estimates where NoiseOps.add, sub and add_const raise
+        # PlanRejected, operands on two levels included.
+        _, pk, _ = keys4096
+        t = params4096.t
+        fresh = bfv.encrypt(pk, bfv.encode_scalar(3, params4096), np.random.default_rng(12))
+        two = bfv.encode_scalar(2, params4096)
+        forged = [
+            bfv.HeCiphertext(
+                params4096,
+                t,
+                bfv.mod_switch(fresh, k).polys,
+                params4096.budget_capacity(t, k) + offset,
+            )
+            for k in (4, 3)
+            for offset in (-3, -1.01, -0.99, -0.5, -1e-6)
+        ]
+
+        def raises(op, error) -> bool:
+            try:
+                op()
+            except error:
+                return True
+            return False
+
+        outcomes = []
+        for a, b in itertools.product(forged, repeat=2):
+            ops = NoiseOps(params4096, t)
+            x, y = (Estimate(c.noise_log2, len(c.primes)) for c in (a, b))
+            for run, plan in (
+                (lambda: bfv.he_add(a, b), lambda: ops.add(x, y)),
+                (lambda: bfv.he_sub(a, b), lambda: ops.sub(x, y)),
+                (lambda: bfv.he_add_plain(a, two), lambda: ops.add_const(x, 2)),
+            ):
+                outcomes.append(raises(run, bfv.NoiseBudgetExhausted))
+                assert outcomes[-1] == raises(plan, PlanRejected)
+        assert any(outcomes) and not all(outcomes)
+
     def test_plan_keys_the_fewest_primes_the_worst_session_allows(self, lr_comp):
         # A session's inputs are sums of at most one share per input group;
         # under one prime fewer, that worst case leaves no budget (LD has
