@@ -16,7 +16,7 @@ from .lr import (
     build_lr_circuit,
     build_sigmoid_table,
     load_model,
-    lr_he_plan_bound,
+    lr_accumulator_range,
     lr_predict_fixed,
 )
 
@@ -32,6 +32,6 @@ __all__ = [
     "build_sigmoid_table",
     "ld_decide_plain",
     "load_model",
-    "lr_he_plan_bound",
+    "lr_accumulator_range",
     "lr_predict_fixed",
 ]

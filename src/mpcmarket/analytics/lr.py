@@ -129,6 +129,19 @@ def lr_affine_fixed(model: LrModel, x_fixed: Sequence[int]) -> int:
     return acc
 
 
+def lr_accumulator_range(model: LrModel) -> tuple[int, int]:
+    """The exact (lo, hi) of the accumulator z (at 2*frac fractional bits)
+    over every row of the model's fixed-point features."""
+    x_lo = -(1 << (model.spec.total_bits - 1))
+    x_hi = (1 << (model.spec.total_bits - 1)) - 1
+    lo = hi = model.bias << model.spec.frac_bits
+    for w in model.weights:
+        cands = (w * x_lo, w * x_hi)
+        lo += min(cands)
+        hi += max(cands)
+    return lo, hi
+
+
 def lr_predict_fixed(model: LrModel, x_fixed: Sequence[int], table: SigmoidTable) -> int:
     """Fixed-point probability via the lookup table; bit-exact with the circuit."""
     z = lr_affine_fixed(model, x_fixed)
@@ -148,13 +161,7 @@ def build_lr_circuit(model: LrModel, table: SigmoidTable) -> Circuit:
     xs = [b.add_input_group(f"x{j}", spec.total_bits) for j in range(model.dim)]
 
     # Exact bounds of the accumulator decide the working width.
-    x_lo = -(1 << (spec.total_bits - 1))
-    x_hi = (1 << (spec.total_bits - 1)) - 1
-    lo = hi = model.bias << spec.frac_bits
-    for w in model.weights:
-        cands = (w * x_lo, w * x_hi)
-        lo += min(cands)
-        hi += max(cands)
+    lo, hi = lr_accumulator_range(model)
     shift_bits = 2 * spec.frac_bits - table.z_frac_bits
     width = max(lo.bit_length(), hi.bit_length()) + 1
     width = max(width, shift_bits + table.range_bits + 1)
@@ -185,16 +192,3 @@ def build_lr_circuit(model: LrModel, table: SigmoidTable) -> Circuit:
 
     prob = b.lookup(index, table.entries, table.out_spec.total_bits)
     return b.build(prob)
-
-
-# -- homomorphic-encryption path ---------------------------------------------------
-
-
-def lr_he_plan_bound(model: LrModel) -> int:
-    """Upper bound on |z| (at 2*frac fractional bits); the HE plaintext
-    modulus must exceed twice this so the affine part never wraps."""
-    x_abs = 1 << (model.spec.total_bits - 1)
-    bound = abs(model.bias) << model.spec.frac_bits
-    for w in model.weights:
-        bound += abs(w) * x_abs
-    return bound

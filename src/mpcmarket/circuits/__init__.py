@@ -2,7 +2,6 @@
 
 from .ir import (
     AND,
-    INV,
     XOR,
     Circuit,
     CircuitError,
@@ -14,7 +13,6 @@ from .builders import CircuitBuilder
 
 __all__ = [
     "AND",
-    "INV",
     "XOR",
     "Circuit",
     "CircuitBuilder",

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ir import AND, INV, XOR, Circuit, CircuitError, InputGroup
+from .ir import AND, XOR, Circuit, CircuitError, InputGroup
 
 Word = list[int]
 
@@ -83,7 +83,7 @@ class CircuitBuilder:
         return self._emit(AND, a, b)
 
     def inv(self, a: int) -> int:
-        return self._emit(INV, a, -1)
+        return self._emit(XOR, a, self.one)
 
     def or_(self, a: int, b: int) -> int:
         # a | b == ~(~a & ~b); one AND

@@ -18,7 +18,6 @@ import numpy as np
 
 XOR = 0
 AND = 1
-INV = 2
 
 
 class CircuitError(ValueError):
@@ -50,8 +49,6 @@ class Level(NamedTuple):
 
     xor_in: np.ndarray
     xor_out: np.ndarray
-    inv_in: np.ndarray
-    inv_out: np.ndarray
     and_in: np.ndarray
     and_out: np.ndarray
     and_rows: np.ndarray
@@ -100,11 +97,12 @@ class Circuit:
     constructed.
 
     ``gates`` is a read-only copy of the given (g, 4) rows (kind, a, b, out)
-    as int32, b = -1 for INV; row i writes wire ``n_inputs + 2 + i``.
-    ``const_zero``/``const_one`` are the two wires before the first gate
-    output, pinned to 0 and 1; constants embedded by builders (thresholds,
-    weights, lookup tables) are wired from them, which keeps INV/constant
-    handling free under free-XOR.
+    as int32, kind XOR or AND; row i reads two earlier wires and writes
+    wire ``n_inputs + 2 + i``. ``const_zero``/``const_one`` are the two
+    wires before the first gate output, pinned to 0 and 1; constants
+    embedded by builders (thresholds, weights, lookup tables) are wired
+    from them, and a NOT is an XOR with ``const_one``, so both are free
+    under free-XOR.
     """
 
     n_inputs: int
@@ -125,12 +123,10 @@ class Circuit:
             hits = np.flatnonzero(bad)
             return int(hits[0]) if hits.size else None
 
-        if (i := first((kind != XOR) & (kind != AND) & (kind != INV))) is not None:
+        if (i := first((kind != XOR) & (kind != AND))) is not None:
             raise CircuitError(f"unknown gate kind {kind[i]} at wire {out[i]}")
-        if (i := first((kind == INV) & (b != -1))) is not None:
-            raise CircuitError(f"INV gate with two inputs at wire {out[i]}")
         bad_a = (a < 0) | (a >= seen)
-        if (i := first(bad_a | ((kind != INV) & ((b < 0) | (b >= seen))))) is not None:
+        if (i := first(bad_a | (b < 0) | (b >= seen))) is not None:
             raise CircuitError(
                 f"gate output {out[i]} reads undefined wire {a[i] if bad_a[i] else b[i]}"
             )
@@ -154,7 +150,7 @@ class Circuit:
 
     @cached_property
     def stats(self) -> GateStats:
-        """Total and non-XOR gate counts; INV is free, so non-XOR counts AND only."""
+        """Total and non-XOR (that is, AND) gate counts."""
         non_xor = int(np.count_nonzero(self.gates[:, 0] == AND))
         return GateStats(total=len(self.gates), non_xor=non_xor)
 
@@ -174,10 +170,10 @@ class Circuit:
     @cached_property
     def levels(self) -> tuple[Level, ...]:
         """Level schedule: gates grouped by topological depth (inputs and
-        constants have depth 0, a gate one more than its deepest input)."""
+        constants have depth 0, a gate one more than its deepest input),
+        each level's XOR and AND gates in arrays of their own."""
         g = self.gates.astype(np.intp)  # fancy indexing converts anything else per call
-        # The spare last slot stays 0; INV gates read it through b = -1.
-        depth = [0] * (self.n_wires + 1)
+        depth = [0] * self.n_wires
         for a, b, out in zip(*g[:, 1:].T.tolist()):
             da, db = depth[a], depth[b]
             depth[out] = (da if da > db else db) + 1
@@ -188,11 +184,11 @@ class Circuit:
         levels = []
         for idx in np.split(order, np.flatnonzero(np.diff(gate_depth[order])) + 1):
             k = kind[idx]
-            x, i, a = idx[k == XOR], idx[k == INV], idx[k == AND]
+            x, a = idx[k == XOR], idx[k == AND]
             table_rows = 2 * and_ord[a] + np.array([[0], [1]])
             levels.append(
-                Level(g[x, 1:3].T.copy(), g[x, 3], g[i, 1], g[i, 3], g[a, 1:3].T.copy(),
-                      g[a, 3], table_rows, (table_rows + 1).astype(np.uint64))
+                Level(g[x, 1:3].T.copy(), g[x, 3], g[a, 1:3].T.copy(), g[a, 3],
+                      table_rows, (table_rows + 1).astype(np.uint64))
             )
         return tuple(levels)
 
@@ -212,10 +208,9 @@ class Circuit:
                 yield group.start + k, (value >> k) & 1
 
 
-def int_from_bits(bits: Sequence[int], signed: bool = False) -> int:
+def int_from_bits(bits: Sequence[int]) -> int:
+    """The unsigned integer of little-endian ``bits``."""
     v = 0
     for i, b in enumerate(bits):
         v |= (b & 1) << i
-    if signed and bits and (v >> (len(bits) - 1)) & 1:
-        v -= 1 << len(bits)
     return v

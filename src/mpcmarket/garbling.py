@@ -3,11 +3,12 @@
 Labels are 128-bit integers. For every wire, label1 = label0 XOR delta
 with lsb(delta) = 1, so the two labels of a wire always carry opposite
 permute bits. AND gates are garbled with the half-gates construction
-(exactly two 16-byte rows); XOR gates are label XORs and INV gates alias
-the complementary label (out0 = in0 XOR delta), both costing nothing.
+(exactly two 16-byte rows); XOR gates are label XORs and cost nothing, and
+so does a NOT, an XOR with the constant-one wire.
 
-Input labels are derived from a shared PRF key instead of running
-oblivious transfer: the party holding bit b for wire i submits
+Zero labels of the fixed wires (the inputs, then the two constants) are
+derived from a shared PRF key instead of running oblivious transfer:
+PRF(k, i) for wire i. The party holding bit b for input wire i submits
 PRF(k, i) XOR b*delta directly.
 
 The gate hash is a Davies-Meyer construction over a fixed-key AES-128:
@@ -25,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -61,35 +62,14 @@ class GlobalDelta:
             raise GarblingError("delta must be a 128-bit value with lsb 1")
 
 
-def derive_delta(seed: bytes) -> GlobalDelta:
-    """Deterministically expand a 16-byte seed into delta (lsb forced to 1)."""
-    if len(seed) != 16:
-        raise GarblingError("delta seed must be 16 bytes")
-    enc = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
-    block = enc.update(b"\x00" * 15 + b"\x01")
-    return GlobalDelta(int.from_bytes(block, "big") | 1)
-
-
 def derive_input_labels(prf_key: bytes, wires: Iterable[int]) -> list[int]:
-    """Zero-labels PRF(k, i) for the input wires i in ``wires``, in that
+    """Zero-labels PRF(k, i) for the fixed wires i in ``wires``, in that
     order: AES-128 under k of the 16-byte block (0, i), in one cipher pass."""
     if len(prf_key) != 16:
         raise GarblingError("PRF key must be 16 bytes")
     enc = Cipher(algorithms.AES(prf_key), modes.ECB()).encryptor()
     blob = enc.update(b"".join(struct.pack(">QQ", 0, i) for i in wires))
     return [int.from_bytes(blob[i : i + 16], "big") for i in range(0, len(blob), 16)]
-
-
-def seeded_label_source(seed: bytes, domain: int = 1) -> Callable[[int], int]:
-    """Deterministic label generator for constant/non-PRF wires."""
-    if len(seed) != 16:
-        raise GarblingError("label seed must be 16 bytes")
-    enc = Cipher(algorithms.AES(seed), modes.ECB()).encryptor()
-
-    def labels(wire_index: int) -> int:
-        return int.from_bytes(enc.update(struct.pack(">QQ", domain, wire_index)), "big")
-
-    return labels
 
 
 @dataclass(frozen=True)
@@ -203,19 +183,16 @@ def _permute_bits(ab: np.ndarray) -> np.ndarray:
     return s
 
 
-def _sweep(circuit: Circuit, labels: np.ndarray, inv_offset, and_gates) -> None:
-    """Fill ``labels`` level by level: XOR gates, INV gates (input label ^
-    ``inv_offset``: delta when garbling, 0 when evaluating) and AND gates
-    through ``and_gates(update, level, ab)``, which takes their (2, m, 2)
-    input labels (a over b) and returns their (m, 2) output labels."""
+def _sweep(circuit: Circuit, labels: np.ndarray, and_gates) -> None:
+    """Fill ``labels`` level by level: XOR gates, then AND gates through
+    ``and_gates(update, level, ab)``, which takes their (2, m, 2) input
+    labels (a over b) and returns their (m, 2) output labels."""
     rows = _rows(labels)
     update = _new_cipher().update
     for lv in circuit.levels:
         if len(lv.xor_out):
             a, b = _gather(rows, lv.xor_in)
             rows[lv.xor_out] = _rows(a ^ b)
-        if len(lv.inv_out):
-            rows[lv.inv_out] = _rows(_gather(rows, lv.inv_in) ^ inv_offset)
         if len(lv.and_out):
             rows[lv.and_out] = _rows(and_gates(update, lv, _gather(rows, lv.and_in)))
 
@@ -223,16 +200,19 @@ def _sweep(circuit: Circuit, labels: np.ndarray, inv_offset, and_gates) -> None:
 def garble(
     circuit: Circuit,
     delta: GlobalDelta,
-    zero_label: Callable[[int], int],
+    zero_labels: Sequence[int],
 ) -> tuple[GarbledCircuit, DecodingInfo]:
-    """Garble a circuit given the zero-label source for input + constant wires.
+    """Garble a circuit given the zero labels of its fixed wires: the
+    inputs, then const_zero and const_one.
 
-    Deterministic: a fixed delta and label source reproduce the garbling
+    Deterministic: a fixed delta and zero labels reproduce the garbling
     byte for byte.
     """
-    n_fixed = circuit.n_inputs + 2  # inputs, then const_zero and const_one
+    n_fixed = circuit.n_inputs + 2
+    if len(zero_labels) != n_fixed:
+        raise GarblingError(f"expected {n_fixed} fixed-wire zero labels, got {len(zero_labels)}")
     labels = np.zeros((circuit.n_wires, 2), dtype=np.uint64)
-    labels[:n_fixed] = _blocks(zero_label(i) for i in range(n_fixed))
+    labels[:n_fixed] = _blocks(zero_labels)
     d = _blocks([delta.bits])
     # delta and 2*delta once per gate of the widest AND level, to combine
     # with a level's labels block by block
@@ -259,7 +239,7 @@ def garble(
         table_rows[lv.and_rows] = _rows(t)
         return w[0] ^ w[1]
 
-    _sweep(circuit, labels, d, and_gates)
+    _sweep(circuit, labels, and_gates)
     cz, co = _ints(labels[[circuit.const_zero, circuit.const_one]])
     gc = GarbledCircuit(
         circuit_hash=circuit.digest,
@@ -303,7 +283,7 @@ def evaluate(
         t ^= _hash(update, _keys(lv, ab))
         return t[0] ^ t[1]
 
-    _sweep(circuit, labels, np.uint64(0), and_gates)
+    _sweep(circuit, labels, and_gates)
     return _ints(labels[list(circuit.output_wires)])
 
 
@@ -318,9 +298,10 @@ def decode(info: DecodingInfo, output_labels: Sequence[int]) -> list[int]:
 
 def active_input_labels(
     delta: int,
-    zero_label: Callable[[int], int],
+    zero_labels: Mapping[int, int] | Sequence[int],
     wire_bits: Iterable[tuple[int, int]],
 ) -> list[tuple[int, int]]:
     """(wire, active label) for each (wire, bit) a label-holder submits:
-    the wire's zero-label l0, XORed with delta where the bit is 1."""
-    return [(wire, zero_label(wire) ^ (delta if bit & 1 else 0)) for wire, bit in wire_bits]
+    the wire's zero-label ``zero_labels[wire]``, XORed with delta where the
+    bit is 1."""
+    return [(wire, zero_labels[wire] ^ (delta if bit & 1 else 0)) for wire, bit in wire_bits]

@@ -220,9 +220,13 @@ class HeParams:
         """The (k, 1) column of x mod each coefficient prime."""
         return np.array([x % p for p in self.q_primes], dtype=np.int64)[:, None]
 
-    def fresh_noise_log2(self) -> float:
+    def fresh_noise_log2(self, t: int) -> float:
+        """Noise estimate (log2) of a fresh encryption under plaintext
+        modulus ``t``: e u + e1 + e2 s, each error below 6 sigma, plus t,
+        the plaintext-add rule's bound on Delta m against m q / t, which a
+        plaintext whose centered representative is negative reaches."""
         bound = 6 * NOISE_SIGMA
-        return math.log2(2 * self.n * bound + bound)
+        return plain_add_noise_log2(math.log2(2 * self.n * bound + bound), t)
 
     def budget_capacity(self, t: int | None = None, k: int | None = None) -> float:
         """log2(q / 2t): the noise (log2) at which decryption under t
@@ -231,7 +235,7 @@ class HeParams:
         return log2_q - math.log2(2 * (self.t if t is None else t))
 
     def fresh_budget(self) -> float:
-        return self.budget_capacity() - self.fresh_noise_log2()
+        return self.budget_capacity() - self.fresh_noise_log2(self.t)
 
     def canonical_repr(self) -> str:
         qs = ",".join(str(p) for p in self.q_primes)
@@ -834,7 +838,7 @@ def encrypt(pk: PublicKey, pt: HePlaintext, rng: np.random.Generator | None = No
     # pt.poly is reduced first: residues below 2^30 keep delta * m in int64 for any t.
     c0 = (plan.inverse(dot_mod((pk.pk0_ntt,), (u_ntt,), q)) + e1 + delta * (pt.poly % q)) % q
     c1 = (plan.inverse(dot_mod((pk.pk1_ntt,), (u_ntt,), q)) + e2) % q
-    return HeCiphertext(params, pt.t, (c0, c1), params.fresh_noise_log2())
+    return HeCiphertext(params, pt.t, (c0, c1), params.fresh_noise_log2(pt.t))
 
 
 def keep_constant(ct: HeCiphertext) -> HeCiphertext:

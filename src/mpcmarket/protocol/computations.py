@@ -39,7 +39,7 @@ from ..analytics.lr import (
     build_lr_circuit,
     build_sigmoid_table,
     check_range_bits,
-    lr_he_plan_bound,
+    lr_accumulator_range,
     lr_predict_fixed,
 )
 from ..circuits.ir import Circuit, int_from_bits
@@ -225,9 +225,9 @@ class HePipeline:
         in ``moduli``, each input the sum of ``shares`` fresh shares under
         all of params' primes and, with ``primes``, each output switched to
         that many: the last modulus's op set and outputs."""
-        fresh = reduce(bfv.add_noise_log2, [params.fresh_noise_log2()] * shares)
-        x = dict.fromkeys(inputs, Estimate(fresh, len(params.q_primes)))
         for t in moduli:
+            fresh = reduce(bfv.add_noise_log2, [params.fresh_noise_log2(t)] * shares)
+            x = dict.fromkeys(inputs, Estimate(fresh, len(params.q_primes)))
             ops = NoiseOps(params, t)
             y = self._circuit(ops, x, primes)
         return ops, y
@@ -342,7 +342,7 @@ class HePipeline:
                 raise ProtocolError(f"input {tag!r} is encrypted under t={ct.t}")
             if ct.primes != params.q_primes:
                 raise ProtocolError(f"input {tag!r} holds {len(ct.primes)} of q's primes")
-            ct.noise_log2 = params.fresh_noise_log2()
+            ct.noise_log2 = params.fresh_noise_log2(ct.t)
             sums[tag] = bfv.he_add(sums[tag], ct) if tag in sums else ct
         missing = want.keys() - sums.keys()
         if missing:
@@ -546,7 +546,8 @@ class LrComputation(HePipeline):
 
     def he_output_range(self) -> tuple[int, int]:
         """One prime above 2|z|max, so that a signed z survives."""
-        bound = 2 * lr_he_plan_bound(self.model)
+        lo, hi = lr_accumulator_range(self.model)
+        bound = 2 * max(-lo, hi)
         return (bound + 1).bit_length() + 1, bound
 
     def he_result(self, outputs: Mapping[str, list[int]], modulus: int) -> dict:

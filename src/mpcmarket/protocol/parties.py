@@ -3,8 +3,8 @@
 Each role consumes an ordered message stream via ``receive`` and exposes
 local actions that produce the messages it originates. State hygiene is
 structural: the datatrust accepts only ciphertext/label-bearing types;
-makers never hold the secret key; only the CSP ever holds sk, delta, or
-the label-derivation key.
+makers never hold the secret key; only the CSP ever holds sk, and only the
+CSP and the makers hold delta and the label-derivation key.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class Csp:
         # Protocol 2 state
         self._delta: gb.GlobalDelta | None = None
         self._prf_key: bytes | None = None
-        self._const_seed: bytes | None = None
         self._decoding: gb.DecodingInfo | None = None
 
     # -- Protocol 1 ----------------------------------------------------------
@@ -109,29 +108,21 @@ class Csp:
     # -- Protocol 2 ----------------------------------------------------------
 
     def gc_setup(self) -> DeltaKeyDist:
-        delta_seed = self._rng.bytes(16)
-        self._delta = gb.derive_delta(delta_seed)
+        self._delta = gb.GlobalDelta(int.from_bytes(self._rng.bytes(16), "big") | 1)
         self._prf_key = self._rng.bytes(16)
-        self._const_seed = self._rng.bytes(16)
         return DeltaKeyDist(
             delta=self._delta.bits.to_bytes(16, "big"), prf_key=self._prf_key
         )
 
     def make_garbled(self) -> GarbledCircuitMsg:
-        if self._delta is None or self._prf_key is None or self._const_seed is None:
+        """Garble the session's circuit; every fixed wire's zero label, the
+        inputs' and the two constants', is PRF(k, wire)."""
+        if self._delta is None or self._prf_key is None:
             raise ProtocolError("gc_setup must run before garbling")
         circuit = self.computation.circuit
-        const_source = gb.seeded_label_source(self._const_seed, domain=2)
-        n_inputs = circuit.n_inputs
-        input_zero = gb.derive_input_labels(self._prf_key, range(n_inputs))
-
-        def zero_label(wire: int) -> int:
-            if wire < n_inputs:
-                return input_zero[wire]
-            return const_source(wire)
-
+        zero = gb.derive_input_labels(self._prf_key, range(circuit.n_inputs + 2))
         t0 = time.perf_counter()
-        garbled, decoding = gb.garble(circuit, self._delta, zero_label)
+        garbled, decoding = gb.garble(circuit, self._delta, zero)
         self.timings["garble_s"] = time.perf_counter() - t0
         self._decoding = decoding
         return GarbledCircuitMsg(garbled=gb.serialize_garbled(garbled))
@@ -200,7 +191,7 @@ class Maker:
         wire_bits = list(circuit.input_bits(self.values))
         wires = [wire for wire, _ in wire_bits]
         zero = dict(zip(wires, gb.derive_input_labels(self._prf_key, wires)))
-        labels = gb.active_input_labels(self._delta, zero.__getitem__, wire_bits)
+        labels = gb.active_input_labels(self._delta, zero, wire_bits)
         return InputLabels(labels=tuple(labels))
 
 
@@ -212,7 +203,6 @@ class Buyer:
         self.computation = computation
         self.timings: dict[str, float] = {}
         self._garbled_msg: GarbledCircuitMsg | None = None
-        self.result: dict | None = None
 
     # -- Protocol 1 ----------------------------------------------------------
 
@@ -231,8 +221,7 @@ class Buyer:
         return DecryptRequest(entries=tuple(entries))
 
     def accept_result(self, msg: Result) -> dict:
-        self.result = msg.as_dict()
-        return self.result
+        return msg.as_dict()
 
     # -- Protocol 2 ----------------------------------------------------------
 
@@ -262,5 +251,4 @@ class Buyer:
         return OutputLabels(labels=tuple(outs))
 
     def accept_decoding(self, msg: OutputDecoding) -> dict:
-        self.result = self.computation.decode_output(list(msg.bits))
-        return self.result
+        return self.computation.decode_output(list(msg.bits))

@@ -30,10 +30,6 @@ class ProtocolOutcome:
     transcript: Transcript
     timings: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def verified(self) -> bool:
-        return self.oracle is None or self.result == self.oracle
-
 
 class VerificationError(AssertionError):
     """Buyer output disagreed with the plaintext oracle."""

@@ -7,7 +7,7 @@ from typing import Sequence
 
 from mpcmarket.analytics.lr import LrModel, lr_affine_fixed
 from mpcmarket.circuits.builders import CircuitBuilder
-from mpcmarket.circuits.ir import AND, XOR, Circuit, CircuitError
+from mpcmarket.circuits.ir import XOR, Circuit, CircuitError, int_from_bits
 from mpcmarket.protocol.channels import TcpChannel, Transcript
 from mpcmarket.protocol.messages import ProtocolError
 
@@ -16,6 +16,12 @@ def bits_from_int(value: int, width: int) -> list[int]:
     """Little-endian bit vector of ``value`` (two's complement for negatives)."""
     v = value & ((1 << width) - 1)
     return [(v >> i) & 1 for i in range(width)]
+
+
+def signed_from_bits(bits: Sequence[int]) -> int:
+    """The two's-complement integer of little-endian ``bits``."""
+    v = int_from_bits(bits)
+    return v - (1 << len(bits)) if bits and bits[-1] & 1 else v
 
 
 def eval_plain(circuit: Circuit, input_bits: Sequence[int]) -> list[int]:
@@ -30,12 +36,7 @@ def eval_plain(circuit: Circuit, input_bits: Sequence[int]) -> list[int]:
     values[circuit.const_zero] = 0
     values[circuit.const_one] = 1
     for kind, a, b, out in zip(*circuit.gates.T.tolist()):  # columns convert fastest
-        if kind == XOR:
-            values[out] = values[a] ^ values[b]
-        elif kind == AND:
-            values[out] = values[a] & values[b]
-        else:
-            values[out] = values[a] ^ 1
+        values[out] = values[a] ^ values[b] if kind == XOR else values[a] & values[b]
     return [values[w] for w in circuit.output_wires]
 
 

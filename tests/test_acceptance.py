@@ -148,8 +148,12 @@ def test_criterion_4_garbling_structural_invariants(bundled_model):
     """Serialized garbled size == header + 32B x non-XOR exactly on the whole
     corpus; XOR gates contribute zero bytes; 1000 random
     garble/evaluate/decode round-trips equal eval_plain with 0 mismatches."""
-    delta = gb.derive_delta(b"acceptance-seed4"[:16])
-    source = gb.seeded_label_source(b"acceptance-lbls4"[:16])
+    delta = gb.GlobalDelta(int.from_bytes(b"acceptance-seed4", "big") | 1)
+    key = b"acceptance-lbls4"
+
+    def zero(circ):
+        """Zero labels PRF(key, wire) of every fixed wire: inputs, then constants."""
+        return gb.derive_input_labels(key, range(circ.n_inputs + 2))
 
     b = CircuitBuilder()
     x = b.add_input_group("x", 8)
@@ -179,19 +183,21 @@ def test_criterion_4_garbling_structural_invariants(bundled_model):
 
     # size invariant across everything, including the workload circuits
     for name, circ in [(n, c) for n, c, _ in corpus] + big:
-        garbled, _ = gb.garble(circ, delta, source)
+        garbled, _ = gb.garble(circ, delta, zero(circ))
         data = gb.serialize_garbled(garbled)
         expect = gb.HEADER_SIZE + 32 * circ.stats.non_xor
         assert len(data) == expect, f"{name}: serialized {len(data)} != {expect}"
-    assert len(gb.serialize_garbled(gb.garble(xor_only, delta, source)[0])) == gb.HEADER_SIZE
+    xor_garbled, _ = gb.garble(xor_only, delta, zero(xor_only))
+    assert len(gb.serialize_garbled(xor_garbled)) == gb.HEADER_SIZE
 
     rounds = 0
     mismatches = 0
     for name, circ, reps in corpus:
-        garbled, info = gb.garble(circ, delta, source)
+        labels = zero(circ)
+        garbled, info = gb.garble(circ, delta, labels)
         for _ in range(reps):
             bits = [rng.randrange(2) for _ in range(circ.n_inputs)]
-            active = [lab for _, lab in gb.active_input_labels(delta.bits, source, enumerate(bits))]
+            active = [lab for _, lab in gb.active_input_labels(delta.bits, labels, enumerate(bits))]
             got = gb.decode(info, gb.evaluate(garbled, circ, active))
             if got != eval_plain(circ, bits):
                 mismatches += 1

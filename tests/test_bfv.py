@@ -1,6 +1,7 @@
 """BFV scheme: NTT arithmetic, keygen/encrypt/decrypt, homomorphic ops,
 noise budgets, batching, serialization."""
 
+import functools
 import hashlib
 import math
 import random
@@ -154,7 +155,8 @@ class TestExactRounding:
         boundary.append((q - 1) // 2)
         xs = boundary + [0, 1, q - 1]
         c0 = _residues(xs + [0] * (n - len(xs)), qp)
-        ct = bfv.HeCiphertext(params8192, t, (c0, np.zeros_like(c0)), params8192.fresh_noise_log2())
+        fresh = params8192.fresh_noise_log2(t)
+        ct = bfv.HeCiphertext(params8192, t, (c0, np.zeros_like(c0)), fresh)
         got = bfv.decrypt(sk, ct).poly[: len(xs)]
         assert list(got) == [(2 * t * x + q) // (2 * q) % t for x in xs]
         (mask,) = fallback
@@ -162,7 +164,11 @@ class TestExactRounding:
 
     def test_wide_plaintext_modulus_takes_the_exact_path(self, params4096, keys4096, fallback):
         t = find_ntt_primes(34, 4096)[0]  # t y_i may overflow int64
-        params = bfv.HeParams(n=4096, q_primes=params4096.q_primes, t=t)
+        # A fifth prime: the fresh estimate counts t, so a product under
+        # this t needs about 83 bits of budget.
+        primes = find_ntt_primes(27, 4096, 5)
+        assert primes[:4] == list(params4096.q_primes)
+        params = bfv.HeParams(n=4096, q_primes=tuple(primes), t=t)
         sk, pk, rk = bfv.keygen(params, seed=5)
         rng = np.random.default_rng(6)
         a = bfv.encrypt(pk, bfv.encode_scalar(123456789, params), rng)
@@ -359,6 +365,74 @@ class TestDepthAndBudget:
         b = bfv.encrypt(pk, bfv.encode_scalar(13, params4096), rng)
         prod = bfv.he_mul(a, b, rk)
         assert prod.budget_estimate <= bfv.noise_budget(sk, prod)
+
+
+@functools.lru_cache(maxsize=None)
+def _ring(n: int, k: int):
+    """Parameters over the first k of five 30-bit primes at degree n, and
+    their keys (test-only parameters)."""
+    params = bfv.HeParams(n, tuple(find_ntt_primes(30, n, 5)[:k]), find_ntt_primes(20, n)[0])
+    return params, bfv.keygen(params, seed=n + k)
+
+
+class TestNoiseRulesBound:
+    """Every value the bfv operations return carries an estimated budget at
+    or below its exact one, so a level or plan chosen from the estimates
+    never decrypts wrongly (:class:`bfv.NoiseRules`)."""
+
+    OPS = ("add", "sub", "add_plain", "mul_plain", "mul_plain_constant",
+           "mul", "mul_minus", "switch", "keep_constant")
+
+    @staticmethod
+    def _plaintext(data, params, t, terms):
+        """A plaintext of ``terms`` signed coefficients, the extremes
+        -floor(t/2) and floor(t/2) among them, at random exponents."""
+        half = t // 2
+        value = st.one_of(st.sampled_from((-half, half, -1)), st.integers(-half, half))
+        coeffs = [0] * params.n
+        for _ in range(terms):
+            coeffs[data.draw(st.integers(0, params.n - 1))] = data.draw(value)
+        return bfv.encode_coeffs(coeffs, params, t)
+
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(data=st.data())
+    def test_estimate_never_exceeds_exact_budget(self, data):
+        n = data.draw(st.sampled_from((1024, 2048, 4096)))
+        k = data.draw(st.integers(2, 5))
+        params, (sk, pk, rk) = _ring(n, k)
+        bits = data.draw(st.sampled_from(((1, 12), (12, 29), (29, 30))))
+        t = data.draw(st.integers(max(2, 1 << bits[0]), (1 << bits[1]) - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        pool = [bfv.encrypt(pk, self._plaintext(data, params, t, 3), rng) for _ in range(2)]
+
+        def check(ct):
+            # noise_budget reports whole bits, floored; a bound that is
+            # tight to a fraction of a bit floors to the same whole bit.
+            assert math.floor(ct.budget_estimate) <= bfv.noise_budget(sk, ct)
+
+        for ct in pool:
+            check(ct)
+        for op in data.draw(st.lists(st.sampled_from(self.OPS), min_size=1, max_size=5)):
+            a, b, c, d = (pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(4))
+            try:
+                if op in ("add", "sub"):
+                    ct = (bfv.he_add if op == "add" else bfv.he_sub)(a, b)
+                elif op == "add_plain":
+                    ct = bfv.he_add_plain(a, self._plaintext(data, params, t, 2))
+                elif op.startswith("mul_plain"):
+                    terms = data.draw(st.integers(1, 3))
+                    pt = self._plaintext(data, params, t, terms)
+                    ct = bfv.he_mul_plain(a, pt, constant_term=op == "mul_plain_constant")
+                elif op.startswith("mul"):
+                    ct = bfv.he_mul(a, b, rk, minus=(c, d) if op == "mul_minus" else None)
+                elif op == "switch":
+                    ct = bfv.mod_switch(a, data.draw(st.integers(1, len(a.primes))))
+                else:
+                    ct = bfv.keep_constant(a)
+            except (bfv.NoiseBudgetExhausted, bfv.HeParamsError):
+                continue  # the rules refuse the value: no estimate to check
+            check(ct)
+            pool.append(ct)
 
 
 class TestModSwitch:
@@ -814,7 +888,13 @@ class TestGoldenBytes:
     q's primes and the special prime P, instead of 4 pairs of 4 rows, and
     the product is relinearized with it. The secret key, public key and
     every other ciphertext digest did not move: keygen draws s and the
-    public key from the seed before the relinearization key, as before."""
+    public key from the seed before the relinearization key, as before.
+
+    Every ciphertext digest was re-recorded when the fresh estimate began
+    to count t, the plaintext-add rule's bound, so that it bounds the
+    noise of a negative plaintext too: each blob is the previous one with
+    only its 8-byte noise field (bytes 26 to 33) moved, from 17.26 to 17.60
+    bits for the fresh encryption. The keys did not move."""
 
     def test_keys(self, keys4096):
         sk, pk, rk = keys4096
@@ -853,11 +933,11 @@ class TestGoldenBytes:
             "he_mul": bfv.he_mul(a, b, rk),
         }
         assert {k: _sha(bfv.ciphertext_to_bytes(v)) for k, v in got.items()} == {
-            "encrypt": "1f65545dddfdf2c69042d957d44492cbe7f892ea99a8d7d5a95dfdb80377a519",
-            "he_add": "a5207d92f2ced9400f96999e7fb8993f69597494fc1481ad3fb3cdd2098d734c",
-            "he_sub": "59b21fd81fcc449845fd99b370aa56bc4effdb8baa4971d12ca78a3e4fd4481a",
-            "he_mul_plain": "8ce9a60fa2b103236d4674bb23c50cd747be499b667483fadae8ae39557db565",
-            "he_mul": "2ac6eaa2e2bbd050ecb6678628b194423a31747cdbef49c7b5b3fd1c8298b395",
+            "encrypt": "971561286c9559e0a3b65e93db5ffa1c74b2b606269f7046565f67fa3e882ee2",
+            "he_add": "f69df140e3d308d6f160558dc19d15da314880628396de416b57e3bbf1664178",
+            "he_sub": "3c691447a9ff1a720fd1f64f516b188d4488d92e653181403edb4c09a88e9b27",
+            "he_mul_plain": "d20e10db3de0d86ce3ed003b1a20d5f31d8c1e1479c72a692682223bbf13b47f",
+            "he_mul": "d86efa2d928f5ea3da1b4b0a81ae0c6c992ab725e1c3a142755f196911b5fdf4",
         }
 
 
@@ -866,7 +946,7 @@ class TestGoldenBytes:
         a = bfv.encrypt(pk, bfv.encode_scalar(1234, params4096), np.random.default_rng(2024))
         blob = bfv.ciphertext_to_bytes(bfv.keep_constant(bfv.mod_switch(a, 3)))
         assert _sha(blob) == (
-            "9752dd23ec297d2777ae36839758d5a2dd7ecf23b6839a916d42a067a55812e7"
+            "94b2c2c6b65e7033aefd906fa212efa0f7eca0b6c9866689393121f4c0e9e10b"
         )
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from mpcmarket.circuits import (
     AND,
-    INV,
+    XOR,
     Circuit,
     CircuitBuilder,
     CircuitError,
@@ -25,6 +25,7 @@ from helpers import (
     build_lookup,
     build_multiplier,
     eval_plain,
+    signed_from_bits,
 )
 
 
@@ -261,14 +262,14 @@ class TestBuilderInternals:
             out = run(c, (a, 12), (bb, 12))
             ls, ld_, lq, ln = len(s), len(d), len(q), len(n)
             off = 0
-            assert int_from_bits(out[off : off + ls], signed=True) == a + bb
+            assert signed_from_bits(out[off : off + ls]) == a + bb
             off += ls
-            assert int_from_bits(out[off : off + ld_], signed=True) == a - bb
+            assert signed_from_bits(out[off : off + ld_]) == a - bb
             off += ld_
-            assert int_from_bits(out[off : off + lq], signed=False) == a * a
+            assert int_from_bits(out[off : off + lq]) == a * a
             off += lq
             if a != -(1 << 11):  # two's-complement negation edge
-                assert int_from_bits(out[off : off + ln], signed=True) == -a
+                assert signed_from_bits(out[off : off + ln]) == -a
 
     def test_mul_const_signed(self):
         rng = random.Random(0x52)
@@ -279,7 +280,7 @@ class TestBuilderInternals:
             c = b.build(w)
             for _ in range(50):
                 a = rng.randrange(-(1 << 9), 1 << 9)
-                assert int_from_bits(run(c, (a, 10)), signed=True) == a * const
+                assert signed_from_bits(run(c, (a, 10))) == a * const
 
     def test_mux_and_greater_signed(self):
         rng = random.Random(0x53)
@@ -294,7 +295,7 @@ class TestBuilderInternals:
             bb = rng.randrange(-128, 128)
             out = run(c, (a, 8), (bb, 8))
             assert out[0] == (1 if a > bb else 0)
-            assert int_from_bits(out[1:], signed=True) == max(a, bb)
+            assert signed_from_bits(out[1:]) == max(a, bb)
 
     def test_inputs_frozen_after_gates(self):
         b = CircuitBuilder()
@@ -317,13 +318,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("change, message", [
         (dict(gates=np.array([[3, 0, 0, 4]])), "unknown gate kind 3 at wire 4"),
-        (dict(gates=np.array([[INV, 0, 1, 4]])), "INV gate with two inputs at wire 4"),
+        (dict(gates=np.array([[2, 0, -1, 4]])), "unknown gate kind 2 at wire 4"),
+        (dict(gates=np.array([[XOR, 0, -1, 4]])), "gate output 4 reads undefined wire -1"),
         (dict(gates=np.array([[AND, 0, 4, 4]])), "gate output 4 reads undefined wire 4"),
         (dict(gates=np.array([[AND, 0, 1, 5]])), "must be dense, got 5 expected 4"),
         (dict(output_wires=(5,)), "output wire 5 out of range"),
         (dict(gates=np.array([[AND, 0, 2**32 + 1, 4]])), r"\(g, 4\) int32 rows"),
         (dict(gates=np.array([AND, 0, 1, 4])), r"got shape \(4,\)"),
-    ], ids=["unknown-kind", "inv-arity", "undefined-wire", "sparse-outputs", "output-range",
+    ], ids=["unknown-kind", "kind-2", "negative-b", "undefined-wire", "sparse-outputs", "output-range",
             "beyond-int32", "not-rows"])
     def test_malformed_circuit_rejected(self, change, message):
         assert Circuit(**self.GOOD).stats == (1, 1)
@@ -343,7 +345,7 @@ class TestValidation:
         # cannot change it either.
         rows = np.array([[AND, 0, 1, 4]], dtype=np.int32)
         c = Circuit(**{**self.GOOD, "gates": rows})
-        rows[0, 0] = INV
+        rows[0, 0] = XOR
         assert c.gates.tolist() == [[AND, 0, 1, 4]]
 
 

@@ -10,7 +10,6 @@ import pytest
 from mpcmarket import garbling as gb
 from mpcmarket.circuits import (
     AND,
-    INV,
     XOR,
     CircuitBuilder,
 )
@@ -25,37 +24,54 @@ from helpers import (
     eval_plain,
 )
 
-DELTA = gb.derive_delta(bytes(range(16)))
-SOURCE = gb.seeded_label_source(b"label-seed-00000"[:16])
+KEY = bytes(range(16))
+DELTA = gb.GlobalDelta(int.from_bytes(b"delta-seed-00000", "big") | 1)
+
+
+def zero(wires):
+    """Zero labels PRF(KEY, i) of the fixed wires i in ``wires``."""
+    return gb.derive_input_labels(KEY, wires)
+
+
+def garble(circuit):
+    return gb.garble(circuit, DELTA, zero(range(circuit.n_inputs + 2)))
 
 
 def active(bits):
     """Active labels, in wire order, for a bit on every input wire."""
-    return [label for _, label in gb.active_input_labels(DELTA.bits, SOURCE, enumerate(bits))]
+    labels = gb.active_input_labels(DELTA.bits, zero(range(len(bits))), enumerate(bits))
+    return [label for _, label in labels]
 
 
 def roundtrip(circuit, bits):
-    garbled, info = gb.garble(circuit, DELTA, SOURCE)
+    garbled, info = garble(circuit)
     return gb.decode(info, gb.evaluate(garbled, circuit, active(bits)))
 
 
-class TestDeltaDerivation:
-    def test_lsb_forced(self):
-        for seed in (bytes(16), b"\xff" * 16, bytes(range(16))):
-            assert gb.derive_delta(seed).bits & 1 == 1
+class TestFixedWireLabels:
+    def test_garble_takes_one_zero_label_per_fixed_wire(self):
+        c = build_adder(4)
+        for count in (c.n_inputs, c.n_inputs + 1, c.n_inputs + 3):
+            with pytest.raises(gb.GarblingError, match="fixed-wire zero labels"):
+                gb.garble(c, DELTA, zero(range(count)))
 
-    def test_deterministic(self):
-        s = b"0123456789abcdef"
-        assert gb.derive_delta(s) == gb.derive_delta(s)
+    def test_csp_header_constants_are_prf_labels(self):
+        """The CSP's zero labels of the two constant wires are PRF(k, wire),
+        as the inputs' are: the header carries PRF(k, n_inputs) for
+        const_zero and PRF(k, n_inputs + 1) ^ delta for const_one."""
+        from mpcmarket.protocol import LdComputation
+        from mpcmarket.protocol.parties import Csp
 
-    def test_distinct_across_seeds(self):
-        rng = random.Random(1)
-        seen = {gb.derive_delta(rng.randbytes(16)).bits for _ in range(1000)}
-        assert len(seen) == 1000
-
-    def test_bad_seed_length(self):
-        with pytest.raises(gb.GarblingError):
-            gb.derive_delta(b"short")
+        comp = LdComputation(count_bits=6, m_instances=1)
+        n = comp.circuit.n_inputs
+        for seed in range(3):
+            csp = Csp(comp, seed)
+            keys = csp.gc_setup()
+            delta = int.from_bytes(keys.delta, "big")
+            garbled = gb.parse_garbled(csp.make_garbled().garbled)
+            cz, co = gb.derive_input_labels(keys.prf_key, [n, n + 1])
+            assert delta & 1 == 1
+            assert (garbled.const_zero_active, garbled.const_one_active) == (cz, co ^ delta)
 
 
 class TestInputLabelDerivation:
@@ -79,11 +95,11 @@ class TestInputLabelDerivation:
     def test_one_label_is_zero_label_xor_delta(self):
         bits = [1, 0, 1, 1, 0, 0, 1, 0]
         wire_bits = list(zip(range(10, 18), bits))
-        labels = gb.active_input_labels(DELTA.bits, SOURCE, wire_bits)
+        zeros = zero(range(18))
+        labels = gb.active_input_labels(DELTA.bits, zeros, wire_bits)
         assert [w for w, _ in labels] == list(range(10, 18))
         for (wire, label), bit in zip(labels, bits):
-            zero = SOURCE(wire)
-            assert label == (zero ^ DELTA.bits if bit else zero)
+            assert label == (zeros[wire] ^ DELTA.bits if bit else zeros[wire])
 
 
 class TestGarbleStructure:
@@ -92,7 +108,7 @@ class TestGarbleStructure:
         x = b.add_input_group("x", 8)
         y = b.add_input_group("y", 8)
         c = b.build([b.xor(a, bb) for a, bb in zip(x, y)])
-        garbled, _ = gb.garble(c, DELTA, SOURCE)
+        garbled, _ = garble(c)
         assert garbled.n_and == 0 and garbled.tables == b""
         assert len(gb.serialize_garbled(garbled)) == gb.HEADER_SIZE
 
@@ -107,15 +123,15 @@ class TestGarbleStructure:
 
     def test_serialized_size_exact(self):
         for c in (build_adder(8), build_multiplier(8), build_greater_than(16)):
-            garbled, _ = gb.garble(c, DELTA, SOURCE)
+            garbled, _ = garble(c)
             data = gb.serialize_garbled(garbled)
             assert len(data) == gb.HEADER_SIZE + 32 * c.stats.non_xor
             assert gb.parse_garbled(data) == garbled
 
     def test_garbling_deterministic(self):
         c = build_multiplier(6)
-        g1, i1 = gb.garble(c, DELTA, SOURCE)
-        g2, i2 = gb.garble(c, DELTA, SOURCE)
+        g1, i1 = garble(c)
+        g2, i2 = garble(c)
         assert gb.serialize_garbled(g1) == gb.serialize_garbled(g2)
         assert i1 == i2
 
@@ -123,19 +139,19 @@ class TestGarbleStructure:
 class TestDecode:
     def test_zero_labels_decode_to_zero(self):
         # identity circuit: outputs are the input wires, so output zero-labels
-        # are exactly the label source values
+        # are exactly the inputs' zero labels
         b = CircuitBuilder()
         x = b.add_input_group("x", 8)
         c = b.build(x)
-        _, info = gb.garble(c, DELTA, SOURCE)
-        zeros = [SOURCE(i) for i in range(8)]
+        _, info = garble(c)
+        zeros = zero(range(8))
         assert gb.decode(info, zeros) == [0] * 8
         flipped = [z ^ DELTA.bits for z in zeros]
         assert gb.decode(info, flipped) == [1] * 8
 
     def test_length_mismatch(self):
         c = build_adder(4)
-        _, info = gb.garble(c, DELTA, SOURCE)
+        _, info = garble(c)
         with pytest.raises(gb.GarblingError):
             gb.decode(info, [0] * 3)
 
@@ -168,7 +184,7 @@ class TestOracleEquivalence:
     def test_output_label_algebra(self):
         # flipping inputs moves every output label by exactly 0 or delta
         c = build_adder(8)
-        garbled, _ = gb.garble(c, DELTA, SOURCE)
+        garbled, _ = garble(c)
         rng = random.Random(9)
         for _ in range(50):
             bits_a = [rng.randrange(2) for _ in range(16)]
@@ -184,9 +200,9 @@ class TestConcurrency:
         import concurrent.futures
 
         circuits = [build_adder(16), build_multiplier(8), build_greater_than(32)]
-        sequential = [gb.serialize_garbled(gb.garble(c, DELTA, SOURCE)[0]) for c in circuits]
+        sequential = [gb.serialize_garbled(garble(c)[0]) for c in circuits]
         with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
-            futures = [pool.submit(gb.garble, c, DELTA, SOURCE) for c in circuits]
+            futures = [pool.submit(garble, c) for c in circuits]
             concurrent = [gb.serialize_garbled(f.result()[0]) for f in futures]
         assert concurrent == sequential
 
@@ -206,19 +222,19 @@ class TestErrors:
     def test_hash_binding(self):
         c1 = build_adder(8)
         c2 = build_multiplier(8)
-        garbled, _ = gb.garble(c1, DELTA, SOURCE)
+        garbled, _ = garble(c1)
         with pytest.raises(gb.GarblingError):
             gb.evaluate(garbled, c2, active([0] * 16))
 
     def test_label_count_mismatch(self):
         c = build_adder(8)
-        garbled, _ = gb.garble(c, DELTA, SOURCE)
+        garbled, _ = garble(c)
         with pytest.raises(gb.GarblingError):
             gb.evaluate(garbled, c, [0] * 5)
 
     def test_truncated_garbled_bytes(self):
         c = build_adder(8)
-        garbled, _ = gb.garble(c, DELTA, SOURCE)
+        garbled, _ = garble(c)
         data = gb.serialize_garbled(garbled)
         with pytest.raises(gb.GarblingError):
             gb.parse_garbled(data[:-10])
@@ -229,7 +245,7 @@ def _sha(data: bytes) -> str:
 
 
 def _garbled_digests(circuit):
-    garbled, info = gb.garble(circuit, DELTA, SOURCE)
+    garbled, info = garble(circuit)
     return _sha(gb.serialize_garbled(garbled)), _sha(bytes(info.masks))
 
 
@@ -256,30 +272,36 @@ def _edge_circuits():
 
 class TestGoldenBytes:
     """SHA-256 of garbled tables and decoding masks, recorded from the
-    gate-by-gate engine that the level-batched one replaced."""
+    gate-by-gate engine that the level-batched one replaced.
+
+    Re-recorded when a NOT became an XOR with the constant-one wire and
+    every zero label here became PRF(KEY, wire). Under the former delta and
+    label source, the tables and masks of the three circuits without a NOT
+    (no_gates, input_and_const_outputs, long_xor_chain) still matched the
+    old records byte for byte, so only the labels moved them."""
 
     EDGE = {
         "no_gates": (
-            "e97fde023881281ba209db00551d151b3f3396d67027b790d9f0ad8ecfa7cb0a",
-            "fb50dc0717ff266cf9baf82b1ce7a1c2ef6d9247859680b11a19fb7077f5f222",
+            "5c7c706b2b99ce4fe639a6c4edfc80e964e68c956f7095af9f41125427d09a49",
+            "85f90dfea1d8027e1463e5ca971a250110a20df0119d204a74220bc63516d15b",
         ),
         "input_and_const_outputs": (
-            "1499b6ebb4c0dcb62272c6ba6184075d135c3f5e18a735124c62d2a20322efe8",
-            "15f2f1a4339f5f2a313b95015cad8124d054a171ac2f31cf529dda7cfb6a38b4",
+            "ff955d3118e81835fffa75cac4f2178e626bbc6dd4fc8fbc5f459b92e2d8d5d5",
+            "cc6cd9b042500b2a1374d40ddfeb605aa5ebde2214067bbb761e85d4f0ab20b9",
         ),
         "inv_of_constants": (
-            "f29df3e9d66efbb587b29fb46cf3271b875a176d55cf5a19e21e596252759fdb",
-            "75c8fd04ad916aec3e3d5cb76a452b116b3d4d0912a0a485e9fb8e3d240e210c",
+            "7256b5b67d6b8c806014dfbb5564515d341f2b6777852ace6feb3cb051e7d2fc",
+            "85f90dfea1d8027e1463e5ca971a250110a20df0119d204a74220bc63516d15b",
         ),
         "long_xor_chain": (
-            "94dcc347e9f76d2cf33efcfe0864a3be99dc3d016318a42359591cbf3bea4a6b",
+            "4531fc09db30669b5ef5eb67a35c6efcaaf94443389be89a95574ae4d030afeb",
             "47dc540c94ceb704a23875c11273e16bb0b8a87aed84de911f2133568115f254",
         ),
     }
 
     def _check_workload(self, circuit, tables, masks, outputs):
         assert _garbled_digests(circuit) == (tables, masks)
-        garbled, _ = gb.garble(circuit, DELTA, SOURCE)
+        garbled, _ = garble(circuit)
         bits = [int(i % 3 == 0) for i in range(circuit.n_inputs)]
         labels = gb.evaluate(garbled, circuit, active(bits))
         assert _sha(b"".join(v.to_bytes(16, "big") for v in labels)) == outputs
@@ -292,9 +314,9 @@ class TestGoldenBytes:
 
         self._check_workload(
             LdComputation(count_bits=11, m_instances=10).circuit,
-            "d5bf51297998e22e2cf73b5b06681041b1e3e147b9e6f19a3cc9dbf9ba30a4b1",
-            "1daaabd4b55bded74aa768d488e67b26c49f230c5f30d4d2b34efc89bb2883e1",
-            "036c550a69c3e31a2d3c585c29e010d61674254d4f4f24119ba0652c1c9741d3",
+            "c9250923ac4a75aa0c475bcda654dc3d88fd051d6bd2099f48379ee1b9526910",
+            "701917b2e26d9f2511c4f68c20cda27c09d046df28bddf78b09d3215305920ac",
+            "f32e821bb97a908462dd7fdd4a444e8f2cd50ae672e735d11a01409f19a72d07",
         )
 
     def test_lr_range10(self, bundled_model):
@@ -302,9 +324,9 @@ class TestGoldenBytes:
 
         self._check_workload(
             LrComputation(model=bundled_model, range_bits=10).circuit,
-            "ac85e5c94c9d2c9f28b320bb0f5cb01ded0470e1d2caebc7566b13a1877ba902",
-            "442d989eb0cbc79087f41ba64511619195fe6926f284ac194c87a5e84ae13b44",
-            "b44f7a2fcdf8f8bb69dd14430f82082c64e451d92e9d3c1633cb4f24278bc229",
+            "5da0b4bd6323f3a989bc834d944a69178ae76fc2396ce23b963e3e945a35f1bf",
+            "1d9b4b0bfab899c4a758e459c07e42d9bbc6c2d93bc13b1987b0091a97031f4a",
+            "751b7fad584cccdf633b2a22788c6ec0a6ac5b1754303e6b93c4de3399029f12",
         )
 
     @pytest.mark.parametrize("name", sorted(EDGE))
@@ -323,16 +345,15 @@ class TestLevelSchedule:
         seen_ands = []
         rebuilt = []  # (kind, a, b, out) of every gate, from the levels
         for d, lv in enumerate(c.levels, start=1):
-            reads = [*lv.xor_in.ravel(), *lv.inv_in, *lv.and_in.ravel()]
+            reads = [*lv.xor_in.ravel(), *lv.and_in.ravel()]
             assert all(depth[w] < d for w in reads) and max(depth[w] for w in reads) == d - 1
-            for w in (*lv.xor_out, *lv.inv_out, *lv.and_out):
+            for w in (*lv.xor_out, *lv.and_out):
                 depth[w] = d
             ords = lv.and_rows[0] // 2
             assert lv.and_rows.tolist() == [(2 * ords).tolist(), (2 * ords + 1).tolist()]
             assert lv.and_tweak.tolist() == (lv.and_rows + 1).tolist()
             seen_ands += ords.tolist()
             rebuilt += [(XOR, a, b, o) for a, b, o in zip(*lv.xor_in, lv.xor_out)]
-            rebuilt += [(INV, a, -1, o) for a, o in zip(lv.inv_in, lv.inv_out)]
             rebuilt += [(AND, a, b, o) for a, b, o in zip(*lv.and_in, lv.and_out)]
         assert sorted(rebuilt, key=lambda g: g[3]) == [tuple(g) for g in c.gates.tolist()]
         assert sorted(seen_ands) == list(range(c.stats.non_xor))
@@ -359,7 +380,8 @@ class TestLevelSchedule:
         comp = LdComputation(count_bits=6, m_instances=1)
         inputs = [{"i0.n_AB": 9, "i0.n_Ab": 3, "i0.n_aB": 3, "i0.n_ab": 9}]
         for seed in range(2):
-            assert run_protocol2(comp, inputs, seed=seed).verified
+            out = run_protocol2(comp, inputs, seed=seed)
+            assert out.result == out.oracle
         assert builds == [comp.circuit]
 
 
@@ -382,7 +404,7 @@ class TestAesCallsPerLevel:
             return types.SimpleNamespace(update=counted)
 
         monkeypatch.setattr(gb, "_new_cipher", counting)
-        garbled, _ = gb.garble(circuit, DELTA, SOURCE)
+        garbled, _ = garble(circuit)
         garbling = calls[:]
         calls.clear()
         gb.evaluate(garbled, circuit, active([0] * circuit.n_inputs))
@@ -412,7 +434,7 @@ class TestAesCallsPerLevel:
 class TestEvaluateRejects:
     def test_wrong_and_count(self):
         c = build_adder(8)
-        garbled, _ = gb.garble(c, DELTA, SOURCE)
+        garbled, _ = garble(c)
         labels = active([0] * 16)
         for n_and in (garbled.n_and - 1, garbled.n_and + 1):
             bad = dataclasses.replace(garbled, n_and=n_and, tables=bytes(32 * n_and))
@@ -424,7 +446,7 @@ class TestEvaluateRejects:
 
     def test_wrong_digest(self):
         c = build_adder(8)
-        garbled, _ = gb.garble(c, DELTA, SOURCE)
+        garbled, _ = garble(c)
         bad = dataclasses.replace(garbled, circuit_hash=bytes(32))
         with pytest.raises(gb.GarblingError, match="do not match"):
             gb.evaluate(bad, c, active([0] * 16))

@@ -192,7 +192,7 @@ def planned_noise(params, t, num, den, ops=None):
     default a fresh :class:`NoiseOps`): the LD circuit replayed on noise at
     four fresh maker shares per count, under all of params' primes."""
     comp = LdComputation(count_bits=11, threshold_num=num, threshold_den=den)
-    fresh = Estimate(params.fresh_noise_log2() + 2, len(params.q_primes))
+    fresh = Estimate(params.fresh_noise_log2(t) + 2, len(params.q_primes))
     start = dict.fromkeys(HaplotypeCounts._fields, fresh)
     return comp.he_circuit(NoiseOps(params, t) if ops is None else ops, start)["e"]
 
@@ -304,7 +304,7 @@ class TestHePlan:
             for j, name in enumerate(HaplotypeCounts._fields)
         ]
         out = run_protocol1(comp, makers, params8192, seed=26)
-        assert out.verified
+        assert out.result == out.oracle
         assert len(comp.he_plan(params8192).moduli) == 3
         assert levels == [6, 5, 6, 6, 4] * 3
 
@@ -350,5 +350,5 @@ class TestHePlan:
         assert (top.lhs * THRESH[1], top.rhs) == (lhs_max, rhs_max)
         maker = {f"i{i}.{k}": v for i, c in enumerate(counts) for k, v in c._asdict().items()}
         out = run_protocol1(comp, [maker], params8192, seed=24)
-        assert out.verified
+        assert out.result == out.oracle
         assert out.result == {"decisions": [True, False]}

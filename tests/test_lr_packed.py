@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mpcmarket.analytics.ld import PlanRejected
-from mpcmarket.analytics.lr import LrModel, lr_affine_fixed, lr_he_plan_bound
+from mpcmarket.analytics.lr import LrModel, lr_accumulator_range, lr_affine_fixed
 from mpcmarket.circuits.ir import FixedPointSpec
 from mpcmarket.he import bfv
 from mpcmarket.he.bfv import HeParams
@@ -36,8 +36,8 @@ def _session(comp, params, keys, maker, seed=0):
 
 
 def _extreme_and_mixed(d):
-    """(weights, bias, features) for z = +bound, z = -bound and a mix of
-    every weight and feature sign."""
+    """(weights, bias, features) for z at the top and at the bottom of its
+    range, and a mix of every weight and feature sign."""
     r = random.Random(d)
     mixed = (
         [r.choice((-W, W, r.randint(-W, W))) for _ in range(d)],
@@ -64,13 +64,13 @@ def test_packed_inner_product_is_exact(wide_ring, dim):
         model = LrModel(tuple(weights), bias, SPEC)
         comp = LrComputation(model=model)
         z = lr_affine_fixed(model, row)
-        bound = lr_he_plan_bound(model)
+        lo, hi = lr_accumulator_range(model)
         if k < 2:
-            assert z == (bound if k == 0 else -bound)
+            assert z == (hi if k == 0 else lo)
         plan, _, out = _session(comp, params, keys, _bits(row), seed=k)
-        # One modulus above 2|z|max carries every z in [-bound, bound].
+        # One modulus above 2|z|max carries every z in [lo, hi].
         (t,) = plan.moduli
-        assert plan.packed and t > 2 * bound
+        assert plan.packed and t > 2 * max(-lo, hi)
         ((_, blob),) = out
         got = bfv.decode_scalar(bfv.decrypt(keys[0], bfv.ciphertext_from_bytes(blob, params)))
         assert (got - t if got > t // 2 else got) == z

@@ -76,7 +76,7 @@ class TestProtocol2:
     def test_ld_counts_split_across_four_makers(self, ld_comp):
         out = run_protocol2(ld_comp, LD_SPLIT_4, seed=1)
         assert out.result == {"decisions": [True]}
-        assert out.verified
+        assert out.result == out.oracle
 
     def test_ld_equilibrium_false(self, ld_comp):
         out = run_protocol2(ld_comp, LD_EQUILIBRIUM, seed=2)
@@ -167,7 +167,7 @@ class TestProtocol1:
     def test_ld_counts_split_across_four_makers(self, ld_comp, params8192):
         out = run_protocol1(ld_comp, LD_SPLIT_4, params8192, seed=11)
         assert out.result == {"decisions": [True]}
-        assert out.verified
+        assert out.result == out.oracle
         assert type_sequence(out.transcript) == [
             "PublicKeyDist",
             "EncryptedListing", "EncryptedListing", "EncryptedListing", "EncryptedListing",
@@ -197,7 +197,7 @@ class TestHePipeline:
         split = [{k: lr_row_input[k] for k in names[i::2]} for i in (0, 1)]
         he = run_protocol1(lr_comp, split, params4096, seed=31)
         assert he.result == run_protocol2(lr_comp, split, seed=31).result
-        assert he.verified
+        assert he.result == he.oracle
 
     def test_listings_do_not_grow_with_the_makers(
         self, lr_comp, lr_row_input, params4096, listed
@@ -211,7 +211,7 @@ class TestHePipeline:
         listed.clear()
         two = run_protocol1(lr_comp, split, params4096, seed=32)
         assert listed == [(0, 1), (1, 1)]
-        assert two.verified and two.result == one.result
+        assert two.result == two.oracle == one.result
         # The second maker adds one ciphertext entry to the listings and one
         # to the bundle, each under the plan's key prefix of q, 27 bits a
         # residue.
@@ -222,12 +222,12 @@ class TestHePipeline:
     def test_ld_maker_lists_one_ciphertext_per_modulus(self, ld_comp, params8192, listed):
         assert len(ld_comp.he_plan(params8192).moduli) == 3
         out = run_protocol1(ld_comp, LD_SPLIT_4, params8192, seed=33)
-        assert out.verified and out.result == {"decisions": [True]}
+        assert out.result == out.oracle == {"decisions": [True]}
         assert listed == [(j, 3) for j in range(4)]
 
     def test_maker_without_inputs_lists_nothing(self, lr_comp, lr_row_input, params4096, listed):
         out = run_protocol1(lr_comp, [{}, lr_row_input], params4096, seed=34)
-        assert out.verified
+        assert out.result == out.oracle
         assert listed == [(0, 0), (1, 1)]
 
     def test_lr_plan_rejected_at_n2048(self, lr_comp):
@@ -247,8 +247,9 @@ class TestHePipeline:
         rng = np.random.default_rng(5)
         entries = [e for share in LD_SPLIT_4 for e in ld_comp.he_encrypt_inputs(pk, plan, share, rng)]
         assert all(
-            struct.unpack_from(">d", blob, 26)[0] == params8192.fresh_noise_log2()
-            for _, blob in entries
+            struct.unpack_from(">d", blob, 26)[0]
+            == params8192.fresh_noise_log2(int(tag.partition(":")[0]))
+            for tag, blob in entries
         )
 
         def request(noise):
@@ -271,12 +272,14 @@ class TestHePipeline:
         # On this ring the LD circuit fits the sums of four makers' shares
         # but not of eight: the CSP rejects the eight-maker session before
         # it generates any key.
-        q = bfv.find_ntt_primes(28, 8192, 2) + bfv.find_ntt_primes(27, 8192, 4)
+        q = [*bfv.find_ntt_primes(29, 8192, 1), *bfv.find_ntt_primes(28, 8192, 3),
+             *bfv.find_ntt_primes(27, 8192, 2)]
         params = HeParams(8192, tuple(q), bfv.find_ntt_primes(20, 8192)[0])
         comp = LdComputation(count_bits=11, m_instances=2)
         groups = [f"i{i}.{k}" for i in range(2) for k in ("n_AB", "n_Ab", "n_aB", "n_ab")]
         four = [{g: 25 for g in groups[j::4]} for j in range(4)]
-        assert run_protocol1(comp, four, params, seed=3).verified
+        out = run_protocol1(comp, four, params, seed=3)
+        assert out.result == out.oracle
 
         def no_keygen(*args, **kwargs):
             raise AssertionError("keys generated for a plan that does not fit")
@@ -324,11 +327,11 @@ class TestHePipeline:
             plan = comp.he_plan(params, makers)
             assert plan.output_primes == k
             assert comp.he_plan(params) == plan
-            fresh = params.fresh_noise_log2()
-            start = dict.fromkeys(
-                plan.inputs, Estimate(fresh + math.log2(makers), plan.key_primes)
-            )
             for t in plan.moduli:
+                fresh = params.fresh_noise_log2(t)
+                start = dict.fromkeys(
+                    plan.inputs, Estimate(fresh + math.log2(makers), plan.key_primes)
+                )
                 comp._circuit(NoiseOps(params, t), start, k)
                 with pytest.raises(PlanRejected):
                     comp._circuit(NoiseOps(params, t), start, k - 1)
@@ -379,11 +382,13 @@ class TestHePipeline:
         mask = (1 << bundled_model.spec.total_bits) - 1
         for i, row in enumerate(rows[:3]):
             maker = {f"x{j}": v & mask for j, v in enumerate(row)}
-            assert run_protocol1(lr_comp, [maker], HeParams.default(4096), seed=40 + i).verified
+            out = run_protocol1(lr_comp, [maker], HeParams.default(4096), seed=40 + i)
+            assert out.result == out.oracle
         ld = LdComputation(count_bits=11, m_instances=2)
         counts = {"i0.n_AB": 30, "i0.n_Ab": 20, "i0.n_aB": 20, "i0.n_ab": 30}
         counts.update({f"i1.{k[3:]}": 25 for k in counts})
-        assert run_protocol1(ld, [counts], params8192, seed=43).verified
+        out = run_protocol1(ld, [counts], params8192, seed=43)
+        assert out.result == out.oracle
         assert len(seen) == 3 + 3
         for estimate, exact in seen:
             assert estimate <= exact
@@ -440,10 +445,10 @@ class TestHePipeline:
             plan = comp.he_plan(params)
             assert plan.key_primes == k
             assert plan.key_params(params).q_primes == params.q_primes[:k]
-            worst = params.fresh_noise_log2() + math.log2(len(comp.input_schema))
-            start = dict.fromkeys(plan.inputs, Estimate(worst, k - 1))
             fewer = HeParams(params.n, params.q_primes[: k - 1], params.t)
             for t in plan.moduli:
+                worst = params.fresh_noise_log2(t) + math.log2(len(comp.input_schema))
+                start = dict.fromkeys(plan.inputs, Estimate(worst, k - 1))
                 with pytest.raises(PlanRejected):
                     comp._circuit(NoiseOps(fewer, t), start, k - 1)
 
@@ -471,7 +476,7 @@ class TestHePipeline:
         makers = [{name: v} for name, v in sorted(lr_row_input.items())]
         assert len(makers) == 30
         out = run_protocol1(lr_comp, makers, HeParams.default(4096), seed=36)
-        assert out.verified and keyed == [3]
+        assert out.result == out.oracle and keyed == [3]
         assert listed == [(j, 1) for j in range(30)]
 
     @pytest.fixture
@@ -544,7 +549,8 @@ class TestTransformCounts:
             return real(plan, *args)
 
         monkeypatch.setattr(NttPlan, "_transform", counted)
-        assert session().verified
+        out = session()
+        assert out.result == out.oracle
         return dict(counts)
 
     def test_lr_session(self, monkeypatch, lr_comp, lr_row_input):
@@ -645,7 +651,8 @@ class TestBackendIndependence:
         monkeypatch.setattr(comps, "build_ld_circuit", no_circuit)
         monkeypatch.setattr(comps, "build_lr_circuit", no_circuit)
         lr = LrComputation(model=bundled_model, range_bits=10)
-        assert run_protocol1(lr, [lr_row_input], HeParams.default(4096), seed=22).verified
+        out = run_protocol1(lr, [lr_row_input], HeParams.default(4096), seed=22)
+        assert out.result == out.oracle
         # The GC circuit for this threshold is 67 bits wide; HE needs no circuit.
         wide = LdComputation(count_bits=8, threshold_num=3841000000, threshold_den=1000000000)
         out = run_protocol1(wide, LD_SPLIT_4, HeParams.default(8192, t_bits=21), seed=23)

@@ -68,6 +68,27 @@ were relinearized with the new key, so their residues and noise fields
 moved. The EncryptedListing, ListingBundle, Query and Result frames, the
 result, the type sequence and every p1-lr, p2-ld and p2-lr-tcp digest did
 not move.
+
+The p2-ld and p2-lr-tcp digests were re-recorded when a NOT became an XOR
+with the constant-one wire and the CSP began to take delta straight from
+its generator and the constant wires' zero labels from PRF(k, wire), as
+the inputs' are. The circuits keep every gate count and level, but their
+gate rows, and so their digests and tables, moved. The DeltaKeyDist,
+InputLabels, ListingBundle, GarbledCircuitMsg and OutputLabels frames
+moved at the same sizes. The Query and OutputDecoding frames, the results,
+the type sequences and every p1 digest did not move.
+
+The p1-ld and p1-lr digests were re-recorded when the fresh noise
+estimate began to count t, the plaintext-add rule's bound, so that it
+bounds a negative plaintext's noise too. Every EncryptedListing and
+ListingBundle frame moved only in its ciphertexts' 8-byte noise fields,
+and so did the p1-lr DecryptRequest. In p1-ld, whose inputs are one
+share each, the last product now settles to 2 primes instead of 3, so
+the plaintext add after it runs under 2 primes and no switch follows:
+each output moved in its noise field and in c0's coefficient 0 (a
+constant add touches no other coefficient), at the same size. The
+PublicKeyDist, Query and Result frames, the results, the type sequences
+and every P2 digest did not move.
 """
 
 import hashlib
@@ -115,45 +136,45 @@ P2_LR_TYPES = [
 FRAMES = {
     "p1-ld": [
         "62fda153bbc113c08646754158e74f937549090f53ee16077b1d8ce2706d0fba",
-        "b340cbc56ef8768544baa38a1a5a785a37acc47c78ec1ebc82962b0aab131412",
-        "cc8b58e5691bb3fec446d5b16e154427f3b4d749f1fe6690f70ddb6c845f87de",
-        "dde9ce793dc34789d880370f83fb9f4adfda1ce62fa3d5d4f16a551f1f131f09",
-        "9561a71f0ff2a8bc5a2eed8227ce6fc4901e0f776b264a97ab07366bdefb5637",
+        "a20b7a9d47d59c343f6d1b82b75c6bd02ba08081705ee3a6edfc297b3dec47e6",
+        "ead902e9a7c3e2041615b402af247cb8a3cdbeb7e5af6653006dfcf63ae42fb6",
+        "31117764089cbedb8c2c01199da04ca584215679b6a1f22361fc2410cf6958e3",
+        "b45e09d932f59cd7094a186d7f08a06e64279017036c95b017396d4503d1d030",
         "554eae367d3b46bc2e731b1c25a0284b7d17a6d0ba30da605de3a26a29fe09ce",
-        "07e260c3a3af462b850dd885f1aa884495f97be075b1a0b862171c4374d83919",
-        "105c7b5078f53de3150f164a66911de8e2e4a317b7837efca18610c3ac3b58f2",
+        "dac5d1c1e040d636fcf86085f87d41dff898846ca507630c58e830ff18f6179c",
+        "d2be17414ea8f05efc0698425a26683616a36e982e42111fadca932ac1b26d57",
         "d82c07798b87d00629b069a01e6dcfd3ecc22cda4d974cc62d4f40ed3a3337d9",
     ],
     "p1-lr": [
         "f20a651bbfe417d8f1d4d0660c7a18fa1edcb0e4175084a5f5c5865776613f78",
-        "d58cf6d55f9aca8f3a56fd1f05880fe39188c0a8e80cdc4f7a43a3639b18835b",
+        "7e66d4db505fa2e1a671c942d6cb64766c44a1af43bed5302dba06710b12f90b",
         "2155d60f20f95f278f1da51e578eaea9dfdb69c3470a752c556f94a711157c79",
-        "a3406f2c67cbd1cf22bd38fd2d4ece19ffc544d9f2810a45aef8551695632b02",
-        "ccb8ac83e5078c11c6af21f327dcc64f1b829db74fe5a9b2a45439ae37a921fa",
+        "c311075fe2aa8a37a4425cba65a257a7ccf83c8f0bb377d2077beb326ce55b49",
+        "48a663cc9b877753d69252efc3315f4630056d78721e10b9448dbb6923cd8c3e",
         "065a7fc87398666be98326193c89e12dee1aba1f1d0c83808ab9db03e633ebfb",
     ],
     "p2-ld": [
-        "a192d4bf5428594e46633677a80d8d11264787d5cb53dd514c280062ed8ab734",
-        "36e5caf6231a8d4d930d8f47615e150c51eb5975790ce934ce84dcd2d8e3dc08",
-        "8554d9be11db2d3036b73e231a101acfa2407082a56787390fed88dd15e89e3d",
-        "6dfe6972e794455c0156b1c780ba7c446cff3be5ead844fc6c731d0e500c49f7",
-        "8b4c939cb9abb7c20836056b9254c7f02bc410c8d8a8dc55842b58836c5ced83",
-        "16e5dcd83c99a930b772f22adc10d498a35325afe5707ea3b148602e113824ef",
-        "0dffc51c914280bf58fbb2c4fd5211b300f015e5f19c93e1e94431c49e486565",
-        "6b0c89f1dff863e924d549231a77975081e6a0fdbf23343839486440407db66e",
+        "a4381e6bdbd4fa36f26c6b88bc8ecc8dd70e48a71d393c2a93ec464d7bd12252",
+        "479eea3b4dc8d7cf83045191aaf790b8ca7649729160d6db37f694315b41159a",
+        "480e62fd1d2290e2c293959fea149684b15f8f248b780d474bc58f97b454d01a",
+        "e53f166527f495aae9773044767e151c4ec94e170615e6e3b29e6f863d0738be",
+        "3669d8483c597cb74409d8d71cc4768f1c48acd9dd9dfb41691899161c7ec30e",
+        "cad3fc94051fbcf4442a928ed8a4db83875196309d6d66f53c71af79da8adfe8",
+        "592aef067e5e11299d75336367adc7b3c5090a65c5ce9490cfaff99eaef97dba",
+        "abf6761f788f5c84e9e05fae76fc2b1cfc834c392b5ada7d8adf4b9cb6f831e4",
         "88a7b7c9db483d166a6119c5c7e6a2df222f5763ccfefa5ba27fe6f4c764e724",
-        "18b470913434db7b2bb3b6cf7cd38547f43ff92f686fcf08196bc469eb054125",
-        "74e426662e2d5ab1c0f4155af98c1ae085e0d3ddb011eb330f714d96436b8962",
-        "b308e336729be99b45219c59dad83960c1edd59d2cb11b594a410dbecab8af7e",
+        "0f8f02a02d4b495df3ee5b08c89e8f5e529ce3752f8bef90431dc66b1cb6e346",
+        "e880857cfaf43f72698992042d1266af9f9231324a706bd788c12a49c8130fba",
+        "be4bd847529f5a667ad55173cc4f64e30f3960d73fa21265762d283f6fd96bcc",
         "dd580c87cd80317ece5b69b05f4bb3a096f675879c9c961534c4bf1ad8b0b099",
     ],
     "p2-lr-tcp": [
-        "f3c2221f314fb2e1631a19fd237cd5df89bb13c1892de2f0957844e9d2e5087b",
-        "f4a89871f9c2065d6c49360b0a4982dca47cb252b6f7922141da9f4ea503adda",
+        "af9e9dc4519954c401b0c0afed74c8c681e476e166a766e1b55ddba1b38e75db",
+        "ed769c05608c56c2d7f6d1979fb7bcedc6bf76b7513f9a25a49de398b0090593",
         "26cda3fbedf6e4d3e1e83060291e6fe48fa1185833dceb51d47916a3faf6c38b",
-        "7b4c2cd404ccbbabec360cdbd001339b31f870a64d1d0b45663bd934080924f3",
-        "151fc3f29698b5e511c9add4e51c40c6846705201188f5538e09e13db1a51f4d",
-        "4615900fe72204ea61fd5d4bd45827077ca6b6bc5824b39b8dde6db08eb90bbc",
+        "f6c9cbb3f279eab76f3e69d5e0c37b7ccab35bd4a80b4640fc8c7e762da5e2a0",
+        "e3bf5ad8856ed10286f390680f9ac290bd3ed139d05ce6d3c9c31147be69bd4d",
+        "d143a1377b311bdd82cfc66a4dd2f96e6dd1f9c9c9207aea2fbbc5cf73281352",
         "1605e475e9f37780e119aa1e92d197e88baa2cecb2d5aa07adb1145858d15d7c",
     ],
 }
