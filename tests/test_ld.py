@@ -170,6 +170,26 @@ class TestLdCircuit:
         assert s5.total == 5 * s1.total
         assert s5.non_xor == 5 * s1.non_xor
 
+    # (count_bits, M, contributors): Circuit.digest, gates, AND gates, levels;
+    # recorded from the builder that emitted every instance's gates in turn.
+    DIGESTS = {
+        (11, 1, 1): ("a9c9a96934795b6bcebb4e06d69e0ae89e0bc2cd6fa15c15be9b454ebe9bd647",
+                     10276, 3336, 265),
+        (11, 10, 1): ("d63e5cc1baae349b9937721ba83f9336bf5b477410ba59c1c81ac049a846becc",
+                      102760, 33360, 265),
+        (6, 3, 2): ("44fd788247a7b6739725885a6d3c59db276aa4e1825dc1514775e593c49de0e2",
+                    9582, 3030, 153),
+        (4, 5, 3): ("ed932fab210d210c16349d32781e13127247bca068e180da1839404693158a04",
+                    7510, 2295, 110),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(DIGESTS), ids=lambda s: "-".join(map(str, s)))
+    def test_digest_table(self, shape):
+        count_bits, m, contributors = shape
+        circ = build_ld_circuit(count_bits, m, *THRESH, contributors=contributors)
+        got = (circ.digest.hex(), circ.stats.total, circ.stats.non_xor, len(circ.levels))
+        assert got == self.DIGESTS[shape]
+
     def test_width_overflow_rejected(self):
         with pytest.raises(CircuitError):
             build_ld_circuit(12, 1, 3841, 100000)
