@@ -127,6 +127,10 @@ def build_ld_circuit(
     (per contributor when contributors > 1; contributions are summed with an
     adder tree). Input promise: the instance total N fits ``count_bits`` bits.
     Output: one decision bit per instance. Threshold constants are baked in.
+
+    The builder emits one instance, which ``Circuit.tile`` repeats m times:
+    all instances' inputs first, ``ld_group_names(i, ...)`` for instance i,
+    then the shared constants, then each instance's gates in turn.
     """
     c = count_bits
     if not (3 <= c <= 12):
@@ -141,49 +145,44 @@ def build_ld_circuit(
             f"internal width {widest} exceeds 64 bits; shrink count_bits or threshold_den"
         )
 
-    b = CircuitBuilder()
-    # [instance][count][contributor]: each contributor's bits, summed below
-    inputs = [
-        [
-            [b.add_input_group(g, c) for g in ld_group_names(i, name, contributors)]
-            for name in HaplotypeCounts._fields
+    def group_names(instance: int) -> list[str]:
+        return [
+            g for name in HaplotypeCounts._fields
+            for g in ld_group_names(instance, name, contributors)
         ]
-        for i in range(m_instances)
-    ]
 
-    decisions: list[int] = []
-    for per_count in inputs:
-        counts = []
-        for shares in per_count:
-            acc = shares[0]
-            for extra in shares[1:]:
-                acc = b.truncate(b.add_unsigned(acc, extra), c)  # promise: total < 2^c
-            counts.append(acc)
-        w_AB, w_Ab, w_aB, w_ab = counts
+    b = CircuitBuilder()
+    words = [b.add_input_group(g, c) for g in group_names(0)]
+    counts = []
+    for k in range(len(HaplotypeCounts._fields)):  # each count's contributions
+        acc, *extras = words[k * contributors : (k + 1) * contributors]
+        for extra in extras:
+            acc = b.truncate(b.add_unsigned(acc, extra), c)  # promise: total < 2^c
+        counts.append(acc)
+    w_AB, w_Ab, w_aB, w_ab = counts
 
-        n_w = b.add_unsigned(b.add_unsigned(w_AB, w_Ab), b.add_unsigned(w_aB, w_ab))
-        n = b.truncate(n_w, c)  # promise: N < 2^c
-        n_A = b.truncate(b.add_unsigned(w_AB, w_Ab), c)
-        n_a = b.truncate(b.add_unsigned(w_aB, w_ab), c)
-        n_B = b.truncate(b.add_unsigned(w_AB, w_aB), c)
-        n_b = b.truncate(b.add_unsigned(w_Ab, w_ab), c)
+    n_w = b.add_unsigned(b.add_unsigned(w_AB, w_Ab), b.add_unsigned(w_aB, w_ab))
+    n = b.truncate(n_w, c)  # promise: N < 2^c
+    n_A = b.truncate(b.add_unsigned(w_AB, w_Ab), c)
+    n_a = b.truncate(b.add_unsigned(w_aB, w_ab), c)
+    n_B = b.truncate(b.add_unsigned(w_AB, w_aB), c)
+    n_b = b.truncate(b.add_unsigned(w_Ab, w_ab), c)
 
-        m1 = b.mul_unsigned(n, w_AB)  # 2c bits
-        m2 = b.mul_unsigned(n_A, n_B)
-        diff = b.sub_signed(b.zext(m1, 2 * c + 1), b.zext(m2, 2 * c + 1))
-        diff = b.truncate(diff, 2 * c - 1)  # |diff| <= N^2/4 < 2^(2c-2)
-        sq = b.truncate(b.square_signed(diff), 4 * c - 4)
-        lhs = b.shift_left(b.truncate(b.mul_unsigned(sq, n), 5 * c - 4), 1)  # 2N*sq < 2^(5c-3)
-        lhs = b.mul_const_unsigned(lhs, threshold_den)
+    m1 = b.mul_unsigned(n, w_AB)  # 2c bits
+    m2 = b.mul_unsigned(n_A, n_B)
+    diff = b.sub_signed(b.zext(m1, 2 * c + 1), b.zext(m2, 2 * c + 1))
+    diff = b.truncate(diff, 2 * c - 1)  # |diff| <= N^2/4 < 2^(2c-2)
+    sq = b.truncate(b.square_signed(diff), 4 * c - 4)
+    lhs = b.shift_left(b.truncate(b.mul_unsigned(sq, n), 5 * c - 4), 1)  # 2N*sq < 2^(5c-3)
+    lhs = b.mul_const_unsigned(lhs, threshold_den)
 
-        m_a = b.truncate(b.mul_unsigned(n_A, n_a), 2 * c - 2)  # <= N^2/4
-        m_b = b.truncate(b.mul_unsigned(n_B, n_b), 2 * c - 2)
-        prod = b.mul_unsigned(m_a, m_b)
-        rhs = b.mul_const_unsigned(prod, threshold_num)
+    m_a = b.truncate(b.mul_unsigned(n_A, n_a), 2 * c - 2)  # <= N^2/4
+    m_b = b.truncate(b.mul_unsigned(n_B, n_b), 2 * c - 2)
+    prod = b.mul_unsigned(m_a, m_b)
+    rhs = b.mul_const_unsigned(prod, threshold_num)
 
-        decisions.append(b.greater_unsigned(lhs, rhs))
-
-    return b.build(decisions)
+    instance = b.build([b.greater_unsigned(lhs, rhs)])
+    return instance.tile(m_instances, group_names)
 
 
 # -- homomorphic-encryption path ----------------------------------------------------

@@ -12,7 +12,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,6 +135,18 @@ class Circuit:
         for w in self.output_wires:
             if not (0 <= w < self.n_wires):
                 raise CircuitError(f"output wire {w} out of range")
+        end, names = 0, set()  # groups lie in order, back to back, over the inputs
+        for g in self.input_groups:
+            if g.name in names:
+                raise CircuitError(f"duplicate input group {g.name!r}")
+            if g.width < 1:
+                raise CircuitError(f"input group {g.name!r} must have positive width")
+            if g.start != end:
+                raise CircuitError(f"input group {g.name!r} starts at {g.start}, expected {end}")
+            names.add(g.name)
+            end += g.width
+        if end != self.n_inputs:
+            raise CircuitError(f"input groups cover {end} wires, expected {self.n_inputs}")
 
     @property
     def const_zero(self) -> int:
@@ -171,15 +183,15 @@ class Circuit:
     def levels(self) -> tuple[Level, ...]:
         """Level schedule: gates grouped by topological depth (inputs and
         constants have depth 0, a gate one more than its deepest input),
-        each level's XOR and AND gates in arrays of their own."""
+        each level's XOR and AND gates in arrays of their own.
+
+        A circuit made by ``tile`` repeats its instance's gate depths copy
+        after copy, so the per-gate depth loop runs over one copy only."""
+        instance, copies = self._tiled or (self, 1)
+        gate_depth = np.tile(_gate_depths(instance), copies)
         g = self.gates.astype(np.intp)  # fancy indexing converts anything else per call
-        depth = [0] * self.n_wires
-        for a, b, out in zip(*g[:, 1:].T.tolist()):
-            da, db = depth[a], depth[b]
-            depth[out] = (da if da > db else db) + 1
         kind = g[:, 0]
         and_ord = np.cumsum(kind == AND) - 1
-        gate_depth = np.array(depth[self.n_inputs + 2 : self.n_wires], dtype=np.intp)
         order = np.argsort(gate_depth, kind="stable")
         levels = []
         for idx in np.split(order, np.flatnonzero(np.diff(gate_depth[order])) + 1):
@@ -191,6 +203,48 @@ class Circuit:
                       table_rows, (table_rows + 1).astype(np.uint64))
             )
         return tuple(levels)
+
+    # (instance, copies) on a circuit that ``tile`` made, else None; see
+    # ``levels``. Not a field: no constructor takes it.
+    _tiled = None
+
+    def tile(self, copies: int, group_names: Callable[[int], Sequence[str]]) -> Circuit:
+        """``copies`` independent copies of this circuit side by side, sharing
+        the two constant wires.
+
+        With n1 inputs and G gates here, copy i's inputs are wires i*n1 and
+        on, its groups named ``group_names(i)`` in this circuit's order; the
+        constants follow all copies' inputs, at copies*n1 and copies*n1 + 1;
+        copy i's gates come after them, i*G gates past the first. Outputs
+        are copy 0's, then copy 1's and so on, each mapped the same way,
+        including outputs that are inputs or constants."""
+        if copies < 1:
+            raise CircuitError(f"need at least one copy, got {copies}")
+        n1, n_gates = self.n_inputs, len(self.gates)
+        copy = np.arange(copies).reshape(-1, 1, 1)
+
+        def wires(w: np.ndarray) -> np.ndarray:
+            """Each copy's wires for this circuit's wires ``w``, copy by copy."""
+            w = np.asarray(w, dtype=np.int64)
+            gate = np.where(w >= n1 + 2, copy * n_gates, 0)
+            return w + np.where(w < n1, copy * n1, (copies - 1) * n1 + gate)
+
+        gates = np.empty((copies, n_gates, 4), dtype=np.int64)
+        gates[..., 0] = self.gates[:, 0]
+        gates[..., 1:] = wires(self.gates[:, 1:])
+        groups = [
+            InputGroup(name, g.start + i * n1, g.width)
+            for i in range(copies)
+            for name, g in zip(group_names(i), self.input_groups, strict=True)
+        ]
+        tiled = Circuit(
+            n_inputs=copies * n1,
+            input_groups=tuple(groups),
+            gates=gates.reshape(-1, 4),
+            output_wires=tuple(wires(self.output_wires).ravel().tolist()),
+        )
+        object.__setattr__(tiled, "_tiled", (self, copies))
+        return tiled
 
     def group(self, name: str) -> InputGroup:
         for g in self.input_groups:
@@ -206,6 +260,16 @@ class Circuit:
             group = self.group(name)
             for k in range(group.width):
                 yield group.start + k, (value >> k) & 1
+
+
+def _gate_depths(circuit: Circuit) -> np.ndarray:
+    """Each gate's topological depth: inputs and constants have depth 0, a
+    gate one more than its deepest input."""
+    depth = [0] * circuit.n_wires
+    for a, b, out in zip(*circuit.gates[:, 1:].T.tolist()):
+        da, db = depth[a], depth[b]
+        depth[out] = (da if da > db else db) + 1
+    return np.array(depth[circuit.n_inputs + 2 :], dtype=np.intp)
 
 
 def int_from_bits(bits: Sequence[int]) -> int:

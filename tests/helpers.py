@@ -138,3 +138,26 @@ def build_lookup(table: Sequence[int], index_bits: int, out_bits: int) -> Circui
     b = CircuitBuilder()
     idx = b.add_input_group("index", index_bits)
     return b.build(b.lookup(idx, table, out_bits))
+
+
+def edge_circuits() -> dict[str, Circuit]:
+    """Circuits at the edges of the wire layout: no gates, outputs that are
+    inputs or constants, NOTs of constants, and a long XOR chain."""
+    out = {}
+    b = CircuitBuilder()
+    out["no_gates"] = b.build(b.add_input_group("x", 3))
+    b = CircuitBuilder()
+    x = b.add_input_group("x", 2)
+    out["input_and_const_outputs"] = b.build([x[1], b.zero, b.one, b.and_(x[0], x[1]), x[0]])
+    b = CircuitBuilder()
+    x = b.add_input_group("x", 1)
+    out["inv_of_constants"] = b.build(
+        [b.inv(b.zero), b.inv(b.one), b.and_(b.inv(b.zero), x[0])]
+    )
+    b = CircuitBuilder()
+    x = b.add_input_group("x", 4)
+    w = x[0]
+    for i in range(300):
+        w = b.xor(w, x[1 + i % 3])
+    out["long_xor_chain"] = b.build([w, b.and_(w, x[0])])
+    return out

@@ -24,6 +24,7 @@ from helpers import (
     build_greater_than,
     build_lookup,
     build_multiplier,
+    edge_circuits,
     eval_plain,
     signed_from_bits,
 )
@@ -325,8 +326,17 @@ class TestValidation:
         (dict(output_wires=(5,)), "output wire 5 out of range"),
         (dict(gates=np.array([[AND, 0, 2**32 + 1, 4]])), r"\(g, 4\) int32 rows"),
         (dict(gates=np.array([AND, 0, 1, 4])), r"got shape \(4,\)"),
+        (dict(input_groups=(InputGroup("x", 0, 1), InputGroup("x", 1, 1))),
+         "duplicate input group 'x'"),
+        (dict(input_groups=(InputGroup("x", 0, 2), InputGroup("y", 2, 0))),
+         "input group 'y' must have positive width"),
+        (dict(input_groups=(InputGroup("x", 1, 1), InputGroup("y", 0, 1))),
+         "input group 'x' starts at 1, expected 0"),
+        (dict(input_groups=(InputGroup("x", 0, 1),)), "input groups cover 1 wires, expected 2"),
+        (dict(input_groups=(InputGroup("x", 0, 3),)), "input groups cover 3 wires, expected 2"),
     ], ids=["unknown-kind", "kind-2", "negative-b", "undefined-wire", "sparse-outputs", "output-range",
-            "beyond-int32", "not-rows"])
+            "beyond-int32", "not-rows", "repeated-group", "empty-group", "groups-out-of-order",
+            "groups-short", "groups-past-inputs"])
     def test_malformed_circuit_rejected(self, change, message):
         assert Circuit(**self.GOOD).stats == (1, 1)
         with pytest.raises(CircuitError, match=message):
@@ -347,6 +357,60 @@ class TestValidation:
         c = Circuit(**{**self.GOOD, "gates": rows})
         rows[0, 0] = XOR
         assert c.gates.tolist() == [[AND, 0, 1, 4]]
+
+
+class TestTile:
+    @staticmethod
+    def _named(circuit):
+        """``group_names`` for ``Circuit.tile``: copy i's groups as c{i}.<name>."""
+        return lambda i: [f"c{i}.{g.name}" for g in circuit.input_groups]
+
+    @pytest.mark.parametrize("name", [*sorted(edge_circuits()), "adder4"])
+    def test_each_copy_evaluates_as_the_instance(self, name):
+        circuit = {**edge_circuits(), "adder4": build_adder(4)}[name]
+        tiled = circuit.tile(3, self._named(circuit))
+        n1 = circuit.n_inputs
+        assert (tiled.n_inputs, len(tiled.gates)) == (3 * n1, 3 * len(circuit.gates))
+        assert tiled.input_groups[-len(circuit.input_groups):] == tuple(
+            InputGroup(f"c2.{g.name}", 2 * n1 + g.start, g.width) for g in circuit.input_groups
+        )
+        rng = random.Random(name)
+        for _ in range(20):
+            copies = [[rng.randrange(2) for _ in range(circuit.n_inputs)] for _ in range(3)]
+            want = [bit for bits in copies for bit in eval_plain(circuit, bits)]
+            assert eval_plain(tiled, [bit for bits in copies for bit in bits]) == want
+
+    @pytest.mark.parametrize("copies", [0, -1])
+    def test_fewer_than_one_copy_rejected(self, copies):
+        c = build_adder(4)
+        with pytest.raises(CircuitError, match="at least one copy"):
+            c.tile(copies, self._named(c))
+
+    def test_repeated_group_names_rejected(self):
+        c = build_adder(4)
+        with pytest.raises(CircuitError, match="duplicate input group 'a'"):
+            c.tile(2, lambda i: ["a", "b"])
+
+    @pytest.mark.parametrize("name", ["inv_of_constants", "input_and_const_outputs", "ld"])
+    def test_levels_equal_the_depth_loop_on_the_same_fields(self, name):
+        """A tiled circuit repeats its instance's depths; the schedule must
+        equal the one the depth loop builds over every gate of a circuit
+        that was not tiled."""
+        from mpcmarket.analytics.ld import build_ld_circuit
+
+        if name == "ld":
+            tiled = build_ld_circuit(5, 4, 3841, 1000, contributors=2)
+        else:
+            circuit = edge_circuits()[name]
+            tiled = circuit.tile(5, self._named(circuit))
+        plain = Circuit(tiled.n_inputs, tiled.input_groups, tiled.gates, tiled.output_wires)
+        assert plain.digest == tiled.digest
+        want = Circuit.levels.func(plain)
+        assert len(tiled.levels) == len(want)
+        for got_level, want_level in zip(tiled.levels, want):
+            for got, expected in zip(got_level, want_level):
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
 
 
 def _digest_by_struct(c):

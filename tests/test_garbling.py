@@ -21,6 +21,7 @@ from helpers import (
     build_greater_than,
     build_lookup,
     build_multiplier,
+    edge_circuits,
     eval_plain,
 )
 
@@ -249,27 +250,6 @@ def _garbled_digests(circuit):
     return _sha(gb.serialize_garbled(garbled)), _sha(bytes(info.masks))
 
 
-def _edge_circuits():
-    out = {}
-    b = CircuitBuilder()
-    out["no_gates"] = b.build(b.add_input_group("x", 3))
-    b = CircuitBuilder()
-    x = b.add_input_group("x", 2)
-    out["input_and_const_outputs"] = b.build([x[1], b.zero, b.one, b.and_(x[0], x[1]), x[0]])
-    b = CircuitBuilder()
-    x = b.add_input_group("x", 1)
-    out["inv_of_constants"] = b.build(
-        [b.inv(b.zero), b.inv(b.one), b.and_(b.inv(b.zero), x[0])]
-    )
-    b = CircuitBuilder()
-    x = b.add_input_group("x", 4)
-    w = x[0]
-    for i in range(300):
-        w = b.xor(w, x[1 + i % 3])
-    out["long_xor_chain"] = b.build([w, b.and_(w, x[0])])
-    return out
-
-
 class TestGoldenBytes:
     """SHA-256 of garbled tables and decoding masks, recorded from the
     gate-by-gate engine that the level-batched one replaced.
@@ -331,7 +311,7 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("name", sorted(EDGE))
     def test_edge_circuit(self, name):
-        circuit = _edge_circuits()[name]
+        circuit = edge_circuits()[name]
         assert _garbled_digests(circuit) == self.EDGE[name]
         for value in range(1 << circuit.n_inputs):
             bits = bits_from_int(value, circuit.n_inputs)

@@ -190,6 +190,30 @@ class TestLdCircuit:
         got = (circ.digest.hex(), circ.stats.total, circ.stats.non_xor, len(circ.levels))
         assert got == self.DIGESTS[shape]
 
+    def test_builder_and_depth_loop_see_one_instance(self, monkeypatch):
+        """At M=10 the builder emits one instance's gates and the depth loop
+        runs over those alone; the other nine are tiled."""
+        from mpcmarket.circuits import ir
+        from mpcmarket.circuits.builders import CircuitBuilder
+
+        emitted, depth_loops = [], []
+        emit, depths = CircuitBuilder._emit, ir._gate_depths
+
+        def counting_emit(self, kind, a, b):
+            emitted.append(kind)
+            return emit(self, kind, a, b)
+
+        def counting_depths(circuit):
+            depth_loops.append(len(circuit.gates))
+            return depths(circuit)
+
+        monkeypatch.setattr(CircuitBuilder, "_emit", counting_emit)
+        monkeypatch.setattr(ir, "_gate_depths", counting_depths)
+        circ = build_ld_circuit(11, 10, *THRESH)
+        assert len(circ.levels) == 265
+        assert (len(emitted), depth_loops) == (10276, [10276])
+        assert circ.stats.total == 10 * 10276
+
     def test_width_overflow_rejected(self):
         with pytest.raises(CircuitError):
             build_ld_circuit(12, 1, 3841, 100000)
