@@ -221,15 +221,18 @@ class Circuit:
         if copies < 1:
             raise CircuitError(f"need at least one copy, got {copies}")
         n1, n_gates = self.n_inputs, len(self.gates)
-        copy = np.arange(copies).reshape(-1, 1, 1)
+        if (n_wires := copies * (n1 + n_gates) + 2) > np.iinfo(np.int32).max:
+            raise CircuitError(f"{copies} copies need {n_wires} wires, past int32 wire ids")
+        copy = np.arange(copies, dtype=np.int32).reshape(-1, 1, 1)
 
         def wires(w: np.ndarray) -> np.ndarray:
             """Each copy's wires for this circuit's wires ``w``, copy by copy."""
-            w = np.asarray(w, dtype=np.int64)
-            gate = np.where(w >= n1 + 2, copy * n_gates, 0)
-            return w + np.where(w < n1, copy * n1, (copies - 1) * n1 + gate)
+            w = np.asarray(w, dtype=np.int32)
+            first = np.where(w < n1, w, w + (copies - 1) * n1)  # copy 0's
+            step = np.where(w < n1, n1, np.where(w < n1 + 2, 0, n_gates))  # to the next copy
+            return first + copy * step.astype(np.int32)
 
-        gates = np.empty((copies, n_gates, 4), dtype=np.int64)
+        gates = np.empty((copies, n_gates, 4), dtype=np.int32)
         gates[..., 0] = self.gates[:, 0]
         gates[..., 1:] = wires(self.gates[:, 1:])
         groups = [

@@ -386,6 +386,11 @@ class TestTile:
         with pytest.raises(CircuitError, match="at least one copy"):
             c.tile(copies, self._named(c))
 
+    def test_wire_ids_past_int32_rejected_before_allocating(self):
+        c = build_adder(4)
+        with pytest.raises(CircuitError, match="past int32 wire ids"):
+            c.tile(2**28, self._named(c))
+
     def test_repeated_group_names_rejected(self):
         c = build_adder(4)
         with pytest.raises(CircuitError, match="duplicate input group 'a'"):
