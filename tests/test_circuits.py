@@ -376,7 +376,7 @@ class TestTile:
         )
         rng = random.Random(name)
         for _ in range(20):
-            copies = [[rng.randrange(2) for _ in range(circuit.n_inputs)] for _ in range(3)]
+            copies = [[rng.randrange(2) for _ in range(n1)] for _ in range(3)]
             want = [bit for bits in copies for bit in eval_plain(circuit, bits)]
             assert eval_plain(tiled, [bit for bits in copies for bit in bits]) == want
 
